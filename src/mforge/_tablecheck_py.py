@@ -1,7 +1,11 @@
-"""Pure-Python (numpy-vectorized) fallback for the table-check kernels.
+"""The numpy-vectorized kernels for exhaustive checks on Cayley tables.
 
-Same contracts as the compiled module; chunked per row so the 1024-element
-sweep stays within memory and time budgets even without a compiler.
+Each returns the first violation in lexicographic order, or None:
+`first_assoc_violation` the first (a, b, c) with (ab)c != a(bc),
+`first_hom_violation` the first (a, b) with perm[ab] != perm[a]perm[b],
+and the identity and inverse checks the first bad index.  The
+associativity sweep is chunked per row, so the largest shipped word group
+(1024 elements, 2^30 triples) stays within memory and time budgets.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ import json
 from .composition import NAMED_ALGEBRAS, CDAlgebra
 from .foundations import (CoxeterDiagram, Foundation, GFrobenius,
                           GIdentity, GIdOpposite, GlueingMap, GScalarConj,
-                          GStandardInvolution, GTableMap, identity_glueing,
-                          sigma_s_glueing)
+                          GStandardInvolution, GTableMap, id_opposite_glueing,
+                          identity_glueing, sigma_s_glueing)
 from .handles import as_handle
 from .polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE, SYMBOL_QF,
                        SYMBOL_QI, SYMBOL_QP, SYMBOL_QQ, SYMBOL_T,
@@ -276,16 +276,12 @@ def unitary_443_foundation(kind="involutory"):
                                       STANDARD, name="K-op"),
     }
     glueings = {
-        ("1", "2", "3"): id_opposite(),
-        ("2", "3", "1"): id_opposite(),
+        ("1", "2", "3"): id_opposite_glueing(),
+        ("2", "3", "1"): id_opposite_glueing(),
         ("3", "1", "2"): sigma_s_glueing(),
     }
     return Foundation(dia, polygons, glueings,
                       name="F443-%s(quaternion-Q)" % kind)
-
-
-def id_opposite():
-    return GlueingMap([GIdOpposite()])
 
 
 def rejected_443_foundation(symbol_tag):

@@ -161,7 +161,7 @@ def cmd_foundation(args):
     except FileNotFoundError:
         print("no such file: %s" % args.file, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print("invalid foundation description: %s" % exc, file=sys.stderr)
         return 2
     seed = _seed_from(args)
@@ -205,7 +205,7 @@ def cmd_cover(args):
     except FileNotFoundError:
         print("no such file: %s" % args.file, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print("invalid foundation description: %s" % exc, file=sys.stderr)
         return 2
     unfolded = fnd_universal_cover(fnd, args.radius)

@@ -430,10 +430,6 @@ def commutator(x, y):
     return x * y - y * x
 
 
-def associator(x, y, z):
-    return (x * y) * z - x * (y * z)
-
-
 class Subspace:
     """Subspace of a tower, basis kept in exact reduced row-echelon form."""
 

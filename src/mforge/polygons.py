@@ -11,7 +11,9 @@ validated against the quoted opposite forms on the finite instances.
 
 from __future__ import annotations
 
+import operator
 import random
+from operator import methodcaller
 
 import numpy as np
 
@@ -45,135 +47,25 @@ _REJECT_ONLY = (SYMBOL_QE, SYMBOL_QF)
 
 # -- parameter groups ---------------------------------------------------------
 
-class AdditiveParams:
-    """A whole carrier (field / tower) under addition."""
+class ParamGroup:
+    """A parameter group of a root group sequence, given by its operations:
+    op, inverse, identity (a fresh element), identity test, hashable key,
+    enumeration (raising TypeError when infinite), seeded sampling
+    random(rng, height=9, nonzero=False), and rendering."""
 
-    def __init__(self, handle):
-        self.h = handle
+    __slots__ = ("op", "inv", "identity", "is_identity", "key", "elements",
+                 "random", "render")
 
-    def op(self, a, b):
-        return self.h.add(a, b)
-
-    def inv(self, a):
-        return self.h.neg(a)
-
-    def identity(self):
-        return self.h.zero()
-
-    def is_identity(self, a):
-        return self.h.is_zero(a)
-
-    def key(self, a):
-        return self.h.key(a)
-
-    def elements(self):
-        return self.h.elements()
-
-    def random(self, rng, height=9, nonzero=False):
-        return self.h.random(rng, height, nonzero=nonzero)
-
-    def render(self, a):
-        return self.h.render(a)
-
-
-class SpanParams:
-    """An additive span (K0 or L0) as a parameter group."""
-
-    def __init__(self, handle, span):
-        self.h = handle
-        self.span = span
-
-    def op(self, a, b):
-        return self.h.add(a, b)
-
-    def inv(self, a):
-        return self.h.neg(a)
-
-    def identity(self):
-        return self.h.zero()
-
-    def is_identity(self, a):
-        return self.h.is_zero(a)
-
-    def key(self, a):
-        return self.h.key(a)
-
-    def elements(self):
-        return self.span.elements()
-
-    def random(self, rng, height=9, nonzero=False):
-        while True:
-            x = self.span.sample(rng, height)
-            if not (nonzero and self.h.is_zero(x)):
-                return x
-
-    def render(self, a):
-        return self.h.render(a)
-
-
-class VectorParams:
-    """The vector group of a quadratic space."""
-
-    def __init__(self, space):
-        self.space = space
-
-    def op(self, a, b):
-        return a + b
-
-    def inv(self, a):
-        return -a
-
-    def identity(self):
-        return self.space.zero()
-
-    def is_identity(self, a):
-        return a.is_zero()
-
-    def key(self, a):
-        return a.key()
-
-    def elements(self):
-        return list(self.space.enumerate_vectors())
-
-    def random(self, rng, height=9, nonzero=False):
-        return self.space.random_vector(rng, height, nonzero=nonzero)
-
-    def render(self, a):
-        return repr(a)
-
-
-class TParams:
-    """The group T of a pseudo-quadratic space."""
-
-    def __init__(self, space):
-        self.space = space
-
-    def op(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
-
-    def identity(self):
-        return self.space.identity()
-
-    def is_identity(self, a):
-        return a.is_identity()
-
-    def key(self, a):
-        return a.key()
-
-    def elements(self):
-        return list(self.space.enumerate_t())
-
-    def random(self, rng, height=9, nonzero=False):
-        while True:
-            p = self.space.random_point(rng, height)
-            if not (nonzero and p.is_identity()):
-                return p
-
-    def render(self, a):
-        return repr(a)
+    def __init__(self, op, inv, identity, is_identity, key, elements, random,
+                 render):
+        self.op = op
+        self.inv = inv
+        self.identity = identity
+        self.is_identity = is_identity
+        self.key = key
+        self.elements = elements
+        self.random = random
+        self.render = render
 
 
 # -- descriptors --------------------------------------------------------------
@@ -251,9 +143,30 @@ def _standard_layout(symbol, params):
     Relations quoted with inverted arguments are rewritten by substituting
     the parameter-group inverse for that slot.
     """
+    def resampled(draw, is_identity):
+        # draw(rng, height) again until nonzero, when asked for
+        def random(rng, height=9, nonzero=False):
+            while True:
+                x = draw(rng, height)
+                if not (nonzero and is_identity(x)):
+                    return x
+        return random
+
+    def additive(h, span=None):
+        # a whole carrier (field / tower), or a span K0 / L0 in it, under +
+        if span is None:
+            elements = h.elements
+            random = (lambda rng, height=9, nonzero=False:
+                      h.random(rng, height, nonzero=nonzero))
+        else:
+            elements = span.elements
+            random = resampled(span.sample, h.is_zero)
+        return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, elements,
+                          random, h.render)
+
     if symbol == SYMBOL_T:
         h = params  # an algebra handle
-        grp = AdditiveParams(h)
+        grp = additive(h)
         groups = [grp, grp, grp]
 
         def rel(i, a, j, b):
@@ -265,8 +178,8 @@ def _standard_layout(symbol, params):
     if symbol == SYMBOL_QI:
         inv_set = params
         h = inv_set.handle
-        k0 = SpanParams(h, inv_set.k0)
-        k = AdditiveParams(h)
+        k0 = additive(h, inv_set.k0)
+        k = additive(h)
         groups = [k0, k, k0, k]
         sig = inv_set.sigma
 
@@ -287,8 +200,12 @@ def _standard_layout(symbol, params):
     if symbol == SYMBOL_QP:
         sp = params
         h = sp.h
-        tg = TParams(sp)
-        k = AdditiveParams(h)
+        is_identity = methodcaller("is_identity")
+        tg = ParamGroup(  # the group T under its product
+            operator.mul, methodcaller("inverse"), sp.identity, is_identity,
+            methodcaller("key"), lambda: list(sp.enumerate_t()),
+            resampled(sp.random_point, is_identity), repr)
+        k = additive(h)
         groups = [tg, k, tg, k]
         sig = sp.inv.sigma
 
@@ -314,8 +231,13 @@ def _standard_layout(symbol, params):
     if symbol == SYMBOL_QQ:
         sp = params
         fld = sp.field
-        k = AdditiveParams(_field_handle(fld))
-        v = VectorParams(sp)
+        k = additive(_field_handle(fld))
+        v = ParamGroup(  # the vector group
+            operator.add, operator.neg, sp.zero, methodcaller("is_zero"),
+            methodcaller("key"), lambda: list(sp.enumerate_vectors()),
+            lambda rng, height=9, nonzero=False: sp.random_vector(
+                rng, height, nonzero=nonzero),
+            repr)
         groups = [k, v, k, v]
 
         def rel(i, a, j, b):
@@ -338,8 +260,8 @@ def _standard_layout(symbol, params):
         if not axioms.passed:
             raise ValueError("indifferent-set axioms fail: %r" % axioms)
         h = ind.handle
-        k0 = SpanParams(h, ind.k0)
-        l0 = SpanParams(h, ind.l0)
+        k0 = additive(h, ind.k0)
+        l0 = additive(h, ind.l0)
         groups = [k0, l0, k0, l0]
 
         def rel(i, a, j, b):

@@ -61,6 +61,11 @@ def _rat_is_square(q):
     return rn * rn == num and rd * rd == den
 
 
+def _inexact(field, x):
+    return TypeError("%s holds exact values only, not the %s %r"
+                     % (field, type(x).__name__, x))
+
+
 def _isqrt(n):
     import math
     return math.isqrt(int(n))
@@ -134,6 +139,8 @@ class Rationals(Field):
             if x.field != self:
                 raise DescriptorMismatch("scalar from %s" % x.field)
             return x.val
+        if isinstance(x, (float, bool)):
+            raise _inexact(self, x)
         if isinstance(x, str):
             return _RAT(fractions.Fraction(x))
         return _RAT(x)
@@ -199,6 +206,8 @@ class PrimeField(Field):
             if x.field != self:
                 raise DescriptorMismatch("scalar from %s" % x.field)
             return x.val
+        if isinstance(x, (float, bool)):
+            raise _inexact(self, x)
         if isinstance(x, str):
             x = int(x)
         return x % self.p

@@ -1,31 +1,21 @@
 """Finite-group machinery on Cayley tables.
 
-The element-level checks dispatch to a compiled kernel when the extension
-built, with a numpy fallback otherwise; set MFORGE_PURE_TABLES=1 to force
-the fallback (the benchmark uses this).  Everything else here is ordinary
-glue: building tables from generators, automorphism enumeration, and
-isomorphism search for small groups.
+The element-level checks (identity, inverses, associativity, homomorphism)
+run in the numpy kernel of `_tablecheck_py`, bound here as `_kernel`.
+Everything else here is ordinary glue: building tables from generators,
+automorphism enumeration, and isomorphism search for small groups.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
+from . import _tablecheck_py as _kernel
 from .report import Report
 
-if os.environ.get("MFORGE_PURE_TABLES"):
-    from . import _tablecheck_py as _kernel
-    BACKEND = "python"
-else:
-    try:
-        from . import _tablecheck as _kernel
-        BACKEND = "compiled"
-    except ImportError:  # pragma: no cover - depends on build environment
-        from . import _tablecheck_py as _kernel
-        BACKEND = "python"
+BACKEND = "python"
 
 
 def as_table(rows):

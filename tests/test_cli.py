@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import mforge
 from mforge.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -91,6 +92,14 @@ def test_foundation_bad_file(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(["foundation", "check", str(bad)], capsys)
     assert code == 2
+    inexact = tmp_path / "inexact.json"
+    inexact.write_text(json.dumps({
+        "version": 1, "vertices": ["1", "2"],
+        "edges": [{"from": "1", "to": "2", "m": 3, "symbol": "T",
+                   "params": "tower"}],
+        "scalars": {"tower": {"base": "Q", "betas": [0.1]}}}))
+    code, _, err = run(["foundation", "check", str(inexact)], capsys)
+    assert code == 2 and "exact values only" in err
 
 
 def test_foundation_check_failure_exit(capsys):
@@ -132,6 +141,11 @@ def test_env_var_seed(capsys, monkeypatch):
 
 
 def test_console_script_installed():
+    # the child imports the same mforge as this process, installed or not
+    pkg_root = os.path.dirname(os.path.dirname(mforge.__file__))
+    path = os.pathsep.join(filter(None, [pkg_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "mforge.cli", "f4-census",
-                           "--json"], capture_output=True, text=True)
+                           "--json"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mforge.catalog import (canonical_octonion_triangle, field_circle,
@@ -380,3 +382,23 @@ def test_json_schema_rejects_bad_docs():
     jsonschema = pytest.importorskip("jsonschema")
     with pytest.raises(jsonschema.ValidationError):
         foundation_from_json({"version": 1, "vertices": ["1"]})
+
+
+def _tower_doc(betas):
+    return {
+        "version": 1,
+        "vertices": ["1", "2"],
+        "edges": [{"from": "1", "to": "2", "m": 3, "symbol": "T",
+                   "params": "tower"}],
+        "scalars": {"tower": {"base": "Q", "betas": betas}},
+    }
+
+
+def test_json_tower_betas_are_exact():
+    f = foundation_from_json(_tower_doc([-1, "-1/2"]))
+    betas = f.polygons[("1", "2")].params.algebra.betas
+    assert [b.val for b in betas] == [-1, Fraction(-1, 2)]
+    with pytest.raises(TypeError):
+        foundation_from_json(_tower_doc([0.1]))
+    with pytest.raises(TypeError):
+        foundation_from_json(_tower_doc([True]))

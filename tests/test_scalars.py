@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,26 @@ def test_galois_requires_extension():
 def test_descriptor_mismatch():
     with pytest.raises(DescriptorMismatch):
         F5.scalar(1) + F2.scalar(1)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F4, QI])
+@pytest.mark.parametrize("value", [0.5, 0.1, 2.0, True, False])
+def test_floats_and_bools_are_refused(field, value):
+    with pytest.raises(TypeError):
+        field.scalar(value)
+    with pytest.raises(TypeError):
+        field.one() + value
+    if isinstance(field, QuadExt):
+        with pytest.raises(TypeError):
+            field.scalar((1, value))
+
+
+def test_exact_inputs_still_coerce():
+    assert QQ.scalar("1/10").val == Fraction(1, 10)
+    assert QQ.scalar(Fraction(-3, 7)).val == Fraction(-3, 7)
+    assert F5.scalar(7).val == 2
+    assert F5.scalar("-1").val == 4
+    assert QQ.scalar(1) == 1
 
 
 def test_field_by_name():

@@ -10,29 +10,55 @@ def cyclic(n):
                            dtype=np.int64).astype(np.int32)
 
 
-def both_backends():
-    yield tables
-    import mforge._tablecheck_py as pure
+# Brute-force oracles: the contract of the table kernels, loop by loop.
+# Each returns the lexicographically first violation, or None.
 
-    class Shim:
-        BACKEND = "python"
-        first_assoc_violation = staticmethod(
-            lambda t: pure.first_assoc_violation(t))
-        first_hom_violation = staticmethod(
-            lambda t, p: pure.first_hom_violation(t, p))
+def oracle_assoc(t):
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return (a, b, c)
+    return None
 
-    yield Shim
+
+def oracle_hom(t, perm):
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            if perm[t[a][b]] != t[perm[a]][perm[b]]:
+                return (a, b)
+    return None
 
 
-def test_backend_reported():
-    assert tables.BACKEND in ("compiled", "python")
+def oracle_identity(t, e):
+    for a in range(len(t)):
+        if t[e][a] != a or t[a][e] != a:
+            return a
+    return None
+
+
+def oracle_inverse(t, inv, e):
+    for a in range(len(t)):
+        if t[a][inv[a]] != e or t[inv[a]][a] != e:
+            return a
+    return None
+
+
+def neg_vector(n):
+    return np.array([(-a) % n for a in range(n)], dtype=np.int32)
+
+
+def test_backend_is_the_numpy_kernel():
+    assert tables.BACKEND == "python"
+    assert tables._kernel.__name__ == "mforge._tablecheck_py"
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 31])
 def test_cyclic_groups_pass(n):
     t = cyclic(n)
-    inv = np.array([(-a) % n for a in range(n)], dtype=np.int32)
-    rep = check_group_axioms(t, 0, inv)
+    rep = check_group_axioms(t, 0, neg_vector(n))
     assert rep.passed
 
 
@@ -42,24 +68,66 @@ def test_planted_violation_found():
     assert tables.first_assoc_violation(t) is not None
 
 
-def test_backends_agree_on_violation():
-    t = cyclic(12)
-    t[3, 4] = 0
-    results = set()
-    for backend in both_backends():
-        out = backend.first_assoc_violation(np.ascontiguousarray(t))
-        results.add(tuple(int(v) for v in out))
-    assert len(results) == 1
+PLANTED_CELLS = [
+    (12, (3, 4), 0), (12, (0, 0), 5), (12, (11, 11), 3),
+    (16, (5, 7), 13), (16, (9, 2), 0), (16, (15, 0), 1),
+]
 
 
-def test_hom_violation_both_backends():
+@pytest.mark.parametrize("n, cell, value", PLANTED_CELLS, ids=[
+    "Z%d-%d-%d" % (n, a, b) for n, (a, b), _ in PLANTED_CELLS])
+def test_assoc_violation_matches_oracle(n, cell, value):
+    t = cyclic(n)
+    t[cell] = value
+    expect = oracle_assoc(t.tolist())
+    assert expect is not None
+    got = tables.first_assoc_violation(t)
+    assert tuple(int(v) for v in got) == expect
+    assert oracle_assoc(cyclic(n).tolist()) is None
+    assert tables.first_assoc_violation(cyclic(n)) is None
+
+
+@pytest.mark.parametrize("swap", [(1, 2), (0, 5), (4, 9), (8, 9)],
+                         ids=lambda sw: "swap-%d-%d" % sw)
+def test_hom_violation_matches_oracle(swap):
     t = cyclic(10)
     good = np.array([(3 * a) % 10 for a in range(10)], dtype=np.int32)
+    assert oracle_hom(t.tolist(), good.tolist()) is None
+    assert tables.first_hom_violation(t, good) is None
     bad = good.copy()
-    bad[[1, 2]] = bad[[2, 1]]
-    for backend in both_backends():
-        assert backend.first_hom_violation(t, good) is None
-        assert backend.first_hom_violation(t, bad) is not None
+    bad[list(swap)] = bad[list(reversed(swap))]
+    expect = oracle_hom(t.tolist(), bad.tolist())
+    assert expect is not None
+    assert tuple(int(v) for v in tables.first_hom_violation(t, bad)) == expect
+
+
+@pytest.mark.parametrize("n, planted", [
+    (8, [0]), (8, [5, 2]), (13, [12]), (13, [4, 9, 11]),
+])
+def test_identity_violation_finds_first_planted_index(n, planted):
+    t = cyclic(n)
+    assert tables._kernel.first_identity_violation(t, 0) is None
+    for a in planted:
+        t[0, a] = (a + 1) % n
+    assert oracle_identity(t.tolist(), 0) == min(planted)
+    assert tables._kernel.first_identity_violation(t, 0) == min(planted)
+    rep = check_group_axioms(t, 0, neg_vector(n))
+    assert rep.lines[0].counterexample == min(planted)
+
+
+@pytest.mark.parametrize("n, planted", [
+    (8, [0]), (8, [6, 3]), (13, [12]), (13, [4, 9, 11]),
+])
+def test_inverse_violation_finds_first_planted_index(n, planted):
+    t = cyclic(n)
+    inv = neg_vector(n)
+    assert tables._kernel.first_inverse_violation(t, inv, 0) is None
+    for a in planted:
+        inv[a] = (inv[a] + 1) % n
+    assert oracle_inverse(t.tolist(), inv.tolist(), 0) == min(planted)
+    assert tables._kernel.first_inverse_violation(t, inv, 0) == min(planted)
+    rep = check_group_axioms(t, 0, inv)
+    assert rep.lines[1].counterexample == min(planted)
 
 
 def test_is_automorphism():
