@@ -1,15 +1,22 @@
-"""Stored reports of the octonion-Q checks, compared byte for byte.
+"""Stored reports, compared byte for byte.
 
-Each case is an acceptance check (criteria #2, #5 and #7) at its own seed,
-with fewer samples.  The files under ``tests/golden/`` were recorded with
-the recursive doubling product (``composition._pmul``) on every tower, so
-these tests show that the fast paths over Q give the same reports.
+The octonion-Q cases are acceptance checks (criteria #2, #5 and #7) at
+their own seeds, with fewer samples.  They were recorded with the
+recursive doubling product (``composition._pmul``) on every tower, so they
+show that the fast paths over Q give the same reports.
+
+The foundation cases (``fnd_*``, ``dot_*``, ``ms_coincide_*``) were
+recorded while reversed carriers were still a separate handle class and
+the glueing atoms a separate hierarchy from the octonion atoms.  They run
+glueing chains across opposite ends, the standard involution on towers,
+fields and quadratic-space vectors, and the small-field carrier.
 
 To record the files again from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import os
 import random
 import sys
@@ -73,27 +80,92 @@ def jaut_verify():
     return jaut_verify(JordanMap([psi], O), samples=50, seed=29)
 
 
+def _fnd_check_case(name):
+    def case():
+        from mforge.catalog import NAMED_FOUNDATIONS
+        from mforge.foundations import fnd_check
+        return fnd_check(NAMED_FOUNDATIONS[name](), samples=24, seed=3)
+    case.__name__ = "fnd_check_" + name.replace("-", "_")
+    return case
+
+
+def fnd_check_443_involutory():
+    from mforge.catalog import unitary_443_foundation
+    from mforge.foundations import fnd_check_443
+    verdict = fnd_check_443(unitary_443_foundation("involutory"),
+                            samples=24, seed=3)
+    return json.dumps(verdict.as_dict(), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+def fnd_classify_p3_quaternion():
+    from mforge.catalog import positive_quaternion_triangle
+    from mforge.foundations import fnd_classify_simply_laced
+    verdict = fnd_classify_simply_laced(positive_quaternion_triangle(),
+                                        samples=24, seed=3)
+    return json.dumps(verdict.as_dict(), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+def _dot_case(stem):
+    def case():
+        from mforge.catalog import foundation_from_file
+        from mforge.foundations import fnd_to_dot
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        return fnd_to_dot(foundation_from_file(
+            os.path.join(root, "sample_foundations", stem + ".json")))
+    case.__name__ = "dot_" + stem
+    return case
+
+
+def ms_coincide_f4_small_field():
+    from mforge.handles import SmallFieldHandle
+    from mforge.moufang import MoufangSet, ms_coincide
+    from mforge.quadspace import qs_small_dim_field, space_from_quadext
+    from mforge.scalars import F4
+    space = space_from_quadext(F4, name="(F4,F2,N)")
+    small, _ = qs_small_dim_field(space)
+    return ms_coincide(MoufangSet(MoufangSet.QUADRATIC, space),
+                       MoufangSet(MoufangSet.LINEAR, SmallFieldHandle(small)),
+                       samples=24, seed=3)
+
+
+def _fnd_names():
+    from mforge.catalog import NAMED_FOUNDATIONS
+    return sorted(NAMED_FOUNDATIONS)
+
+
 CASES = {f.__name__: f for f in (
     triangle_hua_consistency, dim16_alternative, psi_product_rule,
-    gamma_w_decompose, sigma_s_central, jaut_verify)}
+    gamma_w_decompose, sigma_s_central, jaut_verify,
+    fnd_check_443_involutory, fnd_classify_p3_quaternion,
+    ms_coincide_f4_small_field,
+    _dot_case("a2_octonion"), _dot_case("f443_involutory"),
+    *[_fnd_check_case(name) for name in _fnd_names()])}
 
 
 def _path(name):
-    return os.path.join(GOLDEN, name + ".json")
+    ext = ".dot" if name.startswith("dot_") else ".json"
+    return os.path.join(GOLDEN, name + ext)
+
+
+def _text(out):
+    """A case's stored form: reports as one JSON line, text as it is."""
+    return out if isinstance(out, str) else out.to_json() + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     with open(_path(name)) as fh:
         want = fh.read()
-    assert CASES[name]().to_json() + "\n" == want
+    assert _text(CASES[name]()) == want
 
 
 def main():
     os.makedirs(GOLDEN, exist_ok=True)
     for name, case in sorted(CASES.items()):
         with open(_path(name), "w") as fh:
-            fh.write(case().to_json() + "\n")
+            fh.write(_text(case()))
         print("wrote", _path(name))
     return 0
 
