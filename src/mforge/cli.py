@@ -161,8 +161,9 @@ def cmd_foundation(args):
     except FileNotFoundError:
         print("no such file: %s" % args.file, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print("invalid foundation description: %s" % exc, file=sys.stderr)
+    except _input_errors() as exc:
+        print("invalid foundation description: %s"
+              % getattr(exc, "message", exc), file=sys.stderr)
         return 2
     seed = _seed_from(args)
     if args.action == "check":
@@ -193,6 +194,18 @@ def cmd_foundation(args):
     return 0
 
 
+def _input_errors():
+    """The exceptions that mean a malformed foundation file.  jsonschema is
+    optional and imported only when validation runs, so its error class is
+    looked up here, once a load has already failed."""
+    errors = (ValueError, KeyError, TypeError, json.JSONDecodeError)
+    try:
+        from jsonschema import ValidationError
+    except ImportError:  # pragma: no cover
+        return errors
+    return errors + (ValidationError,)
+
+
 def _load_foundation(path):
     if path in NAMED_FOUNDATIONS:
         return NAMED_FOUNDATIONS[path]()
@@ -205,8 +218,9 @@ def cmd_cover(args):
     except FileNotFoundError:
         print("no such file: %s" % args.file, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print("invalid foundation description: %s" % exc, file=sys.stderr)
+    except _input_errors() as exc:
+        print("invalid foundation description: %s"
+              % getattr(exc, "message", exc), file=sys.stderr)
         return 2
     unfolded = fnd_universal_cover(fnd, args.radius)
     doc = {

@@ -2,23 +2,28 @@
 and a glueing per ordered triple, plus the machinery on top of them --
 axioms, glueing signs, residues, reparametrization, covers, tree
 canonicalization, positive-residue analysis, and the integrability
-classifiers (necessary conditions only; no existence claims)."""
+classifiers (necessary conditions only; no existence claims).
+
+The map chain is defined here once: the atoms (identity, id^op, standard
+involution, conjugation, Frobenius, linear, table) and `GlueingMap`, their
+right-to-left chain with inverse, composition and parity.  Octonion Jordan
+maps (`octonion_aut.JordanMap`) are the same chains with a domain algebra.
+Opposite readings of a tower are handles with the `reversed` flag set."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
 from . import linalg
-from .composition import CDElement
-from .handles import CDHandle, FieldHandle, OppositeHandle
+from .handles import CDHandle, FieldHandle
 from .moufang import MoufangSet, ms_jordan_check
 from .polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE, SYMBOL_QF,
                        SYMBOL_QI, SYMBOL_QP, SYMBOL_QQ, SYMBOL_T,
                        rgs_opposite)
-from .quadspace import QSVector
 from .report import Report
-from .scalars import QuadExt, Scalar
+from .scalars import QuadExt
 from .unitary import ind_opposite
 
 
@@ -170,15 +175,7 @@ class GStandardInvolution(GAtom):
     parity = ANTI
 
     def apply(self, x):
-        if isinstance(x, CDElement):
-            return x.conj()
-        if isinstance(x, Scalar) and isinstance(x.field, QuadExt):
-            return Scalar(x.field, x.field.conj(x.val))
-        if isinstance(x, QSVector):
-            return x.space.sigma(x)
-        if isinstance(x, Scalar):
-            return x
-        raise TypeError("no standard involution on %r" % (x,))
+        return x.conj()
 
     def inverse(self):
         return self
@@ -188,9 +185,13 @@ class GStandardInvolution(GAtom):
 
 
 class GScalarConj(GAtom):
+    """x -> w^-1 x w."""
+
     parity = ISO
 
     def __init__(self, w):
+        if w.norm().is_zero():
+            raise ValueError("conjugation needs an invertible element")
         self.w = w
         self.w_inv = w.inverse()
 
@@ -304,7 +305,11 @@ class GTableMap(GAtom):
 
 
 class GlueingMap:
-    """Ordered atom chain applied right-to-left; must send unit to unit."""
+    """Ordered atom chain applied right-to-left; must send unit to unit.
+
+    Glueings of foundations and Jordan maps of octonion towers are both
+    such chains; `inverse` and `compose` return the same kind of map as
+    `self`, with any further attributes (a domain algebra) kept."""
 
     def __init__(self, atoms):
         self.atoms = list(atoms)
@@ -317,12 +322,17 @@ class GlueingMap:
     def __call__(self, x):
         return self.apply(x)
 
+    def _with_atoms(self, atoms):
+        out = copy.copy(self)
+        out.atoms = atoms
+        return out
+
     def inverse(self):
-        return GlueingMap([a.inverse() for a in reversed(self.atoms)])
+        return self._with_atoms([a.inverse() for a in reversed(self.atoms)])
 
     def compose(self, inner):
         """self after inner."""
-        return GlueingMap(self.atoms + inner.atoms)
+        return self._with_atoms(self.atoms + inner.atoms)
 
     def parity(self):
         """Parity of the substantive atoms; opposite markers are reading
@@ -611,9 +621,7 @@ def fnd_glueing_sign(fnd, triple, samples=40, seed=59):
     if cand != UNKNOWN:
         # a chain written without explicit opposite markers still crosses
         # readings when exactly one end ring is the opposite one
-        src_opp = isinstance(src_ring, OppositeHandle)
-        dst_opp = isinstance(dst_ring, OppositeHandle)
-        if src_opp != dst_opp:
+        if src_ring.reversed != dst_ring.reversed:
             cand = -cand
         structural = "negative" if cand == ISO else "positive"
         commutative = src_ring.is_commutative()
@@ -878,19 +886,18 @@ def _carrier_kind(fnd):
         if desc.symbol != SYMBOL_T:
             raise NotSimplyLaced("non-triangle polygon present")
         h = desc.params
-        base = h.inner if isinstance(h, OppositeHandle) else h
-        if isinstance(base, CDHandle):
-            dim = base.algebra.dim
+        if isinstance(h, CDHandle):
+            dim = h.algebra.dim
             kinds.add("field" if dim <= 2 else
                       "quaternion" if dim == 4 else "octonion")
-            descriptors.add(("cd", base.algebra.base,
-                             tuple(str(b) for b in base.algebra.betas)))
-        elif isinstance(base, FieldHandle):
+            descriptors.add(("cd", h.algebra.base,
+                             tuple(str(b) for b in h.algebra.betas)))
+        elif isinstance(h, FieldHandle):
             kinds.add("field")
-            descriptors.add(("field", base.field))
+            descriptors.add(("field", h.field))
         else:
             kinds.add("skewfield")
-            descriptors.add(("other", id(base)))
+            descriptors.add(("other", id(h)))
     if len(kinds) != 1 or len(descriptors) != 1:
         return None
     return kinds.pop()

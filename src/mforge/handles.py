@@ -2,10 +2,14 @@
 
 The involutory/indifferent structures, Moufang-set families, polygon
 parameter groups and foundation glueings all need the same small protocol
-over "something you can multiply": a field, a doubling tower, the opposite
-of either, or a constructed small field on a quadratic space.  A handle
-bundles that protocol together with exact coordinates over a ground field
-so spans can be decided by linear algebra.
+over "something you can multiply": a field, a doubling tower, or a
+constructed small field on a quadratic space.  `Handle` holds that
+protocol once; `FieldHandle`, `CDHandle` and `SmallFieldHandle` override
+only what differs between the carriers.  A tower can also be read with its
+multiplication reversed (`opposite()`), which sets the handle's `reversed`
+flag; fields and small fields are commutative and are their own opposite.
+A handle bundles the protocol together with exact coordinates over a
+ground field so spans can be decided by linear algebra.
 """
 
 from __future__ import annotations
@@ -16,24 +20,18 @@ from .quadspace import SmallField
 from .scalars import Field, QuadExt, Scalar, random_scalar
 
 
-class FieldHandle:
-    """A plain field as a carrier; coordinates over itself or, for a
-    quadratic extension, over its base."""
+class Handle:
+    """The carrier protocol.  Elements bring their own sum, difference,
+    negation, zero test, conjugation and coordinates; `carrier` is the
+    field, tower or quadratic space the elements live in."""
 
-    def __init__(self, field):
-        self.field = field
-        if isinstance(field, QuadExt):
-            self.coord_field = field.base
-            self.coord_dim = 2
-        else:
-            self.coord_field = field
-            self.coord_dim = 1
+    reversed = False
 
     def one(self):
-        return self.field.one()
+        return self.carrier.one()
 
     def zero(self):
-        return self.field.zero()
+        return self.carrier.zero()
 
     def add(self, a, b):
         return a + b
@@ -45,18 +43,64 @@ class FieldHandle:
         return -a
 
     def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inv()
+        return b * a if self.reversed else a * b
 
     def is_zero(self, a):
         return a.is_zero()
 
     def conj(self, a):
-        if isinstance(self.field, QuadExt):
-            return Scalar(self.field, self.field.conj(a.val))
-        return a
+        return a.conj()
+
+    def coords(self, a):
+        return list(a.coords)
+
+    def characteristic(self):
+        return self.coord_field.characteristic()
+
+    def is_finite(self):
+        return self.coord_field.is_finite()
+
+    def key(self, a):
+        return a.key()
+
+    def render(self, a):
+        return repr(a)
+
+    def is_commutative(self):
+        return True
+
+    def opposite(self):
+        return self  # commutative: the reversed reading is the same
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.reversed == self.reversed
+                and other.carrier == self.carrier)
+
+    def __hash__(self):
+        # equal carriers have equal coordinate fields and dimensions; a
+        # quadratic space itself is unhashable
+        return hash((type(self).__name__, self.reversed, self.coord_field,
+                     self.coord_dim))
+
+    def __repr__(self):
+        return "%r^op" % self.carrier if self.reversed else repr(self.carrier)
+
+
+class FieldHandle(Handle):
+    """A plain field as a carrier; coordinates over itself or, for a
+    quadratic extension, over its base."""
+
+    def __init__(self, field):
+        self.field = self.carrier = field
+        if isinstance(field, QuadExt):
+            self.coord_field = field.base
+            self.coord_dim = 2
+        else:
+            self.coord_field = field
+            self.coord_dim = 1
+
+    def inv(self, a):
+        return a.inv()
 
     def coords(self, a):
         if self.coord_dim == 1:
@@ -69,12 +113,6 @@ class FieldHandle:
             return coords[0]
         return Scalar(self.field, (coords[0].val, coords[1].val))
 
-    def characteristic(self):
-        return self.field.characteristic()
-
-    def is_finite(self):
-        return self.field.is_finite()
-
     def elements(self):
         return self.field.elements()
 
@@ -84,77 +122,24 @@ class FieldHandle:
     def key(self, a):
         return a.val
 
-    def render(self, a):
-        return repr(a)
-
-    def is_commutative(self):
-        return True
-
-    def is_associative(self):
-        return True
-
     def scalar_embed(self, s):
         return self.field.scalar(s)
 
-    def opposite(self):
-        return self  # commutative
 
-    def __eq__(self, other):
-        return isinstance(other, FieldHandle) and other.field == self.field
-
-    def __hash__(self):
-        return hash(("FieldHandle", self.field))
-
-    def __repr__(self):
-        return repr(self.field)
-
-
-class CDHandle:
-    """A doubling tower as a carrier; coordinates over the base field."""
+class CDHandle(Handle):
+    """A doubling tower as a carrier; coordinates over the base field.  Its
+    opposite is a twin handle whose `mul` reverses the product."""
 
     def __init__(self, algebra):
-        self.algebra = algebra
+        self.algebra = self.carrier = algebra
         self.coord_field = algebra.base
         self.coord_dim = algebra.dim
-
-    def one(self):
-        return self.algebra.one()
-
-    def zero(self):
-        return self.algebra.zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def inv(self, a):
         return a.inverse()
 
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def conj(self, a):
-        return a.conj()
-
-    def coords(self, a):
-        return list(a.coords)
-
     def uncoords(self, coords):
         return CDElement(self.algebra, tuple(coords))
-
-    def characteristic(self):
-        return self.algebra.characteristic()
-
-    def is_finite(self):
-        return self.algebra.base.is_finite()
 
     def elements(self):
         return self.algebra._all_elements()
@@ -162,89 +147,33 @@ class CDHandle:
     def random(self, rng, height=20, nonzero=False):
         return self.algebra.random_element(rng, height, nonzero=nonzero)
 
-    def key(self, a):
-        return a.key()
-
-    def render(self, a):
-        return repr(a)
-
     def is_commutative(self):
         return self.algebra.dim <= 2
-
-    def is_associative(self):
-        return self.algebra.dim <= 4
 
     def scalar_embed(self, s):
         return self.algebra.from_base(s)
 
     def opposite(self):
-        return OppositeHandle(self)
-
-    def __eq__(self, other):
-        return isinstance(other, CDHandle) and other.algebra == self.algebra
-
-    def __hash__(self):
-        return hash(("CDHandle", self.algebra))
-
-    def __repr__(self):
-        return repr(self.algebra)
+        # a distinct twin even when the tower is commutative (dim <= 2):
+        # foundations count reading flips from the end carriers
+        twin = CDHandle(self.algebra)
+        twin.reversed = not self.reversed
+        return twin
 
 
-class OppositeHandle:
-    """Same carrier, reversed multiplication."""
-
-    def __init__(self, inner):
-        # double opposite collapses
-        if isinstance(inner, OppositeHandle):
-            raise ValueError("unwrap instead of double-wrapping")
-        self.inner = inner
-        self.coord_field = inner.coord_field
-        self.coord_dim = inner.coord_dim
-
-    def mul(self, a, b):
-        return self.inner.mul(b, a)
-
-    def opposite(self):
-        return self.inner
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def __eq__(self, other):
-        return isinstance(other, OppositeHandle) and other.inner == self.inner
-
-    def __hash__(self):
-        return hash(("Opp", self.inner))
-
-    def __repr__(self):
-        return "%r^op" % self.inner
-
-
-class SmallFieldHandle:
+class SmallFieldHandle(Handle):
     """The constructed field on a dim<=2 quadratic space as a carrier."""
 
     def __init__(self, small):
         if not isinstance(small, SmallField):
             small = SmallField(small)
         self.small = small
-        self.space = small.space
+        self.space = self.carrier = small.space
         self.coord_field = self.space.field
         self.coord_dim = self.space.dim
 
     def one(self):
         return self.small.one()
-
-    def zero(self):
-        return self.space.zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
 
     def mul(self, a, b):
         return self.small.mul(a, b)
@@ -252,23 +181,8 @@ class SmallFieldHandle:
     def inv(self, a):
         return self.small.inv(a)
 
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def conj(self, a):
-        return self.space.sigma(a)
-
-    def coords(self, a):
-        return list(a.coords)
-
     def uncoords(self, coords):
         return self.space.vector(coords)
-
-    def characteristic(self):
-        return self.space.field.characteristic()
-
-    def is_finite(self):
-        return self.space.field.is_finite()
 
     def elements(self):
         return list(self.space.enumerate_vectors())
@@ -276,36 +190,15 @@ class SmallFieldHandle:
     def random(self, rng, height=20, nonzero=False):
         return self.space.random_vector(rng, height, nonzero=nonzero)
 
-    def key(self, a):
-        return a.key()
-
-    def render(self, a):
-        return repr(a)
-
-    def is_commutative(self):
-        return True
-
-    def is_associative(self):
-        return True
-
     def scalar_embed(self, s):
         return self.small.embed_scalar(self.space.field.scalar(s))
-
-    def opposite(self):
-        return self
-
-    def __eq__(self, other):
-        return isinstance(other, SmallFieldHandle) and other.space == self.space
-
-    def __hash__(self):
-        return hash(("SmallFieldHandle", id(self.space)))
 
     def __repr__(self):
         return "F(%r)" % self.space
 
 
 def as_handle(obj):
-    if isinstance(obj, (FieldHandle, CDHandle, OppositeHandle, SmallFieldHandle)):
+    if isinstance(obj, Handle):
         return obj
     if isinstance(obj, Field):
         return FieldHandle(obj)

@@ -1,8 +1,11 @@
 """Jordan automorphisms of octonion towers: the exceptional maps that fix a
-quaternion subalgebra and twist the complementary half, conjugations, the
-standard involution, and decomposition/witness searches.
+quaternion subalgebra and twist the complementary half, and
+decomposition/witness searches.
 
-A JordanMap is an ordered chain of atoms applied right-to-left.  The split
+A JordanMap is a foundation glueing chain (`foundations.GlueingMap`) with
+its domain algebra attached: the standard involution, conjugation by an
+invertible w (`Conj`) and the other generic atoms are the glueing atoms.
+This module adds only the half-twisting atoms `Psi` and `Phi`.  The split
 x = h + e*y against a quaternion subalgebra is cached per atom so repeated
 application stays cheap.
 """
@@ -11,54 +14,14 @@ from __future__ import annotations
 
 import random
 
-from . import linalg
-from .composition import (CDElement, DoublingFrame, Subspace, bilinear,
+from .composition import (DoublingFrame, Subspace, bilinear,
                           orthogonal_complement, subalgebra_generated)
+from .foundations import GAtom, GlueingMap
+from .foundations import GScalarConj as Conj
 from .report import Report
 
 
-class Atom:
-    def apply(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class StandardInvolution(Atom):
-    def apply(self, x):
-        return x.conj()
-
-    def __repr__(self):
-        return "sigma_s"
-
-
-class Conj(Atom):
-    """x -> w^-1 x w."""
-
-    def __init__(self, w):
-        if w.norm().is_zero():
-            raise ValueError("conjugation needs an invertible element")
-        self.w = w
-        self.w_inv = w.inverse()
-
-    def apply(self, x):
-        return (self.w_inv * x) * self.w
-
-    def __repr__(self):
-        return "conj[%r]" % self.w
-
-
-class Linear(Atom):
-    def __init__(self, matrix):
-        self.matrix = [row[:] for row in matrix]
-
-    def apply(self, x):
-        return CDElement(x.algebra,
-                         tuple(linalg.mat_vec(self.matrix, list(x.coords))))
-
-    def __repr__(self):
-        return "linear"
-
-
-class _Split(Atom):
+class _Split(GAtom):
     """Shared plumbing for the half-twisting atoms."""
 
     def __init__(self, algebra, sub, e, w):
@@ -107,30 +70,12 @@ class Phi(_Split):
         return "phi[w=%r,p=%r]" % (self.w, self.p)
 
 
-class JordanMap:
-    """A chain of atoms, applied right-to-left."""
+class JordanMap(GlueingMap):
+    """A chain of atoms on `algebra`, applied right-to-left."""
 
     def __init__(self, atoms, algebra):
-        self.atoms = list(atoms)
+        super().__init__(atoms)
         self.algebra = algebra
-
-    def apply(self, x):
-        for atom in reversed(self.atoms):
-            x = atom.apply(x)
-        return x
-
-    def __call__(self, x):
-        return self.apply(x)
-
-    def compose(self, other):
-        return JordanMap(self.atoms + other.atoms, self.algebra)
-
-    def __repr__(self):
-        return " . ".join(repr(a) for a in self.atoms) or "id"
-
-
-def jaut_apply(jmap, x):
-    return jmap.apply(x)
 
 
 def standard_quaternion_frame(algebra):

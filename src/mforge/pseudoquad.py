@@ -519,7 +519,7 @@ def dim_switch_up(space, a_coeff=None, e=None):
                             name="(%r, %r, gal)" % (ext, alg.base))
     q_a = project(qa)                     # q~(a) = q(a) as subfield value
     q_b = q_a * ext.scalar(ne.val)
-    faa = q_a - Scalar(ext, ext.conj(q_a.val))
+    faa = q_a - q_a.conj()
     fbb = ext.scalar(ne.val) * faa
     zero = ext.zero()
     new = PseudoQuadraticSpace(
@@ -539,8 +539,7 @@ def dim_switch_up(space, a_coeff=None, e=None):
         u_val = ext.scalar((u.coords[0].val, 0))  # u is a base scalar
         nx = x.norm()  # N(x) in base
         second = ext.scalar(nx.val) * q_a + u_val
-        tc = Scalar(ext, ext.conj(t.val))
-        return new.point((s, tc), second)
+        return new.point((s, t.conj()), second)
 
     return new, gamma
 
@@ -564,7 +563,7 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     faa = space.f_gram[i0][i0]
     fbb = space.f_gram[i1][i1]
     beta = h.neg(h.mul(fbb, h.inv(faa)))
-    if Scalar(ext, ext.conj(beta.val)) != beta:
+    if beta.conj() != beta:
         raise ValueError("beta is not fixed by the involution")
     beta_base = Scalar(base, beta.val[0])
 
@@ -626,7 +625,7 @@ def dim_switch_down(space, basis_idx=(0, 1)):
         second = h.add(second, u_val)
         vec = [h.zero(), h.zero()]
         vec[i0] = s
-        vec[i1] = Scalar(ext, ext.conj(t.val))
+        vec[i1] = t.conj()
         return space.point(tuple(vec), second)
 
     return new, gamma

@@ -189,6 +189,9 @@ class QSVector:
     def key(self):
         return tuple(c.val for c in self.coords)
 
+    def conj(self):
+        return self.space.sigma(self)
+
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 

@@ -104,6 +104,10 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
+    def conj(self, a):
+        """The field's standard involution: the identity unless overridden."""
+        return a
+
     def div(self, a, b):
         if self.is_zero(b):
             raise DivisionByZero("division by zero in %s" % self)
@@ -210,6 +214,11 @@ class PrimeField(Field):
             raise _inexact(self, x)
         if isinstance(x, str):
             x = int(x)
+        elif isinstance(x, fractions.Fraction):
+            if x.denominator != 1:
+                raise TypeError("%s takes integers, not the fraction %s"
+                                % (self, x))
+            x = x.numerator
         return x % self.p
 
     def zero_payload(self):
@@ -458,6 +467,9 @@ class Scalar:
     def inv(self):
         return Scalar(self.field, self.field.inv(self.val))
 
+    def conj(self):
+        return Scalar(self.field, self.field.conj(self.val))
+
     def is_zero(self):
         return self.field.is_zero(self.val)
 
@@ -474,10 +486,9 @@ def galois_data(x):
     f = x.field
     if not isinstance(f, QuadExt):
         raise NotQuadExt("galois data needs a quadratic extension, got %s" % f)
-    conj = Scalar(f, f.conj(x.val))
     norm = Scalar(f.base, f.norm_payload(x.val))
     trace = Scalar(f.base, f.trace_payload(x.val))
-    return conj, norm, trace
+    return x.conj(), norm, trace
 
 
 def random_scalar(field, rng, height=20, nonzero=False):

@@ -100,6 +100,12 @@ def test_foundation_bad_file(capsys, tmp_path):
         "scalars": {"tower": {"base": "Q", "betas": [0.1]}}}))
     code, _, err = run(["foundation", "check", str(inexact)], capsys)
     assert code == 2 and "exact values only" in err
+    off_schema = tmp_path / "off_schema.json"
+    off_schema.write_text(json.dumps({"version": 1, "vertices": ["1"]}))
+    for argv in (["foundation", "check", str(off_schema)],
+                 ["cover", "unfold", str(off_schema), "--radius", "2"]):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and "'edges' is a required property" in err
 
 
 def test_foundation_check_failure_exit(capsys):

@@ -80,6 +80,12 @@ def jaut_verify():
     return jaut_verify(JordanMap([psi], O), samples=50, seed=29)
 
 
+def _verdict_text(verdict):
+    """A verdict as the CLI prints it with --json."""
+    return json.dumps(verdict.as_dict(), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
 def _fnd_check_case(name):
     def case():
         from mforge.catalog import NAMED_FOUNDATIONS
@@ -92,19 +98,15 @@ def _fnd_check_case(name):
 def fnd_check_443_involutory():
     from mforge.catalog import unitary_443_foundation
     from mforge.foundations import fnd_check_443
-    verdict = fnd_check_443(unitary_443_foundation("involutory"),
-                            samples=24, seed=3)
-    return json.dumps(verdict.as_dict(), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return _verdict_text(fnd_check_443(unitary_443_foundation("involutory"),
+                                       samples=24, seed=3))
 
 
 def fnd_classify_p3_quaternion():
     from mforge.catalog import positive_quaternion_triangle
     from mforge.foundations import fnd_classify_simply_laced
-    verdict = fnd_classify_simply_laced(positive_quaternion_triangle(),
-                                        samples=24, seed=3)
-    return json.dumps(verdict.as_dict(), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return _verdict_text(fnd_classify_simply_laced(
+        positive_quaternion_triangle(), samples=24, seed=3))
 
 
 def _dot_case(stem):

@@ -1,0 +1,102 @@
+"""The handle protocol on every carrier kind and on its reversed reading."""
+
+import random
+
+import pytest
+
+from mforge.composition import gauss_q, octonions_q, quaternions_q
+from mforge.handles import SmallFieldHandle, as_handle
+from mforge.quadspace import qs_small_dim_field, space_from_quadext
+from mforge.scalars import F4, F5, QI, QQ
+
+
+def _small_f4():
+    small, _ = qs_small_dim_field(space_from_quadext(F4, name="(F4,F2,N)"))
+    return SmallFieldHandle(small)
+
+
+CARRIERS = {
+    "QQ": lambda: as_handle(QQ),
+    "F5": lambda: as_handle(F5),
+    "F4": lambda: as_handle(F4),
+    "QI": lambda: as_handle(QI),
+    "Qi-tower": lambda: as_handle(gauss_q()),
+    "quaternions": lambda: as_handle(quaternions_q()),
+    "octonions": lambda: as_handle(octonions_q()),
+    "small-F4": _small_f4,
+}
+TOWERS = {"Qi-tower", "quaternions", "octonions"}
+
+
+@pytest.fixture(scope="module", params=[(name, reading)
+                                        for name in sorted(CARRIERS)
+                                        for reading in ("plain", "op")],
+                ids=lambda p: "%s-%s" % p)
+def handle(request):
+    name, reading = request.param
+    h = CARRIERS[name]()
+    return h if reading == "plain" else h.opposite()
+
+
+def _samples(h, n=6, nonzero=False):
+    rng = random.Random(11)
+    return [h.random(rng, 9, nonzero=nonzero) for _ in range(n)]
+
+
+def test_coords_round_trip(handle):
+    for x in _samples(handle):
+        coords = handle.coords(x)
+        assert len(coords) == handle.coord_dim
+        assert handle.uncoords(coords) == x
+
+
+def test_one_is_neutral_and_zero_is_additive(handle):
+    one = handle.one()
+    for x in _samples(handle):
+        assert handle.mul(one, x) == x == handle.mul(x, one)
+        assert handle.is_zero(handle.add(x, handle.neg(x)))
+        assert handle.sub(x, x) == handle.zero()
+
+
+def test_inverse_is_two_sided(handle):
+    for x in _samples(handle, nonzero=True):
+        assert handle.mul(x, handle.inv(x)) == handle.one()
+        assert handle.mul(handle.inv(x), x) == handle.one()
+
+
+def test_conj_is_an_involution(handle):
+    for x in _samples(handle):
+        assert handle.conj(handle.conj(x)) == x
+
+
+def test_double_opposite_is_the_handle(handle):
+    assert handle.opposite().opposite() == handle
+    assert hash(handle.opposite().opposite()) == hash(handle)
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_only_towers_have_a_distinct_opposite(name):
+    h = CARRIERS[name]()
+    op = h.opposite()
+    if name in TOWERS:
+        assert op != h
+        assert repr(op) == repr(h) + "^op"
+        assert not repr(h).endswith("^op")
+    else:
+        assert op is h
+
+
+def test_opposite_reverses_quaternion_products(quaternions):
+    h = as_handle(quaternions)
+    op = h.opposite()
+    x, y = quaternions.unit(1), quaternions.unit(2)
+    assert h.mul(x, y) != h.mul(y, x)
+    assert op.mul(x, y) == h.mul(y, x)
+    assert op.mul(y, x) == h.mul(x, y)
+
+
+def test_small_field_handles_hash_like_they_compare():
+    a, b = _small_f4(), _small_f4()
+    assert a.space is not b.space
+    assert a == b
+    assert len({a, b}) == 1

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mforge.octonion_aut import (Conj, JordanMap,Phi, Psi,
-                                 StandardInvolution, gamma_w_decompose,
-                                 jaut_apply, jaut_verify,
+from mforge.foundations import GStandardInvolution
+from mforge.octonion_aut import (Conj, JordanMap, Phi, Psi,
+                                 gamma_w_decompose, jaut_verify,
                                  psi_product_rule_check,
                                  sigma_s_central_check, special_pair_check,
                                  standard_quaternion_frame)
@@ -47,8 +47,8 @@ def test_psi_twists_upper_half_by_conjugation(frame):
 
 def test_standard_involution_atom(frame):
     O, _, e = frame
-    j = JordanMap([StandardInvolution()], O)
-    assert jaut_apply(j, e) == -e
+    j = JordanMap([GStandardInvolution()], O)
+    assert j.apply(e) == -e
 
 
 def test_psi_jordan_and_witnesses(frame):
@@ -61,7 +61,7 @@ def test_psi_jordan_and_witnesses(frame):
 
 
 def test_sigma_s_is_anti_only(octonions):
-    j = JordanMap([StandardInvolution()], octonions)
+    j = JordanMap([GStandardInvolution()], octonions)
     rep = jaut_verify(j, samples=80, seed=4)
     assert rep.passed
     assert rep.auto_witness is not None
@@ -123,7 +123,13 @@ def test_composition_of_chains_stays_jordan(frame):
     a = JordanMap([Psi(O, sub, e, O.unit(1))], O)
     b = JordanMap([Conj(O.one() + O.unit(3))], O)
     composite = a.compose(b)
+    assert composite.algebra is O
     assert jaut_verify(composite, samples=60, seed=12).passed
+
+
+def test_conjugation_needs_an_invertible_element(octonions):
+    with pytest.raises(ValueError):
+        Conj(octonions.zero())
 
 
 def test_special_pairs(octonions):

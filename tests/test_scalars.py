@@ -92,6 +92,16 @@ def test_exact_inputs_still_coerce():
     assert F5.scalar(7).val == 2
     assert F5.scalar("-1").val == 4
     assert QQ.scalar(1) == 1
+    assert F5.scalar(Fraction(7, 1)).val == 2
+    assert type(F5.scalar(Fraction(7, 1)).val) is int
+
+
+@pytest.mark.parametrize("field", [F5, F4])
+def test_non_integral_fractions_are_refused_in_characteristic_p(field):
+    with pytest.raises(TypeError):
+        field.scalar(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        field.one() + Fraction(1, 2)
 
 
 def test_field_by_name():
