@@ -5,6 +5,13 @@ their own seeds, with fewer samples.  They were recorded with the
 recursive doubling product (``composition._pmul``) on every tower, so they
 show that the fast paths over Q give the same reports.
 
+The tower cases (``tower_*``) run every identity suite, and record the
+division status and witness, on towers over F3, F5, F7, Q(i) and F9; with
+``psi_product_rule_f5`` they pin products, norms, inverses and doubling
+splits over bases other than Q.  They were recorded while only towers
+over Q multiplied through a structure table and every other base ran the
+recursive doubling product.
+
 The foundation cases (``fnd_*``, ``dot_*``, ``ms_coincide_*``) were
 recorded while reversed carriers were still a separate handle class and
 the glueing atoms a separate hierarchy from the octonion atoms.  They run
@@ -80,6 +87,51 @@ def jaut_verify():
     return jaut_verify(JordanMap([psi], O), samples=50, seed=29)
 
 
+def _tower_base(name):
+    from mforge.scalars import F3, QuadExt, field_by_name
+    return QuadExt(F3, 0, 1) if name == "F9" else field_by_name(name)
+
+
+def _tower_case(stem, base, betas, inverse):
+    """Every identity suite, then the division status and witness.  The
+    `inverse` suite is left out on towers that are not division algebras,
+    where it meets isotropic elements and raises NotInvertible."""
+    def case():
+        from mforge.composition import SUITES, CDAlgebra, verify_identities
+        algebra = CDAlgebra(_tower_base(base), betas)
+        lines = [verify_identities(algebra, suite, samples=40,
+                                   seed=5).to_json()
+                 for suite in SUITES if inverse or suite != "inverse"]
+        witness = algebra.division_witness
+        lines.append(json.dumps(
+            {"division_status": algebra.division_status,
+             "division_witness": None if witness is None else repr(witness)},
+            sort_keys=True, separators=(",", ":")))
+        return "\n".join(lines) + "\n"
+    case.__name__ = "tower_" + stem
+    return case
+
+
+TOWER_CASES = [
+    _tower_case("f3_octonions", "F3", [-1, -1, -1], inverse=False),
+    _tower_case("f5_octonions", "F5", [-1, -1, -1], inverse=False),
+    _tower_case("f7_quaternions", "F7", [-1, -1], inverse=False),
+    _tower_case("f9_quaternions", "F9", [-1, -1], inverse=False),
+    _tower_case("qi_quaternions", "Qi", [-1, 3], inverse=True),
+]
+
+
+def psi_product_rule_f5():
+    from mforge.composition import CDAlgebra
+    from mforge.octonion_aut import (Psi, psi_product_rule_check,
+                                     standard_quaternion_frame)
+    from mforge.scalars import F5
+    O = CDAlgebra(F5, [-1, -1, -1])
+    sub, e = standard_quaternion_frame(O)
+    return psi_product_rule_check(Psi(O, sub, e, O.unit(1)), samples=100,
+                                  seed=13)
+
+
 def _verdict_text(verdict):
     """A verdict as the CLI prints it with --json."""
     return json.dumps(verdict.as_dict(), sort_keys=True,
@@ -141,7 +193,7 @@ CASES = {f.__name__: f for f in (
     triangle_hua_consistency, dim16_alternative, psi_product_rule,
     gamma_w_decompose, sigma_s_central, jaut_verify,
     fnd_check_443_involutory, fnd_classify_p3_quaternion,
-    ms_coincide_f4_small_field,
+    ms_coincide_f4_small_field, psi_product_rule_f5, *TOWER_CASES,
     _dot_case("a2_octonion"), _dot_case("f443_involutory"),
     *[_fnd_check_case(name) for name in _fnd_names()])}
 
