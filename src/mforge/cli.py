@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import zlib
 
 from . import composition
 from .catalog import NAMED_FOUNDATIONS, foundation_from_file
@@ -151,7 +152,8 @@ def _parse_param(grp, text):
     if text.startswith("#"):
         elems = grp.elements()
         return elems[int(text[1:]) % len(elems)]
-    rng = _r.Random(abs(hash(text)) % (2 ** 31))
+    # crc32, unlike hash(), does not change with the process's hash salt
+    rng = _r.Random(zlib.crc32(text.encode()))
     return grp.random(rng, nonzero=True)
 
 

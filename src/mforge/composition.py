@@ -10,27 +10,29 @@ recursive doubling rule
 applied on halves; the standard involution fixes the first coordinate and
 negates the rest, and norm/trace come from the same recursion.
 
-``_pmul`` implements this rule directly and is the reference product: it
-multiplies towers over F_p, quadratic extensions and any other base.  Towers
-over Q multiply through a structure table instead.  By the rule,
-e_i * e_j = c_ij * e_(i xor j), and ``_basis_constant`` derives c_ij by the
-same recursion run on the indices (i, j).  The table is built once per tuple
-of betas.  A product then runs on integer numerators over one common
-denominator, and each coordinate is normalized once, into the field's own
-rational type.  The norm, diagonal in this basis, and the inverse
-conj(x) / N(x) read the same table.  Tests check the table, products, norms
-and inverses against ``_pmul`` and ``_pnorm``.
+``_pmul`` implements this rule directly and is the reference rule; nothing
+calls it at run time, and tests check the kernel against it.  Every tower,
+over Q, F_p or a quadratic extension, multiplies through one structure
+table instead.  By the rule, e_i * e_j = c_ij * e_(i xor j), and
+``_basis_constant`` derives c_ij in the base field by the same recursion
+run on the indices (i, j).  Each base-field coordinate is a vector over Q
+or F_p (``scalars`` decides how), so the table is expanded once over that
+coordinate field, per base field and tuple of betas.  A product then runs
+on integer coordinates over one common denominator, and each coordinate is
+lowered once back into the field.  The norm and the inverse
+conj(x) * N(x)^-1 read the same table, and so do the split projections of
+a ``DoublingFrame``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 import random
 
 from . import linalg
 from .report import Report
-from .scalars import _RAT, QQ, Rationals, Scalar, random_scalar
+from .scalars import QQ, Scalar, random_scalar
 
 
 class AlgebraMismatch(ValueError):
@@ -77,8 +79,7 @@ class CDAlgebra:
             raise ValueError("towers beyond dimension 16 are not supported")
         self.dim = 2 ** len(self.betas)
         self.name = name
-        self._kernel = (_rational_kernel(tuple(b.val for b in self.betas))
-                        if isinstance(base, Rationals) else None)
+        self._kernel = _tower_kernel(base, tuple(b.val for b in self.betas))
         self.division_status, self.division_witness = self._certify_division(
             division_samples)
 
@@ -90,17 +91,13 @@ class CDAlgebra:
             # norm form is positive definite by induction on the stages
             return DIVISION_STRUCTURAL, None
         if self.base.is_finite():
-            if self.dim <= 2:
-                for x in self._all_elements():
-                    if not x.is_zero() and x.norm().is_zero():
-                        return NOT_DIVISION, x
-                return DIVISION_EXHAUSTIVE, None
-            # quadratic forms in >= 3 variables over a finite field are
-            # isotropic; search for a witness exhaustively
+            # exhaustive, stopping at the first witness; quadratic forms in
+            # >= 3 variables over a finite field are isotropic, so from
+            # dim 4 on a witness always turns up
             for x in self._all_elements():
                 if not x.is_zero() and x.norm().is_zero():
                     return NOT_DIVISION, x
-            return DIVISION_EXHAUSTIVE, None  # pragma: no cover
+            return DIVISION_EXHAUSTIVE, None
         rng = random.Random(20210 + self.dim)
         for _ in range(samples):
             x = self.random_element(rng, nonzero=True)
@@ -113,13 +110,11 @@ class CDAlgebra:
         return self.division_status in (DIVISION_STRUCTURAL, DIVISION_EXHAUSTIVE)
 
     def _all_elements(self):
+        """Every element, lazily, the last coordinate running fastest."""
         if not self.base.is_finite():
             raise TypeError("infinite algebra")
-        pools = [self.base.elements()] * self.dim
-        out = [[]]
-        for pool in pools:
-            out = [cur + [s] for cur in out for s in pool]
-        return [CDElement(self, tuple(c)) for c in out]
+        return (CDElement(self, c) for c in
+                itertools.product(self.base.elements(), repeat=self.dim))
 
     # -- constructors -------------------------------------------------------
     def element(self, coords):
@@ -153,12 +148,6 @@ class CDAlgebra:
             if not (nonzero and x.is_zero()):
                 return x
 
-    def basis_table(self):
-        """Full basis-product table, each entry a coordinate tuple."""
-        bas = self.basis()
-        return [[(bas[i] * bas[j]).coords for j in range(self.dim)]
-                for i in range(self.dim)]
-
     def characteristic(self):
         return self.base.characteristic()
 
@@ -176,9 +165,8 @@ class CDAlgebra:
 
 
 def _pmul(field, betas, a, b):
-    """Doubling-rule product on raw payload tuples of length 2^len(betas);
-    payload-level arithmetic avoids per-coordinate wrapper objects in the
-    hot sampling loops."""
+    """Doubling-rule product on raw payload tuples of length 2^len(betas):
+    the reference rule the structure-table kernel is tested against."""
     if not betas:
         return (field.mul(a[0], b[0]),)
     h = len(a) // 2
@@ -209,20 +197,9 @@ def _pnorm(field, betas, a):
                      field.mul(betas[-1], _pnorm(field, betas[:-1], a[h:])))
 
 
-def _mul(field, betas, a, b):
-    """Doubling-rule product on tuples of Scalars."""
-    beta_payloads = [s.val for s in betas]
-    out = _pmul(field, beta_payloads, tuple(c.val for c in a),
-                tuple(c.val for c in b))
-    return tuple(Scalar(field, v) for v in out)
-
-
-def _conj(a):
-    return (a[0],) + tuple(-c for c in a[1:])
-
-
-def _basis_constant(betas, i, j):
-    """c with e_i * e_j = c * e_(i xor j) in the tower with these betas.
+def _basis_constant(field, betas, i, j):
+    """c with e_i * e_j = c * e_(i xor j) in the tower over `field` with
+    these beta payloads.
 
     The doubling rule run on indices, from the top stage down.  With each
     basis vector a pair (x, 0) or (0, y) of lower basis vectors,
@@ -230,95 +207,114 @@ def _basis_constant(betas, i, j):
     (0, y)(x', 0) = (0, x' y) and (0, y)(0, y') = (beta y' conj(y), 0),
     where conj(e_k) = -e_k for every k > 0.
     """
-    c = 1
+    c = field.one_payload()
     for level in reversed(range(len(betas))):
         h = 1 << level
         hi, hj = i & h, j & h
         i, j = i & (h - 1), j & (h - 1)
         if hj and i:
-            c = -c
+            c = field.neg(c)
         if hi:
             if hj:
-                c = c * betas[level]
+                c = field.mul(c, betas[level])
             i, j = j, i
     return c
 
 
-_RAT_ZERO = _RAT(0)
+def _contract(rows, A, B):
+    nums = []
+    for row in rows:
+        s = 0
+        for i, j, n in row:
+            s += n * A[i] * B[j]
+        nums.append(s)
+    return nums
 
 
-def _integer_vector(coords):
-    """(d, [n_k]) with coords[k] = n_k / d, for Scalars over Q."""
-    vals = [c.val for c in coords]
-    d = math.lcm(*[v.denominator for v in vals])
-    return d, [v.numerator * (d // v.denominator) for v in vals]
+def _scalars(field, nums, den):
+    """The Scalars whose integer coordinates over Q or F_p are nums / den."""
+    return tuple([Scalar(field, v) for v in field.lower(nums, den)])
 
 
-def _rational_scalars(field, nums, den):
-    """Scalars n / den for each n in nums, normalized once each."""
-    return tuple(Scalar(field, _RAT(n, den) if n else _RAT_ZERO)
-                 for n in nums)
+def _units(field):
+    """(u, E_u) for the basis E_u of the base field over Q or F_p."""
+    r = field.coord_dim
+    return list(enumerate(field.lower(
+        [int(s == u) for u in range(r) for s in range(r)], 1)))
 
 
-class _RationalKernel:
-    """Product, norm and inverse of a tower over Q on integer numerators.
+def _integer_rows(field, terms, size):
+    """(rows, den): rows of terms (i, j, n), row q standing for
+    sum(n * A[i] * B[j]) / den on integer coordinates over Q or F_p.  A
+    term (q, i, j, z) puts coordinate s of the payload z in row q + s."""
+    r = field.coord_dim
+    nums, den = field.lift([z for _, _, _, z in terms])
+    rows = [[] for _ in range(size)]
+    for k, (q, i, j, _) in enumerate(terms):
+        for s, n in enumerate(nums[k * r:(k + 1) * r]):
+            if n:
+                rows[q + s].append((i, j, n))
+    return tuple(tuple(row) for row in rows), den
 
-    rows[k] lists (i, j, n) for i xor j = k, with c_ij = n / den.  For
-    a = A / da and b = B / db the product is
-    (a * b)_k = sum(n * A_i * B_j) / (den * da * db).
-    The norm is diagonal, N(a) = sum(m_k * A_k^2) / (den * da^2), since
-    e_k * conj(e_k) = -c_kk for k > 0; norm_nums holds the m_k.
+
+class _TowerKernel:
+    """Product, norm and inverse of a tower on integer coordinates.
+
+    A base-field coordinate has r = coord_dim coordinates over Q or F_p,
+    so an element is a vector X of dim * r integers over one denominator,
+    X[r*k + u] being coordinate u of coordinate k.  The rows hold the
+    structure constants expanded over the coordinate field:
+    (x * y)_q = sum(n * X[i] * Y[j]) / (den * dx * dy) over row q.  The
+    norm is the scalar part of x * conj(x): norm_rows are rows[:r] with the
+    signs of conj on Y, diagonal when r = 1.  The inverse multiplies
+    conj(x) by the scalar N(x)^-1, which reads only the terms with j < r
+    (the column of e_0): scale_rows, with the signs of conj on X.
     """
 
-    def __init__(self, betas):
-        dim = 1 << len(betas)
-        consts = {(i, j): _RAT(_basis_constant(betas, i, j))
-                  for i in range(dim) for j in range(dim)}
-        self.den = math.lcm(*[c.denominator for c in consts.values()])
-        self.rows = tuple(
-            tuple((i, i ^ k, int(consts[i, i ^ k] * self.den))
-                  for i in range(dim))
-            for k in range(dim))
-        self.norm_nums = tuple(n if i == 0 else -n for i, _, n in self.rows[0])
+    def __init__(self, field, betas):
+        dim, r = 1 << len(betas), field.coord_dim
+        units = _units(field)
+        terms = []
+        for i in range(dim):
+            for j in range(dim):
+                c = _basis_constant(field, betas, i, j)
+                terms += [((i ^ j) * r, i * r + u, j * r + t,
+                           field.mul(field.mul(c, eu), et))
+                          for u, eu in units for t, et in units]
+        self.rows, self.den = _integer_rows(field, terms, dim * r)
+        self.norm_rows = tuple(tuple((i, j, n if j < r else -n)
+                                     for i, j, n in row)
+                               for row in self.rows[:r])
+        self.scale_rows = tuple(tuple((i, j, n if i < r else -n)
+                                      for i, j, n in row if j < r)
+                                for row in self.rows)
 
     def mul(self, field, a, b):
-        """Product of two coordinate tuples of Scalars over Q."""
-        da, A = _integer_vector(a)
-        db, B = _integer_vector(b)
-        nums = []
-        for row in self.rows:
-            s = 0
-            for i, j, n in row:
-                s += n * A[i] * B[j]
-            nums.append(s)
-        return _rational_scalars(field, nums, self.den * da * db)
-
-    def _norm_numerator(self, a):
-        d, A = _integer_vector(a)
-        return d, A, sum(m * x * x for m, x in zip(self.norm_nums, A))
+        """Product of two coordinate tuples of Scalars."""
+        A, da = field.lift([c.val for c in a])
+        B, db = field.lift([c.val for c in b])
+        return _scalars(field, _contract(self.rows, A, B),
+                        self.den * da * db)
 
     def norm(self, field, a):
-        d, _, num = self._norm_numerator(a)
-        return Scalar(field, _RAT(num, self.den * d * d))
+        A, d = field.lift([c.val for c in a])
+        return _scalars(field, _contract(self.norm_rows, A, A),
+                        self.den * d * d)[0]
 
     def inverse(self, field, a):
-        """conj(a) / N(a), or NotInvertible when N(a) = 0."""
-        d, A, num = self._norm_numerator(a)
-        if not num:
+        """conj(a) * N(a)^-1, or NotInvertible when N(a) = 0.  With
+        N(a) = n / (den * d^2) for integer coordinates n, that is
+        conj(a) * n^-1 * den * d^2: only n is inverted in the field."""
+        A, d = field.lift([c.val for c in a])
+        n = field.lower(_contract(self.norm_rows, A, A), 1)[0]
+        if field.is_zero(n):
             raise NotInvertible("norm is zero")
-        f = self.den * d
-        return _rational_scalars(field, [A[0] * f] + [-x * f for x in A[1:]],
-                                 num)
+        Z, dz = field.lift([field.inv(n)])
+        return _scalars(field, [v * d for v in
+                                _contract(self.scale_rows, A, Z)], dz)
 
 
-@functools.lru_cache(maxsize=64)
-def _rational_kernel(betas):
-    return _RationalKernel(betas)
-
-
-def _norm(field, betas, a):
-    return Scalar(field, _pnorm(field, [s.val for s in betas],
-                                tuple(c.val for c in a)))
+_tower_kernel = functools.lru_cache(maxsize=64)(_TowerKernel)
 
 
 class CDElement:
@@ -358,11 +354,8 @@ class CDElement:
             return self.scale(other)
         other = self._peer(other)
         alg = self.algebra
-        if alg._kernel is not None:
-            return CDElement(alg, alg._kernel.mul(alg.base, self.coords,
-                                                  other.coords))
-        return CDElement(alg, _mul(alg.base, alg.betas, self.coords,
-                                   other.coords))
+        return CDElement(alg, alg._kernel.mul(alg.base, self.coords,
+                                              other.coords))
 
     def __rmul__(self, other):
         if isinstance(other, Scalar) and other.field == self.algebra.base:
@@ -374,26 +367,19 @@ class CDElement:
         return CDElement(self.algebra, tuple(a * s for a in self.coords))
 
     def conj(self):
-        return CDElement(self.algebra, _conj(self.coords))
+        c = self.coords
+        return CDElement(self.algebra, (c[0],) + tuple(-a for a in c[1:]))
 
     def norm(self):
         alg = self.algebra
-        if alg._kernel is not None:
-            return alg._kernel.norm(alg.base, self.coords)
-        return _norm(alg.base, alg.betas, self.coords)
+        return alg._kernel.norm(alg.base, self.coords)
 
     def trace(self):
         return self.coords[0] + self.coords[0]
 
     def inverse(self):
         alg = self.algebra
-        if alg._kernel is not None:
-            return CDElement(alg, alg._kernel.inverse(alg.base, self.coords))
-        n = self.norm()
-        if n.is_zero():
-            raise NotInvertible("norm is zero")
-        ninv = n.inv()
-        return CDElement(self.algebra, tuple(a * ninv for a in _conj(self.coords)))
+        return CDElement(alg, alg._kernel.inverse(alg.base, self.coords))
 
     def is_zero(self):
         return all(a.is_zero() for a in self.coords)
@@ -505,14 +491,12 @@ def center(algebra):
 class DoublingFrame:
     """Cached exact splitter for A + e*A: x  <->  (h, y) with x = h + e*y.
 
-    The combine map is linear in the 2k coordinates of (h, y) over the
-    subalgebra basis, so one matrix inverse at construction makes every
-    split of a frame that spans the tower a single matrix-vector product.
-    Over Q the inverse and the recombination over the subalgebra basis are
-    folded into two projections x -> h and x -> y, kept as integer
-    matrices over one denominator, so a split is two integer
-    matrix-vector products.  A frame that does not span the tower solves
-    a linear system per split and raises NotInSpan off its span.
+    For a frame that spans the tower, the inverse of the combine map and
+    the recombination over the subalgebra basis fold, at construction,
+    into two projections x -> h and x -> y, expanded like the product
+    table into integer rows over Q or F_p, whatever the base; a split is
+    two integer matrix-vector products.  A frame that does not span the
+    tower solves a linear system per split and raises NotInSpan off it.
     """
 
     def __init__(self, algebra, sub, e, check=True):
@@ -530,66 +514,40 @@ class DoublingFrame:
         cols = [list(b.coords) for b in self.sub_basis]
         cols += [list((e * b).coords) for b in self.sub_basis]
         mat = [[cols[j][i] for j in range(len(cols))] for i in range(algebra.dim)]
-        self._inv = self._mat = self._proj = None
+        self._mat = self._proj = None
         if len(cols) < algebra.dim:
             self._mat = mat
             return
         inv = linalg.invert(mat)
-        if isinstance(algebra.base, Rationals):
-            k = len(self.sub_basis)
-            self._proj = tuple(
-                _IntegerMatrix(_recombined(algebra.base, self.sub_basis, part))
-                for part in (inv[:k], inv[k:]))
-        else:
-            self._inv = inv
+        k, field = len(self.sub_basis), algebra.base
+        r, units = field.coord_dim, _units(field)
+        self._proj = []
+        for part in (inv[:k], inv[k:]):
+            # column l: the part of e_l, recombined over the subalgebra basis
+            cols = [_lin_comb(self.sub_basis, [row[l] for row in part]).coords
+                    for l in range(algebra.dim)]
+            self._proj.append(_integer_rows(field, [
+                (i * r, l * r + u, 0, field.mul(z.val, e))
+                for l, col in enumerate(cols) for i, z in enumerate(col)
+                for u, e in units], algebra.dim * r))
 
     def split(self, x):
         """x -> (h, y) with x = h + e*y, h and y in the subalgebra."""
         if self._proj is not None:
             field = self.algebra.base
-            return tuple(CDElement(self.algebra, p.apply(field, x.coords))
-                         for p in self._proj)
-        vec = list(x.coords)
-        if self._inv is not None:
-            comps = linalg.mat_vec(self._inv, vec)
-        else:
-            comps = linalg.solve(self._mat, vec)
-            if comps is None:
-                raise NotInSpan("element is outside A + e*A")
+            v, d = field.lift([c.val for c in x.coords])
+            return tuple(CDElement(self.algebra, _scalars(
+                field, _contract(rows, v, (1,)), den * d))
+                for rows, den in self._proj)
+        comps = linalg.solve(self._mat, list(x.coords))
+        if comps is None:
+            raise NotInSpan("element is outside A + e*A")
         k = len(self.sub_basis)
-        h = _lin_comb(self.sub_basis, comps[:k])
-        y = _lin_comb(self.sub_basis, comps[k:])
-        return h, y
+        return (_lin_comb(self.sub_basis, comps[:k]),
+                _lin_comb(self.sub_basis, comps[k:]))
 
     def combine(self, h, y):
         return h + self.e * y
-
-
-def _recombined(field, basis, rows):
-    """The matrix of v -> sum_m (rows[m] . v) * basis[m]."""
-    return [[sum((b.coords[i] * r[l] for b, r in zip(basis, rows)),
-                 field.zero())
-             for l in range(len(rows[0]))]
-            for i in range(len(basis[0].coords))]
-
-
-class _IntegerMatrix:
-    """A matrix over Q kept as integer rows over one denominator; each row
-    lists (column, numerator) for its nonzero entries only."""
-
-    def __init__(self, rows):
-        self.den = math.lcm(*[c.val.denominator for r in rows for c in r])
-        self.rows = tuple(
-            tuple((l, int(c.val * self.den)) for l, c in enumerate(r)
-                  if not c.is_zero())
-            for r in rows)
-
-    def apply(self, field, coords):
-        """The product with a coordinate tuple of Scalars over Q."""
-        d, v = _integer_vector(coords)
-        return _rational_scalars(
-            field, [sum(n * v[l] for l, n in row) for row in self.rows],
-            self.den * d)
 
 
 def _lin_comb(basis, coeffs):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import linalg
 from .composition import CDAlgebra, CDElement
 from .quadspace import SmallField
-from .scalars import Field, QuadExt, Scalar, random_scalar
+from .scalars import Field, Scalar, random_scalar
 
 
 class Handle:
@@ -92,26 +92,19 @@ class FieldHandle(Handle):
 
     def __init__(self, field):
         self.field = self.carrier = field
-        if isinstance(field, QuadExt):
-            self.coord_field = field.base
-            self.coord_dim = 2
-        else:
-            self.coord_field = field
-            self.coord_dim = 1
+        self.coord_field = field.coord_field
+        self.coord_dim = field.coord_dim
 
     def inv(self, a):
         return a.inv()
 
     def coords(self, a):
-        if self.coord_dim == 1:
-            return [a]
-        return [Scalar(self.coord_field, a.val[0]),
-                Scalar(self.coord_field, a.val[1])]
+        cf = self.coord_field
+        return [Scalar(cf, c) for c in cf.lower(*self.field.lift([a.val]))]
 
     def uncoords(self, coords):
-        if self.coord_dim == 1:
-            return coords[0]
-        return Scalar(self.field, (coords[0].val, coords[1].val))
+        nums, den = self.coord_field.lift([c.val for c in coords])
+        return Scalar(self.field, self.field.lower(nums, den)[0])
 
     def elements(self):
         return self.field.elements()
@@ -142,7 +135,7 @@ class CDHandle(Handle):
         return CDElement(self.algebra, tuple(coords))
 
     def elements(self):
-        return self.algebra._all_elements()
+        return list(self.algebra._all_elements())
 
     def random(self, rng, height=20, nonzero=False):
         return self.algebra.random_element(rng, height, nonzero=nonzero)

@@ -4,16 +4,19 @@ Every value in the package is built on the fields defined here.  A field
 object owns the arithmetic on raw payloads (Fraction / int residue / pair),
 and ``Scalar`` is a thin immutable wrapper carrying its field.  There is no
 floating point anywhere.
+
+Every field has coordinates over Q or F_p (a quadratic extension's pair
+(u, v) is two coordinates over its base); ``lift`` and ``lower`` pass
+between payloads and those coordinates as integers over one denominator,
+on which the tower kernel of ``composition`` runs.
 """
 
 from __future__ import annotations
 
-import fractions
+import math
+from fractions import Fraction
 
-try:  # gmpy2.mpq is a drop-in, much faster rational; values are identical
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = fractions.Fraction
+_ZERO = Fraction(0)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -56,19 +59,13 @@ def _rat_is_square(q):
     if q < 0:
         return False
     num, den = q.numerator, q.denominator
-    rn = _isqrt(num)
-    rd = _isqrt(den)
+    rn, rd = math.isqrt(num), math.isqrt(den)
     return rn * rn == num and rd * rd == den
 
 
 def _inexact(field, x):
     return TypeError("%s holds exact values only, not the %s %r"
                      % (field, type(x).__name__, x))
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(int(n))
 
 
 class Field:
@@ -131,6 +128,13 @@ class Field:
     def render(self, a):
         return str(a)
 
+    # -- coordinates: Q and F_p are their own coordinate field
+    coord_dim = 1
+
+    @property
+    def coord_field(self):
+        return self
+
     def __ne__(self, other):
         return not self.__eq__(other)
 
@@ -145,15 +149,13 @@ class Rationals(Field):
             return x.val
         if isinstance(x, (float, bool)):
             raise _inexact(self, x)
-        if isinstance(x, str):
-            return _RAT(fractions.Fraction(x))
-        return _RAT(x)
+        return Fraction(x)
 
     def zero_payload(self):
-        return _RAT(0)
+        return Fraction(0)
 
     def one_payload(self):
-        return _RAT(1)
+        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -181,11 +183,20 @@ class Rationals(Field):
     def random_payload(self, rng, height=20):
         num = rng.randint(-height, height)
         den = rng.randint(1, height)
-        return _RAT(num, den)
+        return Fraction(num, den)
 
     def render(self, a):
         num, den = a.numerator, a.denominator
         return str(num) if den == 1 else "%d/%d" % (num, den)
+
+    def lift(self, vals):
+        """(nums, den): the coordinates of `vals` as nums[k] / den."""
+        den = math.lcm(*[v.denominator for v in vals])
+        return [v.numerator * (den // v.denominator) for v in vals], den
+
+    def lower(self, nums, den):
+        """The payloads with coordinates nums[k] / den, inverse to lift."""
+        return [Fraction(n, den) if n else _ZERO for n in nums]
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -214,7 +225,7 @@ class PrimeField(Field):
             raise _inexact(self, x)
         if isinstance(x, str):
             x = int(x)
-        elif isinstance(x, fractions.Fraction):
+        elif isinstance(x, Fraction):
             if x.denominator != 1:
                 raise TypeError("%s takes integers, not the fraction %s"
                                 % (self, x))
@@ -262,6 +273,15 @@ class PrimeField(Field):
     def random_payload(self, rng, height=20):
         return rng.randrange(self.p)
 
+    def lift(self, vals):
+        """The residues over the denominator 1."""
+        return list(vals), 1
+
+    def lower(self, nums, den):
+        """The residues nums[k] * den^-1 mod p."""
+        dinv = pow(den, -1, self.p)
+        return [n * dinv % self.p for n in nums]
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -281,6 +301,7 @@ class QuadExt(Field):
     """
 
     kind = "quadext"
+    coord_dim = 2
 
     def __init__(self, base, t0, n0, gen_name="w"):
         if not isinstance(base, (Rationals, PrimeField)):
@@ -390,6 +411,17 @@ class QuadExt(Field):
     def random_payload(self, rng, height=20):
         return (self.base.random_payload(rng, height),
                 self.base.random_payload(rng, height))
+
+    @property
+    def coord_field(self):
+        return self.base
+
+    def lift(self, vals):
+        return self.base.lift([c for v in vals for c in v])
+
+    def lower(self, nums, den):
+        coords = self.base.lower(nums, den)
+        return list(zip(coords[::2], coords[1::2]))
 
     def render(self, a):
         u, v = a

@@ -146,12 +146,26 @@ def test_env_var_seed(capsys, monkeypatch):
     assert json.loads(out1.strip())["seed"] == 11
 
 
-def test_console_script_installed():
+def _child_cli(argv, **env):
     # the child imports the same mforge as this process, installed or not
     pkg_root = os.path.dirname(os.path.dirname(mforge.__file__))
     path = os.pathsep.join(filter(None, [pkg_root,
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "mforge.cli", "f4-census",
-                           "--json"], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, "-m", "mforge.cli"] + argv,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def test_console_script_installed():
+    proc = _child_cli(["f4-census", "--json"])
     assert proc.returncode == 0
+
+
+def test_hua_anchor_is_the_same_under_every_hash_salt():
+    # a named anchor is drawn from a seed derived from its text; string
+    # hashes are salted per process, so that seed must not come from hash()
+    argv = ["polygon", "hua", "T", "first", "abc", "--instance",
+            "quaternion-Q", "--json", "--seed", "3"]
+    one, two = (_child_cli(argv, PYTHONHASHSEED=salt) for salt in ("1", "2"))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout

@@ -9,7 +9,7 @@ from mforge.composition import (CDAlgebra, NotInvertible, Subspace,
                                 orthogonal_complement,
                                 sedenion_style_q, subalgebra_generated,
                                 verify_identities)
-from mforge.scalars import F3, QQ
+from mforge.scalars import F3, F5, QI, QQ, PrimeField, QuadExt
 
 # basis products of the default octonion tower, frozen from the doubling
 # recursion (signed one-based indices)
@@ -231,29 +231,47 @@ def test_char2_tower_quadratic_stage():
         assert (x * y).norm() == x.norm() * y.norm()
 
 
-# -- the structure-table kernel and the split projections over Q, against
-#    the recursive doubling rule (_pmul) and the linalg path as references
+# -- the structure-table kernel and the split projections over every base,
+#    against the recursive doubling rule (_pmul, _pnorm) and the linalg
+#    path as references
 
-Q_TOWERS = [[-1], [-1, -1], [-1, -1, -1], [-1, -1, -1, -1],
-            ["-1/2", 3, "-5/7"]]
+F7 = PrimeField(7)
+F9 = QuadExt(F3, 0, 1)
+
+# (base, betas) from dim 2 to 16; the first five, over Q, keep their old
+# ids, and the dim-16 tower over Q stays the control beyond alternativity
+TOWERS = [(QQ, [-1]), (QQ, [-1, -1]), (QQ, [-1, -1, -1]),
+          (QQ, [-1, -1, -1, -1]), (QQ, ["-1/2", 3, "-5/7"]),
+          (F3, [-1]), (F3, [-1, -1, -1]), (F5, [-1, -1]), (F5, [2, -1, 3]),
+          (F5, [-1, -1, -1, -1]), (F7, [-1, -1]), (F7, [3, 5, 6]),
+          (QI, [-1]), (QI, [-1, 3]), (QI, [(1, 2), -1, ("1/2", -3)]),
+          (F9, [-1, -1]), (F9, [(1, 1), (0, 1), 2])]
+
+
+def _ids(towers, old):
+    """pytest ids: "betas<k>" for the first `old` towers, as before these
+    tests ran over other bases, then base and dimension."""
+    return (["betas%d" % k for k in range(old)]
+            + ["%r-dim%d" % (base, 2 ** len(betas))
+               for base, betas in towers[old:]])
 
 
 def _payloads(x):
     return tuple(c.val for c in x.coords)
 
 
-@pytest.mark.parametrize("betas", Q_TOWERS)
-def test_structure_table_matches_reference_rule(betas):
+@pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
+def test_structure_table_matches_reference_rule(base, betas):
     from mforge.composition import _basis_constant, _pmul
-    algebra = CDAlgebra(QQ, betas, allow_dim16=True)
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
     payload_betas = [b.val for b in algebra.betas]
     bas = algebra.basis()
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            want = _pmul(QQ, payload_betas, _payloads(bas[i]),
+            want = _pmul(base, payload_betas, _payloads(bas[i]),
                          _payloads(bas[j]))
-            c = _basis_constant(payload_betas, i, j)
-            assert want == tuple(c if k == i ^ j else 0
+            c = _basis_constant(base, payload_betas, i, j)
+            assert want == tuple(c if k == i ^ j else base.zero_payload()
                                  for k in range(algebra.dim))
             assert _payloads(bas[i] * bas[j]) == want
 
@@ -265,21 +283,21 @@ def test_structure_table_matches_golden_table(octonions):
         for j in range(8):
             expect = GOLDEN_OCTONION_TABLE[i][j]
             assert abs(expect) - 1 == i ^ j
-            assert _basis_constant(betas, i, j) == (1 if expect > 0 else -1)
+            assert (_basis_constant(QQ, betas, i, j)
+                    == (1 if expect > 0 else -1))
 
 
-@pytest.mark.parametrize("betas", Q_TOWERS)
-def test_kernel_products_match_reference_rule(betas):
+@pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
+def test_kernel_products_match_reference_rule(base, betas):
     from mforge.composition import _pmul
-    algebra = CDAlgebra(QQ, betas, allow_dim16=True)
-    assert algebra._kernel is not None
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
     payload_betas = [b.val for b in algebra.betas]
     rng = random.Random(len(betas))
     for k in range(40):
         x = algebra.random_element(rng, 9)
         y = algebra.zero() if k == 0 else algebra.random_element(rng, 9)
         got = _payloads(x * y)
-        want = _pmul(QQ, payload_betas, _payloads(x), _payloads(y))
+        want = _pmul(base, payload_betas, _payloads(x), _payloads(y))
         assert got == want
         assert all(type(g) is type(w) for g, w in zip(got, want))
 
@@ -313,16 +331,19 @@ def _gamma_w_frames(algebra, count):
 def test_split_matches_linalg_reference(octonions):
     from mforge.composition import DoublingFrame
     from mforge.octonion_aut import standard_quaternion_frame
-    sub, e = standard_quaternion_frame(octonions)
-    frames = [DoublingFrame(octonions, sub, e)] + _gamma_w_frames(octonions, 2)
     rng = random.Random(6)
-    for frame in frames:
-        for _ in range(15):
-            x = octonions.random_element(rng, 9)
-            h, y = frame.split(x)
-            assert (h, y) == _reference_split(frame, x)
-            assert frame.sub.contains(h) and frame.sub.contains(y)
-            assert frame.combine(h, y) == x
+    for algebra in (octonions, CDAlgebra(F5, [-1, -1, -1]),
+                    CDAlgebra(QI, [-1, 3, (1, 2)])):
+        sub, e = standard_quaternion_frame(algebra)
+        frames = ([DoublingFrame(algebra, sub, e)]
+                  + _gamma_w_frames(algebra, 2))
+        for frame in frames:
+            for _ in range(15):
+                x = algebra.random_element(rng, 9)
+                h, y = frame.split(x)
+                assert (h, y) == _reference_split(frame, x)
+                assert frame.sub.contains(h) and frame.sub.contains(y)
+                assert frame.combine(h, y) == x
 
 
 def test_split_off_a_partial_frame_raises(octonions):
@@ -336,27 +357,33 @@ def test_split_off_a_partial_frame_raises(octonions):
         frame.split(octonions.unit(4))
 
 
-@pytest.mark.parametrize("betas", [[-1, -1, -1], ["-1/2", 3, "-5/7"], [1, 2]])
-def test_kernel_norm_and_inverse_match_reference_rule(betas):
+NORM_TOWERS = [(QQ, [-1, -1, -1]), (QQ, ["-1/2", 3, "-5/7"]),
+               (QQ, [1, 2])] + TOWERS[5:]
+
+
+@pytest.mark.parametrize("base,betas", NORM_TOWERS, ids=_ids(NORM_TOWERS, 3))
+def test_kernel_norm_and_inverse_match_reference_rule(base, betas):
     from mforge.composition import _pnorm
-    algebra = CDAlgebra(QQ, betas)
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
     payload_betas = [b.val for b in algebra.betas]
     rng = random.Random(8)
     for _ in range(40):
         x = algebra.random_element(rng, 9, nonzero=True)
-        n = _pnorm(QQ, payload_betas, _payloads(x))
+        n = _pnorm(base, payload_betas, _payloads(x))
         assert x.norm().val == n and type(x.norm().val) is type(n)
-        if n == 0:
+        if base.is_zero(n):
             with pytest.raises(NotInvertible):
                 x.inverse()
             continue
-        want = tuple(c / n for c in _payloads(x.conj()))
+        want = tuple(base.div(c, n) for c in _payloads(x.conj()))
         assert _payloads(x.inverse()) == want
 
 
 def test_kernel_inverse_of_isotropic_element():
-    split = CDAlgebra(QQ, [1])
-    x = split.element([1, 1])
-    assert x.norm() == QQ.zero()
-    with pytest.raises(NotInvertible):
-        x.inverse()
+    isotropic = [CDAlgebra(QQ, [1]).element([1, 1]),
+                 CDAlgebra(F5, [-1, -1, -1]).division_witness,
+                 CDAlgebra(F9, [-1, -1]).division_witness]
+    for x in isotropic:
+        assert not x.is_zero() and x.norm().is_zero()
+        with pytest.raises(NotInvertible):
+            x.inverse()

@@ -402,3 +402,37 @@ def test_json_tower_betas_are_exact():
         foundation_from_json(_tower_doc([0.1]))
     with pytest.raises(TypeError):
         foundation_from_json(_tower_doc([True]))
+
+
+_SEED_PROBE = """
+import mforge.foundations as F
+from mforge.catalog import foundation_from_file
+seeds, check = [], F.ms_jordan_check
+def probe(*args, **kw):
+    seeds.append(kw["seed"])
+    return check(*args, **kw)
+F.ms_jordan_check = probe
+F.fnd_check(foundation_from_file(%r), samples=4, seed=53)
+print(seeds)
+"""
+
+
+def test_jordan_sub_seeds_are_the_same_under_every_hash_salt():
+    # the vertex labels are strings, and string hashes are salted per
+    # process, so the sub-seed of a triple must not come from hash()
+    import os
+    import subprocess
+    import sys
+
+    import mforge
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sample = os.path.join(root, "sample_foundations", "p3_quaternion.json")
+    pkg_root = os.path.dirname(os.path.dirname(mforge.__file__))
+    path = os.pathsep.join(filter(None, [pkg_root,
+                                         os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run(
+        [sys.executable, "-c", _SEED_PROBE % sample],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=salt)).stdout
+        for salt in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0].strip() != "[]"

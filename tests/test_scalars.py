@@ -162,3 +162,20 @@ def test_random_scalar_height_bound():
     for _ in range(100):
         s = random_scalar(QQ, rng, height=20)
         assert abs(s.val.numerator) <= 20 * 20 and s.val.denominator <= 20
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F4, QI])
+def test_lift_and_lower_are_inverse(field):
+    rng = random.Random(3)
+    vals = [field.random_payload(rng, 9) for _ in range(6)]
+    nums, den = field.lift(vals)
+    assert len(nums) == len(vals) * field.coord_dim
+    assert all(type(n) is int for n in nums) and type(den) is int
+    assert field.lower(nums, den) == vals
+
+
+def test_lower_divides_by_the_denominator():
+    assert QQ.lower([2, 0, -3], 4) == [Fraction(1, 2), 0, Fraction(-3, 4)]
+    # 1/3 = 2 and 2/3 = 4 in F5
+    assert F5.lower([1, 2, 5], 3) == [2, 4, 0]
+    assert QI.lower([1, 2], 2) == [(Fraction(1, 2), Fraction(1))]
