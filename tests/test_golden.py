@@ -18,6 +18,11 @@ the glueing atoms a separate hierarchy from the octonion atoms.  They run
 glueing chains across opposite ends, the standard involution on towers,
 fields and quadratic-space vectors, and the small-field carrier.
 
+``dim_switch_round_trip`` runs the dimension switch up from the Hamilton
+space and back down, as criterion #8 does with fewer samples.  It was
+recorded while the subfield projections of the switch still solved a
+linear system on every call.
+
 To record the files again from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -132,6 +137,28 @@ def psi_product_rule_f5():
                                   seed=13)
 
 
+def dim_switch_round_trip():
+    """Both Jordan checks, the new spaces' q and f, and the images of
+    five seeded points under each switch map."""
+    from mforge.pseudoquad import (dim_switch_down, dim_switch_up,
+                                   t_jordan_check, xi_hamilton)
+    xh = xi_hamilton()
+    up, gamma = dim_switch_up(xh)
+    down, gamma2 = dim_switch_down(up)
+    lines = [t_jordan_check(gamma, xh, up, samples=100, seed=31).to_json(),
+             t_jordan_check(gamma2, down, up, samples=100,
+                            seed=37).to_json()]
+    for space in (up, down):
+        lines.append(json.dumps({"q_rep": repr(space.q_rep),
+                                 "f_gram": repr(space.f_gram)},
+                                sort_keys=True, separators=(",", ":")))
+    for src, gamma_, seed in ((xh, gamma, 41), (down, gamma2, 43)):
+        rng = random.Random(seed)
+        lines.append(json.dumps([repr(gamma_(src.random_point(rng)))
+                                 for _ in range(5)], separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
 def _verdict_text(verdict):
     """A verdict as the CLI prints it with --json."""
     return json.dumps(verdict.as_dict(), sort_keys=True,
@@ -193,7 +220,8 @@ CASES = {f.__name__: f for f in (
     triangle_hua_consistency, dim16_alternative, psi_product_rule,
     gamma_w_decompose, sigma_s_central, jaut_verify,
     fnd_check_443_involutory, fnd_classify_p3_quaternion,
-    ms_coincide_f4_small_field, psi_product_rule_f5, *TOWER_CASES,
+    ms_coincide_f4_small_field, psi_product_rule_f5, dim_switch_round_trip,
+    *TOWER_CASES,
     _dot_case("a2_octonion"), _dot_case("f443_involutory"),
     *[_fnd_check_case(name) for name in _fnd_names()])}
 
