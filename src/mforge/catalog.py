@@ -58,7 +58,12 @@ FOUNDATION_SCHEMA = {
                 },
             },
         },
-        "scalars": {"type": "object"},
+        # a beta is an integer or a string such as "-1/2"; draft-07 counts
+        # 1.0 as an integer, so the field's coerce refuses it instead
+        "scalars": {"type": "object", "additionalProperties": {
+            "type": "object", "required": ["base", "betas"],
+            "properties": {"base": {"type": "string"}, "betas": {
+                "type": "array", "items": {"type": ["integer", "string"]}}}}},
     },
 }
 

@@ -20,8 +20,10 @@ or F_p (``scalars`` decides how), so the table is expanded once over that
 coordinate field, per base field and tuple of betas.  A product then runs
 on integer coordinates over one common denominator, and each coordinate is
 lowered once back into the field.  The norm and the inverse
-conj(x) * N(x)^-1 read the same table, and so do the split projections of
-a ``DoublingFrame``.
+conj(x) * N(x)^-1 read the same table.  The integer rows and their
+contraction come from ``linalg``, as does the ``Projector`` behind every
+coordinate and membership question here: the split of a ``DoublingFrame``
+and ``Subspace.contains``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import itertools
 import random
 
 from . import linalg
+from .linalg import NotInSpan  # noqa: F401  (re-exported)
+from .linalg import _contract, _integer_rows, _scalars, _units
 from .report import Report
 from .scalars import QQ, Scalar, random_scalar
 
@@ -40,10 +44,6 @@ class AlgebraMismatch(ValueError):
 
 
 class NotInvertible(ZeroDivisionError):
-    pass
-
-
-class NotInSpan(ValueError):
     pass
 
 
@@ -221,42 +221,6 @@ def _basis_constant(field, betas, i, j):
     return c
 
 
-def _contract(rows, A, B):
-    nums = []
-    for row in rows:
-        s = 0
-        for i, j, n in row:
-            s += n * A[i] * B[j]
-        nums.append(s)
-    return nums
-
-
-def _scalars(field, nums, den):
-    """The Scalars whose integer coordinates over Q or F_p are nums / den."""
-    return tuple([Scalar(field, v) for v in field.lower(nums, den)])
-
-
-def _units(field):
-    """(u, E_u) for the basis E_u of the base field over Q or F_p."""
-    r = field.coord_dim
-    return list(enumerate(field.lower(
-        [int(s == u) for u in range(r) for s in range(r)], 1)))
-
-
-def _integer_rows(field, terms, size):
-    """(rows, den): rows of terms (i, j, n), row q standing for
-    sum(n * A[i] * B[j]) / den on integer coordinates over Q or F_p.  A
-    term (q, i, j, z) puts coordinate s of the payload z in row q + s."""
-    r = field.coord_dim
-    nums, den = field.lift([z for _, _, _, z in terms])
-    rows = [[] for _ in range(size)]
-    for k, (q, i, j, _) in enumerate(terms):
-        for s, n in enumerate(nums[k * r:(k + 1) * r]):
-            if n:
-                rows[q + s].append((i, j, n))
-    return tuple(tuple(row) for row in rows), den
-
-
 class _TowerKernel:
     """Product, norm and inverse of a tower on integer coordinates.
 
@@ -417,24 +381,29 @@ def commutator(x, y):
 
 
 class Subspace:
-    """Subspace of a tower, basis kept in exact reduced row-echelon form."""
+    """Subspace of a tower, basis kept in exact reduced row-echelon form;
+    membership goes through a ``linalg.Projector`` onto it."""
 
     def __init__(self, algebra, vectors):
         self.algebra = algebra
-        rows = [list(v.coords) for v in vectors]
-        red, pivots = linalg.rref(rows)
-        self.rows = red
-        self.pivots = pivots
+        red, _ = linalg.rref([list(v.coords) for v in vectors])
+        self._basis = [CDElement(algebra, tuple(r)) for r in red]
+
+    @functools.cached_property
+    def _projector(self):
+        return linalg.Projector(self.algebra.base,
+                                [b.coords for b in self._basis],
+                                self.algebra.dim)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._basis)
 
     def basis(self):
-        return [CDElement(self.algebra, tuple(r)) for r in self.rows]
+        return list(self._basis)
 
     def contains(self, x):
-        return linalg.in_span((self.rows, self.pivots), list(x.coords))
+        return self._projector.contains(x.coords)
 
     def extended(self, vectors):
         return Subspace(self.algebra, self.basis() + list(vectors))
@@ -448,8 +417,8 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.algebra == self.algebra
-                and [[c.val for c in r] for r in other.rows]
-                == [[c.val for c in r] for r in self.rows])
+                and [b.key() for b in other._basis]
+                == [b.key() for b in self._basis])
 
     def __repr__(self):
         return "span<%d dim=%d>" % (self.algebra.dim, self.dim)
@@ -491,12 +460,11 @@ def center(algebra):
 class DoublingFrame:
     """Cached exact splitter for A + e*A: x  <->  (h, y) with x = h + e*y.
 
-    For a frame that spans the tower, the inverse of the combine map and
-    the recombination over the subalgebra basis fold, at construction,
-    into two projections x -> h and x -> y, expanded like the product
-    table into integer rows over Q or F_p, whatever the base; a split is
-    two integer matrix-vector products.  A frame that does not span the
-    tower solves a linear system per split and raises NotInSpan off it.
+    A ``linalg.Projector`` onto the frame {b, e*b : b in the subalgebra
+    basis} carries the recombination of both halves over that basis, so
+    a split is two integer matrix-vector products over Q or F_p, whatever
+    the base: the residual, empty when the frame spans the tower, and the
+    coordinates of h and y.  Off A + e*A a split raises NotInSpan.
     """
 
     def __init__(self, algebra, sub, e, check=True):
@@ -511,46 +479,27 @@ class DoublingFrame:
                 raise BadDoublingUnit("doubling unit must sit in the "
                                       "complement with nonzero norm")
         self.sub_basis = sub.basis()
-        cols = [list(b.coords) for b in self.sub_basis]
-        cols += [list((e * b).coords) for b in self.sub_basis]
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(algebra.dim)]
-        self._mat = self._proj = None
-        if len(cols) < algebra.dim:
-            self._mat = mat
-            return
-        inv = linalg.invert(mat)
-        k, field = len(self.sub_basis), algebra.base
-        r, units = field.coord_dim, _units(field)
-        self._proj = []
-        for part in (inv[:k], inv[k:]):
-            # column l: the part of e_l, recombined over the subalgebra basis
-            cols = [_lin_comb(self.sub_basis, [row[l] for row in part]).coords
-                    for l in range(algebra.dim)]
-            self._proj.append(_integer_rows(field, [
-                (i * r, l * r + u, 0, field.mul(z.val, e))
-                for l, col in enumerate(cols) for i, z in enumerate(col)
-                for u, e in units], algebra.dim * r))
+        n, k, zero = algebra.dim, len(self.sub_basis), algebra.base.zero()
+        frame = ([b.coords for b in self.sub_basis]
+                 + [(e * b).coords for b in self.sub_basis])
+        # row i of h and row i of y: coordinate i of the basis, recombined
+        rows = [[b.coords[i] for b in self.sub_basis] for i in range(n)]
+        recombine = ([row + [zero] * k for row in rows]
+                     + [[zero] * k + row for row in rows])
+        self._proj = linalg.Projector(algebra.base, frame,
+                                      recombine=recombine)
 
     def split(self, x):
         """x -> (h, y) with x = h + e*y, h and y in the subalgebra."""
-        if self._proj is not None:
-            field = self.algebra.base
-            v, d = field.lift([c.val for c in x.coords])
-            return tuple(CDElement(self.algebra, _scalars(
-                field, _contract(rows, v, (1,)), den * d))
-                for rows, den in self._proj)
-        comps = linalg.solve(self._mat, list(x.coords))
-        if comps is None:
-            raise NotInSpan("element is outside A + e*A")
-        k = len(self.sub_basis)
-        return (_lin_comb(self.sub_basis, comps[:k]),
-                _lin_comb(self.sub_basis, comps[k:]))
+        c, n = self._proj.coefficients(x.coords), self.algebra.dim
+        return CDElement(self.algebra, c[:n]), CDElement(self.algebra, c[n:])
 
     def combine(self, h, y):
         return h + self.e * y
 
 
 def _lin_comb(basis, coeffs):
+    """sum(c * b): the recombination the split tests compare against."""
     acc = basis[0].scale(coeffs[0])
     for b, c in zip(basis[1:], coeffs[1:]):
         acc = acc + b.scale(c)
@@ -559,11 +508,7 @@ def _lin_comb(basis, coeffs):
 
 def doubling_coordinates(x, sub, e):
     """Coordinates of x in A + e*A (unique); errors if x is outside."""
-    frame = DoublingFrame(x.algebra, sub, e)
-    h, y = frame.split(x)
-    if not (frame.combine(h, y) - x).is_zero():
-        raise NotInSpan("element is outside A + e*A")
-    return h, y
+    return DoublingFrame(x.algebra, sub, e).split(x)
 
 
 def norm_splitting(algebra, subfield, samples=32, seed=11):

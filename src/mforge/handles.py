@@ -14,6 +14,8 @@ ground field so spans can be decided by linear algebra.
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .composition import CDAlgebra, CDElement
 from .quadspace import SmallField
@@ -204,23 +206,27 @@ def as_handle(obj):
 
 class Span:
     """An additive span of carrier elements over the coordinate field,
-    decided by exact row reduction."""
+    basis kept in exact reduced row-echelon form; membership goes through
+    a ``linalg.Projector`` onto it."""
 
     def __init__(self, handle, gens):
         self.handle = handle
-        rows = [[c for c in handle.coords(g)] for g in gens]
-        self.rows, self.pivots = linalg.rref(rows)
+        self._rows, _ = linalg.rref([handle.coords(g) for g in gens])
+
+    @functools.cached_property
+    def _projector(self):
+        return linalg.Projector(self.handle.coord_field, self._rows,
+                                self.handle.coord_dim)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def basis(self):
-        return [self.handle.uncoords(r) for r in self.rows]
+        return [self.handle.uncoords(r) for r in self._rows]
 
     def contains(self, x):
-        return linalg.in_span((self.rows, self.pivots),
-                              list(self.handle.coords(x)))
+        return self._projector.contains(self.handle.coords(x))
 
     def extended(self, xs):
         return Span(self.handle, self.basis() + list(xs))
@@ -236,23 +242,16 @@ class Span:
         return acc
 
     def elements(self):
-        """All span elements (finite coordinate field only)."""
-        if not self.handle.coord_field.is_finite():
+        """All span elements (finite coordinate field only).  The reduced
+        basis is independent, so no element comes twice."""
+        h = self.handle
+        if not h.coord_field.is_finite():
             raise TypeError("infinite span")
-        out = [self.handle.zero()]
+        out = [h.zero()]
         for b in self.basis():
-            new = []
-            for e in out:
-                for c in self.handle.coord_field.elements():
-                    new.append(self.handle.add(e, _scale(self.handle, b, c)))
-            out = new
-        seen, uniq = set(), []
-        for e in out:
-            k = self.handle.key(e)
-            if k not in seen:
-                seen.add(k)
-                uniq.append(e)
-        return uniq
+            out = [h.add(e, _scale(h, b, c))
+                   for e in out for c in h.coord_field.elements()]
+        return out
 
 
 def _scale(handle, x, c):

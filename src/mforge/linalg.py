@@ -1,22 +1,28 @@
-"""Exact dense linear algebra over any of the scalar fields.
+"""Exact linear algebra over any of the scalar fields.
 
-Matrices are lists of rows of Scalars.  Everything here is plain Gaussian
-elimination; sizes stay at desk scale (<= 16) so no pivoting strategy or
-sparsity is needed.
+Matrices are lists of rows of Scalars.  ``rref`` is plain Gaussian
+elimination (sizes stay at desk scale, <= 16); ``solve``, ``invert`` and
+``mat_vec`` on top of it are the reference the fast paths are tested
+against.  The fast paths are K-linear maps expanded once into integer rows
+over Q or F_p, the coordinate field of K: ``_integer_rows`` builds them,
+``_contract`` applies them to integer coordinates over one denominator and
+``_scalars`` lowers the result.  The tower product table is such rows, and
+so is a ``Projector``: the coordinates of x in a fixed basis and whether x
+lies in its span, for doubling frames, subfields and spans alike.
 """
 
 from __future__ import annotations
 
+from .scalars import Scalar
 
-def zeros(field, rows, cols):
-    return [[field.zero() for _ in range(cols)] for _ in range(rows)]
+
+class NotInSpan(ValueError):
+    pass
 
 
 def identity(field, n):
-    m = zeros(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one()
-    return m
+    return [[field.one() if i == j else field.zero() for j in range(n)]
+            for i in range(n)]
 
 
 def mat_vec(m, v):
@@ -63,9 +69,7 @@ def rank(matrix):
 def kernel_basis(matrix, field, n_cols=None):
     """Basis of the right kernel {x : M x = 0}."""
     if not matrix:
-        assert n_cols is not None
-        return [[field.one() if i == j else field.zero() for j in range(n_cols)]
-                for i in range(n_cols)]
+        return identity(field, n_cols)
     n_cols = len(matrix[0])
     red, pivots = rref(matrix)
     free = [c for c in range(n_cols) if c not in pivots]
@@ -107,12 +111,93 @@ def invert(matrix):
     return [row[n:] for row in red]
 
 
-def in_span(basis_rref, vec):
-    """Membership test against rows already in RREF (with their pivots)."""
-    rows, pivots = basis_rref
-    v = vec[:]
-    for row, pc in zip(rows, pivots):
-        if not v[pc].is_zero():
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(a.is_zero() for a in v)
+def _contract(rows, A, B):
+    nums = []
+    for row in rows:
+        s = 0
+        for i, j, n in row:
+            s += n * A[i] * B[j]
+        nums.append(s)
+    return nums
+
+
+def _scalars(field, nums, den):
+    """The Scalars whose integer coordinates over Q or F_p are nums / den."""
+    return tuple([Scalar(field, v) for v in field.lower(nums, den)])
+
+
+def _units(field):
+    """(u, E_u) for the basis E_u of the base field over Q or F_p."""
+    r = field.coord_dim
+    return list(enumerate(field.lower(
+        [int(s == u) for u in range(r) for s in range(r)], 1)))
+
+
+def _integer_rows(field, terms, size):
+    """(rows, den): rows of terms (i, j, n), row q standing for
+    sum(n * A[i] * B[j]) / den on integer coordinates over Q or F_p.  A
+    term (q, i, j, z) puts coordinate s of the payload z in row q + s."""
+    r = field.coord_dim
+    nums, den = field.lift([z for _, _, _, z in terms])
+    rows = [[] for _ in range(size)]
+    for k, (q, i, j, _) in enumerate(terms):
+        for s, n in enumerate(nums[k * r:(k + 1) * r]):
+            if n:
+                rows[q + s].append((i, j, n))
+    return tuple(tuple(row) for row in rows), den
+
+
+class Projector:
+    """Coordinates in a fixed basis of K^n, and membership in its span.
+
+    With the basis vectors as the columns of M, one ``rref`` of [M | I]
+    gives an invertible E with E * M reduced.  A row of E whose pivot lies
+    in M gives the coefficient of that pivot's basis vector; the others
+    get 0, as ``solve`` chooses.  The remaining rows of E, the residual
+    map, vanish exactly on the span.  Both maps become integer rows over Q
+    or F_p, so a call lifts x once and takes integer dot products.  A fixed
+    `recombine` matrix, one column per basis vector, folds into the
+    coefficients.  An empty basis needs its `dim`.
+    """
+
+    def __init__(self, field, basis, dim=None, recombine=None):
+        n, k = len(basis[0]) if basis else dim, len(basis)
+        red, pivots = rref([[v[i] for v in basis] + row
+                            for i, row in enumerate(identity(field, n))])
+        coeff = [[field.zero()] * n for _ in range(k)]
+        residual = [row[k:] for row, pc in zip(red, pivots) if pc >= k]
+        for row, pc in zip(red, pivots):
+            if pc < k:
+                coeff[pc] = row[k:]
+        if recombine is not None:
+            coeff = list(zip(*[mat_vec(recombine, col)
+                               for col in zip(*coeff)]))
+        self.field, self._p = field, field.characteristic()
+        self._coeff = self._rows(coeff)
+        self._residual = self._rows(residual)[0]
+
+    def _rows(self, matrix):
+        """Integer rows of x -> matrix * x: (x_q)_s = sum(n * X[i]) / den."""
+        field = self.field
+        r, units = field.coord_dim, _units(field)
+        return _integer_rows(field, [
+            (q * r, i * r + u, 0, field.mul(a.val, eu))
+            for q, row in enumerate(matrix) for i, a in enumerate(row)
+            if not a.is_zero() for u, eu in units], len(matrix) * r)
+
+    def _lift(self, vec):
+        """Integer coordinates of vec and whether vec is off the span."""
+        X, d = self.field.lift([c.val for c in vec])
+        res, p = _contract(self._residual, X, (1,)), self._p
+        return X, d, any(n % p for n in res) if p else any(res)
+
+    def contains(self, vec):
+        return not self._lift(vec)[2]
+
+    def coefficients(self, vec):
+        """The (recombined) coefficients of vec; NotInSpan off the span."""
+        X, d, off = self._lift(vec)
+        if off:
+            raise NotInSpan("vector is outside the span")
+        rows, den = self._coeff
+        return _scalars(self.field, _contract(rows, X, (1,)), den * d)

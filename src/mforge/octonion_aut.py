@@ -25,20 +25,14 @@ class _Split(GAtom):
     """Shared plumbing for the half-twisting atoms."""
 
     def __init__(self, algebra, sub, e, w):
-        if sub.dim != 4 or not sub.is_subalgebra():
+        if sub.dim != 4:
             raise ValueError("need a 4-dimensional subalgebra")
-        perp = orthogonal_complement(algebra, sub)
-        if not perp.contains(e) or sub.contains(e) or e.norm().is_zero():
-            raise ValueError("e must lie outside the subalgebra, orthogonal "
-                             "to it, with nonzero norm")
+        # BadDoublingUnit, a ValueError, unless sub + e*sub is a frame
+        self.frame = DoublingFrame(algebra, sub, e)
         if not sub.contains(w) or w.norm().is_zero():
             raise ValueError("w must be invertible inside the subalgebra")
-        self.algebra = algebra
-        self.sub = sub
-        self.e = e
-        self.w = w
+        self.algebra, self.sub, self.e, self.w = algebra, sub, e, w
         self.w_inv = w.inverse()
-        self.frame = DoublingFrame(algebra, sub, e, check=False)
 
 
 class Psi(_Split):

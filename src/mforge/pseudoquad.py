@@ -13,7 +13,7 @@ import random
 
 from . import linalg
 from .composition import DoublingFrame, Subspace, orthogonal_complement
-from .handles import CDHandle, FieldHandle, as_handle
+from .handles import CDHandle, FieldHandle
 from .report import Report
 from .scalars import F4, QuadExt, Scalar
 from .tables import FiniteGroupTable
@@ -462,30 +462,35 @@ def _is_s3(tbl, autos, inner):
 
 # -- dimension switches -------------------------------------------------------
 
-def _quadratic_subfield(handle, x):
-    """The subfield generated by 1 and x inside a quaternion tower, as an
-    abstract quadratic extension plus embed/project maps."""
-    alg = handle.algebra
-    t0 = x.trace()
-    n0 = x.norm()
-    ext = QuadExt(alg.base, t0, n0, gen_name="u")
-    sub = Subspace(alg, [alg.one(), x])
+def _subfield_maps(alg, ext, gen):
+    """embed: ext -> alg, u + v*w -> u + v*gen, for gen in alg with the
+    minimal polynomial of w, and its inverse project on the image, which
+    raises NotInSpan off it."""
+    one = alg.one()
+    proj = linalg.Projector(alg.base, [one.coords, gen.coords])
 
     def embed(s):
-        # s = u0 + v0*gen  ->  1*u0 + x*v0
-        u0 = Scalar(alg.base, s.val[0])
-        v0 = Scalar(alg.base, s.val[1])
-        return alg.one().scale(u0) + x.scale(v0)
+        return (one.scale(Scalar(alg.base, s.val[0]))
+                + gen.scale(Scalar(alg.base, s.val[1])))
 
     def project(y):
-        # solve y = 1*u0 + x*v0 inside the tower
-        sol = linalg.solve([[alg.one().coords[i], x.coords[i]]
-                            for i in range(alg.dim)], list(y.coords))
-        if sol is None:
-            raise ValueError("element outside the subfield")
-        return Scalar(ext, (sol[0].val, sol[1].val))
+        return Scalar(ext, tuple(c.val for c in proj.coefficients(y.coords)))
 
-    return ext, sub, embed, project
+    return embed, project
+
+
+def _switch_point(inv, q_tower, frame, project, q_a, x, t):
+    """The image of the point (b1 * x, t) over a quaternion tower under a
+    dimension switch: ((s, y^s), N(x) q~(a) + u) with x = s + e*y in
+    subfield coordinates and u = t - x^s q(a) x, which must lie in K0."""
+    hd = inv.handle
+    u = hd.sub(t, hd.mul(hd.mul(hd.conj(x), q_tower), x))
+    if not inv.k0_contains(u):
+        raise ValueError("point does not lie over the anchor line")
+    s, y = (project(part) for part in frame.split(x))
+    ext = q_a.field  # u and N(x) are base scalars
+    return ((s, y.conj()),
+            ext.scalar(x.norm().val) * q_a + ext.scalar(u.coords[0].val))
 
 
 def dim_switch_up(space, a_coeff=None, e=None):
@@ -503,15 +508,16 @@ def dim_switch_up(space, a_coeff=None, e=None):
     alg = h.algebra
     a = alg.one() if a_coeff is None else a_coeff
     qa = h.mul(h.mul(h.conj(a), space.q_rep[0]), a)  # q(b1*a) representative
-    ext, sub, embed, project = _quadratic_subfield(h, qa)
+    # the subfield generated by 1 and q(a), as an abstract extension
+    ext = QuadExt(alg.base, qa.trace(), qa.norm(), gen_name="u")
+    sub = Subspace(alg, [alg.one(), qa])
+    project = _subfield_maps(alg, ext, qa)[1]
+    perp = orthogonal_complement(alg, sub)
     if e is None:
-        perp = orthogonal_complement(alg, sub)
         e = next(v for v in perp.basis() if not v.norm().is_zero())
-    else:
-        perp = orthogonal_complement(alg, sub)
-        if not perp.contains(e) or e.norm().is_zero():
-            raise BadOrthogonalUnit("e must be orthogonal to the subfield "
-                                    "with nonzero norm")
+    elif not perp.contains(e) or e.norm().is_zero():
+        raise BadOrthogonalUnit("e must be orthogonal to the subfield "
+                                "with nonzero norm")
     frame = DoublingFrame(alg, sub, e, check=False)
     ne = e.norm()  # N(e) in the base field
 
@@ -530,16 +536,8 @@ def dim_switch_up(space, a_coeff=None, e=None):
     def gamma(p):
         # p = (b1 * x, x^s q(a) x + u) relative to the anchor a
         x = h.mul(h.inv(a), p.a[0]) if a != alg.one() else p.a[0]
-        u = h.sub(p.t, h.mul(h.mul(h.conj(x), qa), x))
-        if not space.inv.k0_contains(u):
-            raise ValueError("point does not lie over the anchor line")
-        s_part, t_part = frame.split(x)
-        s = project(s_part)
-        t = project(t_part)
-        u_val = ext.scalar((u.coords[0].val, 0))  # u is a base scalar
-        nx = x.norm()  # N(x) in base
-        second = ext.scalar(nx.val) * q_a + u_val
-        return new.point((s, t.conj()), second)
+        return new.point(*_switch_point(space.inv, qa, frame, project, q_a,
+                                        x, p.t))
 
     return new, gamma
 
@@ -578,21 +576,10 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     beta1 = t0 * t0 * half * half - n0
     alg = CDAlgebra(base, [beta1, beta_base],
                     name="(%r/%r, %s)" % (ext, base, beta_base))
-    halg = as_handle(alg)
 
-    def embed(s):
-        # u + v*w  ->  u + v*(t0/2 + e1)
-        u, v = Scalar(base, s.val[0]), Scalar(base, s.val[1])
-        return alg.from_base(u + v * t0 * half) + alg.unit(1).scale(v)
-
-    def project(y):
-        sol = linalg.solve(
-            [[alg.one().coords[i], (alg.from_base(t0 * half)
-                                    + alg.unit(1)).coords[i]]
-             for i in range(alg.dim)], list(y.coords))
-        if sol is None:
-            raise ValueError("element outside the quadratic stage")
-        return Scalar(ext, (sol[0].val, sol[1].val))
+    # w  ->  t0/2 + e1
+    embed, project = _subfield_maps(alg, ext,
+                                    alg.from_base(t0 * half) + alg.unit(1))
 
     inv_new = InvolutorySet(alg, SIGMA_STANDARD)
     q_new = embed(space.q_rep[i0])
@@ -612,20 +599,9 @@ def dim_switch_down(space, basis_idx=(0, 1)):
 
     def gamma(p):
         # p = (b1 * x, x^s q~(a) x + u) in the 1-dim space over the tower
-        x = p.a[0]
-        qa_alg = q_new
-        u = halg.sub(p.t, halg.mul(halg.mul(halg.conj(x), qa_alg), x))
-        if not new.inv.k0_contains(u):
-            raise ValueError("point does not lie over the anchor line")
-        s_part, t_part = frame.split(x)
-        s, t = project(s_part), project(t_part)
-        u_val = Scalar(ext, (u.coords[0].val, 0))
-        nx = x.norm()
-        second = h.mul(h.scalar_embed(nx), space.q_rep[i0])
-        second = h.add(second, u_val)
-        vec = [h.zero(), h.zero()]
-        vec[i0] = s
-        vec[i1] = t.conj()
-        return space.point(tuple(vec), second)
+        (s, t), second = _switch_point(new.inv, q_new, frame, project,
+                                       space.q_rep[i0], p.a[0], p.t)
+        vec = {i0: s, i1: t}
+        return space.point((vec[0], vec[1]), second)
 
     return new, gamma

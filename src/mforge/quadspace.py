@@ -242,16 +242,15 @@ class SmallField:
         if space.dim > 2:
             raise DimensionTooLarge("field structure needs dim <= 2")
         self.space = space
-        eps = space.basepoint
-        if space.dim == 1:
-            self.xt = None
-        else:
+        frame = [space.basepoint.coords]
+        self.xt = None
+        if space.dim == 2:
             # any vector outside the basepoint line
-            line = linalg.rref([list(eps.coords)])
+            line = linalg.Projector(space.field, frame)
             self.xt = next(b for b in space.basis()
-                           if not linalg.in_span(line, list(b.coords)))
-            self._to_frame = linalg.invert(
-                [[eps.coords[i], self.xt.coords[i]] for i in range(2)])
+                           if not line.contains(b.coords))
+            frame.append(self.xt.coords)
+        self._frame_proj = linalg.Projector(space.field, frame)
         self.type_tag = self._classify()
 
     def _classify(self):
@@ -264,13 +263,9 @@ class SmallField:
         return self.TYPE_SEPARABLE
 
     def _frame(self, v):
-        """Coordinates (s, t) with v = eps*s + xt*t."""
-        if self.xt is None:
-            eps = self.space.basepoint
-            k = next(i for i in range(1) if not eps.coords[i].is_zero())
-            return v.coords[k] / eps.coords[k], self.space.field.zero()
-        s, t = linalg.mat_vec(self._to_frame, list(v.coords))
-        return s, t
+        """Coordinates (s, t) with v = eps*s + xt*t, t = 0 on dim 1."""
+        return (self._frame_proj.coefficients(v.coords)
+                + (self.space.field.zero(),))[:2]
 
     def mul(self, u, v):
         sp = self.space

@@ -92,14 +92,23 @@ def test_foundation_bad_file(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(["foundation", "check", str(bad)], capsys)
     assert code == 2
-    inexact = tmp_path / "inexact.json"
-    inexact.write_text(json.dumps({
-        "version": 1, "vertices": ["1", "2"],
-        "edges": [{"from": "1", "to": "2", "m": 3, "symbol": "T",
-                   "params": "tower"}],
-        "scalars": {"tower": {"base": "Q", "betas": [0.1]}}}))
-    code, _, err = run(["foundation", "check", str(inexact)], capsys)
+
+    def tower_file(betas):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({
+            "version": 1, "vertices": ["1", "2"],
+            "edges": [{"from": "1", "to": "2", "m": 3, "symbol": "T",
+                       "params": "tower"}],
+            "scalars": {"tower": {"base": "Q", "betas": betas}}}))
+        return str(path)
+
+    # 1.0 passes the schema, which counts it an integer
+    code, _, err = run(["foundation", "check", tower_file([1.0])], capsys)
     assert code == 2 and "exact values only" in err
+    for betas in ([0.1], [True], [[1, 2]]):
+        code, _, err = run(["foundation", "check", tower_file(betas)],
+                           capsys)
+        assert code == 2 and "is not of type 'integer', 'string'" in err
     off_schema = tmp_path / "off_schema.json"
     off_schema.write_text(json.dumps({"version": 1, "vertices": ["1"]}))
     for argv in (["foundation", "check", str(off_schema)],

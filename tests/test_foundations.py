@@ -398,10 +398,16 @@ def test_json_tower_betas_are_exact():
     f = foundation_from_json(_tower_doc([-1, "-1/2"]))
     betas = f.polygons[("1", "2")].params.algebra.betas
     assert [b.val for b in betas] == [-1, Fraction(-1, 2)]
+    try:
+        from jsonschema import ValidationError as refused
+    except ImportError:  # pragma: no cover - no schema: coerce refuses
+        refused = TypeError
+    for bad in ([0.1], [True], [[1, 2]]):
+        with pytest.raises(refused):
+            foundation_from_json(_tower_doc(bad))
+    # the schema counts 1.0 an integer; the field's coerce refuses it
     with pytest.raises(TypeError):
-        foundation_from_json(_tower_doc([0.1]))
-    with pytest.raises(TypeError):
-        foundation_from_json(_tower_doc([True]))
+        foundation_from_json(_tower_doc([1.0]))
 
 
 _SEED_PROBE = """

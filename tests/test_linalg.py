@@ -1,7 +1,11 @@
 import random
 
+import pytest
+
 from mforge import linalg
-from mforge.scalars import F5, QQ, random_scalar
+from mforge.scalars import F3, F5, QI, QQ, QuadExt, random_scalar
+
+F9 = QuadExt(F3, 0, 1)
 
 
 def mat(field, rows):
@@ -53,10 +57,81 @@ def test_kernel_of_empty_matrix_is_everything():
 
 
 def test_in_span():
-    m = mat(QQ, [[1, 0, 1], [0, 1, 1]])
-    red = linalg.rref(m)
-    assert linalg.in_span(red, [QQ.scalar(2), QQ.scalar(3), QQ.scalar(5)])
-    assert not linalg.in_span(red, [QQ.scalar(0), QQ.scalar(0), QQ.scalar(1)])
+    proj = linalg.Projector(QQ, mat(QQ, [[1, 0, 1], [0, 1, 1]]))
+    assert proj.contains([QQ.scalar(2), QQ.scalar(3), QQ.scalar(5)])
+    assert not proj.contains([QQ.scalar(0), QQ.scalar(0), QQ.scalar(1)])
+
+
+def _combination(field, rng, basis, n):
+    acc = [field.zero()] * n
+    for b in basis:
+        c = random_scalar(field, rng, 5)
+        acc = [a + c * x for a, x in zip(acc, b)]
+    return acc
+
+
+def _bases(field, rng, n):
+    """(label, basis) for a spanning, a non-spanning, a rank-deficient and
+    an empty basis of K^n."""
+    def vec():
+        return [random_scalar(field, rng, 5) for _ in range(n)]
+    low = [vec() for _ in range(n - 2)]
+    return [("spanning", [vec() for _ in range(n)]),
+            ("partial", low),
+            ("deficient", [low[0], low[1], low[0],
+                           _combination(field, rng, low, n)]),
+            ("empty", [])]
+
+
+@pytest.mark.parametrize("field", [QQ, F5, QI, F9], ids=repr)
+def test_projector_matches_solve(field):
+    """Coefficients are the solution `solve` picks, and membership is
+    `solve` finding one, on and off the span."""
+    rng = random.Random(11)
+    n = 5
+    for label, basis in _bases(field, rng, n):
+        proj = linalg.Projector(field, basis, n)
+        matrix = [[b[i] for b in basis] for i in range(n)]
+        tests = [_combination(field, rng, basis, n) for _ in range(6)]
+        tests += [[random_scalar(field, rng, 5) for _ in range(n)]
+                  for _ in range(6)]
+        tests.append([field.zero()] * n)
+        inside = 0
+        for x in tests:
+            want = linalg.solve(matrix, x)
+            assert proj.contains(x) == (want is not None), label
+            if want is None:
+                with pytest.raises(linalg.NotInSpan):
+                    proj.coefficients(x)
+            else:
+                inside += 1
+                assert list(proj.coefficients(x)) == want, label
+        assert inside >= 7, label
+
+
+def test_projector_folds_a_recombination():
+    rng = random.Random(4)
+    basis = [[random_scalar(QI, rng, 5) for _ in range(4)] for _ in range(3)]
+    recombine = [[random_scalar(QI, rng, 5) for _ in range(3)]
+                 for _ in range(2)]
+    proj = linalg.Projector(QI, basis, recombine=recombine)
+    plain = linalg.Projector(QI, basis)
+    for _ in range(5):
+        x = _combination(QI, rng, basis, 4)
+        assert (list(proj.coefficients(x))
+                == linalg.mat_vec(recombine, list(plain.coefficients(x))))
+
+
+def test_subfield_projection_off_the_subfield_raises():
+    from mforge.composition import NotInSpan, quaternions_q
+    from mforge.pseudoquad import _subfield_maps
+    H = quaternions_q()
+    embed, project = _subfield_maps(H, QI, H.unit(1))
+    s = QI.scalar((3, -2))
+    assert project(embed(s)) == s
+    assert NotInSpan is linalg.NotInSpan and issubclass(NotInSpan, ValueError)
+    with pytest.raises(NotInSpan):
+        project(H.unit(2))
 
 
 def test_rank_brute_force_oracle():
