@@ -170,8 +170,9 @@ class Projector:
             if pc < k:
                 coeff[pc] = row[k:]
         if recombine is not None:
-            coeff = list(zip(*[mat_vec(recombine, col)
-                               for col in zip(*coeff)]))
+            cols = list(zip(*coeff))
+            coeff = [[sum((a * b for a, b in zip(row, col) if not a.is_zero()),
+                          field.zero()) for col in cols] for row in recombine]
         self.field, self._p = field, field.characteristic()
         self._coeff = self._rows(coeff)
         self._residual = self._rows(residual)[0]
