@@ -164,11 +164,9 @@ class Projector:
         n, k = len(basis[0]) if basis else dim, len(basis)
         red, pivots = rref([[v[i] for v in basis] + row
                             for i, row in enumerate(identity(field, n))])
-        coeff = [[field.zero()] * n for _ in range(k)]
-        residual = [row[k:] for row, pc in zip(red, pivots) if pc >= k]
-        for row, pc in zip(red, pivots):
-            if pc < k:
-                coeff[pc] = row[k:]
+        rows = dict(zip(pivots, (row[k:] for row in red)))
+        coeff = [rows.get(j, [field.zero()] * n) for j in range(k)]
+        residual = [row for pc, row in rows.items() if pc >= k]
         if recombine is not None:
             cols = list(zip(*coeff))
             coeff = [[sum((a * b for a, b in zip(row, col) if not a.is_zero()),

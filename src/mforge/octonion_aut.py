@@ -31,7 +31,10 @@ class _Split(GAtom):
         self.frame = DoublingFrame(algebra, sub, e)
         if not sub.contains(w) or w.norm().is_zero():
             raise ValueError("w must be invertible inside the subalgebra")
-        self.algebra, self.sub, self.e, self.w = algebra, sub, e, w
+        self.algebra = algebra
+        self.sub = sub
+        self.e = e
+        self.w = w
         self.w_inv = w.inverse()
 
 

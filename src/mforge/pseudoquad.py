@@ -12,7 +12,7 @@ import itertools
 import random
 
 from . import linalg
-from .composition import DoublingFrame, Subspace, orthogonal_complement
+from .composition import Subspace, orthogonal_complement
 from .handles import CDHandle, FieldHandle
 from .report import Report
 from .scalars import F4, QuadExt, Scalar
@@ -462,32 +462,35 @@ def _is_s3(tbl, autos, inner):
 
 # -- dimension switches -------------------------------------------------------
 
-def _subfield_maps(alg, ext, gen):
-    """embed: ext -> alg, u + v*w -> u + v*gen, for gen in alg with the
-    minimal polynomial of w, and its inverse project on the image, which
-    raises NotInSpan off it."""
+def _subfield_maps(alg, ext, gen, e):
+    """embed: ext -> alg, u + v*w -> u + v*gen, for gen with the minimal
+    polynomial of w; project, its inverse; and split, x = s + e*y -> (s, y)
+    over ext, for e orthogonal to 1 and gen.  Off their images project and
+    split raise NotInSpan."""
     one = alg.one()
-    proj = linalg.Projector(alg.base, [one.coords, gen.coords])
+    frame = [one.coords, gen.coords, e.coords, (e * gen).coords]
+    line, whole = (linalg.Projector(alg.base, b) for b in (frame[:2], frame))
 
     def embed(s):
         return (one.scale(Scalar(alg.base, s.val[0]))
                 + gen.scale(Scalar(alg.base, s.val[1])))
 
-    def project(y):
-        return Scalar(ext, tuple(c.val for c in proj.coefficients(y.coords)))
+    def pairs(proj, x):
+        c = [v.val for v in proj.coefficients(x.coords)]
+        return [Scalar(ext, (c[i], c[i + 1])) for i in range(0, len(c), 2)]
 
-    return embed, project
+    return embed, lambda y: pairs(line, y)[0], lambda x: pairs(whole, x)
 
 
-def _switch_point(inv, q_tower, frame, project, q_a, x, t):
+def _switch_point(inv, q_tower, split, q_a, x, t):
     """The image of the point (b1 * x, t) over a quaternion tower under a
-    dimension switch: ((s, y^s), N(x) q~(a) + u) with x = s + e*y in
-    subfield coordinates and u = t - x^s q(a) x, which must lie in K0."""
+    dimension switch: ((s, y^s), N(x) q~(a) + u) with x = s + e*y split
+    over the subfield and u = t - x^s q(a) x, which must lie in K0."""
     hd = inv.handle
     u = hd.sub(t, hd.mul(hd.mul(hd.conj(x), q_tower), x))
     if not inv.k0_contains(u):
         raise ValueError("point does not lie over the anchor line")
-    s, y = (project(part) for part in frame.split(x))
+    s, y = split(x)
     ext = q_a.field  # u and N(x) are base scalars
     return ((s, y.conj()),
             ext.scalar(x.norm().val) * q_a + ext.scalar(u.coords[0].val))
@@ -510,15 +513,13 @@ def dim_switch_up(space, a_coeff=None, e=None):
     qa = h.mul(h.mul(h.conj(a), space.q_rep[0]), a)  # q(b1*a) representative
     # the subfield generated by 1 and q(a), as an abstract extension
     ext = QuadExt(alg.base, qa.trace(), qa.norm(), gen_name="u")
-    sub = Subspace(alg, [alg.one(), qa])
-    project = _subfield_maps(alg, ext, qa)[1]
-    perp = orthogonal_complement(alg, sub)
+    perp = orthogonal_complement(alg, Subspace(alg, [alg.one(), qa]))
     if e is None:
         e = next(v for v in perp.basis() if not v.norm().is_zero())
     elif not perp.contains(e) or e.norm().is_zero():
         raise BadOrthogonalUnit("e must be orthogonal to the subfield "
                                 "with nonzero norm")
-    frame = DoublingFrame(alg, sub, e, check=False)
+    _, project, split = _subfield_maps(alg, ext, qa, e)
     ne = e.norm()  # N(e) in the base field
 
     inv_new = InvolutorySet(ext, SIGMA_GALOIS,
@@ -536,8 +537,7 @@ def dim_switch_up(space, a_coeff=None, e=None):
     def gamma(p):
         # p = (b1 * x, x^s q(a) x + u) relative to the anchor a
         x = h.mul(h.inv(a), p.a[0]) if a != alg.one() else p.a[0]
-        return new.point(*_switch_point(space.inv, qa, frame, project, q_a,
-                                        x, p.t))
+        return new.point(*_switch_point(space.inv, qa, split, q_a, x, p.t))
 
     return new, gamma
 
@@ -577,9 +577,10 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     alg = CDAlgebra(base, [beta1, beta_base],
                     name="(%r/%r, %s)" % (ext, base, beta_base))
 
-    # w  ->  t0/2 + e1
-    embed, project = _subfield_maps(alg, ext,
-                                    alg.from_base(t0 * half) + alg.unit(1))
+    # w  ->  t0/2 + e1, doubled by e2
+    e_unit = alg.unit(2)
+    embed, _, split = _subfield_maps(
+        alg, ext, alg.from_base(t0 * half) + alg.unit(1), e_unit)
 
     inv_new = InvolutorySet(alg, SIGMA_STANDARD)
     q_new = embed(space.q_rep[i0])
@@ -587,19 +588,15 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     new = PseudoQuadraticSpace(inv_new, [q_new], [[f_new]],
                                name="down(%r)" % space)
 
-    e_unit = alg.unit(2)
     ne = e_unit.norm()
     # q(b) = N(e) q~(a) mod F must hold against the original space
     qb = space.q_rep[i1]
     if not space.inv.k0_contains(h.sub(qb, h.mul(h.scalar_embed(ne), space.q_rep[i0]))):
         raise ValueError("q(b) is not congruent to N(e) q(a)")
 
-    frame = DoublingFrame(alg, Subspace(alg, [alg.one(), alg.unit(1)]),
-                          e_unit, check=False)
-
     def gamma(p):
         # p = (b1 * x, x^s q~(a) x + u) in the 1-dim space over the tower
-        (s, t), second = _switch_point(new.inv, q_new, frame, project,
+        (s, t), second = _switch_point(new.inv, q_new, split,
                                        space.q_rep[i0], p.a[0], p.t)
         vec = {i0: s, i1: t}
         return space.point((vec[0], vec[1]), second)

@@ -126,7 +126,7 @@ def test_subfield_projection_off_the_subfield_raises():
     from mforge.composition import NotInSpan, quaternions_q
     from mforge.pseudoquad import _subfield_maps
     H = quaternions_q()
-    embed, project = _subfield_maps(H, QI, H.unit(1))
+    embed, project, _ = _subfield_maps(H, QI, H.unit(1), H.unit(2))
     s = QI.scalar((3, -2))
     assert project(embed(s)) == s
     assert NotInSpan is linalg.NotInSpan and issubclass(NotInSpan, ValueError)
