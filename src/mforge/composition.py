@@ -17,10 +17,14 @@ table instead.  By the rule, e_i * e_j = c_ij * e_(i xor j), and
 ``_basis_constant`` derives c_ij in the base field by the same recursion
 run on the indices (i, j).  Each base-field coordinate is a vector over Q
 or F_p (``scalars`` decides how), so the table is expanded once over that
-coordinate field, per base field and tuple of betas.  A product then runs
-on integer coordinates over one common denominator, and each coordinate is
-lowered once back into the field.  The norm and the inverse
-conj(x) * N(x)^-1 read the same table.  The integer rows and their
+coordinate field, per base field and tuple of betas.
+
+An element is stored in that lifted form: integer coordinates over Q or
+F_p over one denominator, gcd-reduced over Q and residues over F_p (the
+form of FLINT's ``fmpq_poly``).  Products, the norm and the inverse
+conj(x) * N(x)^-1 contract the stored integers with the table; sums,
+``conj``, ``scale`` and equality act on them directly, and the base-field
+``coords`` are lowered only when read.  The integer rows and their
 contraction come from ``linalg``, as does the ``Projector`` behind every
 coordinate and membership question here: the split of a ``DoublingFrame``
 and ``Subspace.contains``.
@@ -30,13 +34,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
-from .linalg import _contract, _integer_rows, _scalars, _units
+from .linalg import _contract, _integer_rows, _units
 from .report import Report
-from .scalars import QQ, Scalar, random_scalar
+from .scalars import QQ, PrimeField, Scalar, random_scalar
 
 
 class AlgebraMismatch(ValueError):
@@ -80,6 +85,7 @@ class CDAlgebra:
         self.dim = 2 ** len(self.betas)
         self.name = name
         self._kernel = _tower_kernel(base, tuple(b.val for b in self.betas))
+        self._p = base.characteristic()
         self.division_status, self.division_witness = self._certify_division(
             division_samples)
 
@@ -91,12 +97,16 @@ class CDAlgebra:
             # norm form is positive definite by induction on the stages
             return DIVISION_STRUCTURAL, None
         if self.base.is_finite():
-            # exhaustive, stopping at the first witness; quadratic forms in
-            # >= 3 variables over a finite field are isotropic, so from
-            # dim 4 on a witness always turns up
-            for x in self._all_elements():
-                if not x.is_zero() and x.norm().is_zero():
-                    return NOT_DIVISION, x
+            # the first isotropic element in coordinate order; quadratic
+            # forms in >= 3 variables over a finite field are isotropic, so
+            # from dim 4 on a witness always turns up
+            if isinstance(self.base, PrimeField) and self._p > 2:
+                x = self._first_isotropic_odd_prime()
+            else:
+                x = next((x for x in self._all_elements()
+                          if not x.is_zero() and x.norm().is_zero()), None)
+            if x is not None:
+                return NOT_DIVISION, x
             return DIVISION_EXHAUSTIVE, None
         rng = random.Random(20210 + self.dim)
         for _ in range(samples):
@@ -104,6 +114,31 @@ class CDAlgebra:
             if x.norm().is_zero():
                 return NOT_DIVISION, x
         return DIVISION_SAMPLED, None
+
+    def _first_isotropic_odd_prime(self):
+        """The first isotropic element of `_all_elements` over F_p, p odd,
+        found after about p prefixes instead of p^2 elements.
+
+        The norm is diagonal, sum(m_k * x_k^2) with m_k the product of
+        -beta over the stages where k has its bit set.  For each prefix
+        x_0 .. x_(n-2) in order, with S its part of the sum, the first last
+        coordinate t with m t^2 = -S is 0 when S = 0 (off the zero prefix),
+        or else the smaller square root of -S/m, if there is one.
+        """
+        f, p = self.base, self._p
+        m = [1]
+        for b in self.betas:
+            m += [c * -b.val % p for c in m]
+        last = pow(m[-1], -1, p)
+        for prefix in itertools.product(range(p), repeat=self.dim - 1):
+            s = sum(c * x * x for c, x in zip(m, prefix)) % p
+            if s == 0:
+                t = 0 if any(prefix) else None
+            else:
+                t = f.sqrt(-s * last)
+            if t is not None:
+                return CDElement(self, prefix + (t,))
+        return None
 
     @property
     def is_division(self):
@@ -113,19 +148,34 @@ class CDAlgebra:
         """Every element, lazily, the last coordinate running fastest."""
         if not self.base.is_finite():
             raise TypeError("infinite algebra")
-        return (CDElement(self, c) for c in
-                itertools.product(self.base.elements(), repeat=self.dim))
+        lift = self.base.lift
+        return (self._canonical(*lift(c)) for c in itertools.product(
+            [s.val for s in self.base.elements()], repeat=self.dim))
 
     # -- constructors -------------------------------------------------------
+    def _canonical(self, nums, den):
+        """The element with integer coordinates nums / den, reduced."""
+        p = self._p
+        if p:
+            if den == 1:
+                return CDElement(self, tuple([n % p for n in nums]))
+            d = pow(den, -1, p)
+            return CDElement(self, tuple([n * d % p for n in nums]))
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g == 1:
+            return CDElement(self, tuple(nums), den)
+        return CDElement(self, tuple([n // g for n in nums]), den // g)
+
     def element(self, coords):
-        coords = tuple(self.base.scalar(c) for c in coords)
-        if len(coords) != self.dim:
+        vals = [self.base.coerce(c) for c in coords]
+        if len(vals) != self.dim:
             raise ValueError("expected %d coordinates" % self.dim)
-        return CDElement(self, coords)
+        return self._canonical(*self.base.lift(vals))
 
     def from_base(self, s):
-        s = self.base.scalar(s)
-        return CDElement(self, (s,) + (self.base.zero(),) * (self.dim - 1))
+        return self.element([s] + [0] * (self.dim - 1))
 
     def zero(self):
         return self.from_base(0)
@@ -134,17 +184,15 @@ class CDAlgebra:
         return self.from_base(1)
 
     def unit(self, k):
-        coords = [self.base.zero()] * self.dim
-        coords[k] = self.base.one()
-        return CDElement(self, tuple(coords))
+        return self.element([int(i == k) for i in range(self.dim)])
 
     def basis(self):
         return [self.unit(k) for k in range(self.dim)]
 
     def random_element(self, rng, height=20, nonzero=False):
         while True:
-            x = CDElement(self, tuple(
-                random_scalar(self.base, rng, height) for _ in range(self.dim)))
+            x = self._canonical(*self.base.random_coords(rng, self.dim,
+                                                          height))
             if not (nonzero and x.is_zero()):
                 return x
 
@@ -222,7 +270,7 @@ def _basis_constant(field, betas, i, j):
 
 
 class _TowerKernel:
-    """Product, norm and inverse of a tower on integer coordinates.
+    """Integer rows of the product, norm and inverse of a tower.
 
     A base-field coordinate has r = coord_dim coordinates over Q or F_p,
     so an element is a vector X of dim * r integers over one denominator,
@@ -230,9 +278,10 @@ class _TowerKernel:
     structure constants expanded over the coordinate field:
     (x * y)_q = sum(n * X[i] * Y[j]) / (den * dx * dy) over row q.  The
     norm is the scalar part of x * conj(x): norm_rows are rows[:r] with the
-    signs of conj on Y, diagonal when r = 1.  The inverse multiplies
-    conj(x) by the scalar N(x)^-1, which reads only the terms with j < r
-    (the column of e_0): scale_rows, with the signs of conj on X.
+    signs of conj on Y, diagonal when r = 1.  A base-field scalar z sits
+    in the column of e_0, so x * z reads only the terms with j < r
+    (scalar_rows), and conj(x) * z the same terms with the signs of conj on
+    X (scale_rows): the inverse is conj(x) * N(x)^-1.
     """
 
     def __init__(self, field, betas):
@@ -245,81 +294,84 @@ class _TowerKernel:
                 terms += [((i ^ j) * r, i * r + u, j * r + t,
                            field.mul(field.mul(c, eu), et))
                           for u, eu in units for t, et in units]
+        self.r = r
         self.rows, self.den = _integer_rows(field, terms, dim * r)
         self.norm_rows = tuple(tuple((i, j, n if j < r else -n)
                                      for i, j, n in row)
                                for row in self.rows[:r])
+        self.scalar_rows = tuple(tuple((i, j, n) for i, j, n in row if j < r)
+                                 for row in self.rows)
         self.scale_rows = tuple(tuple((i, j, n if i < r else -n)
-                                      for i, j, n in row if j < r)
-                                for row in self.rows)
-
-    def mul(self, field, a, b):
-        """Product of two coordinate tuples of Scalars."""
-        A, da = field.lift([c.val for c in a])
-        B, db = field.lift([c.val for c in b])
-        return _scalars(field, _contract(self.rows, A, B),
-                        self.den * da * db)
-
-    def norm(self, field, a):
-        A, d = field.lift([c.val for c in a])
-        return _scalars(field, _contract(self.norm_rows, A, A),
-                        self.den * d * d)[0]
-
-    def inverse(self, field, a):
-        """conj(a) * N(a)^-1, or NotInvertible when N(a) = 0.  With
-        N(a) = n / (den * d^2) for integer coordinates n, that is
-        conj(a) * n^-1 * den * d^2: only n is inverted in the field."""
-        A, d = field.lift([c.val for c in a])
-        n = field.lower(_contract(self.norm_rows, A, A), 1)[0]
-        if field.is_zero(n):
-            raise NotInvertible("norm is zero")
-        Z, dz = field.lift([field.inv(n)])
-        return _scalars(field, [v * d for v in
-                                _contract(self.scale_rows, A, Z)], dz)
+                                      for i, j, n in row)
+                                for row in self.scalar_rows)
 
 
 _tower_kernel = functools.lru_cache(maxsize=64)(_TowerKernel)
 
 
 class CDElement:
-    __slots__ = ("algebra", "coords")
+    """An element of a tower, stored as its integer coordinates over Q or
+    F_p (see ``_TowerKernel``): the tuple `nums` over one denominator `den`.
 
-    def __init__(self, algebra, coords):
+    The form is canonical, so equal elements have equal forms: over Q
+    gcd(den, *nums) = 1 and den > 0; over F_p `nums` holds residues and
+    den = 1.  Build elements through their algebra (``element``,
+    ``random_element``, ...).  `coords`, the base-field Scalars, is lowered
+    on first read and cached; keys, reprs and reports read it.
+    """
+
+    __slots__ = ("algebra", "nums", "den", "_coords")
+
+    def __init__(self, algebra, nums, den=1):
         self.algebra = algebra
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+        self._coords = None
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            field = self.algebra.base
+            self._coords = tuple([Scalar(field, v) for v in
+                                  field.lower(self.nums, self.den)])
+        return self._coords
 
     def _peer(self, other):
         if isinstance(other, CDElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and (other.algebra
+                                                      != self.algebra):
                 raise AlgebraMismatch("elements of different towers")
             return other
         return self.algebra.from_base(other)
 
     def __add__(self, other):
         other = self._peer(other)
-        return CDElement(self.algebra,
-                         tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        pairs = zip(self.nums, other.nums)
+        if da == db:
+            return self.algebra._canonical([a + b for a, b in pairs], da)
+        return self.algebra._canonical([a * db + b * da for a, b in pairs],
+                                       da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._peer(other)
-        return CDElement(self.algebra,
-                         tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -self._peer(other)
 
     def __rsub__(self, other):
         return self._peer(other).__sub__(self)
 
     def __neg__(self):
-        return CDElement(self.algebra, tuple(-a for a in self.coords))
+        return self.algebra._canonical([-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Scalar) and other.field == self.algebra.base:
             return self.scale(other)
         other = self._peer(other)
         alg = self.algebra
-        return CDElement(alg, alg._kernel.mul(alg.base, self.coords,
-                                              other.coords))
+        k = alg._kernel
+        return alg._canonical(_contract(k.rows, self.nums, other.nums),
+                              k.den * self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar) and other.field == self.algebra.base:
@@ -327,26 +379,51 @@ class CDElement:
         return self._peer(other).__mul__(self)
 
     def scale(self, s):
-        s = self.algebra.base.scalar(s)
-        return CDElement(self.algebra, tuple(a * s for a in self.coords))
+        alg = self.algebra
+        k = alg._kernel
+        z, dz = alg.base.lift([alg.base.coerce(s)])
+        return alg._canonical(_contract(k.scalar_rows, self.nums, z),
+                              k.den * self.den * dz)
 
     def conj(self):
-        c = self.coords
-        return CDElement(self.algebra, (c[0],) + tuple(-a for a in c[1:]))
+        r, nums = self.algebra._kernel.r, self.nums
+        return self.algebra._canonical(
+            nums[:r] + tuple([-a for a in nums[r:]]), self.den)
 
     def norm(self):
-        alg = self.algebra
-        return alg._kernel.norm(alg.base, self.coords)
+        alg, d = self.algebra, self.den
+        k = alg._kernel
+        return Scalar(alg.base, alg.base.lower(
+            _contract(k.norm_rows, self.nums, self.nums), k.den * d * d)[0])
 
     def trace(self):
-        return self.coords[0] + self.coords[0]
+        alg = self.algebra
+        return Scalar(alg.base, alg.base.lower(
+            [2 * a for a in self.nums[:alg._kernel.r]], self.den)[0])
 
     def inverse(self):
-        alg = self.algebra
-        return CDElement(alg, alg._kernel.inverse(alg.base, self.coords))
+        """conj(x) * N(x)^-1, or NotInvertible when N(x) = 0.  With
+        N(x) = n / (k.den * d^2) for the integer norm coordinates n, that is
+        conj(x) * k.den * d^2 * n^-1.  Over Q and F_p, n is one integer,
+        the denominator of the result; over a quadratic extension it is
+        inverted in the field."""
+        alg, nums, d = self.algebra, self.nums, self.den
+        k, field = alg._kernel, alg.base
+        n = _contract(k.norm_rows, nums, nums)
+        if k.r == 1:
+            z, dz = (1,), n[0] % alg._p if alg._p else n[0]
+            if not dz:
+                raise NotInvertible("norm is zero")
+        else:
+            n = field.lower(n, 1)[0]
+            if field.is_zero(n):
+                raise NotInvertible("norm is zero")
+            z, dz = field.lift([field.inv(n)])
+        return alg._canonical([v * d for v in _contract(k.scale_rows, nums, z)],
+                              dz)
 
     def is_zero(self):
-        return all(a.is_zero() for a in self.coords)
+        return not any(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, CDElement):
@@ -354,10 +431,12 @@ class CDElement:
                 other = self._peer(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self.algebra == other.algebra and self.coords == other.coords
+        return (self.nums == other.nums and self.den == other.den
+                and (self.algebra is other.algebra
+                     or self.algebra == other.algebra))
 
     def __hash__(self):
-        return hash((self.algebra, self.coords))
+        return hash((self.nums, self.den))
 
     def key(self):
         return tuple(c.val for c in self.coords)
@@ -386,14 +465,14 @@ class Subspace:
 
     def __init__(self, algebra, vectors):
         self.algebra = algebra
-        red, _ = linalg.rref([list(v.coords) for v in vectors])
-        self._basis = [CDElement(algebra, tuple(r)) for r in red]
+        self._rows, self._pivots = linalg.rref([list(v.coords)
+                                                for v in vectors])
+        self._basis = [algebra.element(r) for r in self._rows]
 
     @functools.cached_property
     def _projector(self):
-        return linalg.Projector(self.algebra.base,
-                                [b.coords for b in self._basis],
-                                self.algebra.dim)
+        return linalg.Projector(self.algebra.base, self._rows,
+                                self.algebra.dim, pivots=self._pivots)
 
     @property
     def dim(self):
@@ -403,7 +482,7 @@ class Subspace:
         return list(self._basis)
 
     def contains(self, x):
-        return self._projector.contains(x.coords)
+        return self._projector.contains_lifted(x.nums)
 
     def extended(self, vectors):
         return Subspace(self.algebra, self.basis() + list(vectors))
@@ -432,7 +511,7 @@ def orthogonal_complement(algebra, space):
     for s in space.basis():
         rows.append([bilinear(e, s) for e in algebra.basis()])
     ker = linalg.kernel_basis(rows, algebra.base, n_cols=algebra.dim)
-    return Subspace(algebra, [CDElement(algebra, tuple(v)) for v in ker])
+    return Subspace(algebra, [algebra.element(v) for v in ker])
 
 
 def subalgebra_generated(algebra, gens):
@@ -454,7 +533,7 @@ def center(algebra):
         for k in range(algebra.dim):
             rows.append([commutator(b, e).coords[k] for b in basis])
     ker = linalg.kernel_basis(rows, algebra.base, n_cols=algebra.dim)
-    return Subspace(algebra, [CDElement(algebra, tuple(v)) for v in ker])
+    return Subspace(algebra, [algebra.element(v) for v in ker])
 
 
 class DoublingFrame:
@@ -462,9 +541,10 @@ class DoublingFrame:
 
     A ``linalg.Projector`` onto the frame {b, e*b : b in the subalgebra
     basis} carries the recombination of both halves over that basis, so
-    a split is two integer matrix-vector products over Q or F_p, whatever
-    the base: the residual, empty when the frame spans the tower, and the
-    coordinates of h and y.  Off A + e*A a split raises NotInSpan.
+    a split is two integer matrix-vector products over Q or F_p on the
+    stored coordinates of x, whatever the base: the residual, empty when
+    the frame spans the tower, and the coordinates of h and y.  Off
+    A + e*A a split raises NotInSpan.
     """
 
     def __init__(self, algebra, sub, e, check=True):
@@ -491,8 +571,11 @@ class DoublingFrame:
 
     def split(self, x):
         """x -> (h, y) with x = h + e*y, h and y in the subalgebra."""
-        c, n = self._proj.coefficients(x.coords), self.algebra.dim
-        return CDElement(self.algebra, c[:n]), CDElement(self.algebra, c[n:])
+        alg = self.algebra
+        nums, den = self._proj.coefficients_lifted(x.nums, x.den)
+        half = len(nums) // 2
+        return (alg._canonical(nums[:half], den),
+                alg._canonical(nums[half:], den))
 
     def combine(self, h, y):
         return h + self.e * y
@@ -645,9 +728,8 @@ def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
         u = -e.norm()
 
         def rand_lower():
-            coords = [random_scalar(algebra.base, rng, height) for _ in range(half)]
-            coords += [algebra.base.zero()] * half
-            return CDElement(algebra, tuple(coords))
+            nums, den = algebra.base.random_coords(rng, half, height)
+            return algebra._canonical(nums + [0] * len(nums), den)
 
         for k in range(samples):
             x, y = rand_lower(), rand_lower()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .composition import CDAlgebra, CDElement
+from .composition import CDAlgebra
 from .quadspace import SmallField
 from .scalars import Field, Scalar, random_scalar
 
@@ -101,12 +101,12 @@ class FieldHandle(Handle):
         return a.inv()
 
     def coords(self, a):
-        cf = self.coord_field
-        return [Scalar(cf, c) for c in cf.lower(*self.field.lift([a.val]))]
+        vals = a.val if self.coord_dim == 2 else (a.val,)
+        return [Scalar(self.coord_field, v) for v in vals]
 
     def uncoords(self, coords):
-        nums, den = self.coord_field.lift([c.val for c in coords])
-        return Scalar(self.field, self.field.lower(nums, den)[0])
+        vals = tuple(c.val for c in coords)
+        return Scalar(self.field, vals if self.coord_dim == 2 else vals[0])
 
     def elements(self):
         return self.field.elements()
@@ -134,7 +134,7 @@ class CDHandle(Handle):
         return a.inverse()
 
     def uncoords(self, coords):
-        return CDElement(self.algebra, tuple(coords))
+        return self.algebra.element(coords)
 
     def elements(self):
         return list(self.algebra._all_elements())
@@ -211,12 +211,13 @@ class Span:
 
     def __init__(self, handle, gens):
         self.handle = handle
-        self._rows, _ = linalg.rref([handle.coords(g) for g in gens])
+        self._rows, self._pivots = linalg.rref([handle.coords(g)
+                                                for g in gens])
 
     @functools.cached_property
     def _projector(self):
         return linalg.Projector(self.handle.coord_field, self._rows,
-                                self.handle.coord_dim)
+                                self.handle.coord_dim, pivots=self._pivots)
 
     @property
     def dim(self):

@@ -8,7 +8,8 @@ over Q or F_p, the coordinate field of K: ``_integer_rows`` builds them,
 ``_contract`` applies them to integer coordinates over one denominator and
 ``_scalars`` lowers the result.  The tower product table is such rows, and
 so is a ``Projector``: the coordinates of x in a fixed basis and whether x
-lies in its span, for doubling frames, subfields and spans alike.
+lies in its span, for doubling frames, subfields and spans alike.  Tower
+elements are stored in that integer form and go in without a lift.
 """
 
 from __future__ import annotations
@@ -155,18 +156,33 @@ class Projector:
     in M gives the coefficient of that pivot's basis vector; the others
     get 0, as ``solve`` chooses.  The remaining rows of E, the residual
     map, vanish exactly on the span.  Both maps become integer rows over Q
-    or F_p, so a call lifts x once and takes integer dot products.  A fixed
+    or F_p, so a call lifts x once, or takes x already lifted (the
+    ``*_lifted`` methods), and takes integer dot products.  A fixed
     `recombine` matrix, one column per basis vector, folds into the
     coefficients.  An empty basis needs its `dim`.
+
+    A basis that is ``rref`` output, passed with its `pivots`, needs no
+    elimination: the coefficient of row R_r is x[p_r] at its pivot p_r,
+    and x - sum(x[p_r] * R_r), read at the other columns, is the residual.
     """
 
-    def __init__(self, field, basis, dim=None, recombine=None):
+    def __init__(self, field, basis, dim=None, recombine=None, pivots=None):
         n, k = len(basis[0]) if basis else dim, len(basis)
-        red, pivots = rref([[v[i] for v in basis] + row
-                            for i, row in enumerate(identity(field, n))])
-        rows = dict(zip(pivots, (row[k:] for row in red)))
-        coeff = [rows.get(j, [field.zero()] * n) for j in range(k)]
-        residual = [row for pc, row in rows.items() if pc >= k]
+        ident = identity(field, n)
+        if pivots is None:
+            red, pivots = rref([[v[i] for v in basis] + row
+                                for i, row in enumerate(ident)])
+            rows = dict(zip(pivots, (row[k:] for row in red)))
+            coeff = [rows.get(j, [field.zero()] * n) for j in range(k)]
+            residual = [row for pc, row in rows.items() if pc >= k]
+        else:
+            coeff = [ident[pc] for pc in pivots]
+            residual = []
+            for c in range(n):
+                if c not in pivots:
+                    residual.append(ident[c])
+                    for pc, row in zip(pivots, basis):
+                        residual[-1][pc] = -row[c]
         if recombine is not None:
             cols = list(zip(*coeff))
             coeff = [[sum((a * b for a, b in zip(row, col) if not a.is_zero()),
@@ -184,19 +200,27 @@ class Projector:
             for q, row in enumerate(matrix) for i, a in enumerate(row)
             if not a.is_zero() for u, eu in units], len(matrix) * r)
 
-    def _lift(self, vec):
-        """Integer coordinates of vec and whether vec is off the span."""
-        X, d = self.field.lift([c.val for c in vec])
+    def _off(self, X):
         res, p = _contract(self._residual, X, (1,)), self._p
-        return X, d, any(n % p for n in res) if p else any(res)
+        return any(n % p for n in res) if p else any(res)
 
     def contains(self, vec):
-        return not self._lift(vec)[2]
+        return not self._off(self.field.lift([c.val for c in vec])[0])
+
+    def contains_lifted(self, X):
+        """Whether the integer coordinates X, over any denominator, lie in
+        the span."""
+        return not self._off(X)
 
     def coefficients(self, vec):
         """The (recombined) coefficients of vec; NotInSpan off the span."""
-        X, d, off = self._lift(vec)
-        if off:
+        return _scalars(self.field, *self.coefficients_lifted(
+            *self.field.lift([c.val for c in vec])))
+
+    def coefficients_lifted(self, X, d):
+        """`coefficients` of the vector X / d, as (integer coordinates, one
+        denominator), neither reduced."""
+        if self._off(X):
             raise NotInSpan("vector is outside the span")
         rows, den = self._coeff
-        return _scalars(self.field, _contract(rows, X, (1,)), den * d)
+        return _contract(rows, X, (1,)), den * d

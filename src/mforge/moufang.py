@@ -67,13 +67,6 @@ class MoufangSet:
             return x + y
         return self.h.add(x, y)
 
-    def op_inv(self, x):
-        if self.family == self.PSEUDOQUADRATIC:
-            return x.inverse()
-        if self.family == self.QUADRATIC:
-            return -x
-        return self.h.neg(x)
-
     def zero(self):
         if self.family == self.PSEUDOQUADRATIC:
             return self.payload.identity()

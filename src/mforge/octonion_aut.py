@@ -6,8 +6,9 @@ A JordanMap is a foundation glueing chain (`foundations.GlueingMap`) with
 its domain algebra attached: the standard involution, conjugation by an
 invertible w (`Conj`) and the other generic atoms are the glueing atoms.
 This module adds only the half-twisting atoms `Psi` and `Phi`.  The split
-x = h + e*y against a quaternion subalgebra is cached per atom so repeated
-application stays cheap.
+x = h + e*y against a quaternion subalgebra is a cached `DoublingFrame`,
+which atoms on the same (subalgebra, e) can share, so repeated application
+stays cheap.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .report import Report
 class _Split(GAtom):
     """Shared plumbing for the half-twisting atoms."""
 
-    def __init__(self, algebra, sub, e, w):
+    def __init__(self, algebra, sub, e, w, frame=None):
         if sub.dim != 4:
             raise ValueError("need a 4-dimensional subalgebra")
-        # BadDoublingUnit, a ValueError, unless sub + e*sub is a frame
-        self.frame = DoublingFrame(algebra, sub, e)
+        # BadDoublingUnit, a ValueError, unless sub + e*sub is a frame;
+        # a given `frame` must be DoublingFrame(algebra, sub, e)
+        self.frame = frame if frame is not None else DoublingFrame(
+            algebra, sub, e)
         if not sub.contains(w) or w.norm().is_zero():
             raise ValueError("w must be invertible inside the subalgebra")
         self.algebra = algebra
@@ -52,8 +55,8 @@ class Psi(_Split):
 class Phi(_Split):
     """x + e*y -> w^-1 x w + e * w^-1 y w p, with N(p) = 1."""
 
-    def __init__(self, algebra, sub, e, w, p):
-        super().__init__(algebra, sub, e, w)
+    def __init__(self, algebra, sub, e, w, p, frame=None):
+        super().__init__(algebra, sub, e, w, frame)
         if not sub.contains(p) or p.norm() != algebra.base.one():
             raise ValueError("p must lie in the subalgebra with norm 1")
         self.p = p
@@ -185,8 +188,9 @@ def gamma_w_decompose(w, samples=200, seed=41):
     wbar_inv_w = (w.conj().inverse()) * w
     p = wbar_inv_w
     psi_arg = (w.inverse() * w.inverse()) * w.conj()
-    phi = Phi(algebra, sub, e, w, p)
-    psi = Psi(algebra, sub, e, psi_arg)
+    frame = DoublingFrame(algebra, sub, e)
+    phi = Phi(algebra, sub, e, w, p, frame)
+    psi = Psi(algebra, sub, e, psi_arg, frame)
     chain = JordanMap([phi, psi], algebra)
 
     rep = Report("gamma-w.decompose", seed=seed, subject=repr(w))

@@ -476,7 +476,7 @@ def _subfield_maps(alg, ext, gen, e):
                 + gen.scale(Scalar(alg.base, s.val[1])))
 
     def pairs(proj, x):
-        c = [v.val for v in proj.coefficients(x.coords)]
+        c = alg.base.lower(*proj.coefficients_lifted(x.nums, x.den))
         return [Scalar(ext, (c[i], c[i + 1])) for i in range(0, len(c), 2)]
 
     return embed, lambda y: pairs(line, y)[0], lambda x: pairs(whole, x)

@@ -8,7 +8,8 @@ floating point anywhere.
 Every field has coordinates over Q or F_p (a quadratic extension's pair
 (u, v) is two coordinates over its base); ``lift`` and ``lower`` pass
 between payloads and those coordinates as integers over one denominator,
-on which the tower kernel of ``composition`` runs.
+the form in which ``composition`` stores tower elements, and
+``random_coords`` draws random payloads straight into it.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ class Field:
     def random_payload(self, rng, height=20):
         raise NotImplementedError
 
+    def random_coords(self, rng, n, height=20):
+        """n payloads drawn as n calls of `random_payload` draw them, in
+        the same order, lifted: (nums, den)."""
+        raise NotImplementedError
+
     def render(self, a):
         return str(a)
 
@@ -184,6 +190,13 @@ class Rationals(Field):
         num = rng.randint(-height, height)
         den = rng.randint(1, height)
         return Fraction(num, den)
+
+    def random_coords(self, rng, n, height=20):
+        # over the lcm of the drawn denominators
+        draws = [(rng.randint(-height, height), rng.randint(1, height))
+                 for _ in range(n)]
+        den = math.lcm(*[d for _, d in draws])
+        return [num * (den // d) for num, d in draws], den
 
     def render(self, a):
         num, den = a.numerator, a.denominator
@@ -272,6 +285,36 @@ class PrimeField(Field):
 
     def random_payload(self, rng, height=20):
         return rng.randrange(self.p)
+
+    def random_coords(self, rng, n, height=20):
+        return [rng.randrange(self.p) for _ in range(n)], 1
+
+    def sqrt(self, a):
+        """The root r <= p - r of a residue a, or None for a non-square
+        (Tonelli-Shanks; Cohen, A Course in Computational Algebraic Number
+        Theory, Alg. 1.5.1)."""
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        q, e = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            e += 1
+        z = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        y, r = pow(z, q, p), e
+        x, b = pow(a, (q + 1) // 2, p), pow(a, q, p)
+        while b != 1:
+            m, t = 1, b * b % p
+            while t != 1:
+                m += 1
+                t = t * t % p
+            s = pow(y, 1 << (r - m - 1), p)
+            y, r = s * s % p, m
+            x, b = x * s % p, b * s * s % p
+        return min(x, p - x)
 
     def lift(self, vals):
         """The residues over the denominator 1."""
@@ -411,6 +454,9 @@ class QuadExt(Field):
     def random_payload(self, rng, height=20):
         return (self.base.random_payload(rng, height),
                 self.base.random_payload(rng, height))
+
+    def random_coords(self, rng, n, height=20):
+        return self.base.random_coords(rng, 2 * n, height)
 
     @property
     def coord_field(self):

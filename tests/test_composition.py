@@ -1,15 +1,18 @@
+import math
 import random
+import time
 
 import pytest
 
-from mforge.composition import (CDAlgebra, NotInvertible, Subspace,
+from mforge.composition import (CDAlgebra, DoublingFrame, NotInvertible,
+                                Subspace,
                                 bilinear, cd_conj_norm_trace,
                                 doubling_coordinates, center,
                                 norm_splitting, octonions_q,
                                 orthogonal_complement,
                                 sedenion_style_q, subalgebra_generated,
                                 verify_identities)
-from mforge.scalars import F3, F5, QI, QQ, PrimeField, QuadExt
+from mforge.scalars import F3, F5, QI, QQ, PrimeField, QuadExt, random_scalar
 
 # basis products of the default octonion tower, frozen from the doubling
 # recursion (signed one-based indices)
@@ -387,3 +390,164 @@ def test_kernel_inverse_of_isotropic_element():
         assert not x.is_zero() and x.norm().is_zero()
         with pytest.raises(NotInvertible):
             x.inverse()
+
+
+# -- the stored integer form: canonical, compared by integers, lowered to
+#    the same Scalars as the payload-wise reference rules
+
+def _assert_canonical(x):
+    algebra = x.algebra
+    p = algebra.characteristic()
+    assert type(x.nums) is tuple and type(x.den) is int
+    assert len(x.nums) == algebra.dim * algebra.base.coord_dim
+    assert all(type(n) is int for n in x.nums)
+    if p:
+        assert x.den == 1 and all(0 <= n < p for n in x.nums)
+    else:
+        assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+
+
+def _operands(algebra, rng):
+    """Random elements, the zero, the one and a unit, and two elements with
+    a common denominator factor, so that sums and splits cancel."""
+    xs = [algebra.random_element(rng, 9) for _ in range(6)]
+    xs += [algebra.zero(), algebra.one(), algebra.unit(algebra.dim - 1)]
+    half = algebra.from_base(algebra.base.one() / algebra.base.scalar(2)
+                             if algebra.characteristic() != 2
+                             else algebra.base.one())
+    xs += [xs[0] * half, half - xs[0] * half]
+    return xs
+
+
+@pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
+def test_integer_form_is_canonical_after_every_operation(base, betas):
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
+    rng = random.Random(21)
+    xs = _operands(algebra, rng)
+    for x in xs:
+        _assert_canonical(x)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        s = random_scalar(base, rng, 9, nonzero=True)
+        results = [x + y, x - y, -x, x * y, x.scale(s), x * s,
+                   x.conj(), 1 - x, x + 1, algebra.element(x.coords)]
+        if not x.norm().is_zero():
+            results.append(x.inverse())
+        for z in results:
+            _assert_canonical(z)
+    if algebra.dim >= 2:
+        sub = Subspace(algebra, algebra.basis()[:algebra.dim // 2])
+        frame = DoublingFrame(algebra, sub, algebra.unit(algebra.dim // 2))
+        for x in xs:
+            h, y = frame.split(x)
+            _assert_canonical(h)
+            _assert_canonical(y)
+            assert frame.combine(h, y) == x
+
+
+@pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
+def test_equality_and_hash_follow_coords(base, betas):
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
+    rng = random.Random(22)
+    xs = _operands(algebra, rng)
+    # the same elements reached another way
+    twins = [(x + xs[1]) - xs[1] for x in xs]
+    for x, tx in zip(xs, twins):
+        assert x == tx and hash(x) == hash(tx)
+        assert (x.nums, x.den) == (tx.nums, tx.den)
+    for x in xs + twins:
+        for y in xs + twins:
+            assert (x == y) == (x.coords == y.coords)
+            assert (x == y) == (x.key() == y.key())
+            if x == y:
+                assert hash(x) == hash(y)
+    assert len(set(xs + twins)) == len(set(x.key() for x in xs))
+
+
+@pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
+def test_coords_lower_to_the_reference_rule(base, betas):
+    from mforge.composition import _pmul, _pnorm
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
+    payload_betas = [b.val for b in algebra.betas]
+    rng = random.Random(23)
+    for x, y in zip(_operands(algebra, rng), _operands(algebra, rng)):
+        want = _pmul(base, payload_betas, _payloads(x), _payloads(y))
+        prod = x * y
+        assert prod.coords == tuple(base.scalar(c) for c in want)
+        assert algebra.element(want) == prod
+        n = _pnorm(base, payload_betas, _payloads(x))
+        assert x.norm() == base.scalar(n)
+        assert type(x.norm().val) is type(n)
+        assert all(c.field == base for c in x.coords)
+
+
+@pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
+def test_linear_operations_match_the_scalarwise_reference(base, betas):
+    from mforge.composition import _pconj, _pnorm
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
+    payload_betas = [b.val for b in algebra.betas]
+    rng = random.Random(24)
+    xs = _operands(algebra, rng)
+    for x, y in zip(xs, xs[2:] + xs[:2]):
+        a, b = _payloads(x), _payloads(y)
+        s = random_scalar(base, rng, 9, nonzero=True)
+        assert _payloads(x + y) == tuple(map(base.add, a, b))
+        assert _payloads(x - y) == tuple(map(base.sub, a, b))
+        assert _payloads(-x) == tuple(map(base.neg, a))
+        assert _payloads(x.scale(s)) == tuple(base.mul(c, s.val) for c in a)
+        assert _payloads(x.conj()) == _pconj(base, a)
+        assert x.trace() == base.scalar(base.add(a[0], a[0]))
+        assert x.is_zero() == all(base.is_zero(c) for c in a)
+        n = _pnorm(base, payload_betas, a)
+        if not base.is_zero(n):
+            assert _payloads(x.inverse()) == tuple(
+                base.div(c, n) for c in _pconj(base, a))
+
+
+@pytest.mark.parametrize("betas", [[-1], [-1, -1], [-1, -1, -1], [1, 2],
+                                   ["-1/2", 3, "-5/7"]])
+def test_rational_inverse_is_conj_over_norm(betas):
+    algebra = CDAlgebra(QQ, betas)
+    rng = random.Random(25)
+    for _ in range(30):
+        x = algebra.random_element(rng, 9, nonzero=True)
+        if x.norm().is_zero():
+            continue
+        inv = x.inverse()
+        assert inv == x.conj().scale(x.norm().inv())
+        assert x * inv == algebra.one() == inv * x
+
+
+# -- the division certificate over odd prime fields: the prefix walk finds
+#    the first isotropic element of the full scan
+
+def _scan_witness(algebra):
+    return next((x for x in algebra._all_elements()
+                 if not x.is_zero() and x.norm().is_zero()), None)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_division_witness_matches_the_scan(p, stages):
+    rng = random.Random(p * 10 + stages)
+    field = PrimeField(p)
+    choices = [[-1] * stages, [1] * stages]
+    choices += [[rng.randrange(1, p) for _ in range(stages)]
+                for _ in range(3)]
+    for betas in choices:
+        algebra = CDAlgebra(field, betas)
+        scan = _scan_witness(algebra)
+        assert algebra.division_witness == scan
+        if scan is None:
+            assert algebra.division_status == "certified-exhaustive"
+        else:
+            assert algebra.division_status == "not-division"
+            assert repr(algebra.division_witness) == repr(scan)
+
+
+def test_large_prime_octonions_construct_quickly():
+    start = time.perf_counter()
+    algebra = CDAlgebra(PrimeField(10007), [-1, -1, -1])
+    assert time.perf_counter() - start < 1.0
+    w = algebra.division_witness
+    assert algebra.division_status == "not-division"
+    assert not w.is_zero() and w.norm().is_zero()

@@ -50,6 +50,16 @@ def test_coords_round_trip(handle):
         assert handle.uncoords(coords) == x
 
 
+@pytest.mark.parametrize("field", [QQ, F5, F4, QI])
+def test_field_coords_are_the_payload(field):
+    h = as_handle(field)
+    for x in _samples(h):
+        vals = x.val if field.coord_dim == 2 else (x.val,)
+        assert [c.val for c in h.coords(x)] == list(vals)
+        assert all(c.field == field.coord_field for c in h.coords(x))
+        assert h.uncoords(h.coords(x)).val == x.val
+
+
 def test_one_is_neutral_and_zero_is_additive(handle):
     one = handle.one()
     for x in _samples(handle):

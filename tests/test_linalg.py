@@ -109,6 +109,27 @@ def test_projector_matches_solve(field):
         assert inside >= 7, label
 
 
+@pytest.mark.parametrize("field", [QQ, F5, QI, F9], ids=repr)
+def test_projector_onto_reduced_rows_needs_no_elimination(field):
+    """A basis in reduced row-echelon form, passed with its pivots, gives
+    the projector the elimination gives: the same membership and, for
+    each row, the coordinate at its pivot as its coefficient."""
+    rng = random.Random(12)
+    n = 5
+    for label, basis in _bases(field, rng, n):
+        red, pivots = linalg.rref(basis)
+        proj = linalg.Projector(field, red, n, pivots=pivots)
+        reference = linalg.Projector(field, red, n)
+        tests = [_combination(field, rng, basis, n) for _ in range(6)]
+        tests += [[random_scalar(field, rng, 5) for _ in range(n)]
+                  for _ in range(6)]
+        for x in tests:
+            assert proj.contains(x) == reference.contains(x), label
+            if proj.contains(x):
+                assert (proj.coefficients(x) == reference.coefficients(x)
+                        == tuple(x[pc] for pc in pivots)), label
+
+
 def test_projector_folds_a_recombination():
     rng = random.Random(4)
     basis = [[random_scalar(QI, rng, 5) for _ in range(4)] for _ in range(3)]

@@ -109,6 +109,24 @@ def test_gamma_w_decompose(octonions):
     assert phi.apply(psi.apply(x)) == x
 
 
+def test_gamma_w_decompose_builds_and_checks_one_frame(octonions,
+                                                       monkeypatch):
+    from mforge import octonion_aut
+    built = []
+
+    class CountingFrame(octonion_aut.DoublingFrame):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("check", True))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(octonion_aut, "DoublingFrame", CountingFrame)
+    w = octonions.element([1, 2, 0, 1, 0, 0, 0, 0])
+    phi, psi, rep = gamma_w_decompose(w, samples=5)
+    assert rep.passed
+    assert phi.frame is psi.frame
+    assert built == [True]
+
+
 def test_sigma_s_commutes_with_chains(frame):
     O, sub, e = frame
     chains = [JordanMap([], O),

@@ -179,3 +179,37 @@ def test_lower_divides_by_the_denominator():
     # 1/3 = 2 and 2/3 = 4 in F5
     assert F5.lower([1, 2, 5], 3) == [2, 4, 0]
     assert QI.lower([1, 2], 2) == [(Fraction(1, 2), Fraction(1))]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 41, 10007])
+def test_prime_field_sqrt_is_the_smaller_root(p):
+    field = PrimeField(p)
+    roots = {}
+    for r in range(p):
+        roots.setdefault(r * r % p, r)
+    for a in range(min(p, 200)):
+        assert field.sqrt(a) == roots.get(a)
+
+
+def _reference_draw(field, rng, height):
+    """One random payload, drawn in the order the seeded reports pin:
+    num then den over Q, a residue over F_p, u then v over an extension."""
+    if isinstance(field, QuadExt):
+        return (_reference_draw(field.base, rng, height),
+                _reference_draw(field.base, rng, height))
+    if isinstance(field, PrimeField):
+        return rng.randrange(field.p)
+    num = rng.randint(-height, height)
+    return Fraction(num, rng.randint(1, height))
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F4, QI])
+def test_random_draws_follow_the_reference_order(field):
+    rng = random.Random(4)
+    want = [_reference_draw(field, rng, 9) for _ in range(12)]
+    nums, den = field.random_coords(random.Random(4), 12, 9)
+    rng = random.Random(4)
+    for got in (field.lower(nums, den),
+                [field.random_payload(rng, 9) for _ in range(12)]):
+        assert got == want
+        assert all(type(g) is type(w) for g, w in zip(got, want))
