@@ -661,8 +661,41 @@ def norm_splitting(algebra, subfield, samples=32, seed=11):
 
 # -- identity suites --------------------------------------------------------
 
-SUITES = ("moufang", "flexible", "alternative", "inverse",
-          "minimum_equation", "norm_multiplicative", "doubling_rules")
+# (rule, arity, law) for each sampled suite; the inverse laws draw nonzero
+# arguments
+_LAWS = {
+    "moufang": [
+        ("moufang.left", 3,
+         lambda x, y, z: ((x * y) * x) * z == x * (y * (x * z))),
+        ("moufang.right", 3,
+         lambda x, y, z: z * ((x * y) * x) == ((z * x) * y) * x),
+        ("moufang.middle", 3,
+         lambda x, y, z: (x * y) * (z * x) == (x * (y * z)) * x)],
+    "flexible": [
+        ("flexible", 2, lambda x, y: ((x * y) * x - x * (y * x)).is_zero())],
+    "alternative": [
+        ("alternative.left", 2,
+         lambda x, y: ((x * x) * y - x * (x * y)).is_zero()),
+        ("alternative.right", 2,
+         lambda x, y: ((y * x) * x - y * (x * x)).is_zero())],
+    "inverse": [
+        ("inverse.left", 2, lambda x, y: x.inverse() * (x * y) == y),
+        ("inverse.right", 2, lambda x, y: (y * x) * x.inverse() == y),
+        ("inverse.antidistributive", 2,
+         lambda x, y: (x * y).inverse() == y.inverse() * x.inverse()
+         if not (x * y).norm().is_zero() else True)],
+    "minimum_equation": [
+        ("minimum-equation", 1,
+         lambda x: (x * x - x.scale(x.trace())
+                    + x.algebra.one().scale(x.norm())).is_zero())],
+    "norm_multiplicative": [
+        ("norm.multiplicative", 2,
+         lambda x, y: (x * y).norm() == x.norm() * y.norm()),
+        ("trace.conj-invariant", 1, lambda x: x.conj().trace() == x.trace()),
+        ("conj.involutive", 1, lambda x: x.conj().conj() == x)],
+}
+
+SUITES = tuple(_LAWS) + ("doubling_rules",)
 
 
 def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
@@ -674,74 +707,33 @@ def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
     if not algebra.is_division:
         rep.add("division-status", 0, True, note=algebra.division_status)
 
-    def rand(nonzero=False):
-        return algebra.random_element(rng, height, nonzero=nonzero)
+    if suite != "doubling_rules":
+        nonzero = suite == "inverse"
+        for rule, arity, law in _LAWS[suite]:
+            cases = (tuple(algebra.random_element(rng, height, nonzero=nonzero)
+                           for _ in range(arity)) for _ in range(samples))
+            rep.first_failure(rule, cases, law, None,
+                              cex=lambda *args: [repr(a) for a in args])
+        return rep
+    if algebra.dim < 2:
+        rep.add("doubling-rules", 0, True, note="skipped: dim 1 has no stage")
+        return rep
+    half = algebra.dim // 2
+    e = algebra.unit(half)
+    u = -e.norm()
 
-    def run(rule, n_args, check, nonzero=False):
-        for k in range(samples):
-            args = tuple(rand(nonzero) for _ in range(n_args))
-            if not check(*args):
-                rep.add(rule, k + 1, False,
-                        counterexample=[repr(a) for a in args])
-                return
-        rep.add(rule, samples, True)
+    def rand_lower():
+        nums, den = algebra.base.random_coords(rng, half, height)
+        return algebra._canonical(nums + [0] * len(nums), den)
 
-    if suite == "moufang":
-        run("moufang.left", 3,
-            lambda x, y, z: ((x * y) * x) * z == x * (y * (x * z)))
-        run("moufang.right", 3,
-            lambda x, y, z: z * ((x * y) * x) == ((z * x) * y) * x)
-        run("moufang.middle", 3,
-            lambda x, y, z: (x * y) * (z * x) == (x * (y * z)) * x)
-    elif suite == "flexible":
-        run("flexible", 2, lambda x, y: ((x * y) * x - x * (y * x)).is_zero())
-    elif suite == "alternative":
-        run("alternative.left", 2,
-            lambda x, y: ((x * x) * y - x * (x * y)).is_zero())
-        run("alternative.right", 2,
-            lambda x, y: ((y * x) * x - y * (x * x)).is_zero())
-    elif suite == "inverse":
-        run("inverse.left", 2,
-            lambda x, y: x.inverse() * (x * y) == y, nonzero=True)
-        run("inverse.right", 2,
-            lambda x, y: (y * x) * x.inverse() == y, nonzero=True)
-        run("inverse.antidistributive", 2,
-            lambda x, y: (x * y).inverse() == y.inverse() * x.inverse()
-            if not (x * y).norm().is_zero() else True,
-            nonzero=True)
-    elif suite == "minimum_equation":
-        run("minimum-equation", 1,
-            lambda x: (x * x - x.scale(x.trace())
-                       + algebra.one().scale(x.norm())).is_zero())
-    elif suite == "norm_multiplicative":
-        run("norm.multiplicative", 2,
-            lambda x, y: (x * y).norm() == x.norm() * y.norm())
-        run("trace.conj-invariant", 1, lambda x: x.conj().trace() == x.trace())
-        run("conj.involutive", 1, lambda x: x.conj().conj() == x)
-    elif suite == "doubling_rules":
-        if algebra.dim < 2:
-            rep.add("doubling-rules", 0, True, note="skipped: dim 1 has no stage")
-            return rep
-        half = algebra.dim // 2
-        sub = Subspace(algebra, algebra.basis()[:half])
-        e = algebra.unit(half)
-        u = -e.norm()
+    def rules(x, y):
+        return ((e * x) * (e * y) == (y * x.conj()).scale(u)
+                and (e * x) * y == e * (y * x)
+                and x * (e * y) == e * (x.conj() * y))
 
-        def rand_lower():
-            nums, den = algebra.base.random_coords(rng, half, height)
-            return algebra._canonical(nums + [0] * len(nums), den)
-
-        for k in range(samples):
-            x, y = rand_lower(), rand_lower()
-            ok = ((e * x) * (e * y) == (y * x.conj()).scale(u)
-                  and (e * x) * y == e * (y * x)
-                  and x * (e * y) == e * (x.conj() * y))
-            if not ok:
-                rep.add("doubling.rules", k + 1, False,
-                        counterexample=[repr(x), repr(y)])
-                break
-        else:
-            rep.add("doubling.rules", samples, True)
+    rep.first_failure("doubling.rules",
+                      ((rand_lower(), rand_lower()) for _ in range(samples)),
+                      rules, None, cex=lambda *args: [repr(a) for a in args])
     return rep
 
 

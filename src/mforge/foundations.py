@@ -506,82 +506,63 @@ def fnd_check(fnd, samples=60, seed=53):
     rep.add("f1.polygons-constructible", len(dia.directed_edges()), ok,
             note=None if ok else "rejection-tag symbols present")
 
-    ok, cex = True, None
-    for e in dia.edges:
+    def opposite_paired(e):
         i, j = sorted(e)
-        fwd, bwd = fnd.polygons[(i, j)], fnd.polygons[(j, i)]
-        mirror = rgs_opposite(fwd)
-        if not (bwd.symbol == mirror.symbol
+        mirror = rgs_opposite(fnd.polygons[(i, j)])
+        bwd = fnd.polygons[(j, i)]
+        return (bwd.symbol == mirror.symbol
                 and bwd.orientation == mirror.orientation
-                and bwd.params is mirror.params):
-            ok, cex = False, (i, j)
-            break
-    rep.add("f2.opposite-pairing", len(dia.edges), ok, counterexample=cex)
+                and bwd.params is mirror.params)
+
+    rep.first_failure("f2.opposite-pairing", ((e,) for e in dia.edges),
+                      opposite_paired, len(dia.edges),
+                      cex=lambda e: tuple(sorted(e)))
 
     rng = random.Random(seed)
-    ok, cex = True, None
-    for (i, j, k) in dia.triples():
-        g = fnd.glueing(i, j, k)
-        src = fnd.end_mset(i, j, j)
+    triples, draws = dia.triples(), samples // 4 + 1
+
+    def unit_preserved(i, j, k):
         dst = fnd.end_mset(j, k, j)
-        if not dst.eq(g(src.unit()), dst.unit()):
-            ok, cex = False, (i, j, k)
-            break
-    rep.add("f3.unit-preserved", len(dia.triples()), ok, counterexample=cex)
+        return dst.eq(fnd.glueing(i, j, k)(fnd.end_mset(i, j, j).unit()),
+                      dst.unit())
 
-    ok, cex = True, None
-    for (i, j, k) in dia.triples():
-        g = fnd.glueing(i, j, k)
-        grev = fnd.glueing(k, j, i)
+    rep.first_failure("f3.unit-preserved", triples, unit_preserved,
+                      len(triples), cex=lambda *t: t)
+
+    def drawn(mset):
+        return (mset.random(rng) for _ in range(draws))
+
+    def symmetric(i, j, k):
+        g, grev = fnd.glueing(i, j, k), fnd.glueing(k, j, i)
         src = fnd.end_mset(i, j, j)
-        for _ in range(samples // 4 + 1):
-            x = src.random(rng)
-            if not src.eq(grev(g(x)), x):
-                ok, cex = False, (i, j, k)
-                break
-        if not ok:
-            break
-    rep.add("f3.symmetry", len(dia.triples()) * (samples // 4 + 1), ok,
-            counterexample=cex)
+        return all(src.eq(grev(g(x)), x) for x in drawn(src))
 
-    ok, cex = True, None
-    quads = [(i, j, k, l)
-             for (i, j, k) in dia.triples()
-             for l in dia.neighbors(j) if l not in (i, k)]
-    for (i, j, k, l) in quads:
+    rep.first_failure("f3.symmetry", triples, symmetric, len(triples) * draws,
+                      cex=lambda *t: t)
+
+    def cocyclic(i, j, k, l):
         g_direct = fnd.glueing(i, j, k)
-        g_one = fnd.glueing(i, j, l)
-        g_two = fnd.glueing(l, j, k)
-        src = fnd.end_mset(i, j, j)
+        g_one, g_two = fnd.glueing(i, j, l), fnd.glueing(l, j, k)
         dst = fnd.end_mset(j, k, j)
-        for _ in range(samples // 4 + 1):
-            x = src.random(rng)
-            if not dst.eq(g_direct(x), g_two(g_one(x))):
-                ok, cex = False, (i, j, k, l)
-                break
-        if not ok:
-            break
-    rep.add("f4.cocycle", max(1, len(quads)) * (samples // 4 + 1), ok,
-            counterexample=cex)
+        return all(dst.eq(g_direct(x), g_two(g_one(x)))
+                   for x in drawn(fnd.end_mset(i, j, j)))
 
-    all_jordan = True
-    first_fail = None
-    for (i, j, k) in dia.triples():
-        g = fnd.glueing(i, j, k)
-        src = fnd.end_mset(i, j, j)
-        dst = fnd.end_mset(j, k, j)
-        mode = "exhaustive" if (src.is_finite()
-                                and len(src.elements()) <= 64) else "sampled"
+    quads = [(i, j, k, l) for (i, j, k) in triples
+             for l in dia.neighbors(j) if l not in (i, k)]
+    rep.first_failure("f4.cocycle", quads, cocyclic,
+                      max(1, len(quads)) * draws, cex=lambda *q: q)
+
+    def jordan(i, j, k):
+        src, dst = fnd.end_mset(i, j, j), fnd.end_mset(j, k, j)
+        mode = ("exhaustive" if src.is_finite() and src.size() <= 64
+                else "sampled")
         # crc32 of the labels, unlike hash(), is the same in every process
         sub_seed = seed + zlib.crc32(repr((i, j, k)).encode()) % 1000
-        sub = ms_jordan_check(g, src, dst, mode=mode, samples=samples,
-                              seed=sub_seed)
-        if not sub.passed:
-            all_jordan = False
-            first_fail = (i, j, k)
-            break
-    rep.add("moufang.glueings-jordan", len(dia.triples()), all_jordan,
-            counterexample=first_fail)
+        return ms_jordan_check(fnd.glueing(i, j, k), src, dst, mode=mode,
+                               samples=samples, seed=sub_seed).passed
+
+    rep.first_failure("moufang.glueings-jordan", triples, jordan,
+                      len(triples), cex=lambda *t: t)
     return rep
 
 

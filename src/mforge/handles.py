@@ -137,6 +137,10 @@ class CDHandle(Handle):
         return self.algebra.element(coords)
 
     def elements(self):
+        base, dim = self.algebra.base, self.algebra.dim
+        if base.is_finite() and base.order() ** dim > 2 ** 16:
+            raise ValueError("%r has %d^%d elements, more than 2^16 to list"
+                             % (self.algebra, base.order(), dim))
         return list(self.algebra._all_elements())
 
     def random(self, rng, height=20, nonzero=False):
@@ -227,6 +231,8 @@ class Span:
         return [self.handle.uncoords(r) for r in self._rows]
 
     def contains(self, x):
+        if isinstance(self.handle, CDHandle):  # hand over its stored integers
+            return self._projector.contains_lifted(x.nums)
         return self._projector.contains(self.handle.coords(x))
 
     def extended(self, xs):

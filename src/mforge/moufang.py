@@ -13,7 +13,7 @@ import random
 from .handles import as_handle
 from .pseudoquad import PseudoQuadraticSpace, TPoint, t_hua
 from .quadspace import QuadraticSpace, qs_hua
-from .report import Report
+from .report import Report, reprs
 from .unitary import IndifferentSet, InvolutorySet
 
 
@@ -144,6 +144,13 @@ class MoufangSet:
             return self.payload.k0.elements()
         return self.h.elements()
 
+    def size(self):
+        """How many elements a finite carrier has; a field or tower carrier
+        is counted without listing it."""
+        if self.family == self.LINEAR:
+            return self.h.coord_field.order() ** self.h.coord_dim
+        return len(self.elements())
+
     def random(self, rng, height=9, nonzero=False):
         if self.family == self.QUADRATIC:
             return self.payload.random_vector(rng, height, nonzero=nonzero)
@@ -177,36 +184,25 @@ def ms_verify(mset, samples=200, seed=13):
     rng = random.Random(seed)
     rep = Report("moufang.verify", seed=seed, subject=repr(mset))
 
-    ok, cex = True, None
-    for k in range(samples):
-        a = mset.random(rng, nonzero=True)
-        x, y = mset.random(rng), mset.random(rng)
-        lhs = mset.hua(a, mset.op(x, y))
-        rhs = mset.op(mset.hua(a, x), mset.hua(a, y))
-        if not mset.eq(lhs, rhs):
-            ok, cex = False, (repr(a), repr(x), repr(y))
-            break
-    rep.add("hua.endomorphism", samples, ok, counterexample=cex)
-
-    ok, cex = True, None
-    for k in range(samples):
-        x = mset.random(rng)
-        if not mset.eq(mset.hua(mset.unit(), x), x):
-            ok, cex = False, repr(x)
-            break
-    rep.add("hua.unit-is-identity", samples, ok, counterexample=cex)
+    rep.first_failure(
+        "hua.endomorphism",
+        ((mset.random(rng, nonzero=True), mset.random(rng), mset.random(rng))
+         for _ in range(samples)),
+        lambda a, x, y: mset.eq(mset.hua(a, mset.op(x, y)),
+                                mset.op(mset.hua(a, x), mset.hua(a, y))),
+        samples, cex=reprs)
+    rep.first_failure("hua.unit-is-identity",
+                      ((mset.random(rng),) for _ in range(samples)),
+                      lambda x: mset.eq(mset.hua(mset.unit(), x), x),
+                      samples, cex=repr)
 
     if mset.is_finite():
         elems = mset.elements()
-        ok, cex = True, None
-        for a in elems:
-            if mset.is_zero(a):
-                continue
-            images = {mset.key(mset.hua(a, x)) for x in elems}
-            if len(images) != len(elems):
-                ok, cex = False, repr(a)
-                break
-        rep.add("hua.bijective", len(elems), ok, counterexample=cex)
+        rep.first_failure(
+            "hua.bijective", ((a,) for a in elems),
+            lambda a: mset.is_zero(a) or len(
+                {mset.key(mset.hua(a, x)) for x in elems}) == len(elems),
+            len(elems), cex=repr)
 
         images = {mset.key(mset.tau(x)) for x in elems if not mset.is_zero(x)}
         rep.add("tau.bijective-on-units", len(images),
@@ -231,26 +227,15 @@ def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
         elems = [m1.random(rng) for _ in range(samples)]
 
     try:
-        ok, cex = True, None
-        for x in elems:
-            if m1.is_zero(x):
-                continue
-            if not m2.eq(to2(m1.tau(x)), m2.tau(to2(x))):
-                ok, cex = False, repr(x)
-                break
-        rep.add("coincide.tau", len(elems), ok, counterexample=cex)
-
-        ok, cex = True, None
-        for a in elems:
-            if m1.is_zero(a):
-                continue
-            for x in elems:
-                if not m2.eq(to2(m1.hua(a, x)), m2.hua(to2(a), to2(x))):
-                    ok, cex = False, (repr(a), repr(x))
-                    break
-            if not ok:
-                break
-        rep.add("coincide.hua", len(elems) ** 2, ok, counterexample=cex)
+        rep.first_failure(
+            "coincide.tau", ((x,) for x in elems),
+            lambda x: m1.is_zero(x) or m2.eq(to2(m1.tau(x)), m2.tau(to2(x))),
+            len(elems), cex=repr)
+        rep.first_failure(
+            "coincide.hua", ((a, x) for a in elems for x in elems),
+            lambda a, x: m1.is_zero(a) or m2.eq(to2(m1.hua(a, x)),
+                                                m2.hua(to2(a), to2(x))),
+            len(elems) ** 2, cex=reprs)
     except (TypeError, ValueError) as exc:
         raise CarrierMismatch(str(exc))
     return rep
@@ -269,27 +254,24 @@ def ms_jordan_check(gamma, m1, m2, mode="sampled", samples=200, seed=29):
         elems = [m1.random(rng) for _ in range(samples)]
         pairs = [(m1.random(rng), m1.random(rng)) for _ in range(samples)]
 
-    ok, cex = True, None
-    for x, y in pairs:
-        if not m2.eq(gamma(m1.op(x, y)), m2.op(gamma(x), gamma(y))):
-            ok, cex = False, (repr(x), repr(y))
-            break
-    rep.add("jordan.group-homomorphism", len(pairs), ok, counterexample=cex)
+    rep.first_failure(
+        "jordan.group-homomorphism", pairs,
+        lambda x, y: m2.eq(gamma(m1.op(x, y)), m2.op(gamma(x), gamma(y))),
+        len(pairs), cex=reprs)
 
     rep.add("jordan.unit", 1, m2.eq(gamma(m1.unit()), m2.unit()))
 
-    ok, cex = True, None
-    for k, (a, x) in enumerate(pairs):
+    def hua_preserved(a, x):
         if m1.is_zero(a):
-            continue
+            return True
         ga = gamma(a)
-        if m2.is_zero(ga):
-            ok, cex = False, (repr(a), "collapses to zero")
-            break
-        if not m2.eq(gamma(m1.hua(a, x)), m2.hua(ga, gamma(x))):
-            ok, cex = False, (repr(a), repr(x))
-            break
-    rep.add("jordan.hua-preserved", len(pairs), ok, counterexample=cex)
+        return not m2.is_zero(ga) and m2.eq(gamma(m1.hua(a, x)),
+                                            m2.hua(ga, gamma(x)))
+
+    rep.first_failure(
+        "jordan.hua-preserved", pairs, hua_preserved, len(pairs),
+        cex=lambda a, x: (repr(a), "collapses to zero"
+                          if m2.is_zero(gamma(a)) else repr(x)))
     rep.add("pattern.tag", 1, True,
             note="%s-to-%s" % (m1.family, m2.family))
     return rep

@@ -19,7 +19,7 @@ from .composition import (DoublingFrame, Subspace, bilinear,
                           orthogonal_complement, subalgebra_generated)
 from .foundations import GAtom, GlueingMap
 from .foundations import GScalarConj as Conj
-from .report import Report
+from .report import Report, reprs
 
 
 class _Split(GAtom):
@@ -95,30 +95,24 @@ def jaut_verify(jmap, samples=300, seed=31, witness_budget=None):
 
     rep.add("jordan.unit", 1, jmap(algebra.one()) == algebra.one())
 
-    ok, cex = True, None
-    for k in range(samples):
-        x = algebra.random_element(rng, 9)
-        y = algebra.random_element(rng, 9)
-        if jmap((x * y) * x) != (jmap(x) * jmap(y)) * jmap(x):
-            ok, cex = False, (repr(x), repr(y))
-            break
-    rep.add("jordan.palindrome", samples, ok, counterexample=cex)
+    def draw():
+        return algebra.random_element(rng, 9)
 
-    ok, cex = True, None
-    for k in range(samples):
-        x = algebra.random_element(rng, 9)
-        img = jmap(x)
-        scal = jmap(algebra.from_base(x.norm()))
-        if img.norm() != scal.coords[0] or any(
-                not c.is_zero() for c in scal.coords[1:]):
-            ok, cex = False, repr(x)
-            break
-    rep.add("norm.isometry", samples, ok, counterexample=cex)
+    def isometry(x):
+        img, scal = jmap(x), jmap(algebra.from_base(x.norm()))
+        return img.norm() == scal.coords[0] and all(
+            c.is_zero() for c in scal.coords[1:])
+
+    rep.first_failure(
+        "jordan.palindrome", ((draw(), draw()) for _ in range(samples)),
+        lambda x, y: jmap((x * y) * x) == (jmap(x) * jmap(y)) * jmap(x),
+        samples, cex=reprs)
+    rep.first_failure("norm.isometry", ((draw(),) for _ in range(samples)),
+                      isometry, samples, cex=repr)
 
     auto_w = anti_w = None
     for _ in range(budget):
-        s = algebra.random_element(rng, 9)
-        t = algebra.random_element(rng, 9)
+        s, t = draw(), draw()
         img = jmap(s * t)
         if auto_w is None and img != jmap(s) * jmap(t):
             auto_w = (repr(s), repr(t))
@@ -144,16 +138,13 @@ def psi_product_rule_check(psi, samples=300, seed=37):
     algebra = psi.algebra
     rng = random.Random(seed)
     rep = Report("psi.product-rule", seed=seed, subject=repr(psi))
-    ok, cex = True, None
-    for k in range(samples):
-        s = algebra.random_element(rng, 9)
-        t = algebra.random_element(rng, 9)
-        lhs = psi.apply(s * t)
-        rhs = (psi.apply(s) * (psi.apply(t) * psi.w)) * psi.w_inv
-        if lhs != rhs:
-            ok, cex = False, (repr(s), repr(t))
-            break
-    rep.add("psi.product-rule", samples, ok, counterexample=cex)
+    rep.first_failure(
+        "psi.product-rule",
+        ((algebra.random_element(rng, 9), algebra.random_element(rng, 9))
+         for _ in range(samples)),
+        lambda s, t: psi.apply(s * t)
+        == (psi.apply(s) * (psi.apply(t) * psi.w)) * psi.w_inv,
+        samples, cex=reprs)
     return rep
 
 
@@ -197,13 +188,10 @@ def gamma_w_decompose(w, samples=200, seed=41):
     rep.add("decompose.norm-of-p", 1, p.norm() == algebra.base.one())
     conj = Conj(w)
     rng = random.Random(seed)
-    ok, cex = True, None
-    for k in range(samples):
-        x = algebra.random_element(rng, 9)
-        if chain(x) != conj.apply(x):
-            ok, cex = False, repr(x)
-            break
-    rep.add("decompose.matches-conjugation", samples, ok, counterexample=cex)
+    rep.first_failure("decompose.matches-conjugation",
+                      ((algebra.random_element(rng, 9),)
+                       for _ in range(samples)),
+                      lambda x: chain(x) == conj.apply(x), samples, cex=repr)
     return phi, psi, rep
 
 
@@ -212,13 +200,11 @@ def sigma_s_central_check(jmap, samples=200, seed=43):
     algebra = jmap.algebra
     rng = random.Random(seed)
     rep = Report("sigma-s.central", seed=seed, subject=repr(jmap))
-    ok, cex = True, None
-    for k in range(samples):
-        x = algebra.random_element(rng, 9)
-        if jmap(x.conj()) != jmap(x).conj():
-            ok, cex = False, repr(x)
-            break
-    rep.add("sigma-s.commutes", samples, ok, counterexample=cex)
+    rep.first_failure("sigma-s.commutes",
+                      ((algebra.random_element(rng, 9),)
+                       for _ in range(samples)),
+                      lambda x: jmap(x.conj()) == jmap(x).conj(), samples,
+                      cex=repr)
     return rep
 
 

@@ -645,29 +645,20 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
 
     if desc.symbol == SYMBOL_T and not finite:
         h = desc.params if desc.orientation == STANDARD else _opp(desc.params)
-        ok, cex = True, None
-        for k in range(samples):
-            s = h.random(rng, 9, nonzero=True)
-            t = h.random(rng, 9)
-            u = h.random(rng, 9)
-            sinv = h.inv(s)
-            lhs = h.mul(h.mul(s, h.mul(t, s)), h.mul(sinv, u))
-            rhs = h.mul(s, h.mul(t, u))
-            if lhs != rhs:
-                ok, cex = False, (h.render(s), h.render(t), h.render(u))
-                break
-        rep.add("triangle.first-end-identity", samples, ok, counterexample=cex)
-        ok, cex = True, None
-        for k in range(samples):
-            s = h.random(rng, 9, nonzero=True)
-            t = h.random(rng, 9)
-            u = h.random(rng, 9)
-            lhs = h.mul(h.mul(t, h.inv(s)), h.mul(s, h.mul(u, s)))
-            rhs = h.mul(h.mul(t, u), s)
-            if lhs != rhs:
-                ok, cex = False, (h.render(s), h.render(t), h.render(u))
-                break
-        rep.add("triangle.last-end-identity", samples, ok, counterexample=cex)
+
+        laws = [("triangle.first-end-identity",
+                 lambda s, t, u: h.mul(h.mul(s, h.mul(t, s)),
+                                       h.mul(h.inv(s), u))
+                 == h.mul(s, h.mul(t, u))),
+                ("triangle.last-end-identity",
+                 lambda s, t, u: h.mul(h.mul(t, h.inv(s)),
+                                       h.mul(s, h.mul(u, s)))
+                 == h.mul(h.mul(t, u), s))]
+        for rule, law in laws:
+            rep.first_failure(
+                rule, ((h.random(rng, 9, nonzero=True), h.random(rng, 9),
+                        h.random(rng, 9)) for _ in range(samples)),
+                law, samples, cex=lambda *stu: tuple(map(h.render, stu)))
         return rep
 
     if finite:
@@ -676,37 +667,38 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
             slot = 1 if end == "first" else desc.n
             grp = desc.group(slot)
             anchors = [m for m in grp.elements() if not grp.is_identity(m)]
-            all_ok = True
-            for s in anchors:
-                m1, mn = rgs_hua_end_action(desc, end, s)
-                sub, perm = wg.extend_end_maps(m1, mn)
+
+            def extends(s):
+                sub, perm = wg.extend_end_maps(
+                    *rgs_hua_end_action(desc, end, s))
                 if perm is None:
-                    all_ok = False
                     rep.extend(sub)
-                    break
-            rep.add("hua.%s-end-extends" % end,
-                    len(anchors) * len(wg.elements) ** 2, all_ok)
+                return perm is not None
+
+            rep.first_failure("hua.%s-end-extends" % end,
+                              ((s,) for s in anchors), extends,
+                              len(anchors) * len(wg.elements) ** 2)
         return rep
 
-    # infinite quadrangles: endomorphism property of the end maps
+    # infinite quadrangles: endomorphism property of the end maps, on the
+    # first and then the last root group of each sampled anchor
+    g1, gn = desc.group(1), desc.group(desc.n)
     for end in ("first", "last"):
-        slot = 1 if end == "first" else desc.n
-        grp = desc.group(slot)
-        ok, cex = True, None
-        for k in range(samples):
-            s = grp.random(rng, nonzero=True)
-            m1, mn = rgs_hua_end_action(desc, end, s)
-            g1, gn = desc.group(1), desc.group(desc.n)
-            x, y = g1.random(rng), g1.random(rng)
-            if g1.key(m1(g1.op(x, y))) != g1.key(g1.op(m1(x), m1(y))):
-                ok, cex = False, ("first-slot", grp.render(s))
-                break
-            x, y = gn.random(rng), gn.random(rng)
-            if gn.key(mn(gn.op(x, y))) != gn.key(gn.op(mn(x), mn(y))):
-                ok, cex = False, ("last-slot", grp.render(s))
-                break
-        rep.add("hua.%s-end-endomorphism" % end, samples, ok,
-                counterexample=cex)
+        grp = desc.group(1 if end == "first" else desc.n)
+
+        def slots():
+            for _ in range(samples):
+                s = grp.random(rng, nonzero=True)
+                m1, mn = rgs_hua_end_action(desc, end, s)
+                for slot, g, m in (("first-slot", g1, m1),
+                                   ("last-slot", gn, mn)):
+                    yield slot, s, g, m, g.random(rng), g.random(rng)
+
+        rep.first_failure(
+            "hua.%s-end-endomorphism" % end, slots(),
+            lambda slot, s, g, m, x, y:
+            g.key(m(g.op(x, y))) == g.key(g.op(m(x), m(y))),
+            samples, cex=lambda slot, s, *rest: (slot, grp.render(s)))
     return rep
 
 

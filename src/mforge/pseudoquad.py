@@ -14,7 +14,7 @@ import random
 from . import linalg
 from .composition import Subspace, orthogonal_complement
 from .handles import CDHandle, FieldHandle
-from .report import Report
+from .report import Report, reprs
 from .scalars import F4, QuadExt, Scalar
 from .tables import FiniteGroupTable
 from .unitary import SIGMA_GALOIS, SIGMA_STANDARD, InvolutorySet
@@ -285,12 +285,9 @@ def t_jordan_check(gamma, src, dst, mode="sampled", samples=200, seed=17):
         anchors = [(src.random_point(rng), src.random_point(rng))
                    for _ in range(samples)]
 
-    ok, cex = True, None
-    for x, y in pairs:
-        if gamma(x * y) != gamma(x) * gamma(y):
-            ok, cex = False, (repr(x), repr(y))
-            break
-    rep.add("jordan.group-homomorphism", len(pairs), ok, counterexample=cex)
+    rep.first_failure("jordan.group-homomorphism", pairs,
+                      lambda x, y: gamma(x * y) == gamma(x) * gamma(y),
+                      len(pairs), cex=reprs)
 
     if mode == "exhaustive":
         images = {gamma(x).key() for x in pts}
@@ -298,18 +295,17 @@ def t_jordan_check(gamma, src, dst, mode="sampled", samples=200, seed=17):
 
     rep.add("jordan.unit", 1, gamma(src.unit()) == dst.unit())
 
-    ok, cex = True, None
-    for x, y in anchors:
+    def hua_preserved(x, y):
         if x.is_identity():
-            continue
+            return True
         gx = gamma(x)
-        if gx.is_identity():
-            ok, cex = False, (repr(x), "image of anchor is zero")
-            break
-        if gamma(t_hua(x, y)) != t_hua(gx, gamma(y)):
-            ok, cex = False, (repr(x), repr(y))
-            break
-    rep.add("jordan.hua-preserved", len(anchors), ok, counterexample=cex)
+        return not gx.is_identity() and gamma(t_hua(x, y)) == t_hua(
+            gx, gamma(y))
+
+    rep.first_failure(
+        "jordan.hua-preserved", anchors, hua_preserved, len(anchors),
+        cex=lambda x, y: (repr(x), "image of anchor is zero"
+                          if gamma(x).is_identity() else repr(y)))
     return rep
 
 

@@ -313,53 +313,43 @@ def verify_space(space, samples=200, seed=3):
     f(x,x) = 2q(x), Hua linearity and the anchor-scaling rule."""
     rng = random.Random(seed)
     rep = Report("quadspace.laws", seed=seed, subject=repr(space))
+    laws = [
+        ("sigma.involutive", 1, lambda x: space.sigma(space.sigma(x)) == x),
+        ("trace.sigma-invariant", 1,
+         lambda x: space.trace(space.sigma(x)) == space.trace(x)),
+        ("pairing.sigma-symmetry", 2,
+         lambda x, y: space.f(space.sigma(x), y)
+         == space.f(x, space.sigma(y))),
+        ("pairing.diagonal", 1,
+         lambda x: space.f(x, x) == space.q(x) + space.q(x)),
+        ("hua.additive", 3,
+         lambda a, x, y: qs_hua(space, a, x + y)
+         == qs_hua(space, a, x) + qs_hua(space, a, y)
+         if not space.q(a).is_zero() else True)]
+    for rule, arity, law in laws:
+        # only the Hua laws need a nonzero anchor
+        nonzero = rule == "hua.additive"
+        cases = (tuple(space.random_vector(rng, 9, nonzero=nonzero)
+                       for _ in range(arity)) for _ in range(samples))
+        rep.first_failure(rule, cases, law, None,
+                          cex=lambda *args: [repr(a) for a in args])
 
-    def rand(nonzero=False):
-        return space.random_vector(rng, 9, nonzero=nonzero)
-
-    def run(rule, n_args, check, nonzero=False):
-        for k in range(samples):
-            args = tuple(rand(nonzero) for _ in range(n_args))
-            if not check(*args):
-                rep.add(rule, k + 1, False,
-                        counterexample=[repr(a) for a in args])
-                return
-        rep.add(rule, samples, True)
-
-    run("sigma.involutive", 1, lambda x: space.sigma(space.sigma(x)) == x)
-    run("trace.sigma-invariant", 1,
-        lambda x: space.trace(space.sigma(x)) == space.trace(x))
-    run("pairing.sigma-symmetry", 2,
-        lambda x, y: space.f(space.sigma(x), y) == space.f(x, space.sigma(y)))
-    run("pairing.diagonal", 1,
-        lambda x: space.f(x, x) == space.q(x) + space.q(x))
-    run("hua.additive", 3,
-        lambda a, x, y: qs_hua(space, a, x + y)
-        == qs_hua(space, a, x) + qs_hua(space, a, y)
-        if not space.q(a).is_zero() else True, nonzero=True)
-
-    for k in range(samples):
-        a = rand(nonzero=True)
-        x = rand()
-        s = random_scalar(space.field, rng, 9, nonzero=True)
-        if qs_hua(space, a.scale(s), x) != qs_hua(space, a, x).scale(s * s):
-            rep.add("hua.anchor-scaling", k + 1, False,
-                    counterexample=[repr(a), repr(x), repr(s)])
-            break
-    else:
-        rep.add("hua.anchor-scaling", samples, True)
+    cases = ((space.random_vector(rng, 9, nonzero=True),
+              space.random_vector(rng, 9),
+              random_scalar(space.field, rng, 9, nonzero=True))
+             for _ in range(samples))
+    rep.first_failure("hua.anchor-scaling", cases,
+                      lambda a, x, s: qs_hua(space, a.scale(s), x)
+                      == qs_hua(space, a, x).scale(s * s),
+                      None, cex=lambda *args: [repr(a) for a in args])
 
     if space.field.is_finite():
         elems = list(space.enumerate_vectors())
-        ok = True
-        for a in elems:
-            if a.is_zero():
-                continue
-            images = {qs_hua(space, a, x).key() for x in elems}
-            if len(images) != len(elems):
-                ok = False
-                break
-        rep.add("hua.bijective", len(elems), ok)
+        rep.first_failure(
+            "hua.bijective", ((a,) for a in elems),
+            lambda a: a.is_zero() or len({qs_hua(space, a, x).key()
+                                          for x in elems}) == len(elems),
+            len(elems))
     return rep
 
 

@@ -3,6 +3,16 @@
 A report is a list of lines, one per checked law.  Reports are fully
 determined by (inputs, seed); wall time is kept out of the serialized form
 so reruns are byte-identical.
+
+A law that must hold on every sampled or enumerated case goes through
+one driver, `Report.first_failure`, which stops at the first failing case.
+Cases come from a lazy generator over the suite's seeded
+``random.Random``: when lines share one stream, the next line draws right
+after the failing case.  A line's `samples` is either the planned
+count or, in the identity and quadratic-space suites, the number of cases
+checked (k + 1 for a failure at case k).  A failing line keeps its case's
+0-based `index`, out of the serialized and printed forms, so the failure
+can be drawn again from the seed.
 """
 
 from __future__ import annotations
@@ -11,7 +21,8 @@ import json
 
 
 class CheckLine:
-    __slots__ = ("rule", "samples", "passed", "counterexample", "note")
+    __slots__ = ("rule", "samples", "passed", "counterexample", "note",
+                 "index")
 
     def __init__(self, rule, samples, passed, counterexample=None, note=None):
         self.rule = rule
@@ -19,6 +30,7 @@ class CheckLine:
         self.passed = passed
         self.counterexample = counterexample
         self.note = note
+        self.index = None  # set by Report.first_failure on a failing line
 
     def as_dict(self):
         d = {"rule": self.rule, "samples": self.samples, "passed": self.passed}
@@ -47,6 +59,24 @@ class Report:
     def add(self, rule, samples, passed, counterexample=None, note=None):
         self.lines.append(CheckLine(rule, samples, passed, counterexample, note))
         return self.lines[-1]
+
+    def first_failure(self, rule, cases, check, n, cex=None):
+        """Add the line for `rule`: check(*case) must hold on every case, a
+        tuple of arguments.
+
+        The walk stops at the first case where it does not; that line's
+        counterexample is cex(*case), or none without `cex`, and its index
+        the case's position.  The line records `n` samples, or, with n
+        None, the number of cases checked.
+        """
+        k = -1
+        for k, case in enumerate(cases):
+            if not check(*case):
+                line = self.add(rule, k + 1 if n is None else n, False,
+                                None if cex is None else cex(*case))
+                line.index = k
+                return line
+        return self.add(rule, k + 1 if n is None else n, True)
 
     def extend(self, other):
         self.lines.extend(other.lines)
@@ -79,8 +109,6 @@ class Report:
         return "\n".join([head] + ["  %r" % ln for ln in self.lines])
 
 
-def fmt(value):
-    """Stable string form for counterexamples in reports."""
-    if isinstance(value, (tuple, list)):
-        return "(" + ", ".join(fmt(v) for v in value) + ")"
-    return repr(value)
+def reprs(*values):
+    """The reprs of a case's values, as a tuple counterexample."""
+    return tuple(repr(v) for v in values)

@@ -73,29 +73,24 @@ def inv_check(inv_set, samples=64, seed=3):
 
     rep.add("axiom.one-in-k0", 1, inv_set.k0_contains(h.one()))
 
-    ok, cex = True, None
-    for _ in range(samples):
-        a = h.random(rng, 9)
-        tr = h.add(a, inv_set.sigma(a))
-        if not inv_set.k0_contains(tr):
-            ok, cex = False, h.render(a)
-            break
-    rep.add("axiom.traces-in-k0", samples, ok, counterexample=cex)
+    rep.first_failure(
+        "axiom.traces-in-k0", ((h.random(rng, 9),) for _ in range(samples)),
+        lambda a: inv_set.k0_contains(h.add(a, inv_set.sigma(a))), samples,
+        cex=h.render)
 
     fixed = all(inv_set.sigma(b) == b for b in inv_set.k0.basis())
     rep.add("axiom.k0-fixed-by-sigma", inv_set.k0.dim, fixed)
 
-    ok, cex = True, None
-    for _ in range(samples):
-        a = h.random(rng, 9)
-        for g in inv_set.k0.basis():
-            v = h.mul(h.mul(inv_set.sigma(a), g), a)
-            if not inv_set.k0_contains(v):
-                ok, cex = False, (h.render(a), h.render(g))
-                break
-        if not ok:
-            break
-    rep.add("axiom.sandwich", samples, ok, counterexample=cex)
+    def sandwiches():
+        for _ in range(samples):
+            a = h.random(rng, 9)
+            for g in inv_set.k0.basis():
+                yield a, g
+
+    rep.first_failure(
+        "axiom.sandwich", sandwiches(),
+        lambda a, g: inv_set.k0_contains(h.mul(h.mul(inv_set.sigma(a), g), a)),
+        samples, cex=lambda *ag: tuple(map(h.render, ag)))
 
     sigma_id = inv_set.sigma_is_identity(rng)
     closure, status = ring_closure(h, inv_set.k0)
@@ -187,26 +182,15 @@ def ind_check(ind):
     h = ind.handle
     rep = Report("indifferent.check", subject=repr(ind))
 
-    ok, cex = True, None
-    for k in ind.k0.basis():
-        k2 = h.mul(k, k)
-        for l in ind.l0.basis():
-            if not ind.l0.contains(h.mul(k2, l)):
-                ok, cex = False, (h.render(k), h.render(l))
-                break
-        if not ok:
-            break
-    rep.add("axiom.k0sq-l0", ind.k0.dim * ind.l0.dim, ok, counterexample=cex)
-
-    ok, cex = True, None
-    for l in ind.l0.basis():
-        for k in ind.k0.basis():
-            if not ind.k0.contains(h.mul(l, k)):
-                ok, cex = False, (h.render(l), h.render(k))
-                break
-        if not ok:
-            break
-    rep.add("axiom.l0k0-k0", ind.k0.dim * ind.l0.dim, ok, counterexample=cex)
+    k0, l0 = ind.k0.basis(), ind.l0.basis()
+    rep.first_failure("axiom.k0sq-l0", ((k, l) for k in k0 for l in l0),
+                      lambda k, l: ind.l0.contains(h.mul(h.mul(k, k), l)),
+                      ind.k0.dim * ind.l0.dim,
+                      cex=lambda *kl: tuple(map(h.render, kl)))
+    rep.first_failure("axiom.l0k0-k0", ((l, k) for l in l0 for k in k0),
+                      lambda l, k: ind.k0.contains(h.mul(l, k)),
+                      ind.k0.dim * ind.l0.dim,
+                      cex=lambda *lk: tuple(map(h.render, lk)))
 
     # <K0> = K holds by construction; record the closure dimension
     rep.add("axiom.k0-generates", 1, True,

@@ -442,3 +442,20 @@ def test_jordan_sub_seeds_are_the_same_under_every_hash_salt():
         env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=salt)).stdout
         for salt in ("1", "2")]
     assert outs[0] == outs[1] and outs[0].strip() != "[]"
+
+
+def test_check_samples_an_end_too_large_to_list():
+    # 5^8 elements: fnd_check must choose the sampled Jordan check without
+    # listing the end (listing a tower that large raises)
+    doc = {
+        "version": 1,
+        "vertices": ["1", "2", "3"],
+        "scalars": {"O5": {"base": "F5", "betas": [-1, -1, -1]}},
+        "edges": [{"from": a, "to": b, "m": 3, "symbol": "T", "params": "O5"}
+                  for a, b in (("1", "2"), ("2", "3"), ("3", "1"))],
+        "glueings": [{"triple": t, "atoms": [{"atom": "identity"}]}
+                     for t in (["1", "2", "3"], ["2", "3", "1"],
+                               ["3", "1", "2"])],
+    }
+    rep = fnd_check(foundation_from_json(doc), samples=8, seed=3)
+    assert rep.line("moufang.glueings-jordan").passed

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from mforge.composition import gauss_q, octonions_q, quaternions_q
-from mforge.handles import SmallFieldHandle, as_handle
+from mforge.composition import (CDAlgebra, Subspace, gauss_q, octonions_q,
+                                quaternions_q)
+from mforge.handles import SmallFieldHandle, Span, as_handle
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
-from mforge.scalars import F4, F5, QI, QQ
+from mforge.scalars import F3, F4, F5, QI, QQ
 
 
 def _small_f4():
@@ -110,3 +111,27 @@ def test_small_field_handles_hash_like_they_compare():
     assert a.space is not b.space
     assert a == b
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("base, betas", [(QQ, [-1, -1]), (QI, [-1, 3]),
+                                         (F3, [-1, -1, -1])],
+                         ids=["Q", "Qi", "F3"])
+def test_span_and_subspace_agree_on_tower_membership(base, betas):
+    algebra = CDAlgebra(base, betas)
+    rng = random.Random(11)
+    gens = [algebra.random_element(rng, 5) for _ in range(algebra.dim // 2)]
+    span, sub = Span(as_handle(algebra), gens), Subspace(algebra, gens)
+    members = [gens[0] + gens[-1], gens[0].scale(base.scalar(2)),
+               algebra.zero()]
+    others = [algebra.random_element(rng, 5) for _ in range(20)]
+    assert all(span.contains(x) for x in members)
+    assert [span.contains(x) for x in others] == [sub.contains(x)
+                                                 for x in others]
+    assert not all(span.contains(x) for x in others)
+
+
+def test_tower_elements_are_listed_only_when_small():
+    with pytest.raises(ValueError, match=r"5\^8"):
+        as_handle(CDAlgebra(F5, [-1, -1, -1])).elements()
+    elems = as_handle(CDAlgebra(F3, [-1, -1])).elements()
+    assert len({x.key() for x in elems}) == len(elems) == 81
