@@ -33,9 +33,13 @@ list counterexample print differently there; ``ms_verify_shifted_q`` and
 lines share one random stream, so a later line's draws show where the
 stream was left.
 
-To record the files again from the code on the path:
+To record the files of new cases from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It writes only the cases that have no file yet, and any case named on
+the command line (``... tests/test_golden.py ms_verify_xi_f4``); every
+other stored file keeps its bytes.
 """
 
 import json
@@ -347,6 +351,113 @@ def hua_consistency_qi_quaternion_q():
     return rgs_hua_consistency(desc, samples=40, seed=7)
 
 
+def ms_verify_xi_f4():
+    from mforge.moufang import MoufangSet, ms_verify
+    from mforge.pseudoquad import xi_f4
+    return _json_and_text(ms_verify(
+        MoufangSet(MoufangSet.PSEUDOQUADRATIC, xi_f4()), samples=30, seed=13))
+
+
+def ms_verify_xi_hamilton():
+    from mforge.moufang import MoufangSet, ms_verify
+    from mforge.pseudoquad import xi_hamilton
+    return _json_and_text(ms_verify(
+        MoufangSet(MoufangSet.PSEUDOQUADRATIC, xi_hamilton()), samples=30,
+        seed=13))
+
+
+def ms_verify_involutory_quaternion_q():
+    from mforge.composition import quaternions_q
+    from mforge.moufang import MoufangSet, ms_verify
+    from mforge.unitary import SIGMA_STANDARD, InvolutorySet
+    return _json_and_text(ms_verify(
+        MoufangSet(MoufangSet.INVOLUTORY,
+                   InvolutorySet(quaternions_q(), SIGMA_STANDARD)),
+        samples=30, seed=13))
+
+
+def ms_verify_indifferent_f4():
+    from mforge.moufang import MoufangSet, ms_verify
+    from mforge.scalars import F4
+    from mforge.unitary import IndifferentSet
+    w = F4.gen()
+    return _json_and_text(ms_verify(
+        MoufangSet(MoufangSet.INDIFFERENT,
+                   IndifferentSet(F4, [F4.one(), w], [F4.one(), w])),
+        samples=30, seed=13))
+
+
+def ms_jordan_inverse_xi_f4():
+    """Inversion on the non-abelian group T of Xi_F4 keeps the unit but is
+    no homomorphism: the exhaustive sweep fails on a pair."""
+    from mforge.moufang import MoufangSet, ms_jordan_check
+    from mforge.pseudoquad import xi_f4
+    m = MoufangSet(MoufangSet.PSEUDOQUADRATIC, xi_f4())
+    return _json_and_text(ms_jordan_check(lambda p: p.inverse(), m, m,
+                                          mode="exhaustive"))
+
+
+def hua_consistency_qq_f4():
+    from mforge.polygons import qq_f4_space, rgs_hua_consistency
+    return _json_and_text(rgs_hua_consistency(qq_f4_space(), seed=3))
+
+
+def hua_consistency_qi_f4_galois():
+    from mforge.polygons import (SYMBOL_QI, PolygonDescriptor,
+                                 rgs_hua_consistency)
+    from mforge.scalars import F4
+    from mforge.unitary import SIGMA_GALOIS, InvolutorySet
+    desc = PolygonDescriptor(SYMBOL_QI, InvolutorySet(F4, SIGMA_GALOIS))
+    return _json_and_text(rgs_hua_consistency(desc, seed=3))
+
+
+def hua_consistency_qd_f2():
+    from mforge.polygons import (SYMBOL_QD, PolygonDescriptor,
+                                 rgs_hua_consistency)
+    from mforge.scalars import F2
+    from mforge.unitary import IndifferentSet
+    desc = PolygonDescriptor(SYMBOL_QD,
+                             IndifferentSet(F2, [F2.one()], [F2.one()]))
+    return _json_and_text(rgs_hua_consistency(desc, seed=3))
+
+
+def root_group_draws():
+    """Seeded draws, plain and nonzero, from the carrier of a Moufang set
+    of each family and from every slot group of each polygon family."""
+    from mforge.composition import octonions_q, quaternions_q
+    from mforge.moufang import MoufangSet
+    from mforge.polygons import (SYMBOL_QD, SYMBOL_QI, PolygonDescriptor,
+                                 qp_xi_f4, qq_f4_space, triangle)
+    from mforge.pseudoquad import xi_f4, xi_hamilton
+    from mforge.scalars import F2, F4, QQ
+    from mforge.unitary import (SIGMA_GALOIS, SIGMA_STANDARD,
+                                IndifferentSet, InvolutorySet)
+    H, w = quaternions_q(), F4.gen()
+    msets = [MoufangSet(MoufangSet.LINEAR, QQ),
+             MoufangSet(MoufangSet.LINEAR, octonions_q()),
+             MoufangSet(MoufangSet.INVOLUTORY,
+                        InvolutorySet(H, SIGMA_STANDARD)),
+             MoufangSet(MoufangSet.INDIFFERENT,
+                        IndifferentSet(F4, [F4.one(), w], [F4.one(), w])),
+             MoufangSet(MoufangSet.QUADRATIC, _f4_space()),
+             MoufangSet(MoufangSet.PSEUDOQUADRATIC, xi_f4()),
+             MoufangSet(MoufangSet.PSEUDOQUADRATIC, xi_hamilton())]
+    descs = [triangle(QQ, name="T(Q)"), qq_f4_space(), qp_xi_f4(),
+             PolygonDescriptor(SYMBOL_QI, InvolutorySet(H, SIGMA_STANDARD)),
+             PolygonDescriptor(SYMBOL_QI, InvolutorySet(F4, SIGMA_GALOIS)),
+             PolygonDescriptor(SYMBOL_QD,
+                               IndifferentSet(F2, [F2.one()], [F2.one()]))]
+    draws = [(m.random, repr, repr(m)) for m in msets]
+    draws += [(d.group(i).random, d.group(i).render, "%r slot %d" % (d, i))
+              for d in descs for i in range(1, d.n + 1)]
+    rng = random.Random(5)
+    lines = [json.dumps([label] + [render(draw(rng, nonzero=k % 2 == 1))
+                                   for k in range(4)],
+                        separators=(",", ":"))
+             for draw, render, label in draws]
+    return "\n".join(lines) + "\n"
+
+
 def identities_dim16_moufang():
     from mforge.composition import sedenion_style_q, verify_identities
     return _json_and_text(verify_identities(sedenion_style_q(), "moufang",
@@ -368,6 +479,10 @@ CASES = {f.__name__: f for f in (
     inv_check_quaternion_q, inv_check_wide_k0, ind_check_f4,
     verify_space_quaternion_q, verify_space_f4, verify_space_shifted_trace,
     hua_consistency_qi_quaternion_q, identities_dim16_moufang,
+    ms_verify_xi_f4, ms_verify_xi_hamilton,
+    ms_verify_involutory_quaternion_q, ms_verify_indifferent_f4,
+    ms_jordan_inverse_xi_f4, hua_consistency_qq_f4,
+    hua_consistency_qi_f4_galois, hua_consistency_qd_f2, root_group_draws,
     *TOWER_CASES,
     _dot_case("a2_octonion"), _dot_case("f443_involutory"),
     *[_fnd_check_case(name) for name in _fnd_names()])}
@@ -395,9 +510,17 @@ def test_every_golden_file_has_a_case():
         os.path.basename(_path(name)) for name in CASES)
 
 
-def main():
+def main(argv):
+    """Write the golden file of every case named in argv, and of every
+    case that has none yet; stored files of other cases are kept."""
+    unknown = sorted(set(argv) - set(CASES))
+    if unknown:
+        print("unknown cases:", ", ".join(unknown), file=sys.stderr)
+        return 2
     os.makedirs(GOLDEN, exist_ok=True)
     for name, case in sorted(CASES.items()):
+        if name not in argv and os.path.exists(_path(name)):
+            continue
         with open(_path(name), "w") as fh:
             fh.write(_text(case()))
         print("wrote", _path(name))
@@ -405,4 +528,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
