@@ -367,22 +367,12 @@ def sigma_s_glueing():
 
 def end_ring(desc, end):
     """The multiplicative handle carried by the given end, when the end
-    parametrizes an alternative-ring Moufang set (None otherwise)."""
-    sym, ori = desc.symbol, desc.orientation
-    if sym == SYMBOL_T:
-        h = desc.params
-        return h if ori == STANDARD else h.opposite()
-    if sym in (SYMBOL_QI, SYMBOL_QP):
-        h = desc.params.handle if sym == SYMBOL_QI else desc.params.h
-        big_end = "last" if ori == STANDARD else "first"
-        if end == big_end:
-            return h if ori == STANDARD else h.opposite()
+    parametrizes a linear (alternative-ring) Moufang set (None
+    otherwise)."""
+    if desc.groups is None:
         return None
-    if sym == SYMBOL_QQ:
-        fld = FieldHandle(desc.params.field)
-        small_end = "first" if ori == STANDARD else "last"
-        return fld if end == small_end else None
-    return None
+    mset = end_moufang_set(desc, end)
+    return mset.h if mset.family == MoufangSet.LINEAR else None
 
 
 def end_moufang_set(desc, end):

@@ -1,19 +1,32 @@
-"""Uniform Moufang-set interface over the five parametrized families:
+"""Moufang sets on root groups, over the five parametrized families:
 linear, involutory, indifferent, quadratic and pseudo-quadratic.
 
-Each family exposes the same protocol (group operation on the carrier,
-tau, Hua maps, canonical unit) so coincidence and Jordan-isomorphism
-checks can run against any pair.
+`root_group` is the one builder of the groups a Moufang set or a polygon
+slot is parametrized by: a field, tower or small field under +, a span
+K0 or L0 inside one under +, the vectors of a quadratic space under +,
+and the group T of a pseudo-quadratic space under its product.  A
+`ParamGroup` carries the group's operations, its seeded sampling, and
+its order counted from the carrier without listing it.
+
+`MoufangSet` holds the root group of its payload and reads its group
+structure, elements and samples from it; only the canonical unit, tau
+and the Hua maps depend on the family.  Coincidence and
+Jordan-isomorphism checks run against any pair.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from collections import namedtuple
+from operator import methodcaller
 
-from .handles import as_handle
+from .composition import CDAlgebra
+from .handles import Handle, as_handle
 from .pseudoquad import PseudoQuadraticSpace, TPoint, t_hua
-from .quadspace import QuadraticSpace, qs_hua
+from .quadspace import QuadraticSpace, SmallField, qs_hua
 from .report import Report, reprs
+from .scalars import Field
 from .unitary import IndifferentSet, InvolutorySet
 
 
@@ -29,8 +42,65 @@ class CarrierMismatch(ValueError):
     pass
 
 
+# -- root groups --------------------------------------------------------------
+
+class ParamGroup(namedtuple("ParamGroup", (
+        "op", "inv", "identity", "is_identity", "key", "elements", "draw",
+        "render", "coord_field", "exponent"))):
+    """A root group given by its operations: op, inverse, identity (a
+    fresh element), identity test, hashable key, enumeration (raising
+    TypeError when infinite), a seeded draw(rng, height), and rendering.
+    It has q^exponent elements, q the order of its coordinate field."""
+
+    __slots__ = ()
+
+    def random(self, rng, height=9, nonzero=False):
+        """A draw; drawn again until it is no identity, when asked for."""
+        while True:
+            x = self.draw(rng, height)
+            if not (nonzero and self.is_identity(x)):
+                return x
+
+    def is_finite(self):
+        return self.coord_field.is_finite()
+
+    def size(self):
+        if not self.is_finite():
+            raise TypeError("%r is not finite" % self.coord_field)
+        return self.coord_field.order() ** self.exponent
+
+
+def root_group(carrier, span=None):
+    """The root group a carrier parametrizes.  A field, tower, small field
+    or handle gives its additive group, or with a span (K0, L0) the
+    additive group of that span; a quadratic space gives its vectors
+    under +; a pseudo-quadratic space gives T under its product."""
+    if isinstance(carrier, QuadraticSpace):
+        sp = carrier
+        return ParamGroup(
+            operator.add, operator.neg, sp.zero, methodcaller("is_zero"),
+            methodcaller("key"), lambda: list(sp.enumerate_vectors()),
+            sp.random_vector, repr, sp.field, sp.dim)
+    if isinstance(carrier, PseudoQuadraticSpace):
+        sp, h = carrier, carrier.h
+        return ParamGroup(  # |T| = |K|^dim |K0|
+            operator.mul, methodcaller("inverse"), sp.identity,
+            methodcaller("is_identity"), methodcaller("key"),
+            lambda: list(sp.enumerate_t()), sp.random_point, repr,
+            h.coord_field, h.coord_dim * sp.dim + sp.inv.k0.dim)
+    h = as_handle(carrier)
+    if span is None:
+        return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, h.elements,
+                          h.random, h.render, h.coord_field, h.coord_dim)
+    return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, span.elements,
+                      span.sample, h.render, h.coord_field, span.dim)
+
+
+# -- Moufang sets -------------------------------------------------------------
+
 class MoufangSet:
-    """Family dispatch; the canonical unit is fixed per family."""
+    """A Moufang set on the root group of its payload; the canonical unit
+    is fixed per family."""
 
     LINEAR = "linear"
     INVOLUTORY = "involutory"
@@ -38,80 +108,82 @@ class MoufangSet:
     QUADRATIC = "quadratic"
     PSEUDOQUADRATIC = "pseudoquadratic"
 
+    # what each family is built on; a linear set takes any carrier
+    # `as_handle` accepts
+    _PAYLOADS = {
+        LINEAR: (Handle, Field, CDAlgebra, SmallField),
+        INVOLUTORY: InvolutorySet,
+        INDIFFERENT: IndifferentSet,
+        QUADRATIC: QuadraticSpace,
+        PSEUDOQUADRATIC: PseudoQuadraticSpace,
+    }
+
     def __init__(self, family, payload, name=None):
+        if family not in self._PAYLOADS:
+            raise ValueError("unknown family %r" % family)
+        if not isinstance(payload, self._PAYLOADS[family]):
+            raise TypeError("a %s Moufang set cannot be built on a %s"
+                            % (family, type(payload).__name__))
         self.family = family
         self.payload = payload
         self.name = name
         if family == self.LINEAR:
             self.h = as_handle(payload)
-        elif family == self.INVOLUTORY:
-            assert isinstance(payload, InvolutorySet)
+            self.group = root_group(self.h)
+        elif family in (self.INVOLUTORY, self.INDIFFERENT):
             self.h = payload.handle
-        elif family == self.INDIFFERENT:
-            assert isinstance(payload, IndifferentSet)
-            self.h = payload.handle
-        elif family == self.QUADRATIC:
-            assert isinstance(payload, QuadraticSpace)
-            self.h = None
-        elif family == self.PSEUDOQUADRATIC:
-            assert isinstance(payload, PseudoQuadraticSpace)
-            self.h = payload.h
+            self.group = root_group(self.h, payload.k0)
         else:
-            raise ValueError("unknown family %r" % family)
+            self.h = None
+            self.group = root_group(payload)
 
-    # -- group structure on the carrier -------------------------------------
+    # -- the root group ------------------------------------------------------
     def op(self, x, y):
-        if self.family == self.PSEUDOQUADRATIC:
-            return x * y
-        if self.family == self.QUADRATIC:
-            return x + y
-        return self.h.add(x, y)
+        return self.group.op(x, y)
 
     def zero(self):
-        if self.family == self.PSEUDOQUADRATIC:
-            return self.payload.identity()
-        if self.family == self.QUADRATIC:
-            return self.payload.zero()
-        if self.family in (self.INVOLUTORY, self.INDIFFERENT):
-            return self.h.zero()
-        return self.h.zero()
-
-    def unit(self):
-        if self.family == self.PSEUDOQUADRATIC:
-            return self.payload.unit()
-        if self.family == self.QUADRATIC:
-            return self.payload.basepoint
-        return self.h.one()
+        return self.group.identity()
 
     def is_zero(self, x):
-        if self.family == self.PSEUDOQUADRATIC:
-            return x.is_identity()
-        if self.family == self.QUADRATIC:
-            return x.is_zero()
-        return self.h.is_zero(x)
+        return self.group.is_identity(x)
 
     def key(self, x):
-        if self.family == self.PSEUDOQUADRATIC:
-            return x.key()
-        if self.family == self.QUADRATIC:
-            return x.key()
-        return self.h.key(x)
+        return self.group.key(x)
 
     def eq(self, x, y):
         return self.key(x) == self.key(y)
 
-    # -- tau and Hua ---------------------------------------------------------
+    def is_finite(self):
+        return self.group.is_finite()
+
+    def size(self):
+        """How many elements a finite carrier has, counted without
+        listing it."""
+        return self.group.size()
+
+    def elements(self):
+        return self.group.elements()
+
+    def random(self, rng, height=9, nonzero=False):
+        return self.group.random(rng, height, nonzero=nonzero)
+
+    # -- unit, tau and Hua --------------------------------------------------
+    def unit(self):
+        if self.family == self.QUADRATIC:
+            return self.payload.basepoint
+        if self.family == self.PSEUDOQUADRATIC:
+            return self.payload.unit()
+        return self.h.one()
+
     def tau(self, x):
         if self.is_zero(x):
             raise ZeroArgument("tau is defined away from zero")
+        sp = self.payload
         if self.family == self.QUADRATIC:
-            sp = self.payload
             return (-sp.sigma(x)).scale(sp.q(x).inv())
         if self.family == self.PSEUDOQUADRATIC:
-            sp = self.payload
-            h = sp.h
-            tinv = h.inv(x.t)
-            return TPoint(sp, sp.vec_scale(x.a, tinv), h.neg(tinv))
+            tinv = sp.h.inv(x.t)
+            return TPoint(sp, sp.vec_scale(x.a, tinv), sp.h.neg(tinv))
         return self.h.neg(self.h.inv(x))
 
     def hua(self, a, x):
@@ -122,49 +194,6 @@ class MoufangSet:
         if self.family == self.PSEUDOQUADRATIC:
             return t_hua(a, x)
         return self.h.mul(self.h.mul(a, x), a)
-
-    # -- carriers --------------------------------------------------------------
-    def is_finite(self):
-        if self.family == self.QUADRATIC:
-            return self.payload.field.is_finite()
-        if self.family == self.PSEUDOQUADRATIC:
-            return self.payload.h.is_finite()
-        if self.family in (self.INVOLUTORY, self.INDIFFERENT):
-            return self.h.coord_field.is_finite()
-        return self.h.is_finite()
-
-    def elements(self):
-        if self.family == self.QUADRATIC:
-            return list(self.payload.enumerate_vectors())
-        if self.family == self.PSEUDOQUADRATIC:
-            return list(self.payload.enumerate_t())
-        if self.family == self.INVOLUTORY:
-            return self.payload.k0.elements()
-        if self.family == self.INDIFFERENT:
-            return self.payload.k0.elements()
-        return self.h.elements()
-
-    def size(self):
-        """How many elements a finite carrier has; a field or tower carrier
-        is counted without listing it."""
-        if self.family == self.LINEAR:
-            return self.h.coord_field.order() ** self.h.coord_dim
-        return len(self.elements())
-
-    def random(self, rng, height=9, nonzero=False):
-        if self.family == self.QUADRATIC:
-            return self.payload.random_vector(rng, height, nonzero=nonzero)
-        if self.family == self.PSEUDOQUADRATIC:
-            while True:
-                p = self.payload.random_point(rng, height)
-                if not (nonzero and p.is_identity()):
-                    return p
-        if self.family == self.INVOLUTORY or self.family == self.INDIFFERENT:
-            while True:
-                x = self.payload.k0.sample(rng, height)
-                if not (nonzero and self.h.is_zero(x)):
-                    return x
-        return self.h.random(rng, height, nonzero=nonzero)
 
     def __repr__(self):
         return self.name or "M[%s](%r)" % (self.family, self.payload)
@@ -220,7 +249,7 @@ def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
         raise CarrierMismatch("one carrier is finite, the other is not")
     if m1.is_finite():
         elems = m1.elements()
-        if len(m2.elements()) != len(elems):
+        if m2.size() != len(elems):
             raise CarrierMismatch("carrier sizes differ")
     else:
         rng = random.Random(seed)

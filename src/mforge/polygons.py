@@ -2,6 +2,8 @@
 families as root group sequences: commutator tables, a collection-based
 word group, opposites, Hua end actions and consistency verification.
 
+Each slot group is the root group `moufang.root_group` builds from the
+parameter system, the same builder that gives a Moufang set its carrier.
 Words are kept in normal form x_1(m_1)...x_n(m_n) with strictly increasing
 indices.  The standard tables are stored literally (with inverse-argument
 entries rewritten by substituting the parameter-group inverse); opposite
@@ -11,13 +13,13 @@ validated against the quoted opposite forms on the finite instances.
 
 from __future__ import annotations
 
-import operator
+import math
 import random
-from operator import methodcaller
 
 import numpy as np
 
 from . import tables as tbl
+from .moufang import root_group
 from .pseudoquad import TPoint, t_hua
 from .quadspace import qs_hua
 from .report import Report
@@ -44,28 +46,10 @@ OPPOSITE = "opposite"
 
 _REJECT_ONLY = (SYMBOL_QE, SYMBOL_QF)
 
-
-# -- parameter groups ---------------------------------------------------------
-
-class ParamGroup:
-    """A parameter group of a root group sequence, given by its operations:
-    op, inverse, identity (a fresh element), identity test, hashable key,
-    enumeration (raising TypeError when infinite), seeded sampling
-    random(rng, height=9, nonzero=False), and rendering."""
-
-    __slots__ = ("op", "inv", "identity", "is_identity", "key", "elements",
-                 "random", "render")
-
-    def __init__(self, op, inv, identity, is_identity, key, elements, random,
-                 render):
-        self.op = op
-        self.inv = inv
-        self.identity = identity
-        self.is_identity = is_identity
-        self.key = key
-        self.elements = elements
-        self.random = random
-        self.render = render
+# rgs_hua_consistency builds and sweeps a word group only up to this many
+# words: its Cayley table holds the square, 2^24 int32 entries (64 MB) at
+# the bound.  The largest shipped case, QP-Xi-F4, has 1024 words.
+_EXHAUSTIVE_WORDS = 4096
 
 
 # -- descriptors --------------------------------------------------------------
@@ -140,33 +124,13 @@ class PolygonDescriptor:
 def _standard_layout(symbol, params):
     """Slot groups and the literal standard relation table.
 
-    Relations quoted with inverted arguments are rewritten by substituting
-    the parameter-group inverse for that slot.
+    Every slot group comes from `moufang.root_group`.  Relations quoted
+    with inverted arguments are rewritten by substituting the
+    parameter-group inverse for that slot.
     """
-    def resampled(draw, is_identity):
-        # draw(rng, height) again until nonzero, when asked for
-        def random(rng, height=9, nonzero=False):
-            while True:
-                x = draw(rng, height)
-                if not (nonzero and is_identity(x)):
-                    return x
-        return random
-
-    def additive(h, span=None):
-        # a whole carrier (field / tower), or a span K0 / L0 in it, under +
-        if span is None:
-            elements = h.elements
-            random = (lambda rng, height=9, nonzero=False:
-                      h.random(rng, height, nonzero=nonzero))
-        else:
-            elements = span.elements
-            random = resampled(span.sample, h.is_zero)
-        return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, elements,
-                          random, h.render)
-
     if symbol == SYMBOL_T:
         h = params  # an algebra handle
-        grp = additive(h)
+        grp = root_group(h)
         groups = [grp, grp, grp]
 
         def rel(i, a, j, b):
@@ -178,8 +142,8 @@ def _standard_layout(symbol, params):
     if symbol == SYMBOL_QI:
         inv_set = params
         h = inv_set.handle
-        k0 = additive(h, inv_set.k0)
-        k = additive(h)
+        k0 = root_group(h, inv_set.k0)
+        k = root_group(h)
         groups = [k0, k, k0, k]
         sig = inv_set.sigma
 
@@ -200,12 +164,8 @@ def _standard_layout(symbol, params):
     if symbol == SYMBOL_QP:
         sp = params
         h = sp.h
-        is_identity = methodcaller("is_identity")
-        tg = ParamGroup(  # the group T under its product
-            operator.mul, methodcaller("inverse"), sp.identity, is_identity,
-            methodcaller("key"), lambda: list(sp.enumerate_t()),
-            resampled(sp.random_point, is_identity), repr)
-        k = additive(h)
+        tg = root_group(sp)
+        k = root_group(h)
         groups = [tg, k, tg, k]
         sig = sp.inv.sigma
 
@@ -230,14 +190,8 @@ def _standard_layout(symbol, params):
 
     if symbol == SYMBOL_QQ:
         sp = params
-        fld = sp.field
-        k = additive(_field_handle(fld))
-        v = ParamGroup(  # the vector group
-            operator.add, operator.neg, sp.zero, methodcaller("is_zero"),
-            methodcaller("key"), lambda: list(sp.enumerate_vectors()),
-            lambda rng, height=9, nonzero=False: sp.random_vector(
-                rng, height, nonzero=nonzero),
-            repr)
+        k = root_group(sp.field)
+        v = root_group(sp)
         groups = [k, v, k, v]
 
         def rel(i, a, j, b):
@@ -260,8 +214,8 @@ def _standard_layout(symbol, params):
         if not axioms.passed:
             raise ValueError("indifferent-set axioms fail: %r" % axioms)
         h = ind.handle
-        k0 = additive(h, ind.k0)
-        l0 = additive(h, ind.l0)
+        k0 = root_group(h, ind.k0)
+        l0 = root_group(h, ind.l0)
         groups = [k0, l0, k0, l0]
 
         def rel(i, a, j, b):
@@ -279,11 +233,6 @@ def _standard_layout(symbol, params):
 
 def _clean(groups, factors):
     return [(k, w) for (k, w) in factors if not groups[k - 1].is_identity(w)]
-
-
-def _field_handle(field):
-    from .handles import FieldHandle
-    return FieldHandle(field)
 
 
 def rgs_opposite(desc):
@@ -548,7 +497,7 @@ def rgs_hua_end_action(desc, end, s):
     sym, ori = desc.symbol, desc.orientation
 
     if sym == SYMBOL_T:
-        h = desc.params if ori == STANDARD else _opp(desc.params)
+        h = desc.params if ori == STANDARD else desc.params.opposite()
         if end == "first":
             return (lambda t: h.mul(s, h.mul(t, s)),
                     lambda u: h.mul(h.inv(s), u))
@@ -626,25 +575,25 @@ def rgs_hua_end_action(desc, end, s):
     raise ValueError("no Hua actions for symbol %r" % sym)
 
 
-def _opp(handle):
-    return handle.opposite()
-
-
 def rgs_hua_consistency(desc, samples=1000, seed=47):
     """Well-definedness of the end actions.
 
-    Triangles get the closed-form identities on samples; finite parameter
-    systems get the exhaustive automorphism-extension check on the full
-    word group; infinite quadrangles get sampled endomorphism checks of
-    the end maps themselves.
+    A finite parameter system whose word group has at most 4096 words
+    (`_EXHAUSTIVE_WORDS`, counted from the slot sizes) gets the
+    exhaustive automorphism-extension check on that group.  Other
+    triangles get the closed-form identities on samples, other
+    quadrangles sampled endomorphism checks of the end maps themselves.
     """
     rep = Report("hua.consistency", seed=seed, subject=repr(desc))
     rng = random.Random(seed)
-    finite = all(_group_is_finite(desc.group(i))
-                 for i in range(1, desc.n + 1))
+    groups = [desc.group(i) for i in range(1, desc.n + 1)]
+    exhaustive = (all(g.is_finite() for g in groups) and math.prod(
+        g.size() for g in groups) <= _EXHAUSTIVE_WORDS)
 
-    if desc.symbol == SYMBOL_T and not finite:
-        h = desc.params if desc.orientation == STANDARD else _opp(desc.params)
+    if desc.symbol == SYMBOL_T and not exhaustive:
+        h = desc.params
+        if desc.orientation == OPPOSITE:
+            h = h.opposite()
 
         laws = [("triangle.first-end-identity",
                  lambda s, t, u: h.mul(h.mul(s, h.mul(t, s)),
@@ -661,7 +610,7 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
                 law, samples, cex=lambda *stu: tuple(map(h.render, stu)))
         return rep
 
-    if finite:
+    if exhaustive:
         wg = WordGroup(desc)
         for end in ("first", "last"):
             slot = 1 if end == "first" else desc.n
@@ -680,7 +629,7 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
                               len(anchors) * len(wg.elements) ** 2)
         return rep
 
-    # infinite quadrangles: endomorphism property of the end maps, on the
+    # other quadrangles: endomorphism property of the end maps, on the
     # first and then the last root group of each sampled anchor
     g1, gn = desc.group(1), desc.group(desc.n)
     for end in ("first", "last"):
@@ -700,14 +649,6 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
             g.key(m(g.op(x, y))) == g.key(g.op(m(x), m(y))),
             samples, cex=lambda slot, s, *rest: (slot, grp.render(s)))
     return rep
-
-
-def _group_is_finite(grp):
-    try:
-        grp.elements()
-        return True
-    except TypeError:
-        return False
 
 
 # -- shipped instances --------------------------------------------------------

@@ -33,6 +33,14 @@ list counterexample print differently there; ``ms_verify_shifted_q`` and
 lines share one random stream, so a later line's draws show where the
 stream was left.
 
+The root-group cases (``ms_verify_xi_*``, ``ms_verify_involutory_*``,
+``ms_verify_indifferent_f4``, ``ms_jordan_inverse_xi_f4``,
+``hua_consistency_qq_f4``, ``hua_consistency_qi_f4_galois``,
+``hua_consistency_qd_f2``, ``root_group_draws``) were recorded while
+``MoufangSet`` branched on its family for every group operation and the
+polygon slots built their groups separately.  ``root_group_draws`` pins
+the seeded draws, plain and nonzero, of every family and slot group.
+
 To record the files of new cases from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -508,6 +516,20 @@ def test_report_matches_golden(name):
 def test_every_golden_file_has_a_case():
     assert sorted(os.listdir(GOLDEN)) == sorted(
         os.path.basename(_path(name)) for name in CASES)
+
+
+def test_recorder_keeps_stored_files(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "GOLDEN", str(tmp_path))
+    monkeypatch.setitem(globals(), "CASES", {
+        "kept": lambda: "new\n", "named": lambda: "new\n",
+        "missing": lambda: "new\n"})
+    for name in ("kept", "named"):
+        (tmp_path / (name + ".json")).write_text("old\n")
+    assert main(["named"]) == 0
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        "kept.json": "old\n", "named.json": "new\n",
+        "missing.json": "new\n"}
+    assert main(["nosuchcase"]) == 2
 
 
 def main(argv):

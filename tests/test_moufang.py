@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from mforge.handles import SmallFieldHandle
@@ -7,7 +11,8 @@ from mforge.moufang import (CarrierMismatch, MoufangSet, ZeroArgument,
 from mforge.pseudoquad import xi_f4, xi_hamilton
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
 from mforge.scalars import F4, F5, QQ, Scalar
-from mforge.unitary import (SIGMA_STANDARD, IndifferentSet, InvolutorySet)
+from mforge.unitary import (SIGMA_GALOIS, SIGMA_STANDARD, IndifferentSet,
+                            InvolutorySet)
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +163,58 @@ def test_indifferent_family():
     ind = IndifferentSet(F2, [F2.one()], [F2.one()])
     m = MoufangSet(MoufangSet.INDIFFERENT, ind)
     assert ms_verify(m, samples=10).passed
+
+
+@pytest.mark.parametrize("family, payload", [
+    (MoufangSet.QUADRATIC, lambda: space_from_quadext(F4)),
+    (MoufangSet.PSEUDOQUADRATIC, xi_f4),
+    (MoufangSet.INVOLUTORY, lambda: InvolutorySet(F4, SIGMA_GALOIS)),
+    (MoufangSet.INDIFFERENT, lambda: IndifferentSet(
+        F4, [F4.one(), F4.gen()], [F4.one(), F4.gen()])),
+    (MoufangSet.LINEAR, lambda: F5),
+    (MoufangSet.LINEAR, lambda: SmallFieldHandle(
+        qs_small_dim_field(space_from_quadext(F4))[0])),
+], ids=["f4-space", "xi-f4", "f4-galois", "f4-indifferent", "f5",
+        "f4-small-field"])
+def test_size_is_counted_as_listed(family, payload):
+    m = MoufangSet(family, payload())
+    assert m.is_finite()
+    assert m.size() == len(m.elements())
+
+
+def test_large_tower_is_counted_without_listing():
+    from mforge.composition import CDAlgebra
+    m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F5, [-1, -1, -1]))
+    assert m.is_finite() and m.size() == 5 ** 8 == 390625
+
+
+def test_infinite_carrier_has_no_size():
+    m = MoufangSet(MoufangSet.LINEAR, QQ)
+    assert not m.is_finite()
+    with pytest.raises(TypeError):
+        m.size()
+
+
+def test_payload_type_is_checked():
+    with pytest.raises(TypeError, match="quadratic.*QuadExt"):
+        MoufangSet(MoufangSet.QUADRATIC, F4)
+    with pytest.raises(TypeError, match="involutory.*PseudoQuadraticSpace"):
+        MoufangSet(MoufangSet.INVOLUTORY, xi_f4())
+    with pytest.raises(TypeError, match="linear.*str"):
+        MoufangSet(MoufangSet.LINEAR, "F4")
+    with pytest.raises(ValueError, match="unknown family"):
+        MoufangSet("hexagonal", F4)
+
+
+def test_payload_type_is_checked_under_optimization():
+    # the check is no assert statement, so python -O keeps it
+    code = ("from mforge.moufang import MoufangSet\n"
+            "from mforge.scalars import F4\n"
+            "try:\n"
+            "    MoufangSet(MoufangSet.QUADRATIC, F4)\n"
+            "except TypeError:\n"
+            "    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "refused\n"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from mforge.polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE,
                              qq_f4_space, rgs_commutator, rgs_hua_consistency,
                              rgs_hua_end_action, rgs_multiply, rgs_opposite,
                              triangle)
-from mforge.scalars import F4, F5, F2
+from mforge.scalars import F2, F4, F5, PrimeField
 from mforge.unitary import (SIGMA_GALOIS, SIGMA_STANDARD, IndifferentSet,
                             InvolutorySet)
 
@@ -82,6 +83,17 @@ def test_qp_word_group_exhaustive(qp_desc):
     assert len(wg.elements) == 1024
     rep = wg.check_axioms()
     assert rep.passed, repr(rep)
+
+
+def test_slot_sizes_count_the_word_group():
+    qi = PolygonDescriptor(SYMBOL_QI, InvolutorySet(F4, SIGMA_GALOIS))
+    qd = PolygonDescriptor(SYMBOL_QD, IndifferentSet(F2, [F2.one()],
+                                                     [F2.one()]))
+    for desc in (qq_f4_space(), qp_xi_f4(), triangle(F5), qi, qd):
+        groups = [desc.group(i) for i in range(1, desc.n + 1)]
+        assert all(g.size() == len(g.elements()) for g in groups)
+        assert math.prod(g.size() for g in groups) == len(
+            WordGroup(desc).elements)
 
 
 def test_random_associativity_infinite(tri_oct, octonions):
@@ -228,7 +240,17 @@ def test_triangle_f5_exhaustive():
     wg = WordGroup(d)
     assert len(wg.elements) == 125
     assert wg.check_axioms().passed
-    assert rgs_hua_consistency(d).passed
+    rep = rgs_hua_consistency(d)
+    assert rep.passed and rep.line("hua.first-end-extends").passed
+
+
+def test_triangle_over_large_prime_field_is_sampled():
+    # 101^3 words are too many to tabulate: the closed-form identities
+    # are sampled instead of building the word group
+    d = triangle(PrimeField(101), name="T(F101)")
+    rep = rgs_hua_consistency(d, samples=50, seed=3)
+    assert rep.passed
+    assert rep.line("triangle.first-end-identity").samples == 50
 
 
 def test_hua_end_actions_unit_is_identity(tri_oct, qq_desc, qp_desc,
