@@ -41,6 +41,14 @@ The root-group cases (``ms_verify_xi_*``, ``ms_verify_involutory_*``,
 polygon slots built their groups separately.  ``root_group_draws`` pins
 the seeded draws, plain and nonzero, of every family and slot group.
 
+The span cases (``inv_check_*_galois``, ``special_pairs_octonion_q``,
+``quaternion_subalgebras_octonion_q``, ``ind_opposite_f4``) were
+recorded while the K0 and L0 spans were a class of their own beside the
+tower subspaces, with a product closure of their own.  They pin the
+base-line comparison behind quad type iii, the subspaces of a special
+pair, the subalgebras grown around three seeded elements, and the spans
+of an indifferent set's opposites.
+
 To record the files of new cases from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -466,6 +474,67 @@ def root_group_draws():
     return "\n".join(lines) + "\n"
 
 
+def _inv_check_galois(name, field):
+    def case():
+        from mforge.unitary import SIGMA_GALOIS, InvolutorySet, inv_check
+        return inv_check(InvolutorySet(field(), SIGMA_GALOIS), samples=40,
+                         seed=3)
+    case.__name__ = "inv_check_%s_galois" % name
+    return case
+
+
+def _qi():
+    from mforge.scalars import QI
+    return QI
+
+
+def _f4():
+    from mforge.scalars import F4
+    return F4
+
+
+def special_pairs_octonion_q():
+    """A special pair, then a pair whose second element pairs with the
+    first."""
+    from mforge.composition import octonions_q
+    from mforge.octonion_aut import special_pair_check
+    O = octonions_q()
+    return "".join(_text(special_pair_check(e1, e2)) for e1, e2 in (
+        (O.unit(1), O.unit(2)), (O.unit(1), O.unit(1) + O.unit(2))))
+
+
+def quaternion_subalgebras_octonion_q():
+    """The basis of the subalgebra grown around each of three seeded w."""
+    from mforge.composition import octonions_q
+    from mforge.octonion_aut import extend_to_quaternion_subalgebra
+    O = octonions_q()
+    rng = random.Random(17)
+    lines = []
+    for _ in range(3):
+        w = O.random_element(rng, 5, nonzero=True)
+        sub = extend_to_quaternion_subalgebra(O, w)
+        lines.append(json.dumps([repr(w)] + [repr(b) for b in sub.basis()],
+                                separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def ind_opposite_f4():
+    """The opposite and double opposite of the F4 indifferent set, the
+    check of the opposite, and the squares comparison."""
+    from mforge.scalars import F4
+    from mforge.unitary import (IndifferentSet,
+                                double_opposite_matches_squares, ind_check,
+                                ind_opposite)
+    w = F4.gen()
+    ind = IndifferentSet(F4, [F4.one(), w], [F4.one(), w])
+    opp = ind_opposite(ind)
+    return "".join([
+        json.dumps([repr(opp), repr(ind_opposite(opp)),
+                    double_opposite_matches_squares(ind)],
+                   separators=(",", ":")) + "\n",
+        _text(ind_check(opp))])
+
+
 def identities_dim16_moufang():
     from mforge.composition import sedenion_style_q, verify_identities
     return _json_and_text(verify_identities(sedenion_style_q(), "moufang",
@@ -491,6 +560,9 @@ CASES = {f.__name__: f for f in (
     ms_verify_involutory_quaternion_q, ms_verify_indifferent_f4,
     ms_jordan_inverse_xi_f4, hua_consistency_qq_f4,
     hua_consistency_qi_f4_galois, hua_consistency_qd_f2, root_group_draws,
+    _inv_check_galois("qi", _qi), _inv_check_galois("f4", _f4),
+    special_pairs_octonion_q, quaternion_subalgebras_octonion_q,
+    ind_opposite_f4,
     *TOWER_CASES,
     _dot_case("a2_octonion"), _dot_case("f443_involutory"),
     *[_fnd_check_case(name) for name in _fnd_names()])}
