@@ -27,7 +27,9 @@ conj(x) * N(x)^-1 contract the stored integers with the table; sums,
 ``coords`` are lowered only when read.  The integer rows and their
 contraction come from ``linalg``, as does the ``Projector`` behind every
 coordinate and membership question here: the split of a ``DoublingFrame``
-and ``Subspace.contains``.
+and ``Subspace.contains``.  ``Subspace`` is the one span class, for
+subspaces of a tower and for spans inside any handle, and ``closure`` the
+one closure of a span under products.
 """
 
 from __future__ import annotations
@@ -460,47 +462,84 @@ def commutator(x, y):
 
 
 class Subspace:
-    """Subspace of a tower, basis kept in exact reduced row-echelon form;
-    membership goes through a ``linalg.Projector`` onto it."""
+    """The one span class: the span of some carrier elements over the
+    coordinate field, read through a tower (as its ``CDHandle``) or any
+    ``handles.Handle``.  Subspaces of a tower and the spans K0 and L0 of
+    involutory and indifferent sets are both of this kind.  The basis is
+    kept in exact reduced row-echelon form; membership goes through a
+    ``linalg.Projector`` onto it."""
 
-    def __init__(self, algebra, vectors):
-        self.algebra = algebra
-        self._rows, self._pivots = linalg.rref([list(v.coords)
+    def __init__(self, carrier, vectors):
+        if isinstance(carrier, CDAlgebra):
+            from .handles import CDHandle  # handles imports this module
+            carrier = CDHandle(carrier)
+        self.handle = carrier
+        self._rows, self._pivots = linalg.rref([carrier.coords(v)
                                                 for v in vectors])
-        self._basis = [algebra.element(r) for r in self._rows]
+        self._basis = [carrier.uncoords(r) for r in self._rows]
 
     @functools.cached_property
     def _projector(self):
-        return linalg.Projector(self.algebra.base, self._rows,
-                                self.algebra.dim, pivots=self._pivots)
+        h = self.handle
+        return linalg.Projector(h.coord_field, self._rows, h.coord_dim,
+                                pivots=self._pivots)
 
     @property
     def dim(self):
-        return len(self._basis)
+        return len(self._rows)
 
     def basis(self):
         return list(self._basis)
 
     def contains(self, x):
-        return self._projector.contains_lifted(x.nums)
+        if isinstance(x, CDElement):  # hand over its stored integers
+            return self._projector.contains_lifted(x.nums)
+        return self._projector.contains(self.handle.coords(x))
 
     def extended(self, vectors):
-        return Subspace(self.algebra, self.basis() + list(vectors))
+        return Subspace(self.handle, self._basis + list(vectors))
+
+    def is_full(self):
+        return self.dim == self.handle.coord_dim
+
+    def _scaled(self, x, c):
+        """x scaled coordinate-wise by c in the coordinate field."""
+        h = self.handle
+        return h.uncoords([ci * c for ci in h.coords(x)])
+
+    def sample(self, rng, height=9):
+        h = self.handle
+        acc = h.zero()
+        for b in self._basis:
+            c = random_scalar(h.coord_field, rng, height)
+            acc = h.add(acc, self._scaled(b, c))
+        return acc
+
+    def elements(self):
+        """All span elements (finite coordinate field only).  The reduced
+        basis is independent, so no element comes twice."""
+        h = self.handle
+        if not h.coord_field.is_finite():
+            raise TypeError("infinite span")
+        out = [h.zero()]
+        for b in self._basis:
+            out = [h.add(e, self._scaled(b, c))
+                   for e in out for c in h.coord_field.elements()]
+        return out
 
     def is_subalgebra(self):
-        one = self.algebra.one()
-        if not self.contains(one):
+        h = self.handle
+        if not self.contains(h.one()):
             return False
-        bas = self.basis()
-        return all(self.contains(a * b) for a in bas for b in bas)
+        bas = self._basis
+        return all(self.contains(h.mul(a, b)) for a in bas for b in bas)
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and other.algebra == self.algebra
-                and [b.key() for b in other._basis]
-                == [b.key() for b in self._basis])
+        return (isinstance(other, Subspace) and other.handle == self.handle
+                and other._rows == self._rows)
 
     def __repr__(self):
-        return "span<%d dim=%d>" % (self.algebra.dim, self.dim)
+        return "span<%d dim=%d>" % (self.handle.coord_dim, self.dim)
 
 
 def orthogonal_complement(algebra, space):
@@ -514,15 +553,25 @@ def orthogonal_complement(algebra, space):
     return Subspace(algebra, [algebra.element(v) for v in ker])
 
 
+def closure(span):
+    """The closure of a span under its handle's products: (span, "full")
+    once it is the whole carrier, or (span, "stable") when the products
+    of its basis stay inside it.  A round that does not stop adds a
+    dimension, so at most coord_dim rounds run."""
+    mul = span.handle.mul
+    while not span.is_full():
+        bas = span.basis()
+        extra = [p for p in (mul(a, b) for a in bas for b in bas)
+                 if not span.contains(p)]
+        if not extra:
+            return span, "stable"
+        span = span.extended(extra)
+    return span, "full"
+
+
 def subalgebra_generated(algebra, gens):
     """Smallest subspace containing 1 and gens that is closed under products."""
-    space = Subspace(algebra, [algebra.one()] + list(gens))
-    while True:
-        bas = space.basis()
-        extra = [a * b for a in bas for b in bas if not space.contains(a * b)]
-        if not extra:
-            return space
-        space = space.extended(extra)
+    return closure(Subspace(algebra, [algebra.one()] + list(gens)))[0]
 
 
 def center(algebra):

@@ -19,7 +19,7 @@ import zlib
 
 from . import linalg
 from .handles import CDHandle, FieldHandle
-from .moufang import MoufangSet, ms_jordan_check
+from .moufang import EXHAUSTIVE_SIZE, MoufangSet, ms_jordan_check
 from .polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE, SYMBOL_QF,
                        SYMBOL_QI, SYMBOL_QP, SYMBOL_QQ, SYMBOL_T,
                        rgs_opposite)
@@ -544,8 +544,8 @@ def fnd_check(fnd, samples=60, seed=53):
 
     def jordan(i, j, k):
         src, dst = fnd.end_mset(i, j, j), fnd.end_mset(j, k, j)
-        mode = ("exhaustive" if src.is_finite() and src.size() <= 64
-                else "sampled")
+        mode = ("exhaustive" if src.is_finite()
+                and src.size() <= EXHAUSTIVE_SIZE else "sampled")
         # crc32 of the labels, unlike hash(), is the same in every process
         sub_seed = seed + zlib.crc32(repr((i, j, k)).encode()) % 1000
         return ms_jordan_check(fnd.glueing(i, j, k), src, dst, mode=mode,

@@ -9,17 +9,18 @@ only what differs between the carriers.  A tower can also be read with its
 multiplication reversed (`opposite()`), which sets the handle's `reversed`
 flag; fields and small fields are commutative and are their own opposite.
 A handle bundles the protocol together with exact coordinates over a
-ground field so spans can be decided by linear algebra.
+ground field so spans can be decided by linear algebra: a span inside a
+handle is a `composition.Subspace`, the one span class (`Span` is its
+older name here), and `composition.closure` its closure under products.
 """
 
 from __future__ import annotations
 
-import functools
-
-from . import linalg
-from .composition import CDAlgebra
+from .composition import CDAlgebra, Subspace
 from .quadspace import SmallField
 from .scalars import Field, Scalar, random_scalar
+
+Span = Subspace  # the one span class, importable under this name too
 
 
 class Handle:
@@ -206,81 +207,3 @@ def as_handle(obj):
     if isinstance(obj, SmallField):
         return SmallFieldHandle(obj)
     raise TypeError("no handle for %r" % (obj,))
-
-
-class Span:
-    """An additive span of carrier elements over the coordinate field,
-    basis kept in exact reduced row-echelon form; membership goes through
-    a ``linalg.Projector`` onto it."""
-
-    def __init__(self, handle, gens):
-        self.handle = handle
-        self._rows, self._pivots = linalg.rref([handle.coords(g)
-                                                for g in gens])
-
-    @functools.cached_property
-    def _projector(self):
-        return linalg.Projector(self.handle.coord_field, self._rows,
-                                self.handle.coord_dim, pivots=self._pivots)
-
-    @property
-    def dim(self):
-        return len(self._rows)
-
-    def basis(self):
-        return [self.handle.uncoords(r) for r in self._rows]
-
-    def contains(self, x):
-        if isinstance(self.handle, CDHandle):  # hand over its stored integers
-            return self._projector.contains_lifted(x.nums)
-        return self._projector.contains(self.handle.coords(x))
-
-    def extended(self, xs):
-        return Span(self.handle, self.basis() + list(xs))
-
-    def is_full(self):
-        return self.dim == self.handle.coord_dim
-
-    def sample(self, rng, height=9):
-        acc = self.handle.zero()
-        for b in self.basis():
-            c = random_scalar(self.handle.coord_field, rng, height)
-            acc = self.handle.add(acc, _scale(self.handle, b, c))
-        return acc
-
-    def elements(self):
-        """All span elements (finite coordinate field only).  The reduced
-        basis is independent, so no element comes twice."""
-        h = self.handle
-        if not h.coord_field.is_finite():
-            raise TypeError("infinite span")
-        out = [h.zero()]
-        for b in self.basis():
-            out = [h.add(e, _scale(h, b, c))
-                   for e in out for c in h.coord_field.elements()]
-        return out
-
-
-def _scale(handle, x, c):
-    """Coordinate-wise scaling by an element of the coordinate field."""
-    return handle.uncoords([ci * c for ci in handle.coords(x)])
-
-
-def ring_closure(handle, span, rounds=8):
-    """Bounded span-closure under products.
-
-    Returns (final_span, status) with status in {"full", "stable",
-    "inconclusive"}: reached the whole carrier, provably stabilized below
-    it, or still growing when the round budget ran out.
-    """
-    current = span
-    for _ in range(rounds):
-        if current.is_full():
-            return current, "full"
-        bas = current.basis()
-        extra = [handle.mul(a, b) for a in bas for b in bas
-                 if not current.contains(handle.mul(a, b))]
-        if not extra:
-            return current, "stable"
-        current = current.extended(extra)
-    return current, "full" if current.is_full() else "inconclusive"

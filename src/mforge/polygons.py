@@ -13,6 +13,7 @@ validated against the quoted opposite forms on the finite instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -332,9 +333,10 @@ def rgs_multiply(w1, w2):
 
 # -- finite word groups -------------------------------------------------------
 
-class WordGroup:
-    """The full group U = U_1 ... U_n for a finite parameter system, with a
-    numpy Cayley table built by composing generator translations."""
+class WordGroup(tbl.FiniteGroupTable):
+    """The full group U = U_1 ... U_n for a finite parameter system: a
+    finite group table whose Cayley table is built by composing generator
+    translations."""
 
     def __init__(self, desc):
         self.desc = desc
@@ -346,7 +348,7 @@ class WordGroup:
         self.elements = []
         self.index = {}
         self._build_elements()
-        self._build_table()
+        super().__init__(self.elements, self._build_table(), self.identity)
 
     def _word_key(self, word):
         slots = []
@@ -356,7 +358,6 @@ class WordGroup:
         return tuple(slots)
 
     def _build_elements(self):
-        import itertools
         desc = self.desc
         ranges = [range(len(ms)) for ms in self.slot_elems]
         for combo in itertools.product(*ranges):
@@ -394,23 +395,12 @@ class WordGroup:
             for i, k in enumerate(combo):
                 col = right[i][k][col]
             table[:, g_idx] = col
-        self.table = table
-        self._right = right
-
-    def inverse_vector(self):
-        n_el = len(self.elements)
-        inv = np.empty(n_el, dtype=np.int32)
-        for g in range(n_el):
-            hits = np.nonzero(self.table[g] == self.identity)[0]
-            inv[g] = hits[0] if hits.size else -1
-        return inv
+        return table
 
     def check_axioms(self):
-        rep = tbl.check_group_axioms(self.table, self.identity,
-                                     self.inverse_vector())
+        rep = super().check_axioms()
         rep.subject = repr(self.desc)
-        rep.add("group.order", len(self.elements), True,
-                note="|U| = %d" % len(self.elements))
+        rep.add("group.order", self.n, True, note="|U| = %d" % self.n)
         return rep
 
     def element_index(self, word):
@@ -549,10 +539,10 @@ def rgs_hua_end_action(desc, end, s):
                         lambda b: b.scale(s.inv()))
             qa = sp.q(s)         # s in L0*
             return (lambda t: t * qa.inv(),
-                    lambda b: qs_hua(sp, s, b, cross_check=False))
+                    lambda b: qs_hua(sp, s, b))
         if end == "first":       # s in L0*
             qa = sp.q(s)
-            return (lambda b: qs_hua(sp, s, b, cross_check=False),
+            return (lambda b: qs_hua(sp, s, b),
                     lambda t: t * qa.inv())
         return (lambda b: b.scale(s.inv()),                 # s in K*
                 lambda t: s * s * t)
@@ -603,11 +593,23 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
                  lambda s, t, u: h.mul(h.mul(t, h.inv(s)),
                                        h.mul(s, h.mul(u, s)))
                  == h.mul(h.mul(t, u), s))]
+
+        def failing_without_inverse(law):
+            # a carrier that is no division ring has nonzero anchors with
+            # no inverse: the law fails at the first one
+            def holds(s, t, u):
+                try:
+                    return law(s, t, u)
+                except ZeroDivisionError:
+                    return False
+            return holds
+
         for rule, law in laws:
             rep.first_failure(
                 rule, ((h.random(rng, 9, nonzero=True), h.random(rng, 9),
                         h.random(rng, 9)) for _ in range(samples)),
-                law, samples, cex=lambda *stu: tuple(map(h.render, stu)))
+                failing_without_inverse(law), samples,
+                cex=lambda *stu: tuple(map(h.render, stu)))
         return rep
 
     if exhaustive:

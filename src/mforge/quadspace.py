@@ -202,21 +202,14 @@ def qs_eval(space, v):
     return space.q(v), space.trace(v), space.sigma(v)
 
 
-def qs_hua(space, a, v, cross_check=True):
-    """Hua map h_a(v); both defining routes computed and compared."""
+def qs_hua(space, a, v):
+    """Hua map h_a(v) = f(a, sigma(v)) a - q(a) sigma(v), in closed form."""
     a, v = space.vector(a), space.vector(v)
     qa = space.q(a)
     if qa.is_zero():
         raise ZeroAnchor("anchor has q = 0")
     vs = space.sigma(v)
-    closed = a.scale(space.f(a, vs)) - vs.scale(qa)
-    if cross_check:
-        # reflection route: pi_a pi_eps(v) * q(a)
-        def pi(w, c):
-            return w - c.scale(space.f(c, w) / space.q(c))
-        reflected = pi(pi(v, space.basepoint), a).scale(qa)
-        assert closed == reflected
-    return closed
+    return a.scale(space.f(a, vs)) - vs.scale(qa)
 
 
 def qs_defect(space):

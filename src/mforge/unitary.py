@@ -1,18 +1,19 @@
 """Involutory sets and indifferent sets: axioms, properness, quadratic-type
-classification, and opposites of indifferent sets."""
+classification, and opposites of indifferent sets.
+
+K0 and L0 are `composition.Subspace` spans inside the carrier's handle;
+the field K = <K0> and properness come from `composition.closure`, and
+two spans are compared with `==`."""
 
 from __future__ import annotations
 
 import random
 
+from .composition import Subspace, closure
 from .composition import center as cd_center
-from .handles import CDHandle, FieldHandle, Span, as_handle, ring_closure
+from .handles import CDHandle, FieldHandle, as_handle
 from .report import Report
 from .scalars import QuadExt
-
-
-class UnrepresentableClosure(ValueError):
-    pass
 
 
 SIGMA_IDENTITY = "identity"
@@ -42,7 +43,7 @@ class InvolutorySet:
         if not any(self.handle.sub(g, self.handle.one()).is_zero()
                    for g in gens):
             gens = [self.handle.one()] + gens
-        self.k0 = Span(self.handle, gens)
+        self.k0 = Subspace(self.handle, gens)
         self.name = name
 
     def sigma(self, x):
@@ -93,14 +94,8 @@ def inv_check(inv_set, samples=64, seed=3):
         samples, cex=lambda *ag: tuple(map(h.render, ag)))
 
     sigma_id = inv_set.sigma_is_identity(rng)
-    closure, status = ring_closure(h, inv_set.k0)
-    generates = status == "full"
-    if status == "inconclusive":
-        rep.add("proper", samples, False, note="ring-closure inconclusive")
-        proper = None
-    else:
-        proper = (not sigma_id) and generates
-        rep.add("proper", 1, True, note="proper" if proper else "non-proper")
+    proper = not sigma_id and closure(inv_set.k0)[1] == "full"
+    rep.add("proper", 1, True, note="proper" if proper else "non-proper")
     rep.quad_type = _quad_type(inv_set, sigma_id, rng, samples)
     rep.add("quad-type", 1, True, note=rep.quad_type)
     rep.proper = proper
@@ -114,10 +109,7 @@ def _quad_type(inv_set, sigma_id, rng, samples):
         if inv_set.sigma_tag != SIGMA_STANDARD:
             return "none"
         # K0 must be the center (the scalar line for dim >= 4 towers)
-        ctr = cd_center(alg)
-        k0_is_center = (inv_set.k0.dim == ctr.dim
-                        and all(ctr.contains(b) for b in inv_set.k0.basis()))
-        if not k0_is_center:
+        if inv_set.k0 != cd_center(alg):
             return "none"
         if alg.dim == 8:
             return "v"
@@ -138,38 +130,27 @@ def _quad_type(inv_set, sigma_id, rng, samples):
             return "i"
         return "none"
     # galois case: K0 must be the fixed field (the base line)
-    base_line = Span(h, [h.one()])
-    if inv_set.k0.dim == base_line.dim == 1 or _same_span(inv_set.k0, base_line):
-        return "iii"
-    return "none"
-
-
-def _same_span(a, b):
-    return a.dim == b.dim and all(a.contains(x) for x in b.basis())
+    return "iii" if inv_set.k0 == Subspace(h, [h.one()]) else "none"
 
 
 class IndifferentSet:
     """(K, K0, L0) in characteristic 2.
 
     K0 and L0 are additive spans given by generators; the field K of the
-    triple is the ring closure of K0, tracked as a span inside an ambient
-    field that keeps everything representable.  Opposites stay inside the
-    same ambient.
+    triple is the closure of K0 under products, a span inside the ambient
+    field.  Opposites stay inside the same ambient.
     """
 
     def __init__(self, ambient, k0_gens, l0_gens, name=None):
         self.handle = as_handle(ambient)
         if self.handle.characteristic() != 2:
             raise ValueError("indifferent sets live in characteristic 2")
-        self.k0 = Span(self.handle, list(k0_gens))
-        self.l0 = Span(self.handle, list(l0_gens))
+        self.k0 = Subspace(self.handle, list(k0_gens))
+        self.l0 = Subspace(self.handle, list(l0_gens))
         if not (self.k0.contains(self.handle.one())
                 and self.l0.contains(self.handle.one())):
             raise ValueError("both spans must contain 1")
-        self.k_field, self._k_status = ring_closure(self.handle, self.k0)
-        if self._k_status == "inconclusive":
-            raise UnrepresentableClosure("K = <K0> did not stabilize in the "
-                                         "ambient representation")
+        self.k_field = closure(self.k0)[0]
         self.name = name
 
     def __repr__(self):
@@ -197,10 +178,7 @@ def ind_check(ind):
             note="K = <K0> has dim %d" % ind.k_field.dim)
 
     k0_proper = ind.k0.dim != ind.k_field.dim
-    l_closure, l_status = ring_closure(h, ind.l0)
-    if l_status == "inconclusive":
-        raise UnrepresentableClosure("L = <L0> did not stabilize")
-    l0_proper = l_closure.dim != ind.l0.dim
+    l0_proper = closure(ind.l0)[0].dim != ind.l0.dim
     rep.proper = k0_proper and l0_proper
     rep.add("proper", 1, True, note="proper" if rep.proper else "non-proper")
 
@@ -221,21 +199,12 @@ def ind_opposite(ind):
     inside the same ambient field."""
     h = ind.handle
     k0_sq = [h.mul(g, g) for g in ind.k0.basis()]
-    return IndifferentSet(_carrier_of(ind), ind.l0.basis(), k0_sq,
-                          name="opp(%r)" % ind)
-
-
-def _carrier_of(ind):
-    h = ind.handle
-    if isinstance(h, FieldHandle):
-        return h.field
-    return h
+    return IndifferentSet(h, ind.l0.basis(), k0_sq, name="opp(%r)" % ind)
 
 
 def double_opposite_matches_squares(ind):
     """Generators of the double opposite span the squares of the originals."""
     h = ind.handle
     opp2 = ind_opposite(ind_opposite(ind))
-    k_sq = Span(h, [h.mul(g, g) for g in ind.k0.basis()])
-    l_sq = Span(h, [h.mul(g, g) for g in ind.l0.basis()])
-    return (_same_span(opp2.k0, k_sq) and _same_span(opp2.l0, l_sq))
+    return (opp2.k0 == Subspace(h, [h.mul(g, g) for g in ind.k0.basis()])
+            and opp2.l0 == Subspace(h, [h.mul(g, g) for g in ind.l0.basis()]))

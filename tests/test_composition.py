@@ -6,7 +6,7 @@ import pytest
 
 from mforge.composition import (CDAlgebra, DoublingFrame, NotInvertible,
                                 Subspace,
-                                bilinear, cd_conj_norm_trace,
+                                bilinear, cd_conj_norm_trace, closure,
                                 doubling_coordinates, center,
                                 norm_splitting, octonions_q,
                                 orthogonal_complement,
@@ -103,6 +103,28 @@ def test_subalgebra_generated(octonions):
                                 [octonions.unit(1), octonions.unit(2)])
     assert four.dim == 4
     assert four.is_subalgebra()
+
+
+def test_closure_reports_full_or_stable(octonions):
+    from mforge.handles import as_handle
+    from mforge.scalars import F4
+    one, i, j = octonions.one(), octonions.unit(1), octonions.unit(2)
+    span, status = closure(Subspace(octonions, [one, i]))
+    assert (span.dim, status) == (2, "stable")
+    span, status = closure(Subspace(octonions, [one, i, j, octonions.unit(4)]))
+    assert (span.dim, status) == (8, "full")
+    h = as_handle(F4)
+    assert closure(Subspace(h, [F4.gen()]))[1] == "full"
+
+
+def test_spans_are_equal_on_the_same_handle(quaternions):
+    from mforge.handles import as_handle
+    one, i = quaternions.one(), quaternions.unit(1)
+    span = Subspace(quaternions, [one, i])
+    assert span == Subspace(as_handle(quaternions), [one + i, i.scale(
+        QQ.scalar(3))])
+    assert span != Subspace(quaternions, [one])
+    assert span != Subspace(as_handle(quaternions).opposite(), [one, i])
 
 
 def test_orthogonal_complement(octonions, quaternions):

@@ -188,6 +188,16 @@ def test_large_tower_is_counted_without_listing():
     assert m.is_finite() and m.size() == 5 ** 8 == 390625
 
 
+def test_large_tower_is_verified_on_samples_only():
+    # 5^8 elements are too many for the bijectivity sweeps
+    from mforge.composition import CDAlgebra
+    m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F5, [-1, -1, -1]))
+    rep = ms_verify(m, samples=5)
+    assert [ln.rule for ln in rep.lines] == ["hua.endomorphism",
+                                             "hua.unit-is-identity"]
+    assert rep.passed and rep.line("hua.endomorphism").samples == 5
+
+
 def test_infinite_carrier_has_no_size():
     m = MoufangSet(MoufangSet.LINEAR, QQ)
     assert not m.is_finite()

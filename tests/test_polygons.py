@@ -253,6 +253,19 @@ def test_triangle_over_large_prime_field_is_sampled():
     assert rep.line("triangle.first-end-identity").samples == 50
 
 
+def test_triangle_law_fails_at_an_anchor_without_inverse():
+    # the F5 octonions are no division ring: the sampled law meets an
+    # isotropic anchor and records it instead of raising
+    from mforge.composition import CDAlgebra
+    algebra = CDAlgebra(F5, [-1, -1, -1])
+    rep = rgs_hua_consistency(triangle(algebra), samples=10, seed=3)
+    line = rep.line("triangle.last-end-identity")
+    assert not line.passed and line.samples == 10
+    anchor = algebra.element([int(c) for c in line.counterexample[0]
+                              .strip("()").split(",")])
+    assert anchor.norm().is_zero() and not anchor.is_zero()
+
+
 def test_hua_end_actions_unit_is_identity(tri_oct, qq_desc, qp_desc,
                                           octonions):
     m1, m3 = rgs_hua_end_action(tri_oct, "first", octonions.one())

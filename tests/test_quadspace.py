@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mforge.composition import quaternions_q
 from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, ZeroAnchor,
                               qs_defect, qs_eval, qs_hua,
                               qs_small_dim_field, space_from_algebra,
@@ -65,6 +66,35 @@ def test_hua_anchor_scaling_rule():
         x = sp.random_vector(rng, 9)
         s = random_scalar(QQ, rng, 9, nonzero=True)
         assert qs_hua(sp, a.scale(s), x) == qs_hua(sp, a, x).scale(s * s)
+
+
+def _hua_by_reflections(space, a, v):
+    """The second route to h_a(v): pi_a(pi_eps(v)) * q(a), with pi_c the
+    reflection in c."""
+    def pi(w, c):
+        return w - c.scale(space.f(c, w) / space.q(c))
+    return pi(pi(v, space.basepoint), a).scale(space.q(a))
+
+
+def test_hua_matches_reflections_on_every_f4_pair(f4_space):
+    vectors = list(f4_space.enumerate_vectors())
+    for a in vectors:
+        if a.is_zero():
+            continue
+        for v in vectors:
+            assert qs_hua(f4_space, a, v) == _hua_by_reflections(f4_space,
+                                                                 a, v)
+
+
+@pytest.mark.parametrize("space", [
+    space_from_quadext(QI, name="(Q(i),Q,N)"),
+    space_from_algebra(quaternions_q())], ids=["Qi", "quaternion-Q"])
+def test_hua_matches_reflections_on_samples(space):
+    rng = random.Random(7)
+    for _ in range(60):
+        a = space.random_vector(rng, 9, nonzero=True)
+        v = space.random_vector(rng, 9)
+        assert qs_hua(space, a, v) == _hua_by_reflections(space, a, v)
 
 
 def test_defect(f4_space):
