@@ -3,18 +3,37 @@
 Each returns the first violation in lexicographic order, or None:
 `first_assoc_violation` the first (a, b, c) with (ab)c != a(bc),
 `first_hom_violation` the first (a, b) with perm[ab] != perm[a]perm[b],
-and the identity and inverse checks the first bad index.  The
-associativity sweep is chunked per row, so the largest shipped word group
-(1024 elements, 2^30 triples) stays within memory and time budgets.
+and the identity and inverse checks the first bad index.
+
+The two sweeps run on a compact copy of the table (int16 up to 2^15
+elements, int32 above) in blocks of `_BLOCK` rows, gathering into
+buffers allocated once per call, so the largest shipped word group
+(1024 elements, 2^30 triples) takes a few megabytes beyond its table.
+The associativity sweep decides block by block, b rows outer and every a
+inner; only a failing block falls back to the per-row sweep
+`_first_assoc_by_rows`, which locates the lexicographically first
+triple.  The homomorphism sweep goes through row blocks in order, so its
+first failing block holds the first pair.  A table or permutation with
+an entry outside 0..n-1 is no index table: it takes the per-row sweep,
+or the whole-table homomorphism sweep, with numpy's own indexing rules.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_BLOCK = 128
 
-def first_assoc_violation(table):
-    t = np.asarray(table)
+
+def _compact(x, n):
+    """A copy of x in the smallest dtype that holds the indices 0..n-1,
+    or None when some entry is no such index."""
+    if x.size and (x.min() < 0 or x.max() >= n):
+        return None
+    return x.astype(np.int16 if n <= 1 << 15 else np.int32)
+
+
+def _first_assoc_by_rows(t):
     n = t.shape[0]
     for a in range(n):
         lhs = t[t[a], :]          # lhs[b, c] = (a*b)*c
@@ -23,6 +42,30 @@ def first_assoc_violation(table):
             bad = np.argwhere(lhs != rhs)
             b, c = int(bad[0][0]), int(bad[0][1])
             return (a, b, c)
+    return None
+
+
+def first_assoc_violation(table):
+    t = np.asarray(table)
+    n = t.shape[0]
+    s = _compact(t, n)
+    if s is None:
+        return _first_assoc_by_rows(t)
+    m = min(_BLOCK, n)
+    lhs = np.empty((m, n), dtype=s.dtype)
+    rhs = np.empty((m, n), dtype=s.dtype)
+    same = np.empty((m, n), dtype=bool)
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        bc = s[b0:b1].astype(np.intp)       # bc[b, c] = b*c
+        ab = s[:, b0:b1].astype(np.intp)    # ab[a, b] = a*b
+        lb, rb, eq = lhs[:b1 - b0], rhs[:b1 - b0], same[:b1 - b0]
+        for a in range(n):
+            np.take(s, ab[a], axis=0, out=lb, mode="clip")
+            np.take(s[a], bc, out=rb, mode="clip")
+            np.equal(lb, rb, out=eq)
+            if not eq.all():
+                return _first_assoc_by_rows(t)
     return None
 
 
@@ -46,9 +89,27 @@ def first_inverse_violation(table, inv, e):
 def first_hom_violation(table, perm):
     t = np.asarray(table)
     p = np.asarray(perm)
-    lhs = p[t]
-    rhs = t[p][:, p]
-    if np.array_equal(lhs, rhs):
-        return None
-    bad = np.argwhere(lhs != rhs)
-    return (int(bad[0][0]), int(bad[0][1]))
+    n = t.shape[0]
+    s, ps = _compact(t, n), _compact(p, n)
+    if s is None or ps is None or p.shape != (n,):
+        lhs = p[t]
+        rhs = t[p][:, p]
+        bad = np.argwhere(lhs != rhs)
+        return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
+    pi = ps.astype(np.intp)
+    m = min(_BLOCK, n)
+    lhs = np.empty((m, n), dtype=s.dtype)
+    rows = np.empty((m, n), dtype=s.dtype)
+    rhs = np.empty((m, n), dtype=s.dtype)
+    same = np.empty((m, n), dtype=bool)
+    for a0 in range(0, n, _BLOCK):
+        a1 = min(a0 + _BLOCK, n)
+        lb, rw, rb, eq = (buf[:a1 - a0] for buf in (lhs, rows, rhs, same))
+        np.take(ps, s[a0:a1].astype(np.intp), out=lb, mode="clip")
+        np.take(s, pi[a0:a1], axis=0, out=rw, mode="clip")
+        np.take(rw, pi, axis=1, out=rb, mode="clip")
+        np.equal(lb, rb, out=eq)
+        if not eq.all():
+            a, b = np.argwhere(~eq)[0]
+            return (a0 + int(a), int(b))
+    return None

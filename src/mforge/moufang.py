@@ -47,6 +47,10 @@ class CarrierMismatch(ValueError):
 # glueings take |M|^2 Hua maps or pairs
 EXHAUSTIVE_SIZE = 64
 
+# an exhaustive Jordan check asked for explicitly sweeps the |M|^2 pairs
+# of a carrier of at most this many elements, 2^16 pairs at the bound
+JORDAN_EXHAUSTIVE_SIZE = 256
+
 
 # -- root groups --------------------------------------------------------------
 
@@ -100,6 +104,21 @@ def root_group(carrier, span=None):
                           h.random, h.render, h.coord_field, h.coord_dim)
     return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, span.elements,
                       span.sample, h.render, h.coord_field, span.dim)
+
+
+def jordan_carrier(group):
+    """The elements of a root group an exhaustive Jordan check sweeps.
+    Its size is read first: an infinite carrier, or one larger than
+    `JORDAN_EXHAUSTIVE_SIZE`, raises ValueError before anything is
+    listed."""
+    size = group.size() if group.is_finite() else None
+    if size is None or size > JORDAN_EXHAUSTIVE_SIZE:
+        raise ValueError(
+            "an exhaustive Jordan check sweeps a finite carrier of at most "
+            "JORDAN_EXHAUSTIVE_SIZE = %d elements, not one with %s"
+            % (JORDAN_EXHAUSTIVE_SIZE,
+               "infinitely many" if size is None else size))
+    return group.elements()
 
 
 # -- Moufang sets -------------------------------------------------------------
@@ -283,7 +302,7 @@ def ms_jordan_check(gamma, m1, m2, mode="sampled", samples=200, seed=29):
     rep = Report("moufang.jordan", seed=seed,
                  subject="%r -> %r" % (m1, m2))
     if mode == "exhaustive":
-        elems = [x for x in m1.elements()]
+        elems = jordan_carrier(m1.group)
         pairs = [(x, y) for x in elems for y in elems]
     else:
         rng = random.Random(seed)

@@ -248,6 +248,35 @@ def rgs_opposite(desc):
 
 # -- words and collection -----------------------------------------------------
 
+def collect(factors, merge, commutator, max_rounds=10000):
+    """The normal form of a word given as (slot, parameter) factors.
+
+    Each round rewrites the first adjacent pair that is out of normal
+    form and starts again: two factors in slot i become their product
+    `merge(i, a, b)`, dropped when it returns None (the identity), and
+    x_i(a) x_j(b) with i > j becomes x_j(b) x_i(a) [x_i(a), x_j(b)], the
+    commutator given as factors by `commutator(i, a, j, b)`.  Parameters
+    may be group elements or indices; the callbacks fix which.
+    """
+    fs = list(factors)
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError("collection did not terminate")
+        for k in range(len(fs) - 1):
+            (i, a), (j, b) = fs[k], fs[k + 1]
+            if i == j:
+                m = merge(i, a, b)
+                fs[k:k + 2] = [] if m is None else [(i, m)]
+                break
+            if i > j:
+                fs[k:k + 2] = [(j, b), (i, a)] + commutator(i, a, j, b)
+                break
+        else:
+            return fs
+
+
 class RootWord:
     __slots__ = ("desc", "factors")
 
@@ -257,36 +286,19 @@ class RootWord:
 
     def normalized(self, max_rounds=10000):
         desc = self.desc
-        fs = list(self.factors)
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError("collection did not terminate")
-            changed = False
-            k = 0
-            while k + 1 < len(fs):
-                (i, a), (j, b) = fs[k], fs[k + 1]
-                if i == j:
-                    grp = desc.group(i)
-                    merged = grp.op(a, b)
-                    if grp.is_identity(merged):
-                        fs[k:k + 2] = []
-                    else:
-                        fs[k:k + 2] = [(i, merged)]
-                    changed = True
-                    break
-                if i > j:
-                    # x_i(a) x_j(b) = x_j(b) x_i(a) [x_i(a), x_j(b)] and
-                    # [x_i(a), x_j(b)] = [x_j(b), x_i(a)]^-1
-                    comm = desc.relation(j, b, i, a)
-                    inv_comm = [(m, desc.group(m).inv(w)) for (m, w) in comm]
-                    fs[k:k + 2] = [(j, b), (i, a)] + inv_comm
-                    changed = True
-                    break
-                k += 1
-            if not changed:
-                return RootWord(desc, fs)
+
+        def merge(i, a, b):
+            grp = desc.group(i)
+            m = grp.op(a, b)
+            return None if grp.is_identity(m) else m
+
+        def commutator(i, a, j, b):
+            # [x_i(a), x_j(b)] = [x_j(b), x_i(a)]^-1
+            return [(m, desc.group(m).inv(w))
+                    for (m, w) in desc.relation(j, b, i, a)]
+
+        return RootWord(desc, collect(self.factors, merge, commutator,
+                                      max_rounds))
 
     def __mul__(self, other):
         if not self.desc.same_shape(other.desc):
@@ -336,7 +348,12 @@ def rgs_multiply(w1, w2):
 class WordGroup(tbl.FiniteGroupTable):
     """The full group U = U_1 ... U_n for a finite parameter system: a
     finite group table whose Cayley table is built by composing generator
-    translations."""
+    translations.
+
+    The table is built in index space: a word is its slot indices into
+    `slot_elems` (index 0 the identity), and `collect` runs on
+    (slot, index) factors with per-slot product and inverse tables, so
+    each commutator is read from the descriptor once per build."""
 
     def __init__(self, desc):
         self.desc = desc
@@ -377,15 +394,43 @@ class WordGroup(tbl.FiniteGroupTable):
 
     def _build_table(self):
         desc = self.desc
+        ops, invs = [], []
+        for i, ms in enumerate(self.slot_elems):
+            grp, idx = desc.group(i + 1), self.slot_index[i]
+            ops.append([[idx[grp.key(grp.op(a, b))] for b in ms] for a in ms])
+            invs.append([idx[grp.key(grp.inv(a))] for a in ms])
+
+        def merge(i, a, b):
+            return ops[i - 1][a][b] or None
+
+        memo = {}
+
+        def commutator(i, a, j, b):
+            # [x_i(a), x_j(b)] = [x_j(b), x_i(a)]^-1, memoized per build
+            comm = memo.get((j, b, i, a))
+            if comm is None:
+                comm = memo[(j, b, i, a)] = [
+                    (m, invs[m - 1][self.slot_index[m - 1][
+                        desc.group(m).key(w)]])
+                    for (m, w) in desc.relation(
+                        j, self.slot_elems[j - 1][b],
+                        i, self.slot_elems[i - 1][a])]
+            return comm
+
         n_el = len(self.elements)
+        words = [[(i + 1, k) for i, k in enumerate(combo) if k]
+                 for combo in self.index]
         right = []  # right[i][k] = permutation of right-multiplying x_i(m_k)
-        for i in range(1, desc.n + 1):
-            perms = []
-            for m in self.slot_elems[i - 1]:
+        for i, ms in enumerate(self.slot_elems):
+            perms = [np.arange(n_el, dtype=np.int32)]
+            for k in range(1, len(ms)):
                 perm = np.empty(n_el, dtype=np.int32)
-                for w_idx, w in enumerate(self.elements):
-                    prod = RootWord(desc, w.factors + [(i, m)]).normalized()
-                    perm[w_idx] = self.index[self._word_key(prod)]
+                for w_idx, w in enumerate(words):
+                    combo = [0] * desc.n
+                    for (m, c) in collect(w + [(i + 1, k)], merge,
+                                          commutator):
+                        combo[m - 1] = c
+                    perm[w_idx] = self.index[tuple(combo)]
                 perms.append(perm)
             right.append(perms)
         table = np.empty((n_el, n_el), dtype=np.int32)
@@ -427,21 +472,25 @@ class WordGroup(tbl.FiniteGroupTable):
                 src = self.element_index(RootWord(desc, [(slot, m)]))
                 dst = self.element_index(RootWord(desc, [(slot, mapping(m))]))
                 gens.append((src, dst))
-        perm = np.full(n_el, -1, dtype=np.int64)
+        # the columns of the generators, as lists: the walk reads them
+        # one entry at a time
+        steps = [(g_src, self.table[:, g_src].tolist(),
+                  self.table[:, g_dst].tolist()) for g_src, g_dst in gens]
+        perm = [-1] * n_el
         perm[self.identity] = self.identity
         frontier = [self.identity]
         while frontier:
             w = frontier.pop()
-            for g_src, g_dst in gens:
-                nxt = int(self.table[w, g_src])
-                img = int(self.table[perm[w], g_dst])
+            for g_src, src_col, dst_col in steps:
+                nxt, img = src_col[w], dst_col[perm[w]]
                 if perm[nxt] == -1:
                     perm[nxt] = img
                     frontier.append(nxt)
                 elif perm[nxt] != img:
                     rep.add("extension.consistent", n_el, False,
-                            counterexample=(int(w), int(g_src)))
+                            counterexample=(w, g_src))
                     return rep, None
+        perm = np.array(perm, dtype=np.int64)
         reached = np.nonzero(perm != -1)[0]
         full = reached.size == n_el
         rep.add("extension.generates", n_el, True,

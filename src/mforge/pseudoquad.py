@@ -268,13 +268,15 @@ def t_group_table(space):
 def t_jordan_check(gamma, src, dst, mode="sampled", samples=200, seed=17):
     """Group iso + unit preservation + Hua preservation for gamma: T -> T~.
 
-    gamma is a callable on TPoints.  mode "exhaustive" enumerates finite
-    carriers; "sampled" uses a seeded stream.
+    gamma is a callable on TPoints.  mode "exhaustive" enumerates a
+    finite carrier of at most `moufang.JORDAN_EXHAUSTIVE_SIZE` points;
+    "sampled" uses a seeded stream.
     """
     rep = Report("tpoints.jordan", seed=seed,
                  subject="%r -> %r" % (src, dst))
     if mode == "exhaustive":
-        pts = list(src.enumerate_t())
+        from .moufang import jordan_carrier, root_group
+        pts = jordan_carrier(root_group(src))
         pairs = [(x, y) for x in pts for y in pts]
         anchors = [(x, y) for x in pts for y in pts if not x.is_identity()]
     else:

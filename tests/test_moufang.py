@@ -5,9 +5,10 @@ import sys
 import pytest
 
 from mforge.handles import SmallFieldHandle
-from mforge.moufang import (CarrierMismatch, MoufangSet, ZeroArgument,
-                            ms_coincide, ms_hua, ms_jordan_check, ms_tau,
-                            ms_verify)
+from mforge.composition import CDAlgebra
+from mforge.moufang import (JORDAN_EXHAUSTIVE_SIZE, CarrierMismatch,
+                            MoufangSet, ZeroArgument, ms_coincide, ms_hua,
+                            ms_jordan_check, ms_tau, ms_verify)
 from mforge.pseudoquad import xi_f4, xi_hamilton
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
 from mforge.scalars import F4, F5, QQ, Scalar
@@ -156,6 +157,23 @@ def test_jordan_shift_fails_unit(m_f4_linear):
                           mode="exhaustive")
     assert not rep.passed
     assert not rep.line("jordan.unit").passed
+
+
+def test_exhaustive_jordan_refuses_a_large_carrier_before_listing_it():
+    # the F5 octonions have 5^8 elements: refused on their size, not by
+    # CDHandle.elements' 2^16 guard
+    m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F5, [-1, -1, -1]))
+    assert m.size() > JORDAN_EXHAUSTIVE_SIZE
+    with pytest.raises(ValueError, match="JORDAN_EXHAUSTIVE_SIZE = 256 "
+                       "elements, not one with 390625"):
+        ms_jordan_check(lambda x: x, m, m, mode="exhaustive")
+
+
+def test_exhaustive_jordan_refuses_an_infinite_carrier():
+    m = MoufangSet(MoufangSet.LINEAR, QQ)
+    with pytest.raises(ValueError, match="JORDAN_EXHAUSTIVE_SIZE.*"
+                       "infinitely many"):
+        ms_jordan_check(lambda x: x, m, m, mode="exhaustive")
 
 
 def test_indifferent_family():

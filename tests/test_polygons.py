@@ -1,12 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mforge.handles import as_handle
 from mforge.polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE,
                              SYMBOL_QI, IndexOutOfRange, PolygonDescriptor,
-                             WordGroup, ZeroParameter, qp_xi_f4,
+                             RootWord, WordGroup, ZeroParameter, qp_xi_f4,
                              qq_f4_space, rgs_commutator, rgs_hua_consistency,
                              rgs_hua_end_action, rgs_multiply, rgs_opposite,
                              triangle)
@@ -233,6 +234,53 @@ def test_finite_word_groups_other_families():
     ind = IndifferentSet(F2, [F2.one()], [F2.one()])
     dqd = PolygonDescriptor(SYMBOL_QD, ind)
     assert WordGroup(dqd).check_axioms().passed
+
+
+def oracle_word_table(wg):
+    """The Cayley table of a word group from element-level collection:
+    each right translation by x_i(m) normalizes every word times x_i(m)
+    with `RootWord.normalized`, and the columns compose them."""
+    desc = wg.desc
+    n_el = len(wg.elements)
+    right = []
+    for i in range(1, desc.n + 1):
+        perms = []
+        for m in wg.slot_elems[i - 1]:
+            perm = np.empty(n_el, dtype=np.int32)
+            for w_idx, w in enumerate(wg.elements):
+                prod = RootWord(desc, w.factors + [(i, m)]).normalized()
+                perm[w_idx] = wg.element_index(prod)
+            perms.append(perm)
+        right.append(perms)
+    table = np.empty((n_el, n_el), dtype=np.int32)
+    arange = np.arange(n_el, dtype=np.int32)
+    for combo, g_idx in wg.index.items():
+        col = arange
+        for i, k in enumerate(combo):
+            col = right[i][k][col]
+        table[:, g_idx] = col
+    return table
+
+
+ORACLE_DESCRIPTORS = {
+    "QQ-F4": qq_f4_space,
+    "QP-Xi-F4": qp_xi_f4,
+    "T(F4)": lambda: triangle(F4, name="T(F4)"),
+    "QI-F4": lambda: PolygonDescriptor(SYMBOL_QI,
+                                       InvolutorySet(F4, SIGMA_GALOIS)),
+    "QD-F2": lambda: PolygonDescriptor(
+        SYMBOL_QD, IndifferentSet(F2, [F2.one()], [F2.one()])),
+}
+
+
+@pytest.mark.parametrize("orientation", [STANDARD, OPPOSITE])
+@pytest.mark.parametrize("name", list(ORACLE_DESCRIPTORS))
+def test_index_space_table_matches_collection_oracle(name, orientation):
+    desc = ORACLE_DESCRIPTORS[name]()
+    if orientation == OPPOSITE:
+        desc = rgs_opposite(desc)
+    wg = WordGroup(desc)
+    assert np.array_equal(wg.table, oracle_word_table(wg))
 
 
 def test_triangle_f5_exhaustive():

@@ -132,6 +132,12 @@ def test_jordan_check_identity(xf4):
     assert rep.passed
 
 
+def test_exhaustive_jordan_refuses_an_infinite_carrier(xh):
+    with pytest.raises(ValueError, match="JORDAN_EXHAUSTIVE_SIZE.*"
+                       "infinitely many"):
+        t_jordan_check(lambda p: p, xh, xh, mode="exhaustive")
+
+
 def test_jordan_check_space_isomorphism_induced(xf4):
     # the Frobenius on the carrier induces a space self-isomorphism,
     # whose point map (a, t) -> (a^sig, t^sig) must be a Jordan iso

@@ -171,3 +171,117 @@ def test_center_and_conjugation():
     assert s3.center_indices() == [s3.identity]
     inner = {tuple(int(v) for v in s3.conjugation(g)) for g in range(6)}
     assert len(inner) == 6  # S3 is centerless: Inn = S3
+
+
+# Block boundaries of the blocked sweeps.  The per-row references are the
+# sweeps the blocked kernels replaced; the brute-force oracles above join
+# them where n <= 40, with the block shrunk to 8 rows.
+
+def rows_hom(t, perm):
+    t, p = np.asarray(t), np.asarray(perm)
+    for a in range(len(t)):
+        bad = np.nonzero(p[t[a]] != t[p[a]][p])[0]
+        if bad.size:
+            return (a, int(bad[0]))
+    return None
+
+
+def boundary_cells(block):
+    """Cells in the first, a middle and the last block of a table of
+    order 2 * block + 3, on and next to the block edges."""
+    n = 2 * block + 3
+    return n, [(0, 1), (block - 1, 5), (block, block + 7),
+               (2 * block - 1, 2), (2 * block, n - 1), (n - 1, n - 2)]
+
+
+@pytest.fixture(params=[8, tables._kernel._BLOCK], ids=lambda b: "block%d" % b)
+def block(request, monkeypatch):
+    monkeypatch.setattr(tables._kernel, "_BLOCK", request.param)
+    return request.param
+
+
+def test_assoc_block_boundaries_match_references(block):
+    n, cells = boundary_cells(block)
+    assert tables.first_assoc_violation(cyclic(n)) is None
+    for cell in cells:
+        t = cyclic(n)
+        t[cell] = (sum(cell) + 1) % n
+        got = tables.first_assoc_violation(t)
+        assert got == tables._kernel._first_assoc_by_rows(t), cell
+        if n <= 40:
+            assert got == oracle_assoc(t.tolist()), cell
+
+
+def test_hom_block_boundaries_match_references(block):
+    n, cells = boundary_cells(block)
+    auto = np.array([(3 * a) % n for a in range(n)], dtype=np.int32)
+    assert tables.first_hom_violation(cyclic(n), auto) is None
+    for cell in cells:
+        t = cyclic(n)
+        t[cell] = (sum(cell) + 1) % n
+        got = tables.first_hom_violation(t, auto)
+        assert got == rows_hom(t, auto), cell
+        if n <= 40:
+            assert got == oracle_hom(t.tolist(), auto.tolist()), cell
+        bad = auto.copy()
+        bad[list(cell)] = bad[list(reversed(cell))]
+        got = tables.first_hom_violation(cyclic(n), bad)
+        assert got == rows_hom(cyclic(n), bad), cell
+        if n <= 40:
+            assert got == oracle_hom(cyclic(n).tolist(), bad.tolist()), cell
+
+
+def test_a_lone_violation_is_found_in_every_block(block):
+    # x*y = 0 except r*s = r: the one failing triple is (r, s, s), as
+    # (r*s)*s = r and r*(s*s) = 0.  The permutation swapping 3 and 4 is
+    # a homomorphism of x*y = 0, and fails only at (r, s) once r*s = 3.
+    n = 2 * block + 3
+    swap = np.arange(n, dtype=np.int32)
+    swap[[3, 4]] = [4, 3]
+    for r, s in ((1, 2), (1, block - 1), (2, block), (n - 1, 2 * block),
+                 (block + 1, n - 1)):
+        t = np.zeros((n, n), dtype=np.int32)
+        t[r, s] = r
+        assert tables.first_assoc_violation(t) == (r, s, s)
+        assert tables.first_hom_violation(t, swap) is None
+        t[r, s] = 3
+        assert tables.first_hom_violation(t, swap) == (r, s)
+        assert rows_hom(t, swap) == (r, s)
+
+
+def test_compact_copy_is_int16_up_to_2_15_elements():
+    n = 1 << 15
+    assert tables._kernel._compact(np.array([0, n - 1]), n).dtype == np.int16
+    assert tables._kernel._compact(np.array([0, n]), n + 1).dtype == np.int32
+    assert tables._kernel._compact(np.array([0, n]), n) is None
+    assert tables._kernel._compact(np.array([-1, 0]), n) is None
+
+
+def test_entries_outside_the_index_range_take_the_reference_sweeps():
+    t = cyclic(12)
+    t[3, 4] = -5          # numpy reads it as 7, as the per-row sweep does
+    assert tables._kernel.first_assoc_violation(t) \
+        == tables._kernel._first_assoc_by_rows(t) == (0, 3, 4)
+    t[3, 4] = 12
+    with pytest.raises(IndexError):
+        tables._kernel.first_assoc_violation(t)
+
+
+@pytest.fixture(scope="module")
+def qp_table():
+    from mforge.polygons import WordGroup, qp_xi_f4
+    return WordGroup(qp_xi_f4()).table
+
+
+def test_planted_cell_in_the_qp_xi_f4_table(qp_table):
+    t = qp_table.copy()
+    assert len(t) == 1024
+    t[425, 700] = (t[425, 700] + 1) % 1024
+    got = tables.first_assoc_violation(t)
+    assert got == tables._kernel._first_assoc_by_rows(t) == (1, 425, 700)
+    g = 37
+    ginv = int(np.nonzero(qp_table[g] == 0)[0][0])
+    inner = qp_table[qp_table[ginv, :], g]
+    assert tables.first_hom_violation(qp_table, inner) is None
+    got = tables.first_hom_violation(t, inner)
+    assert got is not None and got == rows_hom(t, inner)
