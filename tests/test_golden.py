@@ -49,6 +49,14 @@ base-line comparison behind quad type iii, the subspaces of a special
 pair, the subalgebras grown around three seeded elements, and the spans
 of an indifferent set's opposites.
 
+The Jordan cases (``t_jordan_sigma_xi_f4``, ``t_jordan_swap_xi_f4``,
+``t_jordan_inverse_hamilton``, ``ms_jordan_double_octonion_q``) were
+recorded while ``t_jordan_check`` and ``ms_jordan_check`` were two
+bodies, each with a ``mode`` argument.  They pin the exhaustive
+``tpoints.jordan`` shape with its ``jordan.bijective`` line, and the
+counterexamples of both sampled draw schemes: separate anchors for T,
+pairs reused as anchors for a Moufang set.
+
 To record the files of new cases from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -303,6 +311,45 @@ def t_jordan_hamilton():
                           xh, xh, samples=30, seed=3)
 
 
+def t_jordan_sigma_xi_f4():
+    """The sigma-induced map (a, t) -> (a^s, t^s) on T of Xi_F4 passes the
+    exhaustive sweep, jordan.bijective line included."""
+    from mforge.pseudoquad import TPoint, t_jordan_check, xi_f4
+    sp = xi_f4()
+    sig = sp.inv.sigma
+    return t_jordan_check(
+        lambda p: TPoint(sp, tuple(sig(x) for x in p.a), sig(p.t)), sp, sp,
+        mode="exhaustive")
+
+
+def t_jordan_swap_xi_f4():
+    """Swapping the first two non-central points of T fails the exhaustive
+    sweep on jordan.group-homomorphism."""
+    from mforge.pseudoquad import t_jordan_check, xi_f4
+    sp = xi_f4()
+    a, b = [p for p in sp.enumerate_t() if not p.is_central()][:2]
+    swap = {a.key(): b, b.key(): a}
+    return _json_and_text(t_jordan_check(lambda p: swap.get(p.key(), p),
+                                         sp, sp, mode="exhaustive"))
+
+
+def t_jordan_inverse_hamilton():
+    """Inversion on T of Xi_H fails at sampled pairs and anchors."""
+    from mforge.pseudoquad import t_jordan_check, xi_hamilton
+    xh = xi_hamilton()
+    return _json_and_text(t_jordan_check(lambda p: p.inverse(), xh, xh,
+                                         samples=30, seed=3))
+
+
+def ms_jordan_double_octonion_q():
+    """x -> x + x is additive but moves the unit and scales Hua maps by 4."""
+    from mforge.composition import octonions_q
+    from mforge.moufang import MoufangSet, ms_jordan_check
+    m = MoufangSet(MoufangSet.LINEAR, octonions_q())
+    return _json_and_text(ms_jordan_check(lambda x: x + x, m, m, samples=40,
+                                          seed=29))
+
+
 def inv_check_quaternion_q():
     from mforge.composition import quaternions_q
     from mforge.unitary import SIGMA_STANDARD, InvolutorySet, inv_check
@@ -553,6 +600,8 @@ CASES = {f.__name__: f for f in (
     ms_coincide_f4_small_field, psi_product_rule_f5, dim_switch_round_trip,
     ms_verify_octonion_q, ms_verify_f4_space, ms_verify_shifted_q,
     ms_jordan_conj_octonion_q, ms_jordan_frobenius_f4, t_jordan_hamilton,
+    t_jordan_sigma_xi_f4, t_jordan_swap_xi_f4, t_jordan_inverse_hamilton,
+    ms_jordan_double_octonion_q,
     inv_check_quaternion_q, inv_check_wide_k0, ind_check_f4,
     verify_space_quaternion_q, verify_space_f4, verify_space_shifted_trace,
     hua_consistency_qi_quaternion_q, identities_dim16_moufang,
