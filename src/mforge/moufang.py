@@ -12,6 +12,12 @@ its order counted from the carrier without listing it.
 structure, elements and samples from it; only the canonical unit, tau
 and the Hua maps depend on the family.  Coincidence and
 Jordan-isomorphism checks run against any pair.
+
+One rule, which no caller overrides, picks how every check here sweeps
+a carrier: exhaustively when it is finite with at most `EXHAUSTIVE_SIZE`
+elements, counted without listing it, and on seeded samples otherwise.
+The one Jordan-check body also serves `pseudoquad.t_jordan_check`, on
+the Moufang set of T.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from operator import methodcaller
 from .composition import CDAlgebra
 from .handles import Handle, as_handle
 from .pseudoquad import PseudoQuadraticSpace, TPoint, t_hua
-from .quadspace import QuadraticSpace, SmallField, qs_hua
+from .quadspace import QuadraticSpace, SmallField, ZeroAnchor, qs_hua
 from .report import Report, reprs
 from .scalars import Field
 from .unitary import IndifferentSet, InvolutorySet
@@ -34,22 +40,14 @@ class ZeroArgument(ZeroDivisionError):
     pass
 
 
-class ZeroAnchor(ZeroDivisionError):
-    pass
-
-
 class CarrierMismatch(ValueError):
     pass
 
 
-# a finite carrier of at most this many elements is swept exhaustively:
-# ms_verify's bijectivity lines and fnd_check's Jordan checks of the
-# glueings take |M|^2 Hua maps or pairs
+# a finite carrier of at most this many elements is swept exhaustively
+# by every check here, which then takes |M|^2 Hua maps or pairs; any
+# other carrier is sampled
 EXHAUSTIVE_SIZE = 64
-
-# an exhaustive Jordan check asked for explicitly sweeps the |M|^2 pairs
-# of a carrier of at most this many elements, 2^16 pairs at the bound
-JORDAN_EXHAUSTIVE_SIZE = 256
 
 
 # -- root groups --------------------------------------------------------------
@@ -104,21 +102,6 @@ def root_group(carrier, span=None):
                           h.random, h.render, h.coord_field, h.coord_dim)
     return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, span.elements,
                       span.sample, h.render, h.coord_field, span.dim)
-
-
-def jordan_carrier(group):
-    """The elements of a root group an exhaustive Jordan check sweeps.
-    Its size is read first: an infinite carrier, or one larger than
-    `JORDAN_EXHAUSTIVE_SIZE`, raises ValueError before anything is
-    listed."""
-    size = group.size() if group.is_finite() else None
-    if size is None or size > JORDAN_EXHAUSTIVE_SIZE:
-        raise ValueError(
-            "an exhaustive Jordan check sweeps a finite carrier of at most "
-            "JORDAN_EXHAUSTIVE_SIZE = %d elements, not one with %s"
-            % (JORDAN_EXHAUSTIVE_SIZE,
-               "infinitely many" if size is None else size))
-    return group.elements()
 
 
 # -- Moufang sets -------------------------------------------------------------
@@ -224,6 +207,12 @@ class MoufangSet:
         return self.name or "M[%s](%r)" % (self.family, self.payload)
 
 
+def _swept(mset):
+    """Whether a check lists every element of the carrier: it is finite
+    with at most `EXHAUSTIVE_SIZE` elements."""
+    return mset.is_finite() and mset.size() <= EXHAUSTIVE_SIZE
+
+
 def ms_tau(mset, x):
     return mset.tau(x)
 
@@ -251,7 +240,7 @@ def ms_verify(mset, samples=200, seed=13):
                       lambda x: mset.eq(mset.hua(mset.unit(), x), x),
                       samples, cex=repr)
 
-    if mset.is_finite() and mset.size() <= EXHAUSTIVE_SIZE:
+    if _swept(mset):
         elems = mset.elements()
         rep.first_failure(
             "hua.bijective", ((a,) for a in elems),
@@ -266,17 +255,18 @@ def ms_verify(mset, samples=200, seed=13):
 
 
 def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
-    """tau and all Hua maps agree pointwise through the carrier bijection
-    (exhaustive on finite carriers)."""
+    """tau and all Hua maps agree pointwise through the carrier bijection,
+    over every element of a swept carrier and on samples otherwise.  The
+    carriers' sizes are compared without listing either."""
     to2 = bijection or (lambda x: x)
     rep = Report("moufang.coincide", seed=seed,
                  subject="%r vs %r" % (m1, m2))
     if m1.is_finite() != m2.is_finite():
         raise CarrierMismatch("one carrier is finite, the other is not")
-    if m1.is_finite():
+    if m1.is_finite() and m1.size() != m2.size():
+        raise CarrierMismatch("carrier sizes differ")
+    if _swept(m1):
         elems = m1.elements()
-        if m2.size() != len(elems):
-            raise CarrierMismatch("carrier sizes differ")
     else:
         rng = random.Random(seed)
         elems = [m1.random(rng) for _ in range(samples)]
@@ -296,23 +286,51 @@ def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
     return rep
 
 
-def ms_jordan_check(gamma, m1, m2, mode="sampled", samples=200, seed=29):
+def ms_jordan_check(gamma, m1, m2, samples=200, seed=29):
     """Group hom + unit + Hua preservation for gamma: M1 -> M2, with a tag
     naming the family pattern the passing map is consistent with."""
-    rep = Report("moufang.jordan", seed=seed,
-                 subject="%r -> %r" % (m1, m2))
-    if mode == "exhaustive":
-        elems = jordan_carrier(m1.group)
+    return _jordan_check("moufang.jordan", gamma, m1, m2, samples, seed)
+
+
+# per Jordan suite: whether its anchors are drawn apart from its pairs,
+# with jordan.bijective on a swept carrier (else the pairs serve, and
+# pattern.tag ends the report), and the note for an anchor sent to zero
+_JORDAN_SHAPES = {
+    "tpoints.jordan": (True, "image of anchor is zero"),
+    "moufang.jordan": (False, "collapses to zero"),
+}
+
+
+def _jordan_check(suite, gamma, m1, m2, samples, seed):
+    apart, zero_note = _JORDAN_SHAPES[suite]
+    rep = Report(suite, seed=seed, subject="%r -> %r" % (m1, m2))
+    swept = _swept(m1)
+    if swept:
+        elems = m1.elements()
         pairs = [(x, y) for x in elems for y in elems]
     else:
         rng = random.Random(seed)
-        elems = [m1.random(rng) for _ in range(samples)]
-        pairs = [(m1.random(rng), m1.random(rng)) for _ in range(samples)]
+        draw = lambda: [(m1.random(rng), m1.random(rng))
+                        for _ in range(samples)]
+        # drawn and never read: this keeps the seeded stream, and so every
+        # stored counterexample, where it was
+        [m1.random(rng) for _ in range(samples)]
+        pairs = draw()
+    if not apart:
+        anchors = pairs
+    elif swept:
+        anchors = [(a, x) for a, x in pairs if not m1.is_zero(a)]
+    else:
+        anchors = draw()
 
     rep.first_failure(
         "jordan.group-homomorphism", pairs,
         lambda x, y: m2.eq(gamma(m1.op(x, y)), m2.op(gamma(x), gamma(y))),
         len(pairs), cex=reprs)
+
+    if apart and swept:
+        images = {m2.key(gamma(x)) for x in elems}
+        rep.add("jordan.bijective", len(elems), len(images) == len(elems))
 
     rep.add("jordan.unit", 1, m2.eq(gamma(m1.unit()), m2.unit()))
 
@@ -324,9 +342,10 @@ def ms_jordan_check(gamma, m1, m2, mode="sampled", samples=200, seed=29):
                                             m2.hua(ga, gamma(x)))
 
     rep.first_failure(
-        "jordan.hua-preserved", pairs, hua_preserved, len(pairs),
-        cex=lambda a, x: (repr(a), "collapses to zero"
+        "jordan.hua-preserved", anchors, hua_preserved, len(anchors),
+        cex=lambda a, x: (repr(a), zero_note
                           if m2.is_zero(gamma(a)) else repr(x)))
-    rep.add("pattern.tag", 1, True,
-            note="%s-to-%s" % (m1.family, m2.family))
+    if not apart:
+        rep.add("pattern.tag", 1, True,
+                note="%s-to-%s" % (m1.family, m2.family))
     return rep

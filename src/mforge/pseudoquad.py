@@ -2,6 +2,10 @@
 checking, the complete census over the 4-element field, and the dimension
 switch between quaternion 1-dim and quadratic-extension 2-dim spaces.
 
+`t_jordan_check` runs the one Jordan check of `moufang` on the Moufang
+set of T, so it sweeps T exhaustively exactly when T is finite with at
+most `moufang.EXHAUSTIVE_SIZE` points, and samples it otherwise.
+
 q is stored as chosen representatives on a basis; all statements involving
 q are congruences against the K0 span.
 """
@@ -14,17 +18,14 @@ import random
 from . import linalg
 from .composition import Subspace, orthogonal_complement
 from .handles import CDHandle, FieldHandle
-from .report import Report, reprs
+from .quadspace import ZeroAnchor
+from .report import Report
 from .scalars import F4, QuadExt, Scalar
 from .tables import FiniteGroupTable
 from .unitary import SIGMA_GALOIS, SIGMA_STANDARD, InvolutorySet
 
 
 class SpaceMismatch(ValueError):
-    pass
-
-
-class ZeroAnchor(ZeroDivisionError):
     pass
 
 
@@ -265,50 +266,14 @@ def t_group_table(space):
         elems, lambda x, y: x * y, space.identity(), key=lambda p: p.key())
 
 
-def t_jordan_check(gamma, src, dst, mode="sampled", samples=200, seed=17):
-    """Group iso + unit preservation + Hua preservation for gamma: T -> T~.
-
-    gamma is a callable on TPoints.  mode "exhaustive" enumerates a
-    finite carrier of at most `moufang.JORDAN_EXHAUSTIVE_SIZE` points;
-    "sampled" uses a seeded stream.
-    """
-    rep = Report("tpoints.jordan", seed=seed,
-                 subject="%r -> %r" % (src, dst))
-    if mode == "exhaustive":
-        from .moufang import jordan_carrier, root_group
-        pts = jordan_carrier(root_group(src))
-        pairs = [(x, y) for x in pts for y in pts]
-        anchors = [(x, y) for x in pts for y in pts if not x.is_identity()]
-    else:
-        rng = random.Random(seed)
-        pts = [src.random_point(rng) for _ in range(samples)]
-        pairs = [(src.random_point(rng), src.random_point(rng))
-                 for _ in range(samples)]
-        anchors = [(src.random_point(rng), src.random_point(rng))
-                   for _ in range(samples)]
-
-    rep.first_failure("jordan.group-homomorphism", pairs,
-                      lambda x, y: gamma(x * y) == gamma(x) * gamma(y),
-                      len(pairs), cex=reprs)
-
-    if mode == "exhaustive":
-        images = {gamma(x).key() for x in pts}
-        rep.add("jordan.bijective", len(pts), len(images) == len(pts))
-
-    rep.add("jordan.unit", 1, gamma(src.unit()) == dst.unit())
-
-    def hua_preserved(x, y):
-        if x.is_identity():
-            return True
-        gx = gamma(x)
-        return not gx.is_identity() and gamma(t_hua(x, y)) == t_hua(
-            gx, gamma(y))
-
-    rep.first_failure(
-        "jordan.hua-preserved", anchors, hua_preserved, len(anchors),
-        cex=lambda x, y: (repr(x), "image of anchor is zero"
-                          if gamma(x).is_identity() else repr(y)))
-    return rep
+def t_jordan_check(gamma, src, dst, samples=200, seed=17):
+    """Group iso + unit preservation + Hua preservation for gamma: T -> T~,
+    a callable on TPoints.  An exhaustive sweep also checks that gamma is
+    bijective."""
+    from .moufang import MoufangSet, _jordan_check
+    m1, m2 = (MoufangSet(MoufangSet.PSEUDOQUADRATIC, sp, name=repr(sp))
+              for sp in (src, dst))
+    return _jordan_check("tpoints.jordan", gamma, m1, m2, samples, seed)
 
 
 # -- canonical instances ------------------------------------------------------

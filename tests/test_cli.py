@@ -117,6 +117,36 @@ def test_foundation_bad_file(capsys, tmp_path):
         assert code == 2 and "'edges' is a required property" in err
 
 
+def _frobenius_triangle(tmp_path, power):
+    """A triangle over F4 whose glueing at (1, 2, 3) is frob^power."""
+    path = tmp_path / "frobenius_triangle.json"
+    path.write_text(json.dumps({
+        "version": 1, "vertices": ["1", "2", "3"],
+        "edges": [{"from": a, "to": b, "m": 3, "symbol": "T", "params": "F4"}
+                  for a, b in (("1", "2"), ("2", "3"), ("3", "1"))],
+        "glueings": [
+            {"triple": ["1", "2", "3"],
+             "atoms": [{"atom": "frobenius", "power": power}]},
+            {"triple": ["2", "3", "1"], "atoms": [{"atom": "identity"}]},
+            {"triple": ["3", "1", "2"], "atoms": [{"atom": "identity"}]}]}))
+    return str(path)
+
+
+def test_foundation_check_signed_frobenius(capsys, tmp_path):
+    # frob^-1 is the inverse Frobenius, so its reversed glueing undoes it
+    for power in (1, -1, 3, -2):
+        code, out, _ = run(["foundation", "check",
+                            _frobenius_triangle(tmp_path, power),
+                            "--samples", "8"], capsys)
+        assert code == 0, (power, out)
+    for power in (1.5, True, "2"):
+        code, _, err = run(["foundation", "check",
+                            _frobenius_triangle(tmp_path, power)], capsys)
+        assert code == 2 and err.startswith(
+            "invalid foundation description: a Frobenius power is an "
+            "integer"), (power, err)
+
+
 def test_foundation_check_failure_exit(capsys):
     code, out, _ = run(["foundation", "check",
                         os.path.join(SAMPLES, "bad_triangle_f4.json"),

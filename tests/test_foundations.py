@@ -110,6 +110,25 @@ def test_reparametrize_example_pushes_automorphism():
     assert all(src.eq(g(x), x) for x in src.elements())
 
 
+def test_negative_frobenius_is_the_inverse_map_on_f4():
+    frob_inv = GFrobenius(-1)
+    assert repr(frob_inv) == "frob^-1"
+    assert repr(frob_inv.inverse()) == "frob^1"
+    assert repr(GFrobenius(2).inverse()) == "frob^-2"
+    elems = [F4.scalar((a, b)) for a in range(2) for b in range(2)]
+    for x in elems:
+        # F4 has degree 2 over F2, so the inverse Frobenius is squaring
+        assert frob_inv.apply(x) == x * x
+        assert frob_inv.inverse().apply(frob_inv.apply(x)) == x
+        assert frob_inv.apply(GFrobenius(1).apply(x)) == x
+
+
+@pytest.mark.parametrize("power", [1.5, True, "2", None])
+def test_frobenius_power_is_an_integer(power):
+    with pytest.raises(TypeError, match="Frobenius power is an integer"):
+        GFrobenius(power)
+
+
 def test_canonicalize_path():
     f = path_over(F4, GlueingMap([GFrobenius()]))
     canon, pushes = fnd_canonicalize_tree(f)

@@ -300,7 +300,7 @@ def ms_jordan_frobenius_f4():
     from mforge.moufang import MoufangSet, ms_jordan_check
     from mforge.scalars import F4
     m = MoufangSet(MoufangSet.LINEAR, F4)
-    return ms_jordan_check(lambda x: x * x, m, m, mode="exhaustive")
+    return ms_jordan_check(lambda x: x * x, m, m)
 
 
 def t_jordan_hamilton():
@@ -318,8 +318,7 @@ def t_jordan_sigma_xi_f4():
     sp = xi_f4()
     sig = sp.inv.sigma
     return t_jordan_check(
-        lambda p: TPoint(sp, tuple(sig(x) for x in p.a), sig(p.t)), sp, sp,
-        mode="exhaustive")
+        lambda p: TPoint(sp, tuple(sig(x) for x in p.a), sig(p.t)), sp, sp)
 
 
 def t_jordan_swap_xi_f4():
@@ -330,7 +329,7 @@ def t_jordan_swap_xi_f4():
     a, b = [p for p in sp.enumerate_t() if not p.is_central()][:2]
     swap = {a.key(): b, b.key(): a}
     return _json_and_text(t_jordan_check(lambda p: swap.get(p.key(), p),
-                                         sp, sp, mode="exhaustive"))
+                                         sp, sp))
 
 
 def t_jordan_inverse_hamilton():
@@ -456,8 +455,7 @@ def ms_jordan_inverse_xi_f4():
     from mforge.moufang import MoufangSet, ms_jordan_check
     from mforge.pseudoquad import xi_f4
     m = MoufangSet(MoufangSet.PSEUDOQUADRATIC, xi_f4())
-    return _json_and_text(ms_jordan_check(lambda p: p.inverse(), m, m,
-                                          mode="exhaustive"))
+    return _json_and_text(ms_jordan_check(lambda p: p.inverse(), m, m))
 
 
 def hua_consistency_qq_f4():

@@ -5,13 +5,14 @@ import sys
 import pytest
 
 from mforge.handles import SmallFieldHandle
-from mforge.composition import CDAlgebra
-from mforge.moufang import (JORDAN_EXHAUSTIVE_SIZE, CarrierMismatch,
-                            MoufangSet, ZeroArgument, ms_coincide, ms_hua,
+from mforge import pseudoquad, quadspace
+from mforge.composition import CDAlgebra, NotInvertible
+from mforge.moufang import (EXHAUSTIVE_SIZE, CarrierMismatch, MoufangSet,
+                            ZeroAnchor, ZeroArgument, ms_coincide, ms_hua,
                             ms_jordan_check, ms_tau, ms_verify)
-from mforge.pseudoquad import xi_f4, xi_hamilton
+from mforge.pseudoquad import t_hua, xi_f4, xi_hamilton
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
-from mforge.scalars import F4, F5, QQ, Scalar
+from mforge.scalars import F4, F5, QQ, PrimeField, Scalar
 from mforge.unitary import (SIGMA_GALOIS, SIGMA_STANDARD, IndifferentSet,
                             InvolutorySet)
 
@@ -140,6 +141,36 @@ def test_coincide_carrier_mismatch():
         ms_coincide(m1, m2, samples=5)
 
 
+def test_coincide_refuses_finite_carriers_of_different_sizes():
+    m1 = MoufangSet(MoufangSet.LINEAR, F5)
+    m2 = MoufangSet(MoufangSet.LINEAR, PrimeField(7))
+    with pytest.raises(CarrierMismatch, match="sizes differ"):
+        ms_coincide(m1, m2, samples=5)
+
+
+def _never_listed():
+    raise AssertionError("a carrier above EXHAUSTIVE_SIZE was listed")
+
+
+def test_coincide_samples_a_large_prime_field(monkeypatch):
+    # 10007 elements: sampled, 5 taus and 25 Hua pairs, not 10^8 pairs
+    m = MoufangSet(MoufangSet.LINEAR, PrimeField(10007))
+    monkeypatch.setattr(m, "elements", _never_listed)
+    rep = ms_coincide(m, m, samples=5)
+    assert rep.passed
+    assert [ln.samples for ln in rep.lines] == [5, 25]
+
+
+def test_coincide_samples_the_f5_octonions_without_listing_them(monkeypatch):
+    # 5^8 elements: sampled, so CDHandle.elements' listing guard is never
+    # reached; the split octonions have zero divisors, and tau meets one
+    # among the seeded samples
+    m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F5, [-1, -1, -1]))
+    monkeypatch.setattr(m, "elements", _never_listed)
+    with pytest.raises(NotInvertible):
+        ms_coincide(m, m, samples=5)
+
+
 def test_jordan_sigma_s_on_octonions(octonions):
     m = MoufangSet(MoufangSet.LINEAR, octonions)
     rep = ms_jordan_check(lambda x: x.conj(), m, m, samples=60)
@@ -147,33 +178,47 @@ def test_jordan_sigma_s_on_octonions(octonions):
 
 
 def test_jordan_frobenius_on_f4(m_f4_linear):
-    rep = ms_jordan_check(lambda x: x * x, m_f4_linear, m_f4_linear,
-                          mode="exhaustive")
+    rep = ms_jordan_check(lambda x: x * x, m_f4_linear, m_f4_linear)
     assert rep.passed
 
 
 def test_jordan_shift_fails_unit(m_f4_linear):
-    rep = ms_jordan_check(lambda x: x + F4.one(), m_f4_linear, m_f4_linear,
-                          mode="exhaustive")
+    rep = ms_jordan_check(lambda x: x + F4.one(), m_f4_linear, m_f4_linear)
     assert not rep.passed
     assert not rep.line("jordan.unit").passed
 
 
-def test_exhaustive_jordan_refuses_a_large_carrier_before_listing_it():
-    # the F5 octonions have 5^8 elements: refused on their size, not by
-    # CDHandle.elements' 2^16 guard
+def test_jordan_sweeps_a_small_carrier(m_f4_linear):
+    rep = ms_jordan_check(lambda x: x, m_f4_linear, m_f4_linear)
+    assert rep.line("jordan.group-homomorphism").samples == 16
+    assert rep.line("jordan.hua-preserved").samples == 16
+
+
+def test_jordan_samples_a_large_carrier_without_listing_it(monkeypatch):
+    # the F5 octonions have 5^8 elements: sampled, read from their size,
+    # and never listed
     m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F5, [-1, -1, -1]))
-    assert m.size() > JORDAN_EXHAUSTIVE_SIZE
-    with pytest.raises(ValueError, match="JORDAN_EXHAUSTIVE_SIZE = 256 "
-                       "elements, not one with 390625"):
-        ms_jordan_check(lambda x: x, m, m, mode="exhaustive")
+    assert m.size() > EXHAUSTIVE_SIZE
+    monkeypatch.setattr(m, "elements", _never_listed)
+    rep = ms_jordan_check(lambda x: x, m, m, samples=10)
+    assert rep.passed
+    assert rep.line("jordan.group-homomorphism").samples == 10
+    assert rep.line("jordan.hua-preserved").samples == 10
 
 
-def test_exhaustive_jordan_refuses_an_infinite_carrier():
+def test_jordan_samples_an_infinite_carrier():
     m = MoufangSet(MoufangSet.LINEAR, QQ)
-    with pytest.raises(ValueError, match="JORDAN_EXHAUSTIVE_SIZE.*"
-                       "infinitely many"):
-        ms_jordan_check(lambda x: x, m, m, mode="exhaustive")
+    rep = ms_jordan_check(lambda x: x, m, m, samples=12)
+    assert rep.passed
+    assert rep.line("jordan.group-homomorphism").samples == 12
+
+
+def test_one_zero_anchor_error():
+    # T's Hua map raises the same class that moufang and quadspace name
+    assert pseudoquad.ZeroAnchor is quadspace.ZeroAnchor is ZeroAnchor
+    sp = xi_f4()
+    with pytest.raises(ZeroAnchor):
+        t_hua(sp.identity(), sp.unit())
 
 
 def test_indifferent_family():

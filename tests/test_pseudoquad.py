@@ -128,14 +128,24 @@ def test_hua_central_anchor_formula(xh):
 
 
 def test_jordan_check_identity(xf4):
-    rep = t_jordan_check(lambda p: p, xf4, xf4, mode="exhaustive")
+    rep = t_jordan_check(lambda p: p, xf4, xf4)
     assert rep.passed
 
 
-def test_exhaustive_jordan_refuses_an_infinite_carrier(xh):
-    with pytest.raises(ValueError, match="JORDAN_EXHAUSTIVE_SIZE.*"
-                       "infinitely many"):
-        t_jordan_check(lambda p: p, xh, xh, mode="exhaustive")
+def test_jordan_check_samples_an_infinite_carrier(xh):
+    rep = t_jordan_check(lambda p: p, xh, xh, samples=10)
+    assert rep.passed
+    assert [(ln.rule, ln.samples) for ln in rep.lines] == [
+        ("jordan.group-homomorphism", 10), ("jordan.unit", 1),
+        ("jordan.hua-preserved", 10)]
+
+
+def test_jordan_check_sweeps_a_small_carrier(xf4):
+    # |T| = 8: 64 pairs, the bijectivity line, and 8 * 7 anchors
+    rep = t_jordan_check(lambda p: p, xf4, xf4)
+    assert [(ln.rule, ln.samples) for ln in rep.lines] == [
+        ("jordan.group-homomorphism", 64), ("jordan.bijective", 8),
+        ("jordan.unit", 1), ("jordan.hua-preserved", 56)]
 
 
 def test_jordan_check_space_isomorphism_induced(xf4):
@@ -146,7 +156,7 @@ def test_jordan_check_space_isomorphism_induced(xf4):
     def gamma(p):
         return TPoint(xf4, tuple(sig(x) for x in p.a), sig(p.t))
 
-    rep = t_jordan_check(gamma, xf4, xf4, mode="exhaustive")
+    rep = t_jordan_check(gamma, xf4, xf4)
     assert rep.passed, repr(rep)
 
 
@@ -176,7 +186,7 @@ def test_sigma_twist_maps_are_jordan_but_not_induced(xf4):
         mapping = {tbl.elements[i].key(): tbl.elements[p]
                    for i, p in enumerate(perm)}
         gamma = lambda p: mapping[p.key()]
-        rep = t_jordan_check(gamma, xf4, xf4, mode="exhaustive")
+        rep = t_jordan_check(gamma, xf4, xf4)
         assert rep.passed
         # not induced by (phi, phi): the first component is the identity
         # on vectors while the fiber map depends on the vector
@@ -198,7 +208,7 @@ def test_jordan_check_detects_broken_map(xf4):
             return a
         return p
 
-    rep = t_jordan_check(swap, xf4, xf4, mode="exhaustive")
+    rep = t_jordan_check(swap, xf4, xf4)
     assert not rep.passed
 
 
