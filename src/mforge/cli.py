@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 import zlib
@@ -20,8 +21,8 @@ from .catalog import NAMED_FOUNDATIONS, foundation_from_file
 from .foundations import (Verdict, fnd_check, fnd_check_443,
                           fnd_classify_simply_laced, fnd_to_dot,
                           fnd_universal_cover, NotA443Shape, NotSimplyLaced)
-from .polygons import (WordGroup, rgs_hua_consistency, rgs_hua_end_action,
-                       qq_f4_space, qp_xi_f4, triangle)
+from .polygons import (WordGroup, ZeroParameter, rgs_hua_consistency,
+                       rgs_hua_end_action, qq_f4_space, qp_xi_f4, triangle)
 from .pseudoquad import f4_census
 from .report import Report
 
@@ -120,40 +121,42 @@ def cmd_polygon(args):
                                    seed=seed)
         return max(code, _emit(rep2, args, time.monotonic() - t0))
     # action == "hua": print the end-action images on the slot generators
-    grp = desc.group(1 if args.end == "first" else desc.n)
-    s = _parse_param(grp, args.param)
-    m1, mn = rgs_hua_end_action(desc, args.end, s)
+    try:
+        s = _parse_param(desc, args.end, args.param)
+        m1, mn = rgs_hua_end_action(desc, args.end, s)
+    except (ValueError, ZeroParameter) as exc:
+        print("bad anchor %r: %s" % (args.param, exc), file=sys.stderr)
+        return 2
     rep = Report("polygon.hua", seed=seed, subject=repr(desc))
     g1, gn = desc.group(1), desc.group(desc.n)
-    shown = 0
     for grp_sel, mapping, tag in ((g1, m1, "first"), (gn, mn, "last")):
         try:
             elems = grp_sel.elements()[:8]
         except TypeError:
-            import random as _r
-            rng = _r.Random(seed)
+            rng = random.Random(seed)
             elems = [grp_sel.random(rng) for _ in range(4)]
         for x in elems:
             rep.add("hua.%s[%s]" % (tag, grp_sel.render(x)), 1, True,
                     note=grp_sel.render(mapping(x)))
-            shown += 1
     return _emit(rep, args, 0.0)
 
 
-def _parse_param(grp, text):
-    """Parse an anchor parameter from the command line."""
-    import random as _r
+def _parse_param(desc, end, text):
+    """An anchor parameter from the command line: `one` is the unit of the
+    end's Moufang set, `#k` the k-th element of a finite slot group (k
+    taken mod its order), any other text names a seeded nonzero draw."""
     if text == "one":
-        # the canonical unit of the slot's Moufang set is not always the
-        # group identity; fall back to a deterministic nonzero element
-        for cand in grp.elements():
-            if not grp.is_identity(cand):
-                return cand
+        return desc.end_set(end).unit()
+    slot = 1 if end == "first" else desc.n
+    grp = desc.group(slot)
     if text.startswith("#"):
+        if not grp.is_finite():
+            raise ValueError("#k needs a finite slot group, and slot %d of "
+                             "%r is infinite" % (slot, desc))
         elems = grp.elements()
         return elems[int(text[1:]) % len(elems)]
     # crc32, unlike hash(), does not change with the process's hash salt
-    rng = _r.Random(zlib.crc32(text.encode()))
+    rng = random.Random(zlib.crc32(text.encode()))
     return grp.random(rng, nonzero=True)
 
 

@@ -9,9 +9,10 @@ involution, conjugation, Frobenius, linear, table) and `GlueingMap`, their
 right-to-left chain with inverse, composition and parity.  Octonion Jordan
 maps (`octonion_aut.JordanMap`) are the same chains with a domain algebra.
 A Frobenius atom takes a signed power.  Opposite readings of a tower are
-handles with the `reversed` flag set.  `fnd_check`'s Jordan checks sweep
-an end Moufang set exhaustively or on samples by the one rule of
-`moufang.EXHAUSTIVE_SIZE`."""
+handles with the `reversed` flag set.  The Moufang set at each end of a
+polygon, and so each end ring, is the polygon's own `end_set`.
+`fnd_check`'s Jordan checks sweep an end Moufang set exhaustively or on
+samples by the one rule of `moufang.EXHAUSTIVE_SIZE`."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE, SYMBOL_QF,
                        SYMBOL_QI, SYMBOL_QP, SYMBOL_QQ, SYMBOL_T,
                        rgs_opposite)
 from .report import Report
-from .unitary import ind_opposite
 
 
 class NotACover(ValueError):
@@ -357,39 +357,8 @@ def end_ring(desc, end):
     otherwise)."""
     if desc.groups is None:
         return None
-    mset = end_moufang_set(desc, end)
+    mset = desc.end_set(end)
     return mset.h if mset.family == MoufangSet.LINEAR else None
-
-
-def end_moufang_set(desc, end):
-    """The parametrizing Moufang set of the first/last root group."""
-    sym, ori = desc.symbol, desc.orientation
-    first = (end == "first") if ori == STANDARD else (end == "last")
-    if sym == SYMBOL_T:
-        h = desc.params if ori == STANDARD else desc.params.opposite()
-        return MoufangSet(MoufangSet.LINEAR, h)
-    if sym == SYMBOL_QI:
-        if first:
-            return MoufangSet(MoufangSet.INVOLUTORY, desc.params)
-        h = desc.params.handle
-        return MoufangSet(MoufangSet.LINEAR, h if ori == STANDARD
-                          else h.opposite())
-    if sym == SYMBOL_QP:
-        if first:
-            return MoufangSet(MoufangSet.PSEUDOQUADRATIC, desc.params)
-        h = desc.params.h
-        return MoufangSet(MoufangSet.LINEAR, h if ori == STANDARD
-                          else h.opposite())
-    if sym == SYMBOL_QQ:
-        if first:
-            return MoufangSet(MoufangSet.LINEAR,
-                              FieldHandle(desc.params.field))
-        return MoufangSet(MoufangSet.QUADRATIC, desc.params)
-    if sym == SYMBOL_QD:
-        if first:
-            return MoufangSet(MoufangSet.INDIFFERENT, desc.params)
-        return MoufangSet(MoufangSet.INDIFFERENT, ind_opposite(desc.params))
-    raise ValueError("symbol %s has no implemented end structure" % sym)
 
 
 # -- foundations ---------------------------------------------------------------
@@ -461,8 +430,7 @@ class Foundation:
 
     def end_mset(self, i, j, at):
         """Moufang set of B_(i,j) at vertex `at` (one of i, j)."""
-        desc = self.polygons[(i, j)]
-        return end_moufang_set(desc, "last" if at == j else "first")
+        return self.polygons[(i, j)].end_set("last" if at == j else "first")
 
     def __repr__(self):
         return self.name or "Foundation(%d vertices)" % len(
@@ -618,7 +586,6 @@ def fnd_reparametrize(fnd, alpha, samples=24, seed=61):
             if rev is None:
                 return identity_glueing()
             chains = tuple(reversed(rev))
-        desc = fnd.polygons[(i, j)]
         return chains[-1] if at == j else chains[0]
 
     # unit compatibility
@@ -637,8 +604,7 @@ def fnd_reparametrize(fnd, alpha, samples=24, seed=61):
         desc = fnd.polygons.get((i, j))
         if desc is None or desc.symbol != SYMBOL_T or len(chains) != 3:
             continue
-        h = desc.params if desc.orientation == STANDARD \
-            else desc.params.opposite()
+        h = desc.end_set("first").h
         a1, a2, a3 = chains
         for _ in range(samples):
             s, t = h.random(rng, 9), h.random(rng, 9)

@@ -10,17 +10,15 @@ multiplication reversed (`opposite()`), which sets the handle's `reversed`
 flag; fields and small fields are commutative and are their own opposite.
 A handle bundles the protocol together with exact coordinates over a
 ground field so spans can be decided by linear algebra: a span inside a
-handle is a `composition.Subspace`, the one span class (`Span` is its
-older name here), and `composition.closure` its closure under products.
+handle is a `composition.Subspace`, the one span class, and
+`composition.closure` its closure under products.
 """
 
 from __future__ import annotations
 
-from .composition import CDAlgebra, Subspace
+from .composition import CDAlgebra
 from .quadspace import SmallField
 from .scalars import Field, Scalar, random_scalar
-
-Span = Subspace  # the one span class, importable under this name too
 
 
 class Handle:

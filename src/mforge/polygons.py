@@ -9,6 +9,11 @@ indices.  The standard tables are stored literally (with inverse-argument
 entries rewritten by substituting the parameter-group inverse); opposite
 tables are derived mechanically by reversing the sequence, which is
 validated against the quoted opposite forms on the finite instances.
+
+Which Moufang set each end root group parametrizes is decided once, by
+`PolygonDescriptor.end_set`; foundations read their end sets and end
+rings from it.  A Hua end action is that set's own Hua map h_s on the
+anchor's end, plus one closed form per family on the far end.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import random
 import numpy as np
 
 from . import tables as tbl
-from .moufang import root_group
-from .pseudoquad import TPoint, t_hua
-from .quadspace import qs_hua
+from .handles import FieldHandle, as_handle
+from .moufang import MoufangSet, root_group
+from .pseudoquad import TPoint
 from .report import Report
+from .unitary import ind_check, ind_opposite
 
 
 class IndexOutOfRange(ValueError):
@@ -65,6 +71,7 @@ class PolygonDescriptor:
         self.params = params
         self.name = name
         self.n = 3 if symbol == SYMBOL_T else 4
+        self._end_sets = {}
         if symbol in _REJECT_ONLY:
             self.groups = None
             return
@@ -101,6 +108,45 @@ class PolygonDescriptor:
             out.append((n + 1 - k, grp.inv(w)))
         out.sort(key=lambda f: f[0])
         return out
+
+    def at_standard_first(self, end):
+        """Whether the given end is the first one of the standard reading;
+        a reversed reading reads the standard ends the other way round."""
+        if end not in ("first", "last"):
+            raise ValueError("end must be 'first' or 'last'")
+        return (end == "first") == (self.orientation == STANDARD)
+
+    def end_set(self, end):
+        """The Moufang set the first or last root group parametrizes,
+        built once per end.  A triangle, and the field end of QI and QP,
+        carries a linear set over its ring, reversed on the opposite
+        reading."""
+        if end not in self._end_sets:
+            self._end_sets[end] = self._build_end_set(end)
+        return self._end_sets[end]
+
+    def _build_end_set(self, end):
+        sym, params = self.symbol, self.params
+        if sym in _REJECT_ONLY:
+            raise ValueError("symbol %s has no implemented end structure"
+                             % sym)
+        std_first = self.at_standard_first(end)
+        if sym == SYMBOL_QQ:
+            if std_first:
+                return MoufangSet(MoufangSet.LINEAR,
+                                  FieldHandle(params.field))
+            return MoufangSet(MoufangSet.QUADRATIC, params)
+        if sym == SYMBOL_QD:
+            return MoufangSet(MoufangSet.INDIFFERENT,
+                              params if std_first else ind_opposite(params))
+        if sym == SYMBOL_QI and std_first:
+            return MoufangSet(MoufangSet.INVOLUTORY, params)
+        if sym == SYMBOL_QP and std_first:
+            return MoufangSet(MoufangSet.PSEUDOQUADRATIC, params)
+        ring = (params if sym == SYMBOL_T
+                else params.handle if sym == SYMBOL_QI else params.h)
+        return MoufangSet(MoufangSet.LINEAR, ring
+                          if self.orientation == STANDARD else ring.opposite())
 
     def identity_word(self):
         return RootWord(self, [])
@@ -209,7 +255,6 @@ def _standard_layout(symbol, params):
         return groups, rel
 
     if symbol == SYMBOL_QD:
-        from .unitary import ind_check
         ind = params
         axioms = ind_check(ind)
         if not axioms.passed:
@@ -504,16 +549,13 @@ class WordGroup(tbl.FiniteGroupTable):
             bij = len(set(perm.tolist())) == n_el
             rep.add("extension.bijective", n_el, bij)
             return rep, (perm32 if bad is None and bij else None)
-        # restrict to the generated subgroup, reindex and check there
-        sub_of = {int(g): k for k, g in enumerate(reached)}
+        # restrict to the generated subgroup, reindex and check there; it
+        # is closed under products and holds every image
         m = reached.size
-        sub_table = np.empty((m, m), dtype=np.int32)
-        for a in range(m):
-            for b in range(m):
-                sub_table[a, b] = sub_of[int(self.table[reached[a],
-                                                        reached[b]])]
-        sub_perm = np.array([sub_of[int(perm[g])] for g in reached],
-                            dtype=np.int32)
+        sub_of = np.full(n_el, -1, dtype=np.int32)
+        sub_of[reached] = np.arange(m, dtype=np.int32)
+        sub_table = sub_of[self.table[np.ix_(reached, reached)]]
+        sub_perm = sub_of[perm[reached]]
         bad = tbl.first_hom_violation(sub_table, sub_perm)
         rep.add("extension.automorphism-on-subgroup", m * m, bad is None,
                 counterexample=bad)
@@ -525,93 +567,57 @@ class WordGroup(tbl.FiniteGroupTable):
 # -- Hua end actions ----------------------------------------------------------
 
 def rgs_hua_end_action(desc, end, s):
-    """The closed-form pair of maps on (M_1, M_n) induced by the Hua
-    automorphism anchored at the given end with parameter s."""
-    if end not in ("first", "last"):
-        raise ValueError("end must be 'first' or 'last'")
-    anchor_slot = 1 if end == "first" else desc.n
-    grp = desc.group(anchor_slot)
-    if grp.is_identity(s):
+    """The pair of maps on (M_1, M_n) induced by the Hua automorphism
+    anchored at the given end with parameter s: on the anchor's own end
+    the Hua map h_s of the end Moufang set, on the far end a closed form
+    chosen by which standard end the anchor sits at."""
+    own = desc.end_set(end)
+    if own.is_zero(s):
         raise ZeroParameter("anchor parameter must be nonzero")
-    sym, ori = desc.symbol, desc.orientation
+    std_first = desc.at_standard_first(end)
+    sym = desc.symbol
 
     if sym == SYMBOL_T:
-        h = desc.params if ori == STANDARD else desc.params.opposite()
+        h = own.h
         if end == "first":
-            return (lambda t: h.mul(s, h.mul(t, s)),
-                    lambda u: h.mul(h.inv(s), u))
-        return (lambda t: h.mul(t, h.inv(s)),
-                lambda u: h.mul(s, h.mul(u, s)))
-
-    if sym == SYMBOL_QI:
-        inv_set = desc.params
-        h = inv_set.handle
-        sig = inv_set.sigma
-        if ori == OPPOSITE:
-            if end == "first":   # s in K
-                return (lambda t: h.mul(h.mul(s, t), s),
-                        lambda u: h.mul(h.mul(h.inv(s), u), h.inv(sig(s))))
-            return (lambda t: h.mul(t, h.inv(s)),           # s in K0
-                    lambda u: h.mul(h.mul(sig(s), u), s))
-        if end == "first":       # s in K0
-            return (lambda u: h.mul(h.mul(s, u), s),
-                    lambda t: h.mul(h.inv(s), t))
-        return (lambda u: h.mul(h.mul(h.inv(sig(s)), u), h.inv(s)),  # s in K
-                lambda t: h.mul(h.mul(s, t), s))
-
-    if sym == SYMBOL_QP:
+            far = lambda u: h.mul(h.inv(s), u)
+        else:
+            far = lambda t: h.mul(t, h.inv(s))
+    elif sym == SYMBOL_QI:
+        # the ring of the field end, reversed on the opposite reading
+        far_end = "last" if end == "first" else "first"
+        h = desc.end_set(far_end if std_first else end).h
+        sig = desc.params.sigma
+        if std_first:                                       # s in K0
+            far = lambda t: h.mul(h.inv(s), t)
+        else:                                               # s in K
+            far = lambda u: h.mul(h.mul(h.inv(sig(s)), u), h.inv(s))
+    elif sym == SYMBOL_QP:
         sp = desc.params
         h = sp.h
         sig = sp.inv.sigma
-        if ori == STANDARD:
-            if end == "first":   # s = (a,t) in T*
-                return (lambda p: t_hua(s, p),
-                        lambda u: h.mul(h.inv(sig(s.t)), u))
-            return (lambda p: TPoint(sp, sp.vec_scale(p.a, h.inv(s)),
-                                     h.mul(h.mul(h.inv(sig(s)), p.t),
-                                           h.inv(s))),      # s in K
-                    lambda u: h.mul(h.mul(s, u), s))
-        if end == "first":       # s in K
-            return (lambda u: h.mul(h.mul(s, u), s),
-                    lambda p: TPoint(sp, sp.vec_scale(p.a, h.inv(s)),
-                                     h.mul(h.mul(h.inv(sig(s)), p.t),
-                                           h.inv(s))))
-        return (lambda u: h.mul(h.inv(sig(s.t)), u),        # s = (a,t) in T*
-                lambda p: t_hua(s, p))
+        if std_first:                                       # s in T*
+            far = lambda u: h.mul(h.inv(sig(s.t)), u)
+        else:                                               # s in K
+            far = lambda p: TPoint(sp, sp.vec_scale(p.a, h.inv(s)),
+                                   h.mul(h.mul(h.inv(sig(s)), p.t),
+                                         h.inv(s)))
+    elif sym == SYMBOL_QQ:
+        if std_first:                                       # s in K*
+            far = lambda b: b.scale(s.inv())
+        else:                                               # s in L0*
+            qa = desc.params.q(s)
+            far = lambda t: t * qa.inv()
+    else:                                                   # SYMBOL_QD
+        h = desc.params.handle
+        if std_first:                                       # s in K0*
+            far = lambda b: h.mul(b, h.inv(h.mul(s, s)))
+        else:                                               # s in L0*
+            far = lambda u: h.mul(u, h.inv(s))
 
-    if sym == SYMBOL_QQ:
-        sp = desc.params
-        fld = sp.field
-        if ori == STANDARD:
-            if end == "first":   # s in K*
-                return (lambda t: s * t * s,
-                        lambda b: b.scale(s.inv()))
-            qa = sp.q(s)         # s in L0*
-            return (lambda t: t * qa.inv(),
-                    lambda b: qs_hua(sp, s, b))
-        if end == "first":       # s in L0*
-            qa = sp.q(s)
-            return (lambda b: qs_hua(sp, s, b),
-                    lambda t: t * qa.inv())
-        return (lambda b: b.scale(s.inv()),                 # s in K*
-                lambda t: s * s * t)
-
-    if sym == SYMBOL_QD:
-        ind = desc.params
-        h = ind.handle
-        if ori == STANDARD:
-            if end == "first":   # s in K0*
-                return (lambda u: h.mul(h.mul(s, s), u),
-                        lambda b: h.mul(b, h.inv(h.mul(s, s))))
-            return (lambda u: h.mul(u, h.inv(s)),           # s in L0*
-                    lambda b: h.mul(b, h.mul(s, s)))
-        if end == "first":       # s in L0*
-            return (lambda b: h.mul(b, h.mul(s, s)),
-                    lambda u: h.mul(u, h.inv(s)))
-        return (lambda b: h.mul(b, h.inv(h.mul(s, s))),     # s in K0*
-                lambda u: h.mul(h.mul(s, s), u))
-
-    raise ValueError("no Hua actions for symbol %r" % sym)
+    def hua(x):
+        return own.hua(s, x)
+    return (hua, far) if end == "first" else (far, hua)
 
 
 def rgs_hua_consistency(desc, samples=1000, seed=47):
@@ -630,34 +636,30 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
         g.size() for g in groups) <= _EXHAUSTIVE_WORDS)
 
     if desc.symbol == SYMBOL_T and not exhaustive:
-        h = desc.params
-        if desc.orientation == OPPOSITE:
-            h = h.opposite()
+        # the Hua automorphism anchored at either end sends the middle
+        # factor tu of [x_1(t), x_3(u)] to s(tu) (first) or (tu)s (last)
+        h = desc.end_set("first").h
 
-        laws = [("triangle.first-end-identity",
-                 lambda s, t, u: h.mul(h.mul(s, h.mul(t, s)),
-                                       h.mul(h.inv(s), u))
-                 == h.mul(s, h.mul(t, u))),
-                ("triangle.last-end-identity",
-                 lambda s, t, u: h.mul(h.mul(t, h.inv(s)),
-                                       h.mul(s, h.mul(u, s)))
-                 == h.mul(h.mul(t, u), s))]
-
-        def failing_without_inverse(law):
-            # a carrier that is no division ring has nonzero anchors with
-            # no inverse: the law fails at the first one
+        def law(end):
             def holds(s, t, u):
+                m1, m3 = rgs_hua_end_action(desc, end, s)
+                tu = h.mul(t, u)
+                # a carrier that is no division ring has nonzero anchors
+                # with no inverse: the law fails at the first one
                 try:
-                    return law(s, t, u)
+                    image = h.mul(m1(t), m3(u))
                 except ZeroDivisionError:
                     return False
+                return image == (h.mul(s, tu) if end == "first"
+                                 else h.mul(tu, s))
             return holds
 
-        for rule, law in laws:
+        for end in ("first", "last"):
             rep.first_failure(
-                rule, ((h.random(rng, 9, nonzero=True), h.random(rng, 9),
-                        h.random(rng, 9)) for _ in range(samples)),
-                failing_without_inverse(law), samples,
+                "triangle.%s-end-identity" % end,
+                ((h.random(rng, 9, nonzero=True), h.random(rng, 9),
+                  h.random(rng, 9)) for _ in range(samples)),
+                law(end), samples,
                 cex=lambda *stu: tuple(map(h.render, stu)))
         return rep
 
@@ -705,7 +707,6 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
 # -- shipped instances --------------------------------------------------------
 
 def triangle(handle, name=None):
-    from .handles import as_handle
     return PolygonDescriptor(SYMBOL_T, as_handle(handle), name=name)
 
 

@@ -26,9 +26,9 @@ class DimensionTooLarge(ValueError):
 class QuadraticSpace:
     """(L0, K, q) with basepoint; anisotropy per the stated policy.
 
-    anisotropy is one of "exhaustive" (finite K, fully checked here),
-    "structural" (inherited from a certified division tower) or
-    "attested" (user-declared; a sampled check still runs).
+    anisotropy is one of "exhaustive" (finite K, checked here on one
+    vector per line), "structural" (inherited from a certified division
+    tower) or "attested" (user-declared; a sampled check still runs).
     """
 
     def __init__(self, field, q_basis, f_upper, basepoint, anisotropy=None,
@@ -54,9 +54,17 @@ class QuadraticSpace:
         if self.anisotropy == "exhaustive":
             if not self.field.is_finite():
                 raise ValueError("exhaustive anisotropy needs a finite field")
-            for v in self.enumerate_vectors():
-                if not v.is_zero() and self.q(v).is_zero():
-                    raise ValueError("form is isotropic at %r" % v)
+            # q(cv) = c^2 q(v), so one vector per line decides it: the one
+            # whose first nonzero coordinate is 1.  Lines are taken in the
+            # order a full scan over F_p meets their first vectors.
+            field = self.field
+            for k in reversed(range(self.dim)):
+                for rest in itertools.product(field.elements(),
+                                              repeat=self.dim - k - 1):
+                    v = QSVector(self, (field.zero(),) * k + (field.one(),)
+                                 + rest)
+                    if self.q(v).is_zero():
+                        raise ValueError("form is isotropic at %r" % v)
         elif self.anisotropy in ("structural", "attested"):
             rng = random.Random(seed)
             for _ in range(samples):

@@ -71,6 +71,34 @@ def test_polygon_hua(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("symbol, end", [("T", "first"), ("T", "last"),
+                                         ("QQ", "first"), ("QQ", "last"),
+                                         ("QP", "first"), ("QP", "last")])
+def test_polygon_hua_one_is_the_unit_of_the_end(capsys, symbol, end):
+    # anchored at the unit of its end's Moufang set, the Hua map on that
+    # end is the identity; T's default instance has infinite slot groups
+    code, out, err = run(["polygon", "hua", symbol, end, "one", "--json"],
+                         capsys)
+    assert code == 0 and err == ""
+    lines = [ln for ln in json.loads(out)["lines"]
+             if ln["rule"].startswith("hua.%s[" % end)]
+    assert lines
+    assert all(ln["rule"] == "hua.%s[%s]" % (end, ln["note"])
+               for ln in lines)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["T", "first", "#3"], "needs a finite slot group"),
+    (["T", "last", "#3", "--instance", "quaternion-Q"],
+     "needs a finite slot group"),
+    (["QQ", "first", "#2"], "must be nonzero"),   # #2 of F2 is zero
+    (["QQ", "last", "#x"], "invalid literal")])
+def test_polygon_hua_bad_anchor_is_an_input_error(capsys, argv, message):
+    code, out, err = run(["polygon", "hua"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_foundation_check_and_classify(capsys):
     code, _, _ = run(["foundation", "check",
                       os.path.join(SAMPLES, "p3_quaternion.json"),

@@ -6,7 +6,7 @@ import pytest
 
 from mforge.composition import (CDAlgebra, Subspace, gauss_q, octonions_q,
                                 quaternions_q)
-from mforge.handles import SmallFieldHandle, Span, as_handle
+from mforge.handles import SmallFieldHandle, as_handle
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
 from mforge.scalars import F3, F4, F5, QI, QQ
 
@@ -120,7 +120,7 @@ def test_span_and_subspace_agree_on_tower_membership(base, betas):
     algebra = CDAlgebra(base, betas)
     rng = random.Random(11)
     gens = [algebra.random_element(rng, 5) for _ in range(algebra.dim // 2)]
-    span, sub = Span(as_handle(algebra), gens), Subspace(algebra, gens)
+    span, sub = Subspace(as_handle(algebra), gens), Subspace(algebra, gens)
     members = [gens[0] + gens[-1], gens[0].scale(base.scalar(2)),
                algebra.zero()]
     others = [algebra.random_element(rng, 5) for _ in range(20)]

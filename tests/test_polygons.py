@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from mforge import tables as tbl
 from mforge.handles import as_handle
 from mforge.polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE,
                              SYMBOL_QI, IndexOutOfRange, PolygonDescriptor,
@@ -283,6 +284,65 @@ def test_index_space_table_matches_collection_oracle(name, orientation):
     assert np.array_equal(wg.table, oracle_word_table(wg))
 
 
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_end_maps_extend_on_the_subgroup_the_ends_generate(end):
+    # over F2 the two end groups of QD generate 8 of the 16 words, so the
+    # automorphism check runs on that subgroup, reindexed
+    desc = ORACLE_DESCRIPTORS["QD-F2"]()
+    wg = WordGroup(desc)
+    assert len(wg.elements) == 16
+    rep, perm = wg.extend_end_maps(*rgs_hua_end_action(desc, end, F2.one()))
+    assert rep.passed
+    gen = rep.line("extension.generates")
+    assert gen.note == "end groups generate a subgroup of order 8"
+    on_sub = rep.line("extension.automorphism-on-subgroup")
+    assert on_sub.passed and on_sub.samples == 64
+    assert rep.line("extension.bijective").samples == 8
+    # anchored at 1 both end maps are the identity, and so is the extension
+    assert perm.tolist() == list(range(8))
+
+
+def test_a_wrong_end_map_fails_on_the_generated_subgroup():
+    # sending x4(1) to the identity extends to a homomorphism of the
+    # subgroup onto <x1(1)>, which is no bijection
+    desc = ORACLE_DESCRIPTORS["QD-F2"]()
+    rep, perm = WordGroup(desc).extend_end_maps(lambda t: t,
+                                                lambda a: F2.zero())
+    assert perm is None and not rep.passed
+    assert rep.line("extension.automorphism-on-subgroup").passed
+    bij = rep.line("extension.bijective")
+    assert bij.samples == 8 and not bij.passed
+
+
+def test_subgroup_table_is_the_reindexed_restriction(monkeypatch):
+    # the gathered subgroup table and map equal the ones an element-wise
+    # reindexing loop builds
+    desc = ORACLE_DESCRIPTORS["QD-F2"]()
+    wg = WordGroup(desc)
+    seen = []
+    check = tbl.first_hom_violation
+    monkeypatch.setattr(tbl, "first_hom_violation",
+                        lambda table, perm: seen.append((table, perm))
+                        or check(table, perm))
+    wg.extend_end_maps(lambda t: t, lambda a: F2.zero())
+    (sub_table, sub_perm), = seen
+    # the subgroup generated by x1(1) and x4(1), closed under products
+    x1, x4 = (wg.element_index(RootWord(desc, [(i, F2.one())]))
+              for i in (1, 4))
+    reached = {wg.identity, x1, x4}
+    while True:
+        more = {int(wg.table[a, b]) for a in reached for b in reached}
+        if more <= reached:
+            break
+        reached |= more
+    reached = sorted(reached)
+    assert len(reached) == 8
+    sub_of = {g: k for k, g in enumerate(reached)}
+    assert sub_table.tolist() == [[sub_of[int(wg.table[a, b])]
+                                   for b in reached] for a in reached]
+    assert sub_perm[sub_of[x4]] == sub_of[wg.identity]
+
+
 def test_triangle_f5_exhaustive():
     d = triangle(F5, name="T(F5)")
     wg = WordGroup(d)
@@ -371,6 +431,38 @@ def test_qp_first_end_is_the_group_hua(qp_desc):
         m1, m4 = rgs_hua_end_action(qp_desc, "first", anchor)
         for p in pts:
             assert m1(p) == t_hua(anchor, p)
+
+
+# the Moufang-set family at the standard first and last end of each symbol
+END_FAMILIES = {"T": ("linear", "linear"), "QI": ("involutory", "linear"),
+                "QP": ("pseudoquadratic", "linear"),
+                "QQ": ("linear", "quadratic"),
+                "QD": ("indifferent", "indifferent")}
+
+
+@pytest.mark.parametrize("orientation", [STANDARD, OPPOSITE])
+@pytest.mark.parametrize("name", list(ORACLE_DESCRIPTORS) + ["QI-H"])
+def test_end_sets_follow_the_reading(name, orientation, quaternions):
+    desc = (PolygonDescriptor(SYMBOL_QI,
+                              InvolutorySet(quaternions, SIGMA_STANDARD))
+            if name == "QI-H" else ORACLE_DESCRIPTORS[name]())
+    if orientation == OPPOSITE:
+        desc = rgs_opposite(desc)
+    families = END_FAMILIES[desc.symbol]
+    if orientation == OPPOSITE:
+        families = families[::-1]
+    rng = random.Random(9)
+    for end, family, slot in zip(("first", "last"), families, (1, desc.n)):
+        mset = desc.end_set(end)
+        assert mset is desc.end_set(end) and mset.family == family
+        grp = desc.group(slot)
+        x = grp.random(rng, nonzero=True)
+        assert mset.eq(mset.op(x, x), grp.op(x, x))
+        if family == "linear" and not mset.h.is_commutative():
+            # a tower is read reversed on the opposite reading
+            assert mset.h.reversed == (orientation == OPPOSITE)
+    with pytest.raises(ValueError):
+        desc.end_set("middle")
 
 
 def test_hua_consistency_triangle_sampled(tri_oct):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, ZeroAnchor,
                               qs_defect, qs_eval, qs_hua,
                               qs_small_dim_field, space_from_algebra,
                               space_from_quadext, verify_space)
-from mforge.scalars import F2, F4, QI, QQ
+from mforge.scalars import F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,39 @@ def test_char2_dim2_zero_polar_form_is_isotropic():
     # check must refuse the construction
     with pytest.raises(ValueError):
         QuadraticSpace(F2, [1, 1], {}, [1, 0])
+
+
+def _quadext_over(p):
+    base = PrimeField(p)
+    for n0 in range(1, p):
+        try:
+            return QuadExt(base, 0, n0)   # w^2 = -n0
+        except ValueError:
+            continue
+
+
+def test_exhaustive_anisotropy_scans_one_vector_per_line(monkeypatch):
+    # the norm form of F_1009(w) has 1009^2 vectors on 1010 lines
+    p = 1009
+    ext = _quadext_over(p)
+    calls = []
+    q = QuadraticSpace.q
+    monkeypatch.setattr(QuadraticSpace, "q",
+                        lambda self, v: calls.append(v) or q(self, v))
+    sp = space_from_quadext(ext)
+    assert sp.anisotropy == "exhaustive"
+    assert len(calls) <= (p + 1) + 1   # the lines, plus the basepoint check
+
+
+@pytest.mark.parametrize("field, q_basis, witness", [
+    (F5, [1, 1], "(1, 2)"),          # x^2 + y^2, with 2^2 = -1
+    (F3, [1, 1, -1], "(0, 1, 1)")])  # isotropic only off the first axis
+def test_exhaustive_anisotropy_refuses_isotropic_prime_field_forms(
+        field, q_basis, witness):
+    basepoint = [1] + [0] * (len(q_basis) - 1)
+    with pytest.raises(ValueError, match=r"isotropic at %s" % re.escape(
+            witness)):
+        QuadraticSpace(field, q_basis, {}, basepoint)
 
 
 def test_defect_dim1_char0():
