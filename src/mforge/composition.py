@@ -186,7 +186,9 @@ class CDAlgebra:
         return self.from_base(1)
 
     def unit(self, k):
-        return self.element([int(i == k) for i in range(self.dim)])
+        r = self._kernel.r
+        return CDElement(self, tuple([int(i == k * r)
+                                      for i in range(self.dim * r)]))
 
     def basis(self):
         return [self.unit(k) for k in range(self.dim)]
@@ -546,9 +548,8 @@ def orthogonal_complement(algebra, space):
     """Exact kernel of the Gram pairing against the given subspace."""
     if space.dim == 0:
         return Subspace(algebra, algebra.basis())
-    rows = []
-    for s in space.basis():
-        rows.append([bilinear(e, s) for e in algebra.basis()])
+    basis = algebra.basis()
+    rows = [[bilinear(e, s) for e in basis] for s in space.basis()]
     ker = linalg.kernel_basis(rows, algebra.base, n_cols=algebra.dim)
     return Subspace(algebra, [algebra.element(v) for v in ker])
 
@@ -579,8 +580,8 @@ def center(algebra):
     rows = []
     basis = algebra.basis()
     for e in basis:
-        for k in range(algebra.dim):
-            rows.append([commutator(b, e).coords[k] for b in basis])
+        comms = [commutator(b, e).coords for b in basis]
+        rows += [[c[k] for c in comms] for k in range(algebra.dim)]
     ker = linalg.kernel_basis(rows, algebra.base, n_cols=algebra.dim)
     return Subspace(algebra, [algebra.element(v) for v in ker])
 

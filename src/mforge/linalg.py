@@ -1,18 +1,28 @@
 """Exact linear algebra over any of the scalar fields.
 
-Matrices are lists of rows of Scalars.  ``rref`` is plain Gaussian
-elimination (sizes stay at desk scale, <= 16); ``solve``, ``invert`` and
-``mat_vec`` on top of it are the reference the fast paths are tested
-against.  The fast paths are K-linear maps expanded once into integer rows
-over Q or F_p, the coordinate field of K: ``_integer_rows`` builds them,
-``_contract`` applies them to integer coordinates over one denominator and
-``_scalars`` lowers the result.  The tower product table is such rows, and
-so is a ``Projector``: the coordinates of x in a fixed basis and whether x
-lies in its span, for doubling frames, subfields and spans alike.  Tower
-elements are stored in that integer form and go in without a lift.
+Matrices are lists of rows of Scalars; sizes stay at desk scale (<= 16).
+One integer Gauss-Jordan, ``_eliminate``, does the elimination over Q
+(fraction-free) and over F_p (modulo p).  ``rref`` over Q and F_p lifts
+each row once, runs it and lowers only the final rows; over a quadratic
+extension it is ``rref_reference``, Gauss-Jordan on Scalars, which is
+also the oracle the integer path is tested against.  ``kernel_basis``,
+``solve``, ``invert`` and ``mat_vec`` sit on top of ``rref``.
+
+The fast paths are K-linear maps expanded once into integer rows over Q
+or F_p, the coordinate field of K: ``_integer_rows`` builds the tower
+product table, ``_contract`` applies it to integer coordinates over one
+denominator and ``_scalars`` lowers the result.  A ``Projector`` answers
+for the coordinates of x in a fixed basis and whether x lies in its span,
+for doubling frames, subfields and spans alike, over every field: it
+eliminates the basis expanded over Q or F_p with ``_eliminate`` and keeps
+integer rows, with no Scalar arithmetic.  Tower elements are stored in
+that integer form and go in without a lift.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 from .scalars import Scalar
 
@@ -38,7 +48,27 @@ def mat_vec(m, v):
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Over Q and F_p each row is lifted once to integers (scaling a row
+    leaves its reduced form alone), eliminated by `_eliminate`, and only
+    the final rows are lowered.  Over a quadratic extension it is
+    `rref_reference`."""
+    if not matrix:
+        return [], []
+    field = matrix[0][0].field
+    if field.coord_dim != 1:
+        return rref_reference(matrix)
+    rows = [field.lift([a.val for a in row])[0] for row in matrix]
+    pivots = _eliminate(rows, field.characteristic())
+    return [[Scalar(field, v) for v in field.lower(row, row[pc])]
+            for row, pc in zip(rows, pivots)], pivots
+
+
+def rref_reference(matrix):
+    """`rref` by Gauss-Jordan on Scalars: the path over quadratic
+    extensions, and the reference the integer elimination is tested
+    against."""
     m = [row[:] for row in matrix]
     if not m:
         return [], []
@@ -61,6 +91,50 @@ def rref(matrix):
         if r == n_rows:
             break
     return m[:r], pivots
+
+
+def _eliminate(rows, p):
+    """Gauss-Jordan on a list of integer rows, in place, over F_p, or over
+    Q when p = 0.  Returns the pivot columns; row k then holds pivot k's
+    reduced row, and the rows below the last pivot are zero.
+
+    Over F_p the rows are residues and each pivot entry is 1.  Over Q the
+    elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): a row is
+    cleared by cross-multiplying with the pivot row and is then divided by
+    its gcd, so a reduced row is the true one times its pivot entry.  The
+    pivot is the first nonzero entry at or below row k, as in
+    `rref_reference`, and every row stays a nonzero multiple of that
+    elimination's row, so the pivots agree."""
+    if not p:
+        for k, row in enumerate(rows):
+            g = math.gcd(*row)
+            if g > 1:
+                rows[k] = [a // g for a in row]
+    n_rows, pivots = len(rows), []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow, a = rows[r], rows[r][c]
+        if p and a != 1:
+            inv = pow(a, -1, p)
+            prow = rows[r] = [b * inv % p for b in prow]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if not f or i == r:
+                continue
+            if p:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+            else:
+                row = [x * a - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if r + 1 == n_rows:
+            break
+    return pivots
 
 
 def rank(matrix):
@@ -148,18 +222,58 @@ def _integer_rows(field, terms, size):
     return tuple(tuple(row) for row in rows), den
 
 
+def _expanded(field, vectors):
+    """(V, D): integer rows V over one denominator D, row r*v + u holding
+    the coordinates over Q or F_p of E_u * vectors[v], for the basis E_u
+    of the base field over Q or F_p (``_units``)."""
+    r = field.coord_dim
+    if r == 1:
+        vals = [a.val for v in vectors for a in v]
+    else:
+        units = [eu for _, eu in _units(field)]
+        vals = [field.mul(eu, a.val) for v in vectors for eu in units
+                for a in v]
+    nums, den = field.lift(vals)
+    size = len(vectors[0]) * r if vectors else 1
+    return [nums[i:i + size] for i in range(0, len(nums), size)], den
+
+
+def _sparse(rows):
+    """Integer rows as (i, n) pairs of their nonzero entries."""
+    return tuple(tuple((i, n) for i, n in enumerate(row) if n)
+                 for row in rows)
+
+
+def _apply(rows, X):
+    """The integer rows of ``_sparse`` applied to X."""
+    nums = []
+    for row in rows:
+        s = 0
+        for i, n in row:
+            s += n * X[i]
+        nums.append(s)
+    return nums
+
+
 class Projector:
     """Coordinates in a fixed basis of K^n, and membership in its span.
 
-    With the basis vectors as the columns of M, one ``rref`` of [M | I]
-    gives an invertible E with E * M reduced.  A row of E whose pivot lies
-    in M gives the coefficient of that pivot's basis vector; the others
-    get 0, as ``solve`` chooses.  The remaining rows of E, the residual
-    map, vanish exactly on the span.  Both maps become integer rows over Q
-    or F_p, so a call lifts x once, or takes x already lifted (the
+    Everything runs on integer coordinates over Q or F_p, the coordinate
+    field F of K.  A vector x of K^n lies in the K-span of the basis b_j
+    exactly when it lies in the F-span of the expanded basis E_u * b_j
+    (``_expanded``), and the F-coordinates of x there are the
+    F-coordinates of its K-coefficients.  With the expanded vectors as
+    the columns of M, one integer Gauss-Jordan (``_eliminate``) of [M | I]
+    gives an invertible E with E * M reduced.  A row
+    of E whose pivot lies in M gives the coefficient of that pivot's
+    vector; the others get 0, as ``solve`` chooses.  The pivots over F
+    are the E_u * b_j of the pivots over K, so a dependent b_j gets 0 as
+    well.  The remaining rows of E, the residual map, vanish exactly on
+    the span.  A call lifts x once, or takes x already lifted (the
     ``*_lifted`` methods), and takes integer dot products.  A fixed
-    `recombine` matrix, one column per basis vector, folds into the
-    coefficients.  An empty basis needs its `dim`.
+    `recombine` matrix over K, one column per basis vector, is expanded
+    the same way and multiplied into the coefficient rows as integers.
+    An empty basis needs its `dim`.
 
     A basis that is ``rref`` output, passed with its `pivots`, needs no
     elimination: the coefficient of row R_r is x[p_r] at its pivot p_r,
@@ -167,41 +281,52 @@ class Projector:
     """
 
     def __init__(self, field, basis, dim=None, recombine=None, pivots=None):
-        n, k = len(basis[0]) if basis else dim, len(basis)
-        ident = identity(field, n)
+        r, p = field.coord_dim, field.characteristic()
+        n, k = (len(basis[0]) if basis else dim) * r, len(basis) * r
+        vecs, d = _expanded(field, basis)
         if pivots is None:
-            red, pivots = rref([[v[i] for v in basis] + row
-                                for i, row in enumerate(ident)])
-            rows = dict(zip(pivots, (row[k:] for row in red)))
-            coeff = [rows.get(j, [field.zero()] * n) for j in range(k)]
-            residual = [row for pc, row in rows.items() if pc >= k]
+            rows = [[v[i] for v in vecs] + [int(i == j) for j in range(n)]
+                    for i in range(n)]
+            pivots = _eliminate(rows, p)
+            in_m = sum(1 for pc in pivots if pc < k)
+            den = math.lcm(*[row[pc] for row, pc in zip(rows, pivots[:in_m])])
+            coeff = [[0] * n for _ in range(k)]
+            for row, pc in zip(rows, pivots[:in_m]):
+                m = d * (den // row[pc])
+                coeff[pc] = [m * a for a in row[k:]]
+            residual = [row[k:] for row in rows[in_m:]]
         else:
-            coeff = [ident[pc] for pc in pivots]
+            pivots = [pc * r + u for pc in pivots for u in range(r)]
+            den = 1
+            coeff = [[int(c == pc) for c in range(n)] for pc in pivots]
             residual = []
             for c in range(n):
                 if c not in pivots:
-                    residual.append(ident[c])
-                    for pc, row in zip(pivots, basis):
-                        residual[-1][pc] = -row[c]
+                    row = [d * (i == c) for i in range(n)]
+                    for pc, v in zip(pivots, vecs):
+                        row[pc] = -v[c]
+                    residual.append(row)
         if recombine is not None:
+            # entry ((q, s), (j, u)): coordinate s of recombine[q][j] * E_u
+            w, dr = _expanded(field, recombine)
             cols = list(zip(*coeff))
-            coeff = [[sum((a * b for a, b in zip(row, col) if not a.is_zero()),
-                          field.zero()) for col in cols] for row in recombine]
-        self.field, self._p = field, field.characteristic()
-        self._coeff = self._rows(coeff)
-        self._residual = self._rows(residual)[0]
-
-    def _rows(self, matrix):
-        """Integer rows of x -> matrix * x: (x_q)_s = sum(n * X[i]) / den."""
-        field = self.field
-        r, units = field.coord_dim, _units(field)
-        return _integer_rows(field, [
-            (q * r, i * r + u, 0, field.mul(a.val, eu))
-            for q, row in enumerate(matrix) for i, a in enumerate(row)
-            if not a.is_zero() for u, eu in units], len(matrix) * r)
+            coeff = [[sum(map(operator.mul, row, col)) for col in cols]
+                     for row in ([w[q * r + u][j * r + s]
+                                  for j in range(len(basis))
+                                  for u in range(r)]
+                                 for q in range(len(recombine))
+                                 for s in range(r))]
+            den *= dr
+        g = math.gcd(den, *[a for row in coeff for a in row])
+        if g > 1:
+            den //= g
+            coeff = [[a // g for a in row] for row in coeff]
+        self.field, self._p = field, p
+        self._coeff = _sparse(coeff), den
+        self._residual = _sparse(residual)
 
     def _off(self, X):
-        res, p = _contract(self._residual, X, (1,)), self._p
+        res, p = _apply(self._residual, X), self._p
         return any(n % p for n in res) if p else any(res)
 
     def contains(self, vec):
@@ -223,4 +348,4 @@ class Projector:
         if self._off(X):
             raise NotInSpan("vector is outside the span")
         rows, den = self._coeff
-        return _contract(rows, X, (1,)), den * d
+        return _apply(rows, X), den * d

@@ -291,21 +291,21 @@ class SmallField:
         return self.space.basepoint.scale(s)
 
 
-def qs_small_dim_field(space, samples=64, seed=5):
-    """(SmallField, phi: K -> <eps>) with the norm condition verified."""
+def qs_small_dim_field(space):
+    """(SmallField, phi: K -> <eps>) with the norm condition
+    v * sigma(v) = q(v) * eps verified.
+
+    Both sides are quadratic maps of v over K, and a quadratic map is
+    fixed by its values on e_i and e_i + e_j, so checking e_1, e_2 and
+    e_1 + e_2 (e_1 alone in dim 1) proves the condition on every vector,
+    in every characteristic and over finite and infinite K alike."""
     fld = SmallField(space)
-    rng = random.Random(seed)
-    sp = space
-    checked = 0
-    if sp.field.is_finite():
-        pool = list(sp.enumerate_vectors())
-    else:
-        pool = [sp.random_vector(rng, 9) for _ in range(samples)]
-    for v in pool:
-        lhs = fld.mul(v, sp.sigma(v))
-        if lhs != fld.embed_scalar(sp.q(v)):
+    cases = space.basis()
+    if space.dim == 2:
+        cases.append(cases[0] + cases[1])
+    for v in cases:
+        if fld.mul(v, space.sigma(v)) != fld.embed_scalar(space.q(v)):
             raise AssertionError("norm condition failed at %r" % v)
-        checked += 1
     return fld, fld.embed_scalar
 
 

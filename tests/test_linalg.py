@@ -3,9 +3,12 @@ import random
 import pytest
 
 from mforge import linalg
-from mforge.scalars import F3, F5, QI, QQ, QuadExt, random_scalar
+from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
+                            random_scalar)
 
 F9 = QuadExt(F3, 0, 1)
+F101 = PrimeField(101)
+PROJECTOR_FIELDS = [QQ, F5, F101, QI, F4, F9]
 
 
 def mat(field, rows):
@@ -83,14 +86,23 @@ def _bases(field, rng, n):
             ("empty", [])]
 
 
-@pytest.mark.parametrize("field", [QQ, F5, QI, F9], ids=repr)
+def _recombination(field, rng, k):
+    """A 3 x k matrix: a random row, a zero row and the first reversed."""
+    row = [random_scalar(field, rng, 5) for _ in range(k)]
+    return [row, [field.zero()] * k, row[::-1]]
+
+
+@pytest.mark.parametrize("field", PROJECTOR_FIELDS, ids=repr)
 def test_projector_matches_solve(field):
     """Coefficients are the solution `solve` picks, and membership is
-    `solve` finding one, on and off the span."""
+    `solve` finding one, on and off the span; a recombination is the
+    matrix product with those coefficients."""
     rng = random.Random(11)
     n = 5
     for label, basis in _bases(field, rng, n):
         proj = linalg.Projector(field, basis, n)
+        recombine = _recombination(field, rng, len(basis)) if basis else None
+        folded = linalg.Projector(field, basis, n, recombine=recombine)
         matrix = [[b[i] for b in basis] for i in range(n)]
         tests = [_combination(field, rng, basis, n) for _ in range(6)]
         tests += [[random_scalar(field, rng, 5) for _ in range(n)]
@@ -100,34 +112,49 @@ def test_projector_matches_solve(field):
         for x in tests:
             want = linalg.solve(matrix, x)
             assert proj.contains(x) == (want is not None), label
+            assert folded.contains(x) == proj.contains(x), label
             if want is None:
                 with pytest.raises(linalg.NotInSpan):
                     proj.coefficients(x)
+                with pytest.raises(linalg.NotInSpan):
+                    folded.coefficients(x)
             else:
                 inside += 1
                 assert list(proj.coefficients(x)) == want, label
+                if recombine:
+                    assert (list(folded.coefficients(x))
+                            == linalg.mat_vec(recombine, want)), label
         assert inside >= 7, label
 
 
-@pytest.mark.parametrize("field", [QQ, F5, QI, F9], ids=repr)
+@pytest.mark.parametrize("field", PROJECTOR_FIELDS, ids=repr)
 def test_projector_onto_reduced_rows_needs_no_elimination(field):
     """A basis in reduced row-echelon form, passed with its pivots, gives
     the projector the elimination gives: the same membership and, for
-    each row, the coordinate at its pivot as its coefficient."""
+    each row, the coordinate at its pivot as its coefficient, also
+    through a recombination."""
     rng = random.Random(12)
     n = 5
     for label, basis in _bases(field, rng, n):
         red, pivots = linalg.rref(basis)
         proj = linalg.Projector(field, red, n, pivots=pivots)
         reference = linalg.Projector(field, red, n)
+        recombine = _recombination(field, rng, len(red)) if red else None
+        folded = linalg.Projector(field, red, n, pivots=pivots,
+                                  recombine=recombine)
         tests = [_combination(field, rng, basis, n) for _ in range(6)]
         tests += [[random_scalar(field, rng, 5) for _ in range(n)]
                   for _ in range(6)]
         for x in tests:
             assert proj.contains(x) == reference.contains(x), label
+            assert folded.contains(x) == reference.contains(x), label
             if proj.contains(x):
+                at_pivots = [x[pc] for pc in pivots]
                 assert (proj.coefficients(x) == reference.coefficients(x)
-                        == tuple(x[pc] for pc in pivots)), label
+                        == tuple(at_pivots)), label
+                if recombine:
+                    assert (list(folded.coefficients(x))
+                            == linalg.mat_vec(recombine, at_pivots)), label
 
 
 def test_projector_folds_a_recombination():
@@ -170,3 +197,42 @@ def test_rank_brute_force_oracle():
                     if linalg.invert(minor) is not None:
                         best = max(best, k)
         assert got == best
+
+
+def _planted(field, rng, n_rows, n_cols):
+    """A random matrix with a zero column, and rows that are zero, copies,
+    negatives or sums of multiples of earlier rows."""
+    zero_col = rng.randrange(n_cols)
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.choice(["random"] * 3 + ["zero", "negated", "combined"])
+        if kind == "zero" or not rows and kind != "random":
+            row = [field.zero()] * n_cols
+        elif kind == "negated":
+            row = [-a for a in rng.choice(rows)]
+        elif kind == "combined":
+            a, b = (random_scalar(field, rng, 5) for _ in range(2))
+            u, v = rng.choice(rows), rng.choice(rows)
+            row = [a * s + b * t for s, t in zip(u, v)]
+        else:
+            row = [random_scalar(field, rng, 9) for _ in range(n_cols)]
+        row[zero_col] = field.zero()
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F101], ids=repr)
+def test_rref_matches_the_scalar_reference(field):
+    """The integer elimination over Q and F_p returns the rows and pivots
+    of Gauss-Jordan on Scalars, on every shape from 1 x 1 to 8 x 16."""
+    rng = random.Random(21)
+    negative_leads = 0
+    for n_rows in range(1, 9):
+        for n_cols in range(1, 17):
+            m = _planted(field, rng, n_rows, n_cols)
+            assert linalg.rref(m) == linalg.rref_reference(m), m
+            if field == QQ:
+                negative_leads += sum(
+                    1 for row in m
+                    if next((a.val for a in row if a.val), 0) < 0)
+    assert field != QQ or negative_leads > 100

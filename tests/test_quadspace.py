@@ -1,11 +1,12 @@
 import random
 import re
+import time
 
 import pytest
 
 from mforge.composition import quaternions_q
-from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, ZeroAnchor,
-                              qs_defect, qs_eval, qs_hua,
+from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, SmallField,
+                              ZeroAnchor, qs_defect, qs_eval, qs_hua,
                               qs_small_dim_field, space_from_algebra,
                               space_from_quadext, verify_space)
 from mforge.scalars import F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt
@@ -186,6 +187,48 @@ def test_small_dim_field_dim1():
     fld, phi = qs_small_dim_field(sp)
     assert fld.type_tag == "ii"
     assert fld.mul(phi(QQ.scalar(2)), phi(QQ.scalar(3))) == phi(QQ.scalar(6))
+
+
+def _f1009_space():
+    # 11 is not a square mod 1009, so y^2 - 11 is irreducible
+    return space_from_quadext(QuadExt(PrimeField(1009), 0, -11))
+
+
+def test_small_dim_field_checks_three_vectors(monkeypatch):
+    """The norm condition is a quadratic identity, so it is checked on
+    e_1, e_2 and e_1 + e_2: F_1009(w) has 10^6 vectors."""
+    sp = _f1009_space()
+    seen = []
+    mul = SmallField.mul
+    monkeypatch.setattr(SmallField, "mul",
+                        lambda self, u, v: seen.append(u) or mul(self, u, v))
+    start = time.perf_counter()
+    fld, phi = qs_small_dim_field(sp)
+    assert time.perf_counter() - start < 10
+    e1, e2 = sp.basis()
+    assert seen == [e1, e2, e1 + e2]
+    w = sp.vector([0, 1])
+    assert fld.mul(w, w) == phi(sp.field.scalar(11))
+
+
+@pytest.mark.parametrize("make", [_f1009_space,
+                                  lambda: space_from_quadext(F4),
+                                  lambda: space_from_quadext(QI)],
+                         ids=["F1009", "F4", "Qi"])
+def test_small_dim_field_catches_a_wrong_product(monkeypatch, make):
+    """A product that drops the -q(xt) * t * t' term fails the norm
+    condition, in characteristic 2 as well."""
+    sp = make()
+
+    def wrong_mul(self, u, v):
+        s, t = self._frame(u)
+        s2, t2 = self._frame(v)
+        b = s * t2 + s2 * t + sp.trace(self.xt) * t * t2
+        return sp.basepoint.scale(s * s2) + self.xt.scale(b)
+
+    monkeypatch.setattr(SmallField, "mul", wrong_mul)
+    with pytest.raises(AssertionError, match="norm condition failed"):
+        qs_small_dim_field(sp)
 
 
 def test_small_dim_field_rejects_dim3(quaternions):
