@@ -49,6 +49,12 @@ base-line comparison behind quad type iii, the subspaces of a special
 pair, the subalgebras grown around three seeded elements, and the spans
 of an indifferent set's opposites.
 
+``spans_quadratic_bases`` was recorded while ``rref`` over a quadratic
+extension still ran Gauss-Jordan on Scalars and ``Subspace`` answered
+membership through a projector of its own.  It pins the center, a
+complement and generated subalgebras of the quaternions over Q(i) and
+over F9, and doubling splits on those subalgebras.
+
 The Jordan cases (``t_jordan_sigma_xi_f4``, ``t_jordan_swap_xi_f4``,
 ``t_jordan_inverse_hamilton``, ``ms_jordan_double_octonion_q``) were
 recorded while ``t_jordan_check`` and ``ms_jordan_check`` were two
@@ -580,6 +586,43 @@ def ind_opposite_f4():
         _text(ind_check(opp))])
 
 
+def spans_quadratic_bases():
+    """Spans in the quaternions over Q(i) and over F9: the center, the
+    complement of the scalar line, the subalgebras generated by e1 and by
+    a seeded w, and the complement of the latter, each with its basis, a
+    seeded sample and membership of the basis vectors, w and w*x for a
+    seeded x; then x split by the doubling frames on both subalgebras."""
+    from mforge.composition import (CDAlgebra, DoublingFrame, Subspace,
+                                    center, orthogonal_complement,
+                                    subalgebra_generated)
+    lines = []
+    for name in ("Q(i)", "F9"):
+        H = CDAlgebra(_qi() if name == "Q(i)" else _tower_base(name),
+                      [-1, -1])
+        rng = random.Random(7)
+        w, x = (H.random_element(rng, 5) for _ in range(2))
+        sub, sub_w = (subalgebra_generated(H, [g]) for g in (H.unit(1), w))
+        perp_w = orthogonal_complement(H, sub_w)
+        spans = (("center", center(H)),
+                 ("complement", orthogonal_complement(
+                     H, Subspace(H, [H.one()]))),
+                 ("generated-e1", sub), ("generated-w", sub_w),
+                 ("complement-w", perp_w))
+        for label, span in spans:
+            lines.append(json.dumps(
+                [name, label, [repr(b) for b in span.basis()],
+                 repr(span.sample(random.Random(3))),
+                 [span.contains(v) for v in H.basis() + [w, w * x]]],
+                separators=(",", ":")))
+        e_w = next(b for b in perp_w.basis() if not b.norm().is_zero())
+        for label, frame in (("split-e1", DoublingFrame(H, sub, H.unit(2))),
+                             ("split-w", DoublingFrame(H, sub_w, e_w))):
+            lines.append(json.dumps([name, label, repr(x)]
+                                    + [repr(v) for v in frame.split(x)],
+                                    separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
 def identities_dim16_moufang():
     from mforge.composition import sedenion_style_q, verify_identities
     return _json_and_text(verify_identities(sedenion_style_q(), "moufang",
@@ -609,7 +652,7 @@ CASES = {f.__name__: f for f in (
     hua_consistency_qi_f4_galois, hua_consistency_qd_f2, root_group_draws,
     _inv_check_galois("qi", _qi), _inv_check_galois("f4", _f4),
     special_pairs_octonion_q, quaternion_subalgebras_octonion_q,
-    ind_opposite_f4,
+    ind_opposite_f4, spans_quadratic_bases,
     *TOWER_CASES,
     _dot_case("a2_octonion"), _dot_case("f443_involutory"),
     *[_fnd_check_case(name) for name in _fnd_names()])}
