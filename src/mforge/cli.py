@@ -161,14 +161,8 @@ def _parse_param(desc, end, text):
 
 
 def cmd_foundation(args):
-    try:
-        fnd = _load_foundation(args.file)
-    except FileNotFoundError:
-        print("no such file: %s" % args.file, file=sys.stderr)
-        return 2
-    except _input_errors() as exc:
-        print("invalid foundation description: %s"
-              % getattr(exc, "message", exc), file=sys.stderr)
+    fnd = _load_foundation(args.file)
+    if fnd is None:
         return 2
     seed = _seed_from(args)
     if args.action == "check":
@@ -212,20 +206,22 @@ def _input_errors():
 
 
 def _load_foundation(path):
-    if path in NAMED_FOUNDATIONS:
-        return NAMED_FOUNDATIONS[path]()
-    return foundation_from_file(path)
-
-
-def cmd_cover(args):
+    """The named or described foundation, or None after saying why not."""
     try:
-        fnd = _load_foundation(args.file)
+        if path in NAMED_FOUNDATIONS:
+            return NAMED_FOUNDATIONS[path]()
+        return foundation_from_file(path)
     except FileNotFoundError:
-        print("no such file: %s" % args.file, file=sys.stderr)
-        return 2
+        print("no such file: %s" % path, file=sys.stderr)
     except _input_errors() as exc:
         print("invalid foundation description: %s"
               % getattr(exc, "message", exc), file=sys.stderr)
+    return None
+
+
+def cmd_cover(args):
+    fnd = _load_foundation(args.file)
+    if fnd is None:
         return 2
     unfolded = fnd_universal_cover(fnd, args.radius)
     doc = {

@@ -25,9 +25,9 @@ form of FLINT's ``fmpq_poly``).  Products, the norm and the inverse
 conj(x) * N(x)^-1 contract the stored integers with the table; sums,
 ``conj``, ``scale`` and equality act on them directly, and the base-field
 ``coords`` are lowered only when read.  The integer rows and their
-contraction come from ``linalg``, as does the ``Projector`` behind every
-coordinate and membership question here: the split of a ``DoublingFrame``
-and ``Subspace.contains``.  ``Subspace`` is the one span class, for
+contraction come from ``linalg``, as do the ``Projector`` behind the split
+of a ``DoublingFrame`` and the integer reduction behind ``Subspace``, its
+basis and its membership test.  ``Subspace`` is the one span class, for
 subspaces of a tower and for spans inside any handle, and ``closure`` the
 one closure of a span under products.
 """
@@ -467,24 +467,22 @@ class Subspace:
     """The one span class: the span of some carrier elements over the
     coordinate field, read through a tower (as its ``CDHandle``) or any
     ``handles.Handle``.  Subspaces of a tower and the spans K0 and L0 of
-    involutory and indifferent sets are both of this kind.  The basis is
-    kept in exact reduced row-echelon form; membership goes through a
-    ``linalg.Projector`` onto it."""
+    involutory and indifferent sets are both of this kind.  One integer
+    reduction of the coordinates (``linalg._reduced``) gives the basis, in
+    exact reduced row-echelon form, and the residual rows of `contains`."""
 
     def __init__(self, carrier, vectors):
         if isinstance(carrier, CDAlgebra):
             from .handles import CDHandle  # handles imports this module
             carrier = CDHandle(carrier)
         self.handle = carrier
-        self._rows, self._pivots = linalg.rref([carrier.coords(v)
-                                                for v in vectors])
+        field = carrier.coord_field
+        self._p = field.characteristic()
+        self._rows, _, rows, pivots = linalg._reduced(
+            field, [carrier.coords(v) for v in vectors])
+        self._residual = linalg._residual(
+            rows, pivots, carrier.coord_dim * field.coord_dim)
         self._basis = [carrier.uncoords(r) for r in self._rows]
-
-    @functools.cached_property
-    def _projector(self):
-        h = self.handle
-        return linalg.Projector(h.coord_field, self._rows, h.coord_dim,
-                                pivots=self._pivots)
 
     @property
     def dim(self):
@@ -494,9 +492,10 @@ class Subspace:
         return list(self._basis)
 
     def contains(self, x):
-        if isinstance(x, CDElement):  # hand over its stored integers
-            return self._projector.contains_lifted(x.nums)
-        return self._projector.contains(self.handle.coords(x))
+        h = self.handle  # a tower element hands over its stored integers
+        X = (x.nums if isinstance(x, CDElement)
+             else h.coord_field.lift([c.val for c in h.coords(x)])[0])
+        return linalg._vanishes(self._residual, X, self._p)
 
     def extended(self, vectors):
         return Subspace(self.handle, self._basis + list(vectors))
@@ -546,8 +545,6 @@ class Subspace:
 
 def orthogonal_complement(algebra, space):
     """Exact kernel of the Gram pairing against the given subspace."""
-    if space.dim == 0:
-        return Subspace(algebra, algebra.basis())
     basis = algebra.basis()
     rows = [[bilinear(e, s) for e in basis] for s in space.basis()]
     ker = linalg.kernel_basis(rows, algebra.base, n_cols=algebra.dim)

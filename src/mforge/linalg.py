@@ -1,22 +1,22 @@
 """Exact linear algebra over any of the scalar fields.
 
 Matrices are lists of rows of Scalars; sizes stay at desk scale (<= 16).
-One integer Gauss-Jordan, ``_eliminate``, does the elimination over Q
-(fraction-free) and over F_p (modulo p).  ``rref`` over Q and F_p lifts
-each row once, runs it and lowers only the final rows; over a quadratic
-extension it is ``rref_reference``, Gauss-Jordan on Scalars, which is
-also the oracle the integer path is tested against.  ``kernel_basis``,
-``solve``, ``invert`` and ``mat_vec`` sit on top of ``rref``.
+There is one reduction, for every field: ``_expanded`` writes the vectors
+over Q or F_p, the coordinate field of K, and one integer Gauss-Jordan,
+``_eliminate``, reduces them, fraction-free over Q and modulo p over F_p.
+``rref`` reads the K-rows off the result, and ``composition.Subspace``
+its membership test as well.  ``kernel_basis``, ``solve``, ``invert`` and
+``mat_vec`` sit on top of ``rref``; ``rref_reference``, Gauss-Jordan on
+Scalars, is the oracle of the tests only.
 
 The fast paths are K-linear maps expanded once into integer rows over Q
-or F_p, the coordinate field of K: ``_integer_rows`` builds the tower
-product table, ``_contract`` applies it to integer coordinates over one
-denominator and ``_scalars`` lowers the result.  A ``Projector`` answers
-for the coordinates of x in a fixed basis and whether x lies in its span,
-for doubling frames, subfields and spans alike, over every field: it
-eliminates the basis expanded over Q or F_p with ``_eliminate`` and keeps
-integer rows, with no Scalar arithmetic.  Tower elements are stored in
-that integer form and go in without a lift.
+or F_p: ``_integer_rows`` builds the tower product table, ``_contract``
+applies it to integer coordinates over one denominator and ``_scalars``
+lowers the result.  A ``Projector`` answers for the coordinates of x in
+a fixed, arbitrary basis and whether x lies in its span, for doubling
+frames and subfields: it eliminates the expanded basis with
+``_eliminate`` and keeps integer rows, with no Scalar arithmetic.  Tower
+elements are stored in that integer form and go in without a lift.
 """
 
 from __future__ import annotations
@@ -48,27 +48,49 @@ def mat_vec(m, v):
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns).
-
-    Over Q and F_p each row is lifted once to integers (scaling a row
-    leaves its reduced form alone), eliminated by `_eliminate`, and only
-    the final rows are lowered.  Over a quadratic extension it is
-    `rref_reference`."""
+    """Reduced row echelon form; returns (rref_rows, pivot_columns), from
+    the one reduction `_reduced`, over every field."""
     if not matrix:
         return [], []
-    field = matrix[0][0].field
-    if field.coord_dim != 1:
-        return rref_reference(matrix)
-    rows = [field.lift([a.val for a in row])[0] for row in matrix]
+    return _reduced(matrix[0][0].field, matrix)[:2]
+
+
+def _reduced(field, vectors):
+    """(K-rows, K-pivots, rows, pivots): the vectors expanded over Q or F_p
+    (`_expanded`) and reduced in place by `_eliminate`, and the reduced
+    rows over K read off them.  For the K-rows R_j with pivots p_j, each
+    E_u * R_j has its pivot 1 at column r * p_j + u, r = coord_dim, and 0
+    at every other such column: these are the integer rows, up to scaling
+    over Q, and the R_j are those with a pivot at a multiple of r."""
+    rows = _expanded(field, vectors)[0]
     pivots = _eliminate(rows, field.characteristic())
-    return [[Scalar(field, v) for v in field.lower(row, row[pc])]
-            for row, pc in zip(rows, pivots)], pivots
+    r = field.coord_dim
+    kept = [(row, pc) for row, pc in zip(rows, pivots) if pc % r == 0]
+    return ([[Scalar(field, v) for v in field.lower(row, row[pc])]
+             for row, pc in kept], [pc // r for _, pc in kept], rows, pivots)
+
+
+def _residual(rows, pivots, n):
+    """Sparse integer rows that vanish on X, of length n, exactly when X
+    lies in the span of `_reduced`'s rows: X - sum(X[p_j] * row_j / a_j),
+    for the pivot entry a_j of row j, read at the non-pivot columns and
+    scaled by the lcm of the a_j (1 over F_p)."""
+    den = math.lcm(*[row[pc] for row, pc in zip(rows, pivots)])
+    return tuple(((c, den),) + tuple((pc, -(den // row[pc]) * row[c])
+                                     for row, pc in zip(rows, pivots)
+                                     if row[c])
+                 for c in range(n) if c not in pivots)
+
+
+def _vanishes(rows, X, p):
+    """Whether the sparse integer rows all vanish on X, modulo p over F_p."""
+    res = _apply(rows, X)
+    return not any(n % p for n in res) if p else not any(res)
 
 
 def rref_reference(matrix):
-    """`rref` by Gauss-Jordan on Scalars: the path over quadratic
-    extensions, and the reference the integer elimination is tested
-    against."""
+    """`rref` by Gauss-Jordan on Scalars: the oracle the integer reduction
+    is tested against.  Nothing calls it at run time."""
     m = [row[:] for row in matrix]
     if not m:
         return [], []
@@ -269,43 +291,27 @@ class Projector:
     vector; the others get 0, as ``solve`` chooses.  The pivots over F
     are the E_u * b_j of the pivots over K, so a dependent b_j gets 0 as
     well.  The remaining rows of E, the residual map, vanish exactly on
-    the span.  A call lifts x once, or takes x already lifted (the
-    ``*_lifted`` methods), and takes integer dot products.  A fixed
+    the span.  A call lifts x once, or takes x already lifted
+    (``coefficients_lifted``), and takes integer dot products.  A fixed
     `recombine` matrix over K, one column per basis vector, is expanded
     the same way and multiplied into the coefficient rows as integers.
     An empty basis needs its `dim`.
-
-    A basis that is ``rref`` output, passed with its `pivots`, needs no
-    elimination: the coefficient of row R_r is x[p_r] at its pivot p_r,
-    and x - sum(x[p_r] * R_r), read at the other columns, is the residual.
     """
 
-    def __init__(self, field, basis, dim=None, recombine=None, pivots=None):
+    def __init__(self, field, basis, dim=None, recombine=None):
         r, p = field.coord_dim, field.characteristic()
         n, k = (len(basis[0]) if basis else dim) * r, len(basis) * r
         vecs, d = _expanded(field, basis)
-        if pivots is None:
-            rows = [[v[i] for v in vecs] + [int(i == j) for j in range(n)]
-                    for i in range(n)]
-            pivots = _eliminate(rows, p)
-            in_m = sum(1 for pc in pivots if pc < k)
-            den = math.lcm(*[row[pc] for row, pc in zip(rows, pivots[:in_m])])
-            coeff = [[0] * n for _ in range(k)]
-            for row, pc in zip(rows, pivots[:in_m]):
-                m = d * (den // row[pc])
-                coeff[pc] = [m * a for a in row[k:]]
-            residual = [row[k:] for row in rows[in_m:]]
-        else:
-            pivots = [pc * r + u for pc in pivots for u in range(r)]
-            den = 1
-            coeff = [[int(c == pc) for c in range(n)] for pc in pivots]
-            residual = []
-            for c in range(n):
-                if c not in pivots:
-                    row = [d * (i == c) for i in range(n)]
-                    for pc, v in zip(pivots, vecs):
-                        row[pc] = -v[c]
-                    residual.append(row)
+        rows = [[v[i] for v in vecs] + [int(i == j) for j in range(n)]
+                for i in range(n)]
+        pivots = _eliminate(rows, p)
+        in_m = sum(1 for pc in pivots if pc < k)
+        den = math.lcm(*[row[pc] for row, pc in zip(rows, pivots[:in_m])])
+        coeff = [[0] * n for _ in range(k)]
+        for row, pc in zip(rows, pivots[:in_m]):
+            m = d * (den // row[pc])
+            coeff[pc] = [m * a for a in row[k:]]
+        residual = [row[k:] for row in rows[in_m:]]
         if recombine is not None:
             # entry ((q, s), (j, u)): coordinate s of recombine[q][j] * E_u
             w, dr = _expanded(field, recombine)
@@ -325,17 +331,9 @@ class Projector:
         self._coeff = _sparse(coeff), den
         self._residual = _sparse(residual)
 
-    def _off(self, X):
-        res, p = _apply(self._residual, X), self._p
-        return any(n % p for n in res) if p else any(res)
-
     def contains(self, vec):
-        return not self._off(self.field.lift([c.val for c in vec])[0])
-
-    def contains_lifted(self, X):
-        """Whether the integer coordinates X, over any denominator, lie in
-        the span."""
-        return not self._off(X)
+        return _vanishes(self._residual,
+                         self.field.lift([c.val for c in vec])[0], self._p)
 
     def coefficients(self, vec):
         """The (recombined) coefficients of vec; NotInSpan off the span."""
@@ -345,7 +343,7 @@ class Projector:
     def coefficients_lifted(self, X, d):
         """`coefficients` of the vector X / d, as (integer coordinates, one
         denominator), neither reduced."""
-        if self._off(X):
+        if not _vanishes(self._residual, X, self._p):
             raise NotInSpan("vector is outside the span")
         rows, den = self._coeff
         return _apply(rows, X), den * d

@@ -31,7 +31,7 @@ from .composition import CDAlgebra
 from .handles import Handle, as_handle
 from .pseudoquad import PseudoQuadraticSpace, TPoint, t_hua
 from .quadspace import QuadraticSpace, SmallField, ZeroAnchor, qs_hua
-from .report import Report, reprs
+from .report import EXHAUSTIVE_SIZE, Report, reprs
 from .scalars import Field
 from .unitary import IndifferentSet, InvolutorySet
 
@@ -42,12 +42,6 @@ class ZeroArgument(ZeroDivisionError):
 
 class CarrierMismatch(ValueError):
     pass
-
-
-# a finite carrier of at most this many elements is swept exhaustively
-# by every check here, which then takes |M|^2 Hua maps or pairs; any
-# other carrier is sampled
-EXHAUSTIVE_SIZE = 64
 
 
 # -- root groups --------------------------------------------------------------
@@ -248,10 +242,21 @@ def ms_verify(mset, samples=200, seed=13):
                 {mset.key(mset.hua(a, x)) for x in elems}) == len(elems),
             len(elems), cex=repr)
 
-        images = {mset.key(mset.tau(x)) for x in elems if not mset.is_zero(x)}
+        units = [x for x in elems if not mset.is_zero(x)]
+        taus = [_defined(mset.tau, x) for x in units]
+        images = {mset.key(t) for t in taus if t is not None}
+        bad = [repr(x) for x, t in zip(units, taus) if t is None][:1]
         rep.add("tau.bijective-on-units", len(images),
-                len(images) == len(elems) - 1)
+                not bad and len(images) == len(units), *bad)
     return rep
+
+
+def _defined(f, *args):
+    """f(*args), or None where it meets a nonzero element with no inverse."""
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return None
 
 
 def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
@@ -274,7 +279,8 @@ def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
     try:
         rep.first_failure(
             "coincide.tau", ((x,) for x in elems),
-            lambda x: m1.is_zero(x) or m2.eq(to2(m1.tau(x)), m2.tau(to2(x))),
+            lambda x: m1.is_zero(x) or _defined(
+                lambda: m2.eq(to2(m1.tau(x)), m2.tau(to2(x)))),
             len(elems), cex=repr)
         rep.first_failure(
             "coincide.hua", ((a, x) for a in elems for x in elems),

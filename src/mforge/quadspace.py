@@ -11,7 +11,7 @@ import itertools
 import random
 
 from . import linalg
-from .report import Report
+from .report import EXHAUSTIVE_SIZE, Report
 from .scalars import Scalar, random_scalar
 
 
@@ -311,7 +311,8 @@ def qs_small_dim_field(space):
 
 def verify_space(space, samples=200, seed=3):
     """Sampled structural laws: sigma involutive, trace/pairing symmetry,
-    f(x,x) = 2q(x), Hua linearity and the anchor-scaling rule."""
+    f(x,x) = 2q(x), Hua linearity and the anchor-scaling rule; Hua maps
+    bijective on a finite space of at most `EXHAUSTIVE_SIZE` vectors."""
     rng = random.Random(seed)
     rep = Report("quadspace.laws", seed=seed, subject=repr(space))
     laws = [
@@ -344,7 +345,8 @@ def verify_space(space, samples=200, seed=3):
                       == qs_hua(space, a, x).scale(s * s),
                       None, cex=lambda *args: [repr(a) for a in args])
 
-    if space.field.is_finite():
+    field = space.field
+    if field.is_finite() and field.order() ** space.dim <= EXHAUSTIVE_SIZE:
         elems = list(space.enumerate_vectors())
         rep.first_failure(
             "hua.bijective", ((a,) for a in elems),

@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import json
 
+# the most elements of a finite carrier that a check sweeps exhaustively,
+# taking |M|^2 Hua maps or pairs; a larger carrier is sampled
+EXHAUSTIVE_SIZE = 64
+
 
 class CheckLine:
     __slots__ = ("rule", "samples", "passed", "counterexample", "note",

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mforge import linalg
+from mforge.composition import CDAlgebra, Subspace
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
                             random_scalar)
 
@@ -127,34 +128,48 @@ def test_projector_matches_solve(field):
         assert inside >= 7, label
 
 
+class _Coordinates:
+    """K^n as a carrier whose elements are their own coordinates."""
+
+    def __init__(self, field, n):
+        self.coord_field, self.coord_dim = field, n
+
+    def coords(self, v):
+        return v
+
+    def uncoords(self, coords):
+        return list(coords)
+
+
 @pytest.mark.parametrize("field", PROJECTOR_FIELDS, ids=repr)
 def test_projector_onto_reduced_rows_needs_no_elimination(field):
-    """A basis in reduced row-echelon form, passed with its pivots, gives
-    the projector the elimination gives: the same membership and, for
-    each row, the coordinate at its pivot as its coefficient, also
-    through a recombination."""
+    """Membership in the span of reduced rows needs no elimination of its
+    own: a Subspace reads it off the integer rows of the one reduction
+    that gives its basis, the rows of `rref_reference`.  It agrees with
+    the full Projector on the original basis, for vectors of K^5 and for
+    the stored integers of a tower's elements."""
     rng = random.Random(12)
-    n = 5
-    for label, basis in _bases(field, rng, n):
-        red, pivots = linalg.rref(basis)
-        proj = linalg.Projector(field, red, n, pivots=pivots)
-        reference = linalg.Projector(field, red, n)
-        recombine = _recombination(field, rng, len(red)) if red else None
-        folded = linalg.Projector(field, red, n, pivots=pivots,
-                                  recombine=recombine)
-        tests = [_combination(field, rng, basis, n) for _ in range(6)]
-        tests += [[random_scalar(field, rng, 5) for _ in range(n)]
-                  for _ in range(6)]
-        for x in tests:
-            assert proj.contains(x) == reference.contains(x), label
-            assert folded.contains(x) == reference.contains(x), label
-            if proj.contains(x):
-                at_pivots = [x[pc] for pc in pivots]
-                assert (proj.coefficients(x) == reference.coefficients(x)
-                        == tuple(at_pivots)), label
-                if recombine:
-                    assert (list(folded.coefficients(x))
-                            == linalg.mat_vec(recombine, at_pivots)), label
+    tower = CDAlgebra(field, [1, 1])
+    for n, carrier in ((5, _Coordinates(field, 5)), (4, tower)):
+        for label, basis in _bases(field, rng, n):
+            if carrier is tower:
+                span = Subspace(tower, [tower.element(b) for b in basis])
+            else:
+                span = Subspace(carrier, basis)
+            reference = linalg.Projector(field, basis, n)
+            assert ([list(span.handle.coords(b)) for b in span.basis()]
+                    == linalg.rref_reference(basis)[0]), label
+            tests = [_combination(field, rng, basis, n) for _ in range(6)]
+            tests += [[random_scalar(field, rng, 5) for _ in range(n)]
+                      for _ in range(6)]
+            inside = 0
+            for x in tests:
+                want = reference.contains(x)
+                inside += want
+                if carrier is tower:
+                    x = tower.element(x)
+                assert span.contains(x) == want, label
+            assert 6 <= inside < len(tests) or label == "spanning", label
 
 
 def test_projector_folds_a_recombination():
@@ -221,10 +236,12 @@ def _planted(field, rng, n_rows, n_cols):
     return rows
 
 
-@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F101], ids=repr)
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F101, QI, F4, F9],
+                         ids=repr)
 def test_rref_matches_the_scalar_reference(field):
-    """The integer elimination over Q and F_p returns the rows and pivots
-    of Gauss-Jordan on Scalars, on every shape from 1 x 1 to 8 x 16."""
+    """The integer reduction, over Q and F_p and over their quadratic
+    extensions, returns the rows and pivots of Gauss-Jordan on Scalars,
+    on every shape from 1 x 1 to 8 x 16."""
     rng = random.Random(21)
     negative_leads = 0
     for n_rows in range(1, 9):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from mforge.moufang import (EXHAUSTIVE_SIZE, CarrierMismatch, MoufangSet,
                             ms_jordan_check, ms_tau, ms_verify)
 from mforge.pseudoquad import t_hua, xi_f4, xi_hamilton
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
-from mforge.scalars import F4, F5, QQ, PrimeField, Scalar
+from mforge.scalars import F3, F4, F5, QQ, PrimeField, Scalar
 from mforge.unitary import (SIGMA_GALOIS, SIGMA_STANDARD, IndifferentSet,
                             InvolutorySet)
 
@@ -164,11 +165,29 @@ def test_coincide_samples_a_large_prime_field(monkeypatch):
 def test_coincide_samples_the_f5_octonions_without_listing_them(monkeypatch):
     # 5^8 elements: sampled, so CDHandle.elements' listing guard is never
     # reached; the split octonions have zero divisors, and tau meets one
-    # among the seeded samples
+    # among the seeded samples: the tau line fails on it
     m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F5, [-1, -1, -1]))
     monkeypatch.setattr(m, "elements", _never_listed)
+    rep = ms_coincide(m, m, samples=5)
+    line = rep.line("coincide.tau")
+    assert not line.passed and line.samples == 5
+    rng = random.Random(23)  # ms_coincide's default seed
+    zero_divisor = [m.random(rng) for _ in range(5)][line.index]
+    assert line.counterexample == repr(zero_divisor)
+    assert not zero_divisor.is_zero() and zero_divisor.norm().is_zero()
     with pytest.raises(NotInvertible):
-        ms_coincide(m, m, samples=5)
+        zero_divisor.inverse()
+    assert rep.line("coincide.hua").passed
+
+
+def test_verify_names_a_zero_divisor_tau_meets():
+    # F3(e1) with e1^2 = 1 is F3 x F3: 9 elements, swept, four of them
+    # nonzero zero divisors
+    m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F3, [1]))
+    line = ms_verify(m).line("tau.bijective-on-units")
+    assert not line.passed
+    x = next(x for x in m.elements() if repr(x) == line.counterexample)
+    assert not x.is_zero() and x.norm().is_zero()
 
 
 def test_jordan_sigma_s_on_octonions(octonions):

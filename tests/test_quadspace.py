@@ -4,11 +4,13 @@ import time
 
 import pytest
 
+from mforge import moufang
 from mforge.composition import quaternions_q
 from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, SmallField,
                               ZeroAnchor, qs_defect, qs_eval, qs_hua,
                               qs_small_dim_field, space_from_algebra,
                               space_from_quadext, verify_space)
+from mforge.report import EXHAUSTIVE_SIZE
 from mforge.scalars import F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt
 
 
@@ -241,6 +243,26 @@ def test_structural_laws(f4_space, quaternions):
     assert verify_space(f4_space, samples=60).passed
     assert verify_space(space_from_algebra(quaternions), samples=40).passed
     assert verify_space(space_from_quadext(QI), samples=60).passed
+
+
+def test_structural_laws_sample_a_space_past_the_sweep_bound(monkeypatch):
+    # the norm space of F_11(w) has 121 vectors, more than EXHAUSTIVE_SIZE,
+    # counted from |K|^dim: nothing lists them and hua.bijective is left out
+    sp = space_from_quadext(QuadExt(PrimeField(11), 0, 1))
+    assert 11 ** 2 > EXHAUSTIVE_SIZE
+
+    def never_listed():
+        raise AssertionError("the vectors were listed")
+    monkeypatch.setattr(sp, "enumerate_vectors", never_listed)
+    rep = verify_space(sp, samples=20)
+    assert rep.passed
+    assert "hua.bijective" not in [ln.rule for ln in rep.lines]
+
+
+def test_structural_laws_sweep_a_small_space(f4_space):
+    assert moufang.EXHAUSTIVE_SIZE is EXHAUSTIVE_SIZE
+    rep = verify_space(f4_space, samples=5)
+    assert rep.line("hua.bijective").samples == 4  # F4 over F2: 2^2 vectors
 
 
 def test_octonion_norm_space(octonions):
