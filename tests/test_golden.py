@@ -55,6 +55,12 @@ membership through a projector of its own.  It pins the center, a
 complement and generated subalgebras of the quaternions over Q(i) and
 over F9, and doubling splits on those subalgebras.
 
+``kernels_and_complements`` was recorded while ``orthogonal_complement``
+and ``center`` still solved their Gram and commutator matrices, built
+from tower products, on Scalars with ``linalg.kernel_basis``.  It pins
+centers and complements over Q, F3, F5 and in characteristic 2, over F2
+and F4, and the radicals of three quadratic spaces' polar forms.
+
 The Jordan cases (``t_jordan_sigma_xi_f4``, ``t_jordan_swap_xi_f4``,
 ``t_jordan_inverse_hamilton``, ``ms_jordan_double_octonion_q``) were
 recorded while ``t_jordan_check`` and ``ms_jordan_check`` were two
@@ -623,6 +629,45 @@ def spans_quadratic_bases():
     return "\n".join(lines) + "\n"
 
 
+def kernels_and_complements():
+    """Centers and complements over Q, F3, F5, F2 and F4: for each tower
+    the center, the complement of the scalar line and of the subalgebra
+    generated by a seeded w, each with its basis, a seeded sample and
+    membership of the basis vectors and w; then the radicals of the polar
+    forms of three quadratic spaces."""
+    from mforge.composition import (CDAlgebra, Subspace, center,
+                                    octonions_q, orthogonal_complement,
+                                    quaternions_q, subalgebra_generated)
+    from mforge.quadspace import QuadraticSpace, qs_defect, space_from_algebra
+    from mforge.scalars import F2, F4
+    lines = []
+    towers = (("octonion-Q", octonions_q()),
+              ("F3", CDAlgebra(_tower_base("F3"), [-1, -1, -1])),
+              ("F5", CDAlgebra(_tower_base("F5"), [-1, -1, -1])),
+              ("F2", CDAlgebra(F2, [1, 1, 1])),
+              ("F4", CDAlgebra(F4, [1, (0, 1)])))
+    for name, A in towers:
+        w = A.random_element(random.Random(7), 5)
+        spans = (("center", center(A)),
+                 ("complement", orthogonal_complement(
+                     A, Subspace(A, [A.one()]))),
+                 ("complement-w", orthogonal_complement(
+                     A, subalgebra_generated(A, [w]))))
+        for label, span in spans:
+            lines.append(json.dumps(
+                [name, label, [repr(b) for b in span.basis()],
+                 repr(span.sample(random.Random(3))),
+                 [span.contains(v) for v in A.basis() + [w]]],
+                separators=(",", ":")))
+    for name, space in (("F4-norm", _f4_space()),
+                        ("F2-line", QuadraticSpace(F2, [1], {}, [1])),
+                        ("quaternion-Q", space_from_algebra(quaternions_q()))):
+        rad, proper = qs_defect(space)
+        lines.append(json.dumps([name, [repr(v) for v in rad], proper],
+                                separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
 def identities_dim16_moufang():
     from mforge.composition import sedenion_style_q, verify_identities
     return _json_and_text(verify_identities(sedenion_style_q(), "moufang",
@@ -652,7 +697,7 @@ CASES = {f.__name__: f for f in (
     hua_consistency_qi_f4_galois, hua_consistency_qd_f2, root_group_draws,
     _inv_check_galois("qi", _qi), _inv_check_galois("f4", _f4),
     special_pairs_octonion_q, quaternion_subalgebras_octonion_q,
-    ind_opposite_f4, spans_quadratic_bases,
+    ind_opposite_f4, spans_quadratic_bases, kernels_and_complements,
     *TOWER_CASES,
     _dot_case("a2_octonion"), _dot_case("f443_involutory"),
     *[_fnd_check_case(name) for name in _fnd_names()])}
