@@ -26,8 +26,10 @@ conj(x) * N(x)^-1 contract the stored integers with the table; sums,
 ``conj``, ``scale`` and equality act on them directly, and the base-field
 ``coords`` are lowered only when read.  The integer rows and their
 contraction come from ``linalg``, as do the ``Projector`` behind the split
-of a ``DoublingFrame`` and the integer reduction behind ``Subspace``, its
-basis and its membership test.  ``Subspace`` is the one span class, for
+of a ``DoublingFrame``, the integer reduction behind ``Subspace``, its
+basis and its membership test, and the integer kernel behind ``center``
+and ``orthogonal_complement``, whose rows are read off the table and the
+polar form of the norm rows.  ``Subspace`` is the one span class, for
 subspaces of a tower and for spans inside any handle, and ``closure`` the
 one closure of a span under products.
 """
@@ -459,34 +461,40 @@ def bilinear(x, y):
     return (x * y.conj()).trace()
 
 
-def commutator(x, y):
-    return x * y - y * x
-
-
 class Subspace:
     """The one span class: the span of some carrier elements over the
     coordinate field, read through a tower (as its ``CDHandle``) or any
     ``handles.Handle``.  Subspaces of a tower and the spans K0 and L0 of
     involutory and indifferent sets are both of this kind.  One integer
-    reduction of the coordinates (``linalg._reduced``) gives the basis, in
-    exact reduced row-echelon form, and the residual rows of `contains`."""
+    reduction (``linalg._reduced``) gives the basis, in exact reduced
+    row-echelon form, and the residual rows of `contains`; a tower's
+    elements go in and come out as their stored integers."""
 
     def __init__(self, carrier, vectors):
+        from .handles import CDHandle  # handles imports this module
         if isinstance(carrier, CDAlgebra):
-            from .handles import CDHandle  # handles imports this module
             carrier = CDHandle(carrier)
         self.handle = carrier
         field = carrier.coord_field
-        self._p = field.characteristic()
-        self._rows, _, rows, pivots = linalg._reduced(
-            field, [carrier.coords(v) for v in vectors])
-        self._residual = linalg._residual(
-            rows, pivots, carrier.coord_dim * field.coord_dim)
-        self._basis = [carrier.uncoords(r) for r in self._rows]
+        r, self._p = field.coord_dim, field.characteristic()
+        tower = carrier.algebra if isinstance(carrier, CDHandle) else None
+        if tower:
+            units = [Scalar(field, eu) for _, eu in _units(field)[1:]]
+            rows = [list(y.nums) for x in vectors
+                    for y in [x] + [x.scale(eu) for eu in units]]
+        else:
+            rows = linalg._expanded(field, [carrier.coords(v)
+                                            for v in vectors])[0]
+        pivots, kept = linalg._reduced(field, rows)
+        self._residual = linalg._residual(rows, pivots, carrier.coord_dim * r)
+        self._basis = [tower._canonical(row, row[pc]) if tower else
+                       carrier.uncoords([Scalar(field, v) for v in
+                                         field.lower(row, row[pc])])
+                       for row, pc in kept]
 
     @property
     def dim(self):
-        return len(self._rows)
+        return len(self._basis)
 
     def basis(self):
         return list(self._basis)
@@ -505,6 +513,8 @@ class Subspace:
 
     def _scaled(self, x, c):
         """x scaled coordinate-wise by c in the coordinate field."""
+        if isinstance(x, CDElement):
+            return x.scale(c)
         h = self.handle
         return h.uncoords([ci * c for ci in h.coords(x)])
 
@@ -537,18 +547,32 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.handle == self.handle
-                and other._rows == self._rows)
+                and other._basis == self._basis)
 
     def __repr__(self):
         return "span<%d dim=%d>" % (self.handle.coord_dim, self.dim)
 
 
+def _kernel_span(algebra, rows, ys, sign):
+    """The X with B(X, Y)_q = sum(n * (X[i] * Y[j] + sign * Y[i] * X[j])),
+    over the terms (i, j, n) of each row q, zero for each Y in ys: the polar
+    form of the norm on `norm_rows` with sign 1, the commutator on the
+    product `rows` with -1."""
+    form = []
+    for Y in (y.nums for y in ys):
+        for row in rows:
+            v = [0] * len(Y)
+            for i, j, n in row:
+                v[i] += n * Y[j]
+                v[j] += sign * n * Y[i]
+            form.append(v)
+    vecs, d = linalg._kernel(algebra.base, form, algebra.dim)
+    return Subspace(algebra, [algebra._canonical(v, d) for v in vecs])
+
+
 def orthogonal_complement(algebra, space):
-    """Exact kernel of the Gram pairing against the given subspace."""
-    basis = algebra.basis()
-    rows = [[bilinear(e, s) for e in basis] for s in space.basis()]
-    ker = linalg.kernel_basis(rows, algebra.base, n_cols=algebra.dim)
-    return Subspace(algebra, [algebra.element(v) for v in ker])
+    """Exact kernel of the polar form of the norm against the subspace."""
+    return _kernel_span(algebra, algebra._kernel.norm_rows, space.basis(), 1)
 
 
 def closure(span):
@@ -574,13 +598,7 @@ def subalgebra_generated(algebra, gens):
 
 def center(algebra):
     """Kernel of all basis commutators: {x | [x, A] = 0}."""
-    rows = []
-    basis = algebra.basis()
-    for e in basis:
-        comms = [commutator(b, e).coords for b in basis]
-        rows += [[c[k] for c in comms] for k in range(algebra.dim)]
-    ker = linalg.kernel_basis(rows, algebra.base, n_cols=algebra.dim)
-    return Subspace(algebra, [algebra.element(v) for v in ker])
+    return _kernel_span(algebra, algebra._kernel.rows, algebra.basis(), -1)
 
 
 class DoublingFrame:

@@ -209,8 +209,9 @@ class GScalarConj(GAtom):
 
 
 class GFrobenius(GAtom):
-    """x -> x^(p^power); a negative power, the inverse map, is taken mod
-    the degree over the prime field, so on finite carriers only."""
+    """x -> x^(p^power), the power taken mod the degree over the prime
+    field on a finite carrier; a negative power, the inverse map, is
+    defined on finite carriers only."""
 
     parity = ISO
 
@@ -226,14 +227,11 @@ class GFrobenius(GAtom):
         if p == 0:
             raise TypeError("Frobenius needs positive characteristic")
         steps = self.power
-        if steps < 0:
-            if not field.is_finite():
-                raise TypeError("inverse Frobenius needs a finite carrier")
+        if field.is_finite():
             steps %= field.coord_dim
-        out = x
-        for _ in range(steps):
-            out = out * out if p == 2 else _pow(out, p)
-        return out
+        elif steps < 0:
+            raise TypeError("inverse Frobenius needs a finite carrier")
+        return _pow(x, p ** steps)
 
     def inverse(self):
         return GFrobenius(-self.power)
@@ -243,10 +241,11 @@ class GFrobenius(GAtom):
 
 
 def _pow(x, k):
-    acc = x.field.one()
-    for _ in range(k):
-        acc = acc * x
-    return acc
+    """x^k by square-and-multiply: at most 2 * k.bit_length() products."""
+    if k < 2:
+        return x if k else x.field.one()
+    half = _pow(x * x, k // 2)
+    return half * x if k % 2 else half
 
 
 class GLinear(GAtom):
@@ -263,9 +262,14 @@ class GLinear(GAtom):
         return self.handle.uncoords(linalg.mat_vec(self.matrix, coords))
 
     def inverse(self):
-        inv = linalg.invert(self.matrix)
-        if inv is None:
-            raise ValueError("singular glueing matrix")
+        """Row i of the inverse: the coefficients of e_i in the rows."""
+        field, n = self.matrix[0][0].field, len(self.matrix)
+        proj = linalg.Projector(field, self.matrix)
+        try:
+            inv = [proj.coefficients([field.scalar(int(i == j))
+                                      for j in range(n)]) for i in range(n)]
+        except linalg.NotInSpan:
+            raise ValueError("singular glueing matrix") from None
         return GLinear(inv, self.handle)
 
     def __repr__(self):

@@ -1,22 +1,22 @@
 """Exact linear algebra over any of the scalar fields.
 
-Matrices are lists of rows of Scalars; sizes stay at desk scale (<= 16).
-There is one reduction, for every field: ``_expanded`` writes the vectors
-over Q or F_p, the coordinate field of K, and one integer Gauss-Jordan,
-``_eliminate``, reduces them, fraction-free over Q and modulo p over F_p.
-``rref`` reads the K-rows off the result, and ``composition.Subspace``
-its membership test as well.  ``kernel_basis``, ``solve``, ``invert`` and
-``mat_vec`` sit on top of ``rref``; ``rref_reference``, Gauss-Jordan on
-Scalars, is the oracle of the tests only.
+Sizes stay at desk scale (<= 16).  A vector of K^n is written over Q or
+F_p, the coordinate field of K, as n * r integers, r = coord_dim, and
+there is one elimination for every field: ``_eliminate``, an integer
+Gauss-Jordan, fraction-free over Q and modulo p over F_p.  On it sit
+``_reduced``, the reduced rows of a span and the residual rows of its
+membership test (``composition.Subspace``), and ``_kernel``, the kernel of
+a K-linear map given by its integer rows.  ``mat_vec`` applies a matrix of
+Scalars.
 
 The fast paths are K-linear maps expanded once into integer rows over Q
 or F_p: ``_integer_rows`` builds the tower product table, ``_contract``
 applies it to integer coordinates over one denominator and ``_scalars``
 lowers the result.  A ``Projector`` answers for the coordinates of x in
 a fixed, arbitrary basis and whether x lies in its span, for doubling
-frames and subfields: it eliminates the expanded basis with
-``_eliminate`` and keeps integer rows, with no Scalar arithmetic.  Tower
-elements are stored in that integer form and go in without a lift.
+frames, subfields and inverse matrices: it eliminates the expanded basis
+with ``_eliminate`` and keeps integer rows, with no Scalar arithmetic.
+Tower elements are stored in that integer form and go in without a lift.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ class NotInSpan(ValueError):
     pass
 
 
-def identity(field, n):
-    return [[field.one() if i == j else field.zero() for j in range(n)]
-            for i in range(n)]
-
-
 def mat_vec(m, v):
     field = m[0][0].field
     out = []
@@ -47,27 +42,16 @@ def mat_vec(m, v):
     return out
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns), from
-    the one reduction `_reduced`, over every field."""
-    if not matrix:
-        return [], []
-    return _reduced(matrix[0][0].field, matrix)[:2]
-
-
-def _reduced(field, vectors):
-    """(K-rows, K-pivots, rows, pivots): the vectors expanded over Q or F_p
-    (`_expanded`) and reduced in place by `_eliminate`, and the reduced
-    rows over K read off them.  For the K-rows R_j with pivots p_j, each
-    E_u * R_j has its pivot 1 at column r * p_j + u, r = coord_dim, and 0
-    at every other such column: these are the integer rows, up to scaling
-    over Q, and the R_j are those with a pivot at a multiple of r."""
-    rows = _expanded(field, vectors)[0]
+def _reduced(field, rows):
+    """(pivots, kept): the integer rows over Q or F_p of vectors of K^n and
+    their multiples by the E_u (``_expanded``) reduced in place by
+    `_eliminate`, to the E_u * R_j for the reduced K-rows R_j, with pivots
+    r * p_j + u (r = coord_dim).  `kept` pairs each R_j with its pivot pc,
+    and its coordinates over K are row / row[pc]."""
     pivots = _eliminate(rows, field.characteristic())
     r = field.coord_dim
-    kept = [(row, pc) for row, pc in zip(rows, pivots) if pc % r == 0]
-    return ([[Scalar(field, v) for v in field.lower(row, row[pc])]
-             for row, pc in kept], [pc // r for _, pc in kept], rows, pivots)
+    return pivots, [(row, pc) for row, pc in zip(rows, pivots)
+                    if pc % r == 0]
 
 
 def _residual(rows, pivots, n):
@@ -88,31 +72,27 @@ def _vanishes(rows, X, p):
     return not any(n % p for n in res) if p else not any(res)
 
 
-def rref_reference(matrix):
-    """`rref` by Gauss-Jordan on Scalars: the oracle the integer reduction
-    is tested against.  Nothing calls it at run time."""
-    m = [row[:] for row in matrix]
-    if not m:
-        return [], []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if not m[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inv()
-        m[r] = [a * inv for a in m[r]]
-        for i in range(n_rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m[:r], pivots
+def _kernel(field, rows, n):
+    """(V, d): integer vectors V over one denominator d whose K-coordinates
+    span {x in K^n : M x = 0}, for the integer rows of a K-linear map M
+    over Q or F_p, n * r columns wide (r = coord_dim): the transpose of
+    ``_expanded`` of the columns of M, the F-images of the E_u * e_j.  The
+    rows are taken mod p, where a polar form's factor 2 vanishes, and
+    reduced in place.  The vector of a free column fc is its `_residual`
+    row: over d, 1 at fc and minus the reduced rows' column fc at their
+    pivots.  The free columns f over K give the free columns r * f + u
+    over Q or F_p, and f gives the vector of r * f."""
+    r, p = field.coord_dim, field.characteristic()
+    if p:
+        rows = [[a % p for a in row] for row in rows]
+    vecs, d = [], 1
+    for row in _residual(rows, _eliminate(rows, p), n * r):
+        (fc, d), vec = row[0], [0] * (n * r)
+        if fc % r == 0:
+            for i, a in row:
+                vec[i] = a
+            vecs.append(vec)
+    return vecs, d
 
 
 def _eliminate(rows, p):
@@ -124,9 +104,9 @@ def _eliminate(rows, p):
     elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): a row is
     cleared by cross-multiplying with the pivot row and is then divided by
     its gcd, so a reduced row is the true one times its pivot entry.  The
-    pivot is the first nonzero entry at or below row k, as in
-    `rref_reference`, and every row stays a nonzero multiple of that
-    elimination's row, so the pivots agree."""
+    pivot is the first nonzero entry at or below row k, as in Gauss-Jordan
+    on Scalars (the tests' ``rref_reference``), and every row stays a
+    nonzero multiple of that elimination's row, so the pivots agree."""
     if not p:
         for k, row in enumerate(rows):
             g = math.gcd(*row)
@@ -157,55 +137,6 @@ def _eliminate(rows, p):
         if r + 1 == n_rows:
             break
     return pivots
-
-
-def rank(matrix):
-    return len(rref(matrix)[0])
-
-
-def kernel_basis(matrix, field, n_cols=None):
-    """Basis of the right kernel {x : M x = 0}."""
-    if not matrix:
-        return identity(field, n_cols)
-    n_cols = len(matrix[0])
-    red, pivots = rref(matrix)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [field.zero()] * n_cols
-        vec[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve(matrix, rhs):
-    """One solution of M x = b, or None if inconsistent."""
-    field = rhs[0].field if rhs else matrix[0][0].field
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    n_cols = len(matrix[0])
-    for row in red:
-        if all(a.is_zero() for a in row[:n_cols]) and not row[n_cols].is_zero():
-            return None
-    x = [field.zero()] * n_cols
-    for r, pc in enumerate(pivots):
-        if pc == n_cols:
-            return None
-        x[pc] = red[r][n_cols]
-    return x
-
-
-def invert(matrix):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(matrix)
-    field = matrix[0][0].field
-    aug = [row[:] + ident_row for row, ident_row in zip(matrix, identity(field, n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red]
 
 
 def _contract(rows, A, B):
@@ -286,16 +217,15 @@ class Projector:
     (``_expanded``), and the F-coordinates of x there are the
     F-coordinates of its K-coefficients.  With the expanded vectors as
     the columns of M, one integer Gauss-Jordan (``_eliminate``) of [M | I]
-    gives an invertible E with E * M reduced.  A row
-    of E whose pivot lies in M gives the coefficient of that pivot's
-    vector; the others get 0, as ``solve`` chooses.  The pivots over F
-    are the E_u * b_j of the pivots over K, so a dependent b_j gets 0 as
-    well.  The remaining rows of E, the residual map, vanish exactly on
-    the span.  A call lifts x once, or takes x already lifted
-    (``coefficients_lifted``), and takes integer dot products.  A fixed
-    `recombine` matrix over K, one column per basis vector, is expanded
-    the same way and multiplied into the coefficient rows as integers.
-    An empty basis needs its `dim`.
+    gives an invertible E with E * M reduced.  A row of E whose pivot lies
+    in M gives the coefficient of that pivot's vector; the others get 0.
+    The pivots over F are the E_u * b_j of the pivots over K, so a
+    dependent b_j gets 0 as well.  The remaining rows of E, the residual
+    map, vanish exactly on the span.  A call lifts x once, or takes x
+    already lifted (``coefficients_lifted``), and takes integer dot
+    products.  A fixed `recombine` matrix over K, one column per basis
+    vector, is expanded the same way and multiplied into the coefficient
+    rows as integers.  An empty basis needs its `dim`.
     """
 
     def __init__(self, field, basis, dim=None, recombine=None):

@@ -222,9 +222,10 @@ def qs_hua(space, a, v):
 
 def qs_defect(space):
     """(radical of the polar form as a coordinate basis, properness flag)."""
-    rows = space.gram()
-    ker = linalg.kernel_basis(rows, space.field, n_cols=space.dim)
-    return [space.vector(v) for v in ker], space.proper()
+    field = space.field  # the Gram matrix is symmetric: rows are columns
+    cols = linalg._expanded(field, space.gram())[0]
+    ker, d = linalg._kernel(field, [list(r) for r in zip(*cols)], space.dim)
+    return [space.vector(field.lower(v, d)) for v in ker], space.proper()
 
 
 class SmallField:

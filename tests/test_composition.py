@@ -12,7 +12,9 @@ from mforge.composition import (CDAlgebra, DoublingFrame, NotInvertible,
                                 orthogonal_complement,
                                 sedenion_style_q, subalgebra_generated,
                                 verify_identities)
-from mforge.scalars import F3, F5, QI, QQ, PrimeField, QuadExt, random_scalar
+from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
+                            random_scalar)
+from test_linalg import kernel_reference, solve_reference
 
 # basis products of the default octonion tower, frozen from the doubling
 # recursion (signed one-based indices)
@@ -328,15 +330,15 @@ def test_kernel_products_match_reference_rule(base, betas):
 
 
 def _reference_split(frame, x):
-    """The split through linalg: inverse of the frame matrix, then the
+    """The split by Gauss-Jordan on Scalars: the solution of the frame
+    matrix against x, read off the augmented matrix, then the
     coordinates recombined over the subalgebra basis."""
-    from mforge import linalg
     from mforge.composition import _lin_comb
     algebra = frame.algebra
     cols = [list(b.coords) for b in frame.sub_basis]
     cols += [list((frame.e * b).coords) for b in frame.sub_basis]
     mat = [[col[i] for col in cols] for i in range(algebra.dim)]
-    comps = linalg.mat_vec(linalg.invert(mat), list(x.coords))
+    comps = solve_reference(algebra.base, mat, list(x.coords))
     k = len(frame.sub_basis)
     return (_lin_comb(frame.sub_basis, comps[:k]),
             _lin_comb(frame.sub_basis, comps[k:]))
@@ -380,6 +382,47 @@ def test_split_off_a_partial_frame_raises(octonions):
     assert frame.combine(h, y) == inside
     with pytest.raises(NotInSpan):
         frame.split(octonions.unit(4))
+
+
+CHAR2_TOWERS = [(F2, [1]), (F2, [1, 1, 1]), (F4, [1, (0, 1)]),
+                (F4, [(1, 1), 1, (0, 1)])]
+
+
+def _kernel_subspace(algebra, matrix):
+    """The subspace of `kernel_reference`'s vectors: the span that
+    Gauss-Jordan on Scalars gives for the kernel of the matrix."""
+    return Subspace(algebra, [algebra.element(v) for v in
+                              kernel_reference(algebra.base, matrix,
+                                               algebra.dim)])
+
+
+@pytest.mark.parametrize("base,betas", TOWERS + CHAR2_TOWERS,
+                         ids=_ids(TOWERS + CHAR2_TOWERS, 5))
+def test_complement_and_center_match_the_product_matrices(base, betas):
+    """Complements read off the norm's polar rows, and the center read
+    off the structure table, against the kernels of the Gram and
+    commutator matrices built from tower products: the same basis, the
+    same residual rows, and the same seeded sample."""
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
+    basis = algebra.basis()
+    rng = random.Random(len(betas))
+    spaces = [Subspace(algebra, []), Subspace(algebra, [algebra.one()]),
+              Subspace(algebra, basis),
+              subalgebra_generated(algebra, [algebra.random_element(rng, 5)])]
+    spaces += [Subspace(algebra, [algebra.random_element(rng, 5)
+                                  for _ in range(k)]) for k in (1, 2, 3)]
+    pairs = [(orthogonal_complement(algebra, space), _kernel_subspace(
+        algebra, [[bilinear(e, s) for e in basis] for s in space.basis()]))
+             for space in spaces]
+    pairs.append((center(algebra), _kernel_subspace(algebra, [
+        [(b * e - e * b).coords[k] for b in basis]
+        for e in basis for k in range(algebra.dim)])))
+    for got, want in pairs:
+        assert got.basis() == want.basis()
+        assert got._residual == want._residual
+        assert got == want
+        assert (got.sample(random.Random(3))
+                == want.sample(random.Random(3)))
 
 
 NORM_TOWERS = [(QQ, [-1, -1, -1]), (QQ, ["-1/2", 3, "-5/7"]),

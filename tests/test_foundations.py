@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from mforge.foundations import (CoxeterDiagram, Foundation, GFrobenius,
 from mforge.handles import as_handle
 from mforge.polygons import (PolygonDescriptor, SYMBOL_QD, SYMBOL_QE,
                              SYMBOL_QF, SYMBOL_T)
-from mforge.scalars import F4, F5, QI
+from mforge.scalars import F4, F5, QI, PrimeField, QuadExt, Scalar
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,49 @@ def test_negative_frobenius_is_the_inverse_map_on_f4():
         assert frob_inv.apply(x) == x * x
         assert frob_inv.inverse().apply(frob_inv.apply(x)) == x
         assert frob_inv.apply(GFrobenius(1).apply(x)) == x
+
+
+def test_frobenius_takes_logarithmically_many_products(monkeypatch):
+    from mforge.foundations import _pow
+    F7 = PrimeField(7)
+    for field in (F5, F7, F4):
+        for x in field.elements():
+            acc = field.one()
+            for k in range(3 * field.order()):
+                assert _pow(x, k) == acc
+                acc = acc * x
+            p = field.characteristic()
+            assert GFrobenius().apply(x) == _pow(x, p)
+            assert GFrobenius(10 ** 9 + 1).apply(x) == GFrobenius().apply(x)
+    # F_p(w) with w^2 = -1, -1 a non-square mod p: Frobenius is conj there
+    p = 1000003
+    ext = QuadExt(PrimeField(p), 0, 1)
+    mul, calls = Scalar.__mul__, []
+    monkeypatch.setattr(Scalar, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    x = ext.scalar((123457, 654321))
+    assert GFrobenius().apply(x) == x.conj()
+    assert 0 < len(calls) <= 2 * p.bit_length()
+
+
+def test_linear_glueing_inverse_round_trip(octonions):
+    from mforge.foundations import GLinear
+    from mforge.octonion_aut import Psi, standard_quaternion_frame
+    sub, e = standard_quaternion_frame(octonions)
+    psi = Psi(octonions, sub, e, octonions.unit(1))
+    h = as_handle(octonions)
+    cols = [psi.apply(b) for b in octonions.basis()]
+    lin = GLinear([[cols[j].coords[i] for j in range(8)] for i in range(8)],
+                  h)
+    inv = lin.inverse()
+    rng = random.Random(5)
+    for x in octonions.basis() + [octonions.random_element(rng, 9)
+                                  for _ in range(5)]:
+        assert inv.apply(lin.apply(x)) == x
+        assert lin.apply(inv.apply(x)) == x
+    singular = [row[:7] + [row[0] + row[1]] for row in lin.matrix]
+    with pytest.raises(ValueError, match="singular glueing matrix"):
+        GLinear(singular, h).inverse()
 
 
 @pytest.mark.parametrize("power", [1.5, True, "2", None])

@@ -114,6 +114,16 @@ def test_defect_degenerate_char2():
     assert len(rad) == 1 and not proper
 
 
+def test_defect_over_a_quadratic_extension():
+    # q = (x + i*y)^2 over Q(i), attested though isotropic: the polar form
+    # f(u, v) = 2(u0 + i*u1)(v0 + i*v1) has the radical spanned by (-i, 1)
+    sp = QuadraticSpace(QI, [1, -1], {(0, 1): (0, 2)}, [1, 0],
+                        anisotropy="attested")
+    rad, proper = qs_defect(sp)
+    assert rad == [sp.vector([(0, -1), 1])] and proper
+    assert all(sp.f(rad[0], b).is_zero() for b in sp.basis())
+
+
 def test_char2_dim2_zero_polar_form_is_isotropic():
     # x^2 + y^2 = (x + y)^2 vanishes at (1, 1): the exhaustive anisotropy
     # check must refuse the construction
