@@ -24,12 +24,12 @@ F_p over one denominator, gcd-reduced over Q and residues over F_p (the
 form of FLINT's ``fmpq_poly``).  Products, the norm and the inverse
 conj(x) * N(x)^-1 contract the stored integers with the table; sums,
 ``conj``, ``scale`` and equality act on them directly, and the base-field
-``coords`` are lowered only when read.  The integer rows and their
-contraction come from ``linalg``, as do the ``Projector`` behind the split
-of a ``DoublingFrame``, the integer reduction behind ``Subspace``, its
-basis and its membership test, and the integer kernel behind ``center``
-and ``orthogonal_complement``, whose rows are read off the table and the
-polar form of the norm rows.  ``Subspace`` is the one span class, for
+``coords`` are lowered only when read.  The integer rows and the
+straight-line functions compiled from them come from ``linalg``, as do
+the ``Projector`` behind the split of a ``DoublingFrame``, the integer
+reduction behind ``Subspace``, its basis and its membership test, and the
+integer kernel behind ``center`` and ``orthogonal_complement``, whose
+rows are read off the table and the polar form of the norm rows.  ``Subspace`` is the one span class, for
 subspaces of a tower and for spans inside any handle, and ``closure`` the
 one closure of a span under products.
 """
@@ -43,7 +43,7 @@ import random
 
 from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
-from .linalg import _contract, _integer_rows, _units
+from .linalg import _compiled, _integer_rows, _units
 from .report import Report
 from .scalars import QQ, PrimeField, Scalar, random_scalar
 
@@ -179,18 +179,27 @@ class CDAlgebra:
         return self._canonical(*self.base.lift(vals))
 
     def from_base(self, s):
-        return self.element([s] + [0] * (self.dim - 1))
+        nums, den = self.base.lift([self.base.coerce(s)])
+        return self._canonical(nums + [0] * (len(nums) * (self.dim - 1)), den)
 
     def zero(self):
-        return self.from_base(0)
+        return CDElement(self, (0,) * (self.dim * self._kernel.r))
 
     def one(self):
-        return self.from_base(1)
+        return self.unit(0)
 
     def unit(self, k):
         r = self._kernel.r
         return CDElement(self, tuple([int(i == k * r)
                                       for i in range(self.dim * r)]))
+
+    def _expanded(self, xs):
+        """``linalg._expanded`` of elements, read off their stored
+        integers: (V, D), row r*v + u of V over D being E_u * xs[v]."""
+        units = [Scalar(self.base, eu) for _, eu in _units(self.base)[1:]]
+        ys = [y for x in xs for y in [x] + [x.scale(eu) for eu in units]]
+        d = math.lcm(*[y.den for y in ys])
+        return [[a * (d // y.den) for a in y.nums] for y in ys], d
 
     def basis(self):
         return [self.unit(k) for k in range(self.dim)]
@@ -287,7 +296,8 @@ class _TowerKernel:
     signs of conj on Y, diagonal when r = 1.  A base-field scalar z sits
     in the column of e_0, so x * z reads only the terms with j < r
     (scalar_rows), and conj(x) * z the same terms with the signs of conj on
-    X (scale_rows): the inverse is conj(x) * N(x)^-1.
+    X (scale_rows): the inverse is conj(x) * N(x)^-1.  Each row set is
+    compiled on first use into a function of (X, Y) (``linalg._compiled``).
     """
 
     def __init__(self, field, betas):
@@ -310,6 +320,15 @@ class _TowerKernel:
         self.scale_rows = tuple(tuple((i, j, n if i < r else -n)
                                       for i, j, n in row)
                                 for row in self.scalar_rows)
+        self.n = dim * r
+
+    mul = functools.cached_property(lambda k: _compiled(k.rows, k.n, k.n))
+    norm = functools.cached_property(
+        lambda k: _compiled(k.norm_rows, k.n, k.n))
+    mul_scalar = functools.cached_property(
+        lambda k: _compiled(k.scalar_rows, k.n, k.r))
+    conj_mul_scalar = functools.cached_property(
+        lambda k: _compiled(k.scale_rows, k.n, k.r))
 
 
 _tower_kernel = functools.lru_cache(maxsize=64)(_TowerKernel)
@@ -376,7 +395,7 @@ class CDElement:
         other = self._peer(other)
         alg = self.algebra
         k = alg._kernel
-        return alg._canonical(_contract(k.rows, self.nums, other.nums),
+        return alg._canonical(k.mul(self.nums, other.nums),
                               k.den * self.den * other.den)
 
     def __rmul__(self, other):
@@ -388,7 +407,7 @@ class CDElement:
         alg = self.algebra
         k = alg._kernel
         z, dz = alg.base.lift([alg.base.coerce(s)])
-        return alg._canonical(_contract(k.scalar_rows, self.nums, z),
+        return alg._canonical(k.mul_scalar(self.nums, z),
                               k.den * self.den * dz)
 
     def conj(self):
@@ -400,7 +419,7 @@ class CDElement:
         alg, d = self.algebra, self.den
         k = alg._kernel
         return Scalar(alg.base, alg.base.lower(
-            _contract(k.norm_rows, self.nums, self.nums), k.den * d * d)[0])
+            k.norm(self.nums, self.nums), k.den * d * d)[0])
 
     def trace(self):
         alg = self.algebra
@@ -415,7 +434,7 @@ class CDElement:
         inverted in the field."""
         alg, nums, d = self.algebra, self.nums, self.den
         k, field = alg._kernel, alg.base
-        n = _contract(k.norm_rows, nums, nums)
+        n = k.norm(nums, nums)
         if k.r == 1:
             z, dz = (1,), n[0] % alg._p if alg._p else n[0]
             if not dz:
@@ -425,8 +444,7 @@ class CDElement:
             if field.is_zero(n):
                 raise NotInvertible("norm is zero")
             z, dz = field.lift([field.inv(n)])
-        return alg._canonical([v * d for v in _contract(k.scale_rows, nums, z)],
-                              dz)
+        return alg._canonical([v * d for v in k.conj_mul_scalar(nums, z)], dz)
 
     def is_zero(self):
         return not any(self.nums)
@@ -478,13 +496,8 @@ class Subspace:
         field = carrier.coord_field
         r, self._p = field.coord_dim, field.characteristic()
         tower = carrier.algebra if isinstance(carrier, CDHandle) else None
-        if tower:
-            units = [Scalar(field, eu) for _, eu in _units(field)[1:]]
-            rows = [list(y.nums) for x in vectors
-                    for y in [x] + [x.scale(eu) for eu in units]]
-        else:
-            rows = linalg._expanded(field, [carrier.coords(v)
-                                            for v in vectors])[0]
+        rows = (tower._expanded(vectors) if tower else linalg._expanded(
+            field, [carrier.coords(v) for v in vectors]))[0]
         pivots, kept = linalg._reduced(field, rows)
         self._residual = linalg._residual(rows, pivots, carrier.coord_dim * r)
         self._basis = [tower._canonical(row, row[pc]) if tower else
@@ -608,8 +621,10 @@ class DoublingFrame:
     basis} carries the recombination of both halves over that basis, so
     a split is two integer matrix-vector products over Q or F_p on the
     stored coordinates of x, whatever the base: the residual, empty when
-    the frame spans the tower, and the coordinates of h and y.  Off
-    A + e*A a split raises NotInSpan.
+    the frame spans the tower, and the coordinates of h and y.  Both are
+    built from the stored integers: h is the transposed expanded basis
+    applied to the coefficients of the first half.  Off A + e*A a split
+    raises NotInSpan.
     """
 
     def __init__(self, algebra, sub, e, check=True):
@@ -623,16 +638,13 @@ class DoublingFrame:
             if not perp.contains(e) or sub.contains(e) or e.norm().is_zero():
                 raise BadDoublingUnit("doubling unit must sit in the "
                                       "complement with nonzero norm")
-        self.sub_basis = sub.basis()
-        n, k, zero = algebra.dim, len(self.sub_basis), algebra.base.zero()
-        frame = ([b.coords for b in self.sub_basis]
-                 + [(e * b).coords for b in self.sub_basis])
-        # row i of h and row i of y: coordinate i of the basis, recombined
-        rows = [[b.coords[i] for b in self.sub_basis] for i in range(n)]
-        recombine = ([row + [zero] * k for row in rows]
-                     + [[zero] * k + row for row in rows])
-        self._proj = linalg.Projector(algebra.base, frame,
-                                      recombine=recombine)
+        bas = self.sub_basis = sub.basis()
+        vecs, d = algebra._expanded(bas + [e * b for b in bas])
+        zeros = [0] * (len(vecs) // 2)
+        cols = [list(c) for c in zip(*vecs[:len(zeros)])]
+        rec = [c + zeros for c in cols] + [zeros + c for c in cols]
+        self._proj = linalg.Projector(algebra.base, (vecs, d),
+                                      recombine=(rec, d))
 
     def split(self, x):
         """x -> (h, y) with x = h + e*y, h and y in the subalgebra."""

@@ -10,9 +10,9 @@ a K-linear map given by its integer rows.  ``mat_vec`` applies a matrix of
 Scalars.
 
 The fast paths are K-linear maps expanded once into integer rows over Q
-or F_p: ``_integer_rows`` builds the tower product table, ``_contract``
-applies it to integer coordinates over one denominator and ``_scalars``
-lowers the result.  A ``Projector`` answers for the coordinates of x in
+or F_p: ``_integer_rows`` builds the tower product table and
+``_compiled`` a straight-line function of two integer vectors from a set
+of its rows.  A ``Projector`` answers for the coordinates of x in
 a fixed, arbitrary basis and whether x lies in its span, for doubling
 frames, subfields and inverse matrices: it eliminates the expanded basis
 with ``_eliminate`` and keeps integer rows, with no Scalar arithmetic.
@@ -139,19 +139,22 @@ def _eliminate(rows, p):
     return pivots
 
 
-def _contract(rows, A, B):
-    nums = []
-    for row in rows:
-        s = 0
-        for i, j, n in row:
-            s += n * A[i] * B[j]
-        nums.append(s)
-    return nums
-
-
-def _scalars(field, nums, den):
-    """The Scalars whose integer coordinates over Q or F_p are nums / den."""
-    return tuple([Scalar(field, v) for v in field.lower(nums, den)])
+def _compiled(rows, m, n):
+    """f(A, B) = [sum(c * A[i] * B[j] for i, j, c in row) for row in rows]
+    for A of length m and B of length n, as one sum of products per row (0
+    for a row without terms), compiled from source written from integer
+    terms alone: anything else raises TypeError before it reaches exec."""
+    def term(i, j, c):
+        if not (type(i) is type(j) is type(c) is int):
+            raise TypeError("not an integer term: %r" % ((i, j, c),))
+        return "%s%sa%d*b%d" % ("-" if c < 0 else "+",
+                                "" if abs(c) == 1 else "%d*" % abs(c), i, j)
+    sums = ["".join(term(*t) for t in row).lstrip("+") or "0" for row in rows]
+    src = "def f(A, B):\n %s, = A\n %s, = B\n return [%s]\n" % (
+        ", ".join("a%d" % i for i in range(m)),
+        ", ".join("b%d" % j for j in range(n)), ", ".join(sums))
+    exec(src, scope := {})
+    return scope["f"]
 
 
 def _units(field):
@@ -223,15 +226,17 @@ class Projector:
     dependent b_j gets 0 as well.  The remaining rows of E, the residual
     map, vanish exactly on the span.  A call lifts x once, or takes x
     already lifted (``coefficients_lifted``), and takes integer dot
-    products.  A fixed `recombine` matrix over K, one column per basis
-    vector, is expanded the same way and multiplied into the coefficient
-    rows as integers.  An empty basis needs its `dim`.
+    products.  The basis comes as a list of vectors of Scalars or as the
+    pair (V, D) of ``_expanded``, a fixed `recombine` map as integer rows
+    (R, D'), one column per expanded basis vector, multiplied into the
+    coefficient rows.  An empty basis needs its `dim`.
     """
 
     def __init__(self, field, basis, dim=None, recombine=None):
-        r, p = field.coord_dim, field.characteristic()
-        n, k = (len(basis[0]) if basis else dim) * r, len(basis) * r
-        vecs, d = _expanded(field, basis)
+        p = field.characteristic()
+        vecs, d = (basis if isinstance(basis, tuple)
+                   else _expanded(field, basis))
+        n, k = len(vecs[0]) if vecs else dim * field.coord_dim, len(vecs)
         rows = [[v[i] for v in vecs] + [int(i == j) for j in range(n)]
                 for i in range(n)]
         pivots = _eliminate(rows, p)
@@ -243,15 +248,10 @@ class Projector:
             coeff[pc] = [m * a for a in row[k:]]
         residual = [row[k:] for row in rows[in_m:]]
         if recombine is not None:
-            # entry ((q, s), (j, u)): coordinate s of recombine[q][j] * E_u
-            w, dr = _expanded(field, recombine)
+            rec, dr = recombine
             cols = list(zip(*coeff))
             coeff = [[sum(map(operator.mul, row, col)) for col in cols]
-                     for row in ([w[q * r + u][j * r + s]
-                                  for j in range(len(basis))
-                                  for u in range(r)]
-                                 for q in range(len(recombine))
-                                 for s in range(r))]
+                     for row in rec]
             den *= dr
         g = math.gcd(den, *[a for row in coeff for a in row])
         if g > 1:
@@ -267,8 +267,9 @@ class Projector:
 
     def coefficients(self, vec):
         """The (recombined) coefficients of vec; NotInSpan off the span."""
-        return _scalars(self.field, *self.coefficients_lifted(
-            *self.field.lift([c.val for c in vec])))
+        f = self.field
+        nums, den = self.coefficients_lifted(*f.lift([c.val for c in vec]))
+        return tuple([Scalar(f, v) for v in f.lower(nums, den)])
 
     def coefficients_lifted(self, X, d):
         """`coefficients` of the vector X / d, as (integer coordinates, one

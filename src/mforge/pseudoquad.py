@@ -431,8 +431,8 @@ def _subfield_maps(alg, ext, gen, e):
     over ext, for e orthogonal to 1 and gen.  Off their images project and
     split raise NotInSpan."""
     one = alg.one()
-    frame = [one.coords, gen.coords, e.coords, (e * gen).coords]
-    line, whole = (linalg.Projector(alg.base, b) for b in (frame[:2], frame))
+    line, whole = (linalg.Projector(alg.base, alg._expanded(frame))
+                   for frame in ([one, gen], [one, gen, e, e * gen]))
 
     def embed(s):
         return (one.scale(Scalar(alg.base, s.val[0]))

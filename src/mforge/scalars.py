@@ -9,7 +9,8 @@ Every field has coordinates over Q or F_p (a quadratic extension's pair
 (u, v) is two coordinates over its base); ``lift`` and ``lower`` pass
 between payloads and those coordinates as integers over one denominator,
 the form in which ``composition`` stores tower elements, and
-``random_coords`` draws random payloads straight into it.
+``random_coords`` draws random payloads straight into it.  Every seeded
+draw below n is the one CPython's Random makes, by ``_draw_below``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ def _rat_is_square(q):
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     return rn * rn == num and rd * rd == den
+
+
+def _draw_below(rng, n):
+    """CPython's draw below n: getrandbits(n.bit_length()) until below
+    n.  ValueError for n <= 0, where that loop never ends."""
+    if n <= 0:
+        raise ValueError("empty range for a draw below %d" % n)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _inexact(field, x):
@@ -187,14 +200,13 @@ class Rationals(Field):
         return 0
 
     def random_payload(self, rng, height=20):
-        num = rng.randint(-height, height)
-        den = rng.randint(1, height)
-        return Fraction(num, den)
+        num = _draw_below(rng, 2 * height + 1) - height
+        return Fraction(num, 1 + _draw_below(rng, height))
 
     def random_coords(self, rng, n, height=20):
         # over the lcm of the drawn denominators
-        draws = [(rng.randint(-height, height), rng.randint(1, height))
-                 for _ in range(n)]
+        draws = [(_draw_below(rng, 2 * height + 1) - height,
+                  1 + _draw_below(rng, height)) for _ in range(n)]
         den = math.lcm(*[d for _, d in draws])
         return [num * (den // d) for num, d in draws], den
 
@@ -284,10 +296,10 @@ class PrimeField(Field):
         return [Scalar(self, r) for r in range(self.p)]
 
     def random_payload(self, rng, height=20):
-        return rng.randrange(self.p)
+        return _draw_below(rng, self.p)
 
     def random_coords(self, rng, n, height=20):
-        return [rng.randrange(self.p) for _ in range(n)], 1
+        return [_draw_below(rng, self.p) for _ in range(n)], 1
 
     def sqrt(self, a):
         """The root r <= p - r of a residue a, or None for a non-square

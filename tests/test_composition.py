@@ -14,7 +14,7 @@ from mforge.composition import (CDAlgebra, DoublingFrame, NotInvertible,
                                 verify_identities)
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
                             random_scalar)
-from test_linalg import kernel_reference, solve_reference
+from test_linalg import contract_reference, kernel_reference, solve_reference
 
 # basis products of the default octonion tower, frozen from the doubling
 # recursion (signed one-based indices)
@@ -423,6 +423,46 @@ def test_complement_and_center_match_the_product_matrices(base, betas):
         assert got == want
         assert (got.sample(random.Random(3))
                 == want.sample(random.Random(3)))
+
+
+@pytest.mark.parametrize("base,betas", TOWERS + CHAR2_TOWERS,
+                         ids=_ids(TOWERS + CHAR2_TOWERS, 5))
+def test_compiled_row_sets_match_the_term_by_term_contraction(base, betas):
+    """The four compiled row sets of a tower's kernel against the term by
+    term contraction of the same rows, on seeded elements and on products
+    of products, whose integers are large."""
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
+    k = algebra._kernel
+    rng = random.Random(len(betas))
+    xs = [algebra.random_element(rng, 9) for _ in range(6)]
+    for _ in range(2):
+        xs += [(a * b) * (b * c) for a, b, c in zip(xs, xs[1:], xs[2:])]
+    assert max(abs(n) for x in xs for n in x.nums) > 2 ** 64 or base != QQ
+    for x, y in zip(xs, xs[::-1]):
+        z = base.lift([random_scalar(base, rng, 9).val])[0]
+        for rows, fn, B in ((k.rows, k.mul, y.nums),
+                            (k.norm_rows, k.norm, x.nums),
+                            (k.scalar_rows, k.mul_scalar, z),
+                            (k.scale_rows, k.conj_mul_scalar, z)):
+            assert fn(x.nums, B) == contract_reference(rows, x.nums, B)
+
+
+def test_frame_build_reads_no_lowered_coordinates(octonions, monkeypatch):
+    """A DoublingFrame is built from the stored integers of its basis:
+    building one, with or without its checks, lowers no element to
+    base-field Scalars."""
+    from mforge.composition import CDElement
+    from mforge.octonion_aut import standard_quaternion_frame
+    sub, e = standard_quaternion_frame(octonions)
+    want = DoublingFrame(octonions, sub, e)
+
+    def refuse(x):
+        raise AssertionError("read CDElement.coords")
+    monkeypatch.setattr(CDElement, "coords", property(refuse))
+    for check in (True, False):
+        frame = DoublingFrame(octonions, sub, e, check=check)
+        x = octonions.element([1, 2, 3, 4, 5, 6, 7, 8])
+        assert frame.split(x) == want.split(x)
 
 
 NORM_TOWERS = [(QQ, [-1, -1, -1]), (QQ, ["-1/2", 3, "-5/7"]),

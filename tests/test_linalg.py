@@ -75,6 +75,18 @@ def kernel_reference(field, matrix, n):
     return basis
 
 
+def contract_reference(rows, A, B):
+    """sum(n * A[i] * B[j]) over the terms (i, j, n) of each row, term by
+    term: the oracle of the compiled contraction ``linalg._compiled``."""
+    nums = []
+    for row in rows:
+        s = 0
+        for i, j, n in row:
+            s += n * A[i] * B[j]
+        nums.append(s)
+    return nums
+
+
 def _rref(matrix):
     """The reduced K-rows and their pivots from `linalg._reduced`."""
     field = matrix[0][0].field
@@ -90,6 +102,29 @@ def _kernel(field, matrix, n):
     cols = linalg._expanded(field, [list(c) for c in zip(*matrix)])[0]
     vecs, d = linalg._kernel(field, [list(r) for r in zip(*cols)], n)
     return [[Scalar(field, a) for a in field.lower(v, d)] for v in vecs]
+
+
+def test_compiled_rows_match_the_term_by_term_contraction():
+    """Rows with large, negative and unit coefficients, a repeated pair
+    and a row with no terms, whose value is 0; A and B differ in length."""
+    rows = (((0, 1, 1), (2, 0, -1), (1, 1, 10 ** 30)), (),
+            ((2, 1, -7), (2, 1, 3), (0, 0, -1)))
+    f = linalg._compiled(rows, 3, 2)
+    for A, B in (((1, 2, 3), (4, 5)), ((-3 ** 40, 0, 7), (2 ** 70, -1))):
+        assert f(A, B) == contract_reference(rows, A, B)
+    assert f((1, 2, 3), (4, 5))[1] == 0
+    with pytest.raises(ValueError):
+        f((1, 2), (4, 5))
+
+
+@pytest.mark.parametrize("term", [(0, 0, 1.5), (0, 0, True),
+                                  (0, 0, "__import__('os')"), ("0", 0, 1),
+                                  (0, 0.0, 1)])
+def test_compiled_rows_refuse_a_term_that_is_not_integers(term):
+    """Only integers are written into the compiled source: anything else
+    raises TypeError, also under python -O."""
+    with pytest.raises(TypeError):
+        linalg._compiled((((0, 0, 1), term),), 1, 1)
 
 
 def test_rref_pivots():
@@ -180,6 +215,17 @@ def _recombination(field, rng, k):
     return [row, [field.zero()] * k, row[::-1]]
 
 
+def _integer_recombine(field, matrix):
+    """The `recombine` pair (R, D) of a matrix over K acting on the
+    expanded coefficients: entry ((q, s), (j, u)) of R over D is
+    coordinate s of matrix[q][j] * E_u."""
+    r = field.coord_dim
+    w, d = linalg._expanded(field, matrix)
+    return [[w[q * r + u][j * r + s] for j in range(len(matrix[0]))
+             for u in range(r)]
+            for q in range(len(matrix)) for s in range(r)], d
+
+
 @pytest.mark.parametrize("field", PROJECTOR_FIELDS, ids=repr)
 def test_projector_matches_solve(field):
     """Coefficients are the solution read off Gauss-Jordan on Scalars of
@@ -191,7 +237,8 @@ def test_projector_matches_solve(field):
     for label, basis in _bases(field, rng, n):
         proj = linalg.Projector(field, basis, n)
         recombine = _recombination(field, rng, len(basis)) if basis else None
-        folded = linalg.Projector(field, basis, n, recombine=recombine)
+        folded = linalg.Projector(field, basis, n, recombine=recombine and
+                                  _integer_recombine(field, recombine))
         matrix = [[b[i] for b in basis] for i in range(n)]
         tests = [_combination(field, rng, basis, n) for _ in range(6)]
         tests += [[random_scalar(field, rng, 5) for _ in range(n)]
@@ -265,7 +312,8 @@ def test_projector_folds_a_recombination():
     basis = [[random_scalar(QI, rng, 5) for _ in range(4)] for _ in range(3)]
     recombine = [[random_scalar(QI, rng, 5) for _ in range(3)]
                  for _ in range(2)]
-    proj = linalg.Projector(QI, basis, recombine=recombine)
+    proj = linalg.Projector(QI, basis,
+                            recombine=_integer_recombine(QI, recombine))
     plain = linalg.Projector(QI, basis)
     for _ in range(5):
         x = _combination(QI, rng, basis, 4)

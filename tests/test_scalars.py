@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -203,13 +204,39 @@ def _reference_draw(field, rng, height):
     return Fraction(num, rng.randint(1, height))
 
 
-@pytest.mark.parametrize("field", [QQ, F5, F4, QI])
+class _BoundedRandom(random.Random):
+    """A generator that refuses its 65th getrandbits call, so a draw loop
+    that never ends fails instead of hanging."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > 64:
+            raise RuntimeError("the draw loop does not end")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F4, QI, F2, PrimeField(10007)])
 def test_random_draws_follow_the_reference_order(field):
-    rng = random.Random(4)
-    want = [_reference_draw(field, rng, 9) for _ in range(12)]
-    nums, den = field.random_coords(random.Random(4), 12, 9)
-    rng = random.Random(4)
-    for got in (field.lower(nums, den),
-                [field.random_payload(rng, 9) for _ in range(12)]):
-        assert got == want
+    """random_coords and random_payload make the draws of rng.randint and
+    rng.randrange and leave the generator in the same state, over 50
+    seeds and heights from 1 to 10007.  A height below 1 over Q is
+    refused at once, as randint refuses it."""
+    for seed, height in itertools.product(range(50), (1, 2, 9, 20, 10007)):
+        rng = random.Random(seed)
+        want = [_reference_draw(field, rng, height) for _ in range(12)]
+        after = rng.random()
+        rng = random.Random(seed)
+        got = field.lower(*field.random_coords(rng, 12, height))
+        assert (got, rng.random()) == (want, after)
+        rng = random.Random(seed)
+        got = [field.random_payload(rng, height) for _ in range(12)]
+        assert (got, rng.random()) == (want, after)
         assert all(type(g) is type(w) for g, w in zip(got, want))
+    if field.coord_field == QQ:
+        for height in (0, -1):
+            with pytest.raises(ValueError):
+                field.random_coords(_BoundedRandom(0), 8, height)
+            with pytest.raises(ValueError):
+                field.random_payload(_BoundedRandom(0), height)
