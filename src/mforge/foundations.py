@@ -264,7 +264,7 @@ class GLinear(GAtom):
     def inverse(self):
         """Row i of the inverse: the coefficients of e_i in the rows."""
         field, n = self.matrix[0][0].field, len(self.matrix)
-        proj = linalg.Projector(field, self.matrix)
+        proj = linalg.Projector(field, linalg._expanded(field, self.matrix))
         try:
             inv = [proj.coefficients([field.scalar(int(i == j))
                                       for j in range(n)]) for i in range(n)]

@@ -226,16 +226,14 @@ class Projector:
     dependent b_j gets 0 as well.  The remaining rows of E, the residual
     map, vanish exactly on the span.  A call lifts x once, or takes x
     already lifted (``coefficients_lifted``), and takes integer dot
-    products.  The basis comes as a list of vectors of Scalars or as the
-    pair (V, D) of ``_expanded``, a fixed `recombine` map as integer rows
-    (R, D'), one column per expanded basis vector, multiplied into the
-    coefficient rows.  An empty basis needs its `dim`.
+    products.  The basis is the pair (V, D) of ``_expanded``, with its
+    `dim` if empty; integer rows (R, D') of a `recombine` map, one
+    column per expanded vector, are multiplied into the coefficients.
     """
 
-    def __init__(self, field, basis, dim=None, recombine=None):
+    def __init__(self, field, expanded, dim=None, recombine=None):
         p = field.characteristic()
-        vecs, d = (basis if isinstance(basis, tuple)
-                   else _expanded(field, basis))
+        vecs, d = expanded
         n, k = len(vecs[0]) if vecs else dim * field.coord_dim, len(vecs)
         rows = [[v[i] for v in vecs] + [int(i == j) for j in range(n)]
                 for i in range(n)]

@@ -248,11 +248,13 @@ class SmallField:
         self.xt = None
         if space.dim == 2:
             # any vector outside the basepoint line
-            line = linalg.Projector(space.field, frame)
+            line = linalg.Projector(space.field,
+                                    linalg._expanded(space.field, frame))
             self.xt = next(b for b in space.basis()
                            if not line.contains(b.coords))
             frame.append(self.xt.coords)
-        self._frame_proj = linalg.Projector(space.field, frame)
+        self._frame_proj = linalg.Projector(
+            space.field, linalg._expanded(space.field, frame))
         self.type_tag = self._classify()
 
     def _classify(self):

@@ -104,6 +104,12 @@ def _kernel(field, matrix, n):
     return [[Scalar(field, a) for a in field.lower(v, d)] for v in vecs]
 
 
+def _projector(field, basis, dim=None, recombine=None):
+    """A Projector onto vectors of Scalars, expanded as callers do."""
+    return linalg.Projector(field, linalg._expanded(field, basis), dim,
+                            recombine)
+
+
 def test_compiled_rows_match_the_term_by_term_contraction():
     """Rows with large, negative and unit coefficients, a repeated pair
     and a row with no terms, whose value is 0; A and B differ in length."""
@@ -138,13 +144,13 @@ def test_rref_pivots():
 def test_solve_and_residual():
     m = mat(QQ, [[2, 1], [1, 3]])
     rhs = [QQ.scalar(5), QQ.scalar(10)]
-    x = linalg.Projector(QQ, [list(c) for c in zip(*m)]).coefficients(rhs)
+    x = _projector(QQ, [list(c) for c in zip(*m)]).coefficients(rhs)
     assert linalg.mat_vec(m, x) == rhs
 
 
 def test_solve_inconsistent():
     m = mat(QQ, [[1, 1], [1, 1]])
-    proj = linalg.Projector(QQ, [list(c) for c in zip(*m)])
+    proj = _projector(QQ, [list(c) for c in zip(*m)])
     with pytest.raises(linalg.NotInSpan):
         proj.coefficients([QQ.scalar(0), QQ.scalar(1)])
 
@@ -183,7 +189,7 @@ def test_kernel_of_empty_matrix_is_everything():
 
 
 def test_in_span():
-    proj = linalg.Projector(QQ, mat(QQ, [[1, 0, 1], [0, 1, 1]]))
+    proj = _projector(QQ, mat(QQ, [[1, 0, 1], [0, 1, 1]]))
     assert proj.contains([QQ.scalar(2), QQ.scalar(3), QQ.scalar(5)])
     assert not proj.contains([QQ.scalar(0), QQ.scalar(0), QQ.scalar(1)])
 
@@ -235,9 +241,9 @@ def test_projector_matches_solve(field):
     rng = random.Random(11)
     n = 5
     for label, basis in _bases(field, rng, n):
-        proj = linalg.Projector(field, basis, n)
+        proj = _projector(field, basis, n)
         recombine = _recombination(field, rng, len(basis)) if basis else None
-        folded = linalg.Projector(field, basis, n, recombine=recombine and
+        folded = _projector(field, basis, n, recombine=recombine and
                                   _integer_recombine(field, recombine))
         matrix = [[b[i] for b in basis] for i in range(n)]
         tests = [_combination(field, rng, basis, n) for _ in range(6)]
@@ -291,7 +297,7 @@ def test_projector_onto_reduced_rows_needs_no_elimination(field):
                 span = Subspace(tower, [tower.element(b) for b in basis])
             else:
                 span = Subspace(carrier, basis)
-            reference = linalg.Projector(field, basis, n)
+            reference = _projector(field, basis, n)
             assert ([list(span.handle.coords(b)) for b in span.basis()]
                     == rref_reference(basis)[0]), label
             tests = [_combination(field, rng, basis, n) for _ in range(6)]
@@ -312,9 +318,9 @@ def test_projector_folds_a_recombination():
     basis = [[random_scalar(QI, rng, 5) for _ in range(4)] for _ in range(3)]
     recombine = [[random_scalar(QI, rng, 5) for _ in range(3)]
                  for _ in range(2)]
-    proj = linalg.Projector(QI, basis,
+    proj = _projector(QI, basis,
                             recombine=_integer_recombine(QI, recombine))
-    plain = linalg.Projector(QI, basis)
+    plain = _projector(QI, basis)
     for _ in range(5):
         x = _combination(QI, rng, basis, 4)
         assert (list(proj.coefficients(x))

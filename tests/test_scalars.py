@@ -227,13 +227,14 @@ def test_random_draws_follow_the_reference_order(field):
         rng = random.Random(seed)
         want = [_reference_draw(field, rng, height) for _ in range(12)]
         after = rng.random()
-        rng = random.Random(seed)
-        got = field.lower(*field.random_coords(rng, 12, height))
-        assert (got, rng.random()) == (want, after)
-        rng = random.Random(seed)
-        got = [field.random_payload(rng, height) for _ in range(12)]
-        assert (got, rng.random()) == (want, after)
-        assert all(type(g) is type(w) for g, w in zip(got, want))
+        for draw in (lambda rng: field.lower(*field.random_coords(
+                         rng, 12, height)),
+                     lambda rng: [field.random_payload(rng, height)
+                                  for _ in range(12)]):
+            rng = random.Random(seed)
+            got = draw(rng)
+            assert (got, rng.random()) == (want, after)
+            assert all(type(g) is type(w) for g, w in zip(got, want))
     if field.coord_field == QQ:
         for height in (0, -1):
             with pytest.raises(ValueError):
