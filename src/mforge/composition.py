@@ -23,8 +23,8 @@ An element is stored in that lifted form: integer coordinates over Q or
 F_p over one denominator, gcd-reduced over Q and residues over F_p (the
 form of FLINT's ``fmpq_poly``).  Products, the norm and the inverse
 conj(x) * N(x)^-1 contract the stored integers with the table; sums,
-``conj``, ``scale`` and equality act on them directly, and the base-field
-``coords`` are lowered only when read.  The integer rows and the
+``conj``, ``scale``, equality and keys act on them directly, and the
+base-field ``coords`` are lowered only when read.  The integer rows and the
 straight-line functions compiled from them come from ``linalg``, as do
 the ``Projector`` behind the split of a ``DoublingFrame``, the integer
 reduction behind ``Subspace``, its basis and its membership test, and the
@@ -341,8 +341,9 @@ class CDElement:
     The form is canonical, so equal elements have equal forms: over Q
     gcd(den, *nums) = 1 and den > 0; over F_p `nums` holds residues and
     den = 1.  Build elements through their algebra (``element``,
-    ``random_element``, ...).  `coords`, the base-field Scalars, is lowered
-    on first read and cached; keys, reprs and reports read it.
+    ``random_element``, ...).  `key()` is that form, (nums, den).
+    `coords`, the base-field Scalars, is lowered on first read and cached;
+    reprs and reports read it.
     """
 
     __slots__ = ("algebra", "nums", "den", "_coords")
@@ -463,7 +464,7 @@ class CDElement:
         return hash((self.nums, self.den))
 
     def key(self):
-        return tuple(c.val for c in self.coords)
+        return self.nums, self.den
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"

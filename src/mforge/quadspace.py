@@ -3,10 +3,15 @@
 A space stores the values of the form on a basis plus the strict upper
 part of the polar form; in characteristic 2 the two are independent, so
 both are kept.  Vectors are coordinate tuples over the ground field.
+
+q and f run on integer coordinates over Q or F_p, as a tower's product
+does: each form is expanded once per space into integer rows, compiled on
+first use (``linalg._compiled``), and a call lifts each vector once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -117,22 +122,38 @@ class QuadraticSpace:
             i, j = j, i
         return self.f_upper.get((i, j), self.field.zero())
 
+    def _compile(self, entries):
+        """(g, den): g(U, V) / (den * du * dv) is sum(c * u_i * v_j) over
+        the entries ((i, j), c), on vectors u and v with coordinates U / du
+        and V / dv over Q or F_p (``linalg._units``)."""
+        field, r = self.field, self.field.coord_dim
+        mul, units = field.mul, linalg._units(field)
+        terms = [(0, i * r + u, j * r + t, mul(mul(c.val, eu), et))
+                 for (i, j), c in entries
+                 for u, eu in units for t, et in units]
+        rows, den = linalg._integer_rows(field, terms, r)
+        return linalg._compiled(rows, self.dim * r, self.dim * r), den
+
+    _q_form = functools.cached_property(lambda s: s._compile(
+        [((i, i), c) for i, c in enumerate(s.q_basis)]
+        + list(s.f_upper.items())))
+    _f_form = functools.cached_property(lambda s: s._compile(
+        [((i, j), s.f_entry(i, j)) for i in range(s.dim)
+         for j in range(s.dim)]))
+
+    def _value(self, form, u, v):
+        g, den = form
+        field = self.field
+        U, du = field.lift([c.val for c in u.coords])
+        V, dv = (U, du) if v is u else field.lift([c.val for c in v.coords])
+        return Scalar(field, field.lower(g(U, V), den * du * dv)[0])
+
     def q(self, v):
         v = self.vector(v)
-        acc = self.field.zero()
-        for i in range(self.dim):
-            acc = acc + self.q_basis[i] * v.coords[i] * v.coords[i]
-        for (i, j), f in self.f_upper.items():
-            acc = acc + f * v.coords[i] * v.coords[j]
-        return acc
+        return self._value(self._q_form, v, v)
 
     def f(self, u, v):
-        u, v = self.vector(u), self.vector(v)
-        acc = self.field.zero()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = acc + u.coords[i] * self.f_entry(i, j) * v.coords[j]
-        return acc
+        return self._value(self._f_form, self.vector(u), self.vector(v))
 
     def trace(self, v):
         return self.f(self.basepoint, v)

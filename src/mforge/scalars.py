@@ -10,7 +10,7 @@ Every field has coordinates over Q or F_p (a quadratic extension's pair
 between payloads and those coordinates as integers over one denominator,
 the form in which ``composition`` stores tower elements, and
 ``random_coords`` draws random payloads straight into it.  Every seeded
-draw below n is the one CPython's Random makes, by ``_draw_below``.
+draw below n is the one CPython's Random makes, by ``_draws_below``.
 """
 
 from __future__ import annotations
@@ -65,16 +65,20 @@ def _rat_is_square(q):
     return rn * rn == num and rd * rd == den
 
 
-def _draw_below(rng, n):
-    """CPython's draw below n: getrandbits(n.bit_length()) until below
-    n.  ValueError for n <= 0, where that loop never ends."""
-    if n <= 0:
-        raise ValueError("empty range for a draw below %d" % n)
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
+def _draws_below(rng, bounds):
+    """CPython's draw below each n of `bounds`, in order:
+    getrandbits(n.bit_length()) until below n.  ValueError for n <= 0,
+    where that loop never ends."""
+    getrandbits, out = rng.getrandbits, []
+    for n in bounds:
+        if n <= 0:
+            raise ValueError("empty range for a draw below %d" % n)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
 
 
 def _inexact(field, x):
@@ -200,15 +204,16 @@ class Rationals(Field):
         return 0
 
     def random_payload(self, rng, height=20):
-        num = _draw_below(rng, 2 * height + 1) - height
-        return Fraction(num, 1 + _draw_below(rng, height))
+        num, den = _draws_below(rng, (2 * height + 1, height))
+        return Fraction(num - height, 1 + den)
 
     def random_coords(self, rng, n, height=20):
         # over the lcm of the drawn denominators
-        draws = [(_draw_below(rng, 2 * height + 1) - height,
-                  1 + _draw_below(rng, height)) for _ in range(n)]
-        den = math.lcm(*[d for _, d in draws])
-        return [num * (den // d) for num, d in draws], den
+        draws = _draws_below(rng, (2 * height + 1, height) * n)
+        dens = [1 + d for d in draws[1::2]]
+        den = math.lcm(*dens)
+        return [(num - height) * (den // d)
+                for num, d in zip(draws[::2], dens)], den
 
     def render(self, a):
         num, den = a.numerator, a.denominator
@@ -296,10 +301,10 @@ class PrimeField(Field):
         return [Scalar(self, r) for r in range(self.p)]
 
     def random_payload(self, rng, height=20):
-        return _draw_below(rng, self.p)
+        return _draws_below(rng, (self.p,))[0]
 
     def random_coords(self, rng, n, height=20):
-        return [_draw_below(rng, self.p) for _ in range(n)], 1
+        return _draws_below(rng, (self.p,) * n), 1
 
     def sqrt(self, a):
         """The root r <= p - r of a residue a, or None for a non-square
@@ -352,7 +357,8 @@ class QuadExt(Field):
 
     The defining polynomial y^2 - t0*y + n0 must be irreducible over the
     base, which is restricted to Q or a prime field.  Payloads are pairs
-    (u, v) of base payloads meaning u + v*w.
+    (u, v) of base payloads meaning u + v*w; products, norms, traces and
+    inverses run on their integers over one denominator (``lift``).
     """
 
     kind = "quadext"
@@ -365,6 +371,7 @@ class QuadExt(Field):
         self.t0 = base.coerce(t0)
         self.n0 = base.coerce(n0)
         self.gen_name = gen_name
+        self._tn = base.lift([self.t0, self.n0])  # ([t, n], d0)
         if not self._irreducible():
             raise ValueError(
                 "y^2 - (%s)y + (%s) has a root in %s"
@@ -411,13 +418,13 @@ class QuadExt(Field):
         return (f.sub(a[0], b[0]), f.sub(a[1], b[1]))
 
     def mul(self, a, b):
-        # (u1 + v1 w)(u2 + v2 w), w^2 = t0 w - n0
-        f = self.base
-        u1, v1 = a
-        u2, v2 = b
-        vv = f.mul(v1, v2)
-        u = f.sub(f.mul(u1, u2), f.mul(self.n0, vv))
-        v = f.add(f.add(f.mul(u1, v2), f.mul(v1, u2)), f.mul(self.t0, vv))
+        # (u1 + v1 w)(u2 + v2 w), w^2 = t0 w - n0, on the integers of both
+        # operands over one denominator d
+        (u1, v1, u2, v2), d = self.base.lift(a + b)
+        (t, n), d0 = self._tn
+        vv = v1 * v2
+        u, v = self.base.lower([u1 * u2 * d0 - n * vv,
+                                (u1 * v2 + v1 * u2) * d0 + t * vv], d * d * d0)
         return (u, v)
 
     def neg(self, a):
@@ -429,23 +436,32 @@ class QuadExt(Field):
         u, v = a
         return (f.add(u, f.mul(self.t0, v)), f.neg(v))
 
+    def _lifted_norm(self, a):
+        """(u, v, d, m): a = (u + v w) / d and N(a) = m / (d^2 d0) on
+        integers, by N(u + v w) = u^2 + t0 u v + n0 v^2."""
+        (u, v), d = self.base.lift(a)
+        (t, n), d0 = self._tn
+        return u, v, d, u * u * d0 + t * u * v + n * v * v
+
     def norm_payload(self, a):
-        prod = self.mul(a, self.conj(a))
-        assert self.base.is_zero(prod[1])
-        return prod[0]
+        u, v, d, m = self._lifted_norm(a)
+        return self.base.lower([m], d * d * self._tn[1])[0]
 
     def trace_payload(self, a):
-        s = self.add(a, self.conj(a))
-        assert self.base.is_zero(s[1])
-        return s[0]
+        # T(u + v w) = 2u + t0 v
+        (u, v), d = self.base.lift(a)
+        (t, _), d0 = self._tn
+        return self.base.lower([2 * u * d0 + t * v], d * d0)[0]
 
     def inv(self, a):
-        n = self.norm_payload(a)
-        if self.base.is_zero(n):
+        # conj(a) / N(a), with conj(u + v w) = u + t0 v - v w
+        u, v, d, m = self._lifted_norm(a)
+        p = self.characteristic()
+        if not (m % p if p else m):
             raise DivisionByZero("1/0 in %s" % self)
-        ninv = self.base.inv(n)
-        c = self.conj(a)
-        return (self.base.mul(c[0], ninv), self.base.mul(c[1], ninv))
+        (t, _), d0 = self._tn
+        c, cw = self.base.lower([(u * d0 + t * v) * d, -v * d * d0], m)
+        return (c, cw)
 
     def is_zero(self, a):
         return self.base.is_zero(a[0]) and self.base.is_zero(a[1])

@@ -551,14 +551,22 @@ def test_integer_form_is_canonical_after_every_operation(base, betas):
 
 @pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
 def test_equality_and_hash_follow_coords(base, betas):
+    """Equality, hashes and keys read the stored integers: a key is
+    (nums, den), taken without lowering to coords, and the same element
+    reached by other routes has the same key."""
     algebra = CDAlgebra(base, betas, allow_dim16=True)
     rng = random.Random(22)
     xs = _operands(algebra, rng)
-    # the same elements reached another way
+    # the same elements reached other ways
     twins = [(x + xs[1]) - xs[1] for x in xs]
-    for x, tx in zip(xs, twins):
+    routes = [[x * algebra.one(), x.conj().conj(), -(-x)] for x in xs]
+    for x in xs + twins + sum(routes, []):
+        assert x.key() == (x.nums, x.den) and x._coords is None
+    for x, tx, others in zip(xs, twins, routes):
         assert x == tx and hash(x) == hash(tx)
         assert (x.nums, x.den) == (tx.nums, tx.den)
+        assert all(y.key() == x.key() for y in others + [tx])
+        assert algebra.element(x.coords).key() == x.key()
     for x in xs + twins:
         for y in xs + twins:
             assert (x == y) == (x.coords == y.coords)

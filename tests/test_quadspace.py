@@ -1,11 +1,12 @@
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
-from mforge import moufang
-from mforge.composition import quaternions_q
+from mforge import linalg, moufang
+from mforge.composition import octonions_q, quaternions_q
 from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, SmallField,
                               ZeroAnchor, qs_defect, qs_eval, qs_hua,
                               qs_small_dim_field, space_from_algebra,
@@ -284,3 +285,85 @@ def test_octonion_norm_space(octonions):
         v = sp.random_vector(rng, 6)
         x = octonions.element([c for c in v.coords])
         assert sp.q(v) == x.norm()
+
+
+# -- the Scalar double loop: the forms entry by entry, the oracle of the
+#    compiled forms
+
+def q_reference(space, v):
+    """sum(q_i * v_i^2) + sum(f_ij * v_i * v_j) over the upper entries."""
+    acc = space.field.zero()
+    for i in range(space.dim):
+        acc = acc + space.q_basis[i] * v.coords[i] * v.coords[i]
+    for (i, j), f in space.f_upper.items():
+        acc = acc + f * v.coords[i] * v.coords[j]
+    return acc
+
+
+def f_reference(space, u, v):
+    """sum(u_i * f(e_i, e_j) * v_j) over all i and j."""
+    acc = space.field.zero()
+    for i in range(space.dim):
+        for j in range(space.dim):
+            acc = acc + u.coords[i] * space.f_entry(i, j) * v.coords[j]
+    return acc
+
+
+# every space built in this file, a dim-3 space over Q with all three
+# upper entries, and a characteristic-2 space over F4: x^2 + xy + w y^2 is
+# anisotropic because w has trace 1
+SPACES = {
+    "F4": lambda: space_from_quadext(F4),
+    "Q-dim1": lambda: QuadraticSpace(QQ, [1], {}, [1], anisotropy="attested"),
+    "Qi": lambda: space_from_quadext(QI),
+    "quaternion-Q": lambda: space_from_algebra(quaternions_q()),
+    "octonion-Q": lambda: space_from_algebra(octonions_q()),
+    "F2-dim1": lambda: QuadraticSpace(F2, [1], {}, [1]),
+    "over-Qi": lambda: QuadraticSpace(QI, [1, -1], {(0, 1): (0, 2)}, [1, 0],
+                                      anisotropy="attested"),
+    "F1009-n0-1": lambda: space_from_quadext(_quadext_over(1009)),
+    "F1009": _f1009_space,
+    "F11": lambda: space_from_quadext(QuadExt(PrimeField(11), 0, 1)),
+    "Q-dim3": lambda: QuadraticSpace(
+        QQ, [1, "2/3", 5], {(0, 1): "1/2", (0, 2): 1, (1, 2): "-3/7"},
+        [1, 0, 0], anisotropy="attested"),
+    "over-F4-char2": lambda: QuadraticSpace(F4, [1, (0, 1)], {(0, 1): 1},
+                                            [1, 0]),
+}
+
+
+def _same(got, want):
+    return (got == want and got.field == want.field
+            and type(got.val) is type(want.val))
+
+
+@pytest.mark.parametrize("make", list(SPACES.values()), ids=list(SPACES))
+def test_compiled_forms_match_the_scalar_double_loop(make):
+    """q and f on integer coordinates equal the entry-by-entry sums: on
+    every vector of a space of at most 256 vectors, else on the basis and
+    on samples of heights 1, 9 and 10^6."""
+    sp = make()
+    field = sp.field
+    if field.is_finite() and field.order() ** sp.dim <= 256:
+        vs = list(sp.enumerate_vectors())
+    else:
+        rng = random.Random(17)
+        vs = sp.basis() + [sp.zero()] + [sp.random_vector(rng, h)
+                                         for h in (1, 9, 10 ** 6)
+                                         for _ in range(8)]
+    for u in vs:
+        assert _same(sp.q(u), q_reference(sp, u))
+        for v in vs if len(vs) <= 16 else vs[:16]:
+            assert _same(sp.f(u, v), f_reference(sp, u, v))
+
+
+def test_compiled_forms_refuse_a_term_that_is_not_integers(monkeypatch):
+    """A term that is not integers never reaches the compiled source."""
+    sp = QuadraticSpace(QQ, [1, 2], {}, [1, 0], anisotropy="attested")
+    rows = (((0, 0, Fraction(1, 2)),),)   # one row of one term
+    monkeypatch.setattr(linalg, "_integer_rows",
+                        lambda field, terms, size: (rows, 1))
+    with pytest.raises(TypeError, match="not an integer term"):
+        sp.f(sp.basepoint, sp.basepoint)
+    with pytest.raises(TypeError, match="not an integer term"):
+        QuadraticSpace(QQ, [1], {}, [1], anisotropy="attested")

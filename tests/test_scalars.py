@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mforge.scalars import (F2, F4, F5, QI, QQ, DescriptorMismatch,
+from mforge.scalars import (F2, F3, F4, F5, QI, QQ, DescriptorMismatch,
                             DivisionByZero, NotQuadExt, PrimeField, QuadExt,
-                            Scalar, field_by_name, galois_data, random_scalar)
+                            Scalar, _draws_below, field_by_name, galois_data,
+                            random_scalar)
 
 
 def test_rational_arithmetic():
@@ -221,16 +222,18 @@ class _BoundedRandom(random.Random):
 def test_random_draws_follow_the_reference_order(field):
     """random_coords and random_payload make the draws of rng.randint and
     rng.randrange and leave the generator in the same state, over 50
-    seeds and heights from 1 to 10007.  A height below 1 over Q is
-    refused at once, as randint refuses it."""
-    for seed, height in itertools.product(range(50), (1, 2, 9, 20, 10007)):
+    seeds, heights from 1 to 10007 and 8 or 16 coordinates.  A height
+    below 1 over Q is refused at once, as randint refuses it, and so is
+    any bound below 1 of the draw primitive itself."""
+    for seed, height, n in itertools.product(
+            range(50), (1, 2, 9, 20, 10007), (8, 16)):
         rng = random.Random(seed)
-        want = [_reference_draw(field, rng, height) for _ in range(12)]
+        want = [_reference_draw(field, rng, height) for _ in range(n)]
         after = rng.random()
         for draw in (lambda rng: field.lower(*field.random_coords(
-                         rng, 12, height)),
+                         rng, n, height)),
                      lambda rng: [field.random_payload(rng, height)
-                                  for _ in range(12)]):
+                                  for _ in range(n)]):
             rng = random.Random(seed)
             got = draw(rng)
             assert (got, rng.random()) == (want, after)
@@ -241,3 +244,70 @@ def test_random_draws_follow_the_reference_order(field):
                 field.random_coords(_BoundedRandom(0), 8, height)
             with pytest.raises(ValueError):
                 field.random_payload(_BoundedRandom(0), height)
+    for bounds in ((2, 0), (-1,), (5,) * 3 + (0,)):
+        with pytest.raises(ValueError):
+            _draws_below(_BoundedRandom(0), bounds)
+
+
+# -- the pair rule: quadratic-extension arithmetic payload by payload in the
+#    base field, the oracle of the integer closed forms
+
+def _pair_mul(field, a, b):
+    """(u1 + v1 w)(u2 + v2 w) with w^2 = t0 w - n0, by six base products."""
+    f = field.base
+    u1, v1 = a
+    u2, v2 = b
+    vv = f.mul(v1, v2)
+    u = f.sub(f.mul(u1, u2), f.mul(field.n0, vv))
+    v = f.add(f.add(f.mul(u1, v2), f.mul(v1, u2)), f.mul(field.t0, vv))
+    return (u, v)
+
+
+def _pair_norm_trace(field, a):
+    """N(a) and T(a), the base parts of a * conj(a) and a + conj(a)."""
+    c = field.conj(a)
+    prod, s = _pair_mul(field, a, c), field.add(a, c)
+    assert field.base.is_zero(prod[1]) and field.base.is_zero(s[1])
+    return prod[0], s[0]
+
+
+def _pair_inv(field, a):
+    """conj(a) * N(a)^-1, the norm inverted in the base field."""
+    ninv = field.base.inv(_pair_norm_trace(field, a)[0])
+    return tuple(field.base.mul(c, ninv) for c in field.conj(a))
+
+
+QUADEXTS = [QI, QuadExt(QQ, Fraction(1, 3), Fraction(5, 2)), F4,
+            QuadExt(F3, 0, 1)]
+
+
+def _same(got, want):
+    """Equal payloads of the same types, coordinate by coordinate."""
+    pairs = zip(got, want) if isinstance(want, tuple) else [(got, want)]
+    return got == want and all(type(g) is type(w) for g, w in pairs)
+
+
+@pytest.mark.parametrize("field", QUADEXTS, ids=["Qi", "Q(1/3,5/2)", "F4",
+                                                 "F9"])
+def test_quadext_closed_forms_match_the_pair_rule(field):
+    """mul, inv, norm_payload and trace_payload on integers equal the pair
+    rule: on every pair over F4 and F9, and over Q (t0 = 0 and t0 = 1/3,
+    n0 = 5/2) on the zero, the one and payloads of heights 1, 9 and 10^6."""
+    if field.is_finite():
+        pays = [s.val for s in field.elements()]
+    else:
+        rng = random.Random(31)
+        pays = [field.zero_payload(), field.one_payload()] + [
+            field.random_payload(rng, h) for h in (1, 9, 10 ** 6)
+            for _ in range(12)]
+    for a in pays:
+        for b in pays:
+            assert _same(field.mul(a, b), _pair_mul(field, a, b))
+        n, t = _pair_norm_trace(field, a)
+        assert _same(field.norm_payload(a), n)
+        assert _same(field.trace_payload(a), t)
+        if field.is_zero(a):
+            with pytest.raises(DivisionByZero):
+                field.inv(a)
+        else:
+            assert _same(field.inv(a), _pair_inv(field, a))
