@@ -9,13 +9,21 @@ The two sweeps run on a compact copy of the table (int16 up to 2^15
 elements, int32 above) in blocks of `_BLOCK` rows, gathering into
 buffers allocated once per call, so the largest shipped word group
 (1024 elements, 2^30 triples) takes a few megabytes beyond its table.
-The associativity sweep decides block by block, b rows outer and every a
-inner; only a failing block falls back to the per-row sweep
-`_first_assoc_by_rows`, which locates the lexicographically first
-triple.  The homomorphism sweep goes through row blocks in order, so its
-first failing block holds the first pair.  A table or permutation with
-an entry outside 0..n-1 is no index table: it takes the per-row sweep,
-or the whole-table homomorphism sweep, with numpy's own indexing rules.
+
+Associativity is first decided by Light's test (Clifford & Preston, The
+Algebraic Theory of Semigroups I, 1961, §1.2): the a with (xa)y = x(ay)
+for all x, y are closed under the product, so the identity on a set of
+generators decides all n^3 triples.  `_generators` picks them greedily
+and gives up past 1 + floor(log2 n) of them, more than any group needs:
+each new generator at least doubles the subgroup reached (Lagrange).
+When the cap is passed, or the test fails, the blocked sweep runs as
+before: b rows outer and every a inner, and only a failing block falls
+back to the per-row sweep `_first_assoc_by_rows`, which locates the
+lexicographically first triple.  The homomorphism sweep goes through row
+blocks in order, so its first failing block holds the first pair.  A
+table or permutation with an entry outside 0..n-1 is no index table: it
+takes the per-row sweep, or the whole-table homomorphism sweep, with
+numpy's own indexing rules.
 """
 
 from __future__ import annotations
@@ -45,6 +53,46 @@ def _first_assoc_by_rows(t):
     return None
 
 
+def _generators(s):
+    """Generators of the index table s, each the first index not yet
+    reached, or None past 1 + floor(log2 n) of them.  The reached set
+    grows by right products with the generators, so it lies in the
+    submagma they generate."""
+    n = s.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    gens = []
+    while not reached.all():
+        if len(gens) == n.bit_length():
+            return None
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        frontier = np.flatnonzero(reached)
+        by_gens = s[:, gens]
+        while frontier.size:
+            new = np.zeros(n, dtype=bool)
+            new[by_gens[frontier]] = True
+            new &= ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+    return gens
+
+
+def _light_passes(s, gens, lhs, rhs, same):
+    """Whether (xa)y == x(ay) for every generator a and all x, y."""
+    n = s.shape[0]
+    for a in gens:
+        ay = s[a]
+        for x0 in range(0, n, _BLOCK):
+            x1 = min(x0 + _BLOCK, n)
+            lb, rb, eq = lhs[:x1 - x0], rhs[:x1 - x0], same[:x1 - x0]
+            np.take(s, s[x0:x1, a], axis=0, out=lb, mode="clip")
+            np.take(s[x0:x1], ay, axis=1, out=rb, mode="clip")
+            np.equal(lb, rb, out=eq)
+            if not eq.all():
+                return False
+    return True
+
+
 def first_assoc_violation(table):
     t = np.asarray(table)
     n = t.shape[0]
@@ -55,6 +103,9 @@ def first_assoc_violation(table):
     lhs = np.empty((m, n), dtype=s.dtype)
     rhs = np.empty((m, n), dtype=s.dtype)
     same = np.empty((m, n), dtype=bool)
+    gens = _generators(s)
+    if gens is not None and _light_passes(s, gens, lhs, rhs, same):
+        return None
     for b0 in range(0, n, _BLOCK):
         b1 = min(b0 + _BLOCK, n)
         bc = s[b0:b1].astype(np.intp)       # bc[b, c] = b*c

@@ -334,13 +334,16 @@ class PrimeField(Field):
         return min(x, p - x)
 
     def lift(self, vals):
-        """The residues over the denominator 1."""
-        return list(vals), 1
+        """The residues over the denominator 1, in the sequence given."""
+        return vals, 1
 
     def lower(self, nums, den):
         """The residues nums[k] * den^-1 mod p."""
-        dinv = pow(den, -1, self.p)
-        return [n * dinv % self.p for n in nums]
+        p = self.p
+        if den == 1:
+            return [n % p for n in nums]
+        dinv = pow(den, -1, p)
+        return [n * dinv % p for n in nums]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

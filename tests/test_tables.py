@@ -242,6 +242,7 @@ def test_a_lone_violation_is_found_in_every_block(block):
                  (block + 1, n - 1)):
         t = np.zeros((n, n), dtype=np.int32)
         t[r, s] = r
+        assert tables._kernel._generators(t) is None
         assert tables.first_assoc_violation(t) == (r, s, s)
         assert tables.first_hom_violation(t, swap) is None
         t[r, s] = 3
@@ -279,9 +280,106 @@ def test_planted_cell_in_the_qp_xi_f4_table(qp_table):
     t[425, 700] = (t[425, 700] + 1) % 1024
     got = tables.first_assoc_violation(t)
     assert got == tables._kernel._first_assoc_by_rows(t) == (1, 425, 700)
+    assert light(t) is False
     g = 37
     ginv = int(np.nonzero(qp_table[g] == 0)[0][0])
     inner = qp_table[qp_table[ginv, :], g]
     assert tables.first_hom_violation(qp_table, inner) is None
     got = tables.first_hom_violation(t, inner)
     assert got is not None and got == rows_hom(t, inner)
+
+
+# Light's test: the generator search and the pass over the generators.
+
+def closure(t, gens):
+    """The indices reached from gens by right products with gens."""
+    reached, frontier = set(gens), list(gens)
+    while frontier:
+        frontier = [int(t[x][g]) for x in frontier for g in gens
+                    if int(t[x][g]) not in reached]
+        reached.update(frontier)
+    return reached
+
+
+def light(t):
+    """Whether Light's pass over the generators succeeds, or None when
+    the generator search gives up."""
+    k = tables._kernel
+    t = tables.as_table(t)
+    gens = k._generators(t)
+    if gens is None:
+        return None
+    m, n = min(k._BLOCK, len(t)), len(t)
+    return k._light_passes(t, gens, np.empty((m, n), t.dtype),
+                           np.empty((m, n), t.dtype), np.empty((m, n), bool))
+
+
+@pytest.fixture(scope="module")
+def qq_table():
+    from mforge.polygons import WordGroup, qq_f4_space
+    return WordGroup(qq_f4_space()).table
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z12", "Z31", "Z256", "qq_table",
+                                  "qp_table"])
+def test_generators_reach_every_index_within_the_cap(name, request):
+    t = (request.getfixturevalue(name) if name.endswith("_table")
+         else cyclic(int(name[1:])))
+    n = len(t)
+    gens = tables._kernel._generators(tables.as_table(t))
+    assert gens is not None and len(gens) <= 1 + int(np.log2(n))
+    assert closure(t, gens) == set(range(n))
+    assert light(t) is True
+    if name == "qp_table":
+        assert gens == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+
+
+def test_a_swap_in_a_latin_square_fails_lights_pass():
+    # swapping the intercalate (i, j), (i, j + 16), (i + 16, j),
+    # (i + 16, j + 16) of Z32 leaves a Latin square that is no group
+    t = cyclic(32)
+    for row in (5, 21):
+        t[row, [3, 19]] = t[row, [19, 3]]
+    assert all(sorted(r) == list(range(32)) for r in t.tolist())
+    assert all(sorted(c) == list(range(32)) for c in t.T.tolist())
+    assert light(t) is False
+    expect = oracle_assoc(t.tolist())
+    assert expect is not None
+    assert tables.first_assoc_violation(t) == expect
+
+
+def test_an_associative_monoid_that_is_no_group_passes_lights_pass():
+    # x*y = min(x + y, n - 1) is generated by 1 and associative
+    n = 12
+    t = np.minimum(np.add.outer(np.arange(n), np.arange(n)), n - 1)
+    assert light(t) is True
+    assert oracle_assoc(t.tolist()) is None
+    assert tables.first_assoc_violation(t) is None
+
+
+def random_magma(rng):
+    """A magma of order at most 12: a random table, a relabeled cyclic
+    group, or such a group with one cell changed."""
+    n = int(rng.integers(1, 13))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return rng.integers(0, n, size=(n, n)).astype(np.int32)
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    t = perm[(inv[:, None] + inv[None, :]) % n].astype(np.int32)
+    if kind == 2:
+        a, b = rng.integers(0, n, size=2)
+        t[a, b] = rng.integers(0, n)
+    return t
+
+
+def test_random_magmas_agree_with_the_oracle():
+    rng = np.random.default_rng(19)
+    outcomes = set()
+    for _ in range(300):
+        t = random_magma(rng)
+        expect = oracle_assoc(t.tolist())
+        assert tables.first_assoc_violation(t) == expect, t.tolist()
+        outcomes.add((light(t), expect is None))
+    # every branch is taken: Light passes, Light fails, the cap is hit
+    assert {(True, True), (False, False), (None, False)} <= outcomes
