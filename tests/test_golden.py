@@ -61,6 +61,14 @@ from tower products, on Scalars with ``linalg.kernel_basis``.  It pins
 centers and complements over Q, F3, F5 and in characteristic 2, over F2
 and F4, and the radicals of three quadratic spaces' polar forms.
 
+The Cayley-table cases (``f4_census``, ``hua_consistency_qp_xi_f4``) were
+recorded while ``FiniteGroupTable.automorphisms`` ran over all (n-1)!
+identity-fixing bijections, ``isomorphism_to`` backtracked with a closure
+of its own, and ``WordGroup.extend_end_maps`` walked its own right
+products.  ``f4_census`` pins the census of T over F4 with the index map
+of its quaternion-group isomorphism; ``hua_consistency_qp_xi_f4`` extends
+the end maps of QP-Xi-F4 to its 1024-word group.
+
 The Jordan cases (``t_jordan_sigma_xi_f4``, ``t_jordan_swap_xi_f4``,
 ``t_jordan_inverse_hamilton``, ``ms_jordan_double_octonion_q``) were
 recorded while ``t_jordan_check`` and ``ms_jordan_check`` were two
@@ -494,6 +502,16 @@ def hua_consistency_qd_f2():
     return _json_and_text(rgs_hua_consistency(desc, seed=3))
 
 
+def hua_consistency_qp_xi_f4():
+    from mforge.polygons import qp_xi_f4, rgs_hua_consistency
+    return _json_and_text(rgs_hua_consistency(qp_xi_f4(), seed=3))
+
+
+def f4_census():
+    from mforge.pseudoquad import f4_census
+    return f4_census()
+
+
 def root_group_draws():
     """Seeded draws, plain and nonzero, from the carrier of a Moufang set
     of each family and from every slot group of each polygon family."""
@@ -694,7 +712,8 @@ CASES = {f.__name__: f for f in (
     ms_verify_xi_f4, ms_verify_xi_hamilton,
     ms_verify_involutory_quaternion_q, ms_verify_indifferent_f4,
     ms_jordan_inverse_xi_f4, hua_consistency_qq_f4,
-    hua_consistency_qi_f4_galois, hua_consistency_qd_f2, root_group_draws,
+    hua_consistency_qi_f4_galois, hua_consistency_qd_f2,
+    hua_consistency_qp_xi_f4, f4_census, root_group_draws,
     _inv_check_galois("qi", _qi), _inv_check_galois("f4", _f4),
     special_pairs_octonion_q, quaternion_subalgebras_octonion_q,
     ind_opposite_f4, spans_quadratic_bases, kernels_and_complements,
