@@ -565,10 +565,18 @@ def fnd_residue(fnd, subset):
     if len(subset) < 2:
         raise TooSmall("residues need at least two vertices")
     dia = fnd.diagram.restricted(subset)
-    polys = {(i, j): fnd.polygons[(i, j)] for (i, j) in dia.directed_edges()}
-    glues = {t: fnd.glueings[t] for t in dia.triples()}
-    return Foundation(dia, polys, glues, name="%r|%s" % (fnd, sorted(subset)),
-                      complete=False)
+    return _pull_back(fnd, dia, {v: v for v in dia.vertices},
+                      "%r|%s" % (fnd, sorted(subset)))
+
+
+def _pull_back(fnd, diagram, phi, name):
+    """The foundation on diagram whose polygon on each edge, and glueing
+    at each triple, is fnd's at the phi-images of its vertices."""
+    polys = {(a, b): fnd.polygons[(phi[a], phi[b])]
+             for (a, b) in diagram.directed_edges()}
+    glues = {(a, b, c): fnd.glueings[(phi[a], phi[b], phi[c])]
+             for (a, b, c) in diagram.triples()}
+    return Foundation(diagram, polys, glues, name=name, complete=False)
 
 
 # -- reparametrization ---------------------------------------------------------
@@ -651,14 +659,7 @@ def check_graph_cover(base, cover, phi):
 def fnd_cover(fnd, cover_diagram, phi):
     """Pull the foundation back along a verified graph cover."""
     check_graph_cover(fnd.diagram, cover_diagram, phi)
-    polys = {}
-    for (a, b) in cover_diagram.directed_edges():
-        polys[(a, b)] = fnd.polygons[(phi[a], phi[b])]
-    glues = {}
-    for (a, b, c) in cover_diagram.triples():
-        glues[(a, b, c)] = fnd.glueings[(phi[a], phi[b], phi[c])]
-    return Foundation(cover_diagram, polys, glues,
-                      name="cover(%r)" % fnd, complete=False)
+    return _pull_back(fnd, cover_diagram, phi, "cover(%r)" % fnd)
 
 
 def fnd_universal_cover(fnd, radius):
@@ -685,14 +686,8 @@ def fnd_universal_cover(fnd, radius):
         if len(w) >= 2:
             edges[(names[w[:-1]], names[w])] = dia.m(w[-2], w[-1])
     cover = CoxeterDiagram(list(names.values()), edges)
-    polys = {}
-    for (a, b) in cover.directed_edges():
-        polys[(a, b)] = fnd.polygons[(phi[a], phi[b])]
-    glues = {}
-    for (a, b, c) in cover.triples():
-        glues[(a, b, c)] = fnd.glueings[(phi[a], phi[b], phi[c])]
-    out = Foundation(cover, polys, glues,
-                     name="unfold(%r,r=%d)" % (fnd, radius), complete=False)
+    # the truncated leaves are no cover, so check_graph_cover is not run
+    out = _pull_back(fnd, cover, phi, "unfold(%r,r=%d)" % (fnd, radius))
     out.truncated_at = radius
     return out
 
@@ -729,9 +724,8 @@ def fnd_canonicalize_tree(fnd, samples=24, seed=67):
     pushes = []
     for j in order:
         nb = dia.neighbors(j)
-        if len(nb) < 2 and (parent[j] is None or dia.degree(j) < 2):
-            if parent[j] is None and len(nb) < 2:
-                continue
+        if parent[j] is None and len(nb) < 2:
+            continue
         anchor = parent[j] if parent[j] is not None else nb[0]
         for k in nb:
             if k == anchor:

@@ -498,7 +498,7 @@ class WordGroup(tbl.FiniteGroupTable):
 
     def extend_end_maps(self, map_first, map_last):
         """Extend maps on the two end slots to a permutation of the
-        subgroup they generate (by BFS over end-generator products), then
+        subgroup they generate (by `tables.extend_from_generators`), then
         check the homomorphism property exhaustively on that subgroup
         (which is the whole group whenever the end groups generate).
 
@@ -517,24 +517,12 @@ class WordGroup(tbl.FiniteGroupTable):
                 src = self.element_index(RootWord(desc, [(slot, m)]))
                 dst = self.element_index(RootWord(desc, [(slot, mapping(m))]))
                 gens.append((src, dst))
-        # the columns of the generators, as lists: the walk reads them
-        # one entry at a time
-        steps = [(g_src, self.table[:, g_src].tolist(),
-                  self.table[:, g_dst].tolist()) for g_src, g_dst in gens]
-        perm = [-1] * n_el
-        perm[self.identity] = self.identity
-        frontier = [self.identity]
-        while frontier:
-            w = frontier.pop()
-            for g_src, src_col, dst_col in steps:
-                nxt, img = src_col[w], dst_col[perm[w]]
-                if perm[nxt] == -1:
-                    perm[nxt] = img
-                    frontier.append(nxt)
-                elif perm[nxt] != img:
-                    rep.add("extension.consistent", n_el, False,
-                            counterexample=(w, g_src))
-                    return rep, None
+        perm, conflict = tbl.extend_from_generators(
+            self.table, self.table, gens, self.identity, self.identity)
+        if conflict is not None:
+            rep.add("extension.consistent", n_el, False,
+                    counterexample=conflict)
+            return rep, None
         perm = np.array(perm, dtype=np.int64)
         reached = np.nonzero(perm != -1)[0]
         full = reached.size == n_el

@@ -363,7 +363,7 @@ def f4_census():
     cosets = _outer_cosets(tbl, autos, inner)
     rep.add("census.outer-count", len(cosets), len(cosets) == 6,
             note="|Aut/Inn| = %d" % len(cosets))
-    rep.add("census.outer-is-s3", len(cosets), _is_s3(tbl, autos, inner))
+    rep.add("census.outer-is-s3", len(cosets), _is_s3(cosets))
     return rep
 
 
@@ -406,14 +406,13 @@ def _outer_cosets(tbl, autos, inner):
     return cosets
 
 
-def _is_s3(tbl, autos, inner):
-    cosets = _outer_cosets(tbl, autos, inner)
+def _is_s3(cosets):
     if len(cosets) != 6:
         return False
     idx = {c: k for k, c in enumerate(cosets)}
 
     def compose(p, q):
-        return tuple(p[q[x]] for x in range(tbl.n))
+        return tuple(p[x] for x in q)
 
     reps = [next(iter(c)) for c in cosets]
     table = [[idx[next(c for c in cosets if compose(a, b) in c)]

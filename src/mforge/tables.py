@@ -2,13 +2,13 @@
 
 The element-level checks (identity, inverses, associativity, homomorphism)
 run in the numpy kernel of `_tablecheck_py`, bound here as `_kernel`.
-Everything else here is ordinary glue: building tables from generators,
-automorphism enumeration, and isomorphism search for small groups.
+A homomorphism is fixed by its images on generators, so one walk,
+`extend_from_generators`, serves every extension question: the end maps
+of `WordGroup.extend_end_maps`, and one search over generator images, in
+lexicographic order, behind `isomorphism_to` and `automorphisms`.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -54,6 +54,34 @@ def check_group_axioms(table, identity, inverse):
     return rep
 
 
+def extend_from_generators(source, target, pairs, identity,
+                           target_identity):
+    """Extend the generator images `pairs` ((source index, target index)
+    each) over the right products of source's identity with the
+    generators: w*g maps to perm[w]*g' in target.
+
+    Returns (perm, conflict): perm lists the image of every source index,
+    -1 where none is reached, and conflict is the first (w, g) whose
+    product was reached before with another image, or None."""
+    # the columns of the generators, as lists: the walk reads them one
+    # entry at a time
+    steps = [(g, source[:, g].tolist(), target[:, h].tolist())
+             for g, h in pairs]
+    perm = [-1] * len(source)
+    perm[identity] = target_identity
+    frontier = [identity]
+    while frontier:
+        w = frontier.pop()
+        for g, src_col, dst_col in steps:
+            nxt, img = src_col[w], dst_col[perm[w]]
+            if perm[nxt] == -1:
+                perm[nxt] = img
+                frontier.append(nxt)
+            elif perm[nxt] != img:
+                return perm, (w, g)
+    return perm, None
+
+
 def is_automorphism(table, perm):
     p = np.asarray(perm)
     n = len(p)
@@ -81,11 +109,9 @@ class FiniteGroupTable:
 
     def inverse_vector(self):
         if self._inv is None:
-            inv = np.zeros(self.n, dtype=np.int32)
-            for a in range(self.n):
-                hits = np.nonzero(self.table[a] == self.identity)[0]
-                inv[a] = hits[0] if hits.size else -1
-            self._inv = inv
+            hits = self.table == self.identity
+            self._inv = np.where(hits.any(axis=1), hits.argmax(axis=1),
+                                 -1).astype(np.int32)
         return self._inv
 
     def check_axioms(self):
@@ -99,94 +125,43 @@ class FiniteGroupTable:
     def conjugation(self, g):
         """Inner automorphism x -> g^-1 x g as a permutation."""
         inv = int(self.inverse_vector()[g])
-        return np.array([self.table[self.table[inv, x], g]
-                         for x in range(self.n)], dtype=np.int32)
+        return self.table[self.table[inv], g]
 
     def automorphisms(self):
-        """All automorphisms by brute force over identity-fixing bijections."""
-        others = [i for i in range(self.n) if i != self.identity]
-        autos = []
-        for perm_rest in itertools.permutations(others):
-            perm = np.empty(self.n, dtype=np.int32)
-            perm[self.identity] = self.identity
-            for src, dst in zip(others, perm_rest):
-                perm[src] = dst
-            if first_hom_violation(self.table, perm) is None:
-                autos.append(perm)
-        return autos
+        """All automorphisms, as permutations in lexicographic order."""
+        return sorted(self._isomorphisms(self), key=lambda p: p.tolist())
 
     def isomorphism_to(self, other):
-        """An explicit isomorphism (index map) onto other, or None.
-
-        Backtracking over generator images; fine for desk-scale orders.
-        """
+        """An explicit isomorphism (index map) onto other, or None: the
+        one with the lexicographically first images of the generators."""
         if self.n != other.n:
             return None
-        gens = self._small_generating_set()
-        tgt_all = list(range(other.n))
+        return next(self._isomorphisms(other), None)
 
-        def close(mapping):
-            # extend mapping multiplicatively; None on conflict
-            mapping = dict(mapping)
-            frontier = list(mapping)
-            while frontier:
-                a = frontier.pop()
-                for b in list(mapping):
-                    for x, y in ((a, b), (b, a)):
-                        prod = int(self.table[x, y])
-                        img = int(other.table[mapping[x], mapping[y]])
-                        if prod in mapping:
-                            if mapping[prod] != img:
-                                return None
-                        else:
-                            mapping[prod] = img
-                            frontier.append(prod)
-            return mapping
+    def _isomorphisms(self, other):
+        """The isomorphisms onto other, by a search over the images of
+        the generators in lexicographic order; a prefix of images whose
+        walk conflicts or is no injection has no valid completion."""
+        gens = _kernel._generators(self.table)
+        if gens is None:
+            raise ValueError("no group: the generator search on %d "
+                             "elements gave up" % self.n)
+        gens = [g for g in gens if g != self.identity]
 
-        def rec(i, mapping):
-            if i == len(gens):
-                full = close(mapping)
-                if full and len(full) == self.n \
-                        and len(set(full.values())) == self.n:
-                    perm = np.empty(self.n, dtype=np.int32)
-                    for src, dst in full.items():
-                        perm[src] = dst
-                    return perm
-                return None
-            g = gens[i]
-            for cand in tgt_all:
-                mapping2 = dict(mapping)
-                mapping2[g] = cand
-                closed = close(mapping2)
-                if closed is None or len(set(closed.values())) != len(closed):
-                    continue
-                res = rec(i + 1, closed)
-                if res is not None:
-                    return res
-            return None
+        def search(images):
+            perm, conflict = extend_from_generators(
+                self.table, other.table, list(zip(gens, images)),
+                self.identity, other.identity)
+            reached = [v for v in perm if v != -1]
+            if conflict is not None or len(set(reached)) < len(reached):
+                return
+            if len(images) < len(gens):
+                for img in range(other.n):
+                    yield from search(images + [img])
+                return
+            p = np.array(perm, dtype=np.int32)
+            if len(reached) == self.n \
+                    and np.array_equal(p[self.table], other.table[p][:, p]):
+                yield p
 
-        return rec(0, {self.identity: other.identity})
-
-    def _small_generating_set(self):
-        gens = []
-        span = {self.identity}
-        for a in range(self.n):
-            if a in span:
-                continue
-            gens.append(a)
-            span = self._closure(span | {a})
-            if len(span) == self.n:
-                break
-        return gens
-
-    def _closure(self, seed):
-        span = set(seed)
-        frontier = list(seed)
-        while frontier:
-            a = frontier.pop()
-            for b in list(span):
-                for prod in (int(self.table[a, b]), int(self.table[b, a])):
-                    if prod not in span:
-                        span.add(prod)
-                        frontier.append(prod)
-        return span
+        return search([])

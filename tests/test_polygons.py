@@ -314,6 +314,21 @@ def test_a_wrong_end_map_fails_on_the_generated_subgroup():
     assert bij.samples == 8 and not bij.passed
 
 
+def test_an_inconsistent_end_map_reports_its_first_conflict():
+    # sending every nonzero vector of the last slot to the basepoint is
+    # no endomorphism: the walk first reaches a word a second time, with
+    # another image, as word 3 times the generator word 1
+    desc = qq_f4_space()
+    wg = WordGroup(desc)
+    rep, perm = wg.extend_end_maps(
+        lambda x: x, lambda v: v if v.is_zero() else desc.params.basepoint)
+    assert perm is None and not rep.passed
+    assert rep.to_json() == (
+        '{"lines":[{"counterexample":[3,1],"passed":false,'
+        '"rule":"extension.consistent","samples":64}],"passed":false,'
+        '"subject":"QQ-F4","suite":"wordgroup.end-extension"}')
+
+
 def test_subgroup_table_is_the_reindexed_restriction(monkeypatch):
     # the gathered subgroup table and map equal the ones an element-wise
     # reindexing loop builds

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mforge.pseudoquad import (PseudoQuadraticSpace, TPoint, dim_switch_down,
@@ -229,8 +230,11 @@ def test_census_oracle_automorphism_count():
 
 def test_explicit_q8_isomorphism(xf4):
     tbl = t_group_table(xf4)
-    iso = tbl.isomorphism_to(quaternion_group_table())
-    assert iso is not None
+    q8 = quaternion_group_table()
+    iso = tbl.isomorphism_to(q8)
+    # the first images of the generators 1, 2, 4 of T in Q8
+    assert iso.tolist() == [0, 1, 2, 3, 4, 5, 7, 6]
+    assert np.array_equal(iso[tbl.table], q8.table[iso][:, iso])
 
 
 def test_dim_switch_up(xh):

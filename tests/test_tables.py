@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mforge import tables
+from mforge.pseudoquad import quaternion_group_table, t_group_table, xi_f4
 from mforge.tables import FiniteGroupTable, check_group_axioms, is_automorphism
 
 
@@ -44,6 +47,20 @@ def oracle_inverse(t, inv, e):
         if t[a][inv[a]] != e or t[inv[a]][a] != e:
             return a
     return None
+
+
+def oracle_automorphisms(t, e):
+    """Every automorphism, by brute force over the identity-fixing
+    bijections in lexicographic order."""
+    others = [i for i in range(len(t)) if i != e]
+    autos = []
+    for rest in itertools.permutations(others):
+        perm = list(range(len(t)))
+        for src, dst in zip(others, rest):
+            perm[src] = dst
+        if oracle_hom(t, perm) is None:
+            autos.append(perm)
+    return autos
 
 
 def neg_vector(n):
@@ -136,11 +153,46 @@ def test_is_automorphism():
     assert not is_automorphism(t, [(2 * a) % 10 for a in range(10)])
 
 
+def _product_table(m, n):
+    """Z_m x Z_n, the pair (a, b) at index a * n + b."""
+    elems = [(a, b) for a in range(m) for b in range(n)]
+    return FiniteGroupTable.from_ops(
+        elems, lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % n), (0, 0))
+
+
+GROUPS = {
+    **{"Z%d" % n: (lambda n=n: FiniteGroupTable(list(range(n)), cyclic(n), 0))
+       for n in range(1, 9)},
+    "Z2xZ4": lambda: _product_table(2, 4), "S3": lambda: _s3_table(),
+    "Q8": quaternion_group_table, "census": lambda: t_group_table(xi_f4()),
+}
+# |Aut(Z_n)| = phi(n), |Aut(Z2 x Z4)| = 8, |Aut(S3)| = 6, |Aut(Q8)| = 24
+AUT_ORDERS = {"Z1": 1, "Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6,
+              "Z8": 4, "Z2xZ4": 8, "S3": 6, "Q8": 24, "census": 24}
+
+
 def test_automorphism_enumeration_oracle():
-    # |Aut(Z_n)| = phi(n)
-    for n, phi in ((4, 2), (5, 4), (8, 4)):
-        g = FiniteGroupTable(list(range(n)), cyclic(n), 0)
-        assert len(g.automorphisms()) == phi
+    for name, make in GROUPS.items():
+        g = make()
+        expect = oracle_automorphisms(g.table.tolist(), g.identity)
+        assert len(expect) == AUT_ORDERS[name], name
+        got = g.automorphisms()
+        assert [p.tolist() for p in got] == expect, name
+        assert all(p.dtype == np.int32 for p in got), name
+        # onto itself, the isomorphism with the first generator images
+        gens = [a for a in tables._kernel._generators(g.table)
+                if a != g.identity]
+        first = min(expect, key=lambda p: [p[a] for a in gens])
+        assert g.isomorphism_to(g).tolist() == first, name
+
+
+def test_a_table_with_too_many_generators_is_refused():
+    # x*y = 0 with identity index 0 passes the generator cap: no group
+    g = FiniteGroupTable(list(range(6)), np.zeros((6, 6), dtype=np.int32), 0)
+    with pytest.raises(ValueError, match="no group"):
+        g.automorphisms()
+    with pytest.raises(ValueError, match="no group"):
+        g.isomorphism_to(FiniteGroupTable(list(range(6)), cyclic(6), 0))
 
 
 def test_isomorphism_search():
@@ -158,7 +210,6 @@ def test_isomorphism_search():
 
 
 def _s3_table():
-    import itertools
     elems = list(itertools.permutations(range(3)))
     idx = {e: i for i, e in enumerate(elems)}
     t = np.array([[idx[tuple(a[b[i]] for i in range(3))] for b in elems]
@@ -166,11 +217,28 @@ def _s3_table():
     return FiniteGroupTable(elems, t, idx[(0, 1, 2)])
 
 
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_inverses_and_conjugations_match_the_loops(name):
+    g = GROUPS[name]()
+    t = g.table.tolist()
+    inv = [t[a].index(g.identity) for a in range(g.n)]
+    assert g.inverse_vector().tolist() == inv
+    for h in range(g.n):
+        conj = g.conjugation(h)
+        assert conj.dtype == np.int32
+        assert conj.tolist() == [t[t[inv[h]][x]][h] for x in range(g.n)]
+
+
 def test_center_and_conjugation():
     s3 = _s3_table()
     assert s3.center_indices() == [s3.identity]
     inner = {tuple(int(v) for v in s3.conjugation(g)) for g in range(6)}
     assert len(inner) == 6  # S3 is centerless: Inn = S3
+    # a row without the identity has no inverse
+    t = cyclic(4)
+    t[2] = [1, 3, 1, 3]
+    assert FiniteGroupTable(list(range(4)), t, 0).inverse_vector().tolist() \
+        == [0, 3, -1, 1]
 
 
 # Block boundaries of the blocked sweeps.  The per-row references are the
