@@ -57,7 +57,10 @@ def _generators(s):
     """Generators of the index table s, each the first index not yet
     reached, or None past 1 + floor(log2 n) of them.  The reached set
     grows by right products with the generators, so it lies in the
-    submagma they generate."""
+    submagma they generate.  The order of this pick also fixes which map
+    `FiniteGroupTable.isomorphism_to` returns (its search runs over
+    images of these generators), and the F4 census golden pins that map:
+    a change to the pick is a change of that output too."""
     n = s.shape[0]
     reached = np.zeros(n, dtype=bool)
     gens = []

@@ -297,29 +297,32 @@ def collect(factors, merge, commutator, max_rounds=10000):
     """The normal form of a word given as (slot, parameter) factors.
 
     Each round rewrites the first adjacent pair that is out of normal
-    form and starts again: two factors in slot i become their product
-    `merge(i, a, b)`, dropped when it returns None (the identity), and
-    x_i(a) x_j(b) with i > j becomes x_j(b) x_i(a) [x_i(a), x_j(b)], the
-    commutator given as factors by `commutator(i, a, j, b)`.  Parameters
-    may be group elements or indices; the callbacks fix which.
+    form: two factors in slot i become their product `merge(i, a, b)`,
+    dropped when it returns None (the identity), and x_i(a) x_j(b) with
+    i > j becomes x_j(b) x_i(a) [x_i(a), x_j(b)], the commutator given as
+    factors by `commutator(i, a, j, b)`.  The pairs left of a rewrite
+    stay in normal form, so the next round's scan starts one pair before
+    it.  Parameters may be group elements or indices; the callbacks fix
+    which.
     """
     fs = list(factors)
-    rounds = 0
-    while True:
+    rounds = 1  # the last round finds every pair in normal form
+    k = 0
+    while k < len(fs) - 1:
+        (i, a), (j, b) = fs[k], fs[k + 1]
+        if i < j:
+            k += 1
+            continue
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("collection did not terminate")
-        for k in range(len(fs) - 1):
-            (i, a), (j, b) = fs[k], fs[k + 1]
-            if i == j:
-                m = merge(i, a, b)
-                fs[k:k + 2] = [] if m is None else [(i, m)]
-                break
-            if i > j:
-                fs[k:k + 2] = [(j, b), (i, a)] + commutator(i, a, j, b)
-                break
+        if i == j:
+            m = merge(i, a, b)
+            fs[k:k + 2] = [] if m is None else [(i, m)]
         else:
-            return fs
+            fs[k:k + 2] = [(j, b), (i, a)] + commutator(i, a, j, b)
+        k = max(k - 1, 0)
+    return fs
 
 
 class RootWord:
@@ -398,7 +401,11 @@ class WordGroup(tbl.FiniteGroupTable):
     The table is built in index space: a word is its slot indices into
     `slot_elems` (index 0 the identity), and `collect` runs on
     (slot, index) factors with per-slot product and inverse tables, so
-    each commutator is read from the descriptor once per build."""
+    each commutator is read from the descriptor once per build.  Right
+    translation by x_i(m) collects only the word's factors after slot i
+    with x_i(m) appended, once per such tail: no commutator of slots
+    i < j reaches slot i, so x_i(m) comes out in front unchanged and
+    merges into the word's slot i, as collecting the whole word does."""
 
     def __init__(self, desc):
         self.desc = desc
@@ -421,21 +428,17 @@ class WordGroup(tbl.FiniteGroupTable):
 
     def _build_elements(self):
         desc = self.desc
+        # normalize slot 0 = identity convention
+        for i, ms in enumerate(self.slot_elems):
+            if not desc.group(i + 1).is_identity(ms[0]):
+                raise AssertionError("slot element 0 must be the identity")
         ranges = [range(len(ms)) for ms in self.slot_elems]
         for combo in itertools.product(*ranges):
-            factors = []
-            for i, k in enumerate(combo):
-                m = self.slot_elems[i][k]
-                if not desc.group(i + 1).is_identity(m):
-                    factors.append((i + 1, m))
+            factors = [(i + 1, self.slot_elems[i][k])
+                       for i, k in enumerate(combo) if k]
             self.index[combo] = len(self.elements)
             self.elements.append(RootWord(desc, factors))
         self.identity = self.index[tuple(0 for _ in range(desc.n))]
-        # normalize slot 0 = identity convention
-        for i, ms in enumerate(self.slot_elems):
-            grp = self.desc.group(i + 1)
-            if not grp.is_identity(ms[0]):
-                raise AssertionError("slot element 0 must be the identity")
 
     def _build_table(self):
         desc = self.desc
@@ -463,28 +466,36 @@ class WordGroup(tbl.FiniteGroupTable):
             return comm
 
         n_el = len(self.elements)
-        words = [[(i + 1, k) for i, k in enumerate(combo) if k]
-                 for combo in self.index]
+        sizes = [len(ms) for ms in self.slot_elems]
+        # a word's index is its slot indices in mixed radix, last slot
+        # fastest (the order of `_build_elements`)
+        strides = [math.prod(sizes[m:]) for m in range(1, desc.n + 1)]
         right = []  # right[i][k] = permutation of right-multiplying x_i(m_k)
-        for i, ms in enumerate(self.slot_elems):
+        for i, size in enumerate(sizes):
+            # a word is (head, x_i(a), tail) over the slots before, at
+            # and after i
+            tails = [[(m, c) for m, c in enumerate(combo, i + 2) if c]
+                     for combo in itertools.product(*map(range,
+                                                         sizes[i + 1:]))]
+            heads = np.arange(n_el // (size * strides[i]))[:, None, None]
             perms = [np.arange(n_el, dtype=np.int32)]
-            for k in range(1, len(ms)):
-                perm = np.empty(n_el, dtype=np.int32)
-                for w_idx, w in enumerate(words):
-                    combo = [0] * desc.n
-                    for (m, c) in collect(w + [(i + 1, k)], merge,
-                                          commutator):
-                        combo[m - 1] = c
-                    perm[w_idx] = self.index[tuple(combo)]
-                perms.append(perm)
+            for k in range(1, size):
+                # each tail's index once x_i(m_k) has passed it, and the
+                # index of a m_k in slot i for each a
+                moved = np.array([sum(c * strides[m - 1] for m, c in collect(
+                    tail + [(i + 1, k)], merge, commutator)[1:])
+                    for tail in tails])
+                merged = np.array([row[k] for row in ops[i]])
+                perms.append((heads * size * strides[i]
+                              + merged[None, :, None] * strides[i]
+                              + moved[None, None, :]).reshape(-1)
+                             .astype(np.int32))
             right.append(perms)
-        table = np.empty((n_el, n_el), dtype=np.int32)
-        arange = np.arange(n_el, dtype=np.int32)
-        for combo, g_idx in self.index.items():
-            col = arange
-            for i, k in enumerate(combo):
-                col = right[i][k][col]
-            table[:, g_idx] = col
+        table = np.arange(n_el, dtype=np.int32)[:, None]
+        for perms in right:
+            # table[w, g] = wg for the words g over the slots so far
+            table = np.stack(perms, axis=1).take(table, axis=0).reshape(
+                n_el, -1)
         return table
 
     def check_axioms(self):

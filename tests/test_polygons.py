@@ -8,10 +8,10 @@ from mforge import tables as tbl
 from mforge.handles import as_handle
 from mforge.polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE,
                              SYMBOL_QI, IndexOutOfRange, PolygonDescriptor,
-                             RootWord, WordGroup, ZeroParameter, qp_xi_f4,
-                             qq_f4_space, rgs_commutator, rgs_hua_consistency,
-                             rgs_hua_end_action, rgs_multiply, rgs_opposite,
-                             triangle)
+                             RootWord, WordGroup, ZeroParameter, collect,
+                             qp_xi_f4, qq_f4_space, rgs_commutator,
+                             rgs_hua_consistency, rgs_hua_end_action,
+                             rgs_multiply, rgs_opposite, triangle)
 from mforge.scalars import F2, F4, F5, PrimeField
 from mforge.unitary import (SIGMA_GALOIS, SIGMA_STANDARD, IndifferentSet,
                             InvolutorySet)
@@ -39,6 +39,62 @@ def test_triangle_commutator(tri_oct, octonions):
     assert w.factors == [(2, s * t)]
     assert rgs_commutator(tri_oct, 1, octonions.zero(), 3, t).is_identity()
     assert rgs_commutator(tri_oct, 1, s, 2, t).is_identity()
+
+
+def restarting_collect(factors, merge, commutator, max_rounds=10000):
+    """`collect` with every round scanning the word from its first pair."""
+    fs = list(factors)
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError("collection did not terminate")
+        for k in range(len(fs) - 1):
+            (i, a), (j, b) = fs[k], fs[k + 1]
+            if i == j:
+                m = merge(i, a, b)
+                fs[k:k + 2] = [] if m is None else [(i, m)]
+                break
+            if i > j:
+                fs[k:k + 2] = [(j, b), (i, a)] + commutator(i, a, j, b)
+                break
+        else:
+            return fs
+
+
+def test_collect_matches_the_restarting_scan(tri_oct, octonions):
+    # words over octonions over Q and over the four slots of QP-Xi-F4
+    rng = random.Random(7)
+    qp_op = rgs_opposite(qp_xi_f4())
+    for desc, draw in (
+            (tri_oct, lambda i: octonions.random_element(rng, 3)),
+            (qp_op, lambda i: rng.choice(qp_op.group(i).elements()))):
+        def merge(i, a, b):
+            grp = desc.group(i)
+            m = grp.op(a, b)
+            return None if grp.is_identity(m) else m
+
+        def commutator(i, a, j, b):
+            return [(m, desc.group(m).inv(w))
+                    for (m, w) in desc.relation(j, b, i, a)]
+
+        def key(fs):
+            return [(i, desc.group(i).key(a)) for i, a in fs]
+
+        for _ in range(150):
+            slots = [rng.randint(1, desc.n) for _ in range(rng.randint(0, 8))]
+            fs = [(i, draw(i)) for i in slots]
+            assert key(collect(fs, merge, commutator)) == key(
+                restarting_collect(fs, merge, commutator))
+            for max_rounds in range(1, 5):
+                outcomes = []
+                for rule in (collect, restarting_collect):
+                    try:
+                        rule(fs, merge, commutator, max_rounds)
+                        outcomes.append(True)
+                    except RuntimeError:
+                        outcomes.append(False)
+                assert outcomes[0] == outcomes[1]
 
 
 def test_commutator_index_guard(tri_oct, octonions):
