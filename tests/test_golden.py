@@ -77,6 +77,11 @@ bodies, each with a ``mode`` argument.  They pin the exhaustive
 counterexamples of both sampled draw schemes: separate anchors for T,
 pairs reused as anchors for a Moufang set.
 
+The Q(i) cases (``verify_space_qi``, ``ms_verify_linear_qi``) were
+recorded while quadratic-extension payloads over Q were pairs of
+``Fraction``s and quadratic-space vectors tuples of Scalars.  They pin
+the norm space of Q(i) and the linear Moufang set over Q(i).
+
 To record the files of new cases from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -293,6 +298,12 @@ def ms_verify_f4_space():
                      samples=30, seed=13)
 
 
+def ms_verify_linear_qi():
+    from mforge.moufang import MoufangSet, ms_verify
+    from mforge.scalars import QI
+    return ms_verify(MoufangSet(MoufangSet.LINEAR, QI), samples=40, seed=13)
+
+
 def ms_verify_shifted_q():
     """Hua maps over Q shifted by one at points with denominator 7: the
     endomorphism line fails on a triple, the unit line on one point drawn
@@ -403,6 +414,12 @@ def verify_space_quaternion_q():
 def verify_space_f4():
     from mforge.quadspace import verify_space
     return verify_space(_f4_space(), samples=40, seed=3)
+
+
+def verify_space_qi():
+    from mforge.quadspace import space_from_quadext, verify_space
+    from mforge.scalars import QI
+    return verify_space(space_from_quadext(QI), samples=40, seed=3)
 
 
 def verify_space_shifted_trace():
@@ -702,12 +719,14 @@ CASES = {f.__name__: f for f in (
     gamma_w_decompose, sigma_s_central, jaut_verify,
     fnd_check_443_involutory, fnd_classify_p3_quaternion,
     ms_coincide_f4_small_field, psi_product_rule_f5, dim_switch_round_trip,
-    ms_verify_octonion_q, ms_verify_f4_space, ms_verify_shifted_q,
+    ms_verify_octonion_q, ms_verify_f4_space, ms_verify_linear_qi,
+    ms_verify_shifted_q,
     ms_jordan_conj_octonion_q, ms_jordan_frobenius_f4, t_jordan_hamilton,
     t_jordan_sigma_xi_f4, t_jordan_swap_xi_f4, t_jordan_inverse_hamilton,
     ms_jordan_double_octonion_q,
     inv_check_quaternion_q, inv_check_wide_k0, ind_check_f4,
-    verify_space_quaternion_q, verify_space_f4, verify_space_shifted_trace,
+    verify_space_quaternion_q, verify_space_f4, verify_space_qi,
+    verify_space_shifted_trace,
     hua_consistency_qi_quaternion_q, identities_dim16_moufang,
     ms_verify_xi_f4, ms_verify_xi_hamilton,
     ms_verify_involutory_quaternion_q, ms_verify_indifferent_f4,

@@ -44,6 +44,15 @@ def test_quadext_irreducibility_guard():
         QuadExt(QQ, 0, -1)
 
 
+def test_gaussian_renders():
+    cases = [((Fraction(-3, 4), Fraction(5, 6)), "-3/4 + 5/6*i"),
+             ((0, Fraction(1, 2)), "1/2*i"), ((0, 1), "1*i"), (-1, "-1"),
+             (0, "0")]
+    for x, want in cases:
+        assert repr(QI.scalar(x)) == want
+    assert repr(QI.gen()) == "1*i"
+
+
 def test_galois_data_f4():
     w = F4.gen()
     conj, norm, trace = galois_data(w)
