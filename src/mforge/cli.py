@@ -9,6 +9,7 @@ failure, 2 usage or input errors.  Reports are deterministic per
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -234,7 +235,10 @@ def cmd_cover(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The parser, built on the first call and reused: parsing leaves it
+    unchanged, and the seed's MFORGE_SEED fallback is read per command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--samples", type=int, default=None)
     common.add_argument("--seed", type=int, default=None,

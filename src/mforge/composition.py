@@ -45,7 +45,7 @@ from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
 from .linalg import _compiled, _integer_rows, _units
 from .report import Report
-from .scalars import QQ, PrimeField, Scalar, random_scalar
+from .scalars import QQ, PrimeField, Scalar, _reducer, random_scalar
 
 
 class AlgebraMismatch(ValueError):
@@ -90,6 +90,8 @@ class CDAlgebra:
         self.name = name
         self._kernel = _tower_kernel(base, tuple(b.val for b in self.betas))
         self._p = base.characteristic()
+        # the element with integer coordinates nums / den, reduced
+        self._canonical = _reducer(self._p, functools.partial(CDElement, self))
         self.division_status, self.division_witness = self._certify_division(
             division_samples)
 
@@ -157,21 +159,6 @@ class CDAlgebra:
             [s.val for s in self.base.elements()], repeat=self.dim))
 
     # -- constructors -------------------------------------------------------
-    def _canonical(self, nums, den):
-        """The element with integer coordinates nums / den, reduced."""
-        p = self._p
-        if p:
-            if den == 1:
-                return CDElement(self, tuple([n % p for n in nums]))
-            d = pow(den, -1, p)
-            return CDElement(self, tuple([n * d % p for n in nums]))
-        g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g == 1:
-            return CDElement(self, tuple(nums), den)
-        return CDElement(self, tuple([n // g for n in nums]), den // g)
-
     def element(self, coords):
         vals = [self.base.coerce(c) for c in coords]
         if len(vals) != self.dim:

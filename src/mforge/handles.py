@@ -100,12 +100,12 @@ class FieldHandle(Handle):
         return a.inv()
 
     def coords(self, a):
-        vals = a.val if self.coord_dim == 2 else (a.val,)
+        vals = self.field.parts(a.val) if self.coord_dim == 2 else (a.val,)
         return [Scalar(self.coord_field, v) for v in vals]
 
     def uncoords(self, coords):
         vals = tuple(c.val for c in coords)
-        return Scalar(self.field, vals if self.coord_dim == 2 else vals[0])
+        return self.field.scalar(vals if self.coord_dim == 2 else vals[0])
 
     def elements(self):
         return self.field.elements()

@@ -434,12 +434,12 @@ def _subfield_maps(alg, ext, gen, e):
                    for frame in ([one, gen], [one, gen, e, e * gen]))
 
     def embed(s):
-        return (one.scale(Scalar(alg.base, s.val[0]))
-                + gen.scale(Scalar(alg.base, s.val[1])))
+        u, v = ext.parts(s.val)
+        return one.scale(Scalar(alg.base, u)) + gen.scale(Scalar(alg.base, v))
 
     def pairs(proj, x):
-        c = alg.base.lower(*proj.coefficients_lifted(x.nums, x.den))
-        return [Scalar(ext, (c[i], c[i + 1])) for i in range(0, len(c), 2)]
+        return [Scalar(ext, c) for c in
+                ext.lower(*proj.coefficients_lifted(x.nums, x.den))]
 
     return embed, lambda y: pairs(line, y)[0], lambda x: pairs(whole, x)
 
@@ -525,7 +525,7 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     beta = h.neg(h.mul(fbb, h.inv(faa)))
     if beta.conj() != beta:
         raise ValueError("beta is not fixed by the involution")
-    beta_base = Scalar(base, beta.val[0])
+    beta_base = Scalar(base, ext.parts(beta.val)[0])
 
     # tower presentation of E: complete the square so the first stage is
     # generated by a trace-zero unit

@@ -2,11 +2,14 @@
 
 A space stores the values of the form on a basis plus the strict upper
 part of the polar form; in characteristic 2 the two are independent, so
-both are kept.  Vectors are coordinate tuples over the ground field.
+both are kept.
 
-q and f run on integer coordinates over Q or F_p, as a tower's product
-does: each form is expanded once per space into integer rows, compiled on
-first use (``linalg._compiled``), and a call lifts each vector once.
+A vector is stored as a tower element is: its integer coordinates over Q
+or F_p over one denominator (``scalars._reducer``), and its coordinates
+over the ground field are lowered only when read.  Sums, negation,
+scaling, the zero test and keys act on the stored integers, and so do q
+and f: each form, and scaling, is expanded once per space into integer
+rows and compiled on first use (``linalg._compiled``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 
 from . import linalg
 from .report import EXHAUSTIVE_SIZE, Report
-from .scalars import Scalar, random_scalar
+from .scalars import Scalar, _reducer, random_scalar
 
 
 class ZeroAnchor(ZeroDivisionError):
@@ -47,6 +50,9 @@ class QuadraticSpace:
                 raise ValueError("store only strict upper entries")
             self.f_upper[(i, j)] = field.scalar(v)
         self.name = name
+        # the vector with integer coordinates nums / den, reduced
+        self._reduced = _reducer(field.characteristic(),
+                                 functools.partial(QSVector, self))
         self.basepoint = self.vector(basepoint)
         if self.q(self.basepoint) != field.one():
             raise ValueError("basepoint must have q = 1")
@@ -63,11 +69,13 @@ class QuadraticSpace:
             # whose first nonzero coordinate is 1.  Lines are taken in the
             # order a full scan over F_p meets their first vectors.
             field = self.field
+            zero, one = field.zero_payload(), field.one_payload()
             for k in reversed(range(self.dim)):
-                for rest in itertools.product(field.elements(),
-                                              repeat=self.dim - k - 1):
-                    v = QSVector(self, (field.zero(),) * k + (field.one(),)
-                                 + rest)
+                for rest in itertools.product(
+                        [s.val for s in field.elements()],
+                        repeat=self.dim - k - 1):
+                    v = self._reduced(*field.lift((zero,) * k + (one,)
+                                                  + rest))
                     if self.q(v).is_zero():
                         raise ValueError("form is isotropic at %r" % v)
         elif self.anisotropy in ("structural", "attested"):
@@ -85,10 +93,10 @@ class QuadraticSpace:
             if coords.space is not self and coords.space != self:
                 raise ValueError("vector from another space")
             return coords
-        coords = tuple(self.field.scalar(c) for c in coords)
-        if len(coords) != self.dim:
+        vals = [self.field.coerce(c) for c in coords]
+        if len(vals) != self.dim:
             raise ValueError("expected %d coordinates" % self.dim)
-        return QSVector(self, coords)
+        return self._reduced(*self.field.lift(vals))
 
     def zero(self):
         return self.vector([0] * self.dim)
@@ -103,15 +111,16 @@ class QuadraticSpace:
 
     def random_vector(self, rng, height=20, nonzero=False):
         while True:
-            v = QSVector(self, tuple(random_scalar(self.field, rng, height)
-                                     for _ in range(self.dim)))
+            v = self._reduced(*self.field.random_coords(rng, self.dim,
+                                                          height))
             if not (nonzero and v.is_zero()):
                 return v
 
     def enumerate_vectors(self):
-        pools = [self.field.elements() for _ in range(self.dim)]
-        for combo in itertools.product(*pools):
-            yield QSVector(self, tuple(combo))
+        field = self.field
+        for combo in itertools.product([s.val for s in field.elements()],
+                                       repeat=self.dim):
+            yield self._reduced(*field.lift(combo))
 
     # -- the form ----------------------------------------------------------
     def f_entry(self, i, j):
@@ -141,12 +150,25 @@ class QuadraticSpace:
         [((i, j), s.f_entry(i, j)) for i in range(s.dim)
          for j in range(s.dim)]))
 
+    _scale_form = functools.cached_property(lambda s: s._compile_scale())
+
+    def _compile_scale(self):
+        """(g, den): g(X, Z) / (den * dx * dz) are the coordinates of the
+        vector X / dx times the scalar Z / dz, on integer coordinates over
+        Q or F_p."""
+        field, r = self.field, self.field.coord_dim
+        units = linalg._units(field)
+        terms = [(k * r, k * r + u, t, field.mul(eu, et))
+                 for k in range(self.dim)
+                 for u, eu in units for t, et in units]
+        rows, den = linalg._integer_rows(field, terms, self.dim * r)
+        return linalg._compiled(rows, self.dim * r, r), den
+
     def _value(self, form, u, v):
         g, den = form
         field = self.field
-        U, du = field.lift([c.val for c in u.coords])
-        V, dv = (U, du) if v is u else field.lift([c.val for c in v.coords])
-        return Scalar(field, field.lower(g(U, V), den * du * dv)[0])
+        return Scalar(field, field.lower(g(u.nums, v.nums),
+                                         den * u.den * v.den)[0])
 
     def q(self, v):
         v = self.vector(v)
@@ -175,48 +197,77 @@ class QuadraticSpace:
                 and other.field == self.field
                 and other.q_basis == self.q_basis
                 and other.f_upper == self.f_upper
-                and other.basepoint.coords == self.basepoint.coords)
+                and other.basepoint.key() == self.basepoint.key())
 
     def __repr__(self):
         return self.name or "QS(dim %d over %r)" % (self.dim, self.field)
 
 
 class QSVector:
-    __slots__ = ("space", "coords")
+    """A vector of a quadratic space, stored as its integer coordinates
+    over Q or F_p: the tuple `nums` over one denominator `den`, canonical
+    as a tower element's (``scalars._reducer``), so equal vectors have equal
+    forms.  `key()` is that form.  Build vectors through their space
+    (``vector``, ``random_vector``, ...).  `coords`, the Scalars over the
+    space's field, is lowered on first read and cached.
+    """
 
-    def __init__(self, space, coords):
+    __slots__ = ("space", "nums", "den", "_coords")
+
+    def __init__(self, space, nums, den=1):
         self.space = space
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+        self._coords = None
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            field = self.space.field
+            self._coords = tuple([Scalar(field, v) for v in
+                                  field.lower(self.nums, self.den)])
+        return self._coords
 
     def __add__(self, other):
         other = self.space.vector(other)
-        return QSVector(self.space,
-                        tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        pairs = zip(self.nums, other.nums)
+        if da == db:
+            return self.space._reduced([a + b for a, b in pairs], da)
+        return self.space._reduced([a * db + b * da for a, b in pairs],
+                                   da * db)
 
     def __sub__(self, other):
         other = self.space.vector(other)
-        return QSVector(self.space,
-                        tuple(a - b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        pairs = zip(self.nums, other.nums)
+        if da == db:
+            return self.space._reduced([a - b for a, b in pairs], da)
+        return self.space._reduced([a * db - b * da for a, b in pairs],
+                                   da * db)
 
     def __neg__(self):
-        return QSVector(self.space, tuple(-a for a in self.coords))
+        return self.space._reduced([-a for a in self.nums], self.den)
 
     def scale(self, s):
-        s = self.space.field.scalar(s)
-        return QSVector(self.space, tuple(a * s for a in self.coords))
+        sp = self.space
+        g, den = sp._scale_form
+        z, dz = sp.field.lift([sp.field.coerce(s)])
+        return sp._reduced(g(self.nums, z), den * self.den * dz)
 
     def is_zero(self):
-        return all(a.is_zero() for a in self.coords)
+        return not any(self.nums)
 
     def __eq__(self, other):
-        return (isinstance(other, QSVector) and other.space == self.space
-                and other.coords == self.coords)
+        return (isinstance(other, QSVector) and other.nums == self.nums
+                and other.den == self.den
+                and (other.space is self.space or other.space == self.space))
 
     def __hash__(self):
-        return hash(tuple(c.val for c in self.coords))
+        return hash((self.nums, self.den))
 
     def key(self):
-        return tuple(c.val for c in self.coords)
+        return self.nums, self.den
 
     def conj(self):
         return self.space.sigma(self)
@@ -246,7 +297,7 @@ def qs_defect(space):
     field = space.field  # the Gram matrix is symmetric: rows are columns
     cols = linalg._expanded(field, space.gram())[0]
     ker, d = linalg._kernel(field, [list(r) for r in zip(*cols)], space.dim)
-    return [space.vector(field.lower(v, d)) for v in ker], space.proper()
+    return [space._reduced(v, d) for v in ker], space.proper()
 
 
 class SmallField:
@@ -257,7 +308,6 @@ class SmallField:
     Moufang-set family for the coincidence checks.
     """
 
-    TYPE_INSEPARABLE = "i"
     TYPE_TRIVIAL = "ii"
     TYPE_SEPARABLE = "iii"
 
@@ -276,16 +326,12 @@ class SmallField:
             frame.append(self.xt.coords)
         self._frame_proj = linalg.Projector(
             space.field, linalg._expanded(space.field, frame))
-        self.type_tag = self._classify()
-
-    def _classify(self):
-        sp = self.space
-        if sp.dim == 1:
-            return self.TYPE_TRIVIAL
-        sigma_is_id = all(sp.sigma(b) == b for b in sp.basis())
-        if sp.field.characteristic() == 2 and sigma_is_id:
-            return self.TYPE_INSEPARABLE
-        return self.TYPE_SEPARABLE
+        # a plane is separable: one with a zero polar form over a perfect
+        # field of characteristic 2 (every field here is perfect) is the
+        # square of a linear form, so isotropic, and QuadraticSpace
+        # refuses isotropic forms
+        self.type_tag = (self.TYPE_TRIVIAL if space.dim == 1
+                         else self.TYPE_SEPARABLE)
 
     def _frame(self, v):
         """Coordinates (s, t) with v = eps*s + xt*t, t = 0 on dim 1."""
@@ -402,8 +448,7 @@ def space_from_algebra(algebra, name=None):
 def space_from_quadext(ext, name=None):
     """A quadratic extension as a 2-dim space over its base (q = norm)."""
     base = ext.base
-    one = ext.one_payload()
-    gen = (base.zero_payload(), base.one_payload())
+    one, gen = ext.one_payload(), ext.gen().val
     q0 = Scalar(base, ext.norm_payload(one))
     q1 = Scalar(base, ext.norm_payload(gen))
     f01 = Scalar(base, ext.norm_payload(ext.add(one, gen))) - q0 - q1

@@ -1,16 +1,20 @@
 """Exact field arithmetic: rationals, prime fields and quadratic extensions.
 
 Every value in the package is built on the fields defined here.  A field
-object owns the arithmetic on raw payloads (Fraction / int residue / pair),
-and ``Scalar`` is a thin immutable wrapper carrying its field.  There is no
-floating point anywhere.
+object owns the arithmetic on raw payloads, and ``Scalar`` is a thin
+immutable wrapper carrying its field.  There is no floating point
+anywhere.  A payload is a ``Fraction`` over Q, an int residue over F_p,
+and over a quadratic extension integers over one denominator: the reduced
+triple (u, v, d) over Q, the residue pair (u, v) over F_p (``QuadExt``).
 
-Every field has coordinates over Q or F_p (a quadratic extension's pair
-(u, v) is two coordinates over its base); ``lift`` and ``lower`` pass
+Every field has coordinates over Q or F_p (a quadratic extension's
+element has two coordinates over its base); ``lift`` and ``lower`` pass
 between payloads and those coordinates as integers over one denominator,
-the form in which ``composition`` stores tower elements, and
-``random_coords`` draws random payloads straight into it.  Every seeded
-draw below n is the one CPython's Random makes, by ``_draws_below``.
+the form in which ``composition`` stores tower elements and ``quadspace``
+vectors, and ``random_coords`` draws random payloads straight into it.
+``_reducer`` puts that form in canonical shape, so equal values have
+equal forms.  Every seeded draw below n is the one CPython's Random
+makes, by ``_draws_below``.
 """
 
 from __future__ import annotations
@@ -63,6 +67,30 @@ def _rat_is_square(q):
     num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     return rn * rn == num and rd * rd == den
+
+
+def _reducer(p, make):
+    """The map (nums, den) -> make(nums', den'), where nums' / den' is the
+    canonical form of the integer coordinates nums / den over F_p, or over
+    Q for p = 0: residues over the denominator 1 over F_p; gcd(den',
+    *nums') = 1 and den' > 0 over Q.  Built once per algebra, field or
+    space, so a call does not test the characteristic again."""
+    if p:
+        def reduce(nums, den):
+            if den == 1:
+                return make(tuple([n % p for n in nums]), 1)
+            d = pow(den, -1, p)
+            return make(tuple([n * d % p for n in nums]), 1)
+        return reduce
+
+    def reduce(nums, den):
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g == 1:
+            return make(tuple(nums), den)
+        return make(tuple([n // g for n in nums]), den // g)
+    return reduce
 
 
 def _draws_below(rng, bounds):
@@ -359,9 +387,13 @@ class QuadExt(Field):
     """Quadratic extension base(w) with w^2 = t0*w - n0.
 
     The defining polynomial y^2 - t0*y + n0 must be irreducible over the
-    base, which is restricted to Q or a prime field.  Payloads are pairs
-    (u, v) of base payloads meaning u + v*w; products, norms, traces and
-    inverses run on their integers over one denominator (``lift``).
+    base, which is restricted to Q or a prime field.  A payload holds the
+    integer coordinates of u + v*w over one denominator, in the canonical
+    form of ``_reducer``, so equal elements have equal payloads: over Q the
+    triple (u, v, d) meaning (u + v*w) / d, with gcd(u, v, d) = 1 and
+    d > 0; over F_p the pair of residues (u, v), the denominator 1 left
+    implicit.  Sums, products, conjugates, inverses, norms and traces are
+    closed forms on those integers; ``parts`` gives the two base payloads.
     """
 
     kind = "quadext"
@@ -374,7 +406,13 @@ class QuadExt(Field):
         self.t0 = base.coerce(t0)
         self.n0 = base.coerce(n0)
         self.gen_name = gen_name
-        self._tn = base.lift([self.t0, self.n0])  # ([t, n], d0)
+        self._p = p = base.characteristic()
+        # the payload of (u + v*w) / d from (u, v), d
+        self._make = _reducer(p, (lambda uv, d: uv) if p
+                              else (lambda uv, d: uv + (d,)))
+        (t, n), d0 = base.lift([self.t0, self.n0])
+        self._tnd = (t, n, d0)    # t0 = t / d0 and n0 = n / d0
+        self._hash = hash(("QuadExt", base, str(self.t0), str(self.n0)))
         if not self._irreducible():
             raise ValueError(
                 "y^2 - (%s)y + (%s) has a root in %s"
@@ -391,86 +429,118 @@ class QuadExt(Field):
         disc = self.t0 * self.t0 - 4 * self.n0
         return not _rat_is_square(disc)
 
+    # -- the integer form of a payload
+    def _open(self, a):
+        """(u, v, d) with a = (u + v*w) / d."""
+        return (a[0], a[1], 1) if self._p else a
+
+    def parts(self, a):
+        """(u, v): the base payloads of a = u + v*w."""
+        u, v, d = self._open(a)
+        return tuple(self.base.lower([u, v], d))
+
     def coerce(self, x):
         if isinstance(x, Scalar):
             if x.field == self:
                 return x.val
             if x.field == self.base:
-                return (x.val, self.base.zero_payload())
-            raise DescriptorMismatch("scalar from %s" % x.field)
-        if isinstance(x, tuple) and len(x) == 2:
-            return (self.base.coerce(x[0]), self.base.coerce(x[1]))
-        return (self.base.coerce(x), self.base.zero_payload())
+                x = x.val
+            else:
+                raise DescriptorMismatch("scalar from %s" % x.field)
+        u, v = x if isinstance(x, tuple) and len(x) == 2 else (x, 0)
+        return self.lower(*self.base.lift([self.base.coerce(u),
+                                           self.base.coerce(v)]))[0]
 
     def gen(self):
-        return Scalar(self, (self.base.zero_payload(), self.base.one_payload()))
+        return Scalar(self, self._make((0, 1), 1))
 
     def zero_payload(self):
-        z = self.base.zero_payload()
-        return (z, z)
+        return self._make((0, 0), 1)
 
     def one_payload(self):
-        return (self.base.one_payload(), self.base.zero_payload())
+        return self._make((1, 0), 1)
 
+    # sum, difference, product, negative and conjugate: over F_p on the
+    # residue pairs, over Q on the triples, reduced by ``_make``
     def add(self, a, b):
-        f = self.base
-        return (f.add(a[0], b[0]), f.add(a[1], b[1]))
+        p = self._p
+        if p:
+            return (a[0] + b[0]) % p, (a[1] + b[1]) % p
+        u1, v1, d1 = a
+        u2, v2, d2 = b
+        if d1 == d2:
+            return self._make((u1 + u2, v1 + v2), d1)
+        return self._make((u1 * d2 + u2 * d1, v1 * d2 + v2 * d1), d1 * d2)
 
     def sub(self, a, b):
-        f = self.base
-        return (f.sub(a[0], b[0]), f.sub(a[1], b[1]))
+        p = self._p
+        if p:
+            return (a[0] - b[0]) % p, (a[1] - b[1]) % p
+        u1, v1, d1 = a
+        u2, v2, d2 = b
+        if d1 == d2:
+            return self._make((u1 - u2, v1 - v2), d1)
+        return self._make((u1 * d2 - u2 * d1, v1 * d2 - v2 * d1), d1 * d2)
 
     def mul(self, a, b):
-        # (u1 + v1 w)(u2 + v2 w), w^2 = t0 w - n0, on the integers of both
-        # operands over one denominator d
-        (u1, v1, u2, v2), d = self.base.lift(a + b)
-        (t, n), d0 = self._tn
+        # (u1 + v1 w)(u2 + v2 w) with w^2 = t0 w - n0
+        u1, v1 = a[0], a[1]
+        u2, v2 = b[0], b[1]
+        t, n, d0 = self._tnd
         vv = v1 * v2
-        u, v = self.base.lower([u1 * u2 * d0 - n * vv,
-                                (u1 * v2 + v1 * u2) * d0 + t * vv], d * d * d0)
-        return (u, v)
+        p = self._p
+        if p:
+            return ((u1 * u2 - n * vv) % p,
+                    (u1 * v2 + v1 * u2 + t * vv) % p)
+        return self._make((u1 * u2 * d0 - n * vv,
+                           (u1 * v2 + v1 * u2) * d0 + t * vv),
+                          a[2] * b[2] * d0)
 
     def neg(self, a):
-        f = self.base
-        return (f.neg(a[0]), f.neg(a[1]))
+        p = self._p
+        if p:
+            return -a[0] % p, -a[1] % p
+        return -a[0], -a[1], a[2]
 
     def conj(self, a):
-        f = self.base
-        u, v = a
-        return (f.add(u, f.mul(self.t0, v)), f.neg(v))
+        # conj(u + v w) = u + t0 v - v w
+        t, _, d0 = self._tnd
+        p = self._p
+        if p:
+            return (a[0] + t * a[1]) % p, -a[1] % p
+        u, v, d = a
+        return self._make((u * d0 + t * v, -v * d0), d * d0)
 
     def _lifted_norm(self, a):
         """(u, v, d, m): a = (u + v w) / d and N(a) = m / (d^2 d0) on
         integers, by N(u + v w) = u^2 + t0 u v + n0 v^2."""
-        (u, v), d = self.base.lift(a)
-        (t, n), d0 = self._tn
+        u, v, d = self._open(a)
+        t, n, d0 = self._tnd
         return u, v, d, u * u * d0 + t * u * v + n * v * v
 
     def norm_payload(self, a):
-        u, v, d, m = self._lifted_norm(a)
-        return self.base.lower([m], d * d * self._tn[1])[0]
+        _, _, d, m = self._lifted_norm(a)
+        return self.base.lower([m], d * d * self._tnd[2])[0]
 
     def trace_payload(self, a):
         # T(u + v w) = 2u + t0 v
-        (u, v), d = self.base.lift(a)
-        (t, _), d0 = self._tn
+        u, v, d = self._open(a)
+        t, _, d0 = self._tnd
         return self.base.lower([2 * u * d0 + t * v], d * d0)[0]
 
     def inv(self, a):
-        # conj(a) / N(a), with conj(u + v w) = u + t0 v - v w
+        # conj(a) / N(a) = ((u d0 + t v) d - v d0 d w) / m
         u, v, d, m = self._lifted_norm(a)
-        p = self.characteristic()
-        if not (m % p if p else m):
+        if not (m % self._p if self._p else m):
             raise DivisionByZero("1/0 in %s" % self)
-        (t, _), d0 = self._tn
-        c, cw = self.base.lower([(u * d0 + t * v) * d, -v * d * d0], m)
-        return (c, cw)
+        t, _, d0 = self._tnd
+        return self._make(((u * d0 + t * v) * d, -v * d0 * d), m)
 
     def is_zero(self, a):
-        return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
+        return not (a[0] or a[1])
 
     def characteristic(self):
-        return self.base.characteristic()
+        return self._p
 
     def is_finite(self):
         return self.base.is_finite()
@@ -483,8 +553,7 @@ class QuadExt(Field):
                 for u in range(self.base.p) for v in range(self.base.p)]
 
     def random_payload(self, rng, height=20):
-        return (self.base.random_payload(rng, height),
-                self.base.random_payload(rng, height))
+        return self.lower(*self.base.random_coords(rng, 2, height))[0]
 
     def random_coords(self, rng, n, height=20):
         return self.base.random_coords(rng, 2 * n, height)
@@ -494,14 +563,17 @@ class QuadExt(Field):
         return self.base
 
     def lift(self, vals):
-        return self.base.lift([c for v in vals for c in v])
+        if self._p:
+            return [c for a in vals for c in a], 1
+        den = math.lcm(*[a[2] for a in vals])
+        return [c * (den // a[2]) for a in vals for c in a[:2]], den
 
     def lower(self, nums, den):
-        coords = self.base.lower(nums, den)
-        return list(zip(coords[::2], coords[1::2]))
+        return [self._make(nums[k:k + 2], den)
+                for k in range(0, len(nums), 2)]
 
     def render(self, a):
-        u, v = a
+        u, v = self.parts(a)
         b = self.base
         if b.is_zero(v):
             return b.render(u)
@@ -511,11 +583,12 @@ class QuadExt(Field):
         return "%s + %s" % (b.render(u), vs)
 
     def __eq__(self, other):
-        return (isinstance(other, QuadExt) and other.base == self.base
-                and other.t0 == self.t0 and other.n0 == self.n0)
+        return other is self or (
+            isinstance(other, QuadExt) and other.base == self.base
+            and other.t0 == self.t0 and other.n0 == self.n0)
 
     def __hash__(self):
-        return hash(("QuadExt", self.base, str(self.t0), str(self.n0)))
+        return self._hash
 
     def __repr__(self):
         return "%r(%s)" % (self.base, self.gen_name)
@@ -531,7 +604,8 @@ class Scalar:
         self.val = val
 
     def _peer(self, other):
-        if isinstance(other, Scalar) and other.field == self.field:
+        if isinstance(other, Scalar) and (other.field is self.field
+                                          or other.field == self.field):
             return other.val
         # base-field scalars embed into a quadratic extension; anything
         # else is a descriptor mismatch raised by coerce
@@ -564,7 +638,8 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field == other.field and self.val == other.val
+            return ((self.field is other.field or self.field == other.field)
+                    and self.val == other.val)
         try:
             return self.val == self.field.coerce(other)
         except (TypeError, ValueError):

@@ -213,6 +213,29 @@ def test_env_var_seed(capsys, monkeypatch):
     assert json.loads(out1.strip())["seed"] == 11
 
 
+def test_calls_share_the_parser_but_not_their_arguments(capsys,
+                                                        monkeypatch):
+    """main builds its parser once; a call sees neither the options of the
+    call before it nor a seed fallback read before MFORGE_SEED changed."""
+    from mforge.cli import build_parser
+    assert build_parser() is build_parser()
+
+    def verify(suite, *extra):
+        _, out, _ = run(["verify", "--algebra", "quaternion-Q", "--suite",
+                         suite, "--json"] + list(extra), capsys)
+        doc = json.loads(out.strip())
+        return doc["seed"], doc["suite"], doc["lines"][0]["samples"]
+
+    monkeypatch.setenv("MFORGE_SEED", "11")
+    assert verify("flexible", "--seed", "4", "--samples", "20") == (
+        4, "identities.flexible", 20)
+    monkeypatch.setenv("MFORGE_SEED", "12")
+    assert verify("alternative", "--samples", "30") == (
+        12, "identities.alternative", 30)
+    monkeypatch.delenv("MFORGE_SEED")
+    assert verify("flexible", "--samples", "20")[0] == 0
+
+
 def _child_cli(argv, **env):
     # the child imports the same mforge as this process, installed or not
     pkg_root = os.path.dirname(os.path.dirname(mforge.__file__))

@@ -55,7 +55,7 @@ def test_coords_round_trip(handle):
 def test_field_coords_are_the_payload(field):
     h = as_handle(field)
     for x in _samples(h):
-        vals = x.val if field.coord_dim == 2 else (x.val,)
+        vals = field.parts(x.val) if field.coord_dim == 2 else (x.val,)
         assert [c.val for c in h.coords(x)] == list(vals)
         assert all(c.field == field.coord_field for c in h.coords(x))
         assert h.uncoords(h.coords(x)).val == x.val

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 import time
@@ -12,7 +13,8 @@ from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, SmallField,
                               qs_small_dim_field, space_from_algebra,
                               space_from_quadext, verify_space)
 from mforge.report import EXHAUSTIVE_SIZE
-from mforge.scalars import F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt
+from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
+                            random_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,27 @@ def test_char2_dim2_zero_polar_form_is_isotropic():
     # check must refuse the construction
     with pytest.raises(ValueError):
         QuadraticSpace(F2, [1, 1], {}, [1, 0])
+
+
+@pytest.mark.parametrize("field, q_basis, basepoint, witnesses", [
+    # x^2 + y^2 = (x + y)^2
+    (F2, [1, 1], [1, 0], ("(1, 1)", "(1, 1)")),
+    # x^2 + w y^2 = (x + w^2 y)^2
+    (F4, [1, (0, 1)], [1, 0], ("(1, 1*w)", "(1 + 1*w, 1)")),
+    # w x^2 + w^2 y^2 = (w^2 x + w y)^2, with q(w, 0) = w^3 = 1
+    (F4, [(0, 1), (1, 1)], [(0, 1), 0], ("(1, 1*w)", "(1 + 1*w, 1)"))])
+def test_zero_polar_form_planes_are_refused(field, q_basis, basepoint,
+                                            witnesses):
+    """Over a perfect field of characteristic 2 a plane whose polar form
+    vanishes is the square of a linear form, so it is isotropic: the
+    exhaustive check and the sampled one refuse it, so no quadratic space,
+    hence no small field, is built on it and the inseparable small-field
+    type cannot occur."""
+    for anisotropy, witness in zip(("exhaustive", "attested"), witnesses):
+        with pytest.raises(ValueError, match=r"isotropic at %s$"
+                           % re.escape(witness)):
+            QuadraticSpace(field, q_basis, {}, basepoint,
+                           anisotropy=anisotropy)
 
 
 def _quadext_over(p):
@@ -367,3 +390,30 @@ def test_compiled_forms_refuse_a_term_that_is_not_integers(monkeypatch):
         sp.f(sp.basepoint, sp.basepoint)
     with pytest.raises(TypeError, match="not an integer term"):
         QuadraticSpace(QQ, [1], {}, [1], anisotropy="attested")
+
+
+@pytest.mark.parametrize("make", list(SPACES.values()), ids=list(SPACES))
+def test_vector_operations_match_the_scalarwise_reference(make):
+    """Sums, differences, negation, scaling, the zero test and keys on the
+    stored integers equal the same operations coordinate by coordinate on
+    Scalars, and equal vectors have equal keys however they are built."""
+    sp = make()
+    field = sp.field
+    rng = random.Random(19)
+    vs = sp.basis() + [sp.zero()] + [sp.random_vector(rng, h)
+                                     for h in (1, 9, 10 ** 6)
+                                     for _ in range(4)]
+    for u, v in zip(vs, vs[1:] + vs[:1]):
+        s = random_scalar(field, rng, 9)
+        for got, want in ((u + v, map(operator.add, u.coords, v.coords)),
+                          (u - v, map(operator.sub, u.coords, v.coords)),
+                          (-u, map(operator.neg, u.coords)),
+                          (u.scale(s), (c * s for c in u.coords))):
+            want = tuple(want)
+            assert got.coords == want
+            built = sp.vector(want)
+            assert got == built and got.key() == built.key()
+            assert hash(got) == hash(built)
+        assert u.is_zero() == all(c.is_zero() for c in u.coords)
+        assert (u + v - v).key() == u.key()
+        assert (u - u).key() == sp.zero().key()

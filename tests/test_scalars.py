@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -189,7 +190,8 @@ def test_lower_divides_by_the_denominator():
     assert QQ.lower([2, 0, -3], 4) == [Fraction(1, 2), 0, Fraction(-3, 4)]
     # 1/3 = 2 and 2/3 = 4 in F5
     assert F5.lower([1, 2, 5], 3) == [2, 4, 0]
-    assert QI.lower([1, 2], 2) == [(Fraction(1, 2), Fraction(1))]
+    assert QI.lower([1, 2], 2) == [(1, 2, 2)]
+    assert QI.parts(QI.lower([1, 2], 2)[0]) == (Fraction(1, 2), Fraction(1))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 41, 10007])
@@ -245,6 +247,8 @@ def test_random_draws_follow_the_reference_order(field):
                                   for _ in range(n)]):
             rng = random.Random(seed)
             got = draw(rng)
+            if isinstance(field, QuadExt):
+                got = [field.parts(g) for g in got]
             assert (got, rng.random()) == (want, after)
             assert all(type(g) is type(w) for g, w in zip(got, want))
     if field.coord_field == QQ:
@@ -261,6 +265,13 @@ def test_random_draws_follow_the_reference_order(field):
 # -- the pair rule: quadratic-extension arithmetic payload by payload in the
 #    base field, the oracle of the integer closed forms
 
+def _pair_conj(field, a):
+    """conj(u + v w) = u + t0 v - v w."""
+    f = field.base
+    u, v = a
+    return (f.add(u, f.mul(field.t0, v)), f.neg(v))
+
+
 def _pair_mul(field, a, b):
     """(u1 + v1 w)(u2 + v2 w) with w^2 = t0 w - n0, by six base products."""
     f = field.base
@@ -274,8 +285,8 @@ def _pair_mul(field, a, b):
 
 def _pair_norm_trace(field, a):
     """N(a) and T(a), the base parts of a * conj(a) and a + conj(a)."""
-    c = field.conj(a)
-    prod, s = _pair_mul(field, a, c), field.add(a, c)
+    f, c = field.base, _pair_conj(field, a)
+    prod, s = _pair_mul(field, a, c), (f.add(a[0], c[0]), f.add(a[1], c[1]))
     assert field.base.is_zero(prod[1]) and field.base.is_zero(s[1])
     return prod[0], s[0]
 
@@ -283,7 +294,7 @@ def _pair_norm_trace(field, a):
 def _pair_inv(field, a):
     """conj(a) * N(a)^-1, the norm inverted in the base field."""
     ninv = field.base.inv(_pair_norm_trace(field, a)[0])
-    return tuple(field.base.mul(c, ninv) for c in field.conj(a))
+    return tuple(field.base.mul(c, ninv) for c in _pair_conj(field, a))
 
 
 QUADEXTS = [QI, QuadExt(QQ, Fraction(1, 3), Fraction(5, 2)), F4,
@@ -299,9 +310,10 @@ def _same(got, want):
 @pytest.mark.parametrize("field", QUADEXTS, ids=["Qi", "Q(1/3,5/2)", "F4",
                                                  "F9"])
 def test_quadext_closed_forms_match_the_pair_rule(field):
-    """mul, inv, norm_payload and trace_payload on integers equal the pair
-    rule: on every pair over F4 and F9, and over Q (t0 = 0 and t0 = 1/3,
-    n0 = 5/2) on the zero, the one and payloads of heights 1, 9 and 10^6."""
+    """add, sub, neg, conj, mul, inv, norm_payload and trace_payload on
+    integers equal the pair rule, read through `parts`: on every pair over
+    F4 and F9, and over Q (t0 = 0 and t0 = 1/3, n0 = 5/2) on the zero, the
+    one and payloads of heights 1, 9 and 10^6."""
     if field.is_finite():
         pays = [s.val for s in field.elements()]
     else:
@@ -309,14 +321,66 @@ def test_quadext_closed_forms_match_the_pair_rule(field):
         pays = [field.zero_payload(), field.one_payload()] + [
             field.random_payload(rng, h) for h in (1, 9, 10 ** 6)
             for _ in range(12)]
+    f, parts = field.base, field.parts
     for a in pays:
+        pa = parts(a)
         for b in pays:
-            assert _same(field.mul(a, b), _pair_mul(field, a, b))
-        n, t = _pair_norm_trace(field, a)
+            pb = parts(b)
+            assert _same(parts(field.mul(a, b)), _pair_mul(field, pa, pb))
+            assert _same(parts(field.add(a, b)), tuple(map(f.add, pa, pb)))
+            assert _same(parts(field.sub(a, b)), tuple(map(f.sub, pa, pb)))
+        assert _same(parts(field.neg(a)), tuple(map(f.neg, pa)))
+        assert _same(parts(field.conj(a)), _pair_conj(field, pa))
+        n, t = _pair_norm_trace(field, pa)
         assert _same(field.norm_payload(a), n)
         assert _same(field.trace_payload(a), t)
         if field.is_zero(a):
             with pytest.raises(DivisionByZero):
                 field.inv(a)
         else:
-            assert _same(field.inv(a), _pair_inv(field, a))
+            assert _same(parts(field.inv(a)), _pair_inv(field, pa))
+
+
+@pytest.mark.parametrize("field", QUADEXTS, ids=["Qi", "Q(1/3,5/2)", "F4",
+                                                 "F9"])
+def test_quadext_payloads_are_canonical(field):
+    """Equal elements have equal payloads, whatever operations reach them:
+    over Q a triple (u, v, d) of ints with gcd 1 and d > 0, over F_p a
+    pair of residues."""
+    def canonical(a):
+        if field.is_finite():
+            return len(a) == 2 and all(0 <= c < field.base.p for c in a)
+        return (len(a) == 3 and all(type(c) is int for c in a)
+                and math.gcd(*a) == 1 and a[2] > 0)
+
+    rng = random.Random(37)
+    xs = [random_scalar(field, rng, 9, nonzero=True) for _ in range(24)]
+    for x, y in zip(xs, xs[1:]):
+        for z in (x + y, x - y, -x, x * y, x / y, x.inv(), x.conj()):
+            assert canonical(z.val)
+        assert ((x * y) / y).val == (x + y - y).val == x.val
+        assert (x * x.inv()).val == field.one_payload()
+        assert (x - x).val == field.zero_payload()
+        assert x.conj().conj().val == x.val
+        assert hash(x * y) == hash(y * x)
+    if not field.is_finite():
+        assert field.lower([2, 4, -2, 4], 6) == [(1, 2, 3), (-1, 2, 3)]
+        assert field.lower([2, 4], -6) == [(-1, -2, 3)]
+        assert field.coerce((Fraction(1, 3), Fraction(2, 3))) == (1, 2, 3)
+        assert field.coerce(QQ.scalar("4/6")) == (2, 0, 3)
+
+
+@pytest.mark.parametrize("x", [(0.5, 1), (1, 0.5), 0.5, (True, 1)])
+@pytest.mark.parametrize("field", [QI, F4])
+def test_quadext_refuses_inexact_coordinates(field, x):
+    with pytest.raises(TypeError):
+        field.coerce(x)
+
+
+def test_f4_scalar_from_a_residue_pair():
+    """An F4 payload is the pair of residues, so a Scalar built on one
+    directly is an element like any other."""
+    w = Scalar(F4, (0, 1))
+    assert w == F4.gen() and Scalar(F4, (1, 1)) == w * w
+    assert repr(Scalar(F4, (1, 1))) == "1 + 1*w"
+    assert F4.parts((1, 1)) == (1, 1)
