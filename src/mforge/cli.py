@@ -22,7 +22,7 @@ from .catalog import NAMED_FOUNDATIONS, foundation_from_file
 from .foundations import (Verdict, fnd_check, fnd_check_443,
                           fnd_classify_simply_laced, fnd_to_dot,
                           fnd_universal_cover, NotA443Shape, NotSimplyLaced)
-from .polygons import (WordGroup, ZeroParameter, rgs_hua_consistency,
+from .polygons import (ZeroParameter, rgs_hua_consistency,
                        rgs_hua_end_action, qq_f4_space, qp_xi_f4, triangle)
 from .pseudoquad import f4_census
 from .report import Report
@@ -113,8 +113,7 @@ def cmd_polygon(args):
     seed = _seed_from(args)
     if args.action == "exhaustive":
         t0 = time.monotonic()
-        wg = WordGroup(desc)
-        rep = wg.check_axioms()
+        rep = desc.word_group().check_axioms()
         rep.seed = seed
         code = _emit(rep, args, time.monotonic() - t0)
         t0 = time.monotonic()

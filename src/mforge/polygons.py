@@ -55,7 +55,9 @@ _REJECT_ONLY = (SYMBOL_QE, SYMBOL_QF)
 
 # rgs_hua_consistency builds and sweeps a word group only up to this many
 # words: its Cayley table holds the square, 2^24 int32 entries (64 MB) at
-# the bound.  The largest shipped case, QP-Xi-F4, has 1024 words.
+# the bound, and it lives as long as its descriptor, as the end sets do
+# (`PolygonDescriptor.word_group`).  The largest shipped case, QP-Xi-F4,
+# has 1024 words.
 _EXHAUSTIVE_WORDS = 4096
 
 
@@ -63,7 +65,12 @@ _EXHAUSTIVE_WORDS = 4096
 
 class PolygonDescriptor:
     """Symbol + orientation + parameter system, with slot groups and the
-    commutator table."""
+    commutator table.
+
+    The end Moufang sets and, over a finite parameter system, the word
+    group are built on first use and kept for the descriptor's lifetime:
+    the word group's Cayley table is up to 2^24 int32 entries (64 MB) at
+    the `_EXHAUSTIVE_WORDS` bound."""
 
     def __init__(self, symbol, params, orientation=STANDARD, name=None):
         self.symbol = symbol
@@ -72,6 +79,7 @@ class PolygonDescriptor:
         self.name = name
         self.n = 3 if symbol == SYMBOL_T else 4
         self._end_sets = {}
+        self._word_group = None
         if symbol in _REJECT_ONLY:
             self.groups = None
             return
@@ -124,6 +132,13 @@ class PolygonDescriptor:
         if end not in self._end_sets:
             self._end_sets[end] = self._build_end_set(end)
         return self._end_sets[end]
+
+    def word_group(self):
+        """The `WordGroup` of a finite parameter system, built once per
+        descriptor."""
+        if self._word_group is None:
+            self._word_group = WordGroup(self)
+        return self._word_group
 
     def _build_end_set(self, end):
         sym, params = self.symbol, self.params
@@ -414,6 +429,10 @@ class WordGroup(tbl.FiniteGroupTable):
         self.slot_index = [
             {desc.group(i + 1).key(m): k for k, m in enumerate(ms)}
             for i, ms in enumerate(slot_elems)]
+        # a word's index is its slot indices in mixed radix, last slot
+        # fastest (the order of `_build_elements`)
+        sizes = [len(ms) for ms in slot_elems]
+        self.strides = [math.prod(sizes[m:]) for m in range(1, desc.n + 1)]
         self.elements = []
         self.index = {}
         self._build_elements()
@@ -467,9 +486,7 @@ class WordGroup(tbl.FiniteGroupTable):
 
         n_el = len(self.elements)
         sizes = [len(ms) for ms in self.slot_elems]
-        # a word's index is its slot indices in mixed radix, last slot
-        # fastest (the order of `_build_elements`)
-        strides = [math.prod(sizes[m:]) for m in range(1, desc.n + 1)]
+        strides = self.strides
         right = []  # right[i][k] = permutation of right-multiplying x_i(m_k)
         for i, size in enumerate(sizes):
             # a word is (head, x_i(a), tail) over the slots before, at
@@ -507,6 +524,12 @@ class WordGroup(tbl.FiniteGroupTable):
     def element_index(self, word):
         return self.index[self._word_key(word.normalized())]
 
+    def slot_word_index(self, slot, m):
+        """The index of the one-factor word x_slot(m), read off the mixed
+        radix without normalizing a word."""
+        key = self.desc.group(slot).key(m)
+        return self.slot_index[slot - 1][key] * self.strides[slot - 1]
+
     def extend_end_maps(self, map_first, map_last):
         """Extend maps on the two end slots to a permutation of the
         subgroup they generate (by `tables.extend_from_generators`), then
@@ -525,9 +548,8 @@ class WordGroup(tbl.FiniteGroupTable):
             for m in self.slot_elems[slot - 1]:
                 if grp.is_identity(m):
                     continue
-                src = self.element_index(RootWord(desc, [(slot, m)]))
-                dst = self.element_index(RootWord(desc, [(slot, mapping(m))]))
-                gens.append((src, dst))
+                gens.append((self.slot_word_index(slot, m),
+                             self.slot_word_index(slot, mapping(m))))
         perm, conflict = tbl.extend_from_generators(
             self.table, self.table, gens, self.identity, self.identity)
         if conflict is not None:
@@ -624,7 +646,9 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
 
     A finite parameter system whose word group has at most 4096 words
     (`_EXHAUSTIVE_WORDS`, counted from the slot sizes) gets the
-    exhaustive automorphism-extension check on that group.  Other
+    exhaustive automorphism-extension check on that group.  The group is
+    `desc.word_group()`, which lives as long as the descriptor, as its
+    end sets do: 2^24 int32 table entries (64 MB) at the bound.  Other
     triangles get the closed-form identities on samples, other
     quadrangles sampled endomorphism checks of the end maps themselves.
     """
@@ -660,7 +684,7 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
         return rep
 
     if exhaustive:
-        wg = WordGroup(desc)
+        wg = desc.word_group()
         for end in ("first", "last"):
             slot = 1 if end == "first" else desc.n
             grp = desc.group(slot)

@@ -65,6 +65,21 @@ def test_polygon_exhaustive(capsys):
     assert "group.associativity" in out
 
 
+def test_polygon_exhaustive_builds_one_word_group(capsys, monkeypatch):
+    from mforge.polygons import WordGroup
+    builds = []
+    init = WordGroup.__init__
+    monkeypatch.setattr(WordGroup, "__init__",
+                        lambda self, desc: builds.append(desc)
+                        or init(self, desc))
+    code, out, _ = run(["polygon", "exhaustive", "QQ", "F4-space",
+                        "--json"], capsys)
+    assert code == 0
+    assert len(builds) == 1
+    assert [json.loads(ln)["suite"] for ln in out.splitlines()] == [
+        "group-axioms", "hua.consistency"]
+
+
 def test_polygon_hua(capsys):
     code, out, _ = run(["polygon", "hua", "QQ", "last", "#1",
                         "--instance", "F4-space"], capsys)

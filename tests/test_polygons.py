@@ -338,6 +338,37 @@ def test_index_space_table_matches_collection_oracle(name, orientation):
         desc = rgs_opposite(desc)
     wg = WordGroup(desc)
     assert np.array_equal(wg.table, oracle_word_table(wg))
+    # each one-factor word's mixed-radix index is its normalized word's
+    for slot in range(1, desc.n + 1):
+        for m in wg.slot_elems[slot - 1]:
+            assert wg.slot_word_index(slot, m) == wg.element_index(
+                RootWord(desc, [(slot, m)]))
+        assert wg.slot_word_index(slot, desc.group(slot).identity()) == (
+            wg.identity)
+
+
+def test_word_group_is_built_once_per_descriptor():
+    desc = qq_f4_space()
+    wg = desc.word_group()
+    assert desc.word_group() is wg
+    opp = rgs_opposite(desc)
+    assert opp.word_group() is not wg
+    assert np.array_equal(opp.word_group().table,
+                          WordGroup(rgs_opposite(desc)).table)
+
+
+@pytest.mark.parametrize("name", ["QP-Xi-F4", "QQ-F4", "T(F4)", "QD-F2"])
+def test_hua_consistency_reuses_the_descriptor_word_group(name, monkeypatch):
+    fresh = rgs_hua_consistency(ORACLE_DESCRIPTORS[name]()).to_json()
+    builds = []
+    init = WordGroup.__init__
+    monkeypatch.setattr(WordGroup, "__init__",
+                        lambda self, desc: builds.append(desc)
+                        or init(self, desc))
+    desc = ORACLE_DESCRIPTORS[name]()
+    reports = [rgs_hua_consistency(desc).to_json() for _ in range(2)]
+    assert builds == [desc]
+    assert reports == [fresh, fresh]
 
 
 @pytest.mark.parametrize("end", ["first", "last"])
