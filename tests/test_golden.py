@@ -82,6 +82,13 @@ recorded while quadratic-extension payloads over Q were pairs of
 ``Fraction``s and quadratic-space vectors tuples of Scalars.  They pin
 the norm space of Q(i) and the linear Moufang set over Q(i).
 
+The twist-chain cases (``twist_chain_*``, ``gamma_w_decompose_fractional``)
+were recorded while every Jordan map applied its atoms one by one: a
+doubling split and tower products per call.  They run a [Psi, Conj(w)]
+chain over the octonions over Q(i), where each coordinate has two
+rational parts, and over F3, and gamma_w at a w with denominator 12, and
+store the images of seeded elements.
+
 To record the files of new cases from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -153,6 +160,53 @@ def jaut_verify():
     from mforge.octonion_aut import JordanMap, jaut_verify
     O, _, _, psi = _twist_setup()
     return jaut_verify(JordanMap([psi], O), samples=50, seed=29)
+
+
+def _twist_chain_case(stem, base):
+    """`jaut_verify` and `sigma_s_central_check` on a [Psi, Conj(w)]
+    chain over the octonions over `base`, w the first seeded draw of
+    nonzero norm; then the images of three seeded elements."""
+    def case():
+        from mforge.composition import CDAlgebra
+        from mforge.octonion_aut import (Conj, JordanMap, Psi, jaut_verify,
+                                         sigma_s_central_check,
+                                         standard_quaternion_frame)
+        O = CDAlgebra(_tower_base(base), [-1, -1, -1])
+        sub, e = standard_quaternion_frame(O)
+        rng = random.Random(47)
+        w = O.random_element(rng, 5)
+        while w.norm().is_zero():
+            w = O.random_element(rng, 5)
+        chain = JordanMap([Psi(O, sub, e, O.unit(1)), Conj(w)], O)
+        xs = [O.random_element(rng, 9) for _ in range(3)]
+        return "\n".join([
+            jaut_verify(chain, samples=40, seed=53).to_json(),
+            sigma_s_central_check(chain, samples=40, seed=59).to_json(),
+            json.dumps([[repr(x), repr(chain(x))] for x in xs],
+                       separators=(",", ":"))]) + "\n"
+    case.__name__ = "twist_chain_" + stem
+    return case
+
+
+TWIST_CHAIN_CASES = [_twist_chain_case("qi_octonions", "Qi"),
+                     _twist_chain_case("f3_octonions", "F3")]
+
+
+def gamma_w_decompose_fractional():
+    """gamma_w at a w with denominator 12, off the standard frame, then
+    the images of three seeded elements under its Phi and Psi."""
+    from fractions import Fraction
+
+    from mforge.octonion_aut import gamma_w_decompose
+    O = _twist_setup()[0]
+    w = O.element([Fraction(1, 2), Fraction(-2, 3), 0, Fraction(3, 4),
+                   0, 1, 0, Fraction(5, 6)])
+    phi, psi, rep = gamma_w_decompose(w, samples=60, seed=61)
+    rng = random.Random(67)
+    xs = [O.random_element(rng, 9) for _ in range(3)]
+    return rep.to_json() + "\n" + json.dumps(
+        [[repr(x), repr(phi.apply(x)), repr(psi.apply(x))] for x in xs],
+        separators=(",", ":")) + "\n"
 
 
 def _tower_base(name):
@@ -736,7 +790,7 @@ CASES = {f.__name__: f for f in (
     _inv_check_galois("qi", _qi), _inv_check_galois("f4", _f4),
     special_pairs_octonion_q, quaternion_subalgebras_octonion_q,
     ind_opposite_f4, spans_quadratic_bases, kernels_and_complements,
-    *TOWER_CASES,
+    *TOWER_CASES, *TWIST_CHAIN_CASES, gamma_w_decompose_fractional,
     _dot_case("a2_octonion"), _dot_case("f443_involutory"),
     *[_fnd_check_case(name) for name in _fnd_names()])}
 
