@@ -7,12 +7,16 @@ classifiers (necessary conditions only; no existence claims).
 The map chain is defined here once: the atoms (identity, id^op, standard
 involution, conjugation, Frobenius, linear, table) and `GlueingMap`, their
 right-to-left chain with inverse, composition and parity.  Octonion Jordan
-maps (`octonion_aut.JordanMap`) are the same chains with a domain algebra.
+maps (`octonion_aut.JordanMap`) are the same chains with a domain algebra;
+an atom's `additive` flag lets such a chain apply as one integer matrix
+over the prime field, while a glueing here always applies atom by atom.
 A Frobenius atom takes a signed power.  Opposite readings of a tower are
 handles with the `reversed` flag set.  The Moufang set at each end of a
 polygon, and so each end ring, is the polygon's own `end_set`.
 `fnd_check`'s Jordan checks sweep an end Moufang set exhaustively or on
-samples by the one rule of `moufang.EXHAUSTIVE_SIZE`."""
+samples by the one rule of `moufang.EXHAUSTIVE_SIZE`.  The simply-laced
+classifier reads a commutative carrier of no tower or field type, such as
+the small field on a quadratic plane, as a field."""
 
 from __future__ import annotations
 
@@ -137,7 +141,13 @@ ISO, ANTI, UNKNOWN = 1, -1, 0
 
 
 class GAtom:
+    """One map of a chain.  `additive` marks an atom whose apply is
+    additive on every element it takes, and so linear over the prime
+    field; a Jordan map of a tower whose atoms are all additive applies
+    as one integer matrix (`octonion_aut.JordanMap`)."""
+
     parity = UNKNOWN
+    additive = False
 
     def apply(self, x):  # pragma: no cover - interface
         raise NotImplementedError
@@ -148,6 +158,7 @@ class GAtom:
 
 class GIdentity(GAtom):
     parity = ISO
+    additive = True
 
     def apply(self, x):
         return x
@@ -163,6 +174,7 @@ class GIdOpposite(GAtom):
     """Identity on elements; marks the switch to the opposite reading."""
 
     parity = ANTI
+    additive = True
 
     def apply(self, x):
         return x
@@ -176,6 +188,7 @@ class GIdOpposite(GAtom):
 
 class GStandardInvolution(GAtom):
     parity = ANTI
+    additive = True
 
     def apply(self, x):
         return x.conj()
@@ -191,6 +204,7 @@ class GScalarConj(GAtom):
     """x -> w^-1 x w."""
 
     parity = ISO
+    additive = True
 
     def __init__(self, w):
         if w.norm().is_zero():
@@ -252,6 +266,7 @@ class GLinear(GAtom):
     """Coordinate-matrix map over the carrier's coordinate field."""
 
     parity = UNKNOWN
+    additive = True
 
     def __init__(self, matrix, handle):
         self.matrix = [row[:] for row in matrix]
@@ -798,7 +813,9 @@ class Verdict:
 
 def _carrier_kind(fnd):
     """'field' / 'quaternion' / 'octonion' / 'skewfield', with a structural
-    equality check of the tower descriptors across edges."""
+    equality check of the tower descriptors across edges.  A carrier that
+    is neither a tower nor a plain field, such as the small field on a
+    quadratic plane, is a field when its handle is commutative."""
     kinds = set()
     descriptors = set()
     for e in fnd.diagram.edges:
@@ -817,7 +834,7 @@ def _carrier_kind(fnd):
             kinds.add("field")
             descriptors.add(("field", h.field))
         else:
-            kinds.add("skewfield")
+            kinds.add("field" if h.is_commutative() else "skewfield")
             descriptors.add(("other", id(h)))
     if len(kinds) != 1 or len(descriptors) != 1:
         return None

@@ -7,16 +7,27 @@ its domain algebra attached: the standard involution, conjugation by an
 invertible w (`Conj`) and the other generic atoms are the glueing atoms.
 This module adds only the half-twisting atoms `Psi` and `Phi`.  The split
 x = h + e*y against a quaternion subalgebra is a cached `DoublingFrame`,
-which atoms on the same (subalgebra, e) can share, so repeated application
-stays cheap.
+which atoms on the same (subalgebra, e) can share.
+
+Every atom here and the standard involution, conjugation, identity and
+linear atoms are additive (`GAtom.additive`), so a chain of them is linear
+over the prime field on the stored integers of an element.  Such a
+JordanMap runs its atoms one by one (`GlueingMap.apply`, the reference
+rule) only on the lifted unit vectors, once, and applies every element of
+its tower as one integer matrix over Q or F_p.  The product rule of a
+single Psi and the conjugation that gamma_w is checked against apply
+through one-atom JordanMaps, on the same path.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from operator import mul
 
-from .composition import (DoublingFrame, Subspace, bilinear,
-                          orthogonal_complement, subalgebra_generated)
+from .composition import (CDElement, DoublingFrame, NotInSpan, Subspace,
+                          bilinear, orthogonal_complement,
+                          subalgebra_generated)
 from .foundations import GAtom, GlueingMap
 from .foundations import GScalarConj as Conj
 from .report import Report, reprs
@@ -24,6 +35,8 @@ from .report import Report, reprs
 
 class _Split(GAtom):
     """Shared plumbing for the half-twisting atoms."""
+
+    additive = True
 
     def __init__(self, algebra, sub, e, w, frame=None):
         if sub.dim != 4:
@@ -71,11 +84,54 @@ class Phi(_Split):
 
 
 class JordanMap(GlueingMap):
-    """A chain of atoms on `algebra`, applied right-to-left."""
+    """A chain of atoms on `algebra`, applied right-to-left.
+
+    When every atom is additive, the first apply to an element of
+    `algebra` runs the chain by the rule on the n = dim * r lifted unit
+    vectors and keeps their images, over one denominator D, as the
+    columns of an integer matrix.  Each apply is then that matrix times
+    the stored integers of x, over D * x.den.  Any other chain, an element
+    of another tower, or a chain defined only on part of the tower (a
+    frame that does not span it) takes the rule."""
 
     def __init__(self, atoms, algebra):
         super().__init__(atoms)
         self.algebra = algebra
+        self._matrix = None
+
+    def _with_atoms(self, atoms):
+        out = super()._with_atoms(atoms)
+        out._matrix = None  # the copy's chain is another map
+        return out
+
+    def _build_matrix(self):
+        """(rows, D), or False for a chain that keeps the rule."""
+        if not all(atom.additive for atom in self.atoms):
+            return False
+        alg = self.algebra
+        n = alg._kernel.n
+        try:
+            images = [GlueingMap.apply(self, CDElement(
+                alg, tuple([int(i == k) for i in range(n)])))
+                for k in range(n)]
+        except NotInSpan:
+            return False
+        d = math.lcm(*[y.den for y in images])
+        cols = [[a * (d // y.den) for a in y.nums] for y in images]
+        return tuple(zip(*cols)), d
+
+    def apply(self, x):
+        alg = self.algebra
+        if getattr(x, "algebra", None) is not alg:
+            return GlueingMap.apply(self, x)
+        if self._matrix is None:
+            self._matrix = self._build_matrix()
+        if not self._matrix:
+            return GlueingMap.apply(self, x)
+        rows, d = self._matrix
+        nums = x.nums
+        return alg._canonical([sum(map(mul, row, nums)) for row in rows],
+                              d * x.den)
 
 
 def standard_quaternion_frame(algebra):
@@ -136,14 +192,15 @@ def psi_product_rule_check(psi, samples=300, seed=37):
     if not isinstance(psi, Psi):
         raise TypeError("a single half-twist atom is required")
     algebra = psi.algebra
+    jmap = JordanMap([psi], algebra)
     rng = random.Random(seed)
     rep = Report("psi.product-rule", seed=seed, subject=repr(psi))
     rep.first_failure(
         "psi.product-rule",
         ((algebra.random_element(rng, 9), algebra.random_element(rng, 9))
          for _ in range(samples)),
-        lambda s, t: psi.apply(s * t)
-        == (psi.apply(s) * (psi.apply(t) * psi.w)) * psi.w_inv,
+        lambda s, t: jmap(s * t)
+        == (jmap(s) * (jmap(t) * psi.w)) * psi.w_inv,
         samples, cex=reprs)
     return rep
 
@@ -186,12 +243,12 @@ def gamma_w_decompose(w, samples=200, seed=41):
 
     rep = Report("gamma-w.decompose", seed=seed, subject=repr(w))
     rep.add("decompose.norm-of-p", 1, p.norm() == algebra.base.one())
-    conj = Conj(w)
+    conj = JordanMap([Conj(w)], algebra)
     rng = random.Random(seed)
     rep.first_failure("decompose.matches-conjugation",
                       ((algebra.random_element(rng, 9),)
                        for _ in range(samples)),
-                      lambda x: chain(x) == conj.apply(x), samples, cex=repr)
+                      lambda x: chain(x) == conj(x), samples, cex=repr)
     return phi, psi, rep
 
 

@@ -17,8 +17,9 @@ from mforge.foundations import (CoxeterDiagram, Foundation, GFrobenius,
                                 fnd_cover, fnd_glueing_sign,
                                 fnd_positive_analysis, fnd_reparametrize,
                                 fnd_residue, fnd_to_dot,
-                                fnd_universal_cover, identity_glueing)
-from mforge.handles import as_handle
+                                fnd_universal_cover, identity_glueing,
+                                sigma_s_glueing)
+from mforge.handles import Handle, as_handle
 from mforge.polygons import (PolygonDescriptor, SYMBOL_QD, SYMBOL_QE,
                              SYMBOL_QF, SYMBOL_T)
 from mforge.scalars import F4, F5, QI, PrimeField, QuadExt, Scalar
@@ -522,3 +523,84 @@ def test_check_samples_an_end_too_large_to_list():
     }
     rep = fnd_check(foundation_from_json(doc), samples=8, seed=3)
     assert rep.line("moufang.glueings-jordan").passed
+
+
+# -- the defining-field kind of carriers that are not towers -------------------
+
+SHAPES = {"string": [("0", "1"), ("1", "2"), ("2", "3")],
+          "circle": [("0", "1"), ("1", "2"), ("2", "3"), ("0", "3")],
+          "star": [("0", "1"), ("0", "2"), ("0", "3")]}
+
+
+def _triangles_over(h, edges, glueing=identity_glueing):
+    verts = sorted({v for e in edges for v in e})
+    dia = CoxeterDiagram(verts, {e: 3 for e in edges})
+    polys = {tuple(sorted(e)): PolygonDescriptor(SYMBOL_T, h)
+             for e in dia.edges}
+    return Foundation(dia, polys, {t: glueing() for t in dia.triples()},
+                      complete=False)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_small_field_carrier_is_a_field(shape):
+    from mforge.handles import SmallFieldHandle
+    from mforge.quadspace import space_from_quadext
+    h = SmallFieldHandle(space_from_quadext(F4, name="(F4,F2,N)"))
+    v = fnd_classify_simply_laced(_triangles_over(h, SHAPES[shape]),
+                                  samples=8)
+    assert (v.kind, v.case) == (Verdict.MATCHES, "field")
+    assert v.evidence == [("defining-field.kind", True, "field"),
+                          ("field.no-restrictions", True, None)]
+
+
+class _SkewQuaternions(Handle):
+    """The quaternions over Q read through a handle that is not a tower
+    handle: a non-commutative carrier of no known kind."""
+
+    def __init__(self):
+        from mforge.composition import quaternions_q
+        self.tower = as_handle(quaternions_q())
+        self.carrier = self.tower.carrier
+        self.coord_field = self.tower.coord_field
+        self.coord_dim = self.tower.coord_dim
+
+    def __getattr__(self, name):
+        return getattr(self.tower, name)
+
+    def is_commutative(self):
+        return False
+
+
+@pytest.mark.parametrize("shape, case, failed", [
+    ("string", "skewfield-string", None),
+    ("circle", "skewfield-circle", None),
+    ("star", "skewfield", "skewfield.no-branch")])
+def test_non_commutative_carrier_takes_the_skewfield_branch(shape, case,
+                                                            failed):
+    v = fnd_classify_simply_laced(
+        _triangles_over(_SkewQuaternions(), SHAPES[shape]), samples=8)
+    assert v.case == case
+    assert v.evidence[0] == ("defining-field.kind", True, "skewfield")
+    assert v.reasons() == ([failed] if failed else [])
+    assert v.kind == (Verdict.NOT_INTEGRABLE if failed else Verdict.MATCHES)
+
+
+def test_skewfield_positive_glueing_forces_a_quaternion_carrier():
+    v = fnd_classify_simply_laced(
+        _triangles_over(_SkewQuaternions(),
+                        [("0", "1"), ("1", "2"), ("0", "2")],
+                        sigma_s_glueing), samples=8)
+    assert (v.kind, v.case) == (Verdict.NOT_INTEGRABLE, "skewfield")
+    assert v.reasons() == ["skewfield.all-negative"]
+
+
+@pytest.mark.parametrize("edges, shape", [
+    (SHAPES["string"], "string"), (SHAPES["circle"], "circle"),
+    (SHAPES["star"], "branched"),
+    ([("0", "1"), ("1", "2"), ("0", "2")], "circle"),
+    ([("0", "1"), ("1", "2"), ("0", "2"), ("2", "3")], "branched")])
+def test_diagram_shape(edges, shape):
+    from mforge.foundations import _diagram_shape
+    verts = sorted({v for e in edges for v in e})
+    assert _diagram_shape(CoxeterDiagram(verts, {e: 3 for e in edges})) \
+        == shape

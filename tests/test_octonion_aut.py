@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mforge.foundations import GStandardInvolution
+from mforge.foundations import GAtom, GStandardInvolution
 from mforge.octonion_aut import (Conj, JordanMap, Phi, Psi,
                                  gamma_w_decompose, jaut_verify,
                                  psi_product_rule_check,
@@ -165,3 +165,170 @@ def test_psi_on_generated_subalgebra(octonions):
     from mforge.octonion_aut import extend_to_quaternion_subalgebra
     sub = extend_to_quaternion_subalgebra(octonions, w)
     assert sub.dim == 4 and sub.contains(w)
+
+
+# -- the matrix path against the atom-by-atom rule ---------------------------
+
+def _octonions_over(name):
+    from mforge.composition import CDAlgebra
+    from mforge.scalars import field_by_name
+    return CDAlgebra(field_by_name(name), [-1, -1, -1])
+
+
+TOWERS = ("Q", "F3", "Qi")
+
+
+def _draws(O, rng, n):
+    """n seeded elements; over Q and Q(i) only ones with a denominator."""
+    out = []
+    while len(out) < n:
+        x = O.random_element(rng, 9)
+        if O.characteristic() or x.den > 1:
+            out.append(x)
+    return out
+
+
+def _unit_nonzero_norm(O, rng):
+    while True:
+        w = O.random_element(rng, 5)
+        if not w.norm().is_zero():
+            return w
+
+
+def _atoms(O):
+    """One of each additive atom on O, by name."""
+    from mforge.foundations import GIdentity, GIdOpposite, GLinear
+    from mforge.handles import as_handle
+    rng = random.Random(71)
+    sub, e = standard_quaternion_frame(O)
+    base, n = O.base, O.dim
+    # unit upper triangular, so invertible
+    matrix = [[base.scalar(int(i == j)) if j <= i else
+               base.scalar(rng.randrange(-3, 4)) for j in range(n)]
+              for i in range(n)]
+    return {"id": GIdentity(), "id^op": GIdOpposite(),
+            "sigma_s": GStandardInvolution(),
+            "conj": Conj(_unit_nonzero_norm(O, rng)),
+            "linear": GLinear(matrix, as_handle(O)),
+            "psi": Psi(O, sub, e, O.one() + O.unit(1)),
+            "phi": Phi(O, sub, e, O.one() + O.unit(1), O.unit(2))}
+
+
+def _chains(O):
+    atoms = _atoms(O)
+    chains = {name: JordanMap([atom], O) for name, atom in atoms.items()}
+    psi, conj, lin = chains["psi"], chains["conj"], chains["linear"]
+    chains["psi.conj"] = psi.compose(conj)
+    chains["phi.sigma_s.psi"] = chains["phi"].compose(
+        chains["sigma_s"]).compose(psi)
+    chains["conj^-1"] = conj.inverse()
+    chains["linear^-1.conj"] = lin.inverse().compose(conj)
+    chains["(conj.linear.sigma_s)^-1"] = conj.compose(lin).compose(
+        chains["sigma_s"]).inverse()
+    return chains
+
+
+@pytest.mark.parametrize("tower", TOWERS)
+def test_matrix_path_equals_the_rule(tower):
+    from mforge.foundations import GlueingMap
+    O = _octonions_over(tower)
+    xs = _draws(O, random.Random(73), 200)
+    for name, chain in _chains(O).items():
+        for x in xs:
+            assert chain(x) == GlueingMap.apply(chain, x), (name, x)
+        assert chain._matrix, name
+
+
+@pytest.mark.parametrize("tower", TOWERS)
+def test_matrix_is_built_once_per_chain(tower, monkeypatch):
+    from mforge.foundations import GlueingMap
+    O = _octonions_over(tower)
+    chain = _chains(O)["psi.conj"]
+    xs = _draws(O, random.Random(79), 200)
+    rule = GlueingMap.apply
+    calls = []
+
+    def counting(self, x):
+        calls.append(x)
+        return rule(self, x)
+
+    monkeypatch.setattr(GlueingMap, "apply", counting)
+    for x in xs:
+        chain(x)
+    assert len(calls) == O.dim * O._kernel.r
+    assert [c.key() for c in calls] == [
+        (tuple(int(i == k) for i in range(len(calls))), 1)
+        for k in range(len(calls))]
+
+
+class _Doubling(GAtom):
+    """x -> x + x, additive, but not flagged so."""
+
+    def apply(self, x):
+        return x + x
+
+
+def test_unflagged_atoms_and_other_towers_take_the_rule(octonions,
+                                                        quaternions,
+                                                        monkeypatch):
+    from mforge.composition import octonions_q
+    from mforge.foundations import GlueingMap, GTableMap
+    xs = _draws(octonions, random.Random(83), 20)
+    # sigma_s, then the table back: the identity on xs
+    table = GTableMap([(x.conj(), x) for x in xs], key=lambda x: x.key())
+    rule = GlueingMap.apply
+    calls = []
+
+    def counting(self, x):
+        calls.append(x)
+        return rule(self, x)
+
+    monkeypatch.setattr(GlueingMap, "apply", counting)
+    for atoms in ([table, GStandardInvolution()], [Psi(
+            octonions, *standard_quaternion_frame(octonions),
+            octonions.unit(1)), _Doubling()]):
+        chain = JordanMap(atoms, octonions)
+        del calls[:]
+        for x in xs:
+            assert chain(x) == rule(chain, x)
+        assert chain._matrix is False
+        assert len(calls) == len(xs)
+
+    sigma = JordanMap([GStandardInvolution()], octonions)
+    twin = octonions_q()
+    for x in (quaternions.element([1, 2, 3, 4]), twin.element(range(8))):
+        y = sigma(x)
+        assert y.algebra is x.algebra and y == x.conj()
+    assert sigma._matrix is None
+
+
+def test_a_frame_that_does_not_span_keeps_the_rule():
+    from mforge.composition import Subspace, sedenion_style_q
+    from mforge.linalg import NotInSpan
+    D = sedenion_style_q()
+    sub = Subspace(D, D.basis()[:4])
+    psi = Psi(D, sub, D.unit(4), D.unit(1))
+    chain = JordanMap([psi], D)
+    x = D.element([1, 2, 3, 4, 5, 6, 7, 8] + [0] * 8)
+    assert chain(x) == psi.apply(x)
+    assert chain._matrix is False
+    with pytest.raises(NotInSpan):
+        chain(D.unit(8))
+
+
+def test_copies_do_not_keep_the_source_matrix(frame):
+    from mforge.foundations import GlueingMap
+    O, sub, e = frame
+    rng = random.Random(89)
+    a = JordanMap([Psi(O, sub, e, O.unit(1))], O)
+    c = JordanMap([Conj(O.one() + O.unit(3))], O)
+    xs = _draws(O, rng, 20)
+    a(xs[0])
+    c(xs[0])
+    b = JordanMap([Conj(O.one() + O.unit(5))], O)
+    for composite in (a.compose(b), c.inverse(), c.compose(a)):
+        assert composite._matrix is None
+        for x in xs:
+            assert composite(x) == GlueingMap.apply(composite, x)
+    for x in xs:
+        assert c.inverse()(c(x)) == x
