@@ -1,5 +1,13 @@
 """Named algebras, parameter systems and foundations, plus the JSON
-description format for foundations (schema-validated before construction)."""
+description format for foundations.
+
+`FOUNDATION_SCHEMA` is the one definition of that format, written in
+draft-07 JSON Schema.  `check_foundation_doc` checks a document against it
+before anything is built, with a walker of its own for just the keywords
+the schema uses, so loading a foundation needs no schema library; a
+document off the schema raises `FoundationFormatError`, a ValueError,
+worded as jsonschema words the same violation.  The tests hold the walker
+to jsonschema's `Draft7Validator` as the oracle."""
 
 from __future__ import annotations
 
@@ -66,6 +74,70 @@ FOUNDATION_SCHEMA = {
                 "type": "array", "items": {"type": ["integer", "string"]}}}}},
     },
 }
+
+
+class FoundationFormatError(ValueError):
+    """A foundation description that does not match FOUNDATION_SCHEMA."""
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _is_type(value, name):
+    # draft-07: 1.0 is an integer and True is not; only these four types occur
+    if name == "integer":
+        return (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _json_equal(a, b):
+    # draft-07 equality of the schema's scalars: 1.0 equals 1, True does not
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def check_foundation_doc(value, schema=FOUNDATION_SCHEMA):
+    """Raise FoundationFormatError at the first violation of `schema`,
+    taking its keywords in order and descending depth first.  Only the
+    keywords FOUNDATION_SCHEMA uses are known; `additionalProperties`
+    must be a schema."""
+    for key, want in schema.items():
+        if key == "type":
+            names = want if isinstance(want, list) else [want]
+            if not any(_is_type(value, name) for name in names):
+                raise FoundationFormatError("%r is not of type %s" % (
+                    value, ", ".join(map(repr, names))))
+        elif key == "const":
+            if not _json_equal(value, want):
+                raise FoundationFormatError("%r was expected" % (want,))
+        elif key == "enum":
+            if not any(_json_equal(value, each) for each in want):
+                raise FoundationFormatError("%r is not one of %r"
+                                            % (value, want))
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in want:
+                    if name not in value:
+                        raise FoundationFormatError(
+                            "%r is a required property" % (name,))
+            elif key == "properties":
+                for name, sub in want.items():
+                    if name in value:
+                        check_foundation_doc(value[name], sub)
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                for name, item in value.items():
+                    if name not in known:
+                        check_foundation_doc(item, want)
+        elif isinstance(value, list):
+            if key == "items":
+                for item in value:
+                    check_foundation_doc(item, want)
+            elif key == "minItems" and len(value) < want:
+                raise FoundationFormatError("%r %s" % (value, (
+                    "should be non-empty" if want == 1 else "is too short")))
+            elif key == "maxItems" and len(value) > want:
+                raise FoundationFormatError("%r is too long" % (value,))
 
 
 def _algebra_by_name(name, scalars):
@@ -147,12 +219,9 @@ def _atom_from_json(entry, edge_desc):
 
 
 def foundation_from_json(doc):
-    """Validate and build a Foundation from a parsed JSON document."""
-    try:
-        import jsonschema
-        jsonschema.validate(doc, FOUNDATION_SCHEMA)
-    except ImportError:  # pragma: no cover
-        pass
+    """Check a parsed JSON document against FOUNDATION_SCHEMA and build
+    its Foundation."""
+    check_foundation_doc(doc)
     scalars = doc.get("scalars", {})
     dia = CoxeterDiagram(doc["vertices"],
                          {(e["from"], e["to"]): e["m"] for e in doc["edges"]})

@@ -194,15 +194,11 @@ def cmd_foundation(args):
 
 
 def _input_errors():
-    """The exceptions that mean a malformed foundation file.  jsonschema is
-    optional and imported only when validation runs, so its error class is
-    looked up here, once a load has already failed."""
-    errors = (ValueError, KeyError, TypeError, json.JSONDecodeError)
-    try:
-        from jsonschema import ValidationError
-    except ImportError:  # pragma: no cover
-        return errors
-    return errors + (ValidationError,)
+    """The exceptions that mean a malformed foundation file.  A document off
+    FOUNDATION_SCHEMA raises `catalog.FoundationFormatError` and bad JSON
+    `json.JSONDecodeError`, both ValueErrors; a value the schema lets
+    through but a builder refuses raises one of the three."""
+    return (ValueError, KeyError, TypeError)
 
 
 def _load_foundation(path):
@@ -214,8 +210,7 @@ def _load_foundation(path):
     except FileNotFoundError:
         print("no such file: %s" % path, file=sys.stderr)
     except _input_errors() as exc:
-        print("invalid foundation description: %s"
-              % getattr(exc, "message", exc), file=sys.stderr)
+        print("invalid foundation description: %s" % exc, file=sys.stderr)
     return None
 
 

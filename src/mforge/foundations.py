@@ -815,7 +815,8 @@ def _carrier_kind(fnd):
     """'field' / 'quaternion' / 'octonion' / 'skewfield', with a structural
     equality check of the tower descriptors across edges.  A carrier that
     is neither a tower nor a plain field, such as the small field on a
-    quadratic plane, is a field when its handle is commutative."""
+    quadratic plane, is a field when its handle is commutative, and equal
+    such handles on two edges are one carrier."""
     kinds = set()
     descriptors = set()
     for e in fnd.diagram.edges:
@@ -833,8 +834,13 @@ def _carrier_kind(fnd):
         elif isinstance(h, FieldHandle):
             kinds.add("field")
             descriptors.add(("field", h.field))
+        elif h.is_commutative():
+            kinds.add("field")
+            descriptors.add(("other", h))
         else:
-            kinds.add("field" if h.is_commutative() else "skewfield")
+            # keyed by the object: whether a handle and its opposite reading
+            # (unequal under Handle.__eq__) are one carrier is not decided
+            kinds.add("skewfield")
             descriptors.add(("other", id(h)))
     if len(kinds) != 1 or len(descriptors) != 1:
         return None

@@ -61,6 +61,9 @@ class Psi(_Split):
         x, y = self.frame.split(v)
         return x + self.e * ((self.w_inv * y) * self.w)
 
+    def inverse(self):
+        return Psi(self.algebra, self.sub, self.e, self.w_inv, self.frame)
+
     def __repr__(self):
         return "psi[w=%r]" % self.w
 
@@ -78,6 +81,12 @@ class Phi(_Split):
         x, y = self.frame.split(v)
         return ((self.w_inv * x) * self.w
                 + self.e * (((self.w_inv * y) * self.w) * self.p))
+
+    def inverse(self):
+        # x' = w^-1 x w and y' = w^-1 y w p give back x = w x' w^-1 and,
+        # the subalgebra being associative, y = w y' w^-1 (w p^-1 w^-1)
+        return Phi(self.algebra, self.sub, self.e, self.w_inv,
+                   (self.w * self.p.inverse()) * self.w_inv, self.frame)
 
     def __repr__(self):
         return "phi[w=%r,p=%r]" % (self.w, self.p)

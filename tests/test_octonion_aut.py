@@ -225,6 +225,7 @@ def _chains(O):
     chains["linear^-1.conj"] = lin.inverse().compose(conj)
     chains["(conj.linear.sigma_s)^-1"] = conj.compose(lin).compose(
         chains["sigma_s"]).inverse()
+    chains["(phi.psi)^-1"] = chains["phi"].compose(psi).inverse()
     return chains
 
 
@@ -237,6 +238,18 @@ def test_matrix_path_equals_the_rule(tower):
         for x in xs:
             assert chain(x) == GlueingMap.apply(chain, x), (name, x)
         assert chain._matrix, name
+
+
+@pytest.mark.parametrize("tower", TOWERS)
+@pytest.mark.parametrize("name", ["psi", "phi"])
+def test_half_twists_invert_on_their_frame(tower, name):
+    O = _octonions_over(tower)
+    atom = _atoms(O)[name]
+    back = JordanMap([atom], O).inverse()
+    assert back.atoms[0].frame is atom.frame
+    for x in _draws(O, random.Random(97), 200):
+        assert back(atom.apply(x)) == x, x
+    assert back._matrix
 
 
 @pytest.mark.parametrize("tower", TOWERS)
