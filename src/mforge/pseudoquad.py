@@ -8,6 +8,17 @@ most `moufang.EXHAUSTIVE_SIZE` points, and samples it otherwise.
 
 q is stored as chosen representatives on a basis; all statements involving
 q are congruences against the K0 span.
+
+The constructor decides (P1) and (P2) exactly, from a basis of K over its
+coordinate field rather than from vector pairs.  Given the Gram checks
+f(b_j, b_i) = -sigma(f(b_i, b_j)) and f(b_i, b_i) = q_i - sigma(q_i), the
+(P1) residual q(a+b) - q(a) - q(b) - f(a,b) is the sum of y + sigma(y)
+over y = sigma(b_i) q_i a_i and y = sigma(b_i) f(b_i, b_j) a_j for i < j,
+and q(a t) = sigma(t) q(a) t holds exactly, as soon as sigma is an
+involutory anti-automorphism of an associative K whose traces y + sigma(y)
+lie in K0.  Those premises are checked on the basis (`_check_involution`).
+(P3), anisotropy, is checked on every vector of a finite carrier and on
+seeded samples otherwise.
 """
 
 from __future__ import annotations
@@ -42,7 +53,8 @@ class PseudoQuadraticSpace:
 
     q_rep[i] is the chosen representative of q(b_i); f_gram[i][j] = f(b_i,
     b_j).  The constructor validates the hermitian symmetry, the diagonal
-    law f(a,a) = q(a) - q(a)^sigma and anisotropy (exhaustively when the
+    law f(a,a) = q(a) - q(a)^sigma, (P1) and (P2) (decided on a basis of
+    K, see the module docstring) and anisotropy (exhaustively when the
     carrier is finite, sampled otherwise) and refuses on failure.
     """
 
@@ -123,35 +135,53 @@ class PseudoQuadraticSpace:
         return self.inv.k0_contains(self.h.sub(s, t))
 
     def _validate(self, samples, seed):
-        h = self.h
-        if h.is_finite():
-            vecs = list(self._all_vectors())
-            pairs = [(a, b) for a in vecs for b in vecs]
+        self._check_involution()
+        if self.h.is_finite():
+            vecs = self._all_vectors()
         else:
             rng = random.Random(seed)
             vecs = [self.random_vector(rng) for _ in range(samples)]
-            pairs = [(self.random_vector(rng), self.random_vector(rng))
-                     for _ in range(samples)]
-        for a, b in pairs:
-            lhs = self.q(self.vec_add(a, b))
-            rhs = h.add(h.add(self.q(a), self.q(b)), self.f(a, b))
-            if not self.congruent(lhs, rhs):
-                raise ValueError("(P1) fails")
-        if h.is_finite():
-            scalars = [(v, t) for v in vecs for t in h.elements()]
-        else:
-            rng2 = random.Random(seed + 1)
-            scalars = [(self.random_vector(rng2), h.random(rng2, 9))
-                       for _ in range(samples)]
-        for a, t in scalars:
-            lhs = self.q(self.vec_scale(a, t))
-            rhs = h.mul(h.mul(self.inv.sigma(t), self.q(a)), t)
-            if not self.congruent(lhs, rhs):
-                raise ValueError("(P2) fails")
         for a in vecs:
             in_k0 = self.inv.k0_contains(self.q(a))
             if in_k0 != self.vec_is_zero(a):
                 raise ValueError("(P3) anisotropy fails at %s" % (a,))
+
+    def _check_involution(self):
+        """Decide the premises of (P1) and (P2), axioms of an involutory set
+        (Tits-Weiss (11.1)), on the basis e_1..e_m of K over the coordinate
+        field: sigma(sigma(x)) = x, sigma(x*y) = sigma(y)*sigma(x),
+        (x*y)*z = x*(y*z) and x + sigma(x) in K0.  Each law is linear in
+        every argument over that field, since its scalars are central and
+        each named involution is linear over it, so the basis decides the
+        law on all of K.  A failure raises a ValueError that starts with
+        "(P1) fails" and names the law."""
+        h, sigma = self.h, self.inv.sigma
+        cf = h.coord_field
+        basis = [h.uncoords([cf.one() if k == i else cf.zero()
+                             for k in range(h.coord_dim)])
+                 for i in range(h.coord_dim)]
+        sig = [sigma(e) for e in basis]
+
+        def fail(law, *xs):
+            raise ValueError("(P1) fails: %s at (%s)"
+                             % (law, ", ".join(map(h.render, xs))))
+
+        for e, s in zip(basis, sig):
+            if sigma(s) != e:
+                fail("sigma(sigma(x)) != x", e)
+        prod = [[h.mul(x, y) for y in basis] for x in basis]
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                if sigma(prod[i][j]) != h.mul(sig[j], sig[i]):
+                    fail("sigma(x*y) != sigma(y)*sigma(x)", x, y)
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                for k, z in enumerate(basis):
+                    if h.mul(prod[i][j], z) != h.mul(x, prod[j][k]):
+                        fail("(x*y)*z != x*(y*z)", x, y, z)
+        for e, s in zip(basis, sig):
+            if not self.inv.k0_contains(h.add(e, s)):
+                fail("x + sigma(x) is not in K0", e)
 
     def _all_vectors(self):
         pools = [self.h.elements() for _ in range(self.dim)]

@@ -1,15 +1,18 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
+from mforge.composition import octonions_q, quaternions_q
 from mforge.pseudoquad import (PseudoQuadraticSpace, TPoint, dim_switch_down,
                                dim_switch_up, f4_census,
                                quaternion_group_table, t_group_table, t_hua,
                                t_inv, t_jordan_check, t_mul, xi_f4,
                                xi_hamilton)
-from mforge.scalars import F4
-from mforge.unitary import SIGMA_GALOIS, InvolutorySet
+from mforge.scalars import F4, QQ, PrimeField, QuadExt
+from mforge.unitary import (SIGMA_GALOIS, SIGMA_IDENTITY, SIGMA_STANDARD,
+                            InvolutorySet)
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +278,143 @@ def test_constructor_validates_anisotropy():
     # q = 1 on the basis vector is congruent to 0 mod F2: isotropic
     with pytest.raises(ValueError):
         PseudoQuadraticSpace(inv, [F4.one()], [[F4.zero()]])
+
+
+# -- (P1) and (P2) on a basis against the case loop ----------------------------
+
+def _reference_validate(sp, samples=64, seed=9):
+    """The reference rule: (P1) on vector pairs and (P2) on (vector,
+    scalar) pairs, all of them over a finite carrier and seeded samples
+    otherwise, then (P3) on the vectors the constructor scans."""
+    h = sp.h
+    if h.is_finite():
+        vecs = list(sp._all_vectors())
+        pairs = [(a, b) for a in vecs for b in vecs]
+        scalars = [(v, t) for v in vecs for t in h.elements()]
+    else:
+        rng = random.Random(seed)
+        vecs = [sp.random_vector(rng) for _ in range(samples)]
+        pairs = [(sp.random_vector(rng), sp.random_vector(rng))
+                 for _ in range(samples)]
+        rng2 = random.Random(seed + 1)
+        scalars = [(sp.random_vector(rng2), h.random(rng2, 9))
+                   for _ in range(samples)]
+    for a, b in pairs:
+        lhs = sp.q(sp.vec_add(a, b))
+        rhs = h.add(h.add(sp.q(a), sp.q(b)), sp.f(a, b))
+        if not sp.congruent(lhs, rhs):
+            raise ValueError("(P1) fails")
+    for a, t in scalars:
+        lhs = sp.q(sp.vec_scale(a, t))
+        rhs = h.mul(h.mul(sp.inv.sigma(t), sp.q(a)), t)
+        if not sp.congruent(lhs, rhs):
+            raise ValueError("(P2) fails")
+    for a in vecs:
+        if sp.inv.k0_contains(sp.q(a)) != sp.vec_is_zero(a):
+            raise ValueError("(P3) anisotropy fails at %s" % (a,))
+
+
+def _fpw(p):
+    """F_p(w) for the first n0 with y^2 + n0 irreducible over F_p."""
+    for n0 in range(1, p):
+        try:
+            return QuadExt(PrimeField(p), 0, n0)
+        except ValueError:
+            pass
+
+
+def _fpw_space(p, dim):
+    # q(b_i) = w, f = diag(w - w^sigma), sigma the galois involution
+    K = _fpw(p)
+    w = K.gen()
+    gram = [[w - w.conj() if i == j else K.zero() for j in range(dim)]
+            for i in range(dim)]
+    return InvolutorySet(K, SIGMA_GALOIS), [w] * dim, gram
+
+
+def _parts(sp):
+    return sp.inv, sp.q_rep, sp.f_gram
+
+
+def _q_i_identity():
+    K = QuadExt(QQ, 0, 1)
+    return InvolutorySet(K, SIGMA_IDENTITY), [K.gen()], [[K.zero()]]
+
+
+def _h_identity():
+    H = quaternions_q()
+    return InvolutorySet(H, SIGMA_IDENTITY), [H.unit(1)], [[H.zero()]]
+
+
+def _o_standard():
+    O = octonions_q()
+    return (InvolutorySet(O, SIGMA_STANDARD), [O.unit(1)],
+            [[O.unit(1) + O.unit(1)]])
+
+
+_ORACLE_INPUTS = {
+    "Xi_F4": lambda: _parts(xi_f4()),
+    "Xi_H": lambda: _parts(xi_hamilton()),
+    "up(Xi_H)": lambda: _parts(dim_switch_up(xi_hamilton())[0]),
+    "down(up(Xi_H))": lambda: _parts(
+        dim_switch_down(dim_switch_up(xi_hamilton())[0])[0]),
+    "F3(w)": lambda: _fpw_space(3, 1),
+    "F5(w)": lambda: _fpw_space(5, 1),
+    "F7(w)": lambda: _fpw_space(7, 1),
+    "Q(i), identity": _q_i_identity,
+    "H, identity": _h_identity,
+    "O, sigma_s": _o_standard,
+}
+
+_PREMISE = {
+    "Q(i), identity": "x + sigma(x) is not in K0",
+    "H, identity": "sigma(x*y) != sigma(y)*sigma(x)",
+    "O, sigma_s": "(x*y)*z != x*(y*z)",
+}
+
+
+def _refusal(check, sp):
+    try:
+        check(sp, 64, 9)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_INPUTS))
+def test_basis_check_agrees_with_the_case_loop(name, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(PseudoQuadraticSpace, "_validate", lambda *args: None)
+        sp = PseudoQuadraticSpace(*_ORACLE_INPUTS[name](), name=name)
+    ref = _refusal(_reference_validate, sp)
+    new = _refusal(PseudoQuadraticSpace._validate, sp)
+    assert (ref is None) == (new is None), (ref, new)
+    if name in _PREMISE:
+        assert ref == "(P1) fails"
+        assert new.startswith("(P1) fails: " + _PREMISE[name])
+    else:
+        assert ref is None
+
+
+def _count_q(monkeypatch):
+    calls = []
+    q = PseudoQuadraticSpace.q
+    monkeypatch.setattr(PseudoQuadraticSpace, "q",
+                        lambda self, a: calls.append(a) or q(self, a))
+    return calls
+
+
+def test_finite_refusal_scans_each_vector_once(monkeypatch):
+    # q(x, y) = (N(x) + N(y)) w is isotropic in dim 2 over F_7(w), with
+    # w^2 = -1; the pair loop took minutes to get to (P3)
+    calls = _count_q(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(
+            "(P3) anisotropy fails at (1*w, 2 + 3*w)")):
+        PseudoQuadraticSpace(*_fpw_space(7, 2))
+    assert 0 < len(calls) <= 7 ** 4
+
+
+def test_f11_space_builds_from_one_scan(monkeypatch):
+    calls = _count_q(monkeypatch)
+    sp = PseudoQuadraticSpace(*_fpw_space(11, 1))
+    assert sp.dim == 1 and len(calls) == 11 ** 2
