@@ -69,13 +69,14 @@ DIVISION_STRUCTURAL = "certified-structural"
 DIVISION_EXHAUSTIVE = "certified-exhaustive"
 DIVISION_SAMPLED = "division-unverified-sampled"
 NOT_DIVISION = "not-division"
+# nonzero elements drawn to look for an isotropic one over Q
+DIVISION_SAMPLES = 64
 
 
 class CDAlgebra:
     """A doubling tower over a base field, described by its beta constants."""
 
-    def __init__(self, base, betas, allow_dim16=False, division_samples=64,
-                 name=None):
+    def __init__(self, base, betas, allow_dim16=False, name=None):
         self.base = base
         self.betas = [base.scalar(b) for b in betas]
         for b in self.betas:
@@ -92,11 +93,10 @@ class CDAlgebra:
         self._p = base.characteristic()
         # the element with integer coordinates nums / den, reduced
         self._canonical = _reducer(self._p, functools.partial(CDElement, self))
-        self.division_status, self.division_witness = self._certify_division(
-            division_samples)
+        self.division_status, self.division_witness = self._certify_division()
 
     # -- division certification -------------------------------------------
-    def _certify_division(self, samples):
+    def _certify_division(self):
         if self.dim > 8:
             return NOT_DIVISION, None
         if self.base == QQ and all(b.val < 0 for b in self.betas):
@@ -115,7 +115,7 @@ class CDAlgebra:
                 return NOT_DIVISION, x
             return DIVISION_EXHAUSTIVE, None
         rng = random.Random(20210 + self.dim)
-        for _ in range(samples):
+        for _ in range(DIVISION_SAMPLES):
             x = self.random_element(rng, nonzero=True)
             if x.norm().is_zero():
                 return NOT_DIVISION, x

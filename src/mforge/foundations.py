@@ -791,9 +791,8 @@ class Verdict:
         self.kind = kind
         self.case = case
         self.evidence = list(evidence)
-        if kind == self.NOT_INTEGRABLE:
-            assert any(not ok for (_, ok, _) in self.evidence), \
-                "refusals must cite a violated condition"
+        if kind == self.NOT_INTEGRABLE and not self.reasons():
+            raise AssertionError("refusals must cite a violated condition")
 
     def reasons(self):
         return [code for (code, ok, _) in self.evidence if not ok]

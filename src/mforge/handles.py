@@ -2,8 +2,8 @@
 
 The involutory/indifferent structures, Moufang-set families, polygon
 parameter groups and foundation glueings all need the same small protocol
-over "something you can multiply": a field, a doubling tower, or a
-constructed small field on a quadratic space.  `Handle` holds that
+over "something you can multiply": a field, a doubling tower, or the
+field on a quadratic space of dimension <= 2.  `Handle` holds that
 protocol once; `FieldHandle`, `CDHandle` and `SmallFieldHandle` override
 only what differs between the carriers.  A tower can also be read with its
 multiplication reversed (`opposite()`), which sets the handle's `reversed`
@@ -16,8 +16,11 @@ handle is a `composition.Subspace`, the one span class, and
 
 from __future__ import annotations
 
+import functools
+
+from . import linalg
 from .composition import CDAlgebra
-from .quadspace import SmallField
+from .quadspace import DimensionTooLarge
 from .scalars import Field, Scalar, random_scalar
 
 
@@ -160,24 +163,75 @@ class CDHandle(Handle):
 
 
 class SmallFieldHandle(Handle):
-    """The constructed field on a dim<=2 quadratic space as a carrier."""
+    """The field on a quadratic space of dimension <= 2, built on the space
+    or on a handle of it: the one field that makes the basepoint line a
+    subfield and q its norm.  `frame_mul` is its rule: in the frame
+    (eps, x), x the first basis vector off the line of eps, eps is the unit
+    and x^2 = T(x) x - q(x) eps.  It runs once, on the pairs of basis
+    vectors, whose products are expanded into integer rows over Q or F_p
+    and compiled (``linalg._compiled``), so `mul` acts on stored integers.
+    """
 
-    def __init__(self, small):
-        if not isinstance(small, SmallField):
-            small = SmallField(small)
-        self.small = small
-        self.space = self.carrier = small.space
-        self.coord_field = self.space.field
-        self.coord_dim = self.space.dim
+    def __init__(self, space):
+        if isinstance(space, SmallFieldHandle):
+            space = space.space
+        if space.dim > 2:
+            raise DimensionTooLarge("field structure needs dim <= 2")
+        self.space = self.carrier = space
+        self.coord_field, self.coord_dim = space.field, space.dim
+        # a plane is separable: one with a zero polar form over a perfect
+        # field of characteristic 2 (every field here is perfect) is the
+        # square of a linear form, so isotropic, and QuadraticSpace
+        # refuses isotropic forms
+        self.type_tag = "ii" if space.dim == 1 else "iii"
+        eps = space.basepoint
+        # e_0 lies on the line of eps = (a, b) exactly when b = 0
+        self.xt = (None if space.dim == 1 else
+                   space.basis()[1 if eps.coords[1].is_zero() else 0])
+        self._frame_proj = linalg.Projector(space.field, linalg._expanded(
+            space.field, [w.coords for w in (eps, self.xt) if w is not None]))
+
+    def _frame(self, v):
+        """Coordinates (s, t) with v = eps*s + xt*t, t = 0 on dim 1."""
+        return (self._frame_proj.coefficients(v.coords)
+                + (self.coord_field.zero(),))[:2]
+
+    def frame_mul(self, u, v):
+        """u * v by the frame rule, on Scalars."""
+        sp = self.space
+        s, t = self._frame(u)
+        s2, t2 = self._frame(v)
+        if self.xt is None:
+            return sp.basepoint.scale(s * s2)
+        a = s * s2 - sp.q(self.xt) * t * t2
+        b = s * t2 + s2 * t + sp.trace(self.xt) * t * t2
+        return sp.basepoint.scale(a) + self.xt.scale(b)
+
+    @functools.cached_property
+    def _product(self):
+        """(g, den): g(U, V) / (den * du * dv) are the coordinates over Q
+        or F_p of u * v, for u and v with coordinates U / du and V / dv."""
+        sp, field = self.space, self.coord_field
+        r, basis = field.coord_dim, sp.basis()
+        units = linalg._units(field)
+        terms = [(k * r, i * r + u, j * r + t,
+                  field.mul(field.mul(c.val, eu), et))
+                 for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+                 for k, c in enumerate(self.frame_mul(bi, bj).coords)
+                 for u, eu in units for t, et in units]
+        rows, den = linalg._integer_rows(field, terms, sp.dim * r)
+        return linalg._compiled(rows, sp.dim * r, sp.dim * r), den
 
     def one(self):
-        return self.small.one()
+        return self.space.basepoint
 
     def mul(self, a, b):
-        return self.small.mul(a, b)
+        g, den = self._product
+        return self.space._reduced(g(a.nums, b.nums), den * a.den * b.den)
 
     def inv(self, a):
-        return self.small.inv(a)
+        # a * sigma(a) = eps * q(a), so 1/a = sigma(a) / q(a)
+        return self.space.sigma(a).scale(self.space.q(a).inv())
 
     def uncoords(self, coords):
         return self.space.vector(coords)
@@ -189,7 +243,7 @@ class SmallFieldHandle(Handle):
         return self.space.random_vector(rng, height, nonzero=nonzero)
 
     def scalar_embed(self, s):
-        return self.small.embed_scalar(self.space.field.scalar(s))
+        return self.space.basepoint.scale(s)
 
     def __repr__(self):
         return "F(%r)" % self.space
@@ -202,6 +256,4 @@ def as_handle(obj):
         return FieldHandle(obj)
     if isinstance(obj, CDAlgebra):
         return CDHandle(obj)
-    if isinstance(obj, SmallField):
-        return SmallFieldHandle(obj)
     raise TypeError("no handle for %r" % (obj,))

@@ -30,7 +30,7 @@ from operator import methodcaller
 from .composition import CDAlgebra
 from .handles import Handle, as_handle
 from .pseudoquad import PseudoQuadraticSpace, TPoint, t_hua
-from .quadspace import QuadraticSpace, SmallField, ZeroAnchor, qs_hua
+from .quadspace import QuadraticSpace, ZeroAnchor, qs_hua
 from .report import EXHAUSTIVE_SIZE, Report, reprs
 from .scalars import Field
 from .unitary import IndifferentSet, InvolutorySet
@@ -113,7 +113,7 @@ class MoufangSet:
     # what each family is built on; a linear set takes any carrier
     # `as_handle` accepts
     _PAYLOADS = {
-        LINEAR: (Handle, Field, CDAlgebra, SmallField),
+        LINEAR: (Handle, Field, CDAlgebra),
         INVOLUTORY: InvolutorySet,
         INDIFFERENT: IndifferentSet,
         QUADRATIC: QuadraticSpace,

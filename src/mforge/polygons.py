@@ -558,27 +558,22 @@ class WordGroup(tbl.FiniteGroupTable):
             return rep, None
         perm = np.array(perm, dtype=np.int64)
         reached = np.nonzero(perm != -1)[0]
-        full = reached.size == n_el
-        rep.add("extension.generates", n_el, True,
-                note=None if full else
-                "end groups generate a subgroup of order %d" % reached.size)
-        if full:
-            perm32 = perm.astype(np.int32)
-            bad = tbl.first_hom_violation(self.table, perm32)
-            rep.add("extension.automorphism", n_el * n_el, bad is None,
-                    counterexample=bad)
-            bij = len(set(perm.tolist())) == n_el
-            rep.add("extension.bijective", n_el, bij)
-            return rep, (perm32 if bad is None and bij else None)
-        # restrict to the generated subgroup, reindex and check there; it
-        # is closed under products and holds every image
         m = reached.size
-        sub_of = np.full(n_el, -1, dtype=np.int32)
-        sub_of[reached] = np.arange(m, dtype=np.int32)
-        sub_table = sub_of[self.table[np.ix_(reached, reached)]]
-        sub_perm = sub_of[perm[reached]]
+        full = m == n_el
+        rep.add("extension.generates", n_el, True, note=None if full else
+                "end groups generate a subgroup of order %d" % m)
+        if full:
+            sub_table, sub_perm = self.table, perm.astype(np.int32)
+        else:
+            # restrict to the generated subgroup, reindex and check there;
+            # it is closed under products and holds every image
+            sub_of = np.full(n_el, -1, dtype=np.int32)
+            sub_of[reached] = np.arange(m, dtype=np.int32)
+            sub_table = sub_of[self.table[np.ix_(reached, reached)]]
+            sub_perm = sub_of[perm[reached]]
         bad = tbl.first_hom_violation(sub_table, sub_perm)
-        rep.add("extension.automorphism-on-subgroup", m * m, bad is None,
+        rep.add("extension.automorphism" if full else
+                "extension.automorphism-on-subgroup", m * m, bad is None,
                 counterexample=bad)
         bij = len(set(sub_perm.tolist())) == m
         rep.add("extension.bijective", m, bij)

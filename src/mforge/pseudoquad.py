@@ -36,6 +36,10 @@ from .tables import FiniteGroupTable
 from .unitary import SIGMA_GALOIS, SIGMA_STANDARD, InvolutorySet
 
 
+# the seed and count of the sampled (P3) check over an infinite carrier
+ANISOTROPY_SEED, ANISOTROPY_SAMPLES = 9, 64
+
+
 class SpaceMismatch(ValueError):
     pass
 
@@ -58,7 +62,7 @@ class PseudoQuadraticSpace:
     carrier is finite, sampled otherwise) and refuses on failure.
     """
 
-    def __init__(self, inv_set, q_rep, f_gram, name=None, samples=64, seed=9):
+    def __init__(self, inv_set, q_rep, f_gram, name=None):
         self.inv = inv_set
         self.h = inv_set.handle
         self.q_rep = list(q_rep)
@@ -76,7 +80,7 @@ class PseudoQuadraticSpace:
             d = h.sub(self.q_rep[i], self.inv.sigma(self.q_rep[i]))
             if self.f_gram[i][i] != d:
                 raise ValueError("f(b,b) != q(b) - q(b)^sigma at %d" % i)
-        self._validate(samples, seed)
+        self._validate(ANISOTROPY_SAMPLES, ANISOTROPY_SEED)
 
     # vectors are tuples of K elements (right coordinates)
     def vector(self, xs):

@@ -10,6 +10,9 @@ over the ground field are lowered only when read.  Sums, negation,
 scaling, the zero test and keys act on the stored integers, and so do q
 and f: each form, and scaling, is expanded once per space into integer
 rows and compiled on first use (``linalg._compiled``).
+
+``qs_small_dim_field`` builds the field on a space of dimension <= 2, a
+``handles.SmallFieldHandle``, and checks its norm condition.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import random
 from . import linalg
 from .report import EXHAUSTIVE_SIZE, Report
 from .scalars import Scalar, _reducer, random_scalar
+
+
+# the seed and count of the sampled anisotropy check
+ANISOTROPY_SEED, ANISOTROPY_SAMPLES = 7, 64
 
 
 class ZeroAnchor(ZeroDivisionError):
@@ -40,7 +47,7 @@ class QuadraticSpace:
     """
 
     def __init__(self, field, q_basis, f_upper, basepoint, anisotropy=None,
-                 name=None, sample_seed=7, samples=64):
+                 name=None):
         self.field = field
         self.q_basis = [field.scalar(v) for v in q_basis]
         self.dim = len(self.q_basis)
@@ -59,9 +66,9 @@ class QuadraticSpace:
         if anisotropy is None:
             anisotropy = "exhaustive" if field.is_finite() else "attested"
         self.anisotropy = anisotropy
-        self._check_anisotropy(sample_seed, samples)
+        self._check_anisotropy()
 
-    def _check_anisotropy(self, seed, samples):
+    def _check_anisotropy(self):
         if self.anisotropy == "exhaustive":
             if not self.field.is_finite():
                 raise ValueError("exhaustive anisotropy needs a finite field")
@@ -79,8 +86,8 @@ class QuadraticSpace:
                     if self.q(v).is_zero():
                         raise ValueError("form is isotropic at %r" % v)
         elif self.anisotropy in ("structural", "attested"):
-            rng = random.Random(seed)
-            for _ in range(samples):
+            rng = random.Random(ANISOTROPY_SEED)
+            for _ in range(ANISOTROPY_SAMPLES):
                 v = self.random_vector(rng, nonzero=True)
                 if self.q(v).is_zero():
                     raise ValueError("form is isotropic at %r" % v)
@@ -300,83 +307,23 @@ def qs_defect(space):
     return [space._reduced(v, d) for v in ker], space.proper()
 
 
-class SmallField:
-    """Field structure on a space of dimension <= 2 (the unique one that
-    makes the basepoint line a subfield and q the norm).
-
-    Acts like a multiplicative handle on QSVectors; used by the linear
-    Moufang-set family for the coincidence checks.
-    """
-
-    TYPE_TRIVIAL = "ii"
-    TYPE_SEPARABLE = "iii"
-
-    def __init__(self, space):
-        if space.dim > 2:
-            raise DimensionTooLarge("field structure needs dim <= 2")
-        self.space = space
-        frame = [space.basepoint.coords]
-        self.xt = None
-        if space.dim == 2:
-            # any vector outside the basepoint line
-            line = linalg.Projector(space.field,
-                                    linalg._expanded(space.field, frame))
-            self.xt = next(b for b in space.basis()
-                           if not line.contains(b.coords))
-            frame.append(self.xt.coords)
-        self._frame_proj = linalg.Projector(
-            space.field, linalg._expanded(space.field, frame))
-        # a plane is separable: one with a zero polar form over a perfect
-        # field of characteristic 2 (every field here is perfect) is the
-        # square of a linear form, so isotropic, and QuadraticSpace
-        # refuses isotropic forms
-        self.type_tag = (self.TYPE_TRIVIAL if space.dim == 1
-                         else self.TYPE_SEPARABLE)
-
-    def _frame(self, v):
-        """Coordinates (s, t) with v = eps*s + xt*t, t = 0 on dim 1."""
-        return (self._frame_proj.coefficients(v.coords)
-                + (self.space.field.zero(),))[:2]
-
-    def mul(self, u, v):
-        sp = self.space
-        s, t = self._frame(u)
-        s2, t2 = self._frame(v)
-        if self.xt is None:
-            return sp.basepoint.scale(s * s2)
-        qx = sp.q(self.xt)
-        tx = sp.trace(self.xt)
-        a = s * s2 - qx * t * t2
-        b = s * t2 + s2 * t + tx * t * t2
-        return sp.basepoint.scale(a) + self.xt.scale(b)
-
-    def one(self):
-        return self.space.basepoint
-
-    def inv(self, v):
-        # v * sigma(v) = eps * q(v), so 1/v = sigma(v) / q(v)
-        return self.space.sigma(v).scale(self.space.q(v).inv())
-
-    def embed_scalar(self, s):
-        return self.space.basepoint.scale(s)
-
-
 def qs_small_dim_field(space):
-    """(SmallField, phi: K -> <eps>) with the norm condition
+    """(SmallFieldHandle, phi: K -> <eps>) with the norm condition
     v * sigma(v) = q(v) * eps verified.
 
     Both sides are quadratic maps of v over K, and a quadratic map is
     fixed by its values on e_i and e_i + e_j, so checking e_1, e_2 and
     e_1 + e_2 (e_1 alone in dim 1) proves the condition on every vector,
     in every characteristic and over finite and infinite K alike."""
-    fld = SmallField(space)
+    from .handles import SmallFieldHandle
+    fld = SmallFieldHandle(space)
     cases = space.basis()
     if space.dim == 2:
         cases.append(cases[0] + cases[1])
     for v in cases:
-        if fld.mul(v, space.sigma(v)) != fld.embed_scalar(space.q(v)):
+        if fld.mul(v, space.sigma(v)) != fld.scalar_embed(space.q(v)):
             raise AssertionError("norm condition failed at %r" % v)
-    return fld, fld.embed_scalar
+    return fld, fld.scalar_embed
 
 
 def verify_space(space, samples=200, seed=3):

@@ -615,3 +615,13 @@ def test_diagram_shape(edges, shape):
     verts = sorted({v for e in edges for v in e})
     assert _diagram_shape(CoxeterDiagram(verts, {e: 3 for e in edges})) \
         == shape
+
+
+def test_a_refusal_without_a_violated_condition_raises():
+    # an explicit raise, so the check holds under python -O as well
+    with pytest.raises(AssertionError, match="must cite a violated"):
+        Verdict(Verdict.NOT_INTEGRABLE, "field",
+                [("defining-field.kind", True, "field")])
+    v = Verdict(Verdict.NOT_INTEGRABLE, "field",
+                [("defining-field.kind", False, "skewfield")])
+    assert v.reasons() == ["defining-field.kind"]

@@ -8,7 +8,8 @@ import pytest
 
 from mforge import linalg, moufang
 from mforge.composition import octonions_q, quaternions_q
-from mforge.quadspace import (DimensionTooLarge, QuadraticSpace, SmallField,
+from mforge.handles import SmallFieldHandle
+from mforge.quadspace import (DimensionTooLarge, QuadraticSpace,
                               ZeroAnchor, qs_defect, qs_eval, qs_hua,
                               qs_small_dim_field, space_from_algebra,
                               space_from_quadext, verify_space)
@@ -235,8 +236,8 @@ def test_small_dim_field_checks_three_vectors(monkeypatch):
     e_1, e_2 and e_1 + e_2: F_1009(w) has 10^6 vectors."""
     sp = _f1009_space()
     seen = []
-    mul = SmallField.mul
-    monkeypatch.setattr(SmallField, "mul",
+    mul = SmallFieldHandle.mul
+    monkeypatch.setattr(SmallFieldHandle, "mul",
                         lambda self, u, v: seen.append(u) or mul(self, u, v))
     start = time.perf_counter()
     fld, phi = qs_small_dim_field(sp)
@@ -252,19 +253,92 @@ def test_small_dim_field_checks_three_vectors(monkeypatch):
                                   lambda: space_from_quadext(QI)],
                          ids=["F1009", "F4", "Qi"])
 def test_small_dim_field_catches_a_wrong_product(monkeypatch, make):
-    """A product that drops the -q(xt) * t * t' term fails the norm
-    condition, in characteristic 2 as well."""
+    """A frame rule that drops the -q(xt) * t * t' term compiles into a
+    product that fails the norm condition, in characteristic 2 as well."""
     sp = make()
 
-    def wrong_mul(self, u, v):
+    def wrong_rule(self, u, v):
         s, t = self._frame(u)
         s2, t2 = self._frame(v)
         b = s * t2 + s2 * t + sp.trace(self.xt) * t * t2
         return sp.basepoint.scale(s * s2) + self.xt.scale(b)
 
-    monkeypatch.setattr(SmallField, "mul", wrong_mul)
+    monkeypatch.setattr(SmallFieldHandle, "frame_mul", wrong_rule)
     with pytest.raises(AssertionError, match="norm condition failed"):
         qs_small_dim_field(sp)
+
+
+def frame_product(space, u, v):
+    """The product of the field on a space of dim <= 2 in the frame
+    (eps, x), x the first basis vector off the basepoint line, with
+    x^2 = T(x) x - q(x) eps, on Scalar frame coordinates: the oracle of
+    the compiled product."""
+    field = space.field
+    frame = [space.basepoint.coords]
+    line = linalg.Projector(field, linalg._expanded(field, frame))
+    x = next((b for b in space.basis() if not line.contains(b.coords)), None)
+    if x is not None:
+        frame.append(x.coords)
+    proj = linalg.Projector(field, linalg._expanded(field, frame))
+    (s, t), (s2, t2) = [(proj.coefficients(w.coords) + (field.zero(),))[:2]
+                        for w in (u, v)]
+    if x is None:
+        return space.basepoint.scale(s * s2)
+    a = s * s2 - space.q(x) * t * t2
+    b = s * t2 + s2 * t + space.trace(x) * t * t2
+    return space.basepoint.scale(a) + x.scale(b)
+
+
+SMALL_SPACES = {
+    "F4-plane": lambda: space_from_quadext(F4),
+    "F16-plane": lambda: QuadraticSpace(F4, [1, F4.gen()], {(0, 1): 1},
+                                        [1, 0]),
+    "F3-line": lambda: QuadraticSpace(F3, [1], {}, [1]),
+    # eps = (0, 1) keeps e_0 off the basepoint line, so the frame takes it
+    "F9-plane": lambda: QuadraticSpace(F3, [1, 1], {}, [0, 1]),
+    "Qi-plane": lambda: space_from_quadext(QI),
+    "F1009-plane": _f1009_space,
+    "Q-line": lambda: QuadraticSpace(QQ, [1], {}, [1], anisotropy="attested"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SPACES))
+def test_small_field_product_matches_the_frame_rule(name):
+    """All pairs over the small finite carriers, 200 seeded pairs over the
+    others."""
+    sp = SMALL_SPACES[name]()
+    h = SmallFieldHandle(sp)
+    if sp.field.is_finite() and sp.field.order() ** sp.dim <= 256:
+        vecs = list(sp.enumerate_vectors())
+        pairs = [(u, v) for u in vecs for v in vecs]
+    else:
+        rng = random.Random(5)
+        pairs = [(sp.random_vector(rng, 9), sp.random_vector(rng, 9))
+                 for _ in range(200)]
+    for u, v in pairs:
+        assert h.mul(u, v) == frame_product(sp, u, v), (u, v)
+
+
+def test_small_field_product_reads_no_frame_coordinates(monkeypatch):
+    sp = space_from_quadext(QI)
+    h = SmallFieldHandle(sp)
+    h.mul(sp.basepoint, sp.basepoint)  # compiles the product
+    calls = []
+    coefficients = linalg.Projector.coefficients
+    monkeypatch.setattr(linalg.Projector, "coefficients",
+                        lambda self, vec: calls.append(vec)
+                        or coefficients(self, vec))
+    rng = random.Random(2)
+    for _ in range(20):
+        h.mul(sp.random_vector(rng, 9), sp.random_vector(rng, 9))
+    assert calls == []
+
+
+def test_small_field_handle_of_a_handle_is_the_same_carrier():
+    sp = space_from_quadext(F4)
+    h = SmallFieldHandle(sp)
+    assert SmallFieldHandle(h) == h
+    assert SmallFieldHandle(h).space is sp
 
 
 def test_small_dim_field_rejects_dim3(quaternions):
