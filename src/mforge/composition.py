@@ -19,31 +19,33 @@ run on the indices (i, j).  Each base-field coordinate is a vector over Q
 or F_p (``scalars`` decides how), so the table is expanded once over that
 coordinate field, per base field and tuple of betas.
 
-An element is stored in that lifted form: integer coordinates over Q or
-F_p over one denominator, gcd-reduced over Q and residues over F_p (the
-form of FLINT's ``fmpq_poly``).  Products, the norm and the inverse
-conj(x) * N(x)^-1 contract the stored integers with the table; sums,
-``conj``, ``scale``, equality and keys act on them directly, and the
-base-field ``coords`` are lowered only when read.  The integer rows and the
-straight-line functions compiled from them come from ``linalg``, as do
-the ``Projector`` behind the split of a ``DoublingFrame``, the integer
-reduction behind ``Subspace``, its basis and its membership test, and the
-integer kernel behind ``center`` and ``orthogonal_complement``, whose
-rows are read off the table and the polar form of the norm rows.  ``Subspace`` is the one span class, for
-subspaces of a tower and for spans inside any handle, and ``closure`` the
-one closure of a span under products.
+An element is a ``linalg.IntVector`` stored in that lifted form: integer
+coordinates over Q or F_p over one denominator, gcd-reduced over Q and
+residues over F_p (the form of FLINT's ``fmpq_poly``), and a tower is a
+``linalg.IntSpace``.  Sums, equality, keys and the lowered base-field
+``coords`` come from ``linalg``, as do elements from coordinates, units,
+draws and enumeration.  Products, the norm and the inverse
+conj(x) * N(x)^-1 contract the stored integers with the table, whose
+rows ``linalg._bilinear`` expands and ``linalg._compiled`` compiles;
+``conj`` and ``scale`` act on them directly.  ``linalg`` also gives the
+``Projector`` behind the split of a ``DoublingFrame``, the integer
+reduction behind ``Subspace``, its basis and its membership test, and
+the integer kernel behind ``center`` and ``orthogonal_complement``, whose
+rows are read off the table and the polar form of the norm rows.
+``Subspace`` is the one span class, for subspaces of a tower and for
+spans inside any handle, and ``closure`` the one closure of a span under
+products.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 
 from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
-from .linalg import _compiled, _integer_rows, _units
+from .linalg import IntSpace, IntVector, _bilinear, _compiled
 from .report import Report
 from .scalars import QQ, PrimeField, Scalar, _reducer, random_scalar
 
@@ -73,11 +75,12 @@ NOT_DIVISION = "not-division"
 DIVISION_SAMPLES = 64
 
 
-class CDAlgebra:
-    """A doubling tower over a base field, described by its beta constants."""
+class CDAlgebra(IntSpace):
+    """A doubling tower over a base field, described by its beta constants;
+    its elements are ``CDElement``s."""
 
     def __init__(self, base, betas, allow_dim16=False, name=None):
-        self.base = base
+        self.base = self.field = base
         self.betas = [base.scalar(b) for b in betas]
         for b in self.betas:
             if b.is_zero():
@@ -109,7 +112,7 @@ class CDAlgebra:
             if isinstance(self.base, PrimeField) and self._p > 2:
                 x = self._first_isotropic_odd_prime()
             else:
-                x = next((x for x in self._all_elements()
+                x = next((x for x in self.all_elements()
                           if not x.is_zero() and x.norm().is_zero()), None)
             if x is not None:
                 return NOT_DIVISION, x
@@ -122,7 +125,7 @@ class CDAlgebra:
         return DIVISION_SAMPLED, None
 
     def _first_isotropic_odd_prime(self):
-        """The first isotropic element of `_all_elements` over F_p, p odd,
+        """The first isotropic element of `all_elements` over F_p, p odd,
         found after about p prefixes instead of p^2 elements.
 
         The norm is diagonal, sum(m_k * x_k^2) with m_k the product of
@@ -150,53 +153,13 @@ class CDAlgebra:
     def is_division(self):
         return self.division_status in (DIVISION_STRUCTURAL, DIVISION_EXHAUSTIVE)
 
-    def _all_elements(self):
-        """Every element, lazily, the last coordinate running fastest."""
-        if not self.base.is_finite():
-            raise TypeError("infinite algebra")
-        lift = self.base.lift
-        return (self._canonical(*lift(c)) for c in itertools.product(
-            [s.val for s in self.base.elements()], repeat=self.dim))
-
     # -- constructors -------------------------------------------------------
-    def element(self, coords):
-        vals = [self.base.coerce(c) for c in coords]
-        if len(vals) != self.dim:
-            raise ValueError("expected %d coordinates" % self.dim)
-        return self._canonical(*self.base.lift(vals))
-
     def from_base(self, s):
         nums, den = self.base.lift([self.base.coerce(s)])
         return self._canonical(nums + [0] * (len(nums) * (self.dim - 1)), den)
 
-    def zero(self):
-        return CDElement(self, (0,) * (self.dim * self._kernel.r))
-
     def one(self):
         return self.unit(0)
-
-    def unit(self, k):
-        r = self._kernel.r
-        return CDElement(self, tuple([int(i == k * r)
-                                      for i in range(self.dim * r)]))
-
-    def _expanded(self, xs):
-        """``linalg._expanded`` of elements, read off their stored
-        integers: (V, D), row r*v + u of V over D being E_u * xs[v]."""
-        units = [Scalar(self.base, eu) for _, eu in _units(self.base)[1:]]
-        ys = [y for x in xs for y in [x] + [x.scale(eu) for eu in units]]
-        d = math.lcm(*[y.den for y in ys])
-        return [[a * (d // y.den) for a in y.nums] for y in ys], d
-
-    def basis(self):
-        return [self.unit(k) for k in range(self.dim)]
-
-    def random_element(self, rng, height=20, nonzero=False):
-        while True:
-            x = self._canonical(*self.base.random_coords(rng, self.dim,
-                                                          height))
-            if not (nonzero and x.is_zero()):
-                return x
 
     def characteristic(self):
         return self.base.characteristic()
@@ -289,16 +252,10 @@ class _TowerKernel:
 
     def __init__(self, field, betas):
         dim, r = 1 << len(betas), field.coord_dim
-        units = _units(field)
-        terms = []
-        for i in range(dim):
-            for j in range(dim):
-                c = _basis_constant(field, betas, i, j)
-                terms += [((i ^ j) * r, i * r + u, j * r + t,
-                           field.mul(field.mul(c, eu), et))
-                          for u, eu in units for t, et in units]
         self.r = r
-        self.rows, self.den = _integer_rows(field, terms, dim * r)
+        self.rows, self.den = _bilinear(field, [
+            (i ^ j, i, j, _basis_constant(field, betas, i, j))
+            for i in range(dim) for j in range(dim)], dim * r)
         self.norm_rows = tuple(tuple((i, j, n if j < r else -n)
                                      for i, j, n in row)
                                for row in self.rows[:r])
@@ -321,96 +278,60 @@ class _TowerKernel:
 _tower_kernel = functools.lru_cache(maxsize=64)(_TowerKernel)
 
 
-class CDElement:
-    """An element of a tower, stored as its integer coordinates over Q or
-    F_p (see ``_TowerKernel``): the tuple `nums` over one denominator `den`.
+class CDElement(IntVector):
+    """An element of a tower, a ``linalg.IntVector`` whose integer
+    coordinates are those of ``_TowerKernel``.  It adds and equals the
+    base-field scalars it embeds (``CDAlgebra.from_base``).  Build elements
+    through their algebra (``element``, ``random_element``, ...)."""
 
-    The form is canonical, so equal elements have equal forms: over Q
-    gcd(den, *nums) = 1 and den > 0; over F_p `nums` holds residues and
-    den = 1.  Build elements through their algebra (``element``,
-    ``random_element``, ...).  `key()` is that form, (nums, den).
-    `coords`, the base-field Scalars, is lowered on first read and cached;
-    reprs and reports read it.
-    """
+    __slots__ = ()
 
-    __slots__ = ("algebra", "nums", "den", "_coords")
-
-    def __init__(self, algebra, nums, den=1):
-        self.algebra = algebra
-        self.nums = nums
-        self.den = den
-        self._coords = None
-
-    @property
-    def coords(self):
-        if self._coords is None:
-            field = self.algebra.base
-            self._coords = tuple([Scalar(field, v) for v in
-                                  field.lower(self.nums, self.den)])
-        return self._coords
+    algebra = property(lambda x: x.owner)
 
     def _peer(self, other):
         if isinstance(other, CDElement):
-            if other.algebra is not self.algebra and (other.algebra
-                                                      != self.algebra):
+            if other.owner is not self.owner and other.owner != self.owner:
                 raise AlgebraMismatch("elements of different towers")
             return other
-        return self.algebra.from_base(other)
+        return self.owner.from_base(other)
 
-    def __add__(self, other):
-        other = self._peer(other)
-        da, db = self.den, other.den
-        pairs = zip(self.nums, other.nums)
-        if da == db:
-            return self.algebra._canonical([a + b for a, b in pairs], da)
-        return self.algebra._canonical([a * db + b * da for a, b in pairs],
-                                       da * db)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -self._peer(other)
-
-    def __rsub__(self, other):
-        return self._peer(other).__sub__(self)
-
-    def __neg__(self):
-        return self.algebra._canonical([-a for a in self.nums], self.den)
+    def _embed(self, s):
+        return self.owner.from_base(s)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar) and other.field == self.algebra.base:
+        if isinstance(other, Scalar) and other.field == self.owner.base:
             return self.scale(other)
         other = self._peer(other)
-        alg = self.algebra
+        alg = self.owner
         k = alg._kernel
         return alg._canonical(k.mul(self.nums, other.nums),
                               k.den * self.den * other.den)
 
     def __rmul__(self, other):
-        if isinstance(other, Scalar) and other.field == self.algebra.base:
+        if isinstance(other, Scalar) and other.field == self.owner.base:
             return self.scale(other)
         return self._peer(other).__mul__(self)
 
     def scale(self, s):
-        alg = self.algebra
+        alg = self.owner
         k = alg._kernel
         z, dz = alg.base.lift([alg.base.coerce(s)])
         return alg._canonical(k.mul_scalar(self.nums, z),
                               k.den * self.den * dz)
 
     def conj(self):
-        r, nums = self.algebra._kernel.r, self.nums
-        return self.algebra._canonical(
+        r, nums = self.owner._kernel.r, self.nums
+        return self.owner._canonical(
             nums[:r] + tuple([-a for a in nums[r:]]), self.den)
 
     def norm(self):
-        alg, d = self.algebra, self.den
+        alg, d = self.owner, self.den
         k = alg._kernel
         return Scalar(alg.base, alg.base.lower(
             k.norm(self.nums, self.nums), k.den * d * d)[0])
 
     def trace(self):
-        alg = self.algebra
+        alg = self.owner
         return Scalar(alg.base, alg.base.lower(
             [2 * a for a in self.nums[:alg._kernel.r]], self.den)[0])
 
@@ -420,7 +341,7 @@ class CDElement:
         conj(x) * k.den * d^2 * n^-1.  Over Q and F_p, n is one integer,
         the denominator of the result; over a quadratic extension it is
         inverted in the field."""
-        alg, nums, d = self.algebra, self.nums, self.den
+        alg, nums, d = self.owner, self.nums, self.den
         k, field = alg._kernel, alg.base
         n = k.norm(nums, nums)
         if k.r == 1:
@@ -433,28 +354,6 @@ class CDElement:
                 raise NotInvertible("norm is zero")
             z, dz = field.lift([field.inv(n)])
         return alg._canonical([v * d for v in k.conj_mul_scalar(nums, z)], dz)
-
-    def is_zero(self):
-        return not any(self.nums)
-
-    def __eq__(self, other):
-        if not isinstance(other, CDElement):
-            try:
-                other = self._peer(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        return (self.nums == other.nums and self.den == other.den
-                and (self.algebra is other.algebra
-                     or self.algebra == other.algebra))
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def key(self):
-        return self.nums, self.den
-
-    def __repr__(self):
-        return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 
 
 def cd_conj_norm_trace(x):
@@ -473,8 +372,9 @@ class Subspace:
     ``handles.Handle``.  Subspaces of a tower and the spans K0 and L0 of
     involutory and indifferent sets are both of this kind.  One integer
     reduction (``linalg._reduced``) gives the basis, in exact reduced
-    row-echelon form, and the residual rows of `contains`; a tower's
-    elements go in and come out as their stored integers."""
+    row-echelon form, and the residual rows of `contains`; the vectors of
+    a carrier that is a ``linalg.IntSpace`` (a tower, or the space of a
+    small field) go in and come out as their stored integers."""
 
     def __init__(self, carrier, vectors):
         from .handles import CDHandle  # handles imports this module
@@ -483,12 +383,14 @@ class Subspace:
         self.handle = carrier
         field = carrier.coord_field
         r, self._p = field.coord_dim, field.characteristic()
-        tower = carrier.algebra if isinstance(carrier, CDHandle) else None
-        rows = (tower._expanded(vectors) if tower else linalg._expanded(
+        space = getattr(carrier, "carrier", None)
+        if not isinstance(space, IntSpace):
+            space = None
+        rows = (space._expanded(vectors) if space else linalg._expanded(
             field, [carrier.coords(v) for v in vectors]))[0]
         pivots, kept = linalg._reduced(field, rows)
         self._residual = linalg._residual(rows, pivots, carrier.coord_dim * r)
-        self._basis = [tower._canonical(row, row[pc]) if tower else
+        self._basis = [space._canonical(row, row[pc]) if space else
                        carrier.uncoords([Scalar(field, v) for v in
                                          field.lower(row, row[pc])])
                        for row, pc in kept]
@@ -501,8 +403,8 @@ class Subspace:
         return list(self._basis)
 
     def contains(self, x):
-        h = self.handle  # a tower element hands over its stored integers
-        X = (x.nums if isinstance(x, CDElement)
+        h = self.handle  # a stored vector hands over its integers
+        X = (x.nums if isinstance(x, IntVector)
              else h.coord_field.lift([c.val for c in h.coords(x)])[0])
         return linalg._vanishes(self._residual, X, self._p)
 
@@ -514,7 +416,7 @@ class Subspace:
 
     def _scaled(self, x, c):
         """x scaled coordinate-wise by c in the coordinate field."""
-        if isinstance(x, CDElement):
+        if isinstance(x, IntVector):
             return x.scale(c)
         h = self.handle
         return h.uncoords([ci * c for ci in h.coords(x)])
@@ -656,7 +558,7 @@ def _lin_comb(basis, coeffs):
 
 def doubling_coordinates(x, sub, e):
     """Coordinates of x in A + e*A (unique); errors if x is outside."""
-    return DoublingFrame(x.algebra, sub, e).split(x)
+    return DoublingFrame(x.owner, sub, e).split(x)
 
 
 def norm_splitting(algebra, subfield, samples=32, seed=11):
@@ -752,7 +654,7 @@ _LAWS = {
     "minimum_equation": [
         ("minimum-equation", 1,
          lambda x: (x * x - x.scale(x.trace())
-                    + x.algebra.one().scale(x.norm())).is_zero())],
+                    + x.owner.one().scale(x.norm())).is_zero())],
     "norm_multiplicative": [
         ("norm.multiplicative", 2,
          lambda x, y: (x * y).norm() == x.norm() * y.norm()),

@@ -11,7 +11,10 @@ flag; fields and small fields are commutative and are their own opposite.
 A handle bundles the protocol together with exact coordinates over a
 ground field so spans can be decided by linear algebra: a span inside a
 handle is a `composition.Subspace`, the one span class, and
-`composition.closure` its closure under products.
+`composition.closure` its closure under products.  The carrier of a tower
+or of a small field is a `linalg.IntSpace` (a tower or a quadratic
+space), which builds elements from coordinates and draws them for the
+handle, and whose stored integers `Subspace` reads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .scalars import Field, Scalar, random_scalar
 class Handle:
     """The carrier protocol.  Elements bring their own sum, difference,
     negation, zero test, conjugation and coordinates; `carrier` is the
-    field, tower or quadratic space the elements live in."""
+    field, tower or quadratic space the elements live in, and a tower or
+    a space builds and draws them (`uncoords`, `random`)."""
 
     reversed = False
 
@@ -57,6 +61,12 @@ class Handle:
 
     def coords(self, a):
         return list(a.coords)
+
+    def uncoords(self, coords):
+        return self.carrier.element(coords)
+
+    def random(self, rng, height=20, nonzero=False):
+        return self.carrier.random_element(rng, height, nonzero=nonzero)
 
     def characteristic(self):
         return self.coord_field.characteristic()
@@ -135,18 +145,12 @@ class CDHandle(Handle):
     def inv(self, a):
         return a.inverse()
 
-    def uncoords(self, coords):
-        return self.algebra.element(coords)
-
     def elements(self):
         base, dim = self.algebra.base, self.algebra.dim
         if base.is_finite() and base.order() ** dim > 2 ** 16:
             raise ValueError("%r has %d^%d elements, more than 2^16 to list"
                              % (self.algebra, base.order(), dim))
-        return list(self.algebra._all_elements())
-
-    def random(self, rng, height=20, nonzero=False):
-        return self.algebra.random_element(rng, height, nonzero=nonzero)
+        return list(self.algebra.all_elements())
 
     def is_commutative(self):
         return self.algebra.dim <= 2
@@ -168,8 +172,9 @@ class SmallFieldHandle(Handle):
     subfield and q its norm.  `frame_mul` is its rule: in the frame
     (eps, x), x the first basis vector off the line of eps, eps is the unit
     and x^2 = T(x) x - q(x) eps.  It runs once, on the pairs of basis
-    vectors, whose products are expanded into integer rows over Q or F_p
-    and compiled (``linalg._compiled``), so `mul` acts on stored integers.
+    vectors, whose products are compiled as a K-bilinear map by the space
+    (``QuadraticSpace._compile``, through ``linalg._bilinear``), so `mul`
+    acts on stored integers.
     """
 
     def __init__(self, space):
@@ -179,11 +184,6 @@ class SmallFieldHandle(Handle):
             raise DimensionTooLarge("field structure needs dim <= 2")
         self.space = self.carrier = space
         self.coord_field, self.coord_dim = space.field, space.dim
-        # a plane is separable: one with a zero polar form over a perfect
-        # field of characteristic 2 (every field here is perfect) is the
-        # square of a linear form, so isotropic, and QuadraticSpace
-        # refuses isotropic forms
-        self.type_tag = "ii" if space.dim == 1 else "iii"
         eps = space.basepoint
         # e_0 lies on the line of eps = (a, b) exactly when b = 0
         self.xt = (None if space.dim == 1 else
@@ -211,36 +211,26 @@ class SmallFieldHandle(Handle):
     def _product(self):
         """(g, den): g(U, V) / (den * du * dv) are the coordinates over Q
         or F_p of u * v, for u and v with coordinates U / du and V / dv."""
-        sp, field = self.space, self.coord_field
-        r, basis = field.coord_dim, sp.basis()
-        units = linalg._units(field)
-        terms = [(k * r, i * r + u, j * r + t,
-                  field.mul(field.mul(c.val, eu), et))
-                 for i, bi in enumerate(basis) for j, bj in enumerate(basis)
-                 for k, c in enumerate(self.frame_mul(bi, bj).coords)
-                 for u, eu in units for t, et in units]
-        rows, den = linalg._integer_rows(field, terms, sp.dim * r)
-        return linalg._compiled(rows, sp.dim * r, sp.dim * r), den
+        sp = self.space
+        basis = sp.basis()
+        return sp._compile([(k, i, j, c.val) for i, bi in enumerate(basis)
+                            for j, bj in enumerate(basis) for k, c in
+                            enumerate(self.frame_mul(bi, bj).coords)],
+                           sp.dim, sp.dim)
 
     def one(self):
         return self.space.basepoint
 
     def mul(self, a, b):
         g, den = self._product
-        return self.space._reduced(g(a.nums, b.nums), den * a.den * b.den)
+        return self.space._canonical(g(a.nums, b.nums), den * a.den * b.den)
 
     def inv(self, a):
         # a * sigma(a) = eps * q(a), so 1/a = sigma(a) / q(a)
         return self.space.sigma(a).scale(self.space.q(a).inv())
 
-    def uncoords(self, coords):
-        return self.space.vector(coords)
-
     def elements(self):
-        return list(self.space.enumerate_vectors())
-
-    def random(self, rng, height=20, nonzero=False):
-        return self.space.random_vector(rng, height, nonzero=nonzero)
+        return list(self.space.all_elements())
 
     def scalar_embed(self, s):
         return self.space.basepoint.scale(s)

@@ -9,18 +9,29 @@ membership test (``composition.Subspace``), and ``_kernel``, the kernel of
 a K-linear map given by its integer rows.  ``mat_vec`` applies a matrix of
 Scalars.
 
-The fast paths are K-linear maps expanded once into integer rows over Q
-or F_p: ``_integer_rows`` builds the tower product table and
-``_compiled`` a straight-line function of two integer vectors from a set
-of its rows.  A ``Projector`` answers for the coordinates of x in
+``IntVector`` is a vector stored in that integer form, over one
+denominator, and ``IntSpace`` the space it lies in: a doubling tower
+(``composition.CDAlgebra``) or a quadratic space
+(``quadspace.QuadraticSpace``).  Sums, differences, negation, the zero
+test, equality, keys and the lowered ``coords`` are defined once, on
+``IntVector``; vectors from coordinates, the zero and unit vectors,
+seeded draws and the enumeration of a finite space once, on ``IntSpace``.
+
+The fast paths are K-linear and K-bilinear maps expanded once into
+integer rows over Q or F_p: ``_bilinear`` expands the entries of a
+K-bilinear map over the basis of K (``_units``), for the tower product,
+the forms of a quadratic space, its scaling and the small-field product,
+and ``_compiled`` builds a straight-line function of two integer vectors
+from a set of rows.  A ``Projector`` answers for the coordinates of x in
 a fixed, arbitrary basis and whether x lies in its span, for doubling
 frames, subfields and inverse matrices: it eliminates the expanded basis
 with ``_eliminate`` and keeps integer rows, with no Scalar arithmetic.
-Tower elements are stored in that integer form and go in without a lift.
+Stored vectors go in without a lift.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -178,6 +189,21 @@ def _integer_rows(field, terms, size):
     return tuple(tuple(row) for row in rows), den
 
 
+def _bilinear(field, entries, size):
+    """``_integer_rows`` of the K-bilinear map that adds c * A_i * B_j to
+    coordinate k, over the entries (k, i, j, c) with payloads c, for
+    K-coordinates A_i and B_j.  Each entry is expanded over the basis E_u
+    of K over Q or F_p (``_units``): c * E_u * E_t lands in the rows
+    r*k + s at the integer coordinates r*i + u and r*j + t (r =
+    coord_dim); `size` rows in all."""
+    r, mul = field.coord_dim, field.mul
+    units = _units(field)
+    return _integer_rows(field, [
+        (k * r, i * r + u, j * r + t, mul(mul(c, eu), et))
+        for k, i, j, c in entries for u, eu in units for t, et in units],
+        size)
+
+
 def _expanded(field, vectors):
     """(V, D): integer rows V over one denominator D, row r*v + u holding
     the coordinates over Q or F_p of E_u * vectors[v], for the basis E_u
@@ -276,3 +302,130 @@ class Projector:
             raise NotInSpan("vector is outside the span")
         rows, den = self._coeff
         return _apply(rows, X), den * d
+
+
+class IntVector:
+    """A vector of K^n stored as its integer coordinates over Q or F_p:
+    the tuple `nums` over one denominator `den`, canonical by
+    ``scalars._reducer`` (gcd-reduced with den > 0 over Q, residues over
+    the denominator 1 over F_p), so equal vectors have equal forms and
+    `key()` is that form.  `owner` is the ``IntSpace`` the vector lies in;
+    build vectors through it.  `coords`, the Scalars over its field, is
+    lowered on first read and cached; reprs and reports read it.
+
+    A subclass gives `_peer`, the other operand of a sum as a vector of
+    the same space, and `scale`.  A vector equals a vector of an equal
+    space with the same form, and a non-vector only through `_embed`,
+    which takes none here."""
+
+    __slots__ = ("owner", "nums", "den", "_coords")
+
+    def __init__(self, owner, nums, den=1):
+        self.owner = owner
+        self.nums = nums
+        self.den = den
+        self._coords = None
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            field = self.owner.field
+            self._coords = tuple([Scalar(field, v) for v in
+                                  field.lower(self.nums, self.den)])
+        return self._coords
+
+    def __add__(self, other):
+        other = self._peer(other)
+        da, db = self.den, other.den
+        pairs = zip(self.nums, other.nums)
+        if da == db:
+            return self.owner._canonical([a + b for a, b in pairs], da)
+        return self.owner._canonical([a * db + b * da for a, b in pairs],
+                                     da * db)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._peer(other)
+        da, db = self.den, other.den
+        pairs = zip(self.nums, other.nums)
+        if da == db:
+            return self.owner._canonical([a - b for a, b in pairs], da)
+        return self.owner._canonical([a * db - b * da for a, b in pairs],
+                                     da * db)
+
+    def __rsub__(self, other):
+        return self._peer(other).__sub__(self)
+
+    def __neg__(self):
+        return self.owner._canonical([-a for a in self.nums], self.den)
+
+    def is_zero(self):
+        return not any(self.nums)
+
+    def _embed(self, x):
+        raise TypeError("no vector equals %r" % (x,))
+
+    def __eq__(self, other):
+        if not isinstance(other, IntVector):
+            try:
+                other = self._embed(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return (self.nums == other.nums and self.den == other.den
+                and (self.owner is other.owner or self.owner == other.owner))
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def key(self):
+        return self.nums, self.den
+
+    def __repr__(self):
+        return "(" + ", ".join(repr(c) for c in self.coords) + ")"
+
+
+class IntSpace:
+    """K^n with its vectors stored as ``IntVector``s.  A subclass sets
+    `field` (K), `dim` (n) and `_canonical`, the ``scalars._reducer`` map
+    (nums, den) -> vector."""
+
+    def element(self, coords):
+        vals = [self.field.coerce(c) for c in coords]
+        if len(vals) != self.dim:
+            raise ValueError("expected %d coordinates" % self.dim)
+        return self._canonical(*self.field.lift(vals))
+
+    def zero(self):
+        return self._canonical([0] * (self.dim * self.field.coord_dim), 1)
+
+    def unit(self, k):
+        r = self.field.coord_dim
+        return self._canonical([int(i == k * r)
+                                for i in range(self.dim * r)], 1)
+
+    def basis(self):
+        return [self.unit(k) for k in range(self.dim)]
+
+    def random_element(self, rng, height=20, nonzero=False):
+        while True:
+            x = self._canonical(*self.field.random_coords(rng, self.dim,
+                                                          height))
+            if not (nonzero and x.is_zero()):
+                return x
+
+    def all_elements(self):
+        """Every vector, lazily, the last coordinate running fastest."""
+        field = self.field
+        if not field.is_finite():
+            raise TypeError("%r is infinite" % self)
+        return (self._canonical(*field.lift(c)) for c in itertools.product(
+            [s.val for s in field.elements()], repeat=self.dim))
+
+    def _expanded(self, xs):
+        """``_expanded`` of vectors of this space, read off their stored
+        integers: (V, D), row r*v + u of V over D being E_u * xs[v]."""
+        units = [Scalar(self.field, eu) for _, eu in _units(self.field)[1:]]
+        ys = [y for x in xs for y in [x] + [x.scale(eu) for eu in units]]
+        d = math.lcm(*[y.den for y in ys])
+        return [[a * (d // y.den) for a in y.nums] for y in ys], d

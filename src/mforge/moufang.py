@@ -81,8 +81,8 @@ def root_group(carrier, span=None):
         sp = carrier
         return ParamGroup(
             operator.add, operator.neg, sp.zero, methodcaller("is_zero"),
-            methodcaller("key"), lambda: list(sp.enumerate_vectors()),
-            sp.random_vector, repr, sp.field, sp.dim)
+            methodcaller("key"), lambda: list(sp.all_elements()),
+            sp.random_element, repr, sp.field, sp.dim)
     if isinstance(carrier, PseudoQuadraticSpace):
         sp, h = carrier, carrier.h
         return ParamGroup(  # |T| = |K|^dim |K0|

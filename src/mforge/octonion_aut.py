@@ -131,7 +131,7 @@ class JordanMap(GlueingMap):
 
     def apply(self, x):
         alg = self.algebra
-        if getattr(x, "algebra", None) is not alg:
+        if getattr(x, "owner", None) is not alg:
             return GlueingMap.apply(self, x)
         if self._matrix is None:
             self._matrix = self._build_matrix()

@@ -4,12 +4,13 @@ A space stores the values of the form on a basis plus the strict upper
 part of the polar form; in characteristic 2 the two are independent, so
 both are kept.
 
-A vector is stored as a tower element is: its integer coordinates over Q
-or F_p over one denominator (``scalars._reducer``), and its coordinates
-over the ground field are lowered only when read.  Sums, negation,
-scaling, the zero test and keys act on the stored integers, and so do q
-and f: each form, and scaling, is expanded once per space into integer
-rows and compiled on first use (``linalg._compiled``).
+A space is a ``linalg.IntSpace`` and a vector a ``linalg.IntVector``,
+as a tower and its elements are: integer coordinates over Q or F_p over
+one denominator, with the coordinates over the ground field lowered only
+when read.  Sums, negation, the zero test and keys come from
+``linalg``; q, f and scaling act on the stored integers too, each
+expanded once per space into integer rows (``linalg._bilinear``) and
+compiled on first use (``linalg._compiled``).
 
 ``qs_small_dim_field`` builds the field on a space of dimension <= 2, a
 ``handles.SmallFieldHandle``, and checks its norm condition.
@@ -38,8 +39,9 @@ class DimensionTooLarge(ValueError):
     pass
 
 
-class QuadraticSpace:
-    """(L0, K, q) with basepoint; anisotropy per the stated policy.
+class QuadraticSpace(linalg.IntSpace):
+    """(L0, K, q) with basepoint; anisotropy per the stated policy.  Its
+    vectors are ``QSVector``s.
 
     anisotropy is one of "exhaustive" (finite K, checked here on one
     vector per line), "structural" (inherited from a certified division
@@ -58,8 +60,8 @@ class QuadraticSpace:
             self.f_upper[(i, j)] = field.scalar(v)
         self.name = name
         # the vector with integer coordinates nums / den, reduced
-        self._reduced = _reducer(field.characteristic(),
-                                 functools.partial(QSVector, self))
+        self._canonical = _reducer(field.characteristic(),
+                                   functools.partial(QSVector, self))
         self.basepoint = self.vector(basepoint)
         if self.q(self.basepoint) != field.one():
             raise ValueError("basepoint must have q = 1")
@@ -81,14 +83,14 @@ class QuadraticSpace:
                 for rest in itertools.product(
                         [s.val for s in field.elements()],
                         repeat=self.dim - k - 1):
-                    v = self._reduced(*field.lift((zero,) * k + (one,)
-                                                  + rest))
+                    v = self._canonical(*field.lift((zero,) * k + (one,)
+                                                    + rest))
                     if self.q(v).is_zero():
                         raise ValueError("form is isotropic at %r" % v)
         elif self.anisotropy in ("structural", "attested"):
             rng = random.Random(ANISOTROPY_SEED)
             for _ in range(ANISOTROPY_SAMPLES):
-                v = self.random_vector(rng, nonzero=True)
+                v = self.random_element(rng, nonzero=True)
                 if self.q(v).is_zero():
                     raise ValueError("form is isotropic at %r" % v)
         else:
@@ -96,38 +98,13 @@ class QuadraticSpace:
 
     # -- vectors ----------------------------------------------------------
     def vector(self, coords):
+        """A vector of this space as it is, or the one with these
+        coordinates."""
         if isinstance(coords, QSVector):
-            if coords.space is not self and coords.space != self:
+            if coords.owner is not self and coords.owner != self:
                 raise ValueError("vector from another space")
             return coords
-        vals = [self.field.coerce(c) for c in coords]
-        if len(vals) != self.dim:
-            raise ValueError("expected %d coordinates" % self.dim)
-        return self._reduced(*self.field.lift(vals))
-
-    def zero(self):
-        return self.vector([0] * self.dim)
-
-    def basis(self):
-        out = []
-        for k in range(self.dim):
-            coords = [0] * self.dim
-            coords[k] = 1
-            out.append(self.vector(coords))
-        return out
-
-    def random_vector(self, rng, height=20, nonzero=False):
-        while True:
-            v = self._reduced(*self.field.random_coords(rng, self.dim,
-                                                          height))
-            if not (nonzero and v.is_zero()):
-                return v
-
-    def enumerate_vectors(self):
-        field = self.field
-        for combo in itertools.product([s.val for s in field.elements()],
-                                       repeat=self.dim):
-            yield self._reduced(*field.lift(combo))
+        return self.element(coords)
 
     # -- the form ----------------------------------------------------------
     def f_entry(self, i, j):
@@ -138,38 +115,25 @@ class QuadraticSpace:
             i, j = j, i
         return self.f_upper.get((i, j), self.field.zero())
 
-    def _compile(self, entries):
-        """(g, den): g(U, V) / (den * du * dv) is sum(c * u_i * v_j) over
-        the entries ((i, j), c), on vectors u and v with coordinates U / du
-        and V / dv over Q or F_p (``linalg._units``)."""
-        field, r = self.field, self.field.coord_dim
-        mul, units = field.mul, linalg._units(field)
-        terms = [(0, i * r + u, j * r + t, mul(mul(c.val, eu), et))
-                 for (i, j), c in entries
-                 for u, eu in units for t, et in units]
-        rows, den = linalg._integer_rows(field, terms, r)
-        return linalg._compiled(rows, self.dim * r, self.dim * r), den
+    def _compile(self, entries, size, width):
+        """(g, den): g(U, V) / (den * du * dv) are the integer coordinates
+        over Q or F_p of the K-bilinear map with the entries (k, i, j, c)
+        of ``linalg._bilinear``, `size` K-coordinates wide, on a vector u
+        of the space and a vector v of `width` K-coordinates, with
+        coordinates U / du and V / dv."""
+        r = self.field.coord_dim
+        rows, den = linalg._bilinear(self.field, entries, size * r)
+        return linalg._compiled(rows, self.dim * r, width * r), den
 
     _q_form = functools.cached_property(lambda s: s._compile(
-        [((i, i), c) for i, c in enumerate(s.q_basis)]
-        + list(s.f_upper.items())))
+        [(0, i, i, c.val) for i, c in enumerate(s.q_basis)]
+        + [(0, i, j, c.val) for (i, j), c in s.f_upper.items()], 1, s.dim))
     _f_form = functools.cached_property(lambda s: s._compile(
-        [((i, j), s.f_entry(i, j)) for i in range(s.dim)
-         for j in range(s.dim)]))
-
-    _scale_form = functools.cached_property(lambda s: s._compile_scale())
-
-    def _compile_scale(self):
-        """(g, den): g(X, Z) / (den * dx * dz) are the coordinates of the
-        vector X / dx times the scalar Z / dz, on integer coordinates over
-        Q or F_p."""
-        field, r = self.field, self.field.coord_dim
-        units = linalg._units(field)
-        terms = [(k * r, k * r + u, t, field.mul(eu, et))
-                 for k in range(self.dim)
-                 for u, eu in units for t, et in units]
-        rows, den = linalg._integer_rows(field, terms, self.dim * r)
-        return linalg._compiled(rows, self.dim * r, r), den
+        [(0, i, j, s.f_entry(i, j).val) for i in range(s.dim)
+         for j in range(s.dim)], 1, s.dim))
+    # a vector times a scalar, one K-coordinate wide
+    _scale_form = functools.cached_property(lambda s: s._compile(
+        [(k, k, 0, s.field.one_payload()) for k in range(s.dim)], s.dim, 1))
 
     def _value(self, form, u, v):
         g, den = form
@@ -210,77 +174,25 @@ class QuadraticSpace:
         return self.name or "QS(dim %d over %r)" % (self.dim, self.field)
 
 
-class QSVector:
-    """A vector of a quadratic space, stored as its integer coordinates
-    over Q or F_p: the tuple `nums` over one denominator `den`, canonical
-    as a tower element's (``scalars._reducer``), so equal vectors have equal
-    forms.  `key()` is that form.  Build vectors through their space
-    (``vector``, ``random_vector``, ...).  `coords`, the Scalars over the
-    space's field, is lowered on first read and cached.
-    """
+class QSVector(linalg.IntVector):
+    """A vector of a quadratic space, a ``linalg.IntVector``; build vectors
+    through their space (``vector``, ``random_element``, ...)."""
 
-    __slots__ = ("space", "nums", "den", "_coords")
+    __slots__ = ()
 
-    def __init__(self, space, nums, den=1):
-        self.space = space
-        self.nums = nums
-        self.den = den
-        self._coords = None
+    space = property(lambda v: v.owner)
 
-    @property
-    def coords(self):
-        if self._coords is None:
-            field = self.space.field
-            self._coords = tuple([Scalar(field, v) for v in
-                                  field.lower(self.nums, self.den)])
-        return self._coords
-
-    def __add__(self, other):
-        other = self.space.vector(other)
-        da, db = self.den, other.den
-        pairs = zip(self.nums, other.nums)
-        if da == db:
-            return self.space._reduced([a + b for a, b in pairs], da)
-        return self.space._reduced([a * db + b * da for a, b in pairs],
-                                   da * db)
-
-    def __sub__(self, other):
-        other = self.space.vector(other)
-        da, db = self.den, other.den
-        pairs = zip(self.nums, other.nums)
-        if da == db:
-            return self.space._reduced([a - b for a, b in pairs], da)
-        return self.space._reduced([a * db - b * da for a, b in pairs],
-                                   da * db)
-
-    def __neg__(self):
-        return self.space._reduced([-a for a in self.nums], self.den)
+    def _peer(self, other):
+        return self.owner.vector(other)
 
     def scale(self, s):
-        sp = self.space
+        sp = self.owner
         g, den = sp._scale_form
         z, dz = sp.field.lift([sp.field.coerce(s)])
-        return sp._reduced(g(self.nums, z), den * self.den * dz)
-
-    def is_zero(self):
-        return not any(self.nums)
-
-    def __eq__(self, other):
-        return (isinstance(other, QSVector) and other.nums == self.nums
-                and other.den == self.den
-                and (other.space is self.space or other.space == self.space))
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def key(self):
-        return self.nums, self.den
+        return sp._canonical(g(self.nums, z), den * self.den * dz)
 
     def conj(self):
-        return self.space.sigma(self)
-
-    def __repr__(self):
-        return "(" + ", ".join(repr(c) for c in self.coords) + ")"
+        return self.owner.sigma(self)
 
 
 def qs_eval(space, v):
@@ -304,7 +216,7 @@ def qs_defect(space):
     field = space.field  # the Gram matrix is symmetric: rows are columns
     cols = linalg._expanded(field, space.gram())[0]
     ker, d = linalg._kernel(field, [list(r) for r in zip(*cols)], space.dim)
-    return [space._reduced(v, d) for v in ker], space.proper()
+    return [space._canonical(v, d) for v in ker], space.proper()
 
 
 def qs_small_dim_field(space):
@@ -348,13 +260,13 @@ def verify_space(space, samples=200, seed=3):
     for rule, arity, law in laws:
         # only the Hua laws need a nonzero anchor
         nonzero = rule == "hua.additive"
-        cases = (tuple(space.random_vector(rng, 9, nonzero=nonzero)
+        cases = (tuple(space.random_element(rng, 9, nonzero=nonzero)
                        for _ in range(arity)) for _ in range(samples))
         rep.first_failure(rule, cases, law, None,
                           cex=lambda *args: [repr(a) for a in args])
 
-    cases = ((space.random_vector(rng, 9, nonzero=True),
-              space.random_vector(rng, 9),
+    cases = ((space.random_element(rng, 9, nonzero=True),
+              space.random_element(rng, 9),
               random_scalar(space.field, rng, 9, nonzero=True))
              for _ in range(samples))
     rep.first_failure("hua.anchor-scaling", cases,
@@ -364,7 +276,7 @@ def verify_space(space, samples=200, seed=3):
 
     field = space.field
     if field.is_finite() and field.order() ** space.dim <= EXHAUSTIVE_SIZE:
-        elems = list(space.enumerate_vectors())
+        elems = list(space.all_elements())
         rep.first_failure(
             "hua.bijective", ((a,) for a in elems),
             lambda a: a.is_zero() or len({qs_hua(space, a, x).key()

@@ -169,7 +169,8 @@ class Field:
         raise TypeError("%s is not finite" % self)
 
     def random_payload(self, rng, height=20):
-        raise NotImplementedError
+        """One draw of `random_coords`, lowered."""
+        return self.lower(*self.random_coords(rng, 1, height))[0]
 
     def random_coords(self, rng, n, height=20):
         """n payloads drawn as n calls of `random_payload` draw them, in
@@ -230,10 +231,6 @@ class Rationals(Field):
 
     def characteristic(self):
         return 0
-
-    def random_payload(self, rng, height=20):
-        num, den = _draws_below(rng, (2 * height + 1, height))
-        return Fraction(num - height, 1 + den)
 
     def random_coords(self, rng, n, height=20):
         # over the lcm of the drawn denominators
@@ -327,9 +324,6 @@ class PrimeField(Field):
 
     def elements(self):
         return [Scalar(self, r) for r in range(self.p)]
-
-    def random_payload(self, rng, height=20):
-        return _draws_below(rng, (self.p,))[0]
 
     def random_coords(self, rng, n, height=20):
         return _draws_below(rng, (self.p,) * n), 1
@@ -551,9 +545,6 @@ class QuadExt(Field):
     def elements(self):
         return [Scalar(self, (u, v))
                 for u in range(self.base.p) for v in range(self.base.p)]
-
-    def random_payload(self, rng, height=20):
-        return self.lower(*self.base.random_coords(rng, 2, height))[0]
 
     def random_coords(self, rng, n, height=20):
         return self.base.random_coords(rng, 2 * n, height)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from mforge import linalg
 from mforge.composition import (CDAlgebra, DoublingFrame, NotInvertible,
                                 Subspace,
                                 bilinear, cd_conj_norm_trace, closure,
@@ -312,6 +313,29 @@ def test_structure_table_matches_golden_table(octonions):
             assert abs(expect) - 1 == i ^ j
             assert (_basis_constant(QQ, betas, i, j)
                     == (1 if expect > 0 else -1))
+
+
+def tower_rows_reference(field, betas):
+    """The structure table expanded term by term over the basis E_u of the
+    base field over Q or F_p, as the tower kernel built its rows before
+    ``linalg._bilinear``: the oracle of the kernel's (rows, den)."""
+    from mforge.composition import _basis_constant
+    dim, r = 1 << len(betas), field.coord_dim
+    units = linalg._units(field)
+    terms = [((i ^ j) * r, i * r + u, j * r + t,
+              field.mul(field.mul(_basis_constant(field, betas, i, j), eu),
+                        et))
+             for i in range(dim) for j in range(dim)
+             for u, eu in units for t, et in units]
+    return linalg._integer_rows(field, terms, dim * r)
+
+
+@pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
+def test_kernel_rows_match_the_term_by_term_expansion(base, betas):
+    algebra = CDAlgebra(base, betas, allow_dim16=True)
+    k = algebra._kernel
+    assert (k.rows, k.den) == tower_rows_reference(
+        base, [b.val for b in algebra.betas])
 
 
 @pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
@@ -635,7 +659,7 @@ def test_rational_inverse_is_conj_over_norm(betas):
 #    the first isotropic element of the full scan
 
 def _scan_witness(algebra):
-    return next((x for x in algebra._all_elements()
+    return next((x for x in algebra.all_elements()
                  if not x.is_zero() and x.norm().is_zero()), None)
 
 

@@ -1,10 +1,12 @@
 import itertools
+import operator
 import random
 
 import pytest
 
 from mforge import linalg
-from mforge.composition import CDAlgebra, Subspace
+from mforge.composition import CDAlgebra, CDElement, Subspace
+from mforge.quadspace import QSVector, QuadraticSpace, space_from_algebra
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
                             Scalar, random_scalar)
 
@@ -435,3 +437,60 @@ def test_kernel_matches_the_scalar_reference(field):
                 assert ker == kernel_reference(field, m, n_cols), m
                 for vec in ker:
                     assert all(a.is_zero() for a in linalg.mat_vec(m, vec))
+
+
+# -- the vector protocol shared by tower elements and space vectors
+
+INT_SPACES = {
+    "tower": lambda: CDAlgebra(QQ, [-1, 3]),
+    "space": lambda: QuadraticSpace(QQ, [1, "2/3"], {(0, 1): 1}, [1, 0],
+                                    anisotropy="attested"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INT_SPACES))
+def test_tower_elements_and_space_vectors_share_one_protocol(kind):
+    """Sums, differences, negation, the zero test, equality, keys, hashes,
+    coordinates and reprs come from ``linalg.IntVector``, and vectors from
+    coordinates, zero, units, draws and enumeration from
+    ``linalg.IntSpace``.  Equal vectors of two equal spaces hash alike; a
+    tower element equals the base-field scalar it embeds, a space vector
+    equals no list of coordinates, and the two kinds never equal."""
+    owner, twin = INT_SPACES[kind](), INT_SPACES[kind]()
+    assert twin is not owner and twin == owner
+    assert isinstance(owner, linalg.IntSpace)
+    assert not {"element", "zero", "unit", "basis", "random_element",
+                "all_elements", "_expanded"} & set(vars(type(owner)))
+    rng = random.Random(4)
+    xs = owner.basis() + [owner.zero()] + [owner.random_element(rng, 9)
+                                           for _ in range(6)]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert isinstance(x, linalg.IntVector) and x.owner is owner
+        assert not {"coords", "__add__", "__radd__", "__sub__", "__rsub__",
+                    "__neg__", "is_zero", "__eq__", "__hash__", "key",
+                    "__repr__"} & set(vars(type(x)))
+        assert (x + y).coords == tuple(map(operator.add, x.coords, y.coords))
+        assert (x - y).coords == tuple(map(operator.sub, x.coords, y.coords))
+        assert (-x).coords == tuple(map(operator.neg, x.coords))
+        assert x.is_zero() == all(c.is_zero() for c in x.coords)
+        same = twin.element(x.coords)
+        assert same == x and same.key() == x.key() == (x.nums, x.den)
+        assert hash(same) == hash(x)
+        assert (x == y) == (x.key() == y.key())
+        assert repr(x) == "(%s)" % ", ".join(repr(c) for c in x.coords)
+        assert x != list(x.coords)
+    if kind == "tower":
+        three = owner.one().scale(QQ.scalar(3))
+        assert three == QQ.scalar(3) and three == 3 and three != 4
+        assert 3 + owner.zero() == three and 4 - owner.one() == three
+        assert owner.one().algebra is owner
+    else:
+        assert not owner.vector([1, 0]) == [1, 0]
+        assert owner.vector([1, 0]) != [1, 0]
+        assert owner.basepoint.space is owner
+    tower = CDAlgebra(QQ, [-1, -1])
+    space = space_from_algebra(tower)
+    assert isinstance(tower.one(), CDElement)
+    assert isinstance(space.basepoint, QSVector)
+    assert tower.one().key() == space.basepoint.key()
+    assert tower.one() != space.basepoint and space.basepoint != tower.one()

@@ -168,7 +168,7 @@ def test_commutator_inverse_law(qq_desc):
     # [u, v]^-1 = [v, u] on generator pairs, via both normal forms
     sp = qq_desc.params
     for t in sp.field.elements():
-        for a in sp.enumerate_vectors():
+        for a in sp.all_elements():
             w = rgs_commutator(qq_desc, 1, t, 4, a)
             lhs = w.inverse()
             x1 = qq_desc.word([(1, t)])
@@ -487,7 +487,7 @@ def test_hua_end_actions_unit_is_identity(tri_oct, qq_desc, qp_desc,
     m1, m4 = rgs_hua_end_action(qq_desc, "last", sp.basepoint)
     for t in sp.field.elements():
         assert m1(t) == t
-    for b in sp.enumerate_vectors():
+    for b in sp.all_elements():
         assert m4(b) == b
 
 
@@ -517,7 +517,7 @@ def test_qq_opposite_last_action_matches_quoted_form(qq_desc):
         if t.is_zero():
             continue
         mb, mu = rgs_hua_end_action(do, "last", t)
-        for b in sp.enumerate_vectors():
+        for b in sp.all_elements():
             assert mb(b) == b.scale(t.inv())
         for u in sp.field.elements():
             assert mu(u) == t * t * u

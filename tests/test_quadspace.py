@@ -56,7 +56,7 @@ def test_hua_generator(f4_space):
 
 
 def test_hua_basepoint_is_identity(f4_space):
-    for v in f4_space.enumerate_vectors():
+    for v in f4_space.all_elements():
         assert qs_hua(f4_space, f4_space.basepoint, v) == v
 
 
@@ -70,8 +70,8 @@ def test_hua_anchor_scaling_rule():
     rng = random.Random(2)
     from mforge.scalars import random_scalar
     for _ in range(40):
-        a = sp.random_vector(rng, 9, nonzero=True)
-        x = sp.random_vector(rng, 9)
+        a = sp.random_element(rng, 9, nonzero=True)
+        x = sp.random_element(rng, 9)
         s = random_scalar(QQ, rng, 9, nonzero=True)
         assert qs_hua(sp, a.scale(s), x) == qs_hua(sp, a, x).scale(s * s)
 
@@ -85,7 +85,7 @@ def _hua_by_reflections(space, a, v):
 
 
 def test_hua_matches_reflections_on_every_f4_pair(f4_space):
-    vectors = list(f4_space.enumerate_vectors())
+    vectors = list(f4_space.all_elements())
     for a in vectors:
         if a.is_zero():
             continue
@@ -100,8 +100,8 @@ def test_hua_matches_reflections_on_every_f4_pair(f4_space):
 def test_hua_matches_reflections_on_samples(space):
     rng = random.Random(7)
     for _ in range(60):
-        a = space.random_vector(rng, 9, nonzero=True)
-        v = space.random_vector(rng, 9)
+        a = space.random_element(rng, 9, nonzero=True)
+        v = space.random_element(rng, 9)
         assert qs_hua(space, a, v) == _hua_by_reflections(space, a, v)
 
 
@@ -203,7 +203,6 @@ def test_anisotropy_guard():
 
 def test_small_dim_field_f4(f4_space):
     fld, phi = qs_small_dim_field(f4_space)
-    assert fld.type_tag == "iii"
     # multiplicative group of the constructed 4-element field has order 3
     w = f4_space.vector([0, 1])
     w2 = fld.mul(w, w)
@@ -214,7 +213,6 @@ def test_small_dim_field_f4(f4_space):
 def test_small_dim_field_gaussian():
     sp = space_from_quadext(QI)
     fld, _ = qs_small_dim_field(sp)
-    assert fld.type_tag == "iii"
     i = sp.vector([0, 1])
     assert fld.mul(i, i) == sp.basepoint.scale(QQ.scalar(-1))
 
@@ -222,7 +220,6 @@ def test_small_dim_field_gaussian():
 def test_small_dim_field_dim1():
     sp = QuadraticSpace(QQ, [1], {}, [1], anisotropy="attested")
     fld, phi = qs_small_dim_field(sp)
-    assert fld.type_tag == "ii"
     assert fld.mul(phi(QQ.scalar(2)), phi(QQ.scalar(3))) == phi(QQ.scalar(6))
 
 
@@ -309,11 +306,11 @@ def test_small_field_product_matches_the_frame_rule(name):
     sp = SMALL_SPACES[name]()
     h = SmallFieldHandle(sp)
     if sp.field.is_finite() and sp.field.order() ** sp.dim <= 256:
-        vecs = list(sp.enumerate_vectors())
+        vecs = list(sp.all_elements())
         pairs = [(u, v) for u in vecs for v in vecs]
     else:
         rng = random.Random(5)
-        pairs = [(sp.random_vector(rng, 9), sp.random_vector(rng, 9))
+        pairs = [(sp.random_element(rng, 9), sp.random_element(rng, 9))
                  for _ in range(200)]
     for u, v in pairs:
         assert h.mul(u, v) == frame_product(sp, u, v), (u, v)
@@ -330,7 +327,7 @@ def test_small_field_product_reads_no_frame_coordinates(monkeypatch):
                         or coefficients(self, vec))
     rng = random.Random(2)
     for _ in range(20):
-        h.mul(sp.random_vector(rng, 9), sp.random_vector(rng, 9))
+        h.mul(sp.random_element(rng, 9), sp.random_element(rng, 9))
     assert calls == []
 
 
@@ -361,7 +358,7 @@ def test_structural_laws_sample_a_space_past_the_sweep_bound(monkeypatch):
 
     def never_listed():
         raise AssertionError("the vectors were listed")
-    monkeypatch.setattr(sp, "enumerate_vectors", never_listed)
+    monkeypatch.setattr(sp, "all_elements", never_listed)
     rep = verify_space(sp, samples=20)
     assert rep.passed
     assert "hua.bijective" not in [ln.rule for ln in rep.lines]
@@ -379,7 +376,7 @@ def test_octonion_norm_space(octonions):
     assert sp.proper()
     rng = random.Random(7)
     for _ in range(15):
-        v = sp.random_vector(rng, 6)
+        v = sp.random_element(rng, 6)
         x = octonions.element([c for c in v.coords])
         assert sp.q(v) == x.norm()
 
@@ -442,10 +439,10 @@ def test_compiled_forms_match_the_scalar_double_loop(make):
     sp = make()
     field = sp.field
     if field.is_finite() and field.order() ** sp.dim <= 256:
-        vs = list(sp.enumerate_vectors())
+        vs = list(sp.all_elements())
     else:
         rng = random.Random(17)
-        vs = sp.basis() + [sp.zero()] + [sp.random_vector(rng, h)
+        vs = sp.basis() + [sp.zero()] + [sp.random_element(rng, h)
                                          for h in (1, 9, 10 ** 6)
                                          for _ in range(8)]
     for u in vs:
@@ -474,7 +471,7 @@ def test_vector_operations_match_the_scalarwise_reference(make):
     sp = make()
     field = sp.field
     rng = random.Random(19)
-    vs = sp.basis() + [sp.zero()] + [sp.random_vector(rng, h)
+    vs = sp.basis() + [sp.zero()] + [sp.random_element(rng, h)
                                      for h in (1, 9, 10 ** 6)
                                      for _ in range(4)]
     for u, v in zip(vs, vs[1:] + vs[:1]):
@@ -491,3 +488,77 @@ def test_vector_operations_match_the_scalarwise_reference(make):
         assert u.is_zero() == all(c.is_zero() for c in u.coords)
         assert (u + v - v).key() == u.key()
         assert (u - u).key() == sp.zero().key()
+
+
+# -- the term-by-term expansions of the forms, of scaling and of the small-
+#    field product, as the spaces and the handle built them before
+#    ``linalg._bilinear``: the oracles of its (rows, den)
+
+def form_rows_reference(space, entries):
+    """The rows of sum(c * u_i * v_j) over the entries ((i, j), c)."""
+    field, r = space.field, space.field.coord_dim
+    mul, units = field.mul, linalg._units(field)
+    return linalg._integer_rows(field, [
+        (0, i * r + u, j * r + t, mul(mul(c.val, eu), et))
+        for (i, j), c in entries for u, eu in units for t, et in units], r)
+
+
+def scale_rows_reference(space):
+    """The rows of a vector times a scalar."""
+    field, r = space.field, space.field.coord_dim
+    units = linalg._units(field)
+    return linalg._integer_rows(field, [
+        (k * r, k * r + u, t, field.mul(eu, et)) for k in range(space.dim)
+        for u, eu in units for t, et in units], space.dim * r)
+
+
+def product_rows_reference(handle):
+    """The rows of the small-field product, from the frame rule on the
+    pairs of basis vectors."""
+    sp, field = handle.space, handle.coord_field
+    r, basis = field.coord_dim, sp.basis()
+    units = linalg._units(field)
+    return linalg._integer_rows(field, [
+        (k * r, i * r + u, j * r + t, field.mul(field.mul(c.val, eu), et))
+        for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+        for k, c in enumerate(frame_product(sp, bi, bj).coords)
+        for u, eu in units for t, et in units], sp.dim * r)
+
+
+def _bilinear_calls(monkeypatch):
+    """The (rows, den) of every ``linalg._bilinear`` call from now on."""
+    seen, bilinear = [], linalg._bilinear
+    monkeypatch.setattr(linalg, "_bilinear",
+                        lambda *args: seen.append(bilinear(*args))
+                        or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("make", list(SPACES.values()), ids=list(SPACES))
+def test_form_and_scale_rows_match_the_term_by_term_expansion(monkeypatch,
+                                                              make):
+    sp = make()
+    for name in ("_q_form", "_f_form", "_scale_form"):
+        sp.__dict__.pop(name, None)  # compiled again below, under the spy
+    seen = _bilinear_calls(monkeypatch)
+    sp._q_form, sp._f_form, sp._scale_form
+    assert seen == [
+        form_rows_reference(sp, [((i, i), c) for i, c in
+                                 enumerate(sp.q_basis)]
+                            + list(sp.f_upper.items())),
+        form_rows_reference(sp, [((i, j), sp.f_entry(i, j))
+                                 for i in range(sp.dim)
+                                 for j in range(sp.dim)]),
+        scale_rows_reference(sp)]
+
+
+@pytest.mark.parametrize("name", ["F4-plane", "F16-plane", "Qi-plane",
+                                  "F3-line"])
+def test_small_field_rows_match_the_term_by_term_expansion(monkeypatch,
+                                                           name):
+    sp = SMALL_SPACES[name]()
+    h = SmallFieldHandle(sp)
+    sp.sigma(sp.basepoint)  # the forms and scaling the frame rule reads
+    seen = _bilinear_calls(monkeypatch)
+    h._product
+    assert seen == [product_rows_reference(h)]
