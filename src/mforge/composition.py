@@ -35,19 +35,29 @@ rows are read off the table and the polar form of the norm rows.
 ``Subspace`` is the one span class, for subspaces of a tower and for
 spans inside any handle, and ``closure`` the one closure of a span under
 products.
+
+The identity suites state each law once, in ``_LAWS``, and draw its
+cases from one seeded stream.  Over a prime field a law is checked on
+all its samples together: the draws become the rows of a numpy array of
+residues (a ``_Stack``), and a product contracts their outer products
+with the dense structure matrix read off the table on first use
+(``_Stacks``).  Over any other base, and for the `inverse` suite, the
+cases go one by one; that path is also the stacked one's test oracle.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
+
+import numpy as np
 
 from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
 from .linalg import IntSpace, IntVector, _bilinear, _compiled
 from .report import Report
-from .scalars import QQ, PrimeField, Scalar, _reducer, random_scalar
+from .scalars import (QQ, PrimeField, Scalar, _draws_below, _reducer,
+                      random_scalar)
 
 
 class AlgebraMismatch(ValueError):
@@ -126,27 +136,39 @@ class CDAlgebra(IntSpace):
 
     def _first_isotropic_odd_prime(self):
         """The first isotropic element of `all_elements` over F_p, p odd,
-        found after about p prefixes instead of p^2 elements.
+        found from a handful of prefixes, whatever p is.
 
         The norm is diagonal, sum(m_k * x_k^2) with m_k the product of
         -beta over the stages where k has its bit set.  For each prefix
         x_0 .. x_(n-2) in order, with S its part of the sum, the first last
-        coordinate t with m t^2 = -S is 0 when S = 0 (off the zero prefix),
-        or else the smaller square root of -S/m, if there is one.
+        coordinate t with m t^2 = -S is the smaller square root of -S/m, if
+        there is one (0 when S = 0; the zero prefix has none).  The walk
+        over the prefixes in order is short:
+        - after the zero prefix come (0, .., 0, a) for 0 < a < p, and each
+          gives a witness exactly when -m_(n-2)/m_(n-1) is a square,
+          whatever a is, so a = 1 stands for them all;
+        - next come (0, .., 0, 1, b) for b = 0, 1, ..., and one of them
+          gives a witness: the ternary form on the last three coordinates
+          is isotropic, as every ternary form over F_p is, and its zeros
+          have x_(n-3) != 0 when the binary form on the last two is
+          anisotropic, so a zero scaled to x_(n-3) = 1 lies among them.
+        Without a third coordinate (dim 2) the tower is a division algebra
+        exactly when the first step finds nothing.
         """
-        f, p = self.base, self._p
+        f, p, n = self.base, self._p, self.dim
         m = [1]
         for b in self.betas:
             m += [c * -b.val % p for c in m]
         last = pow(m[-1], -1, p)
-        for prefix in itertools.product(range(p), repeat=self.dim - 1):
-            s = sum(c * x * x for c, x in zip(m, prefix)) % p
-            if s == 0:
-                t = 0 if any(prefix) else None
-            else:
-                t = f.sqrt(-s * last)
+        if n >= 2:
+            t = f.sqrt(-m[-2] * last)
             if t is not None:
-                return CDElement(self, prefix + (t,))
+                return CDElement(self, (0,) * (n - 2) + (1, t))
+        if n >= 3:
+            for b in range(p):
+                t = f.sqrt(-(m[-3] + m[-2] * b * b) * last)
+                if t is not None:
+                    return CDElement(self, (0,) * (n - 3) + (1, b, t))
         return None
 
     @property
@@ -248,6 +270,8 @@ class _TowerKernel:
     (scalar_rows), and conj(x) * z the same terms with the signs of conj on
     X (scale_rows): the inverse is conj(x) * N(x)^-1.  Each row set is
     compiled on first use into a function of (X, Y) (``linalg._compiled``).
+    Over F_p, `stacks` holds the rows and norm rows as dense matrices for
+    the identity suites (``_Stacks``), also built on first use.
     """
 
     def __init__(self, field, betas):
@@ -265,6 +289,18 @@ class _TowerKernel:
                                       for i, j, n in row)
                                 for row in self.scalar_rows)
         self.n = dim * r
+        self.p = field.characteristic()
+
+    @functools.cached_property
+    def stacks(self):
+        """The ``_Stacks`` of a tower over F_p, whose dense structure
+        matrices are read off `rows` and `norm_rows` here, on first use.
+        Over F_p the rows are residues over the denominator 1."""
+        p, n = self.p, self.n
+        dtype = np.int64 if n * n * (p - 1) ** 2 < 2 ** 63 else object
+        unit = (((0, 0, 1),),)
+        return _Stacks(p, dtype, n, self.rows, self.norm_rows,
+                       _Stacks(p, dtype, 1, unit, unit))
 
     mul = functools.cached_property(lambda k: _compiled(k.rows, k.n, k.n))
     norm = functools.cached_property(
@@ -297,6 +333,13 @@ class CDElement(IntVector):
 
     def _embed(self, s):
         return self.owner.from_base(s)
+
+    def _scalar(self):
+        alg, nums = self.owner, self.nums
+        r = alg._kernel.r
+        if any(nums[r:]):
+            return None
+        return Scalar(alg.base, alg.base.lower(nums[:r], self.den)[0])
 
     def __mul__(self, other):
         if isinstance(other, Scalar) and other.field == self.owner.base:
@@ -665,22 +708,176 @@ _LAWS = {
 SUITES = tuple(_LAWS) + ("doubling_rules",)
 
 
+def _doubling_rules(e, u):
+    """The law of the `doubling_rules` suite for the unit e of the top
+    stage, u = -N(e); `&` joins its three tests, on bools or on stacks."""
+    def rules(x, y):
+        return (((e * x) * (e * y) == (y * x.conj()).scale(u))
+                & ((e * x) * y == e * (y * x))
+                & (x * (e * y) == e * (x.conj() * y)))
+    return rules
+
+
+class _Stacks:
+    """Elements of a tower over F_p stacked as ``_Stack``s: the k elements
+    of a stack are the k rows of a numpy array of residues, n = dim
+    columns.  A product reduces the outer products of two rows mod p and
+    contracts them with the dense n^2 x n structure matrix, entry
+    (n*i + j, q) the residue of the term X[i] * Y[j] of row q of
+    ``_TowerKernel.rows``; the norm contracts them with the n^2 x 1 matrix
+    of `norm_rows`.  Such a sum has n^2 terms below (p - 1)^2 each, so the
+    dtype is int64 when n^2 * (p - 1)^2 < 2^63 and Python ints (object)
+    otherwise.  Norms and traces are stacks of the tower of dim 1, `line`,
+    in the same dtype."""
+
+    def __init__(self, p, dtype, n, rows, norm_rows, line=None):
+        self.p, self.dtype, self.n = p, dtype, n
+        self.line = line or self
+        self.mul_matrix, self.norm_matrix = (
+            self._dense(rows), self._dense(norm_rows))
+        self.signs = np.array([1] + [-1] * (n - 1), dtype)
+
+    def _dense(self, rows):
+        n = self.n
+        m = np.zeros((n * n, len(rows)), self.dtype)
+        for q, row in enumerate(rows):
+            for i, j, c in row:
+                m[n * i + j, q] = c % self.p
+        return m
+
+    def stack(self, x):
+        """The tower element x as a stack of one row, which broadcasts."""
+        return _Stack(self, np.array([x.nums], self.dtype))
+
+    def one(self):
+        rows = np.zeros((1, self.n), self.dtype)
+        rows[0, 0] = 1
+        return _Stack(self, rows)
+
+    def draw(self, rng, samples, arity, width):
+        """`arity` stacks of `samples` elements: what `samples` cases of
+        `arity` draws of `width` leading coordinates each (the others 0)
+        take from rng, by one ``scalars._draws_below`` call."""
+        draws = np.array(_draws_below(rng, (self.p,) * (
+            samples * arity * width)), self.dtype)
+        rows = np.zeros((samples, arity, self.n), self.dtype)
+        rows[:, :, :width] = draws.reshape(samples, arity, width)
+        return [_Stack(self, rows[:, a]) for a in range(arity)]
+
+    def contract(self, a, b, matrix):
+        outer = (a[:, :, None] * b[:, None, :]) % self.p
+        return outer.reshape(len(outer), self.n * self.n) @ matrix % self.p
+
+
+class _Stack:
+    """Elements of a tower over F_p, one per row of `rows` (``_Stacks``),
+    with the operations the laws of `_LAWS` use, each run on all rows at
+    once: `==` and `is_zero` give one bool per row."""
+
+    __slots__ = ("owner", "rows")
+
+    def __init__(self, owner, rows):
+        self.owner = owner
+        self.rows = rows
+
+    def _new(self, rows):
+        return _Stack(self.owner, rows % self.owner.p)
+
+    def __mul__(self, other):
+        o = self.owner
+        return _Stack(o, o.contract(self.rows, other.rows, o.mul_matrix))
+
+    def __add__(self, other):
+        return self._new(self.rows + other.rows)
+
+    def __sub__(self, other):
+        return self._new(self.rows - other.rows)
+
+    def __eq__(self, other):
+        return (self.rows == other.rows).all(axis=1)
+
+    def is_zero(self):
+        return (self.rows == 0).all(axis=1)
+
+    def conj(self):
+        return self._new(self.rows * self.owner.signs)
+
+    def norm(self):
+        o = self.owner
+        return _Stack(o.line, o.contract(self.rows, self.rows, o.norm_matrix))
+
+    def trace(self):
+        return _Stack(self.owner.line, 2 * self.rows[:, :1] % self.owner.p)
+
+    def scale(self, s):
+        """The rows times a scalar of F_p, or row by row times a stack of
+        the line."""
+        return self._new(self.rows * (s.rows if isinstance(s, _Stack)
+                                      else s.val))
+
+
+def _stacks(algebra):
+    """The ``_Stacks`` of a tower over a prime field, or None: the suites
+    check a law on all its samples at once through it."""
+    if isinstance(algebra.base, PrimeField):
+        return algebra._kernel.stacks
+    return None
+
+
+def _reprs(*args):
+    return [repr(a) for a in args]
+
+
+def _check_law(rep, rule, law, arity, samples, draw, rng, stacks, width):
+    """The line of `rule`: law(*case) on `samples` cases of `arity`
+    elements each, drawn by `draw` in order, as ``Report.first_failure``
+    walks them.  With `stacks` (over F_p), the cases are drawn as stacks
+    of `width` leading coordinates in one call and the law is evaluated
+    once on all of them.  On a failure at case k the stream is rewound and
+    cases 0..k are drawn again by `draw`, so the line has the same
+    samples, index and counterexample, and the stream stops at the same
+    place."""
+    if stacks is None:
+        cases = (tuple(draw() for _ in range(arity)) for _ in range(samples))
+        return rep.first_failure(rule, cases, law, None, cex=_reprs)
+    state = rng.getstate()
+    holds = law(*stacks.draw(rng, samples, arity, width))
+    if holds.all():
+        return rep.add(rule, samples, True)
+    k = int(np.argmin(holds))
+    rng.setstate(state)
+    cases = [tuple(draw() for _ in range(arity)) for _ in range(k + 1)]
+    line = rep.add(rule, k + 1, False, _reprs(*cases[k]))
+    line.index = k
+    return line
+
+
 def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
-    """Sampled identity suite; failures are report lines with a witness."""
+    """Sampled identity suite; failures are report lines with a witness.
+
+    The cases of a law are drawn from one seeded stream, in order.  Over
+    a prime field each law but those of `inverse` (whose draws are
+    nonzero and whose inverses may not exist) is checked once on all its
+    samples, stacked in numpy (``_Stacks``, ``_check_law``); over any
+    other base, and for `inverse`, case by case.  Both give the same
+    report and leave the stream at the same place."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
     rng = random.Random(seed)
     rep = Report("identities.%s" % suite, seed=seed, subject=repr(algebra))
     if not algebra.is_division:
         rep.add("division-status", 0, True, note=algebra.division_status)
+    stacks = None if suite == "inverse" else _stacks(algebra)
 
     if suite != "doubling_rules":
         nonzero = suite == "inverse"
+
+        def draw():
+            return algebra.random_element(rng, height, nonzero=nonzero)
+
         for rule, arity, law in _LAWS[suite]:
-            cases = (tuple(algebra.random_element(rng, height, nonzero=nonzero)
-                           for _ in range(arity)) for _ in range(samples))
-            rep.first_failure(rule, cases, law, None,
-                              cex=lambda *args: [repr(a) for a in args])
+            _check_law(rep, rule, law, arity, samples, draw, rng, stacks,
+                       algebra.dim)
         return rep
     if algebra.dim < 2:
         rep.add("doubling-rules", 0, True, note="skipped: dim 1 has no stage")
@@ -693,14 +890,9 @@ def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
         nums, den = algebra.base.random_coords(rng, half, height)
         return algebra._canonical(nums + [0] * len(nums), den)
 
-    def rules(x, y):
-        return ((e * x) * (e * y) == (y * x.conj()).scale(u)
-                and (e * x) * y == e * (y * x)
-                and x * (e * y) == e * (x.conj() * y))
-
-    rep.first_failure("doubling.rules",
-                      ((rand_lower(), rand_lower()) for _ in range(samples)),
-                      rules, None, cex=lambda *args: [repr(a) for a in args])
+    rules = _doubling_rules(stacks.stack(e) if stacks else e, u)
+    _check_law(rep, "doubling.rules", rules, 2, samples, rand_lower, rng,
+               stacks, half)
     return rep
 
 

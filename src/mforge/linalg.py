@@ -316,7 +316,8 @@ class IntVector:
     A subclass gives `_peer`, the other operand of a sum as a vector of
     the same space, and `scale`.  A vector equals a vector of an equal
     space with the same form, and a non-vector only through `_embed`,
-    which takes none here."""
+    which takes none here, and `_scalar`, its inverse, which gives the
+    non-vector a vector equals, if any, for its hash."""
 
     __slots__ = ("owner", "nums", "den", "_coords")
 
@@ -375,8 +376,15 @@ class IntVector:
         return (self.nums == other.nums and self.den == other.den
                 and (self.owner is other.owner or self.owner == other.owner))
 
+    def _scalar(self):
+        return None
+
     def __hash__(self):
-        return hash((self.nums, self.den))
+        """The hash of the stored form, or, for a vector that equals a
+        non-vector (`_scalar`, none here), the hash of that value, so that
+        equal keys hash alike in a set or dict of both."""
+        s = self._scalar()
+        return hash((self.nums, self.den)) if s is None else hash(s)
 
     def key(self):
         return self.nums, self.den

@@ -1,11 +1,13 @@
 import math
 import random
 import time
+import types
 
 import pytest
 
 from mforge import linalg
-from mforge.composition import (CDAlgebra, DoublingFrame, NotInvertible,
+from mforge.composition import (SUITES, CDAlgebra, CDElement, DoublingFrame,
+                                NotInvertible,
                                 Subspace,
                                 bilinear, cd_conj_norm_trace, closure,
                                 doubling_coordinates, center,
@@ -689,3 +691,187 @@ def test_large_prime_octonions_construct_quickly():
     w = algebra.division_witness
     assert algebra.division_status == "not-division"
     assert not w.is_zero() and w.norm().is_zero()
+
+
+def _prefix_witness_reference(algebra):
+    """The prefix walk the witness search replaced: every prefix
+    x_0 .. x_(n-2) in order, each completed by the smaller root t of
+    m_(n-1) t^2 = -S, if there is one."""
+    import itertools
+    f, p = algebra.base, algebra.characteristic()
+    m = [1]
+    for b in algebra.betas:
+        m += [c * -b.val % p for c in m]
+    last = pow(m[-1], -1, p)
+    for prefix in itertools.product(range(p), repeat=algebra.dim - 1):
+        s = sum(c * x * x for c, x in zip(m, prefix)) % p
+        t = (0 if any(prefix) else None) if s == 0 else f.sqrt(-s * last)
+        if t is not None:
+            return prefix + (t,)
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_division_witness_matches_the_prefix_walk(p):
+    rng = random.Random(p)
+    field = PrimeField(p)
+    for stages in range(4):
+        choices = [[-1] * stages, [1] * stages]
+        choices += [[rng.randrange(1, p) for _ in range(stages)]
+                    for _ in range(4)]
+        for betas in choices:
+            algebra = CDAlgebra(field, betas)
+            want = _prefix_witness_reference(algebra)
+            got = algebra._first_isotropic_odd_prime()
+            assert (got if got is None else got.nums) == want, betas
+
+
+@pytest.mark.parametrize("p", [100003, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_towers_over_large_primes_construct_in_bounded_time(p):
+    """-1 is a non-square for these p = 3 (mod 4), so no prefix with one
+    nonzero entry completes, which made the old walk linear in p."""
+    field = PrimeField(p)
+    start = time.perf_counter()
+    line = CDAlgebra(field, [-1])
+    towers = [CDAlgebra(field, [-1] * k) for k in (2, 3)]
+    assert time.perf_counter() - start < 1.0
+    assert line.division_status == "certified-exhaustive"
+    for algebra in towers:
+        w = algebra.division_witness
+        assert algebra.division_status == "not-division"
+        assert not w.is_zero() and w.norm().is_zero()
+        assert w.nums[:algebra.dim - 3] == (0,) * (algebra.dim - 3)
+
+
+@pytest.mark.parametrize("base,betas,value", [
+    (QQ, [-1, -1], 3), (QQ, ["-1/2", 3], "5/7"), (F3, [-1, -1], 2),
+    (F3, [-1], 1), (QI, [-1, 3], (1, 2)), (QI, [-1], ("1/2", "-3/4"))])
+def test_scalar_valued_elements_hash_as_their_scalars(base, betas, value):
+    algebra = CDAlgebra(base, betas)
+    s = base.scalar(value)
+    x = algebra.one().scale(s)
+    assert x == s and hash(x) == hash(s)
+    assert len({x, s}) == 1 and {x: 1}[s] == 1
+    y = x + algebra.unit(1)
+    assert y != s and len({x, y, s}) == 2
+
+
+# -- identity suites over F_p: checked on all samples at once, stacked in
+#    numpy, against the case-by-case path as the oracle
+
+BIG_PRIME = 2 ** 31 - 1   # dim^2 (p - 1)^2 >= 2^63 from dim 2 on
+
+STACKED_TOWERS = [
+    (2, [1]), (2, [1, 1]), (2, [1, 1, 1]), (3, [-1]), (3, [1, 1]),
+    (3, [-1, -1, -1]), (5, [2, -1, 3]), (5, [-1, -1, -1, -1]), (7, [3]),
+    (7, [3, 5, 6]), (7, [-1, 2, 3, 4]), (1009, [-1, -1]),
+    (1009, [5, 7, 11]), (BIG_PRIME, [-1]), (BIG_PRIME, [3, -1]),
+    (BIG_PRIME, [-1, -1, -1]), (BIG_PRIME, [-1, 2, -1, 5])]
+
+
+def _recorded_run(monkeypatch, algebra, suite, seed, samples):
+    """The report of verify_identities and the next draw of its stream."""
+    from mforge import composition
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(composition, "random",
+                        types.SimpleNamespace(Random=Recorded))
+    rep = verify_identities(algebra, suite, samples=samples, seed=seed)
+    monkeypatch.undo()
+    (rng,) = made
+    return rep, rng.getrandbits(32)
+
+
+def _by_case(monkeypatch, algebra, suite, seed, samples):
+    from mforge import composition
+    monkeypatch.setattr(composition, "_stacks", lambda algebra: None)
+    return _recorded_run(monkeypatch, algebra, suite, seed, samples)
+
+
+@pytest.mark.parametrize("p,betas", STACKED_TOWERS,
+                         ids=["F%d-dim%d" % (p, 2 ** len(b))
+                              for p, b in STACKED_TOWERS])
+def test_stacked_suites_match_the_case_by_case_path(monkeypatch, p, betas):
+    algebra = CDAlgebra(PrimeField(p), betas, allow_dim16=True)
+    dtype = algebra._kernel.stacks.dtype
+    assert (dtype is object) == (p == BIG_PRIME)
+    samples = 12 if algebra.dim == 16 else 30
+    for suite in (s for s in SUITES if s != "inverse"):
+        for seed in range(4):
+            got, after = _recorded_run(monkeypatch, algebra, suite, seed,
+                                       samples)
+            want, want_after = _by_case(monkeypatch, algebra, suite, seed,
+                                        samples)
+            assert got.to_json() == want.to_json(), (suite, seed)
+            assert ([ln.index for ln in got.lines]
+                    == [ln.index for ln in want.lines]), (suite, seed)
+            assert after == want_after, (suite, seed)
+        for few in (0, 1):
+            got, after = _recorded_run(monkeypatch, algebra, suite, 5, few)
+            want, want_after = _by_case(monkeypatch, algebra, suite, 5, few)
+            assert (got.to_json(), after) == (want.to_json(), want_after)
+
+
+def test_stacked_suites_report_failures_like_the_case_by_case_path(
+        monkeypatch):
+    """The dim-16 towers fail alternativity and Moufang; the line keeps
+    the failing case's index, samples and counterexample, and the next
+    law draws from the same point."""
+    failing = 0
+    for p in (3, 5, 1009, BIG_PRIME):
+        algebra = CDAlgebra(PrimeField(p), [-1, -1, -1, -1],
+                            allow_dim16=True)
+        for suite in ("alternative", "moufang", "flexible"):
+            for seed in range(4):
+                got, after = _recorded_run(monkeypatch, algebra, suite,
+                                           seed, 40)
+                want, want_after = _by_case(monkeypatch, algebra, suite,
+                                            seed, 40)
+                assert got.to_json() == want.to_json()
+                assert repr(got) == repr(want)
+                assert ([ln.index for ln in got.lines]
+                        == [ln.index for ln in want.lines])
+                assert after == want_after
+                failing += sum(not ln.passed for ln in got.lines)
+    assert failing >= 24
+
+
+def test_prime_field_suites_take_the_stacked_path(monkeypatch):
+    """One draw call per law and no tower products over F_p; Q, Q(i), F4
+    and the inverse suite go case by case.  The structure matrix is read
+    on the first suite, not when the tower is built."""
+    from mforge import composition
+    calls = {"draws": 0, "mul": 0}
+    draws, mul = composition._draws_below, CDElement.__mul__
+
+    def counted_draws(rng, bounds):
+        calls["draws"] += 1
+        return draws(rng, bounds)
+
+    def counted_mul(x, y):
+        calls["mul"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(composition, "_draws_below", counted_draws)
+    monkeypatch.setattr(CDElement, "__mul__", counted_mul)
+    algebra = CDAlgebra(PrimeField(1013), [3, 5, 7])
+    assert "stacks" not in algebra._kernel.__dict__
+    for suite in (s for s in SUITES if s != "inverse"):
+        calls.update(draws=0, mul=0)
+        rep = verify_identities(algebra, suite, samples=25, seed=1)
+        assert rep.passed
+        laws = len(composition._LAWS.get(suite, [None]))
+        assert calls == {"draws": laws, "mul": 0}, suite
+    assert "stacks" in algebra._kernel.__dict__
+    for tower, suite in [(CDAlgebra(QQ, [-1, -1]), "moufang"),
+                         (CDAlgebra(QI, [-1, 3]), "alternative"),
+                         (CDAlgebra(F4, [1, (0, 1)]), "moufang"),
+                         (CDAlgebra(PrimeField(1013), [3, 5, 7]), "inverse")]:
+        calls.update(draws=0, mul=0)
+        verify_identities(tower, suite, samples=5, seed=1)
+        assert calls["draws"] == 0 and calls["mul"] > 0, (tower, suite)
