@@ -136,8 +136,7 @@ def cmd_polygon(args):
             rng = random.Random(seed)
             elems = [grp_sel.random(rng) for _ in range(4)]
         for x in elems:
-            rep.add("hua.%s[%s]" % (tag, grp_sel.render(x)), 1, True,
-                    note=grp_sel.render(mapping(x)))
+            rep.add("hua.%s[%r]" % (tag, x), 1, True, note=repr(mapping(x)))
     return _emit(rep, args, 0.0)
 
 

@@ -457,19 +457,11 @@ class Subspace:
     def is_full(self):
         return self.dim == self.handle.coord_dim
 
-    def _scaled(self, x, c):
-        """x scaled coordinate-wise by c in the coordinate field."""
-        if isinstance(x, IntVector):
-            return x.scale(c)
-        h = self.handle
-        return h.uncoords([ci * c for ci in h.coords(x)])
-
     def sample(self, rng, height=9):
         h = self.handle
         acc = h.zero()
         for b in self._basis:
-            c = random_scalar(h.coord_field, rng, height)
-            acc = h.add(acc, self._scaled(b, c))
+            acc = acc + b.scale(random_scalar(h.coord_field, rng, height))
         return acc
 
     def elements(self):
@@ -480,7 +472,7 @@ class Subspace:
             raise TypeError("infinite span")
         out = [h.zero()]
         for b in self._basis:
-            out = [h.add(e, self._scaled(b, c))
+            out = [e + b.scale(c)
                    for e in out for c in h.coord_field.elements()]
         return out
 
@@ -560,17 +552,16 @@ class DoublingFrame:
     raises NotInSpan.
     """
 
-    def __init__(self, algebra, sub, e, check=True):
+    def __init__(self, algebra, sub, e):
         self.algebra = algebra
         self.sub = sub
         self.e = e
-        if check:
-            if not sub.is_subalgebra():
-                raise BadDoublingUnit("not a subalgebra")
-            perp = orthogonal_complement(algebra, sub)
-            if not perp.contains(e) or sub.contains(e) or e.norm().is_zero():
-                raise BadDoublingUnit("doubling unit must sit in the "
-                                      "complement with nonzero norm")
+        if not sub.is_subalgebra():
+            raise BadDoublingUnit("not a subalgebra")
+        perp = orthogonal_complement(algebra, sub)
+        if not perp.contains(e) or sub.contains(e) or e.norm().is_zero():
+            raise BadDoublingUnit("doubling unit must sit in the "
+                                  "complement with nonzero norm")
         bas = self.sub_basis = sub.basis()
         vecs, d = algebra._expanded(bas + [e * b for b in bas])
         zeros = [0] * (len(vecs) // 2)

@@ -294,16 +294,15 @@ class GLinear(GAtom):
 class GTableMap(GAtom):
     parity = UNKNOWN
 
-    def __init__(self, pairs, key=lambda x: x.val):
+    def __init__(self, pairs):
         self.pairs = list(pairs)
-        self.key = key
-        self.table = {key(a): b for a, b in pairs}
+        self.table = {a.key(): b for a, b in pairs}
 
     def apply(self, x):
-        return self.table[self.key(x)]
+        return self.table[x.key()]
 
     def inverse(self):
-        return GTableMap([(b, a) for a, b in self.pairs], self.key)
+        return GTableMap([(b, a) for a, b in self.pairs])
 
     def __repr__(self):
         return "table"

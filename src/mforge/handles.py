@@ -3,9 +3,13 @@
 The involutory/indifferent structures, Moufang-set families, polygon
 parameter groups and foundation glueings all need the same small protocol
 over "something you can multiply": a field, a doubling tower, or the
-field on a quadratic space of dimension <= 2.  `Handle` holds that
-protocol once; `FieldHandle`, `CDHandle` and `SmallFieldHandle` override
-only what differs between the carriers.  A tower can also be read with its
+field on a quadratic space of dimension <= 2.  The elements carry their
+own arithmetic (+, -, negation, `is_zero()`, `conj()`, `key()` and
+`repr`), and callers use it directly; a handle holds only what depends on
+the carrier or on how it is read: the product, inverse, one and zero,
+draws, enumeration and coordinates.  `Handle` holds that protocol once;
+`FieldHandle`, `CDHandle` and `SmallFieldHandle` override only what
+differs between the carriers.  A tower can also be read with its
 multiplication reversed (`opposite()`), which sets the handle's `reversed`
 flag; fields and small fields are commutative and are their own opposite.
 A handle bundles the protocol together with exact coordinates over a
@@ -29,9 +33,10 @@ from .scalars import Field, Scalar, random_scalar
 
 class Handle:
     """The carrier protocol.  Elements bring their own sum, difference,
-    negation, zero test, conjugation and coordinates; `carrier` is the
-    field, tower or quadratic space the elements live in, and a tower or
-    a space builds and draws them (`uncoords`, `random`)."""
+    negation, zero test, conjugation, key and coordinates, and no handle
+    forwards them; `carrier` is the field, tower or quadratic space the
+    elements live in, and a tower or a space builds and draws them
+    (`uncoords`, `random`)."""
 
     reversed = False
 
@@ -41,23 +46,8 @@ class Handle:
     def zero(self):
         return self.carrier.zero()
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         return b * a if self.reversed else a * b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def conj(self, a):
-        return a.conj()
 
     def coords(self, a):
         return list(a.coords)
@@ -73,12 +63,6 @@ class Handle:
 
     def is_finite(self):
         return self.coord_field.is_finite()
-
-    def key(self, a):
-        return a.key()
-
-    def render(self, a):
-        return repr(a)
 
     def is_commutative(self):
         return True
@@ -125,9 +109,6 @@ class FieldHandle(Handle):
 
     def random(self, rng, height=20, nonzero=False):
         return random_scalar(self.field, rng, height, nonzero)
-
-    def key(self, a):
-        return a.val
 
     def scalar_embed(self, s):
         return self.field.scalar(s)

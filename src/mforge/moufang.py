@@ -47,12 +47,13 @@ class CarrierMismatch(ValueError):
 # -- root groups --------------------------------------------------------------
 
 class ParamGroup(namedtuple("ParamGroup", (
-        "op", "inv", "identity", "is_identity", "key", "elements", "draw",
-        "render", "coord_field", "exponent"))):
+        "op", "inv", "identity", "is_identity", "elements", "draw",
+        "coord_field", "exponent"))):
     """A root group given by its operations: op, inverse, identity (a
-    fresh element), identity test, hashable key, enumeration (raising
-    TypeError when infinite), a seeded draw(rng, height), and rendering.
-    It has q^exponent elements, q the order of its coordinate field."""
+    fresh element), identity test, enumeration (raising TypeError when
+    infinite) and a seeded draw(rng, height).  Its elements give their
+    own hashable `key()` and rendering (`repr`).  It has q^exponent
+    elements, q the order of its coordinate field."""
 
     __slots__ = ()
 
@@ -73,29 +74,30 @@ class ParamGroup(namedtuple("ParamGroup", (
 
 
 def root_group(carrier, span=None):
-    """The root group a carrier parametrizes.  A field, tower, small field
-    or handle gives its additive group, or with a span (K0, L0) the
-    additive group of that span; a quadratic space gives its vectors
-    under +; a pseudo-quadratic space gives T under its product."""
-    if isinstance(carrier, QuadraticSpace):
-        sp = carrier
-        return ParamGroup(
-            operator.add, operator.neg, sp.zero, methodcaller("is_zero"),
-            methodcaller("key"), lambda: list(sp.all_elements()),
-            sp.random_element, repr, sp.field, sp.dim)
+    """The root group a carrier parametrizes.  A pseudo-quadratic space
+    gives T under its product.  Every other group is additive, under the
+    elements' own + and negation: a quadratic space gives its vectors; a
+    field, tower, small field or handle gives its elements, or with a span
+    (K0, L0) the elements of that span."""
     if isinstance(carrier, PseudoQuadraticSpace):
         sp, h = carrier, carrier.h
         return ParamGroup(  # |T| = |K|^dim |K0|
             operator.mul, methodcaller("inverse"), sp.identity,
-            methodcaller("is_identity"), methodcaller("key"),
-            lambda: list(sp.enumerate_t()), sp.random_point, repr,
-            h.coord_field, h.coord_dim * sp.dim + sp.inv.k0.dim)
-    h = as_handle(carrier)
-    if span is None:
-        return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, h.elements,
-                          h.random, h.render, h.coord_field, h.coord_dim)
-    return ParamGroup(h.add, h.neg, h.zero, h.is_zero, h.key, span.elements,
-                      span.sample, h.render, h.coord_field, span.dim)
+            methodcaller("is_identity"), lambda: list(sp.enumerate_t()),
+            sp.random_point, h.coord_field,
+            h.coord_dim * sp.dim + sp.inv.k0.dim)
+    if isinstance(carrier, QuadraticSpace):
+        sp = carrier
+        zero, field, dim = sp.zero, sp.field, sp.dim
+        elements, draw = (lambda: list(sp.all_elements())), sp.random_element
+    else:
+        h = as_handle(carrier)
+        zero, field = h.zero, h.coord_field
+        elements, draw, dim = ((h.elements, h.random, h.coord_dim)
+                               if span is None else
+                               (span.elements, span.sample, span.dim))
+    return ParamGroup(operator.add, operator.neg, zero,
+                      methodcaller("is_zero"), elements, draw, field, dim)
 
 
 # -- Moufang sets -------------------------------------------------------------
@@ -149,11 +151,8 @@ class MoufangSet:
     def is_zero(self, x):
         return self.group.is_identity(x)
 
-    def key(self, x):
-        return self.group.key(x)
-
     def eq(self, x, y):
-        return self.key(x) == self.key(y)
+        return x.key() == y.key()
 
     def is_finite(self):
         return self.group.is_finite()
@@ -185,8 +184,8 @@ class MoufangSet:
             return (-sp.sigma(x)).scale(sp.q(x).inv())
         if self.family == self.PSEUDOQUADRATIC:
             tinv = sp.h.inv(x.t)
-            return TPoint(sp, sp.vec_scale(x.a, tinv), sp.h.neg(tinv))
-        return self.h.neg(self.h.inv(x))
+            return TPoint(sp, sp.vec_scale(x.a, tinv), -tinv)
+        return -self.h.inv(x)
 
     def hua(self, a, x):
         if self.is_zero(a):
@@ -239,12 +238,12 @@ def ms_verify(mset, samples=200, seed=13):
         rep.first_failure(
             "hua.bijective", ((a,) for a in elems),
             lambda a: mset.is_zero(a) or len(
-                {mset.key(mset.hua(a, x)) for x in elems}) == len(elems),
+                {mset.hua(a, x).key() for x in elems}) == len(elems),
             len(elems), cex=repr)
 
         units = [x for x in elems if not mset.is_zero(x)]
         taus = [_defined(mset.tau, x) for x in units]
-        images = {mset.key(t) for t in taus if t is not None}
+        images = {t.key() for t in taus if t is not None}
         bad = [repr(x) for x, t in zip(units, taus) if t is None][:1]
         rep.add("tau.bijective-on-units", len(images),
                 not bad and len(images) == len(units), *bad)
@@ -335,7 +334,7 @@ def _jordan_check(suite, gamma, m1, m2, samples, seed):
         len(pairs), cex=reprs)
 
     if apart and swept:
-        images = {m2.key(gamma(x)) for x in elems}
+        images = {gamma(x).key() for x in elems}
         rep.add("jordan.bijective", len(elems), len(images) == len(elems))
 
     rep.add("jordan.unit", 1, m2.eq(gamma(m1.unit()), m2.unit()))

@@ -28,7 +28,7 @@ from . import tables as tbl
 from .handles import FieldHandle, as_handle
 from .moufang import MoufangSet, _defined, root_group
 from .pseudoquad import TPoint
-from .report import Report
+from .report import Report, reprs
 from .unitary import ind_check, ind_opposite
 
 
@@ -211,11 +211,11 @@ def _standard_layout(symbol, params):
 
         def rel(i, a, j, b):
             if (i, j) == (2, 4):
-                bn = h.neg(b)  # quoted with x4(t)^-1
-                val = h.add(h.mul(sig(a), bn), h.mul(sig(bn), a))
+                bn = -b  # quoted with x4(t)^-1
+                val = h.mul(sig(a), bn) + h.mul(sig(bn), a)
                 return _clean(groups, [(3, val)])
             if (i, j) == (1, 4):
-                bn = h.neg(b)  # quoted with x4(s)^-1
+                bn = -b  # quoted with x4(s)^-1
                 return _clean(groups, [
                     (2, h.mul(a, bn)),
                     (3, h.mul(h.mul(sig(bn), a), bn)),
@@ -236,11 +236,11 @@ def _standard_layout(symbol, params):
                 binv = b.inverse()  # quoted with x3(b,u)^-1
                 return _clean(groups, [(2, sp.f(a.a, binv.a))])
             if (i, j) == (2, 4):
-                bn = h.neg(b)  # quoted with x4(w)^-1
-                val = h.add(h.mul(sig(a), bn), h.mul(sig(bn), a))
+                bn = -b  # quoted with x4(w)^-1
+                val = h.mul(sig(a), bn) + h.mul(sig(bn), a)
                 return _clean(groups, [(3, TPoint(sp, sp.zero_vector(), val))])
             if (i, j) == (1, 4):
-                bn = h.neg(b)  # quoted with x4(v)^-1
+                bn = -b  # quoted with x4(v)^-1
                 vec = sp.vec_scale(a.a, bn)
                 t3 = h.mul(h.mul(sig(bn), a.t), bn)
                 return _clean(groups, [
@@ -383,7 +383,7 @@ class RootWord:
         return self.desc.group(i).identity()
 
     def key(self):
-        return tuple((i, self.desc.group(i).key(a)) for (i, a) in self.factors)
+        return tuple((i, a.key()) for (i, a) in self.factors)
 
     def __eq__(self, other):
         return (isinstance(other, RootWord)
@@ -393,8 +393,7 @@ class RootWord:
     def __repr__(self):
         if not self.factors:
             return "1"
-        return "".join("x%d(%s)" % (i, self.desc.group(i).render(a))
-                       for (i, a) in self.factors)
+        return "".join("x%d(%r)" % (i, a) for (i, a) in self.factors)
 
 
 def rgs_commutator(desc, i, a, j, b):
@@ -427,8 +426,7 @@ class WordGroup(tbl.FiniteGroupTable):
         slot_elems = [desc.group(i).elements() for i in range(1, desc.n + 1)]
         self.slot_elems = slot_elems
         self.slot_index = [
-            {desc.group(i + 1).key(m): k for k, m in enumerate(ms)}
-            for i, ms in enumerate(slot_elems)]
+            {m.key(): k for k, m in enumerate(ms)} for ms in slot_elems]
         # a word's index is its slot indices in mixed radix, last slot
         # fastest (the order of `_build_elements`)
         sizes = [len(ms) for ms in slot_elems]
@@ -439,11 +437,8 @@ class WordGroup(tbl.FiniteGroupTable):
         super().__init__(self.elements, self._build_table(), self.identity)
 
     def _word_key(self, word):
-        slots = []
-        for i in range(1, self.desc.n + 1):
-            grp = self.desc.group(i)
-            slots.append(self.slot_index[i - 1][grp.key(word.slot(i))])
-        return tuple(slots)
+        return tuple(idx[word.slot(i).key()]
+                     for i, idx in enumerate(self.slot_index, 1))
 
     def _build_elements(self):
         desc = self.desc
@@ -464,8 +459,8 @@ class WordGroup(tbl.FiniteGroupTable):
         ops, invs = [], []
         for i, ms in enumerate(self.slot_elems):
             grp, idx = desc.group(i + 1), self.slot_index[i]
-            ops.append([[idx[grp.key(grp.op(a, b))] for b in ms] for a in ms])
-            invs.append([idx[grp.key(grp.inv(a))] for a in ms])
+            ops.append([[idx[grp.op(a, b).key()] for b in ms] for a in ms])
+            invs.append([idx[grp.inv(a).key()] for a in ms])
 
         def merge(i, a, b):
             return ops[i - 1][a][b] or None
@@ -477,8 +472,7 @@ class WordGroup(tbl.FiniteGroupTable):
             comm = memo.get((j, b, i, a))
             if comm is None:
                 comm = memo[(j, b, i, a)] = [
-                    (m, invs[m - 1][self.slot_index[m - 1][
-                        desc.group(m).key(w)]])
+                    (m, invs[m - 1][self.slot_index[m - 1][w.key()]])
                     for (m, w) in desc.relation(
                         j, self.slot_elems[j - 1][b],
                         i, self.slot_elems[i - 1][a])]
@@ -527,8 +521,7 @@ class WordGroup(tbl.FiniteGroupTable):
     def slot_word_index(self, slot, m):
         """The index of the one-factor word x_slot(m), read off the mixed
         radix without normalizing a word."""
-        key = self.desc.group(slot).key(m)
-        return self.slot_index[slot - 1][key] * self.strides[slot - 1]
+        return self.slot_index[slot - 1][m.key()] * self.strides[slot - 1]
 
     def extend_end_maps(self, map_first, map_last):
         """Extend maps on the two end slots to a permutation of the
@@ -674,8 +667,7 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
                 "triangle.%s-end-identity" % end,
                 ((h.random(rng, 9, nonzero=True), h.random(rng, 9),
                   h.random(rng, 9)) for _ in range(samples)),
-                law(end), samples,
-                cex=lambda *stu: tuple(map(h.render, stu)))
+                law(end), samples, cex=reprs)
         return rep
 
     if exhaustive:
@@ -714,8 +706,8 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
         rep.first_failure(
             "hua.%s-end-endomorphism" % end, slots(),
             lambda slot, s, g, m, x, y:
-            g.key(m(g.op(x, y))) == g.key(g.op(m(x), m(y))),
-            samples, cex=lambda slot, s, *rest: (slot, grp.render(s)))
+            m(g.op(x, y)).key() == g.op(m(x), m(y)).key(),
+            samples, cex=lambda slot, s, *rest: (slot, repr(s)))
     return rep
 
 

@@ -16,7 +16,9 @@ f(b_j, b_i) = -sigma(f(b_i, b_j)) and f(b_i, b_i) = q_i - sigma(q_i), the
 over y = sigma(b_i) q_i a_i and y = sigma(b_i) f(b_i, b_j) a_j for i < j,
 and q(a t) = sigma(t) q(a) t holds exactly, as soon as sigma is an
 involutory anti-automorphism of an associative K whose traces y + sigma(y)
-lie in K0.  Those premises are checked on the basis (`_check_involution`).
+lie in K0.  Those premises are checked on the basis (`_check_involution`),
+and so are the two other axioms of an involutory set, K0 in Fix(sigma)
+and sigma(x) K0 x in K0, so a triple that is no involutory set is refused.
 (P3), anisotropy, is checked on every vector of a finite carrier and on
 seeded samples otherwise.
 """
@@ -58,8 +60,9 @@ class PseudoQuadraticSpace:
     q_rep[i] is the chosen representative of q(b_i); f_gram[i][j] = f(b_i,
     b_j).  The constructor validates the hermitian symmetry, the diagonal
     law f(a,a) = q(a) - q(a)^sigma, (P1) and (P2) (decided on a basis of
-    K, see the module docstring) and anisotropy (exhaustively when the
-    carrier is finite, sampled otherwise) and refuses on failure.
+    K, see the module docstring), the involutory-set axioms K0 in
+    Fix(sigma) and sigma(x) K0 x in K0, and anisotropy (exhaustively when
+    the carrier is finite, sampled otherwise) and refuses on failure.
     """
 
     def __init__(self, inv_set, q_rep, f_gram, name=None):
@@ -69,15 +72,14 @@ class PseudoQuadraticSpace:
         self.f_gram = [list(row) for row in f_gram]
         self.dim = len(self.q_rep)
         self.name = name
-        h = self.h
         for i in range(self.dim):
             for j in range(self.dim):
                 lhs = self.f_gram[j][i]
-                rhs = h.neg(self.inv.sigma(self.f_gram[i][j]))
+                rhs = -self.inv.sigma(self.f_gram[i][j])
                 if lhs != rhs:
                     raise ValueError("f is not skew-hermitian at (%d,%d)" % (i, j))
         for i in range(self.dim):
-            d = h.sub(self.q_rep[i], self.inv.sigma(self.q_rep[i]))
+            d = self.q_rep[i] - self.inv.sigma(self.q_rep[i])
             if self.f_gram[i][i] != d:
                 raise ValueError("f(b,b) != q(b) - q(b)^sigma at %d" % i)
         self._validate(ANISOTROPY_SAMPLES, ANISOTROPY_SEED)
@@ -93,29 +95,29 @@ class PseudoQuadraticSpace:
         return tuple(self.h.zero() for _ in range(self.dim))
 
     def vec_add(self, a, b):
-        return tuple(self.h.add(x, y) for x, y in zip(a, b))
+        return tuple(x + y for x, y in zip(a, b))
 
     def vec_neg(self, a):
-        return tuple(self.h.neg(x) for x in a)
+        return tuple(-x for x in a)
 
     def vec_scale(self, a, t):
         # right scalar action
         return tuple(self.h.mul(x, t) for x in a)
 
     def vec_is_zero(self, a):
-        return all(self.h.is_zero(x) for x in a)
+        return all(x.is_zero() for x in a)
 
     def f(self, a, b):
         h = self.h
         acc = h.zero()
         for i in range(self.dim):
-            if h.is_zero(a[i]):
+            if a[i].is_zero():
                 continue
             for j in range(self.dim):
-                if h.is_zero(b[j]):
+                if b[j].is_zero():
                     continue
-                term = h.mul(h.mul(self.inv.sigma(a[i]), self.f_gram[i][j]), b[j])
-                acc = h.add(acc, term)
+                acc = acc + h.mul(h.mul(self.inv.sigma(a[i]),
+                                        self.f_gram[i][j]), b[j])
         return acc
 
     def q(self, a):
@@ -123,20 +125,20 @@ class PseudoQuadraticSpace:
         h = self.h
         acc = h.zero()
         for i in range(self.dim):
-            if h.is_zero(a[i]):
+            if a[i].is_zero():
                 continue
-            acc = h.add(acc, h.mul(h.mul(self.inv.sigma(a[i]), self.q_rep[i]),
-                                   a[i]))
+            acc = acc + h.mul(h.mul(self.inv.sigma(a[i]), self.q_rep[i]),
+                              a[i])
             for j in range(i + 1, self.dim):
-                if h.is_zero(a[j]):
+                if a[j].is_zero():
                     continue
-                acc = h.add(acc, h.mul(h.mul(self.inv.sigma(a[i]),
-                                             self.f_gram[i][j]), a[j]))
+                acc = acc + h.mul(h.mul(self.inv.sigma(a[i]),
+                                        self.f_gram[i][j]), a[j])
         return acc
 
     def congruent(self, s, t):
         """s = t mod K0."""
-        return self.inv.k0_contains(self.h.sub(s, t))
+        return self.inv.k0_contains(s - t)
 
     def _validate(self, samples, seed):
         self._check_involution()
@@ -158,7 +160,16 @@ class PseudoQuadraticSpace:
         every argument over that field, since its scalars are central and
         each named involution is linear over it, so the basis decides the
         law on all of K.  A failure raises a ValueError that starts with
-        "(P1) fails" and names the law."""
+        "(P1) fails" and names the law.
+
+        Two more axioms of the set follow, on the basis k of K0: K0 lies
+        in Fix(sigma), and the sandwich sigma(x)*k*x lies in K0.  The
+        sandwich is quadratic in x: it is the sum of the x_i^2
+        sigma(e_i)*k*e_i and of x_i x_j (y + sigma(y)) for i < j, with
+        y = sigma(e_i)*k*e_j and sigma(y) = sigma(e_j)*k*e_i as k is fixed.
+        Those traces lie in K0 by the laws above, so the e_i decide it.
+        Their failures start with "K0 in Fix(sigma) fails" and "sandwich
+        fails"."""
         h, sigma = self.h, self.inv.sigma
         cf = h.coord_field
         basis = [h.uncoords([cf.one() if k == i else cf.zero()
@@ -166,9 +177,9 @@ class PseudoQuadraticSpace:
                  for i in range(h.coord_dim)]
         sig = [sigma(e) for e in basis]
 
-        def fail(law, *xs):
-            raise ValueError("(P1) fails: %s at (%s)"
-                             % (law, ", ".join(map(h.render, xs))))
+        def fail(law, *xs, axiom="(P1)"):
+            raise ValueError("%s fails: %s at (%s)"
+                             % (axiom, law, ", ".join(map(repr, xs))))
 
         for e, s in zip(basis, sig):
             if sigma(s) != e:
@@ -184,8 +195,14 @@ class PseudoQuadraticSpace:
                     if h.mul(prod[i][j], z) != h.mul(x, prod[j][k]):
                         fail("(x*y)*z != x*(y*z)", x, y, z)
         for e, s in zip(basis, sig):
-            if not self.inv.k0_contains(h.add(e, s)):
+            if not self.inv.k0_contains(e + s):
                 fail("x + sigma(x) is not in K0", e)
+        for k in self.inv.k0.basis():
+            if sigma(k) != k:
+                fail("sigma(k) != k", k, axiom="K0 in Fix(sigma)")
+            for e, s in zip(basis, sig):
+                if not self.inv.k0_contains(h.mul(h.mul(s, k), e)):
+                    fail("sigma(x)*k*x is not in K0", e, k, axiom="sandwich")
 
     def _all_vectors(self):
         pools = [self.h.elements() for _ in range(self.dim)]
@@ -214,12 +231,12 @@ class PseudoQuadraticSpace:
         for a in self._all_vectors():
             qa = self.q(a)
             for k in k0_elems:
-                yield TPoint(self, a, self.h.sub(qa, k))
+                yield TPoint(self, a, qa - k)
 
     def random_point(self, rng, height=9):
         a = self.random_vector(rng, height)
         shift = self.inv.k0.sample(rng, height)
-        return TPoint(self, a, self.h.add(self.q(a), shift))
+        return TPoint(self, a, self.q(a) + shift)
 
     def __repr__(self):
         return self.name or "PQS(dim %d over %r)" % (self.dim, self.h)
@@ -237,17 +254,16 @@ class TPoint:
         if other.space is not self.space:
             raise SpaceMismatch("points of different spaces")
         sp = self.space
-        h = sp.h
         return TPoint(sp, sp.vec_add(self.a, other.a),
-                      h.add(h.add(self.t, other.t), sp.f(other.a, self.a)))
+                      self.t + other.t + sp.f(other.a, self.a))
 
     def inverse(self):
         sp = self.space
         return TPoint(sp, sp.vec_neg(self.a),
-                      sp.h.neg(sp.inv.sigma(self.t)))
+                      -sp.inv.sigma(self.t))
 
     def is_identity(self):
-        return self.space.vec_is_zero(self.a) and self.space.h.is_zero(self.t)
+        return self.space.vec_is_zero(self.a) and self.t.is_zero()
 
     def is_central(self):
         return self.space.vec_is_zero(self.a)
@@ -260,12 +276,10 @@ class TPoint:
         return hash(self.key())
 
     def key(self):
-        h = self.space.h
-        return (tuple(h.key(x) for x in self.a), h.key(self.t))
+        return (tuple(x.key() for x in self.a), self.t.key())
 
     def __repr__(self):
-        return "(%s; %s)" % (", ".join(self.space.h.render(x) for x in self.a),
-                             self.space.h.render(self.t))
+        return "(%s; %r)" % (", ".join(map(repr, self.a)), self.t)
 
 
 def t_mul(x, y):
@@ -405,15 +419,14 @@ def _sigma_twist_maps(sp, tbl):
     """For each nonzero vector a0, the map fixing the fiber over a0 and
     conjugating t over the other nonzero vectors; returned as index
     permutations."""
-    h = sp.h
     nonzero = [a for a in sp._all_vectors() if not sp.vec_is_zero(a)]
     index = {p.key(): i for i, p in enumerate(tbl.elements)}
     perms = []
     for a0 in nonzero:
-        a0_key = tuple(h.key(x) for x in a0)
+        a0_key = tuple(x.key() for x in a0)
         perm = []
         for p in tbl.elements:
-            akey = tuple(h.key(x) for x in p.a)
+            akey = tuple(x.key() for x in p.a)
             if sp.vec_is_zero(p.a) or akey == a0_key:
                 perm.append(index[p.key()])
             else:
@@ -483,7 +496,7 @@ def _switch_point(inv, q_tower, split, q_a, x, t):
     dimension switch: ((s, y^s), N(x) q~(a) + u) with x = s + e*y split
     over the subfield and u = t - x^s q(a) x, which must lie in K0."""
     hd = inv.handle
-    u = hd.sub(t, hd.mul(hd.mul(hd.conj(x), q_tower), x))
+    u = t - hd.mul(hd.mul(x.conj(), q_tower), x)
     if not inv.k0_contains(u):
         raise ValueError("point does not lie over the anchor line")
     s, y = split(x)
@@ -506,7 +519,7 @@ def dim_switch_up(space, a_coeff=None, e=None):
         raise ValueError("carrier must be a quaternion tower (type iv)")
     alg = h.algebra
     a = alg.one() if a_coeff is None else a_coeff
-    qa = h.mul(h.mul(h.conj(a), space.q_rep[0]), a)  # q(b1*a) representative
+    qa = h.mul(h.mul(a.conj(), space.q_rep[0]), a)  # q(b1*a) representative
     # the subfield generated by 1 and q(a), as an abstract extension
     ext = QuadExt(alg.base, qa.trace(), qa.norm(), gen_name="u")
     perp = orthogonal_complement(alg, Subspace(alg, [alg.one(), qa]))
@@ -550,13 +563,13 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     if not (isinstance(h, FieldHandle) and isinstance(h.field, QuadExt)):
         raise ValueError("carrier must be a separable quadratic extension")
     i0, i1 = basis_idx
-    if not h.is_zero(space.f_gram[i0][i1]):
+    if not space.f_gram[i0][i1].is_zero():
         raise BasisNotOrthogonal("need f(a, b) = 0")
     ext = h.field
     base = ext.base
     faa = space.f_gram[i0][i0]
     fbb = space.f_gram[i1][i1]
-    beta = h.neg(h.mul(fbb, h.inv(faa)))
+    beta = -h.mul(fbb, h.inv(faa))
     if beta.conj() != beta:
         raise ValueError("beta is not fixed by the involution")
     beta_base = Scalar(base, ext.parts(beta.val)[0])
@@ -587,7 +600,8 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     ne = e_unit.norm()
     # q(b) = N(e) q~(a) mod F must hold against the original space
     qb = space.q_rep[i1]
-    if not space.inv.k0_contains(h.sub(qb, h.mul(h.scalar_embed(ne), space.q_rep[i0]))):
+    if not space.inv.k0_contains(
+            qb - h.mul(h.scalar_embed(ne), space.q_rep[i0])):
         raise ValueError("q(b) is not congruent to N(e) q(a)")
 
     def gamma(p):

@@ -288,7 +288,11 @@ def verify_space(space, samples=200, seed=3):
 # -- constructors -----------------------------------------------------------
 
 def space_from_algebra(algebra, name=None):
-    """The norm form of a doubling tower as a quadratic space (basepoint 1)."""
+    """The norm form of a doubling tower as a quadratic space (basepoint
+    1).  A tower whose division certificate found an isotropic element is
+    refused at that element."""
+    if algebra.division_witness is not None:
+        raise ValueError("form is isotropic at %r" % algebra.division_witness)
     basis = algebra.basis()
     from .composition import bilinear
     q_basis = [b.norm() for b in basis]

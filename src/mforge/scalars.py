@@ -648,6 +648,14 @@ class Scalar:
     def is_zero(self):
         return self.field.is_zero(self.val)
 
+    def key(self):
+        return self.val
+
+    def scale(self, c):
+        """self * c, c in this field or its base: the scaling tower
+        elements and space vectors share."""
+        return self * c
+
     def __repr__(self):
         return self.field.render(self.val)
 

@@ -475,8 +475,8 @@ def test_compiled_row_sets_match_the_term_by_term_contraction(base, betas):
 
 def test_frame_build_reads_no_lowered_coordinates(octonions, monkeypatch):
     """A DoublingFrame is built from the stored integers of its basis:
-    building one, with or without its checks, lowers no element to
-    base-field Scalars."""
+    building one, checks included, lowers no element to base-field
+    Scalars."""
     from mforge.composition import CDElement
     from mforge.octonion_aut import standard_quaternion_frame
     sub, e = standard_quaternion_frame(octonions)
@@ -485,10 +485,9 @@ def test_frame_build_reads_no_lowered_coordinates(octonions, monkeypatch):
     def refuse(x):
         raise AssertionError("read CDElement.coords")
     monkeypatch.setattr(CDElement, "coords", property(refuse))
-    for check in (True, False):
-        frame = DoublingFrame(octonions, sub, e, check=check)
-        x = octonions.element([1, 2, 3, 4, 5, 6, 7, 8])
-        assert frame.split(x) == want.split(x)
+    frame = DoublingFrame(octonions, sub, e)
+    x = octonions.element([1, 2, 3, 4, 5, 6, 7, 8])
+    assert frame.split(x) == want.split(x)
 
 
 NORM_TOWERS = [(QQ, [-1, -1, -1]), (QQ, ["-1/2", 3, "-5/7"]),

@@ -53,8 +53,7 @@ def test_axioms_canonical_triangles(a2_oct, p3_quat):
 def test_f3_fails_on_unit_breaking_glueing():
     shift = {F4.scalar((a, b)).val: F4.scalar((a, b)) + F4.one()
              for a in range(2) for b in range(2)}
-    table = GTableMap([(F4.scalar(k), v) for k, v in shift.items()],
-                      key=lambda x: x.val)
+    table = GTableMap([(F4.scalar(k), v) for k, v in shift.items()])
     f = path_over(F4, GlueingMap([table]))
     rep = fnd_check(f, samples=12)
     assert not rep.line("f3.unit-preserved").passed
@@ -306,8 +305,7 @@ def test_reparametrize_unit_incompatible():
     f = Foundation(dia, polys, {("1", "2", "3"): identity_glueing()})
     swap = GTableMap([(F4.one(), F4.gen()), (F4.gen(), F4.one()),
                       (F4.zero(), F4.zero()),
-                      (F4.gen() * F4.gen(), F4.gen() * F4.gen())],
-                     key=lambda x: x.val)
+                      (F4.gen() * F4.gen(), F4.gen() * F4.gen())])
     from mforge.foundations import UnitIncompatible
     with pytest.raises(UnitIncompatible):
         fnd_reparametrize(f, {("1", "2"): (GlueingMap([swap]),) * 3})

@@ -391,7 +391,7 @@ def ms_jordan_frobenius_f4():
 def t_jordan_hamilton():
     from mforge.pseudoquad import TPoint, t_jordan_check, xi_hamilton
     xh = xi_hamilton()
-    minus = xh.h.neg(xh.h.one())
+    minus = -xh.h.one()
     return t_jordan_check(lambda p: TPoint(xh, xh.vec_scale(p.a, minus), p.t),
                           xh, xh, samples=30, seed=3)
 
@@ -609,14 +609,14 @@ def root_group_draws():
              PolygonDescriptor(SYMBOL_QI, InvolutorySet(F4, SIGMA_GALOIS)),
              PolygonDescriptor(SYMBOL_QD,
                                IndifferentSet(F2, [F2.one()], [F2.one()]))]
-    draws = [(m.random, repr, repr(m)) for m in msets]
-    draws += [(d.group(i).random, d.group(i).render, "%r slot %d" % (d, i))
+    draws = [(m.random, repr(m)) for m in msets]
+    draws += [(d.group(i).random, "%r slot %d" % (d, i))
               for d in descs for i in range(1, d.n + 1)]
     rng = random.Random(5)
-    lines = [json.dumps([label] + [render(draw(rng, nonzero=k % 2 == 1))
+    lines = [json.dumps([label] + [repr(draw(rng, nonzero=k % 2 == 1))
                                    for k in range(4)],
                         separators=(",", ":"))
-             for draw, render, label in draws]
+             for draw, label in draws]
     return "\n".join(lines) + "\n"
 
 

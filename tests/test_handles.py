@@ -6,7 +6,9 @@ import pytest
 
 from mforge.composition import (CDAlgebra, Subspace, gauss_q, octonions_q,
                                 quaternions_q)
-from mforge.handles import SmallFieldHandle, as_handle
+from mforge.handles import (CDHandle, FieldHandle, Handle, SmallFieldHandle,
+                            as_handle)
+from mforge.moufang import ParamGroup
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
 from mforge.scalars import F3, F4, F5, QI, QQ
 
@@ -65,8 +67,22 @@ def test_one_is_neutral_and_zero_is_additive(handle):
     one = handle.one()
     for x in _samples(handle):
         assert handle.mul(one, x) == x == handle.mul(x, one)
-        assert handle.is_zero(handle.add(x, handle.neg(x)))
-        assert handle.sub(x, x) == handle.zero()
+        assert (x + -x).is_zero()
+        assert x - x == handle.zero()
+
+
+def test_elements_carry_their_own_arithmetic():
+    """The element ops live on the elements alone: no handle forwards them,
+    no root group stores a key or a renderer, and a Scalar's key is the
+    payload the field handle used to key it by."""
+    forwards = {"add", "sub", "neg", "is_zero", "conj", "key", "render"}
+    for cls in (Handle, FieldHandle, CDHandle, SmallFieldHandle):
+        assert not forwards & set(vars(cls)), cls
+    assert not {"key", "render"} & set(ParamGroup._fields)
+    assert len(ParamGroup._fields) == 8
+    for field in (QQ, F5, F4, QI):
+        for x in _samples(as_handle(field)):
+            assert x.key() == x.val
 
 
 def test_inverse_is_two_sided(handle):
@@ -77,7 +93,7 @@ def test_inverse_is_two_sided(handle):
 
 def test_conj_is_an_involution(handle):
     for x in _samples(handle):
-        assert handle.conj(handle.conj(x)) == x
+        assert x.conj().conj() == x
 
 
 def test_double_opposite_is_the_handle(handle):

@@ -288,7 +288,7 @@ def test_unflagged_atoms_and_other_towers_take_the_rule(octonions,
     from mforge.foundations import GlueingMap, GTableMap
     xs = _draws(octonions, random.Random(83), 20)
     # sigma_s, then the table back: the identity on xs
-    table = GTableMap([(x.conj(), x) for x in xs], key=lambda x: x.key())
+    table = GTableMap([(x.conj(), x) for x in xs])
     rule = GlueingMap.apply
     calls = []
 

@@ -47,7 +47,7 @@ def test_membership_shift(xf4):
     for k in F4.elements():
         ok = True
         try:
-            xf4.point(p.a, xf4.h.add(p.t, k))
+            xf4.point(p.a, p.t + k)
         except ValueError:
             ok = False
         assert ok == xf4.inv.k0_contains(k)
@@ -63,7 +63,7 @@ def test_square_of_noncentral_is_unit(xf4):
 def test_diagonal_law(xf4):
     for p in xf4.enumerate_t():
         faa = xf4.f(p.a, p.a)
-        assert faa == xf4.h.sub(p.t, xf4.inv.sigma(p.t))
+        assert faa == p.t - xf4.inv.sigma(p.t)
 
 
 def test_central_products(xf4):
@@ -104,7 +104,7 @@ def test_q_congruent_to_half_diagonal_char0(xh):
     half = h.scalar_embed("1/2")
     for _ in range(30):
         a = xh.random_vector(rng)
-        diff = h.sub(xh.q(a), h.mul(half, xh.f(a, a)))
+        diff = xh.q(a) - h.mul(half, xh.f(a, a))
         assert xh.inv.k0_contains(diff)
 
 
@@ -121,7 +121,7 @@ def test_hua_is_automorphism_hamilton(xh):
 
 def test_hua_central_anchor_formula(xh):
     h = xh.h
-    t = h.add(h.one(), h.one())
+    t = h.one() + h.one()
     anchor = xh.point((h.zero(),), t)
     rng = random.Random(6)
     for _ in range(20):
@@ -169,7 +169,7 @@ def test_jordan_check_hamilton_space_isomorphism(xh):
     # scales nothing but permutes T; scaling the vector coordinate by a
     # central unit is a space isomorphism with phi = id
     h = xh.h
-    minus = h.neg(h.one())
+    minus = -h.one()
 
     def gamma(p):
         return TPoint(xh, xh.vec_scale(p.a, minus), p.t)
@@ -243,7 +243,7 @@ def test_explicit_q8_isomorphism(xf4):
 def test_dim_switch_up(xh):
     up, gamma = dim_switch_up(xh)
     assert up.dim == 2
-    assert up.h.is_zero(up.f_gram[0][1])
+    assert up.f_gram[0][1].is_zero()
     # f~(b,b) = N(e) f(a,a): here N(e) = 1
     assert up.f_gram[1][1] == up.f_gram[0][0]
     rep = t_jordan_check(gamma, xh, up, samples=80, seed=5)
@@ -252,7 +252,7 @@ def test_dim_switch_up(xh):
     one = xh.h.one()
     p = xh.point((one,), xh.q((one,)))
     img = gamma(p)
-    assert up.h.is_zero(img.a[1])
+    assert img.a[1].is_zero()
 
 
 def test_dim_switch_down_round_trip(xh):
@@ -280,6 +280,31 @@ def test_constructor_validates_anisotropy():
         PseudoQuadraticSpace(inv, [F4.one()], [[F4.zero()]])
 
 
+def _k0_moved_by_sigma():
+    # K0 = <1, i> with the standard involution: sigma(i) = -i
+    H = quaternions_q()
+    j = H.unit(2)
+    return (InvolutorySet(H, SIGMA_STANDARD, k0_gens=[H.one(), H.unit(1)]),
+            [j], [[j + j]])
+
+
+def _sandwich_outside_k0():
+    # sigma = id on F4 with K0 = F2: sigma(w)*1*w = w + 1 is not in K0
+    return (InvolutorySet(F4, SIGMA_IDENTITY, k0_gens=[F4.one()]),
+            [F4.gen()], [[F4.zero()]])
+
+
+@pytest.mark.parametrize("parts,message", [
+    (_k0_moved_by_sigma,
+     "K0 in Fix(sigma) fails: sigma(k) != k at ((0, 1, 0, 0))"),
+    (_sandwich_outside_k0,
+     "sandwich fails: sigma(x)*k*x is not in K0 at (1*w, 1)")])
+def test_constructor_refuses_a_triple_that_is_no_involutory_set(parts,
+                                                               message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PseudoQuadraticSpace(*parts())
+
+
 # -- (P1) and (P2) on a basis against the case loop ----------------------------
 
 def _reference_validate(sp, samples=64, seed=9):
@@ -301,7 +326,7 @@ def _reference_validate(sp, samples=64, seed=9):
                    for _ in range(samples)]
     for a, b in pairs:
         lhs = sp.q(sp.vec_add(a, b))
-        rhs = h.add(h.add(sp.q(a), sp.q(b)), sp.f(a, b))
+        rhs = sp.q(a) + sp.q(b) + sp.f(a, b)
         if not sp.congruent(lhs, rhs):
             raise ValueError("(P1) fails")
     for a, t in scalars:
@@ -394,6 +419,24 @@ def test_basis_check_agrees_with_the_case_loop(name, monkeypatch):
         assert new.startswith("(P1) fails: " + _PREMISE[name])
     else:
         assert ref is None
+
+
+@pytest.mark.parametrize("name", sorted(set(_ORACLE_INPUTS) - set(_PREMISE)))
+def test_sandwich_cross_terms_lie_in_k0(name):
+    """The constructor decides the sandwich on basis vectors alone: on
+    every space it builds, each cross term sigma(e_i)*k*e_j +
+    sigma(e_j)*k*e_i lies in K0, as the trace of sigma(e_i)*k*e_j."""
+    sp = PseudoQuadraticSpace(*_ORACLE_INPUTS[name](), name=name)
+    h, sigma = sp.h, sp.inv.sigma
+    cf = h.coord_field
+    basis = [h.uncoords([cf.one() if k == i else cf.zero()
+                         for k in range(h.coord_dim)])
+             for i in range(h.coord_dim)]
+    for k in sp.inv.k0.basis():
+        for i, x in enumerate(basis):
+            for y in basis[i + 1:]:
+                assert sp.inv.k0_contains(h.mul(h.mul(sigma(x), k), y)
+                                          + h.mul(h.mul(sigma(y), k), x))
 
 
 def _count_q(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mforge import linalg, moufang
-from mforge.composition import octonions_q, quaternions_q
+from mforge.composition import CDAlgebra, octonions_q, quaternions_q
 from mforge.handles import SmallFieldHandle
 from mforge.quadspace import (DimensionTooLarge, QuadraticSpace,
                               ZeroAnchor, qs_defect, qs_eval, qs_hua,
@@ -405,6 +405,19 @@ def f_reference(space, u, v):
 
 # every space built in this file, a dim-3 space over Q with all three
 # upper entries, and a characteristic-2 space over F4: x^2 + xy + w y^2 is
+@pytest.mark.parametrize("betas,witness", [([-1], "(1, 469)"),
+                                           ([-1, -1], "(0, 0, 1, 469)")])
+def test_space_from_algebra_refuses_a_tower_with_an_isotropic_witness(
+        betas, witness):
+    # sampled anisotropy passed both norm forms over F_1009, though the
+    # division certificate had found an element of norm 0
+    algebra = CDAlgebra(PrimeField(1009), betas)
+    assert algebra.division_witness.norm().is_zero()
+    with pytest.raises(ValueError, match=re.escape(
+            "form is isotropic at %s" % witness)):
+        space_from_algebra(algebra)
+
+
 # anisotropic because w has trace 1
 SPACES = {
     "F4": lambda: space_from_quadext(F4),
