@@ -24,7 +24,7 @@ from .polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE, SYMBOL_QF,
                        PolygonDescriptor)
 from .pseudoquad import xi_f4, xi_hamilton
 from .quadspace import space_from_quadext
-from .scalars import NAMED_FIELDS, field_by_name
+from .scalars import NAMED_FIELDS, Field, field_by_name
 from .unitary import (SIGMA_GALOIS, SIGMA_STANDARD, IndifferentSet,
                       InvolutorySet)
 
@@ -204,15 +204,16 @@ def _atom_from_json(entry, edge_desc):
         return GStandardInvolution()
     if kind == "frobenius":
         return GFrobenius(entry.get("power", 1))
+    carrier = getattr(edge_desc.params, "carrier", None)
     if kind == "scalar_conj":
-        h = edge_desc.params
-        alg = h.algebra
-        return GScalarConj(alg.element(entry["w"]))
+        if not isinstance(carrier, CDAlgebra):
+            raise ValueError("a scalar_conj atom needs a tower edge")
+        return GScalarConj(carrier.element(entry["w"]))
     if kind == "table":
-        h = edge_desc.params
-        field = h.field
-        pairs = [(field.scalar(tuple(a) if isinstance(a, list) else a),
-                  field.scalar(tuple(b) if isinstance(b, list) else b))
+        if not isinstance(carrier, Field):
+            raise ValueError("a table atom needs a field edge")
+        pairs = [(carrier.scalar(tuple(a) if isinstance(a, list) else a),
+                  carrier.scalar(tuple(b) if isinstance(b, list) else b))
                  for a, b in entry["pairs"]]
         return GTableMap(pairs)
     raise KeyError("unknown atom %r" % kind)

@@ -183,6 +183,9 @@ class CDAlgebra(IntSpace):
     def one(self):
         return self.unit(0)
 
+    def is_commutative(self):
+        return self.dim <= 2
+
     def characteristic(self):
         return self.base.characteristic()
 
@@ -411,31 +414,28 @@ def bilinear(x, y):
 
 class Subspace:
     """The one span class: the span of some carrier elements over the
-    coordinate field, read through a tower (as its ``CDHandle``) or any
-    ``handles.Handle``.  Subspaces of a tower and the spans K0 and L0 of
-    involutory and indifferent sets are both of this kind.  One integer
-    reduction (``linalg._reduced``) gives the basis, in exact reduced
-    row-echelon form, and the residual rows of `contains`; the vectors of
-    a carrier that is a ``linalg.IntSpace`` (a tower, or the space of a
-    small field) go in and come out as their stored integers."""
+    coordinate field, read through a ``handles.Handle``, or built on a
+    field or tower, which ``handles.as_handle`` reads.  Subspaces of a
+    tower and the spans K0 and L0 of involutory and indifferent sets are
+    all of this kind.  One integer reduction (``linalg._reduced``) gives the
+    basis, in exact reduced row-echelon form, and the residual rows of
+    `contains`; the vectors of a carrier that is a ``linalg.IntSpace`` (a
+    tower, or the space of a small field) go in and come out as their
+    stored integers, and a field's elements as their `coords`."""
 
     def __init__(self, carrier, vectors):
-        from .handles import CDHandle  # handles imports this module
-        if isinstance(carrier, CDAlgebra):
-            carrier = CDHandle(carrier)
-        self.handle = carrier
-        field = carrier.coord_field
+        from .handles import as_handle  # handles imports this module
+        self.handle = h = as_handle(carrier)
+        field = h.coord_field
         r, self._p = field.coord_dim, field.characteristic()
-        space = getattr(carrier, "carrier", None)
-        if not isinstance(space, IntSpace):
-            space = None
+        space = h.carrier if isinstance(h.carrier, IntSpace) else None
         rows = (space._expanded(vectors) if space else linalg._expanded(
-            field, [carrier.coords(v) for v in vectors]))[0]
+            field, [v.coords for v in vectors]))[0]
         pivots, kept = linalg._reduced(field, rows)
-        self._residual = linalg._residual(rows, pivots, carrier.coord_dim * r)
+        self._residual = linalg._residual(rows, pivots, h.coord_dim * r)
         self._basis = [space._canonical(row, row[pc]) if space else
-                       carrier.uncoords([Scalar(field, v) for v in
-                                         field.lower(row, row[pc])])
+                       h.carrier.element([Scalar(field, v) for v in
+                                          field.lower(row, row[pc])])
                        for row, pc in kept]
 
     @property
@@ -448,7 +448,7 @@ class Subspace:
     def contains(self, x):
         h = self.handle  # a stored vector hands over its integers
         X = (x.nums if isinstance(x, IntVector)
-             else h.coord_field.lift([c.val for c in h.coords(x)])[0])
+             else h.coord_field.lift([c.val for c in x.coords])[0])
         return linalg._vanishes(self._residual, X, self._p)
 
     def extended(self, vectors):
@@ -816,6 +816,8 @@ def _stacks(algebra):
 
 
 def _reprs(*args):
+    # a list, not report.reprs' tuple: golden identities_dim16_moufang
+    # stores repr(rep), whose cex= prints the list brackets
     return [repr(a) for a in args]
 
 

@@ -26,12 +26,13 @@ import random
 import zlib
 
 from . import linalg
-from .handles import CDHandle, FieldHandle
+from .composition import CDAlgebra
 from .moufang import MoufangSet, ms_jordan_check
 from .polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE, SYMBOL_QF,
                        SYMBOL_QI, SYMBOL_QP, SYMBOL_QQ, SYMBOL_T,
                        rgs_opposite)
 from .report import Report
+from .scalars import Field, Scalar
 
 
 class NotACover(ValueError):
@@ -263,7 +264,9 @@ def _pow(x, k):
 
 
 class GLinear(GAtom):
-    """Coordinate-matrix map over the carrier's coordinate field."""
+    """Coordinate-matrix map over the carrier's coordinate field F, applied
+    on integer coordinates over Q or F_p: the images of the lifted unit
+    vectors are ``linalg._expanded`` of the matrix columns."""
 
     parity = UNKNOWN
     additive = True
@@ -271,14 +274,19 @@ class GLinear(GAtom):
     def __init__(self, matrix, handle):
         self.matrix = [row[:] for row in matrix]
         self.handle = handle
+        self.field = field = matrix[0][0].field
+        images, self._den = linalg._expanded(field, list(zip(*matrix)))
+        self._rows = linalg._sparse(zip(*images))
 
     def apply(self, x):
-        coords = self.handle.coords(x)
-        return self.handle.uncoords(linalg.mat_vec(self.matrix, coords))
+        f = self.field
+        X, d = f.lift([c.val for c in x.coords])
+        return self.handle.carrier.element([Scalar(f, v) for v in f.lower(
+            linalg._apply(self._rows, X), self._den * d)])
 
     def inverse(self):
         """Row i of the inverse: the coefficients of e_i in the rows."""
-        field, n = self.matrix[0][0].field, len(self.matrix)
+        field, n = self.field, len(self.matrix)
         proj = linalg.Projector(field, linalg._expanded(field, self.matrix))
         try:
             inv = [proj.coefficients([field.scalar(int(i == j))
@@ -823,15 +831,14 @@ def _carrier_kind(fnd):
         if desc.symbol != SYMBOL_T:
             raise NotSimplyLaced("non-triangle polygon present")
         h = desc.params
-        if isinstance(h, CDHandle):
-            dim = h.algebra.dim
-            kinds.add("field" if dim <= 2 else
-                      "quaternion" if dim == 4 else "octonion")
-            descriptors.add(("cd", h.algebra.base,
-                             tuple(str(b) for b in h.algebra.betas)))
-        elif isinstance(h, FieldHandle):
+        c = h.carrier
+        if isinstance(c, CDAlgebra):
+            kinds.add("field" if c.dim <= 2 else
+                      "quaternion" if c.dim == 4 else "octonion")
+            descriptors.add(("cd", c))
+        elif isinstance(c, Field):
             kinds.add("field")
-            descriptors.add(("field", h.field))
+            descriptors.add(("field", c))
         elif h.is_commutative():
             kinds.add("field")
             descriptors.add(("other", h))
@@ -916,30 +923,13 @@ def fnd_positive_analysis(fnd, samples=40, seed=73):
     residue_graph_edges = [
         (a, b) for a, b in itertools.combinations(member_list, 2)
         if len(set(a) & set(b)) == 1]
-    is_tree = _members_tree(member_list, residue_graph_edges)
+    is_tree = CoxeterDiagram(member_list, {e: 3 for e in
+                                           residue_graph_edges}).is_tree()
     return {"members": member_list,
             "residue_graph_edges": residue_graph_edges,
             "residue_graph_is_tree": is_tree,
             "conditions": evidence,
             "signs": signs}
-
-
-def _members_tree(members, edges):
-    if not members:
-        return True
-    adj = {m: [] for m in members}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {members[0]}
-    stack = [members[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(members) and len(edges) == len(members) - 1
 
 
 def _diagram_shape(dia):
@@ -1104,7 +1094,7 @@ def _check_443_unitary(fnd, verts, evidence, samples, seed):
 
     inv_set = q23.params if sym == SYMBOL_QI else q23.params.inv
     h = inv_set.handle
-    quaternion = isinstance(h, CDHandle) and h.algebra.dim == 4
+    quaternion = isinstance(h.carrier, CDAlgebra) and h.carrier.dim == 4
     field_case = h.is_commutative()
 
     # gamma_2 at the quadrangle vertex must be the opposite identification
@@ -1143,9 +1133,8 @@ def _check_443_unitary(fnd, verts, evidence, samples, seed):
         return Verdict(Verdict.NOT_INTEGRABLE, case, evidence)
     if field_case:
         dim_l0 = 0 if sym == SYMBOL_QI else q23.params.dim
-        f4_like = (h.is_finite() and h.coord_field.characteristic() == 2
-                   and getattr(h, "field", None) is not None
-                   and h.field.is_finite() and h.field.order() == 4)
+        f4_like = (isinstance(h.carrier, Field) and h.carrier.is_finite()
+                   and h.carrier.order() == 4)
         if f4_like and dim_l0 == 1:
             return Verdict(Verdict.INCONCLUSIVE, "443-unitary-field",
                            evidence + [("unitary.f4-side-condition", True,

@@ -3,22 +3,24 @@
 The involutory/indifferent structures, Moufang-set families, polygon
 parameter groups and foundation glueings all need the same small protocol
 over "something you can multiply": a field, a doubling tower, or the
-field on a quadratic space of dimension <= 2.  The elements carry their
-own arithmetic (+, -, negation, `is_zero()`, `conj()`, `key()` and
-`repr`), and callers use it directly; a handle holds only what depends on
-the carrier or on how it is read: the product, inverse, one and zero,
-draws, enumeration and coordinates.  `Handle` holds that protocol once;
-`FieldHandle`, `CDHandle` and `SmallFieldHandle` override only what
-differs between the carriers.  A tower can also be read with its
-multiplication reversed (`opposite()`), which sets the handle's `reversed`
-flag; fields and small fields are commutative and are their own opposite.
-A handle bundles the protocol together with exact coordinates over a
-ground field so spans can be decided by linear algebra: a span inside a
-handle is a `composition.Subspace`, the one span class, and
-`composition.closure` its closure under products.  The carrier of a tower
-or of a small field is a `linalg.IntSpace` (a tower or a quadratic
-space), which builds elements from coordinates and draws them for the
-handle, and whose stored integers `Subspace` reads.
+field on a quadratic space of dimension <= 2.  Every carrier answers one
+protocol: `element(coords)`, `random_element`, `all_elements`,
+`from_base`, `is_commutative`, `coord_field` and `coord_dim`, a field
+through ``scalars.Field`` and a tower or a quadratic space through
+``linalg.IntSpace``.  Every element carries its own arithmetic (+, -,
+negation, `is_zero()`, `conj()`, `inverse()`, `key()` and `repr`) and its
+`coords` over the coordinate field, and callers use them directly.  So
+one `Handle` serves every field and tower: it holds only what depends on
+how the carrier is read, namely the product, inverse, one and zero,
+draws, enumeration and the embedding of base scalars.  A tower can also
+be read with its multiplication reversed (`opposite()`), a twin handle
+with the `reversed` flag set; fields and small fields are commutative and
+are their own opposite.  `SmallFieldHandle` reads a quadratic space of
+dimension <= 2 as its small field, with a product, one, inverse and
+embedding of its own.  A span inside a handle is a
+`composition.Subspace`, the one span class, and `composition.closure`
+its closure under products; the vectors of a carrier that is a
+``linalg.IntSpace`` hand it their stored integers.
 """
 
 from __future__ import annotations
@@ -28,17 +30,21 @@ import functools
 from . import linalg
 from .composition import CDAlgebra
 from .quadspace import DimensionTooLarge
-from .scalars import Field, Scalar, random_scalar
 
 
 class Handle:
-    """The carrier protocol.  Elements bring their own sum, difference,
-    negation, zero test, conjugation, key and coordinates, and no handle
-    forwards them; `carrier` is the field, tower or quadratic space the
-    elements live in, and a tower or a space builds and draws them
-    (`uncoords`, `random`)."""
+    """A carrier read as "something you can multiply".  Elements bring
+    their own sum, difference, negation, zero test, conjugation, inverse,
+    key and coordinates, and no handle forwards them; `carrier` is the
+    field, tower or quadratic space the elements live in, and builds
+    (`element`) and draws them."""
 
     reversed = False
+
+    def __init__(self, carrier):
+        self.carrier = carrier
+        self.coord_field = carrier.coord_field
+        self.coord_dim = carrier.coord_dim
 
     def one(self):
         return self.carrier.one()
@@ -49,26 +55,42 @@ class Handle:
     def mul(self, a, b):
         return b * a if self.reversed else a * b
 
-    def coords(self, a):
-        return list(a.coords)
-
-    def uncoords(self, coords):
-        return self.carrier.element(coords)
+    def inv(self, a):
+        return a.inverse()
 
     def random(self, rng, height=20, nonzero=False):
         return self.carrier.random_element(rng, height, nonzero=nonzero)
 
-    def characteristic(self):
-        return self.coord_field.characteristic()
+    def elements(self):
+        # a tower lists at most 2^16 elements; a field or small field, as
+        # many as it has, so a finite carrier's (P3) scan still runs
+        field, dim = self.coord_field, self.coord_dim
+        if (isinstance(self.carrier, CDAlgebra) and field.is_finite()
+                and field.order() ** dim > 2 ** 16):
+            raise ValueError("%r has %d^%d elements, more than 2^16 to list"
+                             % (self.carrier, field.order(), dim))
+        return list(self.carrier.all_elements())
 
-    def is_finite(self):
-        return self.coord_field.is_finite()
+    def scalar_embed(self, s):
+        return self.carrier.from_base(s)
+
+    def basis(self):
+        """The elements with unit coordinates over the coordinate field."""
+        n = self.coord_dim
+        return [self.carrier.element([int(i == k) for i in range(n)])
+                for k in range(n)]
 
     def is_commutative(self):
-        return True
+        return self.carrier.is_commutative()
 
     def opposite(self):
-        return self  # commutative: the reversed reading is the same
+        # a tower's twin is distinct even when it commutes (dim <= 2):
+        # foundations count reading flips from the end carriers
+        if not isinstance(self.carrier, CDAlgebra):
+            return self
+        twin = Handle(self.carrier)
+        twin.reversed = not self.reversed
+        return twin
 
     def __eq__(self, other):
         return (type(other) is type(self) and other.reversed == self.reversed
@@ -82,69 +104,6 @@ class Handle:
 
     def __repr__(self):
         return "%r^op" % self.carrier if self.reversed else repr(self.carrier)
-
-
-class FieldHandle(Handle):
-    """A plain field as a carrier; coordinates over itself or, for a
-    quadratic extension, over its base."""
-
-    def __init__(self, field):
-        self.field = self.carrier = field
-        self.coord_field = field.coord_field
-        self.coord_dim = field.coord_dim
-
-    def inv(self, a):
-        return a.inv()
-
-    def coords(self, a):
-        vals = self.field.parts(a.val) if self.coord_dim == 2 else (a.val,)
-        return [Scalar(self.coord_field, v) for v in vals]
-
-    def uncoords(self, coords):
-        vals = tuple(c.val for c in coords)
-        return self.field.scalar(vals if self.coord_dim == 2 else vals[0])
-
-    def elements(self):
-        return self.field.elements()
-
-    def random(self, rng, height=20, nonzero=False):
-        return random_scalar(self.field, rng, height, nonzero)
-
-    def scalar_embed(self, s):
-        return self.field.scalar(s)
-
-
-class CDHandle(Handle):
-    """A doubling tower as a carrier; coordinates over the base field.  Its
-    opposite is a twin handle whose `mul` reverses the product."""
-
-    def __init__(self, algebra):
-        self.algebra = self.carrier = algebra
-        self.coord_field = algebra.base
-        self.coord_dim = algebra.dim
-
-    def inv(self, a):
-        return a.inverse()
-
-    def elements(self):
-        base, dim = self.algebra.base, self.algebra.dim
-        if base.is_finite() and base.order() ** dim > 2 ** 16:
-            raise ValueError("%r has %d^%d elements, more than 2^16 to list"
-                             % (self.algebra, base.order(), dim))
-        return list(self.algebra.all_elements())
-
-    def is_commutative(self):
-        return self.algebra.dim <= 2
-
-    def scalar_embed(self, s):
-        return self.algebra.from_base(s)
-
-    def opposite(self):
-        # a distinct twin even when the tower is commutative (dim <= 2):
-        # foundations count reading flips from the end carriers
-        twin = CDHandle(self.algebra)
-        twin.reversed = not self.reversed
-        return twin
 
 
 class SmallFieldHandle(Handle):
@@ -163,8 +122,8 @@ class SmallFieldHandle(Handle):
             space = space.space
         if space.dim > 2:
             raise DimensionTooLarge("field structure needs dim <= 2")
-        self.space = self.carrier = space
-        self.coord_field, self.coord_dim = space.field, space.dim
+        super().__init__(space)
+        self.space = space
         eps = space.basepoint
         # e_0 lies on the line of eps = (a, b) exactly when b = 0
         self.xt = (None if space.dim == 1 else
@@ -210,9 +169,6 @@ class SmallFieldHandle(Handle):
         # a * sigma(a) = eps * q(a), so 1/a = sigma(a) / q(a)
         return self.space.sigma(a).scale(self.space.q(a).inv())
 
-    def elements(self):
-        return list(self.space.all_elements())
-
     def scalar_embed(self, s):
         return self.space.basepoint.scale(s)
 
@@ -221,10 +177,10 @@ class SmallFieldHandle(Handle):
 
 
 def as_handle(obj):
+    """The handle of a field or tower; a handle is its own."""
     if isinstance(obj, Handle):
         return obj
-    if isinstance(obj, Field):
-        return FieldHandle(obj)
-    if isinstance(obj, CDAlgebra):
-        return CDHandle(obj)
-    raise TypeError("no handle for %r" % (obj,))
+    try:
+        return Handle(obj)
+    except AttributeError:  # no carrier protocol
+        raise TypeError("no handle for %r" % (obj,)) from None

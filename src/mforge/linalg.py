@@ -6,8 +6,7 @@ there is one elimination for every field: ``_eliminate``, an integer
 Gauss-Jordan, fraction-free over Q and modulo p over F_p.  On it sit
 ``_reduced``, the reduced rows of a span and the residual rows of its
 membership test (``composition.Subspace``), and ``_kernel``, the kernel of
-a K-linear map given by its integer rows.  ``mat_vec`` applies a matrix of
-Scalars.
+a K-linear map given by its integer rows.
 
 ``IntVector`` is a vector stored in that integer form, over one
 denominator, and ``IntSpace`` the space it lies in: a doubling tower
@@ -15,18 +14,22 @@ denominator, and ``IntSpace`` the space it lies in: a doubling tower
 (``quadspace.QuadraticSpace``).  Sums, differences, negation, the zero
 test, equality, keys and the lowered ``coords`` are defined once, on
 ``IntVector``; vectors from coordinates, the zero and unit vectors,
-seeded draws and the enumeration of a finite space once, on ``IntSpace``.
+seeded draws and the enumeration of a finite space once, on ``IntSpace``,
+which so answers the carrier protocol of ``handles.Handle`` as a field
+does.
 
 The fast paths are K-linear and K-bilinear maps expanded once into
 integer rows over Q or F_p: ``_bilinear`` expands the entries of a
 K-bilinear map over the basis of K (``_units``), for the tower product,
 the forms of a quadratic space, its scaling and the small-field product,
 and ``_compiled`` builds a straight-line function of two integer vectors
-from a set of rows.  A ``Projector`` answers for the coordinates of x in
-a fixed, arbitrary basis and whether x lies in its span, for doubling
-frames, subfields and inverse matrices: it eliminates the expanded basis
-with ``_eliminate`` and keeps integer rows, with no Scalar arithmetic.
-Stored vectors go in without a lift.
+from a set of rows.  A matrix over K applies as the integer rows of its
+expanded columns (``_expanded``, ``_sparse``, ``_apply``; the glueing
+atom ``foundations.GLinear``).  A ``Projector`` answers for the
+coordinates of x in a fixed, arbitrary basis and whether x lies in its
+span, for doubling frames, subfields and inverse matrices: it eliminates
+the expanded basis with ``_eliminate`` and keeps integer rows, with no
+Scalar arithmetic.  Stored vectors go in without a lift.
 """
 
 from __future__ import annotations
@@ -40,17 +43,6 @@ from .scalars import Scalar
 
 class NotInSpan(ValueError):
     pass
-
-
-def mat_vec(m, v):
-    field = m[0][0].field
-    out = []
-    for row in m:
-        acc = field.zero()
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return out
 
 
 def _reduced(field, rows):
@@ -396,7 +388,19 @@ class IntVector:
 class IntSpace:
     """K^n with its vectors stored as ``IntVector``s.  A subclass sets
     `field` (K), `dim` (n) and `_canonical`, the ``scalars._reducer`` map
-    (nums, den) -> vector."""
+    (nums, den) -> vector.
+
+    A space answers the carrier protocol of ``handles.Handle``, as a
+    field does: `element`, `random_element`, `all_elements`, `coord_field`
+    (K) and `coord_dim` (n), and `is_commutative`, for the product a
+    tower overrides or the small field of a plane; a tower adds
+    `from_base`."""
+
+    coord_field = property(lambda s: s.field)
+    coord_dim = property(lambda s: s.dim)
+
+    def is_commutative(self):
+        return True
 
     def element(self, coords):
         vals = [self.field.coerce(c) for c in coords]

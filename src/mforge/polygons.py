@@ -25,7 +25,7 @@ import random
 import numpy as np
 
 from . import tables as tbl
-from .handles import FieldHandle, as_handle
+from .handles import Handle, as_handle
 from .moufang import MoufangSet, _defined, root_group
 from .pseudoquad import TPoint
 from .report import Report, reprs
@@ -148,8 +148,7 @@ class PolygonDescriptor:
         std_first = self.at_standard_first(end)
         if sym == SYMBOL_QQ:
             if std_first:
-                return MoufangSet(MoufangSet.LINEAR,
-                                  FieldHandle(params.field))
+                return MoufangSet(MoufangSet.LINEAR, Handle(params.field))
             return MoufangSet(MoufangSet.QUADRATIC, params)
         if sym == SYMBOL_QD:
             return MoufangSet(MoufangSet.INDIFFERENT,

@@ -29,8 +29,7 @@ import itertools
 import random
 
 from . import linalg
-from .composition import Subspace, orthogonal_complement
-from .handles import CDHandle, FieldHandle
+from .composition import CDAlgebra, Subspace, orthogonal_complement
 from .quadspace import ZeroAnchor
 from .report import Report
 from .scalars import F4, QuadExt, Scalar
@@ -142,7 +141,7 @@ class PseudoQuadraticSpace:
 
     def _validate(self, samples, seed):
         self._check_involution()
-        if self.h.is_finite():
+        if self.h.coord_field.is_finite():
             vecs = self._all_vectors()
         else:
             rng = random.Random(seed)
@@ -171,10 +170,7 @@ class PseudoQuadraticSpace:
         Their failures start with "K0 in Fix(sigma) fails" and "sandwich
         fails"."""
         h, sigma = self.h, self.inv.sigma
-        cf = h.coord_field
-        basis = [h.uncoords([cf.one() if k == i else cf.zero()
-                             for k in range(h.coord_dim)])
-                 for i in range(h.coord_dim)]
+        basis = h.basis()
         sig = [sigma(e) for e in basis]
 
         def fail(law, *xs, axiom="(P1)"):
@@ -481,8 +477,8 @@ def _subfield_maps(alg, ext, gen, e):
                    for frame in ([one, gen], [one, gen, e, e * gen]))
 
     def embed(s):
-        u, v = ext.parts(s.val)
-        return one.scale(Scalar(alg.base, u)) + gen.scale(Scalar(alg.base, v))
+        u, v = s.coords
+        return one.scale(u) + gen.scale(v)
 
     def pairs(proj, x):
         return [Scalar(ext, c) for c in
@@ -514,10 +510,9 @@ def dim_switch_up(space, a_coeff=None, e=None):
     """
     if space.dim != 1:
         raise ValueError("dimension switch starts from a 1-dim space")
-    h = space.h
-    if not isinstance(h, CDHandle) or h.algebra.dim != 4:
+    h, alg = space.h, space.h.carrier
+    if not isinstance(alg, CDAlgebra) or alg.dim != 4:
         raise ValueError("carrier must be a quaternion tower (type iv)")
-    alg = h.algebra
     a = alg.one() if a_coeff is None else a_coeff
     qa = h.mul(h.mul(a.conj(), space.q_rep[0]), a)  # q(b1*a) representative
     # the subfield generated by 1 and q(a), as an abstract extension
@@ -559,24 +554,22 @@ def dim_switch_down(space, basis_idx=(0, 1)):
     """
     if space.dim != 2:
         raise ValueError("dimension switch-down starts from a 2-dim space")
-    h = space.h
-    if not (isinstance(h, FieldHandle) and isinstance(h.field, QuadExt)):
+    h, ext = space.h, space.h.carrier
+    if not isinstance(ext, QuadExt):
         raise ValueError("carrier must be a separable quadratic extension")
     i0, i1 = basis_idx
     if not space.f_gram[i0][i1].is_zero():
         raise BasisNotOrthogonal("need f(a, b) = 0")
-    ext = h.field
     base = ext.base
     faa = space.f_gram[i0][i0]
     fbb = space.f_gram[i1][i1]
     beta = -h.mul(fbb, h.inv(faa))
     if beta.conj() != beta:
         raise ValueError("beta is not fixed by the involution")
-    beta_base = Scalar(base, ext.parts(beta.val)[0])
+    beta_base = beta.coords[0]
 
     # tower presentation of E: complete the square so the first stage is
     # generated by a trace-zero unit
-    from .composition import CDAlgebra
     t0, n0 = Scalar(base, ext.t0), Scalar(base, ext.n0)
     two = base.scalar(2)
     if base.characteristic() == 2:

@@ -187,6 +187,29 @@ class Field:
     def coord_field(self):
         return self
 
+    # -- the carrier protocol of ``handles.Handle``, which towers and
+    # quadratic spaces answer through ``linalg.IntSpace``
+    def element(self, coords):
+        """The element with these coordinates over `coord_field`, by that
+        field's `lift` and this field's `lower`: inverse to
+        `Scalar.coords`."""
+        cf = self.coord_field
+        vals = [cf.coerce(c) for c in coords]
+        if len(vals) != self.coord_dim:
+            raise ValueError("expected %d coordinates" % self.coord_dim)
+        return Scalar(self, self.lower(*cf.lift(vals))[0])
+
+    def random_element(self, rng, height=20, nonzero=False):
+        return random_scalar(self, rng, height, nonzero)
+
+    def all_elements(self):
+        return self.elements()
+
+    from_base = scalar
+
+    def is_commutative(self):
+        return True
+
     def __ne__(self, other):
         return not self.__eq__(other)
 
@@ -641,6 +664,19 @@ class Scalar:
 
     def inv(self):
         return Scalar(self.field, self.field.inv(self.val))
+
+    inverse = inv
+
+    @property
+    def coords(self):
+        """The coordinates over the field's coordinate field, by the
+        field's `lift` and that field's `lower`; (self,) when the field is
+        its own coordinate field."""
+        f = self.field
+        cf = f.coord_field
+        if cf is f:
+            return (self,)
+        return tuple([Scalar(cf, v) for v in cf.lower(*f.lift([self.val]))])
 
     def conj(self):
         return Scalar(self.field, self.field.conj(self.val))

@@ -160,6 +160,24 @@ def test_foundation_bad_file(capsys, tmp_path):
         assert code == 2 and "'edges' is a required property" in err
 
 
+def test_foundation_atom_on_the_wrong_carrier_is_an_input_error(capsys,
+                                                                 tmp_path):
+    # a table atom reads field scalars and scalar_conj a tower element
+    for sample, atom, message in (
+            ("a2_octonion.json", {"atom": "table", "pairs": [[1, 1]]},
+             "a table atom needs a field edge"),
+            ("circle5_f5.json", {"atom": "scalar_conj", "w": [2]},
+             "a scalar_conj atom needs a tower edge")):
+        with open(os.path.join(SAMPLES, sample)) as fh:
+            doc = json.load(fh)
+        doc["glueings"][0]["atoms"] = [atom]
+        path = tmp_path / sample
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["foundation", "check", str(path)], capsys)
+        assert code == 2 and err == (
+            "invalid foundation description: %s\n" % message), err
+
+
 def _frobenius_triangle(tmp_path, power):
     """A triangle over F4 whose glueing at (1, 2, 3) is frob^power."""
     path = tmp_path / "frobenius_triangle.json"

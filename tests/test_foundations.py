@@ -272,6 +272,19 @@ def test_positive_analysis_two_triangles_sharing_vertex(quaternions):
     assert v.kind == Verdict.MATCHES
 
 
+def test_residue_graph_tree_test_on_member_tuples():
+    """The residue graph is a CoxeterDiagram on the member tuples, with
+    a label-3 edge for each pair that meets in one vertex."""
+    a, b, c = ("1", "2", "3"), ("3", "4", "5"), ("1", "5", "6")
+
+    def tree(members, edges):
+        return CoxeterDiagram(members, {e: 3 for e in edges}).is_tree()
+
+    assert tree([], []) and tree([a], []) and tree([a, b], [(a, b)])
+    assert not tree([a, b, c], [(a, b), (b, c), (a, c)])
+    assert not tree([a, b, c], [(a, b)])
+
+
 def test_positive_triangles_sharing_edge_violate_overlap(quaternions):
     # two positive triangles sharing TWO vertices: pairwise-overlap fails
     h = as_handle(quaternions)
@@ -459,7 +472,7 @@ def _tower_doc(betas):
 
 def test_json_tower_betas_are_exact():
     f = foundation_from_json(_tower_doc([-1, "-1/2"]))
-    betas = f.polygons[("1", "2")].params.algebra.betas
+    betas = f.polygons[("1", "2")].params.carrier.betas
     assert [b.val for b in betas] == [-1, Fraction(-1, 2)]
     for bad in ([0.1], [True], [[1, 2]]):
         with pytest.raises(FoundationFormatError,
@@ -562,16 +575,13 @@ def test_equal_small_field_handles_are_one_carrier():
     assert (v.kind, v.case) == (Verdict.MATCHES, "field")
 
 
-class _SkewQuaternions(Handle):
-    """The quaternions over Q read through a handle that is not a tower
-    handle: a non-commutative carrier of no known kind."""
+class _SkewQuaternions:
+    """The quaternions over Q as a carrier that is no tower: a
+    non-commutative carrier of no known kind."""
 
     def __init__(self):
         from mforge.composition import quaternions_q
-        self.tower = as_handle(quaternions_q())
-        self.carrier = self.tower.carrier
-        self.coord_field = self.tower.coord_field
-        self.coord_dim = self.tower.coord_dim
+        self.tower = quaternions_q()
 
     def __getattr__(self, name):
         return getattr(self.tower, name)
@@ -587,7 +597,8 @@ class _SkewQuaternions(Handle):
 def test_non_commutative_carrier_takes_the_skewfield_branch(shape, case,
                                                             failed):
     v = fnd_classify_simply_laced(
-        _triangles_over(_SkewQuaternions(), SHAPES[shape]), samples=8)
+        _triangles_over(Handle(_SkewQuaternions()), SHAPES[shape]),
+        samples=8)
     assert v.case == case
     assert v.evidence[0] == ("defining-field.kind", True, "skewfield")
     assert v.reasons() == ([failed] if failed else [])
@@ -596,7 +607,7 @@ def test_non_commutative_carrier_takes_the_skewfield_branch(shape, case,
 
 def test_skewfield_positive_glueing_forces_a_quaternion_carrier():
     v = fnd_classify_simply_laced(
-        _triangles_over(_SkewQuaternions(),
+        _triangles_over(Handle(_SkewQuaternions()),
                         [("0", "1"), ("1", "2"), ("0", "2")],
                         sigma_s_glueing), samples=8)
     assert (v.kind, v.case) == (Verdict.NOT_INTEGRABLE, "skewfield")

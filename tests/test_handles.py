@@ -6,11 +6,11 @@ import pytest
 
 from mforge.composition import (CDAlgebra, Subspace, gauss_q, octonions_q,
                                 quaternions_q)
-from mforge.handles import (CDHandle, FieldHandle, Handle, SmallFieldHandle,
-                            as_handle)
+from mforge import handles
+from mforge.handles import Handle, SmallFieldHandle, as_handle
 from mforge.moufang import ParamGroup
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
-from mforge.scalars import F3, F4, F5, QI, QQ
+from mforge.scalars import F3, F4, F5, QI, QQ, PrimeField
 
 
 def _small_f4():
@@ -48,9 +48,9 @@ def _samples(h, n=6, nonzero=False):
 
 def test_coords_round_trip(handle):
     for x in _samples(handle):
-        coords = handle.coords(x)
+        coords = x.coords
         assert len(coords) == handle.coord_dim
-        assert handle.uncoords(coords) == x
+        assert handle.carrier.element(coords) == x
 
 
 @pytest.mark.parametrize("field", [QQ, F5, F4, QI])
@@ -58,9 +58,22 @@ def test_field_coords_are_the_payload(field):
     h = as_handle(field)
     for x in _samples(h):
         vals = field.parts(x.val) if field.coord_dim == 2 else (x.val,)
-        assert [c.val for c in h.coords(x)] == list(vals)
-        assert all(c.field == field.coord_field for c in h.coords(x))
-        assert h.uncoords(h.coords(x)).val == x.val
+        assert [c.val for c in x.coords] == list(vals)
+        assert all(c.field == field.coord_field for c in x.coords)
+        assert field.element(x.coords).val == x.val
+
+
+def test_one_handle_class_for_fields_and_towers():
+    """Every field and tower is read by `Handle` itself; the small field of
+    a quadratic plane is the one subclass."""
+    for name, make in CARRIERS.items():
+        if name != "small-F4":
+            assert type(make()) is Handle, name
+    assert {name for name, obj in vars(handles).items()
+            if isinstance(obj, type) and issubclass(obj, Handle)} == {
+                "Handle", "SmallFieldHandle"}
+    with pytest.raises(TypeError, match="no handle for 3"):
+        as_handle(3)
 
 
 def test_one_is_neutral_and_zero_is_additive(handle):
@@ -75,8 +88,9 @@ def test_elements_carry_their_own_arithmetic():
     """The element ops live on the elements alone: no handle forwards them,
     no root group stores a key or a renderer, and a Scalar's key is the
     payload the field handle used to key it by."""
-    forwards = {"add", "sub", "neg", "is_zero", "conj", "key", "render"}
-    for cls in (Handle, FieldHandle, CDHandle, SmallFieldHandle):
+    forwards = {"add", "sub", "neg", "is_zero", "conj", "key", "render",
+                "coords", "uncoords"}
+    for cls in (Handle, SmallFieldHandle):
         assert not forwards & set(vars(cls)), cls
     assert not {"key", "render"} & set(ParamGroup._fields)
     assert len(ParamGroup._fields) == 8
@@ -151,3 +165,5 @@ def test_tower_elements_are_listed_only_when_small():
         as_handle(CDAlgebra(F5, [-1, -1, -1])).elements()
     elems = as_handle(CDAlgebra(F3, [-1, -1])).elements()
     assert len({x.key() for x in elems}) == len(elems) == 81
+    # a field lists all its elements, as a finite carrier's (P3) scan needs
+    assert len(as_handle(PrimeField(65537)).elements()) == 65537

@@ -163,7 +163,7 @@ def test_coincide_samples_a_large_prime_field(monkeypatch):
 
 
 def test_coincide_samples_the_f5_octonions_without_listing_them(monkeypatch):
-    # 5^8 elements: sampled, so CDHandle.elements' listing guard is never
+    # 5^8 elements: sampled, so Handle.elements' listing guard is never
     # reached; the split octonions have zero divisors, and tau meets one
     # among the seeded samples: the tau line fails on it
     m = MoufangSet(MoufangSet.LINEAR, CDAlgebra(F5, [-1, -1, -1]))

@@ -260,7 +260,7 @@ def test_dim_switch_down_round_trip(xh):
     down, gamma2 = dim_switch_down(up)
     assert down.dim == 1
     # recovered tower is the rational quaternion tower
-    alg = down.h.algebra
+    alg = down.h.carrier
     assert [str(b) for b in alg.betas] == ["-1", "-1"]
     # q-value matches the original representative mod K0
     assert down.q_rep[0].key() == xh.q_rep[0].key()
@@ -312,7 +312,7 @@ def _reference_validate(sp, samples=64, seed=9):
     scalar) pairs, all of them over a finite carrier and seeded samples
     otherwise, then (P3) on the vectors the constructor scans."""
     h = sp.h
-    if h.is_finite():
+    if h.coord_field.is_finite():
         vecs = list(sp._all_vectors())
         pairs = [(a, b) for a in vecs for b in vecs]
         scalars = [(v, t) for v in vecs for t in h.elements()]
@@ -428,10 +428,7 @@ def test_sandwich_cross_terms_lie_in_k0(name):
     sigma(e_j)*k*e_i lies in K0, as the trace of sigma(e_i)*k*e_j."""
     sp = PseudoQuadraticSpace(*_ORACLE_INPUTS[name](), name=name)
     h, sigma = sp.h, sp.inv.sigma
-    cf = h.coord_field
-    basis = [h.uncoords([cf.one() if k == i else cf.zero()
-                         for k in range(h.coord_dim)])
-             for i in range(h.coord_dim)]
+    basis = h.basis()
     for k in sp.inv.k0.basis():
         for i, x in enumerate(basis):
             for y in basis[i + 1:]:

@@ -1,7 +1,7 @@
 import pytest
 
-from mforge.composition import center
-from mforge.scalars import F2, F4, QI, QQ
+from mforge.composition import CDAlgebra, center
+from mforge.scalars import F2, F3, F4, QI, QQ
 from mforge.unitary import (SIGMA_GALOIS, SIGMA_IDENTITY, SIGMA_STANDARD,
                             IndifferentSet, InvolutorySet,
                             double_opposite_matches_squares, ind_check,
@@ -50,6 +50,23 @@ def test_bigger_k0_is_not_quadratic_type(quaternions):
     rep = inv_check(s)
     # traces land in Q, but K0 contains i which is moved by sigma
     assert not rep.line("axiom.k0-fixed-by-sigma").passed
+
+
+@pytest.mark.parametrize("carrier, sigma, fixed", [
+    (F4, SIGMA_GALOIS, False), (F4, SIGMA_IDENTITY, True),
+    (CDAlgebra(F2, [1]), SIGMA_STANDARD, True),
+    (CDAlgebra(F2, [1, 1]), SIGMA_STANDARD, True),
+    (CDAlgebra(F3, [-1, -1]), SIGMA_STANDARD, False)],
+    ids=["F4-galois", "F4-identity", "F2-dim2", "F2-dim4", "F3-dim4"])
+def test_sigma_is_identity_on_a_basis_agrees_with_every_element(
+        carrier, sigma, fixed):
+    """Each named involution is linear over the coordinate field, so a
+    basis decides whether it fixes K: a sweep over every element agrees,
+    also in characteristic 2, where the standard involution of a tower is
+    the identity."""
+    s = InvolutorySet(carrier, sigma)
+    assert s.sigma_is_identity() is fixed
+    assert all(s.sigma(x) == x for x in s.handle.elements()) is fixed
 
 
 def test_galois_needs_extension():
