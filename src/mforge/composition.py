@@ -319,9 +319,10 @@ _tower_kernel = functools.lru_cache(maxsize=64)(_TowerKernel)
 
 class CDElement(IntVector):
     """An element of a tower, a ``linalg.IntVector`` whose integer
-    coordinates are those of ``_TowerKernel``.  It adds and equals the
-    base-field scalars it embeds (``CDAlgebra.from_base``).  Build elements
-    through their algebra (``element``, ``random_element``, ...)."""
+    coordinates are those of ``_TowerKernel``.  It adds the base-field
+    scalars it embeds (``CDAlgebra.from_base``), and equals only elements
+    of an equal tower.  Build elements through their algebra (``element``,
+    ``random_element``, ...)."""
 
     __slots__ = ()
 
@@ -333,16 +334,6 @@ class CDElement(IntVector):
                 raise AlgebraMismatch("elements of different towers")
             return other
         return self.owner.from_base(other)
-
-    def _embed(self, s):
-        return self.owner.from_base(s)
-
-    def _scalar(self):
-        alg, nums = self.owner, self.nums
-        r = alg._kernel.r
-        if any(nums[r:]):
-            return None
-        return Scalar(alg.base, alg.base.lower(nums[:r], self.den)[0])
 
     def __mul__(self, other):
         if isinstance(other, Scalar) and other.field == self.owner.base:

@@ -304,10 +304,10 @@ class GTableMap(GAtom):
 
     def __init__(self, pairs):
         self.pairs = list(pairs)
-        self.table = {a.key(): b for a, b in pairs}
+        self.table = dict(self.pairs)
 
     def apply(self, x):
-        return self.table[x.key()]
+        return self.table[x]
 
     def inverse(self):
         return GTableMap([(b, a) for a, b in self.pairs])
@@ -493,8 +493,8 @@ def fnd_check(fnd, samples=60, seed=53):
 
     def unit_preserved(i, j, k):
         dst = fnd.end_mset(j, k, j)
-        return dst.eq(fnd.glueing(i, j, k)(fnd.end_mset(i, j, j).unit()),
-                      dst.unit())
+        return (fnd.glueing(i, j, k)(fnd.end_mset(i, j, j).unit())
+                == dst.unit())
 
     rep.first_failure("f3.unit-preserved", triples, unit_preserved,
                       len(triples), cex=lambda *t: t)
@@ -505,7 +505,7 @@ def fnd_check(fnd, samples=60, seed=53):
     def symmetric(i, j, k):
         g, grev = fnd.glueing(i, j, k), fnd.glueing(k, j, i)
         src = fnd.end_mset(i, j, j)
-        return all(src.eq(grev(g(x)), x) for x in drawn(src))
+        return all(grev(g(x)) == x for x in drawn(src))
 
     rep.first_failure("f3.symmetry", triples, symmetric, len(triples) * draws,
                       cex=lambda *t: t)
@@ -514,7 +514,7 @@ def fnd_check(fnd, samples=60, seed=53):
         g_direct = fnd.glueing(i, j, k)
         g_one, g_two = fnd.glueing(i, j, l), fnd.glueing(l, j, k)
         dst = fnd.end_mset(j, k, j)
-        return all(dst.eq(g_direct(x), g_two(g_one(x)))
+        return all(g_direct(x) == g_two(g_one(x))
                    for x in drawn(fnd.end_mset(i, j, j)))
 
     quads = [(i, j, k, l) for (i, j, k) in triples
@@ -629,7 +629,7 @@ def fnd_reparametrize(fnd, alpha, samples=24, seed=61):
         dst = fnd.end_mset(j, k, j)
         lhs = g(slot_map(i, j, j)(src.unit()))
         rhs = slot_map(j, k, j)(dst.unit())
-        if not dst.eq(lhs, rhs):
+        if lhs != rhs:
             raise UnitIncompatible("at triple %r" % ((i, j, k),))
 
     # triangle slot-compatibility on samples
@@ -771,7 +771,7 @@ def _is_identity_on_samples(fnd, triple, g, samples, seed):
     rng = random.Random(seed)
     for _ in range(samples):
         x = src.random(rng)
-        if not src.eq(g(x), x):
+        if g(x) != x:
             return False
     return True
 
@@ -1101,7 +1101,7 @@ def _check_443_unitary(fnd, verts, evidence, samples, seed):
     g2 = fnd.glueing(v1, v2, v3)
     src = fnd.end_mset(v1, v2, v2)
     rng = random.Random(seed)
-    id2 = all(src.eq(g2(x), x)
+    id2 = all(g2(x) == x
               for x in (src.random(rng) for _ in range(samples)))
     evidence.append(("unitary.middle-glueing-identity", id2, None))
 
@@ -1110,13 +1110,13 @@ def _check_443_unitary(fnd, verts, evidence, samples, seed):
     # then positive glueings (anti-isomorphisms)
     g3 = fnd.glueing(v2, v3, v1)
     src3 = fnd.end_mset(v2, v3, v3)
-    id3 = all(src3.eq(g3(x), x)
+    id3 = all(g3(x) == x
               for x in (src3.random(rng) for _ in range(samples)))
     evidence.append(("unitary.gamma3-opposite-identity", id3, None))
     g1 = fnd.glueing(v3, v1, v2)
     src1 = fnd.end_mset(v3, v1, v1)
     if quaternion:
-        is_sigma = all(src1.eq(g1(x), x.conj())
+        is_sigma = all(g1(x) == x.conj()
                        for x in (src1.random(rng) for _ in range(samples)))
         evidence.append(("unitary.gamma1-standard-involution", is_sigma,
                          None))

@@ -8,14 +8,16 @@ protocol: `element(coords)`, `random_element`, `all_elements`,
 `from_base`, `is_commutative`, `coord_field` and `coord_dim`, a field
 through ``scalars.Field`` and a tower or a quadratic space through
 ``linalg.IntSpace``.  Every element carries its own arithmetic (+, -,
-negation, `is_zero()`, `conj()`, `inverse()`, `key()` and `repr`) and its
-`coords` over the coordinate field, and callers use them directly.  So
-one `Handle` serves every field and tower: it holds only what depends on
-how the carrier is read, namely the product, inverse, one and zero,
-draws, enumeration and the embedding of base scalars.  A tower can also
-be read with its multiplication reversed (`opposite()`), a twin handle
-with the `reversed` flag set; fields and small fields are commutative and
-are their own opposite.  `SmallFieldHandle` reads a quadratic space of
+negation, `is_zero()`, `conj()`, `inverse()` and `repr`) and its `coords`
+over the coordinate field, and callers use them directly.  It equals only
+elements of its own carrier and hashes by its stored form, so it is its
+own dict key.  So one `Handle` serves every field and tower: it holds
+only what depends on how the carrier is read, namely the product,
+inverse, one and zero, draws, enumeration and the embedding of base
+scalars.  A tower can also be read with its multiplication reversed
+(`opposite()`), a twin handle with the `reversed` flag set; fields and
+small fields are commutative and are their own opposite.
+`SmallFieldHandle` reads a quadratic space of
 dimension <= 2 as its small field, with a product, one, inverse and
 embedding of its own.  A span inside a handle is a
 `composition.Subspace`, the one span class, and `composition.closure`
@@ -34,8 +36,8 @@ from .quadspace import DimensionTooLarge
 
 class Handle:
     """A carrier read as "something you can multiply".  Elements bring
-    their own sum, difference, negation, zero test, conjugation, inverse,
-    key and coordinates, and no handle forwards them; `carrier` is the
+    their own sum, difference, negation, zero test, conjugation, inverse
+    and coordinates, and no handle forwards them; `carrier` is the
     field, tower or quadratic space the elements live in, and builds
     (`element`) and draws them."""
 

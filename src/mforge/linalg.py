@@ -301,15 +301,13 @@ class IntVector:
     the tuple `nums` over one denominator `den`, canonical by
     ``scalars._reducer`` (gcd-reduced with den > 0 over Q, residues over
     the denominator 1 over F_p), so equal vectors have equal forms and
-    `key()` is that form.  `owner` is the ``IntSpace`` the vector lies in;
+    hash by that form.  `owner` is the ``IntSpace`` the vector lies in;
     build vectors through it.  `coords`, the Scalars over its field, is
     lowered on first read and cached; reprs and reports read it.
 
     A subclass gives `_peer`, the other operand of a sum as a vector of
-    the same space, and `scale`.  A vector equals a vector of an equal
-    space with the same form, and a non-vector only through `_embed`,
-    which takes none here, and `_scalar`, its inverse, which gives the
-    non-vector a vector equals, if any, for its hash."""
+    the same space, and `scale`.  A vector equals only a vector of an
+    equal space with the same form."""
 
     __slots__ = ("owner", "nums", "den", "_coords")
 
@@ -356,30 +354,14 @@ class IntVector:
     def is_zero(self):
         return not any(self.nums)
 
-    def _embed(self, x):
-        raise TypeError("no vector equals %r" % (x,))
-
     def __eq__(self, other):
         if not isinstance(other, IntVector):
-            try:
-                other = self._embed(other)
-            except (TypeError, ValueError):
-                return NotImplemented
+            return NotImplemented
         return (self.nums == other.nums and self.den == other.den
                 and (self.owner is other.owner or self.owner == other.owner))
 
-    def _scalar(self):
-        return None
-
     def __hash__(self):
-        """The hash of the stored form, or, for a vector that equals a
-        non-vector (`_scalar`, none here), the hash of that value, so that
-        equal keys hash alike in a set or dict of both."""
-        s = self._scalar()
-        return hash((self.nums, self.den)) if s is None else hash(s)
-
-    def key(self):
-        return self.nums, self.den
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"

@@ -51,9 +51,9 @@ class ParamGroup(namedtuple("ParamGroup", (
         "coord_field", "exponent"))):
     """A root group given by its operations: op, inverse, identity (a
     fresh element), identity test, enumeration (raising TypeError when
-    infinite) and a seeded draw(rng, height).  Its elements give their
-    own hashable `key()` and rendering (`repr`).  It has q^exponent
-    elements, q the order of its coordinate field."""
+    infinite) and a seeded draw(rng, height).  Its elements are hashable,
+    equal only to elements of their own carrier, and render by `repr`.
+    It has q^exponent elements, q the order of its coordinate field."""
 
     __slots__ = ()
 
@@ -151,9 +151,6 @@ class MoufangSet:
     def is_zero(self, x):
         return self.group.is_identity(x)
 
-    def eq(self, x, y):
-        return x.key() == y.key()
-
     def is_finite(self):
         return self.group.is_finite()
 
@@ -206,14 +203,6 @@ def _swept(mset):
     return mset.is_finite() and mset.size() <= EXHAUSTIVE_SIZE
 
 
-def ms_tau(mset, x):
-    return mset.tau(x)
-
-
-def ms_hua(mset, a, x):
-    return mset.hua(a, x)
-
-
 def ms_verify(mset, samples=200, seed=13):
     """h_a is an endomorphism on samples, bijective when finite with at
     most `EXHAUSTIVE_SIZE` elements, and the canonical unit acts as the
@@ -225,12 +214,12 @@ def ms_verify(mset, samples=200, seed=13):
         "hua.endomorphism",
         ((mset.random(rng, nonzero=True), mset.random(rng), mset.random(rng))
          for _ in range(samples)),
-        lambda a, x, y: mset.eq(mset.hua(a, mset.op(x, y)),
-                                mset.op(mset.hua(a, x), mset.hua(a, y))),
+        lambda a, x, y: mset.hua(a, mset.op(x, y))
+        == mset.op(mset.hua(a, x), mset.hua(a, y)),
         samples, cex=reprs)
     rep.first_failure("hua.unit-is-identity",
                       ((mset.random(rng),) for _ in range(samples)),
-                      lambda x: mset.eq(mset.hua(mset.unit(), x), x),
+                      lambda x: mset.hua(mset.unit(), x) == x,
                       samples, cex=repr)
 
     if _swept(mset):
@@ -238,12 +227,12 @@ def ms_verify(mset, samples=200, seed=13):
         rep.first_failure(
             "hua.bijective", ((a,) for a in elems),
             lambda a: mset.is_zero(a) or len(
-                {mset.hua(a, x).key() for x in elems}) == len(elems),
+                {mset.hua(a, x) for x in elems}) == len(elems),
             len(elems), cex=repr)
 
         units = [x for x in elems if not mset.is_zero(x)]
         taus = [_defined(mset.tau, x) for x in units]
-        images = {t.key() for t in taus if t is not None}
+        images = {t for t in taus if t is not None}
         bad = [repr(x) for x, t in zip(units, taus) if t is None][:1]
         rep.add("tau.bijective-on-units", len(images),
                 not bad and len(images) == len(units), *bad)
@@ -279,12 +268,12 @@ def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
         rep.first_failure(
             "coincide.tau", ((x,) for x in elems),
             lambda x: m1.is_zero(x) or _defined(
-                lambda: m2.eq(to2(m1.tau(x)), m2.tau(to2(x)))),
+                lambda: to2(m1.tau(x)) == m2.tau(to2(x))),
             len(elems), cex=repr)
         rep.first_failure(
             "coincide.hua", ((a, x) for a in elems for x in elems),
-            lambda a, x: m1.is_zero(a) or m2.eq(to2(m1.hua(a, x)),
-                                                m2.hua(to2(a), to2(x))),
+            lambda a, x: m1.is_zero(a)
+            or to2(m1.hua(a, x)) == m2.hua(to2(a), to2(x)),
             len(elems) ** 2, cex=reprs)
     except (TypeError, ValueError) as exc:
         raise CarrierMismatch(str(exc))
@@ -330,21 +319,21 @@ def _jordan_check(suite, gamma, m1, m2, samples, seed):
 
     rep.first_failure(
         "jordan.group-homomorphism", pairs,
-        lambda x, y: m2.eq(gamma(m1.op(x, y)), m2.op(gamma(x), gamma(y))),
+        lambda x, y: gamma(m1.op(x, y)) == m2.op(gamma(x), gamma(y)),
         len(pairs), cex=reprs)
 
     if apart and swept:
-        images = {gamma(x).key() for x in elems}
+        images = {gamma(x) for x in elems}
         rep.add("jordan.bijective", len(elems), len(images) == len(elems))
 
-    rep.add("jordan.unit", 1, m2.eq(gamma(m1.unit()), m2.unit()))
+    rep.add("jordan.unit", 1, gamma(m1.unit()) == m2.unit())
 
     def hua_preserved(a, x):
         if m1.is_zero(a):
             return True
         ga = gamma(a)
-        return not m2.is_zero(ga) and m2.eq(gamma(m1.hua(a, x)),
-                                            m2.hua(ga, gamma(x)))
+        return (not m2.is_zero(ga)
+                and gamma(m1.hua(a, x)) == m2.hua(ga, gamma(x)))
 
     rep.first_failure(
         "jordan.hua-preserved", anchors, hua_preserved, len(anchors),

@@ -381,13 +381,10 @@ class RootWord:
                 return a
         return self.desc.group(i).identity()
 
-    def key(self):
-        return tuple((i, a.key()) for (i, a) in self.factors)
-
     def __eq__(self, other):
         return (isinstance(other, RootWord)
                 and self.desc.same_shape(other.desc)
-                and self.normalized().key() == other.normalized().key())
+                and self.normalized().factors == other.normalized().factors)
 
     def __repr__(self):
         if not self.factors:
@@ -425,7 +422,7 @@ class WordGroup(tbl.FiniteGroupTable):
         slot_elems = [desc.group(i).elements() for i in range(1, desc.n + 1)]
         self.slot_elems = slot_elems
         self.slot_index = [
-            {m.key(): k for k, m in enumerate(ms)} for ms in slot_elems]
+            {m: k for k, m in enumerate(ms)} for ms in slot_elems]
         # a word's index is its slot indices in mixed radix, last slot
         # fastest (the order of `_build_elements`)
         sizes = [len(ms) for ms in slot_elems]
@@ -436,7 +433,7 @@ class WordGroup(tbl.FiniteGroupTable):
         super().__init__(self.elements, self._build_table(), self.identity)
 
     def _word_key(self, word):
-        return tuple(idx[word.slot(i).key()]
+        return tuple(idx[word.slot(i)]
                      for i, idx in enumerate(self.slot_index, 1))
 
     def _build_elements(self):
@@ -458,8 +455,8 @@ class WordGroup(tbl.FiniteGroupTable):
         ops, invs = [], []
         for i, ms in enumerate(self.slot_elems):
             grp, idx = desc.group(i + 1), self.slot_index[i]
-            ops.append([[idx[grp.op(a, b).key()] for b in ms] for a in ms])
-            invs.append([idx[grp.inv(a).key()] for a in ms])
+            ops.append([[idx[grp.op(a, b)] for b in ms] for a in ms])
+            invs.append([idx[grp.inv(a)] for a in ms])
 
         def merge(i, a, b):
             return ops[i - 1][a][b] or None
@@ -471,7 +468,7 @@ class WordGroup(tbl.FiniteGroupTable):
             comm = memo.get((j, b, i, a))
             if comm is None:
                 comm = memo[(j, b, i, a)] = [
-                    (m, invs[m - 1][self.slot_index[m - 1][w.key()]])
+                    (m, invs[m - 1][self.slot_index[m - 1][w]])
                     for (m, w) in desc.relation(
                         j, self.slot_elems[j - 1][b],
                         i, self.slot_elems[i - 1][a])]
@@ -520,7 +517,7 @@ class WordGroup(tbl.FiniteGroupTable):
     def slot_word_index(self, slot, m):
         """The index of the one-factor word x_slot(m), read off the mixed
         radix without normalizing a word."""
-        return self.slot_index[slot - 1][m.key()] * self.strides[slot - 1]
+        return self.slot_index[slot - 1][m] * self.strides[slot - 1]
 
     def extend_end_maps(self, map_first, map_last):
         """Extend maps on the two end slots to a permutation of the
@@ -705,7 +702,7 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
         rep.first_failure(
             "hua.%s-end-endomorphism" % end, slots(),
             lambda slot, s, g, m, x, y:
-            m(g.op(x, y)).key() == g.op(m(x), m(y)).key(),
+            m(g.op(x, y)) == g.op(m(x), m(y)),
             samples, cex=lambda slot, s, *rest: (slot, repr(s)))
     return rep
 

@@ -19,8 +19,9 @@ involutory anti-automorphism of an associative K whose traces y + sigma(y)
 lie in K0.  Those premises are checked on the basis (`_check_involution`),
 and so are the two other axioms of an involutory set, K0 in Fix(sigma)
 and sigma(x) K0 x in K0, so a triple that is no involutory set is refused.
-(P3), anisotropy, is checked on every vector of a finite carrier and on
-seeded samples otherwise.
+(P3), anisotropy, is checked on one vector per line a*K of a finite
+carrier, since q(a t) = sigma(t) q(a) t carries q(a) in K0 along the
+line, and on seeded samples otherwise.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class PseudoQuadraticSpace:
     def _validate(self, samples, seed):
         self._check_involution()
         if self.h.coord_field.is_finite():
-            vecs = self._all_vectors()
+            vecs = self._line_vectors()
         else:
             rng = random.Random(seed)
             vecs = [self.random_vector(rng) for _ in range(samples)]
@@ -204,6 +205,16 @@ class PseudoQuadraticSpace:
         pools = [self.h.elements() for _ in range(self.dim)]
         for combo in itertools.product(*pools):
             yield tuple(combo)
+
+    def _line_vectors(self):
+        """The first vector of each line a*K, in the order `_all_vectors`
+        meets them: k leading zeros, the first nonzero element, then each
+        tail.  Lines with more leading zeros come first, and the element
+        list starts with zero."""
+        elems = self.h.elements()
+        for k in reversed(range(self.dim)):
+            for tail in itertools.product(elems, repeat=self.dim - k - 1):
+                yield (elems[0],) * k + (elems[1],) + tail
 
     def random_vector(self, rng, height=9):
         return tuple(self.h.random(rng, height) for _ in range(self.dim))
@@ -269,10 +280,7 @@ class TPoint:
                 and other.a == self.a and other.t == self.t)
 
     def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        return (tuple(x.key() for x in self.a), self.t.key())
+        return hash((self.a, self.t))
 
     def __repr__(self):
         return "(%s; %r)" % (", ".join(map(repr, self.a)), self.t)
@@ -307,7 +315,7 @@ def t_group_table(space):
     """T as a FiniteGroupTable (finite carriers only)."""
     elems = list(space.enumerate_t())
     return FiniteGroupTable.from_ops(
-        elems, lambda x, y: x * y, space.identity(), key=lambda p: p.key())
+        elems, lambda x, y: x * y, space.identity())
 
 
 def t_jordan_check(gamma, src, dst, samples=200, seed=17):
@@ -349,8 +357,7 @@ def quaternion_group_table():
     units = [H.one(), -H.one()]
     for k in (1, 2, 3):
         units += [H.unit(k), -H.unit(k)]
-    return FiniteGroupTable.from_ops(units, lambda x, y: x * y, H.one(),
-                                     key=lambda x: x.key())
+    return FiniteGroupTable.from_ops(units, lambda x, y: x * y, H.one())
 
 
 def f4_census():
@@ -416,18 +423,15 @@ def _sigma_twist_maps(sp, tbl):
     conjugating t over the other nonzero vectors; returned as index
     permutations."""
     nonzero = [a for a in sp._all_vectors() if not sp.vec_is_zero(a)]
-    index = {p.key(): i for i, p in enumerate(tbl.elements)}
+    index = {p: i for i, p in enumerate(tbl.elements)}
     perms = []
     for a0 in nonzero:
-        a0_key = tuple(x.key() for x in a0)
         perm = []
         for p in tbl.elements:
-            akey = tuple(x.key() for x in p.a)
-            if sp.vec_is_zero(p.a) or akey == a0_key:
-                perm.append(index[p.key()])
+            if sp.vec_is_zero(p.a) or p.a == a0:
+                perm.append(index[p])
             else:
-                q = TPoint(sp, p.a, sp.inv.sigma(p.t))
-                perm.append(index[q.key()])
+                perm.append(index[TPoint(sp, p.a, sp.inv.sigma(p.t))])
         perms.append(tuple(perm))
     return perms
 

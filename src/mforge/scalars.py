@@ -651,16 +651,14 @@ class Scalar:
         return Scalar(self.field, self.field.neg(self.val))
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return ((self.field is other.field or self.field == other.field)
-                    and self.val == other.val)
-        try:
-            return self.val == self.field.coerce(other)
-        except (TypeError, ValueError):
+        if not isinstance(other, Scalar):
             return NotImplemented
+        return ((self.field is other.field or self.field == other.field)
+                and self.val == other.val)
 
     def __hash__(self):
-        return hash((self.field, self.val))
+        # equal scalars have equal payloads
+        return hash(self.val)
 
     def inv(self):
         return Scalar(self.field, self.field.inv(self.val))
@@ -683,9 +681,6 @@ class Scalar:
 
     def is_zero(self):
         return self.field.is_zero(self.val)
-
-    def key(self):
-        return self.val
 
     def scale(self, c):
         """self * c, c in this field or its base: the scaling tower

@@ -101,11 +101,10 @@ class FiniteGroupTable:
         self._inv = None
 
     @classmethod
-    def from_ops(cls, elements, op, identity, key=lambda x: x):
-        index = {key(e): i for i, e in enumerate(elements)}
-        n = len(elements)
-        rows = [[index[key(op(a, b))] for b in elements] for a in elements]
-        return cls(elements, rows, index[key(identity)])
+    def from_ops(cls, elements, op, identity):
+        index = {e: i for i, e in enumerate(elements)}
+        rows = [[index[op(a, b)] for b in elements] for a in elements]
+        return cls(elements, rows, index[identity])
 
     def inverse_vector(self):
         if self._inv is None:

@@ -179,10 +179,10 @@ def ind_check(ind):
     seen = {}
     inj = True
     for g in ind.k0.basis() + ind.l0.basis():
-        key = h.mul(g, g).key()
-        if key in seen and seen[key] != g.key():
+        sq = h.mul(g, g)
+        if sq in seen and seen[sq] != g:
             inj = False
-        seen[key] = g.key()
+        seen[sq] = g
     rep.add("frobenius.injective-on-fragment", len(seen), inj)
     return rep
 

@@ -152,7 +152,7 @@ def test_criterion_8_dim_switch_round_trip():
         rep = t_jordan_check(gamma, xh, up, samples=1000, seed=31)
         assert rep.passed, repr(rep)
         down, gamma2 = dim_switch_down(up)
-        assert down.q_rep[0].key() == xh.q_rep[0].key()
+        assert down.q_rep[0] == xh.q_rep[0]
         rep2 = t_jordan_check(gamma2, down, up, samples=1000, seed=37)
         assert rep2.passed, repr(rep2)
 

@@ -576,9 +576,9 @@ def test_integer_form_is_canonical_after_every_operation(base, betas):
 
 @pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
 def test_equality_and_hash_follow_coords(base, betas):
-    """Equality, hashes and keys read the stored integers: a key is
-    (nums, den), taken without lowering to coords, and the same element
-    reached by other routes has the same key."""
+    """Equality and hashes read the stored integers: an element hashes as
+    its form (nums, den), taken without lowering to coords, and the same
+    element reached by other routes is equal and hashes alike."""
     algebra = CDAlgebra(base, betas, allow_dim16=True)
     rng = random.Random(22)
     xs = _operands(algebra, rng)
@@ -586,19 +586,19 @@ def test_equality_and_hash_follow_coords(base, betas):
     twins = [(x + xs[1]) - xs[1] for x in xs]
     routes = [[x * algebra.one(), x.conj().conj(), -(-x)] for x in xs]
     for x in xs + twins + sum(routes, []):
-        assert x.key() == (x.nums, x.den) and x._coords is None
+        assert hash(x) == hash((x.nums, x.den)) and x._coords is None
     for x, tx, others in zip(xs, twins, routes):
         assert x == tx and hash(x) == hash(tx)
         assert (x.nums, x.den) == (tx.nums, tx.den)
-        assert all(y.key() == x.key() for y in others + [tx])
-        assert algebra.element(x.coords).key() == x.key()
+        assert all(y == x and hash(y) == hash(x) for y in others + [tx])
+        assert algebra.element(x.coords) == x
     for x in xs + twins:
         for y in xs + twins:
             assert (x == y) == (x.coords == y.coords)
-            assert (x == y) == (x.key() == y.key())
+            assert (x == y) == ((x.nums, x.den) == (y.nums, y.den))
             if x == y:
                 assert hash(x) == hash(y)
-    assert len(set(xs + twins)) == len(set(x.key() for x in xs))
+    assert len(set(xs + twins)) == len({(x.nums, x.den) for x in xs})
 
 
 @pytest.mark.parametrize("base,betas", TOWERS, ids=_ids(TOWERS, 5))
@@ -746,13 +746,16 @@ def test_towers_over_large_primes_construct_in_bounded_time(p):
     (QQ, [-1, -1], 3), (QQ, ["-1/2", 3], "5/7"), (F3, [-1, -1], 2),
     (F3, [-1], 1), (QI, [-1, 3], (1, 2)), (QI, [-1], ("1/2", "-3/4"))])
 def test_scalar_valued_elements_hash_as_their_scalars(base, betas, value):
+    """A scalar-valued element equals and hashes as the embedding
+    `from_base(s)` of its scalar s, and never equals s itself."""
     algebra = CDAlgebra(base, betas)
     s = base.scalar(value)
     x = algebra.one().scale(s)
-    assert x == s and hash(x) == hash(s)
-    assert len({x, s}) == 1 and {x: 1}[s] == 1
+    assert x == algebra.from_base(s) and hash(x) == hash(algebra.from_base(s))
+    assert x != s and s != x
+    assert len({x, s}) == 2 and {x: 1}[algebra.from_base(s)] == 1
     y = x + algebra.unit(1)
-    assert y != s and len({x, y, s}) == 2
+    assert y != x and len({x, y, s}) == 3
 
 
 # -- identity suites over F_p: checked on all samples at once, stacked in

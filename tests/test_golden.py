@@ -412,8 +412,8 @@ def t_jordan_swap_xi_f4():
     from mforge.pseudoquad import t_jordan_check, xi_f4
     sp = xi_f4()
     a, b = [p for p in sp.enumerate_t() if not p.is_central()][:2]
-    swap = {a.key(): b, b.key(): a}
-    return _json_and_text(t_jordan_check(lambda p: swap.get(p.key(), p),
+    swap = {a: b, b: a}
+    return _json_and_text(t_jordan_check(lambda p: swap.get(p, p),
                                          sp, sp))
 
 

@@ -1,6 +1,7 @@
 """The handle protocol on every carrier kind and on its reversed reading."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,9 @@ from mforge.composition import (CDAlgebra, Subspace, gauss_q, octonions_q,
 from mforge import handles
 from mforge.handles import Handle, SmallFieldHandle, as_handle
 from mforge.moufang import ParamGroup
-from mforge.quadspace import qs_small_dim_field, space_from_quadext
+from mforge.pseudoquad import xi_f4
+from mforge.quadspace import (qs_small_dim_field, space_from_algebra,
+                              space_from_quadext)
 from mforge.scalars import F3, F4, F5, QI, QQ, PrimeField
 
 
@@ -96,7 +99,63 @@ def test_elements_carry_their_own_arithmetic():
     assert len(ParamGroup._fields) == 8
     for field in (QQ, F5, F4, QI):
         for x in _samples(as_handle(field)):
-            assert x.key() == x.val
+            assert not hasattr(x, "key") and hash(x) == hash(x.val)
+
+
+def _scalar_valued(base, betas, value):
+    """A scalar-valued tower element, and its scalar s: the element is
+    from_base(s) reached through one().scale(s), and s is foreign."""
+    algebra = CDAlgebra(base, betas)
+    s = base.scalar(value)
+    return algebra.one().scale(s), algebra.from_base(s), [s]
+
+
+def _space_basepoint():
+    """The basepoint of a tower's norm space, reached as the sum of two
+    vectors, against the tower's one: they have one stored form."""
+    tower = CDAlgebra(QQ, [-1, -1])
+    space = space_from_algebra(tower)
+    v = space.vector([1, 1, 0, 0])
+    x = v + (space.basepoint - v)
+    assert (x.nums, x.den) == (tower.one().nums, tower.one().den)
+    return x, space.basepoint, [tower.one()]
+
+
+def _t_point():
+    sp = xi_f4()
+    p, q = [pt for pt in sp.enumerate_t() if not pt.is_central()][:2]
+    return p * q * q.inverse(), p, [p.t, (p.a, p.t)]
+
+
+# per carrier: two equal values reached by different routes, and values
+# of other carriers that neither equals
+EQUALITY_CASES = {
+    "QQ": lambda: (QQ.scalar("7/2") - QQ.scalar("1/2"), QQ.scalar(3),
+                   [F5.scalar(3)]),
+    "F5": lambda: (F5.scalar(3) * F5.scalar(4), F5.scalar(7),
+                   [PrimeField(7).scalar(2), QQ.scalar(2)]),
+    "F4": lambda: (F4.gen() * F4.gen() * F4.gen(), F4.one(), [F3.one()]),
+    "QI": lambda: (QI.gen() * QI.gen(), QI.scalar(-1), [QQ.scalar(-1)]),
+    "tower-Q": lambda: _scalar_valued(QQ, [-1, -1], 3),
+    "tower-F3": lambda: _scalar_valued(F3, [-1, -1], 2),
+    "space": _space_basepoint,
+    "TPoint": _t_point,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUALITY_CASES))
+def test_values_are_their_own_keys(name):
+    """One equality contract: equal values hash alike whatever route
+    reached them, and a value equals no int, no Fraction and no value of
+    another carrier, so it serves as its own dict key."""
+    x, y, foreign = EQUALITY_CASES[name]()
+    assert x is not y and x == y and y == x and hash(x) == hash(y)
+    assert {x: name}[y] == name and len({x, y}) == 1
+    numbers = list(range(-7, 8)) + [Fraction(n, 2) for n in range(-7, 8)]
+    for v in foreign + numbers:
+        assert x != v and v != x and not x == v
+        assert len({x, v}) == 2 and v not in {x: name}
+    assert F5.scalar(2) != 7 and len({QQ.scalar(3), 3}) == 2
 
 
 def test_inverse_is_two_sided(handle):
@@ -164,6 +223,6 @@ def test_tower_elements_are_listed_only_when_small():
     with pytest.raises(ValueError, match=r"5\^8"):
         as_handle(CDAlgebra(F5, [-1, -1, -1])).elements()
     elems = as_handle(CDAlgebra(F3, [-1, -1])).elements()
-    assert len({x.key() for x in elems}) == len(elems) == 81
+    assert len(set(elems)) == len(elems) == 81
     # a field lists all its elements, as a finite carrier's (P3) scan needs
     assert len(as_handle(PrimeField(65537)).elements()) == 65537

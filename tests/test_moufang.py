@@ -9,8 +9,8 @@ from mforge.handles import SmallFieldHandle
 from mforge import pseudoquad, quadspace
 from mforge.composition import CDAlgebra, NotInvertible
 from mforge.moufang import (EXHAUSTIVE_SIZE, CarrierMismatch, MoufangSet,
-                            ZeroAnchor, ZeroArgument, ms_coincide, ms_hua,
-                            ms_jordan_check, ms_tau, ms_verify)
+                            ZeroAnchor, ZeroArgument, ms_coincide,
+                            ms_jordan_check, ms_verify)
 from mforge.pseudoquad import t_hua, xi_f4, xi_hamilton
 from mforge.quadspace import qs_small_dim_field, space_from_quadext
 from mforge.scalars import F3, F4, F5, QQ, PrimeField, Scalar
@@ -31,20 +31,20 @@ def m_f4_linear():
 
 def test_tau_linear_rationals():
     m = MoufangSet(MoufangSet.LINEAR, QQ)
-    assert ms_tau(m, QQ.scalar(2)) == QQ.scalar("-1/2")
+    assert m.tau(QQ.scalar(2)) == QQ.scalar("-1/2")
     with pytest.raises(ZeroArgument):
-        ms_tau(m, QQ.zero())
+        m.tau(QQ.zero())
 
 
 def test_tau_quadratic_generator(m_f4_space):
     sp = m_f4_space.payload
     w = sp.vector([0, 1])
-    assert ms_tau(m_f4_space, w) == sp.vector([1, 1])
+    assert m_f4_space.tau(w) == sp.vector([1, 1])
 
 
 def test_tau_pseudoquadratic_unit():
     m = MoufangSet(MoufangSet.PSEUDOQUADRATIC, xi_f4())
-    img = ms_tau(m, m.unit())
+    img = m.tau(m.unit())
     assert img.is_central() and img.t == F4.one()  # -1 = 1 in char 2
 
 
@@ -52,7 +52,7 @@ def test_hua_involutory(quaternions):
     m = MoufangSet(MoufangSet.INVOLUTORY,
                    InvolutorySet(quaternions, SIGMA_STANDARD))
     two, three = quaternions.from_base(2), quaternions.from_base(3)
-    assert ms_hua(m, two, three) == quaternions.from_base(12)
+    assert m.hua(two, three) == quaternions.from_base(12)
 
 
 def test_verify_families(octonions):
@@ -78,7 +78,7 @@ def test_f4_pseudoquadratic_all_hua_identity():
         if m.is_zero(a):
             continue
         for x in elems:
-            assert m.eq(ms_hua(m, a, x), x)
+            assert m.hua(a, x) == x
 
 
 def test_corrupted_structure_fails():

@@ -269,7 +269,7 @@ def test_matrix_is_built_once_per_chain(tower, monkeypatch):
     for x in xs:
         chain(x)
     assert len(calls) == O.dim * O._kernel.r
-    assert [c.key() for c in calls] == [
+    assert [(c.nums, c.den) for c in calls] == [
         (tuple(int(i == k) for i in range(len(calls))), 1)
         for k in range(len(calls))]
 

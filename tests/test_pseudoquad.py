@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from mforge.composition import octonions_q, quaternions_q
+from mforge.composition import CDAlgebra, octonions_q, quaternions_q
+from mforge.handles import as_handle
 from mforge.pseudoquad import (PseudoQuadraticSpace, TPoint, dim_switch_down,
                                dim_switch_up, f4_census,
                                quaternion_group_table, t_group_table, t_hua,
@@ -88,7 +89,7 @@ def test_hua_exhaustive_automorphisms_f4(xf4):
     for anchor in pts:
         if anchor.is_identity():
             continue
-        images = {t_hua(anchor, x).key() for x in pts}
+        images = {t_hua(anchor, x) for x in pts}
         assert len(images) == len(pts)
         for x in pts:
             for y in pts:
@@ -187,17 +188,17 @@ def test_sigma_twist_maps_are_jordan_but_not_induced(xf4):
     perms = _sigma_twist_maps(xf4, tbl)
     assert len(perms) == 3
     for perm in perms:
-        mapping = {tbl.elements[i].key(): tbl.elements[p]
+        mapping = {tbl.elements[i]: tbl.elements[p]
                    for i, p in enumerate(perm)}
-        gamma = lambda p: mapping[p.key()]
+        gamma = mapping.__getitem__
         rep = t_jordan_check(gamma, xf4, xf4)
         assert rep.passed
         # not induced by (phi, phi): the first component is the identity
         # on vectors while the fiber map depends on the vector
         twisted = [p for p in tbl.elements
-                   if not p.is_central() and mapping[p.key()].t != p.t]
+                   if not p.is_central() and mapping[p].t != p.t]
         fixed = [p for p in tbl.elements
-                 if not p.is_central() and mapping[p.key()].t == p.t]
+                 if not p.is_central() and mapping[p].t == p.t]
         assert twisted and fixed
 
 
@@ -263,7 +264,7 @@ def test_dim_switch_down_round_trip(xh):
     alg = down.h.carrier
     assert [str(b) for b in alg.betas] == ["-1", "-1"]
     # q-value matches the original representative mod K0
-    assert down.q_rep[0].key() == xh.q_rep[0].key()
+    assert down.q_rep[0] == xh.q_rep[0]
     rep = t_jordan_check(gamma2, down, up, samples=80, seed=6)
     assert rep.passed, repr(rep)
 
@@ -451,10 +452,39 @@ def test_finite_refusal_scans_each_vector_once(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "(P3) anisotropy fails at (1*w, 2 + 3*w)")):
         PseudoQuadraticSpace(*_fpw_space(7, 2))
-    assert 0 < len(calls) <= 7 ** 4
+    # one vector per line: at most (7^4 - 1) / (7^2 - 1) lines, and one
+    # more call at most
+    assert 0 < len(calls) <= 51
 
 
 def test_f11_space_builds_from_one_scan(monkeypatch):
     calls = _count_q(monkeypatch)
     sp = PseudoQuadraticSpace(*_fpw_space(11, 1))
-    assert sp.dim == 1 and len(calls) == 11 ** 2
+    # dim 1 has one line, so (P3) reads q on one vector
+    assert sp.dim == 1 and len(calls) == 1
+
+
+@pytest.mark.parametrize("p,dim", [(3, 2), (5, 2), (3, 3)])
+def test_line_scan_refuses_where_the_full_scan_does(monkeypatch, p, dim):
+    """The scan of every vector is the oracle: the scan of one vector per
+    line refuses the space at the same vector."""
+    def refusal():
+        with pytest.raises(ValueError, match=r"^\(P3\)") as exc:
+            PseudoQuadraticSpace(*_fpw_space(p, dim))
+        return str(exc.value)
+
+    got = refusal()
+    monkeypatch.setattr(PseudoQuadraticSpace, "_line_vectors",
+                        PseudoQuadraticSpace._all_vectors)
+    assert refusal() == got
+
+
+@pytest.mark.parametrize("carrier", [
+    F4, PrimeField(5), _fpw(7), CDAlgebra(PrimeField(3), [-1, -1])],
+    ids=repr)
+def test_finite_carriers_list_zero_first(carrier):
+    """The line scan takes each line's first vector in scan order, whose
+    first nonzero coordinate is the first nonzero element: the element
+    list has to start with zero."""
+    elems = as_handle(carrier).elements()
+    assert elems[0].is_zero() and not elems[1].is_zero()

@@ -103,7 +103,7 @@ def test_exact_inputs_still_coerce():
     assert QQ.scalar(Fraction(-3, 7)).val == Fraction(-3, 7)
     assert F5.scalar(7).val == 2
     assert F5.scalar("-1").val == 4
-    assert QQ.scalar(1) == 1
+    assert QQ.scalar(1) == QQ.one() and QQ.scalar(1) != 1
     assert F5.scalar(Fraction(7, 1)).val == 2
     assert type(F5.scalar(Fraction(7, 1)).val) is int
 
