@@ -20,8 +20,13 @@ lie in K0.  Those premises are checked on the basis (`_check_involution`),
 and so are the two other axioms of an involutory set, K0 in Fix(sigma)
 and sigma(x) K0 x in K0, so a triple that is no involutory set is refused.
 (P3), anisotropy, is checked on one vector per line a*K of a finite
-carrier, since q(a t) = sigma(t) q(a) t carries q(a) in K0 along the
-line, and on seeded samples otherwise.
+division carrier: every nonzero vector is a multiple a*t of the one
+whose first nonzero coordinate is the first nonzero element, and
+q(a t) = sigma(t) q(a) t carries q(a) in K0 along the line.  Over a
+finite carrier with zero divisors, a vector whose first nonzero
+coordinate is a zero divisor is a multiple of no such a, so there the
+scan visits every vector.  An infinite carrier is checked on seeded
+samples.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import random
 
 from . import linalg
 from .composition import CDAlgebra, Subspace, orthogonal_complement
-from .quadspace import ZeroAnchor
+from .quadspace import QuadraticSpace, ZeroAnchor, line_vectors
 from .report import Report
 from .scalars import F4, QuadExt, Scalar
 from .tables import FiniteGroupTable
@@ -40,6 +45,17 @@ from .unitary import SIGMA_GALOIS, SIGMA_STANDARD, InvolutorySet
 
 # the seed and count of the sampled (P3) check over an infinite carrier
 ANISOTROPY_SEED, ANISOTROPY_SAMPLES = 9, 64
+
+
+def _is_division(carrier):
+    """Whether every nonzero element of a finite carrier is invertible: a
+    field, a tower certified division, or the field on a quadratic space
+    whose anisotropy was decided rather than attested."""
+    if isinstance(carrier, CDAlgebra):
+        return carrier.is_division
+    if isinstance(carrier, QuadraticSpace):
+        return carrier.anisotropy != "attested"
+    return True
 
 
 class SpaceMismatch(ValueError):
@@ -61,8 +77,9 @@ class PseudoQuadraticSpace:
     b_j).  The constructor validates the hermitian symmetry, the diagonal
     law f(a,a) = q(a) - q(a)^sigma, (P1) and (P2) (decided on a basis of
     K, see the module docstring), the involutory-set axioms K0 in
-    Fix(sigma) and sigma(x) K0 x in K0, and anisotropy (exhaustively when
-    the carrier is finite, sampled otherwise) and refuses on failure.
+    Fix(sigma) and sigma(x) K0 x in K0, and anisotropy (on one vector per
+    line when the carrier is a finite division ring, on every vector of
+    a finite split tower, sampled otherwise) and refuses on failure.
     """
 
     def __init__(self, inv_set, q_rep, f_gram, name=None):
@@ -143,7 +160,8 @@ class PseudoQuadraticSpace:
     def _validate(self, samples, seed):
         self._check_involution()
         if self.h.coord_field.is_finite():
-            vecs = self._line_vectors()
+            vecs = (self._line_vectors() if _is_division(self.h.carrier)
+                    else self._all_vectors())
         else:
             rng = random.Random(seed)
             vecs = [self.random_vector(rng) for _ in range(samples)]
@@ -208,13 +226,9 @@ class PseudoQuadraticSpace:
 
     def _line_vectors(self):
         """The first vector of each line a*K, in the order `_all_vectors`
-        meets them: k leading zeros, the first nonzero element, then each
-        tail.  Lines with more leading zeros come first, and the element
-        list starts with zero."""
+        meets them; the element list starts with zero."""
         elems = self.h.elements()
-        for k in reversed(range(self.dim)):
-            for tail in itertools.product(elems, repeat=self.dim - k - 1):
-                yield (elems[0],) * k + (elems[1],) + tail
+        return line_vectors(elems[0], elems[1], elems, self.dim)
 
     def random_vector(self, rng, height=9):
         return tuple(self.h.random(rng, height) for _ in range(self.dim))

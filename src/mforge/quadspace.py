@@ -7,7 +7,7 @@ both are kept.
 A space is a ``linalg.IntSpace`` and a vector a ``linalg.IntVector``,
 as a tower and its elements are: integer coordinates over Q or F_p over
 one denominator, with the coordinates over the ground field lowered only
-when read.  Sums, negation, the zero test and keys come from
+when read.  Sums, negation, the zero test and hashing come from
 ``linalg``; q, f and scaling act on the stored integers too, each
 expanded once per space into integer rows (``linalg._bilinear``) and
 compiled on first use (``linalg._compiled``).
@@ -29,6 +29,18 @@ from .scalars import Scalar, _reducer, random_scalar
 
 # the seed and count of the sampled anisotropy check
 ANISOTROPY_SEED, ANISOTROPY_SAMPLES = 7, 64
+
+
+def line_vectors(zero, lead, elements, dim):
+    """One vector per line of a dim-space over a division ring or field
+    listed as `elements`, which starts with `zero`: k leading zeros, then
+    `lead`, then each tail, for k from dim - 1 down to 0.  With `lead`
+    the first nonzero element, each is its line's first vector in the
+    order ``itertools.product`` meets them, and the lines come in that
+    order too."""
+    for k in reversed(range(dim)):
+        for tail in itertools.product(elements, repeat=dim - k - 1):
+            yield (zero,) * k + (lead,) + tail
 
 
 class ZeroAnchor(ZeroDivisionError):
@@ -75,18 +87,14 @@ class QuadraticSpace(linalg.IntSpace):
             if not self.field.is_finite():
                 raise ValueError("exhaustive anisotropy needs a finite field")
             # q(cv) = c^2 q(v), so one vector per line decides it: the one
-            # whose first nonzero coordinate is 1.  Lines are taken in the
-            # order a full scan over F_p meets their first vectors.
+            # whose first nonzero coordinate is 1.
             field = self.field
-            zero, one = field.zero_payload(), field.one_payload()
-            for k in reversed(range(self.dim)):
-                for rest in itertools.product(
-                        [s.val for s in field.elements()],
-                        repeat=self.dim - k - 1):
-                    v = self._canonical(*field.lift((zero,) * k + (one,)
-                                                    + rest))
-                    if self.q(v).is_zero():
-                        raise ValueError("form is isotropic at %r" % v)
+            for payloads in line_vectors(
+                    field.zero_payload(), field.one_payload(),
+                    [s.val for s in field.elements()], self.dim):
+                v = self._canonical(*field.lift(payloads))
+                if self.q(v).is_zero():
+                    raise ValueError("form is isotropic at %r" % v)
         elif self.anisotropy in ("structural", "attested"):
             rng = random.Random(ANISOTROPY_SEED)
             for _ in range(ANISOTROPY_SAMPLES):

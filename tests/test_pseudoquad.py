@@ -464,13 +464,26 @@ def test_f11_space_builds_from_one_scan(monkeypatch):
     assert sp.dim == 1 and len(calls) == 1
 
 
-@pytest.mark.parametrize("p,dim", [(3, 2), (5, 2), (3, 3)])
-def test_line_scan_refuses_where_the_full_scan_does(monkeypatch, p, dim):
+def _split_space():
+    # over the split quaternions over F_3, (i + j)^2 = 1, so i + j has an
+    # eigenvector u and a = u v^T != 0 has q(a) = sigma(a)(i + j)a = 0;
+    # a's first coordinate is a zero divisor, on no line of a unit-led a
+    K = CDAlgebra(PrimeField(3), [-1, -1])
+    x = K.element([0, 1, 1, 0])
+    return InvolutorySet(K, SIGMA_STANDARD), [x], [[x + x]]
+
+
+@pytest.mark.parametrize("parts", [
+    lambda: _fpw_space(3, 2), lambda: _fpw_space(5, 2),
+    lambda: _fpw_space(3, 3), _split_space],
+    ids=["F3(w)^2", "F5(w)^2", "F3(w)^3", "split-H(F3)^1"])
+def test_line_scan_refuses_where_the_full_scan_does(monkeypatch, parts):
     """The scan of every vector is the oracle: the scan of one vector per
-    line refuses the space at the same vector."""
+    line refuses the space at the same vector, and a carrier with zero
+    divisors is scanned in full."""
     def refusal():
         with pytest.raises(ValueError, match=r"^\(P3\)") as exc:
-            PseudoQuadraticSpace(*_fpw_space(p, dim))
+            PseudoQuadraticSpace(*parts())
         return str(exc.value)
 
     got = refusal()
