@@ -5,10 +5,11 @@ Each returns the first violation in lexicographic order, or None:
 `first_hom_violation` the first (a, b) with perm[ab] != perm[a]perm[b],
 and the identity and inverse checks the first bad index.
 
-The two sweeps run on a compact copy of the table (int16 up to 2^15
-elements, int32 above) in blocks of `_BLOCK` rows, gathering into
-buffers allocated once per call, so the largest shipped word group
-(1024 elements, 2^30 triples) takes a few megabytes beyond its table.
+The two sweeps run on the table in a compact dtype (int16 up to 2^15
+elements, int32 above; copied only when it comes in another dtype) in
+blocks of `_BLOCK` rows, gathering into buffers allocated once per call,
+so the largest shipped word group (1024 elements, 2^30 triples) takes a
+few megabytes beyond its table.
 
 Associativity is first decided by Light's test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, §1.2): the a with (xa)y = x(ay)
@@ -34,11 +35,12 @@ _BLOCK = 128
 
 
 def _compact(x, n):
-    """A copy of x in the smallest dtype that holds the indices 0..n-1,
-    or None when some entry is no such index."""
+    """x in the smallest dtype that holds the indices 0..n-1 (x itself
+    when it has that dtype, else a copy), or None when some entry is no
+    such index."""
     if x.size and (x.min() < 0 or x.max() >= n):
         return None
-    return x.astype(np.int16 if n <= 1 << 15 else np.int32)
+    return x.astype(np.int16 if n <= 1 << 15 else np.int32, copy=False)
 
 
 def _first_assoc_by_rows(t):
@@ -81,10 +83,14 @@ def _generators(s):
 
 
 def _light_passes(s, gens, lhs, rhs, same):
-    """Whether (xa)y == x(ay) for every generator a and all x, y."""
+    """Whether (xa)y == x(ay) for every generator a and all x, y; a
+    generator whose row and column are the identity map passes unread."""
     n = s.shape[0]
+    idx = np.arange(n)
     for a in gens:
         ay = s[a]
+        if np.array_equal(ay, idx) and np.array_equal(s[:, a], idx):
+            continue    # an identity: (xa)y = xy = x(ay)
         for x0 in range(0, n, _BLOCK):
             x1 = min(x0 + _BLOCK, n)
             lb, rb, eq = lhs[:x1 - x0], rhs[:x1 - x0], same[:x1 - x0]

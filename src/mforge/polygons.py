@@ -54,7 +54,7 @@ OPPOSITE = "opposite"
 _REJECT_ONLY = (SYMBOL_QE, SYMBOL_QF)
 
 # rgs_hua_consistency builds and sweeps a word group only up to this many
-# words: its Cayley table holds the square, 2^24 int32 entries (64 MB) at
+# words: its Cayley table holds the square, 2^24 int16 entries (32 MB) at
 # the bound, and it lives as long as its descriptor, as the end sets do
 # (`PolygonDescriptor.word_group`).  The largest shipped case, QP-Xi-F4,
 # has 1024 words.
@@ -69,7 +69,7 @@ class PolygonDescriptor:
 
     The end Moufang sets and, over a finite parameter system, the word
     group are built on first use and kept for the descriptor's lifetime:
-    the word group's Cayley table is up to 2^24 int32 entries (64 MB) at
+    the word group's Cayley table is up to 2^24 int16 entries (32 MB) at
     the `_EXHAUSTIVE_WORDS` bound."""
 
     def __init__(self, symbol, params, orientation=STANDARD, name=None):
@@ -429,6 +429,7 @@ class WordGroup(tbl.FiniteGroupTable):
         self.strides = [math.prod(sizes[m:]) for m in range(1, desc.n + 1)]
         self.elements = []
         self.index = {}
+        self._trees = {}
         self._build_elements()
         super().__init__(self.elements, self._build_table(), self.identity)
 
@@ -485,7 +486,7 @@ class WordGroup(tbl.FiniteGroupTable):
                      for combo in itertools.product(*map(range,
                                                          sizes[i + 1:]))]
             heads = np.arange(n_el // (size * strides[i]))[:, None, None]
-            perms = [np.arange(n_el, dtype=np.int32)]
+            perms = [np.arange(n_el)]
             for k in range(1, size):
                 # each tail's index once x_i(m_k) has passed it, and the
                 # index of a m_k in slot i for each a
@@ -495,14 +496,14 @@ class WordGroup(tbl.FiniteGroupTable):
                 merged = np.array([row[k] for row in ops[i]])
                 perms.append((heads * size * strides[i]
                               + merged[None, :, None] * strides[i]
-                              + moved[None, None, :]).reshape(-1)
-                             .astype(np.int32))
+                              + moved[None, None, :]).reshape(-1))
             right.append(perms)
-        table = np.arange(n_el, dtype=np.int32)[:, None]
+        table = np.arange(n_el)[:, None]
         for perms in right:
-            # table[w, g] = wg for the words g over the slots so far
-            table = np.stack(perms, axis=1).take(table, axis=0).reshape(
-                n_el, -1)
+            # table[w, g] = wg for the words g over the slots so far, in
+            # the kernel's compact dtype, which the group keeps
+            cols = tbl._kernel._compact(np.stack(perms, axis=1), n_el)
+            table = cols.take(table, axis=0).reshape(n_el, -1)
         return table
 
     def check_axioms(self):
@@ -519,18 +520,11 @@ class WordGroup(tbl.FiniteGroupTable):
         radix without normalizing a word."""
         return self.slot_index[slot - 1][m] * self.strides[slot - 1]
 
-    def extend_end_maps(self, map_first, map_last):
-        """Extend maps on the two end slots to a permutation of the
-        subgroup they generate (by `tables.extend_from_generators`), then
-        check the homomorphism property exhaustively on that subgroup
-        (which is the whole group whenever the end groups generate).
-
-        Returns (report, perm or None); perm is over the full index set
-        only when the ends generate.
-        """
+    def end_generators(self, map_first, map_last):
+        """(word, image word) index pairs: each nonidentity x_1(m), then
+        each nonidentity x_n(m), with the word of its image under the
+        end map of its slot."""
         desc = self.desc
-        n_el = len(self.elements)
-        rep = Report("wordgroup.end-extension", subject=repr(desc))
         gens = []
         for slot, mapping in ((1, map_first), (desc.n, map_last)):
             grp = desc.group(slot)
@@ -539,13 +533,80 @@ class WordGroup(tbl.FiniteGroupTable):
                     continue
                 gens.append((self.slot_word_index(slot, m),
                              self.slot_word_index(slot, mapping(m))))
-        perm, conflict = tbl.extend_from_generators(
-            self.table, self.table, gens, self.identity, self.identity)
+        return gens
+
+    def extend_from_generators(self, pairs):
+        """`tables.extend_from_generators` on this table onto itself:
+        (perm, conflict), where perm is int64 with -1 at the words the
+        sources do not reach.
+
+        The breadth-first spanning tree of the words the sources reach is
+        built once per tuple of sources (`_spanning_tree`).  Each call
+        fills perm level by level from the image columns, then checks
+        every (word, generator) edge at once.  When every edge holds, the
+        extension from the identity is unique, so perm is the walk's;
+        when one fails no consistent map exists, and the walk runs to
+        locate its first conflict."""
+        levels, reached, right = self._spanning_tree(
+            tuple(g for g, _ in pairs))
+        images = self.table[:, [h for _, h in pairs]]
+        perm = np.full(self.n, -1, dtype=np.int64)
+        perm[self.identity] = self.identity
+        for words, parents, gens in levels:
+            perm[words] = images[perm[parents], gens]
+        if np.array_equal(perm[right], images[perm[reached]]):
+            return perm, None
+        return tbl.extend_from_generators(self.table, self.table, pairs,
+                                          self.identity, self.identity)
+
+    def _spanning_tree(self, sources):
+        """(levels, reached, right) for the right products of the identity
+        with the source words: per level of a breadth-first search, the
+        new words, their parents and the position of their generator in
+        `sources`; every reached word, ascending; and its right products
+        with the sources."""
+        tree = self._trees.get(sources)
+        if tree is None:
+            cols = self.table[:, list(sources)]
+            seen = np.zeros(self.n, dtype=bool)
+            seen[self.identity] = True
+            frontier = np.array([self.identity])
+            levels = []
+            while True:
+                # the first edge into each word not seen yet
+                words, first = np.unique(cols[frontier].reshape(-1),
+                                         return_index=True)
+                new = ~seen[words]
+                words, first = words[new], first[new]
+                if not words.size:
+                    break
+                seen[words] = True
+                levels.append((words, frontier[first // len(sources)],
+                               first % len(sources)))
+                frontier = words
+            reached = np.flatnonzero(seen)
+            tree = self._trees[sources] = (levels, reached, cols[reached])
+        return tree
+
+    def extend_end_maps(self, map_first, map_last):
+        """Extend maps on the two end slots to a permutation of the
+        subgroup they generate (by `extend_from_generators`, which
+        returns what `tables.extend_from_generators` does), then check
+        the homomorphism property exhaustively on that subgroup (which is
+        the whole group whenever the end groups generate).
+
+        Returns (report, perm or None); perm is over the full index set
+        only when the ends generate.
+        """
+        n_el = len(self.elements)
+        rep = Report("wordgroup.end-extension", subject=repr(self.desc))
+        perm, conflict = self.extend_from_generators(
+            self.end_generators(map_first, map_last))
         if conflict is not None:
             rep.add("extension.consistent", n_el, False,
                     counterexample=conflict)
             return rep, None
-        perm = np.array(perm, dtype=np.int64)
+        perm = np.asarray(perm, dtype=np.int64)
         reached = np.nonzero(perm != -1)[0]
         m = reached.size
         full = m == n_el
@@ -630,10 +691,12 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
 
     A finite parameter system whose word group has at most 4096 words
     (`_EXHAUSTIVE_WORDS`, counted from the slot sizes) gets the
-    exhaustive automorphism-extension check on that group.  The group is
-    `desc.word_group()`, which lives as long as the descriptor, as its
-    end sets do: 2^24 int32 table entries (64 MB) at the bound.  Other
-    triangles get the closed-form identities on samples, other
+    exhaustive automorphism-extension check on that group: every
+    anchor's end maps extend along the one spanning tree the group keeps
+    for its end generators (`WordGroup.extend_from_generators`).  The
+    group is `desc.word_group()`, which lives as long as the descriptor,
+    as its end sets do: 2^24 int16 table entries (32 MB) at the bound.
+    Other triangles get the closed-form identities on samples, other
     quadrangles sampled endomorphism checks of the end maps themselves.
     """
     rep = Report("hua.consistency", seed=seed, subject=repr(desc))

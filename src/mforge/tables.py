@@ -2,10 +2,14 @@
 
 The element-level checks (identity, inverses, associativity, homomorphism)
 run in the numpy kernel of `_tablecheck_py`, bound here as `_kernel`.
-A homomorphism is fixed by its images on generators, so one walk,
-`extend_from_generators`, serves every extension question: the end maps
-of `WordGroup.extend_end_maps`, and one search over generator images, in
-lexicographic order, behind `isomorphism_to` and `automorphisms`.
+A `FiniteGroupTable` validates its table once and keeps it in the
+kernel's compact dtype, so the kernel sweeps it without a copy.
+A homomorphism is fixed by its images on generators, and the walk
+`extend_from_generators` extends them: behind the search over generator
+images, in lexicographic order, of `isomorphism_to` and `automorphisms`,
+and as the reference for `WordGroup.extend_end_maps`, which extends along
+a spanning tree built once per group and walks only where that finds a
+conflict.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ BACKEND = "python"
 
 
 def as_table(rows):
-    t = np.ascontiguousarray(np.asarray(rows, dtype=np.int32))
+    """rows as a contiguous square index table: an int16 or int32 array
+    as it is, anything else as int32."""
+    if not (isinstance(rows, np.ndarray)
+            and rows.dtype in (np.int16, np.int32)):
+        rows = np.asarray(rows, dtype=np.int32)
+    t = np.ascontiguousarray(rows)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("square table expected")
     return t
@@ -84,18 +93,26 @@ def extend_from_generators(source, target, pairs, identity,
 
 def is_automorphism(table, perm):
     p = np.asarray(perm)
-    n = len(p)
+    n = len(table)
     if sorted(p.tolist()) != list(range(n)):
         return False
     return first_hom_violation(table, perm) is None
 
 
 class FiniteGroupTable:
-    """A finite group as (elements, Cayley table, identity index)."""
+    """A finite group as (elements, Cayley table, identity index).
+
+    The table is validated once and stored compact, in the kernel's
+    dtype (int16 up to 2^15 elements); every permutation the class
+    returns is int32."""
 
     def __init__(self, elements, table, identity_index):
         self.elements = list(elements)
-        self.table = as_table(table)
+        t = as_table(table)
+        self.table = _kernel._compact(t, len(t))
+        if self.table is None:
+            raise ValueError("a group table holds the indices 0..%d only"
+                             % (len(t) - 1))
         self.identity = int(identity_index)
         self.n = len(self.elements)
         self._inv = None
@@ -124,7 +141,7 @@ class FiniteGroupTable:
     def conjugation(self, g):
         """Inner automorphism x -> g^-1 x g as a permutation."""
         inv = int(self.inverse_vector()[g])
-        return self.table[self.table[inv], g]
+        return self.table[self.table[inv], g].astype(np.int32)
 
     def automorphisms(self):
         """All automorphisms, as permutations in lexicographic order."""

@@ -20,3 +20,26 @@ def test_record_has_label_and_environment(path):
     env = record["environment"]
     for key in ("python", "gmpy2", "table_backend", "nproc"):
         assert key in env, key
+
+
+def test_wordgroup_tree_record_pairs_every_metric_on_every_workload():
+    root = Path(__file__).resolve().parent.parent
+    record = json.loads((root / "BENCH_wordgroup_tree.json").read_text())
+    metrics = [m["name"] for m in json.loads(
+        (root / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = record["perfbench"]
+    for workload in ("q_tower", "finite_exhaustive", "foundations_mix"):
+        (key,) = [k for k in runs if k.startswith(workload + "_")]
+        pairs = runs[key]
+        assert pairs["pairs"] >= 10, key
+        for side in ("parent", "change"):
+            assert pairs[side]["correct"] and pairs[side]["failed"] == 0
+            for name in metrics:
+                m = pairs[side][name]
+                assert len(m["runs"]) == pairs["pairs"], (key, side, name)
+                assert m["quartiles"][0] <= m["median"] <= m["quartiles"][1]
+    for side in ("parent", "change"):
+        for seed in ("seed0", "seed1"):
+            assert record["kernel_share_one_round"][side][seed]
+        for kind in ("hua.QP-Xi-F4", "wordgroup.QP-Xi-F4.axioms"):
+            assert record["per_call_ms"][side][kind]["median"] > 0

@@ -413,6 +413,44 @@ def test_an_inconsistent_end_map_reports_its_first_conflict():
         '"subject":"QQ-F4","suite":"wordgroup.end-extension"}')
 
 
+def assert_tree_matches_the_walk(wg, pairs):
+    perm, conflict = wg.extend_from_generators(pairs)
+    ref_perm, ref_conflict = tbl.extend_from_generators(
+        wg.table, wg.table, pairs, wg.identity, wg.identity)
+    assert (np.asarray(perm).tolist(), conflict) == (ref_perm, ref_conflict)
+    return conflict
+
+
+@pytest.mark.parametrize("orientation", [STANDARD, OPPOSITE])
+@pytest.mark.parametrize("name", list(ORACLE_DESCRIPTORS))
+def test_tree_extension_returns_what_the_walk_does(name, orientation):
+    desc = ORACLE_DESCRIPTORS[name]()
+    if orientation == OPPOSITE:
+        desc = rgs_opposite(desc)
+    wg = desc.word_group()
+    assert wg.table.dtype == np.int16
+    sources = None
+    for end in ("first", "last"):
+        grp = desc.group(1 if end == "first" else desc.n)
+        for s in grp.elements():
+            if grp.is_identity(s):
+                continue
+            pairs = wg.end_generators(*rgs_hua_end_action(desc, end, s))
+            assert sources in (None, [g for g, _ in pairs])
+            sources = [g for g, _ in pairs]
+            assert assert_tree_matches_the_walk(wg, pairs) is None
+    # one spanning tree serves every anchor of both ends
+    assert list(wg._trees) == [tuple(sources)]
+
+
+def test_tree_extension_falls_back_to_the_walk_on_a_conflict():
+    desc = qq_f4_space()
+    wg = WordGroup(desc)
+    pairs = wg.end_generators(
+        lambda x: x, lambda v: v if v.is_zero() else desc.params.basepoint)
+    assert assert_tree_matches_the_walk(wg, pairs) == (3, 1)
+
+
 def test_subgroup_table_is_the_reindexed_restriction(monkeypatch):
     # the gathered subgroup table and map equal the ones an element-wise
     # reindexing loop builds

@@ -153,6 +153,12 @@ def test_is_automorphism():
     assert not is_automorphism(t, [(2 * a) % 10 for a in range(10)])
 
 
+@pytest.mark.parametrize("length", [2, 8])
+def test_a_permutation_of_another_order_is_no_automorphism(length):
+    assert is_automorphism(cyclic(4), list(range(4)))
+    assert is_automorphism(cyclic(4), list(range(length))) is False
+
+
 def _product_table(m, n):
     """Z_m x Z_n, the pair (a, b) at index a * n + b."""
     elems = [(a, b) for a in range(m) for b in range(n)]
@@ -227,6 +233,20 @@ def test_inverses_and_conjugations_match_the_loops(name):
         conj = g.conjugation(h)
         assert conj.dtype == np.int32
         assert conj.tolist() == [t[t[inv[h]][x]][h] for x in range(g.n)]
+
+
+def test_tables_are_stored_compact_and_inverses_are_int32():
+    # conjugations and automorphisms are checked int32 where they are
+    # compared with their loops
+    for name, make in GROUPS.items():
+        g = make()
+        assert g.table.dtype == np.int16, name
+        assert g.inverse_vector().dtype == np.int32, name
+    # a table with an entry outside 0..n-1 is no group table
+    t = cyclic(4)
+    t[1, 2] = 4
+    with pytest.raises(ValueError, match="indices 0..3"):
+        FiniteGroupTable(list(range(4)), t, 0)
 
 
 def test_center_and_conjugation():
@@ -326,6 +346,16 @@ def test_compact_copy_is_int16_up_to_2_15_elements():
     assert tables._kernel._compact(np.array([-1, 0]), n) is None
 
 
+def test_compact_keeps_an_array_that_is_already_compact():
+    small = cyclic(5).astype(np.int16)
+    assert tables._kernel._compact(small, 5) is small
+    n = (1 << 15) + 1
+    wide = np.array([0, n - 1], dtype=np.int32)
+    assert tables._kernel._compact(wide, n) is wide
+    assert tables.as_table(small) is small
+    assert tables.as_table(cyclic(5)).dtype == np.int32
+
+
 def test_entries_outside_the_index_range_take_the_reference_sweeps():
     t = cyclic(12)
     t[3, 4] = -5          # numpy reads it as 7, as the per-row sweep does
@@ -400,6 +430,36 @@ def test_generators_reach_every_index_within_the_cap(name, request):
     assert light(t) is True
     if name == "qp_table":
         assert gens == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+
+
+def relabeled_cyclic(n, identity):
+    """Z_n relabeled so that its identity sits at index `identity`."""
+    idx = np.arange(n)
+    return (((idx[:, None] + idx[None, :] - identity) % n)
+            .astype(np.int32))
+
+
+def test_lights_pass_skips_an_identity_generator_at_any_index():
+    k = tables._kernel
+    n, e = 12, 5
+    t = relabeled_cyclic(n, e)
+    assert oracle_identity(t.tolist(), e) is None
+    # index 0 generates and is no identity: were it skipped, Light's pass
+    # would read nothing and miss the planted cells below
+    assert k._generators(t) == [0]
+    assert k.first_assoc_violation(t) is k._first_assoc_by_rows(t) is None
+    for cell in ((0, 0), (3, 4), (11, 7)):
+        bad = t.copy()
+        bad[cell] = (bad[cell] + 1) % n
+        assert k.first_assoc_violation(bad) == k._first_assoc_by_rows(bad) \
+            == oracle_assoc(bad.tolist()), cell
+        # the identity passes unread, on a table that is no group too:
+        # the buffers keep their fill
+        bufs = [np.full((n, n), -1, np.int32) for _ in range(2)]
+        same = np.zeros((n, n), bool)
+        assert k._light_passes(bad, [e], *bufs, same) is True
+        assert all((b == -1).all() for b in bufs) and not same.any()
+        assert k._light_passes(bad, [e, 1], *bufs, same) is False
 
 
 def test_a_swap_in_a_latin_square_fails_lights_pass():
