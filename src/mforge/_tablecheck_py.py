@@ -5,11 +5,11 @@ Each returns the first violation in lexicographic order, or None:
 `first_hom_violation` the first (a, b) with perm[ab] != perm[a]perm[b],
 and the identity and inverse checks the first bad index.
 
-The two sweeps run on the table in a compact dtype (int16 up to 2^15
-elements, int32 above; copied only when it comes in another dtype) in
-blocks of `_BLOCK` rows, gathering into buffers allocated once per call,
-so the largest shipped word group (1024 elements, 2^30 triples) takes a
-few megabytes beyond its table.
+They take index tables only, as `tables` checks them where they enter:
+int16 arrays up to 2^15 elements, int32 above (`_compact`), every entry
+in 0..n-1.  The sweeps go through blocks of `_BLOCK` rows into buffers
+allocated once per call, so the largest shipped word group (1024
+elements, 2^30 triples) takes a few megabytes beyond its table.
 
 Associativity is first decided by Light's test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, §1.2): the a with (xa)y = x(ay)
@@ -17,14 +17,10 @@ for all x, y are closed under the product, so the identity on a set of
 generators decides all n^3 triples.  `_generators` picks them greedily
 and gives up past 1 + floor(log2 n) of them, more than any group needs:
 each new generator at least doubles the subgroup reached (Lagrange).
-When the cap is passed, or the test fails, the blocked sweep runs as
-before: b rows outer and every a inner, and only a failing block falls
-back to the per-row sweep `_first_assoc_by_rows`, which locates the
-lexicographically first triple.  The homomorphism sweep goes through row
-blocks in order, so its first failing block holds the first pair.  A
-table or permutation with an entry outside 0..n-1 is no index table: it
-takes the per-row sweep, or the whole-table homomorphism sweep, with
-numpy's own indexing rules.
+When the cap is passed, or the test fails, one sweep runs, a outer and
+blocks of b inner, and the homomorphism sweep goes through row blocks in
+order: the first failing block holds the first violation.  The per-row
+sweep `_first_assoc_by_rows` is the tests' reference.
 """
 
 from __future__ import annotations
@@ -44,6 +40,8 @@ def _compact(x, n):
 
 
 def _first_assoc_by_rows(t):
+    """The first (a, b, c) with (ab)c != a(bc), one row of a at a time:
+    the reference for `first_assoc_violation`."""
     n = t.shape[0]
     for a in range(n):
         lhs = t[t[a], :]          # lhs[b, c] = (a*b)*c
@@ -103,71 +101,51 @@ def _light_passes(s, gens, lhs, rhs, same):
 
 
 def first_assoc_violation(table):
-    t = np.asarray(table)
-    n = t.shape[0]
-    s = _compact(t, n)
-    if s is None:
-        return _first_assoc_by_rows(t)
+    n = table.shape[0]
     m = min(_BLOCK, n)
-    lhs = np.empty((m, n), dtype=s.dtype)
-    rhs = np.empty((m, n), dtype=s.dtype)
+    lhs, rhs = (np.empty((m, n), dtype=table.dtype) for _ in range(2))
     same = np.empty((m, n), dtype=bool)
-    gens = _generators(s)
-    if gens is not None and _light_passes(s, gens, lhs, rhs, same):
+    gens = _generators(table)
+    if gens is not None and _light_passes(table, gens, lhs, rhs, same):
         return None
-    for b0 in range(0, n, _BLOCK):
-        b1 = min(b0 + _BLOCK, n)
-        bc = s[b0:b1].astype(np.intp)       # bc[b, c] = b*c
-        ab = s[:, b0:b1].astype(np.intp)    # ab[a, b] = a*b
-        lb, rb, eq = lhs[:b1 - b0], rhs[:b1 - b0], same[:b1 - b0]
-        for a in range(n):
-            np.take(s, ab[a], axis=0, out=lb, mode="clip")
-            np.take(s[a], bc, out=rb, mode="clip")
+    for a in range(n):
+        ta = table[a]                       # ta[b] = a*b
+        for b0 in range(0, n, _BLOCK):
+            b1 = min(b0 + _BLOCK, n)
+            lb, rb, eq = lhs[:b1 - b0], rhs[:b1 - b0], same[:b1 - b0]
+            np.take(table, ta[b0:b1], axis=0, out=lb, mode="clip")
+            np.take(ta, table[b0:b1], out=rb, mode="clip")
             np.equal(lb, rb, out=eq)
             if not eq.all():
-                return _first_assoc_by_rows(t)
+                b, c = np.argwhere(~eq)[0]
+                return (a, b0 + int(b), int(c))
     return None
 
 
 def first_identity_violation(table, e):
-    t = np.asarray(table)
-    n = t.shape[0]
-    idx = np.arange(n)
-    bad = np.nonzero((t[e] != idx) | (t[:, e] != idx))[0]
+    idx = np.arange(table.shape[0])
+    bad = np.nonzero((table[e] != idx) | (table[:, e] != idx))[0]
     return int(bad[0]) if bad.size else None
 
 
 def first_inverse_violation(table, inv, e):
-    t = np.asarray(table)
-    inv = np.asarray(inv)
-    n = t.shape[0]
-    idx = np.arange(n)
-    bad = np.nonzero((t[idx, inv] != e) | (t[inv, idx] != e))[0]
+    idx = np.arange(table.shape[0])
+    bad = np.nonzero((table[idx, inv] != e) | (table[inv, idx] != e))[0]
     return int(bad[0]) if bad.size else None
 
 
 def first_hom_violation(table, perm):
-    t = np.asarray(table)
-    p = np.asarray(perm)
-    n = t.shape[0]
-    s, ps = _compact(t, n), _compact(p, n)
-    if s is None or ps is None or p.shape != (n,):
-        lhs = p[t]
-        rhs = t[p][:, p]
-        bad = np.argwhere(lhs != rhs)
-        return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
-    pi = ps.astype(np.intp)
+    n = table.shape[0]
+    p = perm.astype(table.dtype, copy=False)
     m = min(_BLOCK, n)
-    lhs = np.empty((m, n), dtype=s.dtype)
-    rows = np.empty((m, n), dtype=s.dtype)
-    rhs = np.empty((m, n), dtype=s.dtype)
+    lhs, rows, rhs = (np.empty((m, n), dtype=table.dtype) for _ in range(3))
     same = np.empty((m, n), dtype=bool)
     for a0 in range(0, n, _BLOCK):
         a1 = min(a0 + _BLOCK, n)
         lb, rw, rb, eq = (buf[:a1 - a0] for buf in (lhs, rows, rhs, same))
-        np.take(ps, s[a0:a1].astype(np.intp), out=lb, mode="clip")
-        np.take(s, pi[a0:a1], axis=0, out=rw, mode="clip")
-        np.take(rw, pi, axis=1, out=rb, mode="clip")
+        np.take(p, table[a0:a1], out=lb, mode="clip")
+        np.take(table, p[a0:a1], axis=0, out=rw, mode="clip")
+        np.take(rw, p, axis=1, out=rb, mode="clip")
         np.equal(lb, rb, out=eq)
         if not eq.all():
             a, b = np.argwhere(~eq)[0]

@@ -513,7 +513,6 @@ def fnd_check(fnd, samples=60, seed=53):
     def cocyclic(i, j, k, l):
         g_direct = fnd.glueing(i, j, k)
         g_one, g_two = fnd.glueing(i, j, l), fnd.glueing(l, j, k)
-        dst = fnd.end_mset(j, k, j)
         return all(g_direct(x) == g_two(g_one(x))
                    for x in drawn(fnd.end_mset(i, j, j)))
 
@@ -855,9 +854,13 @@ def _carrier_kind(fnd):
 def fnd_positive_analysis(fnd, samples=40, seed=73):
     """Maximal positive residues, the residue graph, and the four
     glueing-pattern conditions (rank-2 edges count as positive)."""
-    dia = fnd.diagram
     signs = {t: fnd_glueing_sign(fnd, t, samples=samples, seed=seed)
-             for t in dia.triples()}
+             for t in fnd.diagram.triples()}
+    return _positive_analysis(fnd.diagram, signs)
+
+
+def _positive_analysis(dia, signs):
+    """`fnd_positive_analysis` on the glueing signs of the diagram."""
 
     def positive_subset(sub):
         for (i, j, k) in dia.restricted(sub).triples():
@@ -1001,7 +1004,7 @@ def fnd_classify_simply_laced(fnd, samples=40, seed=79):
         return Verdict(Verdict.MATCHES, "octonion-triangle", evidence)
 
     if kind == "quaternion":
-        analysis = fnd_positive_analysis(fnd, samples=samples, seed=seed)
+        analysis = _positive_analysis(dia, signs)
         evidence += analysis["conditions"]
         evidence.append(("positive.residue-graph-tree",
                          True, analysis["residue_graph_is_tree"]))

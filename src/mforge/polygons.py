@@ -621,7 +621,8 @@ class WordGroup(tbl.FiniteGroupTable):
             sub_of[reached] = np.arange(m, dtype=np.int32)
             sub_table = sub_of[self.table[np.ix_(reached, reached)]]
             sub_perm = sub_of[perm[reached]]
-        bad = tbl.first_hom_violation(sub_table, sub_perm)
+        # both are index arrays built here: the kernel takes them unchecked
+        bad = tbl._kernel.first_hom_violation(sub_table, sub_perm)
         rep.add("extension.automorphism" if full else
                 "extension.automorphism-on-subgroup", m * m, bad is None,
                 counterexample=bad)

@@ -1,9 +1,12 @@
 """Finite-group machinery on Cayley tables.
 
 The element-level checks (identity, inverses, associativity, homomorphism)
-run in the numpy kernel of `_tablecheck_py`, bound here as `_kernel`.
-A `FiniteGroupTable` validates its table once and keeps it in the
-kernel's compact dtype, so the kernel sweeps it without a copy.
+run in the numpy kernel of `_tablecheck_py`, bound here as `_kernel`,
+which takes index tables only.  `_index_array` checks each table and
+permutation once, where it enters: the public sweeps, and a
+`FiniteGroupTable`, which keeps its table in the kernel's compact dtype.
+An entry outside 0..n-1 raises ValueError there, and fails the closure
+line of `check_group_axioms`.
 A homomorphism is fixed by its images on generators, and the walk
 `extend_from_generators` extends them: behind the search over generator
 images, in lexicographic order, of `isomorphism_to` and `automorphisms`,
@@ -34,17 +37,33 @@ def as_table(rows):
     return t
 
 
+def _index_array(x, shape):
+    """x as an index array of the given shape, a table (n, n) or a
+    permutation (n,), in the kernel's compact dtype; ValueError naming
+    the order n when its shape differs or an entry lies outside 0..n-1."""
+    n = shape[0]
+    x = np.asarray(x)
+    s = _kernel._compact(x, n) if x.shape == shape else None
+    if s is None:
+        raise ValueError("an index array of order %d has shape %s and holds "
+                         "the indices 0..%d only" % (n, shape, n - 1))
+    return s
+
+
 def first_assoc_violation(table):
-    return _kernel.first_assoc_violation(as_table(table))
+    t = as_table(table)
+    return _kernel.first_assoc_violation(_index_array(t, t.shape))
 
 
 def first_hom_violation(table, perm):
-    return _kernel.first_hom_violation(
-        as_table(table), np.ascontiguousarray(np.asarray(perm, dtype=np.int32)))
+    t = as_table(table)
+    return _kernel.first_hom_violation(_index_array(t, t.shape),
+                                       _index_array(perm, t.shape[:1]))
 
 
 def check_group_axioms(table, identity, inverse):
-    """Exhaustive identity/inverse/associativity report for a Cayley table."""
+    """Exhaustive identity/inverse/associativity report for a Cayley table;
+    associativity is swept on a closed table only."""
     t = as_table(table)
     inv = np.ascontiguousarray(np.asarray(inverse, dtype=np.int32))
     n = int(t.shape[0])
@@ -55,11 +74,11 @@ def check_group_axioms(table, identity, inverse):
     bad = _kernel.first_inverse_violation(t, inv, int(identity))
     rep.add("group.inverses", n, bad is None,
             counterexample=None if bad is None else int(bad))
-    bad = _kernel.first_assoc_violation(t)
-    rep.add("group.associativity", n ** 3, bad is None,
+    s = _kernel._compact(t, n)      # None: an entry is no index
+    bad = None if s is None else _kernel.first_assoc_violation(s)
+    rep.add("group.associativity", n ** 3, s is not None and bad is None,
             counterexample=None if bad is None else tuple(int(v) for v in bad))
-    closed = bool((t >= 0).all() and (t < n).all())
-    rep.add("group.closure", n * n, closed)
+    rep.add("group.closure", n * n, s is not None)
     return rep
 
 
@@ -109,10 +128,7 @@ class FiniteGroupTable:
     def __init__(self, elements, table, identity_index):
         self.elements = list(elements)
         t = as_table(table)
-        self.table = _kernel._compact(t, len(t))
-        if self.table is None:
-            raise ValueError("a group table holds the indices 0..%d only"
-                             % (len(t) - 1))
+        self.table = _index_array(t, t.shape)
         self.identity = int(identity_index)
         self.n = len(self.elements)
         self._inv = None

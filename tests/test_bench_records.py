@@ -23,8 +23,18 @@ def test_record_has_label_and_environment(path):
 
 
 def test_wordgroup_tree_record_pairs_every_metric_on_every_workload():
+    check_paired_record("BENCH_wordgroup_tree.json")
+
+
+def test_index_tables_record_pairs_every_metric_on_every_workload():
+    check_paired_record("BENCH_index_tables.json")
+
+
+def check_paired_record(filename):
+    """At least 10 pairs of runs per workload with every end-to-end metric,
+    the one-round kernel shares and the per-call times, on both sides."""
     root = Path(__file__).resolve().parent.parent
-    record = json.loads((root / "BENCH_wordgroup_tree.json").read_text())
+    record = json.loads((root / filename).read_text())
     metrics = [m["name"] for m in json.loads(
         (root / "BENCHMARK.json").read_text())["end_to_end"]]
     runs = record["perfbench"]

@@ -160,6 +160,19 @@ def test_foundation_bad_file(capsys, tmp_path):
         assert code == 2 and "'edges' is a required property" in err
 
 
+def test_foundation_unknown_parameter_system_is_an_input_error(capsys,
+                                                               tmp_path):
+    with open(os.path.join(SAMPLES, "f443_involutory.json")) as fh:
+        doc = json.load(fh)
+    for edge in doc["edges"][:2]:
+        edge.update(symbol="QQ", params="nope")
+    path = tmp_path / "unknown_space.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["foundation", "check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "unknown quadratic space 'nope'" in err
+
+
 def test_foundation_atom_on_the_wrong_carrier_is_an_input_error(capsys,
                                                                  tmp_path):
     # a table atom reads field scalars and scalar_conj a tower element

@@ -389,6 +389,58 @@ def test_443_patterns():
         assert v.kind == Verdict.MATCHES and v.case == case
 
 
+def _unitary_443_doc(symbol, params, t_params="F4"):
+    """A 443 document on named parameter systems: two quadrangles on
+    `params`, the first opposite, a triangle on `t_params`, and the
+    glueings (id^op, id^op, identity)."""
+    return {
+        "version": 1, "vertices": ["1", "2", "3"],
+        "edges": [
+            {"from": "1", "to": "2", "m": 4, "symbol": symbol,
+             "params": params, "orientation": "opposite"},
+            {"from": "2", "to": "3", "m": 4, "symbol": symbol,
+             "params": params},
+            {"from": "3", "to": "1", "m": 3, "symbol": "T",
+             "params": t_params}],
+        "glueings": [
+            {"triple": list(t), "atoms": [{"atom": atom}]}
+            for t, atom in ((("1", "2", "3"), "id_opposite"),
+                            (("2", "3", "1"), "id_opposite"),
+                            (("3", "1", "2"), "identity"))]}
+
+
+@pytest.mark.parametrize("symbol, params, kind, last", [
+    ("QI", "F4-galois", Verdict.MATCHES,
+     ("unitary.gamma1-field-automorphism", True, "negative")),
+    ("QP", "Xi-F4", Verdict.INCONCLUSIVE,
+     ("unitary.f4-side-condition", True, "4-element carrier with a line "
+      "space: excluded side case")),
+])
+def test_443_unitary_field_branch(symbol, params, kind, last):
+    f = foundation_from_json(_unitary_443_doc(symbol, params))
+    v = fnd_check_443(f, samples=12)
+    assert (v.kind, v.case) == (kind, "443-unitary-field")
+    assert v.evidence[-1] == last and v.reasons() == []
+    assert [code for code, _, _ in v.evidence[-3:-1]] == [
+        "unitary.middle-glueing-identity", "unitary.gamma3-opposite-identity"]
+
+
+@pytest.mark.parametrize("symbol, params, t_params, names", [
+    ("QQ", "F4-space", "F4", ("(F4,F2,N)", "F_2(w)")),
+    ("QP", "Xi-H", {"algebra": "quaternion-Q", "opposite": True},
+     ("Xi_H", "quaternion-Q^op")),
+    ("QI", "F4-galois", "F4", ("(F4,F2,gal)", "F_2(w)")),
+])
+def test_named_parameter_systems_load(symbol, params, t_params, names):
+    f = foundation_from_json(_unitary_443_doc(symbol, params, t_params))
+    quad, other, tri = (f.polygons[e] for e in (("1", "2"), ("2", "3"),
+                                                 ("3", "1")))
+    assert (repr(quad.params), repr(tri.params)) == names
+    # one parameter system per reference, shared by both quadrangles
+    assert quad.params is other.params
+    assert tri.params.reversed == isinstance(t_params, dict)
+
+
 def test_443_rejections():
     for tag, code in ((SYMBOL_QE, "reject.en-quadrangle"),
                       (SYMBOL_QF, "reject.f4-quadrangle"),

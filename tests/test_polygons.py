@@ -457,8 +457,8 @@ def test_subgroup_table_is_the_reindexed_restriction(monkeypatch):
     desc = ORACLE_DESCRIPTORS["QD-F2"]()
     wg = WordGroup(desc)
     seen = []
-    check = tbl.first_hom_violation
-    monkeypatch.setattr(tbl, "first_hom_violation",
+    check = tbl._kernel.first_hom_violation
+    monkeypatch.setattr(tbl._kernel, "first_hom_violation",
                         lambda table, perm: seen.append((table, perm))
                         or check(table, perm))
     wg.extend_end_maps(lambda t: t, lambda a: F2.zero())

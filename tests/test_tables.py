@@ -356,14 +356,62 @@ def test_compact_keeps_an_array_that_is_already_compact():
     assert tables.as_table(cyclic(5)).dtype == np.int32
 
 
-def test_entries_outside_the_index_range_take_the_reference_sweeps():
-    t = cyclic(12)
-    t[3, 4] = -5          # numpy reads it as 7, as the per-row sweep does
-    assert tables._kernel.first_assoc_violation(t) \
-        == tables._kernel._first_assoc_by_rows(t) == (0, 3, 4)
-    t[3, 4] = 12
-    with pytest.raises(IndexError):
-        tables._kernel.first_assoc_violation(t)
+def test_entries_outside_the_index_range_are_refused():
+    # every table and permutation is checked where it enters, and an
+    # entry outside 0..n-1 is refused by name of the order
+    for entry in (-5, 12):
+        t = cyclic(12)
+        t[3, 4] = entry
+        perm = np.arange(12)
+        perm[5] = entry
+        for call in (lambda: tables.first_assoc_violation(t),
+                     lambda: tables.first_hom_violation(t, np.arange(12)),
+                     lambda: tables.first_hom_violation(cyclic(12), perm),
+                     lambda: FiniteGroupTable(list(range(12)), t, 0)):
+            with pytest.raises(ValueError, match="order 12 .* 0..11 only"):
+                call()
+    for length in (11, 13):
+        with pytest.raises(ValueError, match=r"order 12 has shape \(12,\)"):
+            tables.first_hom_violation(cyclic(12), np.arange(length) % 12)
+
+
+@pytest.mark.parametrize("entry", [4, -1])
+def test_group_axioms_on_a_table_that_is_not_closed(entry):
+    # no exception, and no associativity counterexample of another table
+    t = cyclic(4)
+    t[2, 3] = entry
+    rep = check_group_axioms(t, 0, neg_vector(4))
+    lines = {line.rule: line for line in rep.lines}
+    assert not lines["group.closure"].passed
+    assert not lines["group.associativity"].passed
+    assert lines["group.associativity"].counterexample is None
+    assert [line.rule for line in rep.lines] == [
+        "group.identity", "group.inverses", "group.associativity",
+        "group.closure"]
+
+
+def test_the_sweeps_take_one_path_each(monkeypatch):
+    # after Light's pass, one blocked sweep per law: neither the per-row
+    # reference nor the index check runs inside the kernel
+    k = tables._kernel
+    n = 2 * 8 + 3
+    lone = np.zeros((n, n), dtype=np.int16)
+    lone[5, 11] = 5
+    planted = cyclic(n).astype(np.int16)
+    planted[7, 2] = 0
+    expect = [k._first_assoc_by_rows(t) for t in (lone, planted)]
+    auto = ((3 * np.arange(n)) % n).astype(np.int16)
+    expect_hom = rows_hom(planted, auto)
+
+    def refuse(*args):
+        raise AssertionError("a second path ran")
+
+    monkeypatch.setattr(k, "_first_assoc_by_rows", refuse)
+    monkeypatch.setattr(k, "_compact", refuse)
+    monkeypatch.setattr(k, "_BLOCK", 8)
+    assert [k.first_assoc_violation(t) for t in (lone, planted)] == expect
+    assert k.first_hom_violation(planted, auto) == expect_hom
+    assert k.first_hom_violation(cyclic(n).astype(np.int16), auto) is None
 
 
 @pytest.fixture(scope="module")
