@@ -14,9 +14,12 @@ elements, 2^30 triples) takes a few megabytes beyond its table.
 Associativity is first decided by Light's test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, §1.2): the a with (xa)y = x(ay)
 for all x, y are closed under the product, so the identity on a set of
-generators decides all n^3 triples.  `_generators` picks them greedily
-and gives up past 1 + floor(log2 n) of them, more than any group needs:
-each new generator at least doubles the subgroup reached (Lagrange).
+generators decides all n^3 triples, in one pass per generator.
+`_generators` picks them greedily, here each the last index not yet
+reached (4 on the 1024-element word group of QP-Xi-F4, where the first
+unreached index gives 11), and gives up past 1 + floor(log2 n) of them,
+more than any group needs: each new generator at least doubles the
+subgroup reached (Lagrange).
 When the cap is passed, or the test fails, one sweep runs, a outer and
 blocks of b inner, and the homomorphism sweep goes through row blocks in
 order: the first failing block holds the first violation.  The per-row
@@ -53,21 +56,29 @@ def _first_assoc_by_rows(t):
     return None
 
 
-def _generators(s):
-    """Generators of the index table s, each the first index not yet
-    reached, or None past 1 + floor(log2 n) of them.  The reached set
-    grows by right products with the generators, so it lies in the
-    submagma they generate.  The order of this pick also fixes which map
-    `FiniteGroupTable.isomorphism_to` returns (its search runs over
-    images of these generators), and the F4 census golden pins that map:
-    a change to the pick is a change of that output too."""
+def _generators(s, last=False):
+    """Generators of the index table s, or None past 1 + floor(log2 n) of
+    them.  Each is the first index not yet reached, or with `last` the
+    last one.  The reached set grows by right products with the
+    generators, so it lies in the submagma they generate.
+
+    The two picks differ in size.  In the mixed-radix order of a word
+    group, where the last slot runs fastest, the first unreached index
+    climbs a composition series one doubling at a time (QP-Xi-F4, of
+    order 2^10: 0, 1, 2, 4, ..., 512), while the last one starts from
+    words in every slot (1023, 1022, 1021, 767).  `first_assoc_violation`
+    takes the last pick, as each generator costs Light's test one pass.
+    `FiniteGroupTable.isomorphism_to` takes the first: its search runs
+    over images of these generators, so the pick fixes which map it
+    returns, and the F4 census golden pins that map."""
     n = s.shape[0]
     reached = np.zeros(n, dtype=bool)
     gens = []
     while not reached.all():
         if len(gens) == n.bit_length():
             return None
-        gens.append(int(np.argmin(reached)))
+        gens.append(n - 1 - int(np.argmin(reached[::-1])) if last
+                    else int(np.argmin(reached)))
         reached[gens[-1]] = True
         frontier = np.flatnonzero(reached)
         by_gens = s[:, gens]
@@ -105,7 +116,7 @@ def first_assoc_violation(table):
     m = min(_BLOCK, n)
     lhs, rhs = (np.empty((m, n), dtype=table.dtype) for _ in range(2))
     same = np.empty((m, n), dtype=bool)
-    gens = _generators(table)
+    gens = _generators(table, last=True)
     if gens is not None and _light_passes(table, gens, lhs, rhs, same):
         return None
     for a in range(n):

@@ -300,7 +300,7 @@ class _TowerKernel:
         matrices are read off `rows` and `norm_rows` here, on first use.
         Over F_p the rows are residues over the denominator 1."""
         p, n = self.p, self.n
-        dtype = np.int64 if n * n * (p - 1) ** 2 < 2 ** 63 else object
+        dtype = np.int64 if n * n * (p - 1) ** 2 < 2 ** 53 else object
         unit = (((0, 0, 1),),)
         return _Stacks(p, dtype, n, self.rows, self.norm_rows,
                        _Stacks(p, dtype, 1, unit, unit))
@@ -707,10 +707,16 @@ class _Stacks:
     contracts them with the dense n^2 x n structure matrix, entry
     (n*i + j, q) the residue of the term X[i] * Y[j] of row q of
     ``_TowerKernel.rows``; the norm contracts them with the n^2 x 1 matrix
-    of `norm_rows`.  Such a sum has n^2 terms below (p - 1)^2 each, so the
-    dtype is int64 when n^2 * (p - 1)^2 < 2^63 and Python ints (object)
-    otherwise.  Norms and traces are stacks of the tower of dim 1, `line`,
-    in the same dtype."""
+    of `norm_rows`.  Norms and traces are stacks of the tower of dim 1,
+    `line`, in the same dtype.
+
+    Such a sum has n^2 terms below (p - 1)^2 each, so every term and
+    every partial sum is an integer below n^2 (p - 1)^2.  When that bound
+    is below 2^53 the rows are int64 and the contraction runs in float64
+    (a BLAS product, on a float copy of each matrix made here): float64
+    holds every integer below 2^53 exactly, so the sum is exact in any
+    order of summation and on any number of threads, and is cast back
+    and reduced mod p.  Otherwise the rows hold Python ints (object)."""
 
     def __init__(self, p, dtype, n, rows, norm_rows, line=None):
         self.p, self.dtype, self.n = p, dtype, n
@@ -725,7 +731,7 @@ class _Stacks:
         for q, row in enumerate(rows):
             for i, j, c in row:
                 m[n * i + j, q] = c % self.p
-        return m
+        return m if self.dtype is object else m.astype(np.float64)
 
     def stack(self, x):
         """The tower element x as a stack of one row, which broadcasts."""
@@ -740,15 +746,18 @@ class _Stacks:
         """`arity` stacks of `samples` elements: what `samples` cases of
         `arity` draws of `width` leading coordinates each (the others 0)
         take from rng, by one ``scalars._draws_below`` call."""
-        draws = np.array(_draws_below(rng, (self.p,) * (
-            samples * arity * width)), self.dtype)
+        draws = np.array(_draws_below(rng, self.p, samples * arity * width),
+                         self.dtype)
         rows = np.zeros((samples, arity, self.n), self.dtype)
         rows[:, :, :width] = draws.reshape(samples, arity, width)
         return [_Stack(self, rows[:, a]) for a in range(arity)]
 
     def contract(self, a, b, matrix):
         outer = (a[:, :, None] * b[:, None, :]) % self.p
-        return outer.reshape(len(outer), self.n * self.n) @ matrix % self.p
+        outer = outer.reshape(len(outer), self.n * self.n)
+        if self.dtype is object:
+            return outer @ matrix % self.p
+        return (outer.astype(np.float64) @ matrix).astype(np.int64) % self.p
 
 
 class _Stack:

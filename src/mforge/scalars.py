@@ -14,7 +14,11 @@ the form in which ``composition`` stores tower elements and ``quadspace``
 vectors, and ``random_coords`` draws random payloads straight into it.
 ``_reducer`` puts that form in canonical shape, so equal values have
 equal forms.  Every seeded draw below n is the one CPython's Random
-makes, by ``_draws_below``.
+makes: getrandbits(n.bit_length()) until below n.  ``_draws_below``
+makes a run of draws below one bound, with the bit length and the check
+n > 0 taken once (``PrimeField.random_coords`` and the stacked identity
+suites of ``composition``); ``Rationals.random_coords`` draws its
+numerator and denominator pairs in one loop of its own.
 """
 
 from __future__ import annotations
@@ -93,15 +97,14 @@ def _reducer(p, make):
     return reduce
 
 
-def _draws_below(rng, bounds):
-    """CPython's draw below each n of `bounds`, in order:
-    getrandbits(n.bit_length()) until below n.  ValueError for n <= 0,
-    where that loop never ends."""
-    getrandbits, out = rng.getrandbits, []
-    for n in bounds:
-        if n <= 0:
-            raise ValueError("empty range for a draw below %d" % n)
-        k = n.bit_length()
+def _draws_below(rng, n, count):
+    """`count` draws below n, as `count` calls of CPython's
+    rng.randrange(n) make them: getrandbits(n.bit_length()) until below
+    n.  ValueError for n <= 0, where that loop never ends."""
+    if n <= 0:
+        raise ValueError("empty range for a draw below %d" % n)
+    getrandbits, k, out = rng.getrandbits, n.bit_length(), []
+    for _ in range(count):
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
@@ -256,12 +259,24 @@ class Rationals(Field):
         return 0
 
     def random_coords(self, rng, n, height=20):
-        # over the lcm of the drawn denominators
-        draws = _draws_below(rng, (2 * height + 1, height) * n)
-        dens = [1 + d for d in draws[1::2]]
+        # num below 2h + 1, then den below h, per payload, as
+        # _draws_below draws each; over the lcm of the denominators
+        if height <= 0:
+            raise ValueError("empty range for a draw below %d" % height)
+        getrandbits, h2 = rng.getrandbits, 2 * height + 1
+        kn, kd = h2.bit_length(), height.bit_length()
+        nums, dens = [], []
+        for _ in range(n):
+            r = getrandbits(kn)
+            while r >= h2:
+                r = getrandbits(kn)
+            d = getrandbits(kd)
+            while d >= height:
+                d = getrandbits(kd)
+            nums.append(r - height)
+            dens.append(1 + d)
         den = math.lcm(*dens)
-        return [(num - height) * (den // d)
-                for num, d in zip(draws[::2], dens)], den
+        return [num * (den // d) for num, d in zip(nums, dens)], den
 
     def render(self, a):
         num, den = a.numerator, a.denominator
@@ -349,7 +364,7 @@ class PrimeField(Field):
         return [Scalar(self, r) for r in range(self.p)]
 
     def random_coords(self, rng, n, height=20):
-        return _draws_below(rng, (self.p,) * n), 1
+        return _draws_below(rng, self.p, n), 1
 
     def sqrt(self, a):
         """The root r <= p - r of a residue a, or None for a non-square

@@ -63,15 +63,24 @@ def first_hom_violation(table, perm):
 
 def check_group_axioms(table, identity, inverse):
     """Exhaustive identity/inverse/associativity report for a Cayley table;
-    associativity is swept on a closed table only."""
+    associativity is swept on a closed table only.  An identity outside
+    0..n-1 fails the identity line, with no counterexample, and an
+    inverse entry outside that range (the -1 of
+    `FiniteGroupTable.inverse_vector` for a row without the identity)
+    fails the inverse line at its index."""
     t = as_table(table)
-    inv = np.ascontiguousarray(np.asarray(inverse, dtype=np.int32))
     n = int(t.shape[0])
+    e = int(identity)
+    inv = np.asarray(inverse, dtype=np.int64)
+    outside = (inv < 0) | (inv >= n)
     rep = Report("group-axioms")
-    bad = _kernel.first_identity_violation(t, int(identity))
-    rep.add("group.identity", n, bad is None,
+    bad = _kernel.first_identity_violation(t, e) if 0 <= e < n else None
+    rep.add("group.identity", n, 0 <= e < n and bad is None,
             counterexample=None if bad is None else int(bad))
-    bad = _kernel.first_inverse_violation(t, inv, int(identity))
+    bad = _kernel.first_inverse_violation(t, np.where(outside, 0, inv), e)
+    out = np.flatnonzero(outside)
+    if out.size and (bad is None or out[0] < bad):
+        bad = out[0]
     rep.add("group.inverses", n, bad is None,
             counterexample=None if bad is None else int(bad))
     s = _kernel._compact(t, n)      # None: an entry is no index

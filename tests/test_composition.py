@@ -762,13 +762,17 @@ def test_scalar_valued_elements_hash_as_their_scalars(base, betas, value):
 #    numpy, against the case-by-case path as the oracle
 
 BIG_PRIME = 2 ** 31 - 1   # dim^2 (p - 1)^2 >= 2^63 from dim 2 on
+# at dim 8, 64 (p - 1)^2 lies just below 2^53 (int64 rows, float64
+# contraction), and just above it, below 2^63 (Python ints)
+FLOAT_PRIME, PAST_FLOAT_PRIME = 11863279, 11863289
 
 STACKED_TOWERS = [
     (2, [1]), (2, [1, 1]), (2, [1, 1, 1]), (3, [-1]), (3, [1, 1]),
     (3, [-1, -1, -1]), (5, [2, -1, 3]), (5, [-1, -1, -1, -1]), (7, [3]),
     (7, [3, 5, 6]), (7, [-1, 2, 3, 4]), (1009, [-1, -1]),
     (1009, [5, 7, 11]), (BIG_PRIME, [-1]), (BIG_PRIME, [3, -1]),
-    (BIG_PRIME, [-1, -1, -1]), (BIG_PRIME, [-1, 2, -1, 5])]
+    (BIG_PRIME, [-1, -1, -1]), (BIG_PRIME, [-1, 2, -1, 5]),
+    (FLOAT_PRIME, [-1, 2, 3]), (PAST_FLOAT_PRIME, [-1, 2, 3])]
 
 
 def _recorded_run(monkeypatch, algebra, suite, seed, samples):
@@ -801,7 +805,8 @@ def _by_case(monkeypatch, algebra, suite, seed, samples):
 def test_stacked_suites_match_the_case_by_case_path(monkeypatch, p, betas):
     algebra = CDAlgebra(PrimeField(p), betas, allow_dim16=True)
     dtype = algebra._kernel.stacks.dtype
-    assert (dtype is object) == (p == BIG_PRIME)
+    assert (dtype is object) == (p in (BIG_PRIME, PAST_FLOAT_PRIME))
+    assert (dtype is object) == (algebra.dim ** 2 * (p - 1) ** 2 >= 2 ** 53)
     samples = 12 if algebra.dim == 16 else 30
     for suite in (s for s in SUITES if s != "inverse"):
         for seed in range(4):
@@ -851,9 +856,9 @@ def test_prime_field_suites_take_the_stacked_path(monkeypatch):
     calls = {"draws": 0, "mul": 0}
     draws, mul = composition._draws_below, CDElement.__mul__
 
-    def counted_draws(rng, bounds):
+    def counted_draws(rng, n, count):
         calls["draws"] += 1
-        return draws(rng, bounds)
+        return draws(rng, n, count)
 
     def counted_mul(x, y):
         calls["mul"] += 1

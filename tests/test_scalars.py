@@ -257,9 +257,25 @@ def test_random_draws_follow_the_reference_order(field):
                 field.random_coords(_BoundedRandom(0), 8, height)
             with pytest.raises(ValueError):
                 field.random_payload(_BoundedRandom(0), height)
-    for bounds in ((2, 0), (-1,), (5,) * 3 + (0,)):
+    for n, count in ((0, 2), (-1, 1), (0, 4)):
         with pytest.raises(ValueError):
-            _draws_below(_BoundedRandom(0), bounds)
+            _draws_below(_BoundedRandom(0), n, count)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1009, 2 ** 31 - 1,
+                               2 ** 32 - 5, 2 ** 61 - 1])
+def test_draws_below_one_bound_are_cpythons_randrange(n):
+    """_draws_below(rng, n, count) makes the draws of `count` calls of
+    rng.randrange(n) and leaves the generator in the same state, also
+    past 2^32, where one draw takes two 32-bit words."""
+    for seed, count in itertools.product(range(20), (0, 1, 7, 64)):
+        rng = random.Random(seed)
+        want = [rng.randrange(n) for _ in range(count)]
+        after = rng.getstate()
+        rng = random.Random(seed)
+        got = _draws_below(rng, n, count)
+        assert (got, rng.getstate()) == (want, after), (seed, count)
+        assert all(type(g) is int for g in got)
 
 
 # -- the pair rule: quadratic-extension arithmetic payload by payload in the

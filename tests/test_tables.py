@@ -390,6 +390,37 @@ def test_group_axioms_on_a_table_that_is_not_closed(entry):
         "group.closure"]
 
 
+def test_group_axioms_refuse_an_inverse_outside_the_index_range():
+    # -3 is no index of Z4 (numpy would read it as 1), nor is 4, nor the
+    # -1 that inverse_vector gives a row without the identity
+    for inv, bad in (([0, 3, 2, -3], 3), ([0, 3, 2, 4], 3),
+                     ([0, -1, 2, 1], 1)):
+        rep = check_group_axioms(cyclic(4), 0, np.array(inv))
+        lines = {line.rule: line for line in rep.lines}
+        assert not lines["group.inverses"].passed, inv
+        assert lines["group.inverses"].counterexample == bad, inv
+        assert lines["group.identity"].passed
+        assert lines["group.associativity"].passed
+    g = FiniteGroupTable(list(range(3)), [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+                         1)
+    assert g.inverse_vector().tolist() == [-1, 1, 2]
+    line = g.check_axioms().lines[1]
+    assert (line.rule, line.passed, line.counterexample) == (
+        "group.inverses", False, 0)
+
+
+@pytest.mark.parametrize("identity", [4, -1])
+def test_group_axioms_refuse_an_identity_outside_the_index_range(identity):
+    # no IndexError for 4, and -1 is no alias of the last row
+    rep = check_group_axioms(cyclic(4), identity, neg_vector(4))
+    lines = {line.rule: line for line in rep.lines}
+    assert not lines["group.identity"].passed
+    assert lines["group.identity"].counterexample is None
+    assert not lines["group.inverses"].passed
+    assert lines["group.associativity"].passed
+    assert lines["group.closure"].passed
+
+
 def test_the_sweeps_take_one_path_each(monkeypatch):
     # after Light's pass, one blocked sweep per law: neither the per-row
     # reference nor the index check runs inside the kernel
@@ -447,12 +478,12 @@ def closure(t, gens):
     return reached
 
 
-def light(t):
-    """Whether Light's pass over the generators succeeds, or None when
-    the generator search gives up."""
+def light(t, last=False):
+    """Whether Light's pass over the generators (the first or, with
+    `last`, the last pick) succeeds, or None when the search gives up."""
     k = tables._kernel
     t = tables.as_table(t)
-    gens = k._generators(t)
+    gens = k._generators(t, last)
     if gens is None:
         return None
     m, n = min(k._BLOCK, len(t)), len(t)
@@ -478,6 +509,54 @@ def test_generators_reach_every_index_within_the_cap(name, request):
     assert light(t) is True
     if name == "qp_table":
         assert gens == [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+    last = tables._kernel._generators(tables.as_table(t), last=True)
+    assert last is not None and len(last) <= 1 + int(np.log2(n))
+    assert closure(t, last) == set(range(n))
+    assert light(t, last=True) is True
+
+
+def test_the_last_pick_decides_like_the_row_reference():
+    # the kernel's pick and Light's pass against the per-row sweep, on
+    # groups, planted cells and a magma past the cap; the shipped word
+    # groups in both readings
+    from mforge.polygons import WordGroup, rgs_opposite
+    from test_polygons import ORACLE_DESCRIPTORS
+    k = tables._kernel
+    n = 2 * 128 + 3
+    zero = np.zeros((n, n), dtype=np.int16)
+    lone = zero.copy()
+    lone[n - 1, 2] = n - 1
+    planted = cyclic(16)
+    planted[5, 7] = 13
+    cases = [(name + suffix, WordGroup(read(make())).table)
+             for name, make in ORACLE_DESCRIPTORS.items()
+             for suffix, read in (("", lambda d: d), ("-opp", rgs_opposite))]
+    cases += [("census", GROUPS["census"]().table),
+              ("Q8", GROUPS["Q8"]().table), ("Z16-planted", planted),
+              ("zero259", zero), ("lone259", lone)]
+    for name, t in cases:
+        t = tables.as_table(t)
+        gens = k._generators(t, last=True)
+        if name.endswith("259"):
+            assert gens is None, name
+        elif name == "Z16-planted":
+            assert light(t, last=True) is False
+        else:
+            assert closure(t, gens) == set(range(len(t))), name
+            assert light(t, last=True) is True, name
+        assert k.first_assoc_violation(t) == k._first_assoc_by_rows(t), name
+    assert k.first_assoc_violation(lone) == (n - 1, 2, 2)
+
+
+def test_the_last_pick_takes_few_generators_on_qp_xi_f4():
+    from mforge.polygons import WordGroup, qp_xi_f4, rgs_opposite
+    k = tables._kernel
+    for desc in (qp_xi_f4(), rgs_opposite(qp_xi_f4())):
+        t = WordGroup(desc).table
+        assert len(k._generators(t)) == 11
+        assert len(k._generators(t, last=True)) <= 5
+    assert k._generators(WordGroup(qp_xi_f4()).table, last=True) == [
+        1023, 1022, 1021, 767]
 
 
 def relabeled_cyclic(n, identity):
@@ -551,11 +630,14 @@ def random_magma(rng):
 
 def test_random_magmas_agree_with_the_oracle():
     rng = np.random.default_rng(19)
-    outcomes = set()
+    outcomes, outcomes_last = set(), set()
     for _ in range(300):
         t = random_magma(rng)
         expect = oracle_assoc(t.tolist())
         assert tables.first_assoc_violation(t) == expect, t.tolist()
         outcomes.add((light(t), expect is None))
-    # every branch is taken: Light passes, Light fails, the cap is hit
-    assert {(True, True), (False, False), (None, False)} <= outcomes
+        outcomes_last.add((light(t, last=True), expect is None))
+    # every branch is taken: Light passes, Light fails, the cap is hit,
+    # on either pick
+    for seen in (outcomes, outcomes_last):
+        assert {(True, True), (False, False), (None, False)} <= seen
