@@ -202,9 +202,13 @@ def _atom_from_json(entry, edge_desc):
         return GIdOpposite()
     if kind == "standard_involution":
         return GStandardInvolution()
-    if kind == "frobenius":
-        return GFrobenius(entry.get("power", 1))
     carrier = getattr(edge_desc.params, "carrier", None)
+    if kind == "frobenius":
+        if isinstance(carrier, CDAlgebra) or (
+                isinstance(carrier, Field) and not carrier.characteristic()):
+            raise ValueError("a frobenius atom needs a field edge of "
+                             "positive characteristic")
+        return GFrobenius(entry.get("power", 1))
     if kind == "scalar_conj":
         if not isinstance(carrier, CDAlgebra):
             raise ValueError("a scalar_conj atom needs a tower edge")

@@ -55,7 +55,7 @@ import numpy as np
 from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
 from .linalg import IntSpace, IntVector, _bilinear, _compiled
-from .report import Report
+from .report import STACKED, Report
 from .scalars import (QQ, PrimeField, Scalar, _draws_below, _reducer,
                       random_scalar)
 
@@ -826,21 +826,21 @@ def _check_law(rep, rule, law, arity, samples, draw, rng, stacks, width):
     elements each, drawn by `draw` in order, as ``Report.first_failure``
     walks them.  With `stacks` (over F_p), the cases are drawn as stacks
     of `width` leading coordinates in one call and the law is evaluated
-    once on all of them.  On a failure at case k the stream is rewound and
-    cases 0..k are drawn again by `draw`, so the line has the same
-    samples, index and counterexample, and the stream stops at the same
-    place."""
+    once on all of them, and the line is `report.STACKED`.  On a failure
+    at case k the stream is rewound and cases 0..k are drawn again by
+    `draw`, so the line has the same samples, index and counterexample,
+    and the stream stops at the same place."""
     if stacks is None:
         cases = (tuple(draw() for _ in range(arity)) for _ in range(samples))
         return rep.first_failure(rule, cases, law, None, cex=_reprs)
     state = rng.getstate()
     holds = law(*stacks.draw(rng, samples, arity, width))
     if holds.all():
-        return rep.add(rule, samples, True)
+        return rep.add(rule, samples, True, mode=STACKED)
     k = int(np.argmin(holds))
     rng.setstate(state)
     cases = [tuple(draw() for _ in range(arity)) for _ in range(k + 1)]
-    line = rep.add(rule, k + 1, False, _reprs(*cases[k]))
+    line = rep.add(rule, k + 1, False, _reprs(*cases[k]), mode=STACKED)
     line.index = k
     return line
 

@@ -13,10 +13,11 @@ over the prime field, while a glueing here always applies atom by atom.
 A Frobenius atom takes a signed power.  Opposite readings of a tower are
 handles with the `reversed` flag set.  The Moufang set at each end of a
 polygon, and so each end ring, is the polygon's own `end_set`.
-`fnd_check`'s Jordan checks sweep an end Moufang set exhaustively or on
-samples by the one rule of `moufang.EXHAUSTIVE_SIZE`.  The simply-laced
-classifier reads a commutative carrier of no tower or field type, such as
-the small field on a quadratic plane, as a field."""
+`fnd_check` sweeps every edge for the opposite pairing of F2 and every
+triple for the unit of F3; its Jordan checks sweep an end Moufang set
+exhaustively or on samples by the one rule of `report.swept`.  The
+simply-laced classifier reads a commutative carrier of no tower or field
+type, such as the small field on a quadratic plane, as a field."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .moufang import MoufangSet, ms_jordan_check
 from .polygons import (OPPOSITE, STANDARD, SYMBOL_QD, SYMBOL_QE, SYMBOL_QF,
                        SYMBOL_QI, SYMBOL_QP, SYMBOL_QQ, SYMBOL_T,
                        rgs_opposite)
-from .report import Report
+from .report import SWEPT, Report
 from .scalars import Field, Scalar
 
 
@@ -486,7 +487,7 @@ def fnd_check(fnd, samples=60, seed=53):
 
     rep.first_failure("f2.opposite-pairing", ((e,) for e in dia.edges),
                       opposite_paired, len(dia.edges),
-                      cex=lambda e: tuple(sorted(e)))
+                      cex=lambda e: tuple(sorted(e)), mode=SWEPT)
 
     rng = random.Random(seed)
     triples, draws = dia.triples(), samples // 4 + 1
@@ -497,7 +498,7 @@ def fnd_check(fnd, samples=60, seed=53):
                 == dst.unit())
 
     rep.first_failure("f3.unit-preserved", triples, unit_preserved,
-                      len(triples), cex=lambda *t: t)
+                      len(triples), cex=lambda *t: t, mode=SWEPT)
 
     def drawn(mset):
         return (mset.random(rng) for _ in range(draws))

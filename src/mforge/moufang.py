@@ -13,11 +13,12 @@ structure, elements and samples from it; only the canonical unit, tau
 and the Hua maps depend on the family.  Coincidence and
 Jordan-isomorphism checks run against any pair.
 
-One rule, which no caller overrides, picks how every check here sweeps
-a carrier: exhaustively when it is finite with at most `EXHAUSTIVE_SIZE`
-elements, counted without listing it, and on seeded samples otherwise.
-The one Jordan-check body also serves `pseudoquad.t_jordan_check`, on
-the Moufang set of T.
+Every check here sweeps a root group by the one rule of `report.swept`:
+exhaustively when it is finite with at most `EXHAUSTIVE_SIZE` elements,
+counted without listing it, and on seeded samples otherwise; each line
+records which (`report.SWEPT` or `report.SAMPLED`).  The one
+Jordan-check body also serves `pseudoquad.t_jordan_check`, on the
+Moufang set of T.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .composition import CDAlgebra
 from .handles import Handle, as_handle
 from .pseudoquad import PseudoQuadraticSpace, TPoint, t_hua
 from .quadspace import QuadraticSpace, ZeroAnchor, qs_hua
-from .report import EXHAUSTIVE_SIZE, Report, reprs
+from .report import EXHAUSTIVE_SIZE  # noqa: F401  (re-exported)
+from .report import SAMPLED, SWEPT, Report, reprs, swept
 from .scalars import Field
 from .unitary import IndifferentSet, InvolutorySet
 
@@ -48,12 +50,13 @@ class CarrierMismatch(ValueError):
 
 class ParamGroup(namedtuple("ParamGroup", (
         "op", "inv", "identity", "is_identity", "elements", "draw",
-        "coord_field", "exponent"))):
+        "coord_field", "coord_dim"))):
     """A root group given by its operations: op, inverse, identity (a
     fresh element), identity test, enumeration (raising TypeError when
     infinite) and a seeded draw(rng, height).  Its elements are hashable,
     equal only to elements of their own carrier, and render by `repr`.
-    It has q^exponent elements, q the order of its coordinate field."""
+    It has q^coord_dim elements, q the order of its coordinate field, and
+    so answers `report.swept`."""
 
     __slots__ = ()
 
@@ -70,7 +73,7 @@ class ParamGroup(namedtuple("ParamGroup", (
     def size(self):
         if not self.is_finite():
             raise TypeError("%r is not finite" % self.coord_field)
-        return self.coord_field.order() ** self.exponent
+        return self.coord_field.order() ** self.coord_dim
 
 
 def root_group(carrier, span=None):
@@ -197,12 +200,6 @@ class MoufangSet:
         return self.name or "M[%s](%r)" % (self.family, self.payload)
 
 
-def _swept(mset):
-    """Whether a check lists every element of the carrier: it is finite
-    with at most `EXHAUSTIVE_SIZE` elements."""
-    return mset.is_finite() and mset.size() <= EXHAUSTIVE_SIZE
-
-
 def ms_verify(mset, samples=200, seed=13):
     """h_a is an endomorphism on samples, bijective when finite with at
     most `EXHAUSTIVE_SIZE` elements, and the canonical unit acts as the
@@ -222,20 +219,20 @@ def ms_verify(mset, samples=200, seed=13):
                       lambda x: mset.hua(mset.unit(), x) == x,
                       samples, cex=repr)
 
-    if _swept(mset):
+    if swept(mset.group):
         elems = mset.elements()
         rep.first_failure(
             "hua.bijective", ((a,) for a in elems),
             lambda a: mset.is_zero(a) or len(
                 {mset.hua(a, x) for x in elems}) == len(elems),
-            len(elems), cex=repr)
+            len(elems), cex=repr, mode=SWEPT)
 
         units = [x for x in elems if not mset.is_zero(x)]
         taus = [_defined(mset.tau, x) for x in units]
         images = {t for t in taus if t is not None}
         bad = [repr(x) for x, t in zip(units, taus) if t is None][:1]
         rep.add("tau.bijective-on-units", len(images),
-                not bad and len(images) == len(units), *bad)
+                not bad and len(images) == len(units), *bad, mode=SWEPT)
     return rep
 
 
@@ -258,23 +255,23 @@ def ms_coincide(m1, m2, bijection=None, samples=200, seed=23):
         raise CarrierMismatch("one carrier is finite, the other is not")
     if m1.is_finite() and m1.size() != m2.size():
         raise CarrierMismatch("carrier sizes differ")
-    if _swept(m1):
-        elems = m1.elements()
+    if swept(m1.group):
+        mode, elems = SWEPT, m1.elements()
     else:
         rng = random.Random(seed)
-        elems = [m1.random(rng) for _ in range(samples)]
+        mode, elems = SAMPLED, [m1.random(rng) for _ in range(samples)]
 
     try:
         rep.first_failure(
             "coincide.tau", ((x,) for x in elems),
             lambda x: m1.is_zero(x) or _defined(
                 lambda: to2(m1.tau(x)) == m2.tau(to2(x))),
-            len(elems), cex=repr)
+            len(elems), cex=repr, mode=mode)
         rep.first_failure(
             "coincide.hua", ((a, x) for a in elems for x in elems),
             lambda a, x: m1.is_zero(a)
             or to2(m1.hua(a, x)) == m2.hua(to2(a), to2(x)),
-            len(elems) ** 2, cex=reprs)
+            len(elems) ** 2, cex=reprs, mode=mode)
     except (TypeError, ValueError) as exc:
         raise CarrierMismatch(str(exc))
     return rep
@@ -298,33 +295,30 @@ _JORDAN_SHAPES = {
 def _jordan_check(suite, gamma, m1, m2, samples, seed):
     apart, zero_note = _JORDAN_SHAPES[suite]
     rep = Report(suite, seed=seed, subject="%r -> %r" % (m1, m2))
-    swept = _swept(m1)
-    if swept:
-        elems = m1.elements()
+    if swept(m1.group):
+        mode, elems = SWEPT, m1.elements()
         pairs = [(x, y) for x in elems for y in elems]
+        anchors = ([(a, x) for a, x in pairs if not m1.is_zero(a)]
+                   if apart else pairs)
     else:
-        rng = random.Random(seed)
+        mode, rng = SAMPLED, random.Random(seed)
         draw = lambda: [(m1.random(rng), m1.random(rng))
                         for _ in range(samples)]
         # drawn and never read: this keeps the seeded stream, and so every
         # stored counterexample, where it was
         [m1.random(rng) for _ in range(samples)]
         pairs = draw()
-    if not apart:
-        anchors = pairs
-    elif swept:
-        anchors = [(a, x) for a, x in pairs if not m1.is_zero(a)]
-    else:
-        anchors = draw()
+        anchors = draw() if apart else pairs
 
     rep.first_failure(
         "jordan.group-homomorphism", pairs,
         lambda x, y: gamma(m1.op(x, y)) == m2.op(gamma(x), gamma(y)),
-        len(pairs), cex=reprs)
+        len(pairs), cex=reprs, mode=mode)
 
-    if apart and swept:
+    if apart and mode == SWEPT:
         images = {gamma(x) for x in elems}
-        rep.add("jordan.bijective", len(elems), len(images) == len(elems))
+        rep.add("jordan.bijective", len(elems), len(images) == len(elems),
+                mode=SWEPT)
 
     rep.add("jordan.unit", 1, gamma(m1.unit()) == m2.unit())
 
@@ -338,7 +332,7 @@ def _jordan_check(suite, gamma, m1, m2, samples, seed):
     rep.first_failure(
         "jordan.hua-preserved", anchors, hua_preserved, len(anchors),
         cex=lambda a, x: (repr(a), zero_note
-                          if m2.is_zero(gamma(a)) else repr(x)))
+                          if m2.is_zero(gamma(a)) else repr(x)), mode=mode)
     if not apart:
         rep.add("pattern.tag", 1, True,
                 note="%s-to-%s" % (m1.family, m2.family))

@@ -28,7 +28,7 @@ from . import tables as tbl
 from .handles import Handle, as_handle
 from .moufang import MoufangSet, _defined, root_group
 from .pseudoquad import TPoint
-from .report import Report, reprs
+from .report import SWEPT, Report, reprs
 from .unitary import ind_check, ind_opposite
 
 
@@ -604,14 +604,14 @@ class WordGroup(tbl.FiniteGroupTable):
             self.end_generators(map_first, map_last))
         if conflict is not None:
             rep.add("extension.consistent", n_el, False,
-                    counterexample=conflict)
+                    counterexample=conflict, mode=SWEPT)
             return rep, None
         perm = np.asarray(perm, dtype=np.int64)
         reached = np.nonzero(perm != -1)[0]
         m = reached.size
         full = m == n_el
         rep.add("extension.generates", n_el, True, note=None if full else
-                "end groups generate a subgroup of order %d" % m)
+                "end groups generate a subgroup of order %d" % m, mode=SWEPT)
         if full:
             sub_table, sub_perm = self.table, perm.astype(np.int32)
         else:
@@ -625,9 +625,9 @@ class WordGroup(tbl.FiniteGroupTable):
         bad = tbl._kernel.first_hom_violation(sub_table, sub_perm)
         rep.add("extension.automorphism" if full else
                 "extension.automorphism-on-subgroup", m * m, bad is None,
-                counterexample=bad)
+                counterexample=bad, mode=SWEPT)
         bij = len(set(sub_perm.tolist())) == m
-        rep.add("extension.bijective", m, bij)
+        rep.add("extension.bijective", m, bij, mode=SWEPT)
         return rep, (sub_perm if bad is None and bij else None)
 
 
@@ -746,7 +746,8 @@ def rgs_hua_consistency(desc, samples=1000, seed=47):
 
             rep.first_failure("hua.%s-end-extends" % end,
                               ((s,) for s in anchors), extends,
-                              len(anchors) * len(wg.elements) ** 2)
+                              len(anchors) * len(wg.elements) ** 2,
+                              mode=SWEPT)
         return rep
 
     # other quadrangles: endomorphism property of the end maps, on the

@@ -3,8 +3,9 @@ checking, the complete census over the 4-element field, and the dimension
 switch between quaternion 1-dim and quadratic-extension 2-dim spaces.
 
 `t_jordan_check` runs the one Jordan check of `moufang` on the Moufang
-set of T, so it sweeps T exhaustively exactly when T is finite with at
-most `moufang.EXHAUSTIVE_SIZE` points, and samples it otherwise.
+set of T, so it sweeps T exactly when `report.swept` admits it (T is
+finite with at most `report.EXHAUSTIVE_SIZE` points), and samples it
+otherwise.
 
 q is stored as chosen representatives on a basis; all statements involving
 q are congruences against the K0 span.
@@ -200,15 +201,13 @@ class PseudoQuadraticSpace:
             if sigma(s) != e:
                 fail("sigma(sigma(x)) != x", e)
         prod = [[h.mul(x, y) for y in basis] for x in basis]
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                if sigma(prod[i][j]) != h.mul(sig[j], sig[i]):
-                    fail("sigma(x*y) != sigma(y)*sigma(x)", x, y)
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                for k, z in enumerate(basis):
-                    if h.mul(prod[i][j], z) != h.mul(x, prod[j][k]):
-                        fail("(x*y)*z != x*(y*z)", x, y, z)
+        idx = range(len(basis))
+        for i, j in itertools.product(idx, repeat=2):
+            if sigma(prod[i][j]) != h.mul(sig[j], sig[i]):
+                fail("sigma(x*y) != sigma(y)*sigma(x)", basis[i], basis[j])
+        for i, j, k in itertools.product(idx, repeat=3):
+            if h.mul(prod[i][j], basis[k]) != h.mul(basis[i], prod[j][k]):
+                fail("(x*y)*z != x*(y*z)", basis[i], basis[j], basis[k])
         for e, s in zip(basis, sig):
             if not self.inv.k0_contains(e + s):
                 fail("x + sigma(x) is not in K0", e)
@@ -220,9 +219,7 @@ class PseudoQuadraticSpace:
                     fail("sigma(x)*k*x is not in K0", e, k, axiom="sandwich")
 
     def _all_vectors(self):
-        pools = [self.h.elements() for _ in range(self.dim)]
-        for combo in itertools.product(*pools):
-            yield tuple(combo)
+        return itertools.product(self.h.elements(), repeat=self.dim)
 
     def _line_vectors(self):
         """The first vector of each line a*K, in the order `_all_vectors`

@@ -13,7 +13,9 @@ expanded once per space into integer rows (``linalg._bilinear``) and
 compiled on first use (``linalg._compiled``).
 
 ``qs_small_dim_field`` builds the field on a space of dimension <= 2, a
-``handles.SmallFieldHandle``, and checks its norm condition.
+``handles.SmallFieldHandle``, and checks its norm condition on the
+cases of ``report.polarized``.  ``verify_space`` sweeps the Hua maps of
+a space that ``report.swept`` admits, and samples its other laws.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import itertools
 import random
 
 from . import linalg
-from .report import EXHAUSTIVE_SIZE, Report
-from .scalars import Scalar, _reducer, random_scalar
+from .report import SWEPT, Report, polarized, swept
+from .scalars import PrimeField, Scalar, _reducer, random_scalar
 
 
 # the seed and count of the sampled anisotropy check
@@ -56,7 +58,8 @@ class QuadraticSpace(linalg.IntSpace):
     vectors are ``QSVector``s.
 
     anisotropy is one of "exhaustive" (finite K, checked here on one
-    vector per line), "structural" (inherited from a certified division
+    vector per line, and a plane over F_p, p odd, from its discriminant),
+    "structural" (inherited from a certified division
     tower) or "attested" (user-declared; a sampled check still runs).
     """
 
@@ -86,15 +89,9 @@ class QuadraticSpace(linalg.IntSpace):
         if self.anisotropy == "exhaustive":
             if not self.field.is_finite():
                 raise ValueError("exhaustive anisotropy needs a finite field")
-            # q(cv) = c^2 q(v), so one vector per line decides it: the one
-            # whose first nonzero coordinate is 1.
-            field = self.field
-            for payloads in line_vectors(
-                    field.zero_payload(), field.one_payload(),
-                    [s.val for s in field.elements()], self.dim):
-                v = self._canonical(*field.lift(payloads))
-                if self.q(v).is_zero():
-                    raise ValueError("form is isotropic at %r" % v)
+            v = self._first_isotropic()
+            if v is not None:
+                raise ValueError("form is isotropic at %r" % v)
         elif self.anisotropy in ("structural", "attested"):
             rng = random.Random(ANISOTROPY_SEED)
             for _ in range(ANISOTROPY_SAMPLES):
@@ -103,6 +100,35 @@ class QuadraticSpace(linalg.IntSpace):
                     raise ValueError("form is isotropic at %r" % v)
         else:
             raise ValueError("unknown anisotropy policy %r" % self.anisotropy)
+
+    def _first_isotropic(self):
+        """The first vector of `line_vectors` with q = 0, or None.
+
+        q(cv) = c^2 q(v), so one vector per line decides it: the one whose
+        first nonzero coordinate is 1.  Over F_p, p odd, a plane
+        q(x, y) = a x^2 + b xy + c y^2 is decided from its discriminant,
+        whatever p is: the scan meets (0, 1) first, isotropic when c = 0,
+        and then (1, t) for t = 0, 1, ..., isotropic at the smaller root
+        of c t^2 + b t + a, which exists when b^2 - 4ac is a square."""
+        field = self.field
+        if self.dim == 2 and isinstance(field, PrimeField) and field.p > 2:
+            p = field.p
+            a, c = (s.val for s in self.q_basis)
+            b = self.f_upper.get((0, 1), field.zero()).val
+            if c == 0:
+                return self.element([0, 1])
+            r = field.sqrt(b * b - 4 * a * c)
+            if r is None:
+                return None
+            d = pow(2 * c, -1, p)
+            return self.element([1, min((r - b) * d % p, (-r - b) * d % p)])
+        for payloads in line_vectors(
+                field.zero_payload(), field.one_payload(),
+                [s.val for s in field.elements()], self.dim):
+            v = self._canonical(*field.lift(payloads))
+            if self.q(v).is_zero():
+                return v
+        return None
 
     # -- vectors ----------------------------------------------------------
     def vector(self, coords):
@@ -234,15 +260,13 @@ def qs_small_dim_field(space):
     v * sigma(v) = q(v) * eps verified.
 
     Both sides are quadratic maps of v over K, and a quadratic map is
-    fixed by its values on e_i and e_i + e_j, so checking e_1, e_2 and
-    e_1 + e_2 (e_1 alone in dim 1) proves the condition on every vector,
-    in every characteristic and over finite and infinite K alike."""
+    fixed by its values on e_i and e_i + e_j (``report.polarized``), so
+    checking e_1, e_2 and e_1 + e_2 (e_1 alone in dim 1) proves the
+    condition on every vector, in every characteristic and over finite
+    and infinite K alike."""
     from .handles import SmallFieldHandle
     fld = SmallFieldHandle(space)
-    cases = space.basis()
-    if space.dim == 2:
-        cases.append(cases[0] + cases[1])
-    for v in cases:
+    for v in polarized(space.basis()):
         if fld.mul(v, space.sigma(v)) != fld.scalar_embed(space.q(v)):
             raise AssertionError("norm condition failed at %r" % v)
     return fld, fld.scalar_embed
@@ -251,7 +275,7 @@ def qs_small_dim_field(space):
 def verify_space(space, samples=200, seed=3):
     """Sampled structural laws: sigma involutive, trace/pairing symmetry,
     f(x,x) = 2q(x), Hua linearity and the anchor-scaling rule; Hua maps
-    bijective on a finite space of at most `EXHAUSTIVE_SIZE` vectors."""
+    bijective, swept, on a space that ``report.swept`` admits."""
     rng = random.Random(seed)
     rep = Report("quadspace.laws", seed=seed, subject=repr(space))
     laws = [
@@ -284,14 +308,13 @@ def verify_space(space, samples=200, seed=3):
                       == qs_hua(space, a, x).scale(s * s),
                       None, cex=lambda *args: [repr(a) for a in args])
 
-    field = space.field
-    if field.is_finite() and field.order() ** space.dim <= EXHAUSTIVE_SIZE:
+    if swept(space):
         elems = list(space.all_elements())
         rep.first_failure(
             "hua.bijective", ((a,) for a in elems),
             lambda a: a.is_zero() or len({qs_hua(space, a, x)
                                           for x in elems}) == len(elems),
-            len(elems))
+            len(elems), mode=SWEPT)
     return rep
 
 

@@ -452,14 +452,15 @@ class QuadExt(Field):
 
     def _irreducible(self):
         b = self.base
-        if b.is_finite():
-            # exhaustive root search
+        if self._p == 2:
+            # both residues tried
             return all(
                 b.add(b.sub(b.mul(y, y), b.mul(self.t0, y)), self.n0) != 0
-                for y in range(b.p))
-        # over Q a monic quadratic has a root iff the discriminant is a square
+                for y in range(2))
+        # over Q and F_p, p odd, a monic quadratic has a root iff the
+        # discriminant is a square
         disc = self.t0 * self.t0 - 4 * self.n0
-        return not _rat_is_square(disc)
+        return b.sqrt(disc) is None if self._p else not _rat_is_square(disc)
 
     # -- the integer form of a payload
     def _open(self, a):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _tablecheck_py as _kernel
-from .report import Report
+from .report import SWEPT, Report
 
 BACKEND = "python"
 
@@ -64,30 +64,34 @@ def first_hom_violation(table, perm):
 def check_group_axioms(table, identity, inverse):
     """Exhaustive identity/inverse/associativity report for a Cayley table;
     associativity is swept on a closed table only.  An identity outside
-    0..n-1 fails the identity line, with no counterexample, and an
-    inverse entry outside that range (the -1 of
-    `FiniteGroupTable.inverse_vector` for a row without the identity)
-    fails the inverse line at its index."""
+    0..n-1 fails the identity line, and an inverse vector whose length is
+    not n the inverse line, each with no counterexample; an inverse entry
+    outside that range (the -1 of `FiniteGroupTable.inverse_vector` for a
+    row without the identity) fails the inverse line at its index.  Every
+    line is `report.SWEPT`."""
     t = as_table(table)
     n = int(t.shape[0])
     e = int(identity)
     inv = np.asarray(inverse, dtype=np.int64)
-    outside = (inv < 0) | (inv >= n)
     rep = Report("group-axioms")
     bad = _kernel.first_identity_violation(t, e) if 0 <= e < n else None
     rep.add("group.identity", n, 0 <= e < n and bad is None,
-            counterexample=None if bad is None else int(bad))
-    bad = _kernel.first_inverse_violation(t, np.where(outside, 0, inv), e)
-    out = np.flatnonzero(outside)
-    if out.size and (bad is None or out[0] < bad):
-        bad = out[0]
-    rep.add("group.inverses", n, bad is None,
-            counterexample=None if bad is None else int(bad))
+            counterexample=None if bad is None else int(bad), mode=SWEPT)
+    bad, sized = None, inv.shape == (n,)
+    if sized:
+        outside = (inv < 0) | (inv >= n)
+        bad = _kernel.first_inverse_violation(t, np.where(outside, 0, inv), e)
+        out = np.flatnonzero(outside)
+        if out.size and (bad is None or out[0] < bad):
+            bad = out[0]
+    rep.add("group.inverses", n, sized and bad is None,
+            counterexample=None if bad is None else int(bad), mode=SWEPT)
     s = _kernel._compact(t, n)      # None: an entry is no index
     bad = None if s is None else _kernel.first_assoc_violation(s)
     rep.add("group.associativity", n ** 3, s is not None and bad is None,
-            counterexample=None if bad is None else tuple(int(v) for v in bad))
-    rep.add("group.closure", n * n, s is not None)
+            counterexample=None if bad is None else tuple(int(v) for v in bad),
+            mode=SWEPT)
+    rep.add("group.closure", n * n, s is not None, mode=SWEPT)
     return rep
 
 

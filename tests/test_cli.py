@@ -175,14 +175,23 @@ def test_foundation_unknown_parameter_system_is_an_input_error(capsys,
 
 def test_foundation_atom_on_the_wrong_carrier_is_an_input_error(capsys,
                                                                  tmp_path):
-    # a table atom reads field scalars and scalar_conj a tower element
-    for sample, atom, message in (
-            ("a2_octonion.json", {"atom": "table", "pairs": [[1, 1]]},
-             "a table atom needs a field edge"),
-            ("circle5_f5.json", {"atom": "scalar_conj", "w": [2]},
-             "a scalar_conj atom needs a tower edge")):
+    # a table atom reads field scalars, scalar_conj a tower element, and
+    # frobenius a field of positive characteristic
+    frobenius = ({"atom": "frobenius"},
+                 "a frobenius atom needs a field edge of positive "
+                 "characteristic")
+    for sample, params, (atom, message) in (
+            ("a2_octonion.json", None, ({"atom": "table", "pairs": [[1, 1]]},
+                                        "a table atom needs a field edge")),
+            ("circle5_f5.json", None, ({"atom": "scalar_conj", "w": [2]},
+                                       "a scalar_conj atom needs a tower "
+                                       "edge")),
+            ("a2_octonion.json", None, frobenius),
+            ("circle5_f5.json", "Q", frobenius)):
         with open(os.path.join(SAMPLES, sample)) as fh:
             doc = json.load(fh)
+        for edge in doc["edges"]:
+            edge["params"] = params or edge["params"]
         doc["glueings"][0]["atoms"] = [atom]
         path = tmp_path / sample
         path.write_text(json.dumps(doc))

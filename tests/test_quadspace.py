@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import re
@@ -10,7 +11,8 @@ from mforge import linalg, moufang
 from mforge.composition import CDAlgebra, octonions_q, quaternions_q
 from mforge.handles import SmallFieldHandle
 from mforge.quadspace import (DimensionTooLarge, QuadraticSpace,
-                              ZeroAnchor, qs_defect, qs_eval, qs_hua,
+                              ZeroAnchor, line_vectors, qs_defect, qs_eval,
+                              qs_hua,
                               qs_small_dim_field, space_from_algebra,
                               space_from_quadext, verify_space)
 from mforge.report import EXHAUSTIVE_SIZE
@@ -187,6 +189,36 @@ def test_exhaustive_anisotropy_refuses_isotropic_prime_field_forms(
     with pytest.raises(ValueError, match=r"isotropic at %s" % re.escape(
             witness)):
         QuadraticSpace(field, q_basis, {}, basepoint)
+
+
+SMALL_ODD_PRIMES = (3, 5, 7, 11, 13)
+
+
+def test_plane_anisotropy_over_an_odd_prime_field_matches_the_scan():
+    # the discriminant decides the plane x^2 + b xy + c y^2; the oracle is
+    # the scan of one vector per line, in its order
+    for p in SMALL_ODD_PRIMES:
+        for b, c in itertools.product(range(p), repeat=2):
+            first = next((v for v in line_vectors(0, 1, range(p), 2)
+                          if (v[0] ** 2 + b * v[0] * v[1] + c * v[1] ** 2)
+                          % p == 0), None)
+            try:
+                QuadraticSpace(PrimeField(p), [1, c], {(0, 1): b}, [1, 0])
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == (None if first is None else
+                           "form is isotropic at (%d, %d)" % first), (p, b, c)
+
+
+def test_norm_space_over_a_61_bit_prime_builds_at_once():
+    start = time.perf_counter()
+    ext = QuadExt(PrimeField(2 ** 61 - 1), 0, 1)     # w^2 = -1, p = 3 mod 4
+    sp = space_from_quadext(ext)
+    assert time.perf_counter() - start < 0.5
+    assert sp.anisotropy == "exhaustive" and sp.q(sp.vector([0, 1])).val == 1
+    with pytest.raises(ValueError, match=r"isotropic at \(1, 1\)"):
+        QuadraticSpace(PrimeField(2 ** 61 - 1), [1, -1], {}, [1, 0])
 
 
 def test_defect_dim1_char0():

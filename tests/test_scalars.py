@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,31 @@ def test_quadext_irreducibility_guard():
     # y^2 - 1 factors over Q
     with pytest.raises(ValueError):
         QuadExt(QQ, 0, -1)
+
+
+def test_quadext_irreducibility_matches_the_root_search():
+    # over F_p, p odd, the discriminant t0^2 - 4 n0 decides it; the oracle
+    # tries every residue
+    for p in (3, 5, 7, 11, 13):
+        base = PrimeField(p)
+        for t0, n0 in itertools.product(range(p), repeat=2):
+            rooted = any((y * y - t0 * y + n0) % p == 0 for y in range(p))
+            try:
+                QuadExt(base, t0, n0)
+                built = True
+            except ValueError:
+                built = False
+            assert built != rooted, (p, t0, n0)
+
+
+def test_quadext_over_a_61_bit_prime_builds_at_once():
+    start = time.perf_counter()
+    p = 2 ** 61 - 1
+    ext = QuadExt(PrimeField(p), 0, 1)      # -4 is no square: p = 3 mod 4
+    assert time.perf_counter() - start < 0.5
+    assert ext.gen() * ext.gen() == ext.scalar(-1)
+    with pytest.raises(ValueError, match="has a root"):
+        QuadExt(PrimeField(p), 0, -1)
 
 
 def test_gaussian_renders():

@@ -409,6 +409,18 @@ def test_group_axioms_refuse_an_inverse_outside_the_index_range():
         "group.inverses", False, 0)
 
 
+@pytest.mark.parametrize("inv", [[0, 3, 2], [0, 3, 2, 1, 0]])
+def test_group_axioms_refuse_an_inverse_vector_of_another_length(inv):
+    # no IndexError: the line fails with no counterexample, as an identity
+    # outside the index range fails its line
+    rep = check_group_axioms(cyclic(4), 0, np.array(inv))
+    lines = {line.rule: line for line in rep.lines}
+    assert not lines["group.inverses"].passed
+    assert lines["group.inverses"].counterexample is None
+    assert lines["group.identity"].passed
+    assert lines["group.associativity"].passed
+
+
 @pytest.mark.parametrize("identity", [4, -1])
 def test_group_axioms_refuse_an_identity_outside_the_index_range(identity):
     # no IndexError for 4, and -1 is no alias of the last row

@@ -31,6 +31,14 @@ def test_rationals_identity_type_ii():
     assert rep.passed and rep.quad_type == "ii"
 
 
+def test_char2_identity_involution_is_typed_on_a_basis():
+    # squares of the basis 1, w of F4 over F2: w^2 = w + 1 leaves K0 = F2,
+    # and K0 = F4 is the whole field
+    assert inv_check(InvolutorySet(F4, SIGMA_IDENTITY)).quad_type == "none"
+    full = InvolutorySet(F4, SIGMA_IDENTITY, k0_gens=[F4.gen()])
+    assert inv_check(full).quad_type == "ii"
+
+
 def test_f4_galois():
     rep = inv_check(InvolutorySet(F4, SIGMA_GALOIS))
     assert rep.passed and rep.quad_type == "iii"
