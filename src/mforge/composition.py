@@ -55,6 +55,7 @@ import numpy as np
 from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
 from .linalg import IntSpace, IntVector, _bilinear, _compiled
+from .quadspace import first_isotropic
 from .report import STACKED, Report
 from .scalars import (QQ, PrimeField, Scalar, _draws_below, _reducer,
                       random_scalar)
@@ -116,14 +117,10 @@ class CDAlgebra(IntSpace):
             # norm form is positive definite by induction on the stages
             return DIVISION_STRUCTURAL, None
         if self.base.is_finite():
-            # the first isotropic element in coordinate order; quadratic
-            # forms in >= 3 variables over a finite field are isotropic, so
-            # from dim 4 on a witness always turns up
-            if isinstance(self.base, PrimeField) and self._p > 2:
-                x = self._first_isotropic_odd_prime()
-            else:
-                x = next((x for x in self.all_elements()
-                          if not x.is_zero() and x.norm().is_zero()), None)
+            # the first isotropic element of `all_elements`: q(cx) = c^2 q(x),
+            # so its first nonzero coordinate is the first nonzero element
+            x = first_isotropic(self, CDElement.norm, self.base.element(
+                [0] * (self.base.coord_dim - 1) + [1]))
             if x is not None:
                 return NOT_DIVISION, x
             return DIVISION_EXHAUSTIVE, None
@@ -133,43 +130,6 @@ class CDAlgebra(IntSpace):
             if x.norm().is_zero():
                 return NOT_DIVISION, x
         return DIVISION_SAMPLED, None
-
-    def _first_isotropic_odd_prime(self):
-        """The first isotropic element of `all_elements` over F_p, p odd,
-        found from a handful of prefixes, whatever p is.
-
-        The norm is diagonal, sum(m_k * x_k^2) with m_k the product of
-        -beta over the stages where k has its bit set.  For each prefix
-        x_0 .. x_(n-2) in order, with S its part of the sum, the first last
-        coordinate t with m t^2 = -S is the smaller square root of -S/m, if
-        there is one (0 when S = 0; the zero prefix has none).  The walk
-        over the prefixes in order is short:
-        - after the zero prefix come (0, .., 0, a) for 0 < a < p, and each
-          gives a witness exactly when -m_(n-2)/m_(n-1) is a square,
-          whatever a is, so a = 1 stands for them all;
-        - next come (0, .., 0, 1, b) for b = 0, 1, ..., and one of them
-          gives a witness: the ternary form on the last three coordinates
-          is isotropic, as every ternary form over F_p is, and its zeros
-          have x_(n-3) != 0 when the binary form on the last two is
-          anisotropic, so a zero scaled to x_(n-3) = 1 lies among them.
-        Without a third coordinate (dim 2) the tower is a division algebra
-        exactly when the first step finds nothing.
-        """
-        f, p, n = self.base, self._p, self.dim
-        m = [1]
-        for b in self.betas:
-            m += [c * -b.val % p for c in m]
-        last = pow(m[-1], -1, p)
-        if n >= 2:
-            t = f.sqrt(-m[-2] * last)
-            if t is not None:
-                return CDElement(self, (0,) * (n - 2) + (1, t))
-        if n >= 3:
-            for b in range(p):
-                t = f.sqrt(-(m[-3] + m[-2] * b * b) * last)
-                if t is not None:
-                    return CDElement(self, (0,) * (n - 3) + (1, b, t))
-        return None
 
     @property
     def is_division(self):

@@ -12,6 +12,10 @@ when read.  Sums, negation, the zero test and hashing come from
 expanded once per space into integer rows (``linalg._bilinear``) and
 compiled on first use (``linalg._compiled``).
 
+Over a finite field, anisotropy is decided by ``first_isotropic``, which
+solves each line prefix for the last coordinate (``scalars.first_root``),
+for a space and for the norm of a tower alike.
+
 ``qs_small_dim_field`` builds the field on a space of dimension <= 2, a
 ``handles.SmallFieldHandle``, and checks its norm condition on the
 cases of ``report.polarized``.  ``verify_space`` sweeps the Hua maps of
@@ -26,7 +30,7 @@ import random
 
 from . import linalg
 from .report import SWEPT, Report, polarized, swept
-from .scalars import PrimeField, Scalar, _reducer, random_scalar
+from .scalars import Scalar, _reducer, first_root, random_scalar
 
 
 # the seed and count of the sampled anisotropy check
@@ -45,6 +49,47 @@ def line_vectors(zero, lead, elements, dim):
             yield (zero,) * k + (lead,) + tail
 
 
+def _elements(field):
+    """`field.elements()` one at a time: `field.element` of the base-p
+    digits of 0 .. order - 1."""
+    p, r = field.characteristic(), field.coord_dim
+    return (field.element([i // p ** k % p for k in reversed(range(r))])
+            for i in range(field.order()))
+
+
+def first_isotropic(space, q, lead):
+    """The first vector of `space` over a finite field with q = 0, in
+    `line_vectors` order with each line led by `lead`, or None.
+
+    In the last coordinate t, q(x, t) = c t^2 + b t + a with c = q(e_last),
+    a = q(x, 0) and b = q(x, 1) - a - c, so ``scalars.first_root`` gives
+    the first t for a prefix x.  If c = 0, (0, .., 0, lead) is the answer.
+    Otherwise the prefixes are walked in order, and the walk is short:
+    - (0, .., 0, lead) comes first, and completes exactly when the binary
+      form on the last two coordinates is isotropic;
+    - next come (0, .., 0, lead, s) for s in `elements()` order, and one
+      of them completes: the ternary form on the last three coordinates is
+      isotropic, as every form in three or more variables over a finite
+      field is (Chevalley-Warning), and its zeros have x_(n-3) != 0 when
+      the binary form is anisotropic, so a zero scaled to x_(n-3) = lead
+      lies among them.
+    Below dimension 3 that walk decides the space.
+    """
+    field, n, zero = space.field, space.dim, space.field.zero()
+    c = q(space.unit(n - 1))
+    if c.is_zero():
+        return space.element([zero] * (n - 1) + [lead])
+    heads = itertools.chain([[lead]], ([lead, s] for s in _elements(field)))
+    for head in itertools.takewhile(lambda h: len(h) < n, heads):
+        x = [zero] * (n - 1 - len(head)) + head
+        a = q(space.element(x + [zero]))
+        t = first_root(field, c, q(space.element(x + [field.one()])) - a - c,
+                       a)
+        if t is not None:
+            return space.element(x + [t])
+    return None
+
+
 class ZeroAnchor(ZeroDivisionError):
     pass
 
@@ -57,10 +102,10 @@ class QuadraticSpace(linalg.IntSpace):
     """(L0, K, q) with basepoint; anisotropy per the stated policy.  Its
     vectors are ``QSVector``s.
 
-    anisotropy is one of "exhaustive" (finite K, checked here on one
-    vector per line, and a plane over F_p, p odd, from its discriminant),
-    "structural" (inherited from a certified division
-    tower) or "attested" (user-declared; a sampled check still runs).
+    anisotropy is one of "exhaustive" (finite K, decided by
+    `first_isotropic` with each line led by 1), "structural" (inherited
+    from a certified division tower) or "attested" (user-declared; a
+    sampled check still runs).
     """
 
     def __init__(self, field, q_basis, f_upper, basepoint, anisotropy=None,
@@ -89,7 +134,7 @@ class QuadraticSpace(linalg.IntSpace):
         if self.anisotropy == "exhaustive":
             if not self.field.is_finite():
                 raise ValueError("exhaustive anisotropy needs a finite field")
-            v = self._first_isotropic()
+            v = first_isotropic(self, self.q, self.field.one())
             if v is not None:
                 raise ValueError("form is isotropic at %r" % v)
         elif self.anisotropy in ("structural", "attested"):
@@ -100,35 +145,6 @@ class QuadraticSpace(linalg.IntSpace):
                     raise ValueError("form is isotropic at %r" % v)
         else:
             raise ValueError("unknown anisotropy policy %r" % self.anisotropy)
-
-    def _first_isotropic(self):
-        """The first vector of `line_vectors` with q = 0, or None.
-
-        q(cv) = c^2 q(v), so one vector per line decides it: the one whose
-        first nonzero coordinate is 1.  Over F_p, p odd, a plane
-        q(x, y) = a x^2 + b xy + c y^2 is decided from its discriminant,
-        whatever p is: the scan meets (0, 1) first, isotropic when c = 0,
-        and then (1, t) for t = 0, 1, ..., isotropic at the smaller root
-        of c t^2 + b t + a, which exists when b^2 - 4ac is a square."""
-        field = self.field
-        if self.dim == 2 and isinstance(field, PrimeField) and field.p > 2:
-            p = field.p
-            a, c = (s.val for s in self.q_basis)
-            b = self.f_upper.get((0, 1), field.zero()).val
-            if c == 0:
-                return self.element([0, 1])
-            r = field.sqrt(b * b - 4 * a * c)
-            if r is None:
-                return None
-            d = pow(2 * c, -1, p)
-            return self.element([1, min((r - b) * d % p, (-r - b) * d % p)])
-        for payloads in line_vectors(
-                field.zero_payload(), field.one_payload(),
-                [s.val for s in field.elements()], self.dim):
-            v = self._canonical(*field.lift(payloads))
-            if self.q(v).is_zero():
-                return v
-        return None
 
     # -- vectors ----------------------------------------------------------
     def vector(self, coords):

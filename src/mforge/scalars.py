@@ -18,7 +18,8 @@ makes: getrandbits(n.bit_length()) until below n.  ``_draws_below``
 makes a run of draws below one bound, with the bit length and the check
 n > 0 taken once (``PrimeField.random_coords`` and the stacked identity
 suites of ``composition``); ``Rationals.random_coords`` draws its
-numerator and denominator pairs in one loop of its own.
+numerator and denominator pairs in one loop of its own.  ``first_root``
+is the one root rule of the package, by each field's ``sqrt``.
 """
 
 from __future__ import annotations
@@ -41,17 +42,29 @@ class NotQuadExt(TypeError):
     pass
 
 
-def _is_probable_prime(n):
+# psi_13, the least composite that passes Miller-Rabin to every base in
+# _PRIME_BASES: the test decides every n below it (Sorenson & Webster,
+# Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether n is prime, decided for n below `PRIME_BOUND`; a ValueError
+    above it."""
+    if n >= PRIME_BOUND:
+        raise ValueError("moduli from %d (psi_13) on are not decided prime"
+                         % PRIME_BOUND)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -62,15 +75,6 @@ def _is_probable_prime(n):
         else:
             return False
     return True
-
-
-def _rat_is_square(q):
-    """Exact square test for a rational payload."""
-    if q < 0:
-        return False
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    return rn * rn == num and rd * rd == den
 
 
 def _reducer(p, make):
@@ -258,6 +262,12 @@ class Rationals(Field):
     def characteristic(self):
         return 0
 
+    def sqrt(self, a):
+        """The root r >= 0 of a rational a, or None for a non-square."""
+        r = Fraction(math.isqrt(max(a.numerator, 0)),
+                     math.isqrt(a.denominator))
+        return r if r * r == a else None
+
     def random_coords(self, rng, n, height=20):
         # num below 2h + 1, then den below h, per payload, as
         # _draws_below draws each; over the lcm of the denominators
@@ -305,7 +315,7 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p):
-        if not _is_probable_prime(p):
+        if not _is_prime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
 
@@ -445,22 +455,10 @@ class QuadExt(Field):
         (t, n), d0 = base.lift([self.t0, self.n0])
         self._tnd = (t, n, d0)    # t0 = t / d0 and n0 = n / d0
         self._hash = hash(("QuadExt", base, str(self.t0), str(self.n0)))
-        if not self._irreducible():
+        if first_root(base, 1, base.neg(self.t0), self.n0) is not None:
             raise ValueError(
                 "y^2 - (%s)y + (%s) has a root in %s"
                 % (base.render(self.t0), base.render(self.n0), base))
-
-    def _irreducible(self):
-        b = self.base
-        if self._p == 2:
-            # both residues tried
-            return all(
-                b.add(b.sub(b.mul(y, y), b.mul(self.t0, y)), self.n0) != 0
-                for y in range(2))
-        # over Q and F_p, p odd, a monic quadratic has a root iff the
-        # discriminant is a square
-        disc = self.t0 * self.t0 - 4 * self.n0
-        return b.sqrt(disc) is None if self._p else not _rat_is_square(disc)
 
     # -- the integer form of a payload
     def _open(self, a):
@@ -560,6 +558,29 @@ class QuadExt(Field):
         u, v, d = self._open(a)
         t, _, d0 = self._tnd
         return self.base.lower([2 * u * d0 + t * v], d * d0)[0]
+
+    def sqrt(self, a):
+        """The root r of a with the smaller payload of r and -r, or None for
+        a non-square, over F_p with p odd.  n = N(r) is a square root of
+        N(a), T(r)^2 = T(a) + 2n and r = (a + n) / T(r); the other root of
+        N(a) makes T(a) + 2n the non-square or zero (r - conj(r))^2.  When
+        T(r) = 0, r is y (2w - t0) with y in F_p."""
+        b, p = self.base, self._p
+        if p in (0, 2):
+            raise TypeError("square roots in %s need an odd prime base" % self)
+        n = b.sqrt(self.norm_payload(a))
+        if n is None:
+            return None
+        for n in (n, -n % p):
+            s = b.sqrt(self.trace_payload(a) + 2 * n)
+            if s:
+                r = self.div(self.add(a, (n, 0)), (s, 0))
+                break
+        else:
+            # a = y^2 (t0^2 - 4 n0) lies in F_p
+            y = b.sqrt(a[0] * pow(self.t0 ** 2 - 4 * self.n0, -1, p))
+            r = self.mul((y, 0), (-self.t0 % p, 2))
+        return min(r, self.neg(r))
 
     def inv(self, a):
         # conj(a) / N(a) = ((u d0 + t v) d - v d0 d w) / m
@@ -726,6 +747,23 @@ def random_scalar(field, rng, height=20, nonzero=False):
         s = Scalar(field, field.random_payload(rng, height))
         if not (nonzero and s.is_zero()):
             return s
+
+
+def first_root(field, c, b, a):
+    """The first root of c t^2 + b t + a, c != 0, in `field.elements()`
+    order, or None.  In characteristic 2 (F2 and F4) each element is
+    tried; otherwise the roots are (-b +- r) / 2c with r = `field.sqrt` of
+    the discriminant, and the smaller payload comes first, as it does in
+    that order over F_p and F_p(w).  Over Q, either root is returned."""
+    c, b, a = field.scalar(c), field.scalar(b), field.scalar(a)
+    if field.characteristic() == 2:
+        return next((t for t in field.elements()
+                     if ((c * t + b) * t + a).is_zero()), None)
+    r = field.sqrt((b * b - 4 * a * c).val)
+    if r is None:
+        return None
+    r, d = Scalar(field, r), (c + c).inv()
+    return min((r - b) * d, (-r - b) * d, key=lambda t: t.val)
 
 
 # -- named fields ---------------------------------------------------------

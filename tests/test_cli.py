@@ -173,6 +173,21 @@ def test_foundation_unknown_parameter_system_is_an_input_error(capsys,
     assert "unknown quadratic space 'nope'" in err
 
 
+def test_foundation_over_a_strong_pseudoprime_is_an_input_error(capsys,
+                                                                tmp_path):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin to each of the 12 prime bases up to 37
+    with open(os.path.join(SAMPLES, "circle5_f5.json")) as fh:
+        doc = json.load(fh)
+    for edge in doc["edges"]:
+        edge["params"] = "F318665857834031151167461"
+    path = tmp_path / "circle5_psi12.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["foundation", "check", str(path), "--json"], capsys)
+    assert code == 2 and out == ""
+    assert "modulus 318665857834031151167461 is not prime" in err
+
+
 def test_foundation_atom_on_the_wrong_carrier_is_an_input_error(capsys,
                                                                  tmp_path):
     # a table atom reads field scalars, scalar_conj a tower element, and

@@ -683,6 +683,35 @@ def test_division_witness_matches_the_scan(p, stages):
             assert repr(algebra.division_witness) == repr(scan)
 
 
+@pytest.mark.parametrize("field", [F2, F4, QuadExt(F3, 0, 1),
+                                   QuadExt(F3, 1, 2), QuadExt(F5, 0, 2)])
+def test_division_witness_matches_the_scan_over_small_fields(field):
+    """The walk leads each line with the first nonzero element, w over a
+    quadratic extension, as the scan over `all_elements` meets it."""
+    rng, nonzero = random.Random(field.order()), field.elements()[1:]
+    for stages in (1, 2, 3):
+        for _ in range(4):
+            algebra = CDAlgebra(field, [rng.choice(nonzero)
+                                        for _ in range(stages)])
+            scan = _scan_witness(algebra)
+            assert algebra.division_witness == scan, algebra.betas
+            assert algebra.division_status == (
+                "certified-exhaustive" if scan is None else "not-division")
+
+
+@pytest.mark.parametrize("beta,status,witness", [
+    (-1, "not-division", "(1*w, 1)"), ((3, 5), "certified-exhaustive", None)])
+def test_a_tower_over_a_61_bit_extension_builds_in_bounded_time(
+        beta, status, witness):
+    base = QuadExt(PrimeField(2 ** 61 - 1), 0, 1)
+    start = time.perf_counter()
+    algebra = CDAlgebra(base, [beta])
+    assert time.perf_counter() - start < 0.1
+    assert algebra.division_status == status
+    got = algebra.division_witness
+    assert (got if got is None else repr(got)) == witness
+
+
 def test_large_prime_octonions_construct_quickly():
     start = time.perf_counter()
     algebra = CDAlgebra(PrimeField(10007), [-1, -1, -1])
@@ -721,7 +750,7 @@ def test_division_witness_matches_the_prefix_walk(p):
         for betas in choices:
             algebra = CDAlgebra(field, betas)
             want = _prefix_witness_reference(algebra)
-            got = algebra._first_isotropic_odd_prime()
+            got = algebra.division_witness
             assert (got if got is None else got.nums) == want, betas
 
 

@@ -11,10 +11,10 @@ from mforge import linalg, moufang
 from mforge.composition import CDAlgebra, octonions_q, quaternions_q
 from mforge.handles import SmallFieldHandle
 from mforge.quadspace import (DimensionTooLarge, QuadraticSpace,
-                              ZeroAnchor, line_vectors, qs_defect, qs_eval,
-                              qs_hua,
-                              qs_small_dim_field, space_from_algebra,
-                              space_from_quadext, verify_space)
+                              ZeroAnchor, _elements, line_vectors, qs_defect,
+                              qs_eval, qs_hua, qs_small_dim_field,
+                              space_from_algebra, space_from_quadext,
+                              verify_space)
 from mforge.report import EXHAUSTIVE_SIZE
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
                             random_scalar)
@@ -219,6 +219,124 @@ def test_norm_space_over_a_61_bit_prime_builds_at_once():
     assert sp.anisotropy == "exhaustive" and sp.q(sp.vector([0, 1])).val == 1
     with pytest.raises(ValueError, match=r"isotropic at \(1, 1\)"):
         QuadraticSpace(PrimeField(2 ** 61 - 1), [1, -1], {}, [1, 0])
+
+
+# -- the isotropy walk: its witness is the first of the scan of one vector
+#    per line, each led by 1
+
+def _refusal(field, q_basis, f_upper):
+    """The message the exhaustive anisotropy check gives the form, or
+    None when it admits it."""
+    try:
+        QuadraticSpace(field, q_basis, f_upper, [1] + [0] * (len(q_basis) - 1))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _scan_refusal(field, q_basis, f_upper, q=None):
+    """The oracle of `_refusal`: the first of `line_vectors` with q = 0,
+    evaluated by `q` on residues, or else entry by entry on scalars."""
+    if q is None:
+        q_basis = [field.scalar(c) for c in q_basis]
+        f_upper = {ij: field.scalar(c) for ij, c in f_upper.items()}
+
+        def q(v):
+            return sum((c * v[i] * v[j] for (i, j), c in f_upper.items()),
+                       sum((c * x * x for c, x in zip(q_basis, v)),
+                           field.zero())).is_zero()
+        lines = line_vectors(field.zero(), field.one(), field.elements(),
+                             len(q_basis))
+    else:
+        lines = line_vectors(0, 1, range(field.p), len(q_basis))
+    first = next((v for v in lines if q(v)), None)
+    return first and "form is isotropic at (%s)" % ", ".join(map(repr, first))
+
+
+@pytest.mark.parametrize("p", SMALL_ODD_PRIMES)
+def test_the_walk_refuses_each_diagonal_form_where_the_scan_does(p):
+    """Every diagonal form with q(e_0) = 1 in dimensions 1 to 3."""
+    field = PrimeField(p)
+    for dim in (1, 2, 3):
+        for tail in itertools.product(range(p), repeat=dim - 1):
+            q_basis = (1,) + tail
+
+            def q(v):
+                return sum(c * x * x for c, x in zip(q_basis, v)) % p == 0
+            assert (_refusal(field, q_basis, {})
+                    == _scan_refusal(field, q_basis, {}, q)), q_basis
+
+
+@pytest.mark.parametrize("p", SMALL_ODD_PRIMES)
+def test_the_walk_refuses_seeded_dim4_forms_with_cross_terms_at_the_scan(p):
+    field, rng = PrimeField(p), random.Random(p)
+    pairs = list(itertools.combinations(range(4), 2))
+    for _ in range(20):
+        q_basis = [1] + [rng.randrange(p) for _ in range(3)]
+        f_upper = {ij: rng.randrange(p) for ij in pairs}
+
+        def q(v):
+            return (sum(c * x * x for c, x in zip(q_basis, v))
+                    + sum(c * v[i] * v[j] for (i, j), c in f_upper.items())
+                    ) % p == 0
+        want = _scan_refusal(field, q_basis, f_upper, q)
+        assert want is not None                     # four variables
+        assert _refusal(field, q_basis, f_upper) == want, (q_basis, f_upper)
+
+
+WALK_FIELDS = [F2, F4, QuadExt(F3, 0, 1), QuadExt(F3, 1, 2), QuadExt(F5, 0, 2)]
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS)
+def test_the_walk_refuses_seeded_forms_over_small_fields_at_the_scan(field):
+    """Forms with cross terms and a nonzero diagonal in dimensions 1 to 4
+    over F2, F4 and three fields of order 9 and 25, where the walk takes
+    `first_root`'s scan in characteristic 2 and `QuadExt.sqrt`
+    otherwise."""
+    rng, elems = random.Random(field.order()), field.elements()
+    for dim in (1, 2, 3, 4):
+        pairs = list(itertools.combinations(range(dim), 2))
+        for _ in range(12):
+            q_basis = [field.one()] + [rng.choice(elems[1:]) for _ in
+                                       range(dim - 1)]
+            f_upper = {ij: rng.choice(elems) for ij in pairs}
+            assert (_refusal(field, q_basis, f_upper)
+                    == _scan_refusal(field, q_basis, f_upper)), (q_basis,
+                                                                  f_upper)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, PrimeField(13)] + WALK_FIELDS)
+def test_the_digits_of_each_index_list_the_elements_in_order(field):
+    assert list(_elements(field)) == field.elements()
+
+
+def test_the_digits_list_the_elements_of_a_large_field_lazily():
+    big = QuadExt(PrimeField(2 ** 61 - 1), 0, 1)
+    assert list(itertools.islice(_elements(big), 3)) == [
+        big.scalar((0, v)) for v in range(3)]
+
+
+def _ternary_witness(p):
+    """The walk's witness for x^2 + y^2 + z^2 over F_p, p = 3 (mod 4),
+    from Euler's criterion: -1 is a non-square, so no vector (0, 1, t)
+    is isotropic, and (1, s, t) is at the first s with -(1 + s^2) a
+    square, t its smaller root."""
+    s = next(s for s in range(p) if pow(-(1 + s * s), (p - 1) // 2, p) == 1)
+    t = pow(-(1 + s * s), (p + 1) // 4, p)
+    return 1, s, min(t, p - t)
+
+
+@pytest.mark.parametrize("p", [100003, 2 ** 61 - 1])
+def test_a_ternary_form_over_a_large_prime_is_refused_in_bounded_time(p):
+    field = PrimeField(p)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        QuadraticSpace(field, [1, 1, 1], {}, [1, 0, 0])
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == "form is isotropic at (%d, %d, %d)" % (
+        _ternary_witness(p))
+    if p == 100003:
+        assert _ternary_witness(p) == (1, 1, 44974)
 
 
 def test_defect_dim1_char0():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, DescriptorMismatch,
                             DivisionByZero, NotQuadExt, PrimeField, QuadExt,
-                            Scalar, _draws_below, field_by_name, galois_data,
-                            random_scalar)
+                            Scalar, _draws_below, field_by_name, first_root,
+                            galois_data, random_scalar)
 
 
 def test_rational_arithmetic():
@@ -228,6 +228,85 @@ def test_prime_field_sqrt_is_the_smaller_root(p):
         roots.setdefault(r * r % p, r)
     for a in range(min(p, 200)):
         assert field.sqrt(a) == roots.get(a)
+
+
+# psi_12 passes Miller-Rabin to each of the 12 prime bases up to 37, and
+# psi_13 to each of the 13 up to 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_prime_fields_refuse_the_strong_pseudoprimes_psi_12_and_psi_13():
+    assert PSI_12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="modulus %d is not prime" % PSI_12):
+        PrimeField(PSI_12)
+    with pytest.raises(ValueError, match="from %d \\(psi_13\\)" % PSI_13):
+        PrimeField(PSI_13)
+    big = PrimeField(2 ** 61 - 1)
+    assert big.scalar(PSI_12 % big.p).inv() * PSI_12 == big.one()
+
+
+def test_rational_sqrt_is_the_root_at_least_zero():
+    for r in ("0", "1", "3/2", "-5/7", "12/35"):
+        assert QQ.sqrt(Fraction(r) ** 2) == abs(Fraction(r))
+    for a in ("2", "-1", "1/2", "8/9", "-4", "9/8"):
+        assert QQ.sqrt(Fraction(a)) is None
+
+
+# every quadratic extension here has t0 != 0 or t0 = 0, so both ways to a
+# root of QuadExt.sqrt are taken
+EXTENSIONS = [QuadExt(F3, 0, 1), QuadExt(F3, 1, 2), QuadExt(F5, 0, 2),
+              QuadExt(PrimeField(7), 1, 3), QuadExt(PrimeField(13), 3, 5)]
+
+
+def _field_id(f):
+    return ("%r-%s-%s" % (f.base, f.t0, f.n0) if isinstance(f, QuadExt)
+            else repr(f))
+
+
+@pytest.mark.parametrize("field", EXTENSIONS, ids=_field_id)
+def test_quadext_sqrt_agrees_with_squaring_every_element(field):
+    """The smaller-payload root of each square, None for each
+    non-square."""
+    roots = {}
+    for r in field.elements():
+        roots.setdefault((r * r).val, []).append(r.val)
+    assert len(roots) == (field.order() + 1) // 2
+    for a in field.elements():
+        want = roots.get(a.val)
+        assert field.sqrt(a.val) == (want and min(want)), a
+
+
+@pytest.mark.parametrize("field", [QI, F4])
+def test_quadext_sqrt_needs_an_odd_prime_base(field):
+    with pytest.raises(TypeError, match="odd prime base"):
+        field.sqrt(field.one_payload())
+
+
+ROOT_FIELDS = [F2, F4, F3, F5, PrimeField(7), PrimeField(11), PrimeField(13),
+               *EXTENSIONS[:3]]
+
+
+@pytest.mark.parametrize("field", ROOT_FIELDS, ids=_field_id)
+def test_first_root_is_the_first_root_a_scan_meets(field):
+    """On every (c, b, a) with c != 0: the first t of `elements()` with
+    c t^2 + b t + a = 0, or None."""
+    elems = field.elements()
+    for c, b in itertools.product(elems[1:], elems):
+        first = {}
+        for t in elems:
+            first.setdefault(-(c * t * t + b * t), t)
+        for a in elems:
+            assert first_root(field, c, b, a) == first.get(a), (c, b, a)
+
+
+def test_first_root_over_the_rationals():
+    for c, r1, r2 in ((1, "1/2", "-3"), ("-2/3", 0, "5/4"), (3, 2, 2)):
+        c, r1, r2 = (Fraction(x) for x in (c, r1, r2))
+        t = first_root(QQ, c, -c * (r1 + r2), c * r1 * r2)
+        assert t.field == QQ and t.val in (r1, r2)
+    for c, b, a in ((1, 0, -2), (1, 0, 1), (2, 1, 1), (1, 1, -1)):
+        assert first_root(QQ, c, b, a) is None
 
 
 def _reference_draw(field, rng, height):
