@@ -57,8 +57,8 @@ from .linalg import NotInSpan  # noqa: F401  (re-exported)
 from .linalg import IntSpace, IntVector, _bilinear, _compiled
 from .quadspace import first_isotropic
 from .report import STACKED, Report
-from .scalars import (QQ, PrimeField, Scalar, _draws_below, _reducer,
-                      random_scalar)
+from .scalars import (QQ, PrimeField, Scalar, _draws_array, _draws_below,
+                      _reducer, random_scalar)
 
 
 class AlgebraMismatch(ValueError):
@@ -663,26 +663,36 @@ def _doubling_rules(e, u):
 class _Stacks:
     """Elements of a tower over F_p stacked as ``_Stack``s: the k elements
     of a stack are the k rows of a numpy array of residues, n = dim
-    columns.  A product reduces the outer products of two rows mod p and
-    contracts them with the dense n^2 x n structure matrix, entry
-    (n*i + j, q) the residue of the term X[i] * Y[j] of row q of
-    ``_TowerKernel.rows``; the norm contracts them with the n^2 x 1 matrix
-    of `norm_rows`.  Norms and traces are stacks of the tower of dim 1,
-    `line`, in the same dtype.
+    columns.  A product contracts the outer products of two rows with the
+    dense n^2 x n structure matrix, entry (n*i + j, q) the residue of the
+    term X[i] * Y[j] of row q of ``_TowerKernel.rows``; the norm contracts
+    them with the n^2 x 1 matrix of `norm_rows`.  Norms and traces are
+    stacks of the tower of dim 1, `line`, in the same dtype.
 
-    Such a sum has n^2 terms below (p - 1)^2 each, so every term and
-    every partial sum is an integer below n^2 (p - 1)^2.  When that bound
+    The rows and the matrix entries are residues, 0 to p - 1.  With the
+    outer products reduced mod p, a column of a contraction sums n^2
+    terms of at most (p - 1)^2 each; unreduced, its terms are
+    X[i] * Y[j] * m, so it is at most (p - 1)^2 L1, L1 the largest
+    column sum of the two matrices.  Every term and partial sum is a
+    nonnegative integer no larger than the whole sum.  When n^2 (p - 1)^2
     is below 2^53 the rows are int64 and the contraction runs in float64
     (a BLAS product, on a float copy of each matrix made here): float64
     holds every integer below 2^53 exactly, so the sum is exact in any
     order of summation and on any number of threads, and is cast back
-    and reduced mod p.  Otherwise the rows hold Python ints (object)."""
+    and reduced mod p.  The outer products are then reduced only when
+    (p - 1)^2 L1 is not below 2^53 (`reduce_outer`, decided here), which
+    saves one pass over them on small fields.  Otherwise the rows hold
+    Python ints (object) and the outer products are always reduced."""
 
     def __init__(self, p, dtype, n, rows, norm_rows, line=None):
         self.p, self.dtype, self.n = p, dtype, n
         self.line = line or self
-        self.mul_matrix, self.norm_matrix = (
-            self._dense(rows), self._dense(norm_rows))
+        mul, norm = self._dense(rows), self._dense(norm_rows)
+        l1 = max(int(m.sum(axis=0).max()) for m in (mul, norm))
+        self.reduce_outer = dtype is object or (p - 1) ** 2 * l1 >= 2 ** 53
+        if dtype is not object:
+            mul, norm = mul.astype(np.float64), norm.astype(np.float64)
+        self.mul_matrix, self.norm_matrix = mul, norm
         self.signs = np.array([1] + [-1] * (n - 1), dtype)
 
     def _dense(self, rows):
@@ -691,7 +701,7 @@ class _Stacks:
         for q, row in enumerate(rows):
             for i, j, c in row:
                 m[n * i + j, q] = c % self.p
-        return m if self.dtype is object else m.astype(np.float64)
+        return m
 
     def stack(self, x):
         """The tower element x as a stack of one row, which broadcasts."""
@@ -705,15 +715,20 @@ class _Stacks:
     def draw(self, rng, samples, arity, width):
         """`arity` stacks of `samples` elements: what `samples` cases of
         `arity` draws of `width` leading coordinates each (the others 0)
-        take from rng, by one ``scalars._draws_below`` call."""
-        draws = np.array(_draws_below(rng, self.p, samples * arity * width),
-                         self.dtype)
+        take from rng, by one ``scalars._draws_array`` call (int64) or one
+        ``scalars._draws_below`` call (object)."""
+        count = samples * arity * width
+        draws = (np.array(_draws_below(rng, self.p, count), object)
+                 if self.dtype is object
+                 else _draws_array(rng, self.p, count))
         rows = np.zeros((samples, arity, self.n), self.dtype)
         rows[:, :, :width] = draws.reshape(samples, arity, width)
         return [_Stack(self, rows[:, a]) for a in range(arity)]
 
     def contract(self, a, b, matrix):
-        outer = (a[:, :, None] * b[:, None, :]) % self.p
+        outer = a[:, :, None] * b[:, None, :]
+        if self.reduce_outer:
+            outer %= self.p
         outer = outer.reshape(len(outer), self.n * self.n)
         if self.dtype is object:
             return outer @ matrix % self.p

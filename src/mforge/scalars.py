@@ -16,16 +16,22 @@ vectors, and ``random_coords`` draws random payloads straight into it.
 equal forms.  Every seeded draw below n is the one CPython's Random
 makes: getrandbits(n.bit_length()) until below n.  ``_draws_below``
 makes a run of draws below one bound, with the bit length and the check
-n > 0 taken once (``PrimeField.random_coords`` and the stacked identity
-suites of ``composition``); ``Rationals.random_coords`` draws its
-numerator and denominator pairs in one loop of its own.  ``first_root``
-is the one root rule of the package, by each field's ``sqrt``.
+n > 0 taken once, as Python ints (``PrimeField.random_coords`` and the
+object path of the stacked identity suites of ``composition``, whose
+payloads and reprs must be ints).  ``_draws_array`` makes the same draws
+as an int64 array read off whole 32-bit words (the int64 path of those
+suites).  ``Rationals.random_coords`` draws its numerator and
+denominator pairs in one loop of its own.  No other module reads
+getrandbits.  ``first_root`` is the one root rule of the package, by
+each field's ``sqrt``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 _ZERO = Fraction(0)
 
@@ -114,6 +120,27 @@ def _draws_below(rng, n, count):
             r = getrandbits(k)
         out.append(r)
     return out
+
+
+def _draws_array(rng, n, count):
+    """The draws of ``_draws_below(rng, n, count)`` as an int64 array, read
+    off whole words for 0 < n < 2^32 (Matsumoto & Nishimura, ACM TOMACS
+    8, 1998).  getrandbits(k), k <= 32, is the top k bits of the next
+    32-bit word, and getrandbits(32 m) the next m words, the first in the
+    lowest bits.  Each word gives at most one draw, so drawing as many
+    words as draws are missing never passes the word the loop would stop
+    at.  The last 16 or fewer draws, and every bound of 2^32 or more
+    (below 2^63, for int64), take ``_draws_below``."""
+    if not 0 < n < 1 << 32:
+        return np.array(_draws_below(rng, n, count), np.int64)
+    shift, runs, missing = 32 - n.bit_length(), [], count
+    while missing > 16:
+        words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(
+            4 * missing, "little"), "<u4") >> shift
+        runs.append(words[words < n])
+        missing -= len(runs[-1])
+    runs.append(np.array(_draws_below(rng, n, missing), np.uint32))
+    return np.concatenate(runs).astype(np.int64)
 
 
 def _inexact(field, x):

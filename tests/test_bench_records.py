@@ -34,6 +34,10 @@ def test_light_blas_draws_record_pairs_every_metric_on_every_workload():
     check_paired_record("BENCH_light_blas_draws.json")
 
 
+def test_fp_words_record_pairs_every_metric_on_every_workload():
+    check_paired_record("BENCH_fp_words.json")
+
+
 def check_paired_record(filename):
     """At least 10 pairs of runs per workload with every end-to-end metric,
     the one-round kernel shares and the per-call times, on both sides."""

@@ -794,6 +794,10 @@ BIG_PRIME = 2 ** 31 - 1   # dim^2 (p - 1)^2 >= 2^63 from dim 2 on
 # at dim 8, 64 (p - 1)^2 lies just below 2^53 (int64 rows, float64
 # contraction), and just above it, below 2^63 (Python ints)
 FLOAT_PRIME, PAST_FLOAT_PRIME = 11863279, 11863289
+# on the dim-8 tower with betas [-1, 2, 3], (p - 1)^2 L1 (L1 the largest
+# column sum of the structure matrices) lies just below 2^53 (outer
+# products not reduced) and just above it (reduced)
+REDUCE_PRIME, PAST_REDUCE_PRIME = 131071, 131101
 
 STACKED_TOWERS = [
     (2, [1]), (2, [1, 1]), (2, [1, 1, 1]), (3, [-1]), (3, [1, 1]),
@@ -801,7 +805,9 @@ STACKED_TOWERS = [
     (7, [3, 5, 6]), (7, [-1, 2, 3, 4]), (1009, [-1, -1]),
     (1009, [5, 7, 11]), (BIG_PRIME, [-1]), (BIG_PRIME, [3, -1]),
     (BIG_PRIME, [-1, -1, -1]), (BIG_PRIME, [-1, 2, -1, 5]),
-    (FLOAT_PRIME, [-1, 2, 3]), (PAST_FLOAT_PRIME, [-1, 2, 3])]
+    (FLOAT_PRIME, [-1, 2, 3]), (PAST_FLOAT_PRIME, [-1, 2, 3]),
+    (REDUCE_PRIME, [-1, 2, 3]), (PAST_REDUCE_PRIME, [-1, 2, 3])]
+STACKED_IDS = ["F%d-dim%d" % (p, 2 ** len(b)) for p, b in STACKED_TOWERS]
 
 
 def _recorded_run(monkeypatch, algebra, suite, seed, samples):
@@ -828,14 +834,24 @@ def _by_case(monkeypatch, algebra, suite, seed, samples):
     return _recorded_run(monkeypatch, algebra, suite, seed, samples)
 
 
-@pytest.mark.parametrize("p,betas", STACKED_TOWERS,
-                         ids=["F%d-dim%d" % (p, 2 ** len(b))
-                              for p, b in STACKED_TOWERS])
+@pytest.mark.parametrize("p,betas", STACKED_TOWERS, ids=STACKED_IDS)
 def test_stacked_suites_match_the_case_by_case_path(monkeypatch, p, betas):
     algebra = CDAlgebra(PrimeField(p), betas, allow_dim16=True)
-    dtype = algebra._kernel.stacks.dtype
+    kernel = algebra._kernel
+    stacks = kernel.stacks
+    dtype = stacks.dtype
     assert (dtype is object) == (p in (BIG_PRIME, PAST_FLOAT_PRIME))
     assert (dtype is object) == (algebra.dim ** 2 * (p - 1) ** 2 >= 2 ** 53)
+    # a contraction's terms are X[i] Y[j] m with X[i], Y[j] <= p - 1, so
+    # its sums stay at or below (p - 1)^2 L1, L1 the largest column sum of
+    # the product and norm matrices: the int64 path leaves the outer
+    # products unreduced while that is below 2^53, the object path never
+    l1 = max(sum(c % p for _, _, c in row)
+             for row in kernel.rows + kernel.norm_rows)
+    assert stacks.reduce_outer == ((p - 1) ** 2 * l1 >= 2 ** 53)
+    assert stacks.reduce_outer == (p in (BIG_PRIME, FLOAT_PRIME,
+                                         PAST_FLOAT_PRIME, PAST_REDUCE_PRIME))
+    assert stacks.line.reduce_outer == (dtype is object)
     samples = 12 if algebra.dim == 16 else 30
     for suite in (s for s in SUITES if s != "inverse"):
         for seed in range(4):
@@ -878,12 +894,12 @@ def test_stacked_suites_report_failures_like_the_case_by_case_path(
 
 
 def test_prime_field_suites_take_the_stacked_path(monkeypatch):
-    """One draw call per law and no tower products over F_p; Q, Q(i), F4
-    and the inverse suite go case by case.  The structure matrix is read
-    on the first suite, not when the tower is built."""
+    """One whole-word draw call per law and no tower products over F_p;
+    Q, Q(i), F4 and the inverse suite go case by case.  The structure
+    matrix is read on the first suite, not when the tower is built."""
     from mforge import composition
     calls = {"draws": 0, "mul": 0}
-    draws, mul = composition._draws_below, CDElement.__mul__
+    draws, mul = composition._draws_array, CDElement.__mul__
 
     def counted_draws(rng, n, count):
         calls["draws"] += 1
@@ -893,7 +909,7 @@ def test_prime_field_suites_take_the_stacked_path(monkeypatch):
         calls["mul"] += 1
         return mul(x, y)
 
-    monkeypatch.setattr(composition, "_draws_below", counted_draws)
+    monkeypatch.setattr(composition, "_draws_array", counted_draws)
     monkeypatch.setattr(CDElement, "__mul__", counted_mul)
     algebra = CDAlgebra(PrimeField(1013), [3, 5, 7])
     assert "stacks" not in algebra._kernel.__dict__

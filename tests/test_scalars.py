@@ -4,14 +4,15 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, DescriptorMismatch,
                             DivisionByZero, NotQuadExt, PrimeField, QuadExt,
-                            Scalar, _draws_below, field_by_name, first_root,
-                            galois_data, random_scalar)
+                            Scalar, _draws_array, _draws_below, field_by_name,
+                            first_root, galois_data, random_scalar)
 
 
 def test_rational_arithmetic():
@@ -340,7 +341,7 @@ def test_random_draws_follow_the_reference_order(field):
     rng.randrange and leave the generator in the same state, over 50
     seeds, heights from 1 to 10007 and 8 or 16 coordinates.  A height
     below 1 over Q is refused at once, as randint refuses it, and so is
-    any bound below 1 of the draw primitive itself."""
+    any bound below 1 of either draw primitive."""
     for seed, height, n in itertools.product(
             range(50), (1, 2, 9, 20, 10007), (8, 16)):
         rng = random.Random(seed)
@@ -362,9 +363,10 @@ def test_random_draws_follow_the_reference_order(field):
                 field.random_coords(_BoundedRandom(0), 8, height)
             with pytest.raises(ValueError):
                 field.random_payload(_BoundedRandom(0), height)
-    for n, count in ((0, 2), (-1, 1), (0, 4)):
+    for draws, (n, count) in itertools.product(
+            (_draws_below, _draws_array), ((0, 2), (-1, 1), (0, 4), (0, 40))):
         with pytest.raises(ValueError):
-            _draws_below(_BoundedRandom(0), n, count)
+            draws(_BoundedRandom(0), n, count)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1009, 2 ** 31 - 1,
@@ -381,6 +383,23 @@ def test_draws_below_one_bound_are_cpythons_randrange(n):
         got = _draws_below(rng, n, count)
         assert (got, rng.getstate()) == (want, after), (seed, count)
         assert all(type(g) is int for g in got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1009, 4097, 2 ** 31 - 1,
+                               2 ** 32 - 5, 2 ** 32, 2 ** 61 - 1])
+def test_whole_word_draws_are_the_draw_loops(n):
+    """_draws_array(rng, n, count) makes the draws of _draws_below, as an
+    int64 array, and leaves the generator in the same state: read off
+    whole words below 2^32, and by the loop itself from 2^32 on."""
+    for seed, count in itertools.product(range(5),
+                                         (0, 1, 16, 17, 40, 960, 3000)):
+        rng = random.Random(seed)
+        want = _draws_below(rng, n, count)
+        after = rng.getstate()
+        rng = random.Random(seed)
+        got = _draws_array(rng, n, count)
+        assert got.dtype == np.int64 and got.shape == (count,)
+        assert (got.tolist(), rng.getstate()) == (want, after), (seed, count)
 
 
 # -- the pair rule: quadratic-extension arithmetic payload by payload in the
