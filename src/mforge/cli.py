@@ -228,12 +228,24 @@ def cmd_cover(args):
     return 0
 
 
+def _sample_count(text):
+    """A --samples value: a count of 0 or more, 0 meaning the default."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("negative sample count %d" % n)
+    return n
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The parser, built on the first call and reused: parsing leaves it
     unchanged, and the seed's MFORGE_SEED fallback is read per command."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=int, default=None)
+    common.add_argument("--samples", type=_sample_count, default=None,
+                        help="0 or more; 0 or none takes the default")
     common.add_argument("--seed", type=int, default=None,
                         help="falls back to MFORGE_SEED, then 0")
     common.add_argument("--json", action="store_true",

@@ -37,17 +37,22 @@ spans inside any handle, and ``closure`` the one closure of a span under
 products.
 
 The identity suites state each law once, in ``_LAWS``, and draw its
-cases from one seeded stream.  Over a prime field a law is checked on
-all its samples together: the draws become the rows of a numpy array of
-residues (a ``_Stack``), and a product contracts their outer products
+cases from one seeded stream.  Over a prime field or Q a law is checked
+on all its samples together: the draws become the rows of a numpy array
+of residues (a ``_Stack``), and a product contracts their outer products
 with the dense structure matrix read off the table on first use
-(``_Stacks``).  Over any other base, and for the `inverse` suite, the
-cases go one by one; that path is also the stacked one's test oracle.
+(``_Stacks``).  Over Q the residues are taken modulo a few word-size
+primes, as many as a bound on the law's values (``_Bound``) needs for
+equal residues to mean equal rationals.  Over any other base, and for
+the `inverse` suite, the cases go one by one; that path is also the
+stacked one's test oracle.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import math
 import random
 
 import numpy as np
@@ -56,9 +61,10 @@ from . import linalg
 from .linalg import NotInSpan  # noqa: F401  (re-exported)
 from .linalg import IntSpace, IntVector, _bilinear, _compiled
 from .quadspace import first_isotropic
-from .report import STACKED, Report
-from .scalars import (QQ, PrimeField, Scalar, _draws_array, _draws_below,
-                      _reducer, random_scalar)
+from .report import SAMPLED, STACKED, Report
+from .scalars import (QQ, PrimeField, Rationals, Scalar, _draws_array,
+                      _draws_below, _rational_draws_array, _reducer,
+                      random_scalar)
 
 
 class AlgebraMismatch(ValueError):
@@ -233,8 +239,9 @@ class _TowerKernel:
     (scalar_rows), and conj(x) * z the same terms with the signs of conj on
     X (scale_rows): the inverse is conj(x) * N(x)^-1.  Each row set is
     compiled on first use into a function of (X, Y) (``linalg._compiled``).
-    Over F_p, `stacks` holds the rows and norm rows as dense matrices for
-    the identity suites (``_Stacks``), also built on first use.
+    Over F_p and Q, `stacks` holds the rows and norm rows as dense
+    matrices for the identity suites (``_Stacks``), also built on first
+    use.
     """
 
     def __init__(self, field, betas):
@@ -256,14 +263,10 @@ class _TowerKernel:
 
     @functools.cached_property
     def stacks(self):
-        """The ``_Stacks`` of a tower over F_p, whose dense structure
+        """The ``_Stacks`` of a tower over F_p or Q, whose dense structure
         matrices are read off `rows` and `norm_rows` here, on first use.
         Over F_p the rows are residues over the denominator 1."""
-        p, n = self.p, self.n
-        dtype = np.int64 if n * n * (p - 1) ** 2 < 2 ** 53 else object
-        unit = (((0, 0, 1),),)
-        return _Stacks(p, dtype, n, self.rows, self.norm_rows,
-                       _Stacks(p, dtype, 1, unit, unit))
+        return _Stacks(self.p, self.n, self.rows, self.norm_rows, self.den)
 
     mul = functools.cached_property(lambda k: _compiled(k.rows, k.n, k.n))
     norm = functools.cached_property(
@@ -654,91 +657,200 @@ def _doubling_rules(e, u):
     """The law of the `doubling_rules` suite for the unit e of the top
     stage, u = -N(e); `&` joins its three tests, on bools or on stacks."""
     def rules(x, y):
-        return (((e * x) * (e * y) == (y * x.conj()).scale(u))
-                & ((e * x) * y == e * (y * x))
-                & (x * (e * y) == e * (x.conj() * y)))
+        f = e if isinstance(x, CDElement) else x.owner.stack(e)
+        return (((f * x) * (f * y) == (y * x.conj()).scale(u))
+                & ((f * x) * y == f * (y * x))
+                & (x * (f * y) == f * (x.conj() * y)))
     return rules
 
 
+# the 16 largest primes p with 16^2 (p - 1)^2 < 2^53: modulo each, every
+# tower up to dim 16 over Q stays on the int64 tier of ``_Stacks``, and
+# their product passes 2^359
+_RESIDUE_PRIMES = (5931641, 5931637, 5931559, 5931533, 5931529, 5931517,
+                   5931503, 5931491, 5931467, 5931449, 5931391, 5931383,
+                   5931379, 5931371, 5931349, 5931337)
+
+
 class _Stacks:
-    """Elements of a tower over F_p stacked as ``_Stack``s: the k elements
-    of a stack are the k rows of a numpy array of residues, n = dim
-    columns.  A product contracts the outer products of two rows with the
-    dense n^2 x n structure matrix, entry (n*i + j, q) the residue of the
-    term X[i] * Y[j] of row q of ``_TowerKernel.rows``; the norm contracts
-    them with the n^2 x 1 matrix of `norm_rows`.  Norms and traces are
-    stacks of the tower of dim 1, `line`, in the same dtype.
+    """Elements of a tower over F_p or Q stacked as ``_Stack``s: the
+    elements of a stack are the rows of a numpy array of residues, n = dim
+    columns, each row modulo its own prime.  Over F_p that prime is p.
+    Over Q, `moduli_for` picks a few of `_RESIDUE_PRIMES` for a law, and
+    `draw` gives each sample one row per prime: the residues of its
+    rational coordinates.  A product contracts the outer products of two
+    rows with the dense n^2 x n structure matrix, entry (n*i + j, q) the
+    integer n of the term X[i] * Y[j] of row q of ``_TowerKernel.rows``,
+    then multiplies by the inverse of the kernel's denominator; the norm
+    contracts them with the n^2 x 1 matrix of `norm_rows`.  Norms and
+    traces are stacks of the tower of dim 1, `line`, in the same dtype.
 
-    The rows and the matrix entries are residues, 0 to p - 1.  With the
-    outer products reduced mod p, a column of a contraction sums n^2
-    terms of at most (p - 1)^2 each; unreduced, its terms are
-    X[i] * Y[j] * m, so it is at most (p - 1)^2 L1, L1 the largest
-    column sum of the two matrices.  Every term and partial sum is a
-    nonnegative integer no larger than the whole sum.  When n^2 (p - 1)^2
-    is below 2^53 the rows are int64 and the contraction runs in float64
-    (a BLAS product, on a float copy of each matrix made here): float64
-    holds every integer below 2^53 exactly, so the sum is exact in any
-    order of summation and on any number of threads, and is cast back
-    and reduced mod p.  The outer products are then reduced only when
-    (p - 1)^2 L1 is not below 2^53 (`reduce_outer`, decided here), which
-    saves one pass over them on small fields.  Otherwise the rows hold
-    Python ints (object) and the outer products are always reduced."""
+    Reduction modulo p is a ring homomorphism on the rationals whose
+    denominators p does not divide, so the residues of a law's two sides
+    are those of its values over Q.  A value of a law whose arguments are
+    drawn at height h is N / D, D a product of powers of L = lcm(1..h),
+    of the kernel's denominator and of the law's constants, and ``_Bound``
+    bounds |N| through the law.  Two sides are equal when the numerator
+    of their difference over a common D is 0; `moduli_for` takes primes
+    above h that divide no such D until their product passes that bound,
+    so a numerator that all of them divide is 0, and equal residues
+    modulo every prime mean equal values over Q.
 
-    def __init__(self, p, dtype, n, rows, norm_rows, line=None):
-        self.p, self.dtype, self.n = p, dtype, n
-        self.line = line or self
-        mul, norm = self._dense(rows), self._dense(norm_rows)
-        l1 = max(int(m.sum(axis=0).max()) for m in (mul, norm))
-        self.reduce_outer = dtype is object or (p - 1) ** 2 * l1 >= 2 ** 53
+    Over F_p the rows and the matrix entries are residues, 0 to p - 1;
+    over Q the entries are signed.  With the outer products reduced, a
+    column of a contraction sums terms of at most (p - 1) |m| each;
+    unreduced, its terms are X[i] * Y[j] * m, so it and every partial sum
+    of it are at most (p - 1)^2 L1 in absolute value, L1 the largest
+    column sum of |m| over the two matrices.  When n^2 (p - 1)^2 and
+    (p - 1) L1 are below 2^53, p the largest prime, the rows are int64
+    and the contraction runs in float64 (a BLAS product, on a float copy
+    of each matrix made here): float64 holds every integer below 2^53
+    exactly, so the sum is exact in any order of summation and on any
+    number of threads, and is cast back and reduced.  The outer products
+    are then reduced only when (p - 1)^2 L1 is not below 2^53
+    (`reduce_outer`, decided here), which saves one pass over them on
+    small fields.  Otherwise the rows hold Python ints (object) and the
+    outer products are always reduced."""
+
+    def __init__(self, p, n, rows, norm_rows, den=1, dtype=None):
+        self.rational, self.n, self.den = not p, n, den
+        self.primes = (p,) if p else _RESIDUE_PRIMES
+        mul, norm = self._dense(rows, p), self._dense(norm_rows, p)
+        self.mul_l1, self.norm_l1 = (int(abs(m).sum(axis=0).max())
+                                     for m in (mul, norm))
+        top, l1 = max(self.primes) - 1, max(self.mul_l1, self.norm_l1)
+        if dtype is None:
+            dtype = (np.int64 if n * n * top * top < 2 ** 53
+                     and top * l1 < 2 ** 53 else object)
+        self.dtype = dtype
+        self.reduce_outer = dtype is object or top * top * l1 >= 2 ** 53
         if dtype is not object:
             mul, norm = mul.astype(np.float64), norm.astype(np.float64)
         self.mul_matrix, self.norm_matrix = mul, norm
         self.signs = np.array([1] + [-1] * (n - 1), dtype)
+        self._moduli, self._views = {}, {}
+        self._modulo(self.primes[:1], 1)
+        unit = (((0, 0, 1),),)
+        self.line = self if n == 1 else _Stacks(p, 1, unit, unit, 1, dtype)
 
-    def _dense(self, rows):
+    def _dense(self, rows, p):
+        """The integers of `rows` as a matrix, as residues over F_p."""
         n = self.n
-        m = np.zeros((n * n, len(rows)), self.dtype)
+        m = np.zeros((n * n, len(rows)), object)
         for q, row in enumerate(rows):
             for i, j, c in row:
-                m[n * i + j, q] = c % self.p
+                m[n * i + j, q] = c % p if p else c
         return m
 
+    def _modulo(self, moduli, samples):
+        """Rows of `samples` elements modulo each of `moduli` in turn: `p`
+        and the inverse of the kernel's denominator as columns, one entry
+        per row, or one int for all rows with one modulus."""
+        self.moduli, self.samples = moduli, samples
+        self.p = self._column(moduli)
+        self.den_inv = (None if self.den == 1 else
+                        self._column([pow(self.den, -1, q) for q in moduli]))
+
+    def _column(self, per_modulus):
+        if len(per_modulus) == 1:
+            return per_modulus[0]
+        return np.repeat(np.array(per_modulus, self.dtype),
+                         self.samples)[:, None]
+
+    def _over(self, moduli, samples):
+        """These stacks with `samples` rows modulo each of `moduli`, the
+        last such view kept per moduli."""
+        if moduli == self.moduli:
+            return self
+        view = self._views.get(moduli)
+        if view is None or view.samples != samples:
+            view, line = copy.copy(self), copy.copy(self.line)
+            view.line = line.line = line
+            view._modulo(moduli, samples)
+            line._modulo(moduli, samples)
+            self._views[moduli] = view
+        return view
+
+    def moduli_for(self, law, arity, height):
+        """The primes that `law` on `arity` elements drawn at `height` is
+        checked modulo: (p,) over F_p.  Over Q, the fewest of
+        `_RESIDUE_PRIMES`, taken in order, that lie above `height`, divide
+        neither the kernel's denominator nor the denominators of the law's
+        values, and whose product passes the ``_Bound`` of the law, kept
+        per law and height; None when there are not enough of them, or
+        when height * lcm(1..height) reaches 2^62."""
+        if not self.rational:
+            return self.moduli
+        key = (law.__code__, arity, height)
+        if key not in self._moduli:
+            lam = math.lcm(*range(1, height + 1))
+            bound = (None if height * lam >= 1 << 62 else
+                     law(*[_Bound(self, height * lam, lam)] * arity))
+            self._moduli[key] = bound and bound.primes(self, height)
+        return self._moduli[key]
+
     def stack(self, x):
-        """The tower element x as a stack of one row, which broadcasts."""
-        return _Stack(self, np.array([x.nums], self.dtype))
+        """The tower element x as a stack: its residues modulo each row's
+        prime, one row for all rows with one modulus."""
+        rows = []
+        for q in self.moduli:
+            inv = pow(x.den, -1, q)
+            rows.append([v * inv % q for v in x.nums])
+        return _Stack(self, np.repeat(np.array(rows, self.dtype),
+                                      self.samples, axis=0))
+
+    def residue(self, v):
+        """The base-field value v (a residue over F_p, a Fraction over Q)
+        modulo each row's prime, as a column (an int with one modulus)."""
+        return self._column([v.numerator * pow(v.denominator, -1, q) % q
+                             for q in self.moduli])
 
     def one(self):
         rows = np.zeros((1, self.n), self.dtype)
         rows[0, 0] = 1
         return _Stack(self, rows)
 
-    def draw(self, rng, samples, arity, width):
-        """`arity` stacks of `samples` elements: what `samples` cases of
-        `arity` draws of `width` leading coordinates each (the others 0)
-        take from rng, by one ``scalars._draws_array`` call (int64) or one
-        ``scalars._draws_below`` call (object)."""
+    def draw(self, rng, samples, arity, width, height, moduli):
+        """`arity` stacks of `samples` elements modulo each of `moduli`:
+        what `samples` cases of `arity` draws of `width` leading
+        coordinates each (the others 0) take from rng.  Over F_p that is
+        one ``scalars._draws_array`` call (int64) or one
+        ``scalars._draws_below`` call (object); over Q one
+        ``scalars._rational_draws_array`` call, each draw a / L with
+        L = lcm(1..height) and a row per prime holding a * L^-1 mod it."""
         count = samples * arity * width
-        draws = (np.array(_draws_below(rng, self.p, count), object)
-                 if self.dtype is object
-                 else _draws_array(rng, self.p, count))
-        rows = np.zeros((samples, arity, self.n), self.dtype)
-        rows[:, :, :width] = draws.reshape(samples, arity, width)
-        return [_Stack(self, rows[:, a]) for a in range(arity)]
+        if self.rational:
+            lam, q = math.lcm(*range(1, height + 1)), np.array([moduli]).T
+            scale = np.array([[pow(lam, -1, r) for r in moduli]]).T
+            draws = (_rational_draws_array(rng, height, count) % q * scale
+                     % q).astype(self.dtype, copy=False)
+        elif self.dtype is object:
+            draws = np.array(_draws_below(rng, moduli[0], count), object)
+        else:
+            draws = _draws_array(rng, moduli[0], count)
+        rows = draws.reshape(len(moduli) * samples, arity, width)
+        if width < self.n:
+            rows = np.zeros((len(rows), arity, self.n), self.dtype)
+            rows[:, :, :width] = draws.reshape(len(rows), arity, width)
+        view = self._over(moduli, samples)
+        return [_Stack(view, rows[:, a]) for a in range(arity)]
 
     def contract(self, a, b, matrix):
         outer = a[:, :, None] * b[:, None, :]
-        if self.reduce_outer:
-            outer %= self.p
         outer = outer.reshape(len(outer), self.n * self.n)
+        if self.reduce_outer:
+            outer = outer % self.p
         if self.dtype is object:
-            return outer @ matrix % self.p
-        return (outer.astype(np.float64) @ matrix).astype(np.int64) % self.p
+            out = outer @ matrix % self.p
+        else:
+            out = (outer.astype(np.float64) @ matrix).astype(np.int64) % self.p
+        return out if self.den_inv is None else out * self.den_inv % self.p
 
 
 class _Stack:
-    """Elements of a tower over F_p, one per row of `rows` (``_Stacks``),
-    with the operations the laws of `_LAWS` use, each run on all rows at
-    once: `==` and `is_zero` give one bool per row."""
+    """Elements of a tower over F_p or Q, one per row of `rows`
+    (``_Stacks``), with the operations the laws of `_LAWS` use, each run on
+    all rows at once: `==` and `is_zero` give one bool per row."""
 
     __slots__ = ("owner", "rows")
 
@@ -776,16 +888,95 @@ class _Stack:
         return _Stack(self.owner.line, 2 * self.rows[:, :1] % self.owner.p)
 
     def scale(self, s):
-        """The rows times a scalar of F_p, or row by row times a stack of
-        the line."""
+        """The rows times a scalar of the base, or row by row times a
+        stack of the line."""
         return self._new(self.rows * (s.rows if isinstance(s, _Stack)
-                                      else s.val))
+                                      else self.owner.residue(s.val)))
+
+
+class _Bound:
+    """A bound on the values a law over Q takes, for
+    ``_Stacks.moduli_for``: each value is N / d for an integer vector N
+    with |N| at most `a` in every entry.  It answers what ``_Stack``
+    answers, so a law runs on it unchanged, and is its own `owner`, whose
+    `one` and `stack` give 1 and a tower element:
+    - a drawn coordinate n / m, |n| <= h and 1 <= m <= h, is a / L with
+      L = lcm(1..h) and |a| <= h L;
+    - a product is sum(c * X[i] * Y[j]) / (den dx dy) over the terms of a
+      kernel row, so at most L1 ax ay, L1 the largest sum of |c| over a
+      row, and a norm likewise;
+    - a sum or difference is taken over the lcm of the two d, a scaling
+      by a rational constant multiplies a by its numerator and d by its
+      denominator, and a trace doubles a.
+    `==` and `is_zero` give the bound of the numerator of the difference
+    over that lcm, and `&` the largest of two."""
+
+    __slots__ = ("stacks", "a", "d")
+
+    owner = property(lambda b: b)
+
+    def __init__(self, stacks, a, d):
+        self.stacks, self.a, self.d = stacks, a, d
+
+    def _sum(self, other):
+        d = math.lcm(self.d, other.d)
+        return _Bound(self.stacks, self.a * (d // self.d)
+                      + other.a * (d // other.d), d)
+
+    __add__ = __sub__ = __eq__ = _sum
+
+    def __and__(self, other):
+        return _Bound(self.stacks, max(self.a, other.a),
+                      math.lcm(self.d, other.d))
+
+    def __mul__(self, other):
+        s = self.stacks
+        return _Bound(s, s.mul_l1 * self.a * other.a, s.den * self.d * other.d)
+
+    def is_zero(self):
+        return self
+
+    def conj(self):
+        return self
+
+    def norm(self):
+        s = self.stacks
+        return _Bound(s.line, s.norm_l1 * self.a * self.a,
+                      s.den * self.d * self.d)
+
+    def trace(self):
+        return _Bound(self.stacks.line, 2 * self.a, self.d)
+
+    def scale(self, c):
+        if isinstance(c, _Bound):
+            return _Bound(self.stacks, self.a * c.a, self.d * c.d)
+        return _Bound(self.stacks, self.a * abs(c.val.numerator),
+                      self.d * c.val.denominator)
+
+    def one(self):
+        return _Bound(self.stacks, 1, 1)
+
+    def stack(self, x):
+        return _Bound(self.stacks, max(abs(v) for v in x.nums), x.den)
+
+    def primes(self, stacks, height):
+        """The fewest of the primes of `stacks`, in order, above `height`
+        and dividing neither d nor the kernel's denominator, whose product
+        passes this bound; None when there are not enough of them."""
+        d, chosen, product = self.d * stacks.den, [], 1
+        for q in stacks.primes:
+            if q > height and d % q:
+                chosen.append(q)
+                product *= q
+                if product > self.a:
+                    return tuple(chosen)
+        return None
 
 
 def _stacks(algebra):
-    """The ``_Stacks`` of a tower over a prime field, or None: the suites
-    check a law on all its samples at once through it."""
-    if isinstance(algebra.base, PrimeField):
+    """The ``_Stacks`` of a tower over Q or a prime field, or None: the
+    suites check a law on all its samples at once through it."""
+    if isinstance(algebra.base, (Rationals, PrimeField)):
         return algebra._kernel.stacks
     return None
 
@@ -796,41 +987,76 @@ def _reprs(*args):
     return [repr(a) for a in args]
 
 
-def _check_law(rep, rule, law, arity, samples, draw, rng, stacks, width):
-    """The line of `rule`: law(*case) on `samples` cases of `arity`
-    elements each, drawn by `draw` in order, as ``Report.first_failure``
-    walks them.  With `stacks` (over F_p), the cases are drawn as stacks
-    of `width` leading coordinates in one call and the law is evaluated
-    once on all of them, and the line is `report.STACKED`.  On a failure
-    at case k the stream is rewound and cases 0..k are drawn again by
-    `draw`, so the line has the same samples, index and counterexample,
-    and the stream stops at the same place."""
-    if stacks is None:
-        cases = (tuple(draw() for _ in range(arity)) for _ in range(samples))
-        return rep.first_failure(rule, cases, law, None, cex=_reprs)
-    state = rng.getstate()
-    holds = law(*stacks.draw(rng, samples, arity, width))
-    if holds.all():
-        return rep.add(rule, samples, True, mode=STACKED)
-    k = int(np.argmin(holds))
-    rng.setstate(state)
-    cases = [tuple(draw() for _ in range(arity)) for _ in range(k + 1)]
-    line = rep.add(rule, k + 1, False, _reprs(*cases[k]), mode=STACKED)
+def _failed(rep, rule, k, case, mode):
+    line = rep.add(rule, k + 1, False, _reprs(*case), mode=mode)
     line.index = k
     return line
+
+
+def _check_law(rep, rule, law, arity, samples, draw, rng, stacks, width,
+               height):
+    """The line of `rule`: law(*case) on `samples` cases of `arity`
+    elements each, drawn by `draw` in order, as ``Report.first_failure``
+    walks them.
+
+    With `stacks` and primes to check the law modulo
+    (``_Stacks.moduli_for``), the cases are drawn as stacks of `width`
+    leading coordinates in one call and the law is evaluated once on all
+    of them, and the line is `report.STACKED`.  Over Q, case 0 is first
+    drawn and checked by `draw` and the law itself, and the stacks hold
+    the cases after it; when it fails, that is the line, `SAMPLED`.  On a
+    failure at a later case k the stream is rewound to the stacks' first
+    case and the cases up to k are drawn again by `draw`, so the line has
+    the same samples, index and counterexample, and the stream stops at
+    the same place.  Without them (another base, or over Q a height or
+    bound past the primes), the cases go one by one."""
+    moduli = stacks and stacks.moduli_for(law, arity, height)
+    if not moduli:
+        cases = (tuple(draw() for _ in range(arity)) for _ in range(samples))
+        return rep.first_failure(rule, cases, law, None, cex=_reprs)
+    first = 0
+    if stacks.rational and samples:
+        case = tuple(draw() for _ in range(arity))
+        if not law(*case):
+            return _failed(rep, rule, 0, case, SAMPLED)
+        first = 1
+    if samples > first:
+        state = rng.getstate()
+        holds = law(*stacks.draw(rng, samples - first, arity, width, height,
+                                 moduli))
+        if not holds.all():
+            # row r holds sample r mod (samples - first), prime by prime
+            k = first + int((np.flatnonzero(~holds)
+                             % (samples - first)).min())
+            rng.setstate(state)
+            for _ in range(first, k + 1):
+                case = tuple(draw() for _ in range(arity))
+            return _failed(rep, rule, k, case, STACKED)
+    return rep.add(rule, samples, True, mode=STACKED)
 
 
 def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
     """Sampled identity suite; failures are report lines with a witness.
 
-    The cases of a law are drawn from one seeded stream, in order.  Over
-    a prime field each law but those of `inverse` (whose draws are
-    nonzero and whose inverses may not exist) is checked once on all its
-    samples, stacked in numpy (``_Stacks``, ``_check_law``); over any
-    other base, and for `inverse`, case by case.  Both give the same
-    report and leave the stream at the same place."""
+    The cases of a law are drawn from one seeded stream, in order, their
+    coordinates at `height` (n / m with |n| <= height, 1 <= m <= height,
+    over Q).  Over Q and over a prime field each law but those of
+    `inverse` (whose draws are nonzero and whose inverses may not exist,
+    and over Q may exist where a residue has none) is checked once on all
+    its samples, stacked in numpy (``_Stacks``, ``_check_law``): over F_p
+    on residues mod p, over Q on residues modulo as many word-size primes
+    as a bound on the law's values needs for equal residues to mean
+    equal values.  Over Q, case 0 runs by the law on tower elements
+    first, so a law that fails at once draws no stacks; past height 40,
+    or where the primes do not reach the bound, the law goes case by
+    case.  Over any other base, and for `inverse`, the cases go one by
+    one.  Both paths give the same report and leave the stream at the
+    same place.  ValueError for a negative sample count, before any
+    draw."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
+    if samples < 0:
+        raise ValueError("negative sample count %d" % samples)
     rng = random.Random(seed)
     rep = Report("identities.%s" % suite, seed=seed, subject=repr(algebra))
     if not algebra.is_division:
@@ -845,7 +1071,7 @@ def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
 
         for rule, arity, law in _LAWS[suite]:
             _check_law(rep, rule, law, arity, samples, draw, rng, stacks,
-                       algebra.dim)
+                       algebra.dim, height)
         return rep
     if algebra.dim < 2:
         rep.add("doubling-rules", 0, True, note="skipped: dim 1 has no stage")
@@ -858,9 +1084,8 @@ def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
         nums, den = algebra.base.random_coords(rng, half, height)
         return algebra._canonical(nums + [0] * len(nums), den)
 
-    rules = _doubling_rules(stacks.stack(e) if stacks else e, u)
-    _check_law(rep, "doubling.rules", rules, 2, samples, rand_lower, rng,
-               stacks, half)
+    _check_law(rep, "doubling.rules", _doubling_rules(e, u), 2, samples,
+               rand_lower, rng, stacks, half, height)
     return rep
 
 

@@ -26,7 +26,8 @@ forms too:
   decided on a basis, and a quadratic map on the cases of `polarized`,
   e_i and e_i + e_j (linearization; Zhevlakov, Slin'ko, Shestakov and
   Shirshov, Rings That Are Nearly Associative (1982), ch. 1);
-- `STACKED`: every sample is checked at once, as numpy rows over F_p;
+- `STACKED`: every sample is checked at once, as numpy rows of residues
+  over F_p, or over Q modulo a few primes;
 - `SAMPLED`: seeded draws, the default of `first_failure`.
 A line that states a fact rather than checks cases (`proper`,
 `quad-type`, `division-status`, ...) has mode None, the default of `add`.

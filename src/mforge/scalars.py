@@ -21,9 +21,11 @@ object path of the stacked identity suites of ``composition``, whose
 payloads and reprs must be ints).  ``_draws_array`` makes the same draws
 as an int64 array read off whole 32-bit words (the int64 path of those
 suites).  ``Rationals.random_coords`` draws its numerator and
-denominator pairs in one loop of its own.  No other module reads
-getrandbits.  ``first_root`` is the one root rule of the package, by
-each field's ``sqrt``.
+denominator pairs in one loop of its own, and ``_rational_draws_array``
+makes the same draws read ahead off whole words, as the integers over
+lcm(1..height) (its one caller: the stacked identity suites over Q).  No
+other module reads getrandbits.  ``first_root`` is the one root rule of
+the package, by each field's ``sqrt``.
 """
 
 from __future__ import annotations
@@ -141,6 +143,61 @@ def _draws_array(rng, n, count):
         missing -= len(runs[-1])
     runs.append(np.array(_draws_below(rng, n, missing), np.uint32))
     return np.concatenate(runs).astype(np.int64)
+
+
+def _rational_draws_array(rng, height, count):
+    """The draws of ``Rationals.random_coords(rng, count, height)`` as the
+    integers a with coordinate k equal to a[k] / L, L = lcm(1..height),
+    read off whole words, and the generator left where that call leaves
+    it.  An int64 array while height * L < 2^62 (height <= 40), and past
+    it an object array made by `random_coords` itself.
+
+    A coordinate is a numerator draw below 2h + 1, of k + 1 bits, then a
+    denominator draw below h, of k = h.bit_length() bits: the top bits
+    of a 32-bit word each, accepted when the word lies below
+    (2h + 1) 2^(31 - k) and below 2h 2^(31 - k) respectively.  A word
+    that a denominator accepts a numerator accepts too, so among the
+    words a numerator accepts, a word after one that only a numerator
+    accepts is awaited as a denominator, and each word that a
+    denominator accepts flips what is awaited: a word is a denominator
+    when it is the first, third, ... of a run of denominator-accepted
+    words after such a word, or the second, fourth, ... of the run at
+    the start (one maximum.accumulate), and the numerator of a
+    coordinate is the accepted word after the previous denominator.  The
+    words are read ahead, the generator rewound and advanced again by
+    exactly the words used."""
+    if height <= 0:
+        raise ValueError("empty range for a draw below %d" % height)
+    lam = math.lcm(*range(1, height + 1))
+    if height * lam >= 1 << 62:
+        nums, den = QQ.random_coords(rng, count, height)
+        return np.array([a * (lam // den) for a in nums], object)
+    if not count:
+        return np.zeros(0, np.int64)
+    k = height.bit_length()
+    both, num_only = 2 * height << (31 - k), (2 * height + 1) << (31 - k)
+    ahead = int(count * (2 ** 32 / both + 2 ** 32 / num_only) * 1.1) + 32
+    state, words = rng.getstate(), b""
+    while True:
+        words += rng.getrandbits(32 * ahead).to_bytes(4 * ahead, "little")
+        words_u4 = np.frombuffer(words, "<u4")
+        kept = np.flatnonzero(words_u4 < num_only)
+        accepted = words_u4[kept].astype(np.int64)
+        den_ok = accepted < both
+        at = np.arange(len(kept))
+        run_start = np.maximum.accumulate(np.where(den_ok, -2, at))
+        # den_ok and an odd distance from the run's start, in bit 0
+        dens = np.flatnonzero(den_ok & (at - run_start))
+        if len(dens) >= count:
+            break
+        ahead = len(words_u4)
+    dens = dens[:count]
+    nums = np.concatenate([[0], dens[:-1] + 1])
+    rng.setstate(state)
+    rng.getrandbits(32 * int(kept[dens[-1]] + 1))
+    per_den = lam // np.arange(1, height + 1, dtype=np.int64)
+    return (((accepted[nums] >> (31 - k)) - height)
+            * per_den[accepted[dens] >> (32 - k)])
 
 
 def _inexact(field, x):

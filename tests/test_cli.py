@@ -44,6 +44,34 @@ def test_verify_unknown_algebra(capsys):
         main(["verify", "--algebra", "nonsense"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra", "octonion-Q"], ["f4-census"],
+    ["polygon", "exhaustive", "QP", "Xi-F4"],
+    ["polygon", "hua", "T", "first", "#1"],
+    ["foundation", "check", os.path.join(SAMPLES, "a2_octonion.json")],
+    ["foundation", "classify", os.path.join(SAMPLES, "a2_octonion.json")],
+    ["foundation", "dot", os.path.join(SAMPLES, "a2_octonion.json")],
+    ["cover", "unfold", os.path.join(SAMPLES, "circle5_f5.json"),
+     "--radius", "1"]], ids=lambda argv: "-".join(argv[:2]))
+def test_negative_sample_counts_are_an_input_error(capsys, argv):
+    for value, message in (("-3", "negative sample count -3"),
+                           ("x", "invalid int value: 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--samples", value])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert message in out.err
+
+
+def test_zero_samples_take_the_default_count(capsys):
+    argv = ["verify", "--algebra", "quaternion-Q", "--suite", "flexible",
+            "--json"]
+    _, zero, _ = run(argv + ["--samples", "0"], capsys)
+    _, default, _ = run(argv, capsys)
+    assert zero == default
+    assert json.loads(zero)["lines"][0]["samples"] == 10000
+
+
 def test_dim16_negative_control(capsys):
     code, out, _ = run(["verify", "--algebra", "dim16-Q",
                         "--suite", "alternative", "--samples", "400",

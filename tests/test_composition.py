@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 import time
 import types
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mforge import linalg
@@ -15,6 +18,7 @@ from mforge.composition import (SUITES, CDAlgebra, CDElement, DoublingFrame,
                                 orthogonal_complement,
                                 sedenion_style_q, subalgebra_generated,
                                 verify_identities)
+from mforge.report import SAMPLED, STACKED
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, PrimeField, QuadExt,
                             Scalar, random_scalar)
 from test_linalg import contract_reference, kernel_reference, solve_reference
@@ -810,7 +814,7 @@ STACKED_TOWERS = [
 STACKED_IDS = ["F%d-dim%d" % (p, 2 ** len(b)) for p, b in STACKED_TOWERS]
 
 
-def _recorded_run(monkeypatch, algebra, suite, seed, samples):
+def _recorded_run(monkeypatch, algebra, suite, seed, samples, height=9):
     """The report of verify_identities and the next draw of its stream."""
     from mforge import composition
     made = []
@@ -822,16 +826,20 @@ def _recorded_run(monkeypatch, algebra, suite, seed, samples):
 
     monkeypatch.setattr(composition, "random",
                         types.SimpleNamespace(Random=Recorded))
-    rep = verify_identities(algebra, suite, samples=samples, seed=seed)
-    monkeypatch.undo()
+    rep = verify_identities(algebra, suite, samples=samples, seed=seed,
+                            height=height)
+    monkeypatch.setattr(composition, "random", random)
     (rng,) = made
     return rep, rng.getrandbits(32)
 
 
-def _by_case(monkeypatch, algebra, suite, seed, samples):
+def _by_case(monkeypatch, algebra, suite, seed, samples, height=9):
     from mforge import composition
+    stacks = composition._stacks
     monkeypatch.setattr(composition, "_stacks", lambda algebra: None)
-    return _recorded_run(monkeypatch, algebra, suite, seed, samples)
+    got = _recorded_run(monkeypatch, algebra, suite, seed, samples, height)
+    monkeypatch.setattr(composition, "_stacks", stacks)
+    return got
 
 
 @pytest.mark.parametrize("p,betas", STACKED_TOWERS, ids=STACKED_IDS)
@@ -895,35 +903,269 @@ def test_stacked_suites_report_failures_like_the_case_by_case_path(
 
 def test_prime_field_suites_take_the_stacked_path(monkeypatch):
     """One whole-word draw call per law and no tower products over F_p;
-    Q, Q(i), F4 and the inverse suite go case by case.  The structure
-    matrix is read on the first suite, not when the tower is built."""
+    over Q one batch draw per law and only the products of case 0, which
+    runs by the law on tower elements; Q(i), F4 and the inverse suite go
+    case by case.  The structure matrix is read on the first suite, not
+    when the tower is built."""
     from mforge import composition
-    calls = {"draws": 0, "mul": 0}
+    calls = {"draws": 0, "rational": 0, "mul": 0}
     draws, mul = composition._draws_array, CDElement.__mul__
+    rational = composition._rational_draws_array
 
     def counted_draws(rng, n, count):
         calls["draws"] += 1
         return draws(rng, n, count)
+
+    def counted_rational(rng, height, count):
+        calls["rational"] += 1
+        return rational(rng, height, count)
 
     def counted_mul(x, y):
         calls["mul"] += 1
         return mul(x, y)
 
     monkeypatch.setattr(composition, "_draws_array", counted_draws)
+    monkeypatch.setattr(composition, "_rational_draws_array",
+                        counted_rational)
     monkeypatch.setattr(CDElement, "__mul__", counted_mul)
     algebra = CDAlgebra(PrimeField(1013), [3, 5, 7])
     assert "stacks" not in algebra._kernel.__dict__
     for suite in (s for s in SUITES if s != "inverse"):
-        calls.update(draws=0, mul=0)
+        calls.update(draws=0, rational=0, mul=0)
         rep = verify_identities(algebra, suite, samples=25, seed=1)
         assert rep.passed
         laws = len(composition._LAWS.get(suite, [None]))
-        assert calls == {"draws": laws, "mul": 0}, suite
+        assert calls == {"draws": laws, "rational": 0, "mul": 0}, suite
     assert "stacks" in algebra._kernel.__dict__
-    for tower, suite in [(CDAlgebra(QQ, [-1, -1]), "moufang"),
+    for suite in (s for s in SUITES if s != "inverse"):
+        # one sample is case 0 alone: the same products, and no batch
+        counts = []
+        for samples in (25, 1):
+            calls.update(draws=0, rational=0, mul=0)
+            assert verify_identities(octonions_q(), suite, samples=samples,
+                                     seed=1).passed
+            counts.append(dict(calls))
+        laws = len(composition._LAWS.get(suite, [None]))
+        assert counts[0]["mul"] == counts[1]["mul"], suite
+        assert [(c["draws"], c["rational"]) for c in counts] == [
+            (0, laws), (0, 0)], suite
+    for tower, suite in [(CDAlgebra(QQ, [-1, -1]), "inverse"),
                          (CDAlgebra(QI, [-1, 3]), "alternative"),
                          (CDAlgebra(F4, [1, (0, 1)]), "moufang"),
                          (CDAlgebra(PrimeField(1013), [3, 5, 7]), "inverse")]:
-        calls.update(draws=0, mul=0)
+        calls.update(draws=0, rational=0, mul=0)
         verify_identities(tower, suite, samples=5, seed=1)
-        assert calls["draws"] == 0 and calls["mul"] > 0, (tower, suite)
+        assert calls["draws"] == calls["rational"] == 0, (tower, suite)
+        assert calls["mul"] > 0, (tower, suite)
+
+
+Q_TOWERS = [[-1], [3], [-1, -1], [2, -5], [-1, -1, -1], [1, 2, -3],
+            [Fraction(1, 2), Fraction(-2, 3), 5], [-1, -1, -1, -1],
+            [-1, 2, -1, 5]]
+Q_IDS = ["Q-dim%d-%s" % (2 ** len(b), "-".join(str(x).replace("/", "|")
+                                                for x in b))
+         for b in Q_TOWERS]
+
+
+@pytest.mark.parametrize("betas", Q_TOWERS, ids=Q_IDS)
+def test_rational_stacked_suites_match_the_case_by_case_path(monkeypatch,
+                                                            betas):
+    """Over Q the stacked path, residues modulo as many primes as the
+    law's bound needs, gives the report, failing index and stream
+    position of the case-by-case path, from height 1 to 20 and for 0
+    and 1 samples; the dim-16 towers fail alternativity and Moufang."""
+    algebra = CDAlgebra(QQ, betas, allow_dim16=True)
+    stacks = algebra._kernel.stacks
+    assert stacks.rational and stacks.dtype is np.int64
+    samples = 8 if algebra.dim == 16 else 15
+    for suite in (s for s in SUITES if s != "inverse"):
+        for height, seed, n in itertools.chain(
+                itertools.product((1, 5, 9, 20), (0, 1), (samples,)),
+                itertools.product((9,), (5,), (0, 1))):
+            got = _recorded_run(monkeypatch, algebra, suite, seed, n, height)
+            want = _by_case(monkeypatch, algebra, suite, seed, n, height)
+            assert got[0].to_json() == want[0].to_json(), (suite, height)
+            assert repr(got[0]) == repr(want[0])
+            assert ([ln.index for ln in got[0].lines]
+                    == [ln.index for ln in want[0].lines]), (suite, height)
+            assert got[1] == want[1], (suite, height, seed, n)
+            assert all(ln.mode == (SAMPLED if ln.index == 0 else STACKED)
+                       for ln in got[0].lines if ln.mode), (suite, height)
+    if algebra.dim == 16:
+        rep = verify_identities(algebra, "alternative", samples=20, seed=3)
+        assert not rep.passed
+
+
+def test_rational_stacked_laws_fail_where_the_case_by_case_path_does(
+        monkeypatch):
+    """Laws that hold on some cases and fail on others, over Q at height
+    1: the stacked path finds the same first failing case past case 0,
+    redraws it by the law's own draws, and stops the stream there."""
+    from mforge import composition
+    planted = [("norm.idempotent", 1,
+                lambda x: x.norm() * x.norm() == x.norm()),
+               ("square.trace", 2,
+                lambda x, y: ((x * y) * (x * y)).trace()
+                == (x * y).trace() * (y * x).trace())]
+    monkeypatch.setitem(composition._LAWS, "flexible", planted)
+    algebra = CDAlgebra(QQ, [-1])
+    later = 0
+    for seed in range(30):
+        got = _recorded_run(monkeypatch, algebra, "flexible", seed, 20, 1)
+        want = _by_case(monkeypatch, algebra, "flexible", seed, 20, 1)
+        assert (got[0].to_json(), got[1]) == (want[0].to_json(), want[1])
+        assert ([(ln.index, ln.mode == STACKED) for ln in got[0].lines]
+                == [(ln.index, ln.index != 0) for ln in want[0].lines])
+        later += sum(bool(ln.index) for ln in got[0].lines)
+    assert later >= 10
+
+
+def test_rational_bounds_hold_on_drawn_cases(monkeypatch):
+    """The ``_Bound`` of a law bounds what the law compares: at each
+    `==` and `is_zero` on drawn cases, the difference of the two sides
+    times the bound's denominator is an integer no larger than the bound,
+    also where the sides differ (the dim-16 towers, and laws that do not
+    hold)."""
+    from mforge import composition
+    from mforge.composition import _Bound, _doubling_rules
+    from mforge.linalg import IntVector
+    seen = []
+    eq_vec, eq_scalar = IntVector.__eq__, Scalar.__eq__
+
+    def vec_eq(x, y):
+        seen.append([c.val for c in (x - y).coords])
+        return eq_vec(x, y)
+
+    def vec_zero(x):
+        return vec_eq(x, x.owner.zero())
+
+    def scalar_eq(x, y):
+        seen.append([(x - y).val])
+        return eq_scalar(x, y)
+
+    differ = 0
+    extra = [(2, lambda x, y: x * y == y * x),
+             (2, lambda x, y: (x * y).norm() == x.norm() + y.trace()),
+             (3, lambda x, y, z: ((x * y) * z - x * (y * z)).is_zero())]
+    for betas in ([-1, -1, -1], [Fraction(1, 2), 3, Fraction(-5, 7)],
+                  [-1, 2, -1, 5]):
+        algebra = CDAlgebra(QQ, betas, allow_dim16=True)
+        stacks = algebra._kernel.stacks
+        e = algebra.unit(algebra.dim // 2)
+        laws = [(arity, law) for suite, rules in composition._LAWS.items()
+                if suite != "inverse" for _, arity, law in rules]
+        laws += extra + [(2, _doubling_rules(e, -e.norm()))]
+        for height in (1, 3, 9):
+            lam = math.lcm(*range(1, height + 1))
+            rng = random.Random(height)
+            for arity, law in laws:
+                bound = law(*[_Bound(stacks, height * lam, lam)] * arity)
+                monkeypatch.setattr(IntVector, "__eq__", vec_eq)
+                monkeypatch.setattr(IntVector, "is_zero", vec_zero)
+                monkeypatch.setattr(Scalar, "__eq__", scalar_eq)
+                for _ in range(3):
+                    law(*[algebra.random_element(rng, height)
+                          for _ in range(arity)])
+                monkeypatch.undo()
+                assert seen
+                for diff in seen:
+                    for c in diff:
+                        assert (c * bound.d).denominator == 1
+                        assert abs(c * bound.d) <= bound.a
+                    differ += any(diff)
+                seen.clear()
+    assert differ >= 50
+
+
+def test_a_law_true_modulo_one_prime_fails(monkeypatch):
+    """x * p1 = 0 holds modulo the first residue prime p1 and nowhere
+    else: its bound takes a second prime, so the stacked rows fail on
+    every nonzero x, and the suite fails at case 0."""
+    from mforge import composition
+    from mforge.composition import _RESIDUE_PRIMES, _check_law
+    from mforge.report import Report
+    p1 = _RESIDUE_PRIMES[0]
+
+    def law(x):
+        return x.scale(QQ.scalar(p1)).is_zero()
+
+    algebra = octonions_q()
+    stacks = algebra._kernel.stacks
+    moduli = stacks.moduli_for(law, 1, 9)
+    assert moduli[0] == p1 and len(moduli) >= 2
+    (x,) = stacks.draw(random.Random(0), 30, 1, 8, 9, moduli)
+    holds = law(x).reshape(len(moduli), 30)
+    nonzero = ~x.is_zero().reshape(len(moduli), 30)
+    assert holds[0].all() and not (holds[1:] & nonzero[1:]).any()
+    rep = Report("planted")
+    rng = random.Random(0)
+    line = _check_law(rep, "planted", law, 1, 30,
+                      lambda: algebra.random_element(rng, 9), rng, stacks,
+                      8, 9)
+    assert (line.passed, line.index) == (False, 0)
+
+
+def test_residue_primes_keep_every_tower_on_the_float_tier():
+    """Each residue prime is prime, the list has no repeats, and 16^2
+    (p - 1)^2 < 2^53: every tower up to dim 16 over Q contracts in
+    float64; their product passes the bound of every suite's law at
+    height 9 on the towers of the paper."""
+    from mforge.composition import _RESIDUE_PRIMES
+    from mforge.scalars import _is_prime
+    assert len(set(_RESIDUE_PRIMES)) == len(_RESIDUE_PRIMES) >= 8
+    for p in _RESIDUE_PRIMES:
+        assert _is_prime(p) and 16 ** 2 * (p - 1) ** 2 < 2 ** 53, p
+    from mforge import composition
+    for algebra in (octonions_q(), sedenion_style_q()):
+        stacks = algebra._kernel.stacks
+        assert stacks.dtype is np.int64 and not stacks.reduce_outer
+        for suite, rules in composition._LAWS.items():
+            for _, arity, law in rules:
+                if suite != "inverse":
+                    assert 1 <= len(stacks.moduli_for(law, arity, 9)) <= 4
+
+
+def test_rational_laws_past_the_primes_go_case_by_case(monkeypatch):
+    """Past height 40 (height * lcm(1..height) >= 2^62), and for a
+    bound beyond the product of the residue primes, a law over Q goes
+    case by case, with the same report."""
+    from mforge import composition
+    algebra = octonions_q()
+    stacks = algebra._kernel.stacks
+    law = composition._LAWS["moufang"][0][2]
+    assert stacks.moduli_for(law, 3, 40) and not stacks.moduli_for(law, 3, 41)
+    big = CDAlgebra(QQ, [10 ** 40, -1, 3])
+    assert big._kernel.stacks.dtype is object
+    assert big._kernel.stacks.moduli_for(law, 3, 9) is None
+    for tower, height in ((algebra, 41), (big, 9)):
+        got = _recorded_run(monkeypatch, tower, "moufang", 2, 3, height)
+        want = _by_case(monkeypatch, tower, "moufang", 2, 3, height)
+        assert (got[0].to_json(), got[1]) == (want[0].to_json(), want[1])
+        assert all(ln.mode == SAMPLED for ln in got[0].lines
+                   if ln.rule.startswith("moufang"))
+    # the object tier over Q: a law whose bound the primes reach
+    got = _recorded_run(monkeypatch, big, "alternative", 2, 6, 9)
+    want = _by_case(monkeypatch, big, "alternative", 2, 6, 9)
+    assert (got[0].to_json(), got[1]) == (want[0].to_json(), want[1])
+    assert got[0].line("alternative.left").mode == STACKED
+
+
+@pytest.mark.parametrize("base", [QQ, F5, PrimeField(BIG_PRIME), QI, F4],
+                         ids=repr)
+def test_negative_sample_counts_are_refused_before_any_draw(monkeypatch,
+                                                            base):
+    from mforge import composition
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    algebra = CDAlgebra(base, [-1, -1] if base != F4 else [1, (0, 1)])
+    monkeypatch.setattr(composition, "random",
+                        types.SimpleNamespace(Random=Recorded))
+    for suite in SUITES:
+        with pytest.raises(ValueError, match="negative sample count"):
+            verify_identities(algebra, suite, samples=-3)
+    assert made == []

@@ -57,11 +57,14 @@ def test_each_line_records_how_it_was_decided():
     left = {base: verify_identities(CDAlgebra(base, [-1, -1, -1]), "moufang",
                                     samples=40).line("moufang.left")
             for base in (F3, QQ)}
+    # the inverse suite goes case by case over every base
+    inverse_q = verify_identities(CDAlgebra(QQ, [-1, -1, -1]), "inverse",
+                                  samples=10).line("inverse.left")
     lines = [(m_f4.line("hua.bijective"), SWEPT),
              (m_f4.line("hua.endomorphism"), SAMPLED),
              (inv.line("axiom.k0-fixed-by-sigma"), BASIS),
-             (left[F3], STACKED), (left[QQ], SAMPLED),
-             (inv.line("quad-type"), None)]
+             (left[F3], STACKED), (left[QQ], STACKED),
+             (inverse_q, SAMPLED), (inv.line("quad-type"), None)]
     assert [line.mode for line, _ in lines] == [mode for _, mode in lines]
     for line, _ in lines:
         plain = CheckLine(line.rule, line.samples, line.passed,

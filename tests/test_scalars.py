@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from mforge.scalars import (F2, F3, F4, F5, QI, QQ, DescriptorMismatch,
                             DivisionByZero, NotQuadExt, PrimeField, QuadExt,
-                            Scalar, _draws_array, _draws_below, field_by_name,
-                            first_root, galois_data, random_scalar)
+                            Scalar, _draws_array, _draws_below,
+                            _rational_draws_array, field_by_name, first_root,
+                            galois_data, random_scalar)
 
 
 def test_rational_arithmetic():
@@ -400,6 +401,40 @@ def test_whole_word_draws_are_the_draw_loops(n):
         got = _draws_array(rng, n, count)
         assert got.dtype == np.int64 and got.shape == (count,)
         assert (got.tolist(), rng.getstate()) == (want, after), (seed, count)
+
+
+@pytest.mark.parametrize("height", [1, 2, 5, 9, 20, 40, 41, 45])
+def test_rational_batch_draws_are_random_coords(height):
+    """_rational_draws_array(rng, height, count) makes the draws of
+    `count` coordinates drawn one by one by Rationals.random_coords, each
+    n / m as the integer n * L / m over L = lcm(1..height), and leaves the
+    generator in the same state: an int64 array read off whole words up
+    to height 40, an object array of Python ints past it, where
+    height * L reaches 2^62."""
+    lam = math.lcm(*range(1, height + 1))
+    for seed, count in itertools.product(range(5), (0, 1, 17, 960)):
+        rng = random.Random(seed)
+        want = []
+        for _ in range(count):
+            (num,), den = QQ.random_coords(rng, 1, height)
+            want.append(num * (lam // den))
+        after = rng.getstate()
+        rng = random.Random(seed)
+        got = _rational_draws_array(rng, height, count)
+        assert got.dtype == (np.int64 if height <= 40 else object)
+        assert got.shape == (count,)
+        assert (got.tolist(), rng.getstate()) == (want, after), (seed, count)
+        assert all(type(g) is int for g in got.tolist())
+    assert (height * lam < 2 ** 62) == (height <= 40)
+
+
+def test_rational_batch_draws_refuse_an_empty_height():
+    for height, count in itertools.product((0, -1), (0, 4)):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            _rational_draws_array(rng, height, count)
+        assert rng.getstate() == state
 
 
 # -- the pair rule: quadratic-extension arithmetic payload by payload in the
