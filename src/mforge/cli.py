@@ -228,15 +228,18 @@ def cmd_cover(args):
     return 0
 
 
-def _sample_count(text):
-    """A --samples value: a count of 0 or more, 0 meaning the default."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("negative sample count %d" % n)
-    return n
+def _count(what):
+    """An argparse type: an int of 0 or more, refused below 0 as a
+    negative `what`."""
+    def count(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if n < 0:
+            raise argparse.ArgumentTypeError("negative %s %d" % (what, n))
+        return n
+    return count
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,7 +247,8 @@ def build_parser():
     """The parser, built on the first call and reused: parsing leaves it
     unchanged, and the seed's MFORGE_SEED fallback is read per command."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=_sample_count, default=None,
+    common.add_argument("--samples", type=_count("sample count"),
+                        default=None,
                         help="0 or more; 0 or none takes the default")
     common.add_argument("--seed", type=int, default=None,
                         help="falls back to MFORGE_SEED, then 0")
@@ -297,7 +301,7 @@ def build_parser():
     cv_sub = cv.add_subparsers(dest="action", required=True)
     un = cv_sub.add_parser("unfold", parents=[common])
     un.add_argument("file")
-    un.add_argument("--radius", type=int, required=True)
+    un.add_argument("--radius", type=_count("radius"), required=True)
     un.set_defaults(func=cmd_cover)
     return p
 

@@ -43,9 +43,10 @@ of residues (a ``_Stack``), and a product contracts their outer products
 with the dense structure matrix read off the table on first use
 (``_Stacks``).  Over Q the residues are taken modulo a few word-size
 primes, as many as a bound on the law's values (``_Bound``) needs for
-equal residues to mean equal rationals.  Over any other base, and for
-the `inverse` suite, the cases go one by one; that path is also the
-stacked one's test oracle.
+equal residues to mean equal rationals.  Stacks run on one tier, int64
+rows contracted exactly in float64; over any other base, on a tower off
+that tier, and for the `inverse` suite, the cases go one by one; that
+path is also the stacked one's test oracle.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ from .linalg import IntSpace, IntVector, _bilinear, _compiled
 from .quadspace import first_isotropic
 from .report import SAMPLED, STACKED, Report
 from .scalars import (QQ, PrimeField, Rationals, Scalar, _draws_array,
-                      _draws_below, _rational_draws_array, _reducer,
-                      random_scalar)
+                      _rational_draws, _reducer, random_scalar)
 
 
 class AlgebraMismatch(ValueError):
@@ -264,9 +264,11 @@ class _TowerKernel:
     @functools.cached_property
     def stacks(self):
         """The ``_Stacks`` of a tower over F_p or Q, whose dense structure
-        matrices are read off `rows` and `norm_rows` here, on first use.
-        Over F_p the rows are residues over the denominator 1."""
-        return _Stacks(self.p, self.n, self.rows, self.norm_rows, self.den)
+        matrices are read off `rows` and `norm_rows` here, on first use;
+        None off their exact tier.  Over F_p the rows are residues over
+        the denominator 1."""
+        stacks = _Stacks(self.p, self.n, self.rows, self.norm_rows, self.den)
+        return stacks if stacks.exact else None
 
     mul = functools.cached_property(lambda k: _compiled(k.rows, k.n, k.n))
     norm = functools.cached_property(
@@ -672,6 +674,14 @@ _RESIDUE_PRIMES = (5931641, 5931637, 5931559, 5931533, 5931529, 5931517,
                    5931379, 5931371, 5931349, 5931337)
 
 
+@functools.lru_cache(maxsize=None)
+def _inverses(moduli, height):
+    """A row per prime q of `moduli`: entry m the inverse of m mod q for
+    1 <= m <= height, entry 0 unused (0)."""
+    return np.array([[0] + [pow(m, -1, q) for m in range(1, height + 1)]
+                     for q in moduli], np.int64)
+
+
 class _Stacks:
     """Elements of a tower over F_p or Q stacked as ``_Stack``s: the
     elements of a stack are the rows of a numpy array of residues, n = dim
@@ -683,7 +693,7 @@ class _Stacks:
     integer n of the term X[i] * Y[j] of row q of ``_TowerKernel.rows``,
     then multiplies by the inverse of the kernel's denominator; the norm
     contracts them with the n^2 x 1 matrix of `norm_rows`.  Norms and
-    traces are stacks of the tower of dim 1, `line`, in the same dtype.
+    traces are stacks of the tower of dim 1, `line`.
 
     Reduction modulo p is a ring homomorphism on the rationals whose
     denominators p does not divide, so the residues of a law's two sides
@@ -701,37 +711,36 @@ class _Stacks:
     column of a contraction sums terms of at most (p - 1) |m| each;
     unreduced, its terms are X[i] * Y[j] * m, so it and every partial sum
     of it are at most (p - 1)^2 L1 in absolute value, L1 the largest
-    column sum of |m| over the two matrices.  When n^2 (p - 1)^2 and
-    (p - 1) L1 are below 2^53, p the largest prime, the rows are int64
-    and the contraction runs in float64 (a BLAS product, on a float copy
-    of each matrix made here): float64 holds every integer below 2^53
-    exactly, so the sum is exact in any order of summation and on any
-    number of threads, and is cast back and reduced.  The outer products
-    are then reduced only when (p - 1)^2 L1 is not below 2^53
+    column sum of |m| over the two matrices.  The rows are int64 and the
+    contraction runs in float64 (a BLAS product, on a float copy of each
+    matrix made here), which is `exact` when n^2 (p - 1)^2 and (p - 1) L1
+    are below 2^53, p the largest prime: float64 holds every integer
+    below 2^53 exactly, so the sum is exact in any order of summation and
+    on any number of threads, and is cast back and reduced.  The outer
+    products are then reduced only when (p - 1)^2 L1 is not below 2^53
     (`reduce_outer`, decided here), which saves one pass over them on
-    small fields.  Otherwise the rows hold Python ints (object) and the
-    outer products are always reduced."""
+    small fields.  A tower off that tier gets no stacks, and its laws go
+    case by case: with Python ints in the rows the stacked path was
+    slower than the case-by-case one on every such tower measured."""
 
-    def __init__(self, p, n, rows, norm_rows, den=1, dtype=None):
+    def __init__(self, p, n, rows, norm_rows, den=1):
         self.rational, self.n, self.den = not p, n, den
         self.primes = (p,) if p else _RESIDUE_PRIMES
         mul, norm = self._dense(rows, p), self._dense(norm_rows, p)
         self.mul_l1, self.norm_l1 = (int(abs(m).sum(axis=0).max())
                                      for m in (mul, norm))
         top, l1 = max(self.primes) - 1, max(self.mul_l1, self.norm_l1)
-        if dtype is None:
-            dtype = (np.int64 if n * n * top * top < 2 ** 53
-                     and top * l1 < 2 ** 53 else object)
-        self.dtype = dtype
-        self.reduce_outer = dtype is object or top * top * l1 >= 2 ** 53
-        if dtype is not object:
-            mul, norm = mul.astype(np.float64), norm.astype(np.float64)
-        self.mul_matrix, self.norm_matrix = mul, norm
-        self.signs = np.array([1] + [-1] * (n - 1), dtype)
+        self.exact = n * n * top * top < 2 ** 53 and top * l1 < 2 ** 53
+        if not self.exact:
+            return
+        self.reduce_outer = top * top * l1 >= 2 ** 53
+        self.mul_matrix = mul.astype(np.float64)
+        self.norm_matrix = norm.astype(np.float64)
+        self.signs = np.array([1] + [-1] * (n - 1), np.int64)
         self._moduli, self._views = {}, {}
         self._modulo(self.primes[:1], 1)
         unit = (((0, 0, 1),),)
-        self.line = self if n == 1 else _Stacks(p, 1, unit, unit, 1, dtype)
+        self.line = self if n == 1 else _Stacks(p, 1, unit, unit, 1)
 
     def _dense(self, rows, p):
         """The integers of `rows` as a matrix, as residues over F_p."""
@@ -754,7 +763,7 @@ class _Stacks:
     def _column(self, per_modulus):
         if len(per_modulus) == 1:
             return per_modulus[0]
-        return np.repeat(np.array(per_modulus, self.dtype),
+        return np.repeat(np.array(per_modulus, np.int64),
                          self.samples)[:, None]
 
     def _over(self, moduli, samples):
@@ -796,7 +805,7 @@ class _Stacks:
         for q in self.moduli:
             inv = pow(x.den, -1, q)
             rows.append([v * inv % q for v in x.nums])
-        return _Stack(self, np.repeat(np.array(rows, self.dtype),
+        return _Stack(self, np.repeat(np.array(rows, np.int64),
                                       self.samples, axis=0))
 
     def residue(self, v):
@@ -806,7 +815,7 @@ class _Stacks:
                              for q in self.moduli])
 
     def one(self):
-        rows = np.zeros((1, self.n), self.dtype)
+        rows = np.zeros((1, self.n), np.int64)
         rows[0, 0] = 1
         return _Stack(self, rows)
 
@@ -814,23 +823,22 @@ class _Stacks:
         """`arity` stacks of `samples` elements modulo each of `moduli`:
         what `samples` cases of `arity` draws of `width` leading
         coordinates each (the others 0) take from rng.  Over F_p that is
-        one ``scalars._draws_array`` call (int64) or one
-        ``scalars._draws_below`` call (object); over Q one
-        ``scalars._rational_draws_array`` call, each draw a / L with
-        L = lcm(1..height) and a row per prime holding a * L^-1 mod it."""
+        one ``scalars._draws_array`` call; over Q one
+        ``scalars._rational_draws`` call, each draw n / m with a row per
+        prime q holding n * m^-1 mod q, read off a table of the inverses
+        of 1..height (``_inverses``: every prime lies above the height, so
+        it divides no m)."""
         count = samples * arity * width
         if self.rational:
-            lam, q = math.lcm(*range(1, height + 1)), np.array([moduli]).T
-            scale = np.array([[pow(lam, -1, r) for r in moduli]]).T
-            draws = (_rational_draws_array(rng, height, count) % q * scale
-                     % q).astype(self.dtype, copy=False)
-        elif self.dtype is object:
-            draws = np.array(_draws_below(rng, moduli[0], count), object)
+            nums, dens = _rational_draws(rng, count, height)
+            q = np.array([moduli]).T
+            draws = (np.array(nums, np.int64) % q
+                     * _inverses(moduli, height)[:, dens] % q)
         else:
             draws = _draws_array(rng, moduli[0], count)
         rows = draws.reshape(len(moduli) * samples, arity, width)
         if width < self.n:
-            rows = np.zeros((len(rows), arity, self.n), self.dtype)
+            rows = np.zeros((len(rows), arity, self.n), np.int64)
             rows[:, :, :width] = draws.reshape(len(rows), arity, width)
         view = self._over(moduli, samples)
         return [_Stack(view, rows[:, a]) for a in range(arity)]
@@ -840,10 +848,7 @@ class _Stacks:
         outer = outer.reshape(len(outer), self.n * self.n)
         if self.reduce_outer:
             outer = outer % self.p
-        if self.dtype is object:
-            out = outer @ matrix % self.p
-        else:
-            out = (outer.astype(np.float64) @ matrix).astype(np.int64) % self.p
+        out = (outer.astype(np.float64) @ matrix).astype(np.int64) % self.p
         return out if self.den_inv is None else out * self.den_inv % self.p
 
 
@@ -974,8 +979,9 @@ class _Bound:
 
 
 def _stacks(algebra):
-    """The ``_Stacks`` of a tower over Q or a prime field, or None: the
-    suites check a law on all its samples at once through it."""
+    """The ``_Stacks`` of a tower over Q or a prime field, or None (another
+    base, or a tower off their exact tier): the suites check a law on all
+    its samples at once through it."""
     if isinstance(algebra.base, (Rationals, PrimeField)):
         return algebra._kernel.stacks
     return None
@@ -1008,7 +1014,8 @@ def _check_law(rep, rule, law, arity, samples, draw, rng, stacks, width,
     failure at a later case k the stream is rewound to the stacks' first
     case and the cases up to k are drawn again by `draw`, so the line has
     the same samples, index and counterexample, and the stream stops at
-    the same place.  Without them (another base, or over Q a height or
+    the same place.  Without them (another base, a tower off the exact
+    tier of ``_Stacks``, where one by one is faster, or over Q a height or
     bound past the primes), the cases go one by one."""
     moduli = stacks and stacks.moduli_for(law, arity, height)
     if not moduli:
@@ -1049,10 +1056,12 @@ def verify_identities(algebra, suite, samples=1000, seed=0, height=9):
     equal values.  Over Q, case 0 runs by the law on tower elements
     first, so a law that fails at once draws no stacks; past height 40,
     or where the primes do not reach the bound, the law goes case by
-    case.  Over any other base, and for `inverse`, the cases go one by
-    one.  Both paths give the same report and leave the stream at the
-    same place.  ValueError for a negative sample count, before any
-    draw."""
+    case.  Over any other base, for `inverse`, and on a tower whose
+    contractions would not be exact in float64 (a prime field near 2^31,
+    a constant near 10^40 over Q), where the stacked path is slower, the
+    cases go one by one.  Both paths give the same report and leave the
+    stream at the same place.  ValueError for a negative sample count,
+    before any draw."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
     if samples < 0:

@@ -686,7 +686,9 @@ def fnd_cover(fnd, cover_diagram, phi):
 
 def fnd_universal_cover(fnd, radius):
     """Tree unfolding by non-backtracking walks from the first vertex,
-    truncated at the given radius."""
+    truncated at the given radius (0 or more; ValueError below 0)."""
+    if radius < 0:
+        raise ValueError("negative radius %d" % radius)
     dia = fnd.diagram
     root = sorted(dia.vertices)[0]
     walks = [(root,)]

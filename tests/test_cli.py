@@ -303,6 +303,24 @@ def test_cover_unfold(capsys):
     assert len(doc["vertices"]) == 9
 
 
+def test_cover_unfold_refuses_a_negative_radius(capsys):
+    """--radius -1 is an input error, exit 2 with nothing printed, as a
+    negative --samples is; radius 0 is the first vertex alone."""
+    argv = ["cover", "unfold", os.path.join(SAMPLES, "circle5_f5.json"),
+            "--radius"]
+    for value, message in (("-1", "negative radius -1"),
+                           ("x", "invalid int value: 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert message in out.err
+    code, out, _ = run(argv + ["0"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["truncated_at"] == 0
+    assert len(doc["vertices"]) == 1 and doc["edges"] == []
+
+
 def test_env_var_seed(capsys, monkeypatch):
     monkeypatch.setenv("MFORGE_SEED", "11")
     argv = ["verify", "--algebra", "quaternion-Q", "--suite", "flexible",

@@ -5,7 +5,6 @@ import time
 import types
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mforge import linalg
@@ -794,9 +793,9 @@ def test_scalar_valued_elements_hash_as_their_scalars(base, betas, value):
 # -- identity suites over F_p: checked on all samples at once, stacked in
 #    numpy, against the case-by-case path as the oracle
 
-BIG_PRIME = 2 ** 31 - 1   # dim^2 (p - 1)^2 >= 2^63 from dim 2 on
+BIG_PRIME = 2 ** 31 - 1   # dim^2 (p - 1)^2 >= 2^53 from dim 2 on
 # at dim 8, 64 (p - 1)^2 lies just below 2^53 (int64 rows, float64
-# contraction), and just above it, below 2^63 (Python ints)
+# contraction) and just above it (no stacks: case by case)
 FLOAT_PRIME, PAST_FLOAT_PRIME = 11863279, 11863289
 # on the dim-8 tower with betas [-1, 2, 3], (p - 1)^2 L1 (L1 the largest
 # column sum of the structure matrices) lies just below 2^53 (outer
@@ -844,22 +843,23 @@ def _by_case(monkeypatch, algebra, suite, seed, samples, height=9):
 
 @pytest.mark.parametrize("p,betas", STACKED_TOWERS, ids=STACKED_IDS)
 def test_stacked_suites_match_the_case_by_case_path(monkeypatch, p, betas):
+    from mforge import composition
     algebra = CDAlgebra(PrimeField(p), betas, allow_dim16=True)
     kernel = algebra._kernel
-    stacks = kernel.stacks
-    dtype = stacks.dtype
-    assert (dtype is object) == (p in (BIG_PRIME, PAST_FLOAT_PRIME))
-    assert (dtype is object) == (algebra.dim ** 2 * (p - 1) ** 2 >= 2 ** 53)
-    # a contraction's terms are X[i] Y[j] m with X[i], Y[j] <= p - 1, so
-    # its sums stay at or below (p - 1)^2 L1, L1 the largest column sum of
-    # the product and norm matrices: the int64 path leaves the outer
-    # products unreduced while that is below 2^53, the object path never
-    l1 = max(sum(c % p for _, _, c in row)
-             for row in kernel.rows + kernel.norm_rows)
-    assert stacks.reduce_outer == ((p - 1) ** 2 * l1 >= 2 ** 53)
-    assert stacks.reduce_outer == (p in (BIG_PRIME, FLOAT_PRIME,
-                                         PAST_FLOAT_PRIME, PAST_REDUCE_PRIME))
-    assert stacks.line.reduce_outer == (dtype is object)
+    stacks = composition._stacks(algebra)
+    off_tier = p in (BIG_PRIME, PAST_FLOAT_PRIME)
+    assert off_tier == (algebra.dim ** 2 * (p - 1) ** 2 >= 2 ** 53)
+    assert (stacks is None) == (kernel.stacks is None) == off_tier
+    if not off_tier:
+        # a contraction's terms are X[i] Y[j] m with X[i], Y[j] <= p - 1,
+        # so its sums stay at or below (p - 1)^2 L1, L1 the largest column
+        # sum of the product and norm matrices: the outer products stay
+        # unreduced while that is below 2^53
+        l1 = max(sum(c % p for _, _, c in row)
+                 for row in kernel.rows + kernel.norm_rows)
+        assert stacks.reduce_outer == ((p - 1) ** 2 * l1 >= 2 ** 53)
+        assert stacks.reduce_outer == (p in (FLOAT_PRIME, PAST_REDUCE_PRIME))
+        assert not stacks.line.reduce_outer
     samples = 12 if algebra.dim == 16 else 30
     for suite in (s for s in SUITES if s != "inverse"):
         for seed in range(4):
@@ -871,6 +871,8 @@ def test_stacked_suites_match_the_case_by_case_path(monkeypatch, p, betas):
             assert ([ln.index for ln in got.lines]
                     == [ln.index for ln in want.lines]), (suite, seed)
             assert after == want_after, (suite, seed)
+            assert all(ln.mode == (SAMPLED if off_tier else STACKED)
+                       for ln in got.lines if ln.mode), (suite, seed)
         for few in (0, 1):
             got, after = _recorded_run(monkeypatch, algebra, suite, 5, few)
             want, want_after = _by_case(monkeypatch, algebra, suite, 5, few)
@@ -910,23 +912,22 @@ def test_prime_field_suites_take_the_stacked_path(monkeypatch):
     from mforge import composition
     calls = {"draws": 0, "rational": 0, "mul": 0}
     draws, mul = composition._draws_array, CDElement.__mul__
-    rational = composition._rational_draws_array
+    rational = composition._rational_draws
 
     def counted_draws(rng, n, count):
         calls["draws"] += 1
         return draws(rng, n, count)
 
-    def counted_rational(rng, height, count):
+    def counted_rational(rng, n, height):
         calls["rational"] += 1
-        return rational(rng, height, count)
+        return rational(rng, n, height)
 
     def counted_mul(x, y):
         calls["mul"] += 1
         return mul(x, y)
 
     monkeypatch.setattr(composition, "_draws_array", counted_draws)
-    monkeypatch.setattr(composition, "_rational_draws_array",
-                        counted_rational)
+    monkeypatch.setattr(composition, "_rational_draws", counted_rational)
     monkeypatch.setattr(CDElement, "__mul__", counted_mul)
     algebra = CDAlgebra(PrimeField(1013), [3, 5, 7])
     assert "stacks" not in algebra._kernel.__dict__
@@ -976,7 +977,7 @@ def test_rational_stacked_suites_match_the_case_by_case_path(monkeypatch,
     and 1 samples; the dim-16 towers fail alternativity and Moufang."""
     algebra = CDAlgebra(QQ, betas, allow_dim16=True)
     stacks = algebra._kernel.stacks
-    assert stacks.rational and stacks.dtype is np.int64
+    assert stacks.rational and stacks.exact
     samples = 8 if algebra.dim == 16 else 15
     for suite in (s for s in SUITES if s != "inverse"):
         for height, seed, n in itertools.chain(
@@ -1118,7 +1119,7 @@ def test_residue_primes_keep_every_tower_on_the_float_tier():
     from mforge import composition
     for algebra in (octonions_q(), sedenion_style_q()):
         stacks = algebra._kernel.stacks
-        assert stacks.dtype is np.int64 and not stacks.reduce_outer
+        assert stacks.exact and not stacks.reduce_outer
         for suite, rules in composition._LAWS.items():
             for _, arity, law in rules:
                 if suite != "inverse":
@@ -1126,28 +1127,26 @@ def test_residue_primes_keep_every_tower_on_the_float_tier():
 
 
 def test_rational_laws_past_the_primes_go_case_by_case(monkeypatch):
-    """Past height 40 (height * lcm(1..height) >= 2^62), and for a
-    bound beyond the product of the residue primes, a law over Q goes
-    case by case, with the same report."""
+    """Past height 40 (height * lcm(1..height) >= 2^62) a law over Q goes
+    case by case, with the same report; so does every law of a tower off
+    the exact tier of the stacks (a constant near 10^40), which gets no
+    stacks at all."""
     from mforge import composition
     algebra = octonions_q()
     stacks = algebra._kernel.stacks
     law = composition._LAWS["moufang"][0][2]
     assert stacks.moduli_for(law, 3, 40) and not stacks.moduli_for(law, 3, 41)
-    big = CDAlgebra(QQ, [10 ** 40, -1, 3])
-    assert big._kernel.stacks.dtype is object
-    assert big._kernel.stacks.moduli_for(law, 3, 9) is None
-    for tower, height in ((algebra, 41), (big, 9)):
-        got = _recorded_run(monkeypatch, tower, "moufang", 2, 3, height)
-        want = _by_case(monkeypatch, tower, "moufang", 2, 3, height)
-        assert (got[0].to_json(), got[1]) == (want[0].to_json(), want[1])
-        assert all(ln.mode == SAMPLED for ln in got[0].lines
-                   if ln.rule.startswith("moufang"))
-    # the object tier over Q: a law whose bound the primes reach
-    got = _recorded_run(monkeypatch, big, "alternative", 2, 6, 9)
-    want = _by_case(monkeypatch, big, "alternative", 2, 6, 9)
+    got = _recorded_run(monkeypatch, algebra, "moufang", 2, 3, 41)
+    want = _by_case(monkeypatch, algebra, "moufang", 2, 3, 41)
     assert (got[0].to_json(), got[1]) == (want[0].to_json(), want[1])
-    assert got[0].line("alternative.left").mode == STACKED
+    assert all(ln.mode == SAMPLED for ln in got[0].lines)
+    big = CDAlgebra(QQ, [10 ** 40, -1, 3])
+    assert big._kernel.stacks is None and composition._stacks(big) is None
+    for suite in SUITES:
+        got = _recorded_run(monkeypatch, big, suite, 2, 6, 9)
+        want = _by_case(monkeypatch, big, suite, 2, 6, 9)
+        assert (got[0].to_json(), got[1]) == (want[0].to_json(), want[1])
+        assert all(ln.mode == SAMPLED for ln in got[0].lines if ln.mode)
 
 
 @pytest.mark.parametrize("base", [QQ, F5, PrimeField(BIG_PRIME), QI, F4],

@@ -240,6 +240,14 @@ def test_universal_cover_of_circle():
     assert fnd_check(u, samples=8).passed
 
 
+def test_universal_cover_radius_zero_is_the_root_and_negative_is_refused():
+    circ = field_circle()
+    u = fnd_universal_cover(circ, 0)
+    assert len(u.diagram.vertices) == 1 and u.truncated_at == 0
+    with pytest.raises(ValueError, match="negative radius -1"):
+        fnd_universal_cover(circ, -1)
+
+
 def test_positive_analysis_p3(p3_quat):
     out = fnd_positive_analysis(p3_quat, samples=12)
     assert out["members"] == [("1", "2", "3")]
